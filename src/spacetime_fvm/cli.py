@@ -2,16 +2,16 @@
 
 Subcommands::
 
-    spacetime-fvm run            --config run.ini [--out DIR] [--threads N]
+    spacetime-fvm run            --config run.ini [--out DIR]
     spacetime-fvm classify       --config run.ini [--out DIR]
     spacetime-fvm entropy-check  --run out/run.json [--tol TOL] [--out DIR]
     spacetime-fvm convergence    --config study.ini [--out DIR]
     spacetime-fvm mesh-report    --config run.ini [--out DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 scheme abort (a total-flux
-inversion left its image, a CFL violation, or a degenerate flux), 4
-verification failure (an entropy check or declared acceptance band failed).
-``SPACETIME_FVM_THREADS`` is the fallback for ``--threads``.
+inversion left its image or did not converge, a CFL violation, or a
+degenerate flux), 4 verification failure (an entropy check or declared
+acceptance band failed).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .harness import (
     convergence_study,
 )
 from .mesh import (
+    ConvergenceError,
     Foliation,
     MeshError,
     ValueOutsideImage,
@@ -58,7 +59,8 @@ EXIT_CONFIG = 2
 EXIT_SCHEME_ABORT = 3
 EXIT_VERIFICATION = 4
 
-_SCHEME_ERRORS = (ValueOutsideImage, CFLViolation, DegenerateFluxError, NotSpacelikeError)
+_SCHEME_ERRORS = (ValueOutsideImage, ConvergenceError, CFLViolation, DegenerateFluxError,
+                  NotSpacelikeError)
 _CONFIG_ERRORS = (ConfigError, ExpressionError, MeshError, FormError,
                   FileNotFoundError, ValueError)
 
@@ -137,8 +139,6 @@ def cmd_run(args) -> int:
     setup = load_config(args.config)
     out_dir = args.out or setup.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    if args.threads is not None:
-        setup.cfg = replace(setup.cfg, threads=args.threads)
     tri = setup.triangulation()
     solver = Solver(tri, setup.flux, setup.spec, setup.bd, setup.cfg)
     result = solver.run()
@@ -314,8 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--threads", type=int,
-                       default=_default_threads(), help="worker thread count")
 
     p_run = sub.add_parser("run", help="execute a configured run")
     common(p_run)
@@ -329,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--run", required=True, help="path to run.json")
     p_ent.add_argument("--out", default=None)
     p_ent.add_argument("--tol", type=float, default=None)
-    p_ent.add_argument("--threads", type=int, default=_default_threads())
     p_ent.set_defaults(fn=cmd_entropy_check)
 
     p_conv = sub.add_parser("convergence", help="refinement study with oracle errors")
@@ -340,16 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_mesh)
     p_mesh.set_defaults(fn=cmd_mesh_report)
     return parser
-
-
-def _default_threads() -> int | None:
-    raw = os.environ.get("SPACETIME_FVM_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def main(argv=None) -> int:

@@ -301,10 +301,9 @@ def parse_config(text: str) -> RunSetup:
 
     flux = _resolve_flux(cp, domain, flux_range)
 
-    threads = _get_int(cp, "run", "threads", 1) if cp.has_section("run") else 1
     tol = _get_float(cp, "run", "inversion_tol", 1e-12) if cp.has_section("run") else 1e-12
     cfg = RunConfig(cfl_target=cfl_target, inversion_tol=tol, u_range=flux_range,
-                    enforce_cfl=enforce_cfl, threads=max(1, threads))
+                    enforce_cfl=enforce_cfl)
 
     entropy_checks = _get_bool(cp, "entropy", "checks", True) \
         if cp.has_section("entropy") else True

@@ -8,8 +8,8 @@ interval domain the extreme vertical faces lie on the spacetime boundary.
 
 Total flux functions ``q_e(u) = oriented integral of omega(u) over e`` are
 the quantities the scheme evolves.  On spacelike faces they are strictly
-monotone, cached with derivative bounds, and invertible through a guarded
-bisection/Newton hybrid.
+monotone, cached with derivative bounds, and invertible through one
+guarded Newton/bisection routine shared by single faces and whole slices.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .forms import (
 __all__ = [
     "Cell",
     "CircleDomain",
+    "ConvergenceError",
     "Face",
     "Foliation",
     "IntervalDomain",
@@ -53,10 +54,16 @@ __all__ = [
 DQ_SAMPLE_COUNT = 33
 DQ_MIN_SAFETY = 0.9   # sampled minimum is an upper bound for the true inf
 DQ_MAX_SAFETY = 1.1
+INVERT_MAX_ITERATIONS = 100
+ROOT_STEP_TOL = 4e-16   # relative step below which a root is converged
 
 
 class MeshError(ValueError):
     """Raised for inadmissible partitions or malformed mesh queries."""
+
+
+class ConvergenceError(RuntimeError):
+    """A numerical kernel stopped above its tolerance: a scheme failure."""
 
 
 class ValueOutsideImage(ValueError):
@@ -423,33 +430,61 @@ class TotalFlux:
     def invert(self, value: float, tol: float = 1e-12) -> float:
         if not self.monotone:
             raise NotSpacelikeError("total flux on this face is not monotone")
-        return float(_invert_scalar(self.q_fn, self.dq_fn, float(value),
-                                    self.u_range[0], self.u_range[1],
-                                    self.image, tol))
+        u = _invert_increasing(self.q_fn, self.dq_fn, np.array([float(value)]), self.u_range,
+                               np.array([self.image[0]]), np.array([self.image[1]]),
+                               [self.face_id], tol)
+        return float(u[0])
 
 
-def _invert_scalar(q_fn, dq_fn, value, u_lo, u_hi, image, tol):
-    pad = tol * max(1.0, abs(value))
-    if value < image[0] - pad or value > image[1] + pad:
+def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol):
+    """Solve ``q(u) = values`` entrywise for increasing q on ``u_range``.
+
+    Newton steps inside a closed bracket ``q(lo) < target <= q(hi)``; a step
+    that is not finite or not strictly inside is replaced by bisection.  A
+    root stops, frozen, once its step is below ``ROOT_STEP_TOL * (1 + |u|)``
+    and its residual within ``tol * max(1, |target|)``.  Targets at an image
+    end return that end of ``u_range`` exactly.  Raises
+    :class:`ValueOutsideImage` for a target outside the padded image and
+    :class:`ConvergenceError` for a root above tolerance after
+    ``INVERT_MAX_ITERATIONS``.
+    """
+    values = np.asarray(values, dtype=float)
+    scale = np.maximum(1.0, np.abs(values))
+    tol_abs = tol * scale
+    if np.any(values < image_lo - tol_abs) or np.any(values > image_hi + tol_abs):
+        k = int(np.argmax(np.maximum(image_lo - values, values - image_hi)))
         raise ValueOutsideImage(
-            f"target {value!r} outside total-flux image [{image[0]!r}, {image[1]!r}]")
-    lo, hi = u_lo, u_hi
-    u = 0.5 * (lo + hi)
-    for _ in range(100):
-        r = float(q_fn(np.asarray(u))) - value
-        if r < 0.0:
-            lo = u
-        else:
-            hi = u
-        d = float(dq_fn(np.asarray(u)))
-        nxt = u - r / d if d > 0.0 else 0.5 * (lo + hi)
-        if not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 4e-16 * (1.0 + abs(u)) and abs(r) <= tol * max(1.0, abs(value)):
-            return nxt
-        u = nxt
-    if abs(float(q_fn(np.asarray(u))) - value) > tol * max(1.0, abs(value)):
-        raise MeshError("total-flux inversion failed to converge")
+            f"face {face_ids[k]}: target {float(values[k])!r} outside image "
+            f"[{float(image_lo[k])!r}, {float(image_hi[k])!r}]")
+    at_lo = values <= image_lo
+    at_hi = values >= image_hi
+    lo = np.full_like(values, u_range[0])
+    hi = np.full_like(values, u_range[1])
+    u = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
+    active = ~(at_lo | at_hi)
+    for _ in range(INVERT_MAX_ITERATIONS):
+        if not active.any():
+            return u
+        r = q_of(u) - values
+        lo = np.where(active & (r < 0.0), u, lo)
+        hi = np.where(active & (r >= 0.0), u, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = u - r / dq_of(u)
+        # the converged test comes first: at a root the step rounds to zero
+        # and lands on the endpoint this iteration has just moved to u
+        done = (np.abs(nxt - u) <= ROOT_STEP_TOL * (1.0 + np.abs(u))) & (np.abs(r) <= tol_abs)
+        active &= ~done
+        bad = ~np.isfinite(nxt) | (nxt <= lo) | (nxt >= hi)
+        u = np.where(active, np.where(bad, 0.5 * (lo + hi), nxt), u)
+    if active.any():
+        resid = np.abs(q_of(u) - values)
+        failed = active & (resid > np.maximum(tol_abs, 1e-13 * scale))
+        if failed.any():
+            k = int(np.argmax(np.where(failed, resid / scale, -1.0)))
+            raise ConvergenceError(
+                f"face {face_ids[k]}: total-flux inversion of target {float(values[k])!r} "
+                f"stopped after {INVERT_MAX_ITERATIONS} iterations with residual "
+                f"{float(resid[k])!r} (tolerance {float(tol_abs[k])!r})")
     return u
 
 
@@ -616,64 +651,14 @@ class SpacelikeTable:
         """Signed quadrature weights matching :meth:`density` (sum = oriented q)."""
         return self.weights
 
-    def invert(self, values: np.ndarray, tol: float = 1e-12,
-               columns: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized guarded inversion of q on (a subset of) the slice faces.
+    def invert(self, values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """States whose oriented total fluxes equal ``values``, one per face.
 
-        Converged entries are frozen, so each root's trajectory depends only
-        on its own face: splitting the columns across workers reproduces the
-        full-array result bit for bit.
+        See :func:`_invert_increasing` for the iteration, its stopping rule
+        and errors; each result depends only on its own face and target.
         """
-        values = np.asarray(values, dtype=float)
-        if columns is None:
-            pts = self.pts
-            weights = self.weights
-            image_lo = self.image_lo
-            image_hi = self.image_hi
-            ids = self.face_ids
-        else:
-            columns = np.asarray(columns, dtype=int)
-            pts = self.pts[columns]
-            weights = self.weights[columns]
-            image_lo = self.image_lo[columns]
-            image_hi = self.image_hi[columns]
-            ids = [self.face_ids[k] for k in columns]
-
-        def q_of(u):
-            return np.sum(weights * self._wx(pts, u[:, None]), axis=-1)
-
-        def dq_of(u):
-            return np.sum(weights * self._dwx(pts, u[:, None]), axis=-1)
-
-        pad = tol * np.maximum(1.0, np.abs(values))
-        if np.any(values < image_lo - pad) or np.any(values > image_hi + pad):
-            k = int(np.argmax(np.maximum(image_lo - values, values - image_hi)))
-            raise ValueOutsideImage(
-                f"face {ids[k]}: target {values[k]!r} outside image "
-                f"[{image_lo[k]!r}, {image_hi[k]!r}]")
-        lo = np.full_like(values, self.u_range[0])
-        hi = np.full_like(values, self.u_range[1])
-        u = 0.5 * (lo + hi)
-        tol_abs = tol * np.maximum(1.0, np.abs(values))
-        active = np.ones(values.shape, dtype=bool)
-        for _ in range(100):
-            r = q_of(u) - values
-            lo = np.where(active & (r < 0.0), u, lo)
-            hi = np.where(active & (r >= 0.0), u, hi)
-            d = dq_of(u)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                nxt = u - r / d
-            bad = ~np.isfinite(nxt) | (nxt <= lo) | (nxt >= hi)
-            nxt = np.where(bad, 0.5 * (lo + hi), nxt)
-            done = (np.abs(nxt - u) <= 4e-16 * (1.0 + np.abs(u))) & (np.abs(r) <= tol_abs)
-            u = np.where(active, nxt, u)
-            active = active & ~done
-            if not bool(np.any(active)):
-                break
-        resid = np.abs(q_of(u) - values)
-        if np.any(resid > np.maximum(tol_abs, 1e-13 * np.maximum(1.0, np.abs(values)))):
-            raise MeshError("vectorized total-flux inversion failed to converge")
-        return u
+        return _invert_increasing(self.q, self.dq, values, self.u_range, self.image_lo,
+                                  self.image_hi, self.face_ids, tol)
 
     def total_flux_view(self, column: int) -> TotalFlux:
         """Per-face TotalFlux sharing this table's cached quadrature."""

@@ -21,7 +21,6 @@ of the flux form along decreasing time; the right cell sees the negative.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -35,6 +34,7 @@ from .mesh import (
     Face,
     IntervalDomain,
     MeshError,
+    ROOT_STEP_TOL,
     SpacelikeTable,
     Triangulation,
 )
@@ -133,15 +133,12 @@ class RunConfig:
     u_range: tuple[float, float] | None = None
     enforce_cfl: bool = True
     check_hyperbolicity: bool = True
-    threads: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.cfl_target <= CFL_LIMIT:
             raise ValueError(f"cfl_target must lie in (0, {CFL_LIMIT}]")
         if self.inversion_tol <= 0.0:
             raise ValueError("inversion_tol must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def rule(self) -> QuadratureRule:
         return gauss_legendre(self.quadrature_points, 1)
@@ -170,15 +167,65 @@ class SliceState:
 # vertical flux tables
 # ---------------------------------------------------------------------------
 
+def _bracketed_secant(f, lo, hi, flo, fhi) -> np.ndarray:
+    """Roots of f in brackets ``[lo, hi]`` whose end values differ in sign.
+
+    Regula falsi with the Illinois modification (Dowell & Jarratt 1971): an
+    end kept twice in a row has its value halved.  A step bisects when the
+    secant point is not strictly inside or the two previous steps both
+    failed to halve the bracket (one failure is what the Illinois halving
+    repairs), so the bracket halves at least every three steps and the cap
+    always suffices.  A root stops where f is exactly 0, or once the next
+    secant step or the bracket is within ``ROOT_STEP_TOL * (1 + |w|)``.
+    ``f(sel, w)`` evaluates the roots with indices ``sel`` at ``w``.
+    """
+    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
+    roots = np.empty(lo.size)
+    halvings = np.ceil(np.log2(max(float(np.max(hi - lo, initial=0.0)) / ROOT_STEP_TOL, 2.0)))
+    idx = np.arange(lo.size)
+    lo_negative = flo < 0.0
+    last = np.full(lo.size, np.inf)
+    moved = np.zeros(lo.size)        # +1: the last step moved lo, -1: it moved hi
+    slow = np.zeros(lo.size, dtype=bool)       # the last step failed to halve
+    slow_before = np.zeros(lo.size, dtype=bool)
+    for _ in range(3 * int(halvings) + 3):
+        if idx.size == 0:
+            break
+        w = lo - flo * (hi - lo) / (fhi - flo)
+        small = np.abs(w - last) <= ROOT_STEP_TOL * (1.0 + np.abs(w))
+        bisect = ~small & ((slow & slow_before) | ~((lo < w) & (w < hi)))
+        w = np.where(bisect, 0.5 * (lo + hi), w)
+        fw = np.zeros_like(w)            # a small step stops like an exact zero
+        if not small.all():
+            fw[~small] = f(idx[~small], w[~small])
+        move_lo = (fw < 0.0) == lo_negative
+        width = hi - lo
+        flo = np.where(~move_lo & (moved < 0), 0.5 * flo, flo)
+        fhi = np.where(move_lo & (moved > 0), 0.5 * fhi, fhi)
+        lo, flo = np.where(move_lo, w, lo), np.where(move_lo, fw, flo)
+        hi, fhi = np.where(move_lo, hi, w), np.where(move_lo, fhi, fw)
+        moved = np.where(move_lo, 1.0, -1.0)
+        slow_before, slow = slow, ~bisect & (hi - lo > 0.5 * width)
+        last = w
+        done = (fw == 0.0) | (hi - lo <= ROOT_STEP_TOL * (1.0 + np.abs(w)))
+        roots[idx[done]] = w[done]
+        keep = ~done
+        idx, lo, hi, flo, fhi, lo_negative, last, moved, slow, slow_before = (
+            a[keep] for a in (idx, lo, hi, flo, fhi, lo_negative, last, moved, slow, slow_before))
+    roots[idx] = 0.5 * (lo + hi)
+    return roots
+
+
 class VerticalFluxes:
     """Oriented fluxes and numerical fluxes on the vertical faces of a slab.
 
     ``G(u)`` is the total flux through a face as seen from its left cell
     (outward orientation); ``Q(u, v)`` is the numerical flux in that same
     orientation with ``u`` the left-cell state.  Critical points of G over
-    the admissible state range are located once (sampled sign changes of
-    G', polished by bisection), making the interval min/max flux exact for
-    fluxes with finitely many extrema.
+    the admissible state range are located once (sign changes of G' on a
+    ``CRITICAL_SAMPLES`` lattice, polished by :func:`_bracketed_secant`;
+    exact lattice zeros of G' count as found), making the interval min/max
+    flux exact for fluxes with finitely many extrema.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_lo: float, t_hi: float,
@@ -258,21 +305,13 @@ class VerticalFluxes:
         return -np.sum(self.weights * vals, axis=-1)
 
     def _locate_criticals(self, us: np.ndarray, dg: np.ndarray) -> None:
-        # strict sign changes are bisected; samples where G' vanishes exactly
+        # strict sign changes are polished; samples where G' vanishes exactly
         # (a sonic state landing on a sample node) are criticals themselves
         sign_change = dg[:, :-1] * dg[:, 1:] < 0.0
         face_idx, seg_idx = np.nonzero(sign_change)
-        lo = us[seg_idx]
-        hi = us[seg_idx + 1]
-        flo = dg[face_idx, seg_idx]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fmid = self._gather_dG(face_idx, mid) if face_idx.size else np.empty(0)
-            left = flo * fmid > 0.0
-            lo = np.where(left, mid, lo)
-            flo = np.where(left, fmid, flo)
-            hi = np.where(left, hi, mid)
-        roots = 0.5 * (lo + hi)
+        roots = _bracketed_secant(lambda sel, w: self._gather_dG(face_idx[sel], w),
+                                  us[seg_idx], us[seg_idx + 1],
+                                  dg[face_idx, seg_idx], dg[face_idx, seg_idx + 1])
 
         is_zero = dg == 0.0
         left_zero = np.pad(is_zero[:, :-1], ((0, 0), (1, 0)), constant_values=True)
@@ -282,17 +321,16 @@ class VerticalFluxes:
         face_idx = np.concatenate([face_idx, zero_face])
         roots = np.concatenate([roots, us[zero_idx]])
 
-        max_per_face = int(np.max(np.bincount(face_idx, minlength=self.n_faces))) \
-            if face_idx.size else 0
-        self.crit_w = np.full((self.n_faces, max_per_face), np.nan)
-        self.crit_g = np.full((self.n_faces, max_per_face), np.nan)
-        slot = np.zeros(self.n_faces, dtype=int)
-        gvals = self._gather_G(face_idx, roots) if face_idx.size else np.empty(0)
-        for k in range(face_idx.size):
-            f = face_idx[k]
-            self.crit_w[f, slot[f]] = roots[k]
-            self.crit_g[f, slot[f]] = gvals[k]
-            slot[f] += 1
+        # slots per face: polished roots by segment, then lattice zeros by node
+        order = np.argsort(face_idx, kind="stable")
+        face_sorted = face_idx[order]
+        counts = np.bincount(face_idx, minlength=self.n_faces)
+        rank = np.arange(face_idx.size) - (np.cumsum(counts) - counts)[face_sorted]
+        self.crit_w = np.full((self.n_faces, int(counts.max(initial=0))), np.nan)
+        self.crit_g = np.full_like(self.crit_w, np.nan)
+        if face_idx.size:
+            self.crit_w[face_sorted, rank] = roots[order]
+            self.crit_g[face_sorted, rank] = self._gather_G(face_sorted, roots[order])
 
     # -- numerical fluxes -------------------------------------------------------
 
@@ -537,27 +575,14 @@ class Slab:
         return view.invert(float(rhs[column]), tol=self.solver.cfg.inversion_tol)
 
     def step(self, state: SliceState) -> SliceState:
-        """Advance the whole slab.
+        """Advance the whole slab: one vectorized inversion of q_plus.
 
-        Cell updates are independent (read the old slice, write disjoint
-        entries), so the columns may be split across worker threads; the
-        per-root iteration is self-contained and the result is identical
-        for any thread count.
+        Each root of :meth:`SpacelikeTable.invert` depends only on its own
+        column, so ``step(state).values[i] == step_cell(i, state)`` bit for
+        bit.
         """
         rhs = self.rhs(state)
-        tol = self.solver.cfg.inversion_tol
-        threads = self.solver.cfg.threads
-        if threads <= 1 or self.m < 2 * threads:
-            u_plus = self.table_plus.invert(rhs, tol=tol)
-        else:
-            u_plus = np.empty(self.m)
-            chunks = np.array_split(np.arange(self.m), threads)
-
-            def work(ix):
-                u_plus[ix] = self.table_plus.invert(rhs[ix], tol=tol, columns=ix)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, chunks))
+        u_plus = self.table_plus.invert(rhs, tol=self.solver.cfg.inversion_tol)
         return SliceState(self.j + 1, self.table_plus.face_ids, u_plus, rhs)
 
 

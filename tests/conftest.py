@@ -1,7 +1,11 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from spacetime_fvm import presets
+from spacetime_fvm.fluxfield import FluxField
+from spacetime_fvm.forms import ParamForm
 from spacetime_fvm.mesh import (
     Foliation,
     IntervalDomain,
@@ -63,3 +67,29 @@ def classical_godunov_step(u, u_ghost_left, u_ghost_right, f, lam, n_scan=4001):
 
     flux_vals = np.array([riemann_flux(ext[i], ext[i + 1]) for i in range(len(ext) - 1)])
     return u - lam * (flux_vals[1:] - flux_vals[:-1])
+
+
+def counting_flux(flux):
+    """The same flux with coefficients that record every call.
+
+    Returns ``(flux, calls)``: ``calls[("w", axis)]`` and ``calls[("dw", axis)]``
+    list the number of points each call of the form coefficient or its
+    u-derivative evaluated, so ``len`` counts calls and ``sum`` points.
+    """
+    calls = defaultdict(list)
+
+    def counted(key, fn):
+        def wrapper(pts, u):
+            out = fn(pts, u)
+            calls[key].append(int(np.size(out)))
+            return out
+        return wrapper
+
+    omega = flux.omega
+    counted_omega = ParamForm(
+        omega.degree, omega.chart_dim,
+        {idx: counted(("w",) + idx, fn) for idx, fn in omega.coeffs.items()},
+        {idx: counted(("dw",) + idx, fn) for idx, fn in omega.du_coeffs.items()},
+        omega.u_range, partials=omega.partials)
+    return FluxField(omega=counted_omega, domain=flux.domain,
+                     growth_bound=flux.growth_bound, name=flux.name), calls

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import pytest
 
@@ -89,6 +90,28 @@ class TestRunCommand:
         meta = json.load(open(os.path.join(out, "run.json")))
         times = meta["mesh"]["times"]
         assert times[1] - times[0] == pytest.approx(0.01)
+
+
+    def test_nonconverged_inversion_is_a_scheme_abort(self, tmp_path, capsys):
+        # q jumps at u = 0.45, between the states where the derivative
+        # check samples it: targets inside the jump cannot be met, so the
+        # inversion reaches its cap above tolerance
+        cfg, _ = write_config(tmp_path, u_b="sign(x - 0.5) * (-0.45) + 0.45",
+                              extra="\n[run]\nu_min = 0\nu_max = 1\n")
+        text = open(cfg).read().replace(
+            "builtin = burgers",
+            "builtin = custom\nwx = u + 0.1 * sign(u - 0.45)\nwt = -0.5 * u * u\n"
+            "dwx_du = 1\ndwt_du = -u")
+        open(cfg, "w").write(text)
+        assert main(["run", "--config", cfg]) == EXIT_SCHEME_ABORT
+        err = capsys.readouterr().err
+        assert re.match(r"scheme abort: face \('S', \d+, \d+\): total-flux inversion of "
+                        r"target \S+ stopped after 100 iterations with residual \S+", err)
+
+    def test_retired_threads_setting_still_loads(self, tmp_path):
+        # configs written before the thread pool was removed keep working
+        cfg, _ = write_config(tmp_path, extra="\n[run]\nthreads = 4\n")
+        assert main(["run", "--config", cfg]) == EXIT_OK
 
 
 class TestEntropyCheckCommand:
@@ -241,11 +264,6 @@ directory = {out}
         assert main(["run", "--config", str(path)]) == EXIT_OK
         rows = list(csv.DictReader(open(os.path.join(str(out), "slices.csv"))))
         assert all(float(r["u"]) == pytest.approx(0.5, abs=1e-10) for r in rows)
-
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPACETIME_FVM_THREADS", "2")
-        cfg, out = write_config(tmp_path)
-        assert main(["run", "--config", cfg]) == EXIT_OK
 
     def test_repeat_runs_are_bit_identical(self, tmp_path):
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")

@@ -3,11 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import counting_flux
+
 from spacetime_fvm import presets
-from spacetime_fvm.fluxfield import NotSpacelikeError
-from spacetime_fvm.forms import gauss_legendre
+from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
+from spacetime_fvm.forms import ParamForm, gauss_legendre
 from spacetime_fvm.mesh import (
     CircleDomain,
+    ConvergenceError,
     Foliation,
     IntervalDomain,
     MeshError,
@@ -155,6 +158,91 @@ class TestInvertTotalFlux:
         np.testing.assert_allclose(table.invert(table.q(u)), u, atol=1e-12)
         view = table.total_flux_view(2)
         assert view.q(0.4) == pytest.approx(table.q(u * 0 + 0.4)[2])
+
+
+def capacity_field(a0, a1, k, phase, u_range):
+    """``a(x) u dx - u^2/2 dt`` with capacity ``a0 + a1 sin(k x + phase)``."""
+    return presets.capacity_flux(lambda x: a0 + a1 * np.sin(k * x + phase),
+                                 lambda x: a1 * k * np.cos(k * x + phase),
+                                 lambda u: 0.5 * np.asarray(u) ** 2,
+                                 lambda u: np.asarray(u), u_range)
+
+
+class TestInversionKernel:
+    """Termination of the one Newton/bisection routine behind every inversion."""
+
+    def test_affine_q_converges_in_at_most_four_iterations(self):
+        flux, calls = counting_flux(presets.burgers_flux((-1.0, 1.0)))
+        tri = interval_tri(2, 12)
+        table = SpacelikeTable(tri, flux, 1, u_range=(-0.9, 1.1))
+        targets = table.q(np.linspace(-0.85, 1.05, 12))
+        calls.clear()
+        u = table.invert(targets)
+        assert 1 <= len(calls[("dw", 1)]) <= 4       # one dq call per iteration
+        np.testing.assert_allclose(u, np.linspace(-0.85, 1.05, 12), atol=1e-15)
+        calls.clear()
+        view = table.total_flux_view(5)
+        view.invert(float(targets[5]))
+        assert 1 <= len(calls[("dw", 1)]) <= 4
+
+    def test_targets_at_image_ends_return_range_ends(self):
+        u_range = (-0.7, 1.3)
+        flux, calls = counting_flux(capacity_field(2.0, 0.5, 3.0, 0.2, u_range))
+        tri = interval_tri(2, 6)
+        table = SpacelikeTable(tri, flux, 1, u_range=u_range)
+        calls.clear()
+        assert np.array_equal(table.invert(table.image_lo), np.full(6, u_range[0]))
+        assert np.array_equal(table.invert(table.image_hi), np.full(6, u_range[1]))
+        assert not calls                              # no iteration at the ends
+        mixed = np.where(np.arange(6) % 2 == 0, table.image_lo, table.image_hi)
+        assert np.array_equal(table.invert(mixed),
+                              np.where(np.arange(6) % 2 == 0, *u_range))
+        view = table.total_flux_view(3)
+        assert view.invert(view.image[0]) == u_range[0]
+        assert view.invert(view.image[1]) == u_range[1]
+
+    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.5, 12.0),
+           phase=st.floats(0.0, 2 * np.pi),
+           s=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_on_capacity_fields(self, a0, ratio, k, phase, s):
+        u_range = (-0.8, 1.2)
+        tol = 1e-12
+        flux = capacity_field(a0, ratio * a0, k, phase, u_range)
+        tri = interval_tri(2, 5)
+        table = SpacelikeTable(tri, flux, 1, u_range=u_range)
+        y = table.image_lo + np.asarray(s) * (table.image_hi - table.image_lo)
+        u = table.invert(y, tol=tol)
+        assert np.all((u >= u_range[0]) & (u <= u_range[1]))
+        assert np.all(np.abs(table.q(u) - y) <= tol * np.maximum(1.0, np.abs(y)))
+        for i, si in enumerate(s):
+            tf = total_flux(tri.faces[("S", 1, i)], flux, u_range=u_range)
+            yi = tf.image[0] + si * (tf.image[1] - tf.image[0])
+            ui = tf.invert(yi, tol=tol)
+            assert u_range[0] <= ui <= u_range[1]
+            assert abs(float(tf.q(ui)) - yi) <= tol * max(1.0, abs(yi))
+
+    def test_wrong_derivative_raises_convergence_error(self):
+        # dq a million times too large: every Newton step stays inside the
+        # bracket but barely moves, so the cap is reached above tolerance
+        base = presets.burgers_flux((0.0, 1.0))
+        omega = base.omega
+        du = dict(omega.du_coeffs)
+        du[(1,)] = lambda pts, u: np.full(np.broadcast_shapes(np.shape(pts)[:-1], np.shape(u)),
+                                          1e6)
+        flux = FluxField(omega=ParamForm(omega.degree, omega.chart_dim, omega.coeffs, du,
+                                         omega.u_range, partials=omega.partials),
+                         domain=base.domain, name="wrong_dq")
+        tri = interval_tri(2, 4)
+        table = SpacelikeTable(tri, flux, 1, u_range=(0.0, 1.0))
+        targets = table.q(np.array([0.1, 0.5, 0.6, 0.7]))
+        with pytest.raises(ConvergenceError,
+                           match=r"face \('S', 1, 0\).*target 0\.025.*residual") as info:
+            table.invert(targets)
+        assert not isinstance(info.value, ValueError)
+        tf = total_flux(tri.faces[("S", 1, 2)], flux, u_range=(0.0, 1.0))
+        with pytest.raises(ConvergenceError, match=r"face \('S', 1, 2\)"):
+            tf.invert(float(targets[0]))
 
 
 class TestConservationTopology:

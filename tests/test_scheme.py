@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import classical_godunov_step, constant_bd, make_solver, step_bd
+from conftest import classical_godunov_step, constant_bd, counting_flux, make_solver, step_bd
 
 from spacetime_fvm import presets
-from spacetime_fvm.fluxfield import NotSpacelikeError
+from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
+from spacetime_fvm.forms import ParamForm, gauss_legendre
 from spacetime_fvm.harness import CharacteristicsLinear, l1_error
 from spacetime_fvm.mesh import (
     CircleDomain,
@@ -18,6 +19,7 @@ from spacetime_fvm.scheme import (
     CFLViolation,
     NumericalFluxSpec,
     Solver,
+    VerticalFluxes,
     boundary_ghost_value,
     initial_slice_state,
     select_timestep,
@@ -321,6 +323,116 @@ class TestStepCell:
                 shifted = slab.step(state).values
                 assert np.all(shifted - base >= -1e-9)
 
+    def test_step_cell_bit_identical_to_step(self):
+        # q nonlinear in u and varying in x, so Newton takes several steps
+        def cap(pts):
+            return 1.0 + 0.5 * np.sin(2 * np.pi * pts[..., 1])
+
+        omega = ParamForm(1, 2, {
+            (0,): lambda pts, u: -0.5 * np.asarray(u) ** 2 + 0.0 * pts[..., 0],
+            (1,): lambda pts, u: cap(pts) * (u + 0.2 * np.asarray(u) ** 3),
+        }, {
+            (0,): lambda pts, u: -np.asarray(u) + 0.0 * pts[..., 0],
+            (1,): lambda pts, u: cap(pts) * (1.0 + 0.6 * np.asarray(u) ** 2),
+        }, (-1.0, 1.0))
+        flux = FluxField(omega=omega, domain=presets.burgers_flux().domain, name="cubic_q")
+        solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.05,
+                             step_bd(0.45, 0.9, -0.3), nx=12, u_range=(-0.5, 1.0))
+        result = solver.run()
+        for j in (0, result.tri.n_slabs // 2):
+            slab = solver.slab(j)
+            stepped = slab.step(result.states[j]).values
+            cells = np.array([slab.step_cell(i, result.states[j]) for i in range(slab.m)])
+            assert np.array_equal(cells, stepped)
+            assert np.array_equal(stepped, result.states[j + 1].values)
+
+
+def vertical_fluxes(flux, u_range, nx=10, t0=0.0, t1=0.05):
+    return VerticalFluxes(np.linspace(0.0, 1.0, nx + 1), t0, t1, flux,
+                          NumericalFluxSpec(), gauss_legendre(5, 1), u_range)
+
+
+def bisected_criticals(vert, n_steps=80):
+    """Reference, one face at a time: sign changes of G' on the lattice, each
+    bisected n_steps times, then the isolated exact zeros of G' on it."""
+    us = np.linspace(*vert.u_range, 65)
+    dg = vert.dG_lattice(us)
+    roots = []
+    for f in range(vert.n_faces):
+        face_roots = []
+        for k in np.nonzero(dg[f, :-1] * dg[f, 1:] < 0.0)[0]:
+            lo, hi, flo = us[k], us[k + 1], dg[f, k]
+            for _ in range(n_steps):
+                mid = 0.5 * (lo + hi)
+                fmid = float(vert.dG(np.array([mid]), faces=[f])[0])
+                if flo * fmid > 0.0:
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            face_roots.append(0.5 * (lo + hi))
+        for k in np.nonzero(dg[f] == 0.0)[0]:
+            flat_left = k == 0 or dg[f, k - 1] == 0.0
+            flat_right = k == us.size - 1 or dg[f, k + 1] == 0.0
+            if not (flat_left and flat_right):
+                face_roots.append(us[k])
+        roots.append(face_roots)
+    return np.array(roots)
+
+
+class TestCriticalPoints:
+    """Critical points of G: lattice detection plus the bracketed secant polish."""
+
+    def test_burgers_sonic_state_within_a_few_ulps(self):
+        sonic = 0.3 + 1e-3 * np.sqrt(2.0)            # off the G' lattice
+        flux, calls = counting_flux(presets.flat_flux(
+            lambda u: 0.5 * (np.asarray(u) - sonic) ** 2, lambda u: np.asarray(u) - sonic,
+            (-0.6, 1.1)))
+        vert = vertical_fluxes(flux, (-0.6, 1.1))
+        assert vert.crit_w.shape == (vert.n_faces, 1)
+        assert np.all(np.abs(vert.crit_w[:, 0] - sonic) <= 4 * np.spacing(sonic))
+        np.testing.assert_allclose(vert.crit_g[:, 0], vert.G(vert.crit_w[:, 0]), rtol=0)
+        # affine G': one or two polish steps on top of the single lattice call
+        assert 1 <= len(calls[("dw", 0)]) - 1 <= 2
+
+    def test_nonlinear_criticals_match_reference_bisection(self):
+        u_range = (-1.3, 1.45)
+        flux, calls = counting_flux(presets.flat_flux(
+            lambda u: np.exp(u) - 2.0 * u + 0.25 * np.asarray(u) ** 4,
+            lambda u: np.exp(u) - 2.0 + np.asarray(u) ** 3, u_range))
+        vert = vertical_fluxes(flux, u_range)
+        steps = len(calls[("dw", 0)]) - 1
+        reference = bisected_criticals(vert)
+        assert reference.shape[1] >= 1
+        assert vert.crit_w.shape == reference.shape
+        np.testing.assert_allclose(vert.crit_w, reference, rtol=0, atol=1e-14)
+        # the polish stops well under its cap (3 steps per halving, ~140 here);
+        # without the Illinois halving this root takes 8 steps
+        assert steps <= 6
+
+    def test_sonic_state_on_a_lattice_node_found_once(self):
+        flux = presets.burgers_flux((-1.0, 1.0))
+        vert = vertical_fluxes(flux, (-1.0, 1.0))    # 0 is lattice node 32 of 65
+        assert vert.crit_w.shape == (vert.n_faces, 1)
+        assert np.all(vert.crit_w == 0.0)
+
+    def test_slot_order_polished_roots_then_lattice_zeros(self):
+        # G' ~ u (u - 0.3)(u + 0.55): 0 is a lattice node, the others are not
+        flux = presets.flat_flux(
+            lambda u: np.asarray(u) ** 4 / 4 + 0.25 * np.asarray(u) ** 3 / 3
+            - 0.165 * np.asarray(u) ** 2 / 2,
+            lambda u: np.asarray(u) * (np.asarray(u) - 0.3) * (np.asarray(u) + 0.55),
+            (-1.0, 1.0))
+        vert = vertical_fluxes(flux, (-1.0, 1.0), nx=4)
+        expected = np.tile([-0.55, 0.3, 0.0], (vert.n_faces, 1))
+        np.testing.assert_allclose(vert.crit_w, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(vert.crit_w, bisected_criticals(vert), rtol=0, atol=1e-14)
+
+    def test_no_criticals_for_monotone_g(self):
+        flux = presets.linear_advection_flux(1.0, (-1.0, 1.0))
+        vert = vertical_fluxes(flux, (-1.0, 1.0))
+        assert vert.crit_w.shape == (vert.n_faces, 0)
+        assert vert.crit_g.shape == (vert.n_faces, 0)
+
 
 class TestRun:
     def test_constant_data_exact(self):
@@ -363,16 +475,6 @@ class TestRun:
         result = solver.run()
         totals = [float(np.sum(s.fluxes)) for s in result.states]
         np.testing.assert_allclose(totals, totals[0], atol=1e-12)
-
-    def test_deterministic_across_thread_counts(self):
-        flux = presets.burgers_flux((-1.2, 1.2))
-        bd = step_bd(0.5, 1.0, 0.0)
-        results = []
-        for threads in (1, 3):
-            solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.1, bd, nx=16,
-                                 u_range=(0.0, 1.0), threads=threads)
-            results.append(solver.run().final_state.values)
-        np.testing.assert_array_equal(results[0], results[1])
 
     def test_u_field_piecewise_constant(self):
         flux = presets.burgers_flux((-1.2, 1.2))
