@@ -143,8 +143,7 @@ def cmd_run(args) -> int:
     solver = Solver(tri, setup.flux, setup.spec, setup.bd, setup.cfg)
     result = solver.run()
     csv_name = "slices.csv"
-    if "csv" in setup.formats:
-        write_run_csv(result, os.path.join(out_dir, csv_name))
+    write_run_csv(result, os.path.join(out_dir, csv_name))
     meta = run_metadata(result, setup, csv_name)
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as handle:
         json.dump(meta, handle, indent=2)

@@ -53,6 +53,7 @@ from .scheme import (
     FluxKind,
     NumericalFluxSpec,
     RunConfig,
+    data_hull,
     select_timestep,
 )
 
@@ -281,23 +282,13 @@ def parse_config(text: str) -> RunSetup:
             raise ConfigError("[run] u_min/u_max: need u_min < u_max")
         hull = (u_min, u_max)
 
-    # the flux needs a state range for its caches: hull override or data scan
-    if hull is not None:
-        flux_range = hull
-    else:
-        xs = np.linspace(domain.a, domain.b, 513)
-        ts = np.linspace(0.0, max(t_final, 1e-12), 129)
-        pts0 = np.stack([np.zeros_like(xs), xs], axis=-1)
-        samples = [bd.u_values(pts0)]
-        if not domain.periodic:
-            for xb in (domain.a, domain.b):
-                ptsb = np.stack([ts, np.full_like(ts, xb)], axis=-1)
-                samples.append(bd.u_values(ptsb))
-        lo = float(min(np.min(s) for s in samples))
-        hi = float(max(np.max(s) for s in samples))
-        if hi - lo < 1e-12:
-            lo, hi = lo - 0.5e-6, hi + 0.5e-6
-        flux_range = (lo, hi)
+    # the flux needs a state range for its caches: hull override or data
+    # scan; the scan also runs under an override, to reject non-finite data
+    try:
+        scanned = data_hull(bd, domain, t_final)
+    except ValueError as exc:
+        raise ConfigError(f"[boundary] u_b: {exc}") from exc
+    flux_range = hull if hull is not None else scanned
 
     flux = _resolve_flux(cp, domain, flux_range)
 
@@ -316,6 +307,9 @@ def parse_config(text: str) -> RunSetup:
     for f in formats:
         if f not in ("csv", "json"):
             raise ConfigError(f"[output] formats: unknown format {f!r}")
+    if "csv" not in formats:
+        raise ConfigError("[output] formats: must include csv, the state table "
+                          "that run.json points at")
 
     raw = {name: dict(cp.items(name)) for name in cp.sections()}
     return RunSetup(flux=flux, domain=domain, t_final=t_final, breakpoints=breakpoints,

@@ -529,12 +529,6 @@ def check_face_entropy_inequality(slab: Slab, column: int, side: str,
     return float(res["face_inequality"][column, s, 0]), float(res["boundary"][column, s, 0])
 
 
-def check_cell_entropy_inequality(slab: Slab, column: int, pair: KruzkovPair,
-                                  state: SliceState, state_next: SliceState) -> float:
-    return float(cell_entropy_residuals(slab, state, state_next,
-                                        np.array([pair.c]))[column, 0])
-
-
 # ---------------------------------------------------------------------------
 # discrete boundary condition and smooth-pair numerical entropy fluxes
 # ---------------------------------------------------------------------------

@@ -106,6 +106,9 @@ def compile_expression(source: str, variables: Sequence[str] = ("t", "x", "u")) 
             raise ExpressionError(f"missing variables {sorted(missing)} for {source!r}")
         value = _evaluate(tree, env)
         shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()]) if env else ()
+        if isinstance(value, np.ndarray) and value.shape == shape and value.dtype == float \
+                and not any(value is v for v in env.values()):
+            return value                 # already a new array of the full shape
         return np.broadcast_to(np.asarray(value, dtype=float), shape).copy() if shape \
             else np.asarray(value, dtype=float)
 

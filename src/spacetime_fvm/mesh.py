@@ -14,7 +14,7 @@ guarded Newton/bisection routine shared by single faces and whole slices.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -214,14 +214,54 @@ class Cell:
         return float(np.hypot(self.t_hi - self.t_lo, self.x_hi - self.x_lo))
 
 
+class _MeshView(Mapping):
+    """Read-only id -> object mapping of a product mesh, built on lookup.
+
+    ``blocks`` lists ``(tag, n_outer, n_inner)`` in iteration order; the
+    ids are ``(tag, a, b)`` with ``0 <= a < n_outer`` and ``0 <= b < n_inner``,
+    and ``build(tag, a, b)`` makes the object of an id.  Nothing per id is
+    stored.
+    """
+
+    def __init__(self, blocks: tuple, build: Callable):
+        self._blocks = blocks
+        self._build = build
+
+    def __contains__(self, key) -> bool:
+        try:
+            tag, a, b = key
+            return any(tag == t and a == int(a) and b == int(b) and 0 <= a < n and 0 <= b < k
+                       for t, n, k in self._blocks)
+        except (TypeError, ValueError, OverflowError):
+            return False
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise KeyError(key)
+        tag, a, b = key
+        return self._build(tag, int(a), int(b))
+
+    def __iter__(self):
+        for tag, n, k in self._blocks:
+            for a in range(n):
+                for b in range(k):
+                    yield (tag, a, b)
+
+    def __len__(self) -> int:
+        return sum(n * k for _, n, k in self._blocks)
+
+
 class Triangulation:
     """Admissible triangulation associated with a foliation (product mesh).
 
-    Immutable after construction.  Faces and cells are stored in
-    deterministic id order; per-slab index sets mirror the bookkeeping the
-    global estimates are summed over: ``cells_in_slab`` (cells whose inflow
-    face lies on slice j), ``vertical_incidences`` (cell/vertical-face
-    pairs of a slab) and ``boundary_vertical_faces``.
+    Immutable after construction.  It stores only what defines it: the
+    slice times and the spatial breakpoints.  ``faces`` and ``cells`` are
+    read-only mappings in deterministic id order (spacelike faces
+    ``("S", slice, column)``, then vertical faces ``("V", slab, node)``;
+    cells ``("K", slab, column)``) whose :class:`Face`/:class:`Cell` values
+    are derived on lookup.  ``cells_in_slab`` (cells whose inflow face lies
+    on slice j), ``vertical_faces`` and ``boundary_vertical_faces`` are the
+    per-slab index sets the global estimates are summed over.
     """
 
     def __init__(self, foliation: Foliation, breakpoints: np.ndarray):
@@ -243,79 +283,55 @@ class Triangulation:
         self.n_slabs = foliation.n_slabs
         self.n_slices = len(foliation.times)
         self.periodic = domain.periodic
+        self.n_nodes = self.n_columns if self.periodic else self.n_columns + 1
+        self.faces = _MeshView((("S", self.n_slices, self.n_columns),
+                                ("V", self.n_slabs, self.n_nodes)), self._face)
+        self.cells = _MeshView((("K", self.n_slabs, self.n_columns),), self._cell)
 
-        m = self.n_columns
-        self.faces: dict[tuple, Face] = {}
-        self.cells: dict[tuple, Cell] = {}
-
-        for j in range(self.n_slices):
-            for i in range(m):
-                below = ("K", j - 1, i) if j > 0 else None
-                above = ("K", j, i) if j < self.n_slabs else None
-                fid = ("S", j, i)
-                self.faces[fid] = Face(
-                    id=fid, kind="spacelike", boundary=(j == 0 or j == self.n_slabs),
-                    neighbors=tuple(c for c in (below, above) if c is not None),
-                    t_lo=float(self.times[j]), t_hi=float(self.times[j]),
-                    x_lo=float(xs[i]), x_hi=float(xs[i + 1]))
-
-        n_nodes = m if self.periodic else m + 1
-        for j in range(self.n_slabs):
-            for k in range(n_nodes):
-                if self.periodic:
-                    left = ("K", j, (k - 1) % m)
-                    right = ("K", j, k)
-                    boundary = False
-                else:
-                    left = ("K", j, k - 1) if k > 0 else None
-                    right = ("K", j, k) if k < m else None
-                    boundary = left is None or right is None
-                fid = ("V", j, k)
-                self.faces[fid] = Face(
-                    id=fid, kind="vertical", boundary=boundary,
+    def _face(self, tag: str, j: int, k: int) -> Face:
+        xs, m = self.breakpoints, self.n_columns
+        if tag == "S":
+            below = ("K", j - 1, k) if j > 0 else None
+            above = ("K", j, k) if j < self.n_slabs else None
+            return Face(id=("S", j, k), kind="spacelike", boundary=(j == 0 or j == self.n_slabs),
+                        neighbors=tuple(c for c in (below, above) if c is not None),
+                        t_lo=float(self.times[j]), t_hi=float(self.times[j]),
+                        x_lo=float(xs[k]), x_hi=float(xs[k + 1]))
+        if self.periodic:
+            left, right = ("K", j, (k - 1) % m), ("K", j, k)
+        else:
+            left = ("K", j, k - 1) if k > 0 else None
+            right = ("K", j, k) if k < m else None
+        return Face(id=("V", j, k), kind="vertical", boundary=left is None or right is None,
                     neighbors=tuple(c for c in (left, right) if c is not None),
                     t_lo=float(self.times[j]), t_hi=float(self.times[j + 1]),
                     x_lo=float(xs[k]), x_hi=float(xs[k]))
 
-        for j in range(self.n_slabs):
-            for i in range(m):
-                right_node = (i + 1) % m if self.periodic else i + 1
-                cid = ("K", j, i)
-                self.cells[cid] = Cell(
-                    id=cid, slab_index=j, column=i,
+    def _cell(self, tag: str, j: int, i: int) -> Cell:
+        right_node = (i + 1) % self.n_columns if self.periodic else i + 1
+        return Cell(id=("K", j, i), slab_index=j, column=i,
                     t_lo=float(self.times[j]), t_hi=float(self.times[j + 1]),
-                    x_lo=float(xs[i]), x_hi=float(xs[i + 1]),
+                    x_lo=float(self.breakpoints[i]), x_hi=float(self.breakpoints[i + 1]),
                     inflow_face=("S", j, i), outflow_face=("S", j + 1, i),
                     vertical_faces=(("V", j, i), ("V", j, right_node)))
 
     # -- index sets ----------------------------------------------------------
 
-    def spacelike_faces(self, slice_index: int) -> list[Face]:
-        return [self.faces[("S", slice_index, i)] for i in range(self.n_columns)]
-
     def cells_in_slab(self, slab_index: int) -> list[Cell]:
         return [self.cells[("K", slab_index, i)] for i in range(self.n_columns)]
 
     def vertical_faces(self, slab_index: int) -> list[Face]:
-        n_nodes = self.n_columns if self.periodic else self.n_columns + 1
-        return [self.faces[("V", slab_index, k)] for k in range(n_nodes)]
-
-    def vertical_incidences(self, slab_index: int) -> list[tuple[Cell, Face, str]]:
-        """All (cell, vertical face, side) pairs of a slab, fixed order."""
-        out = []
-        for cell in self.cells_in_slab(slab_index):
-            left, right = cell.vertical_faces
-            out.append((cell, self.faces[left], "left"))
-            out.append((cell, self.faces[right], "right"))
-        return out
+        return [self.faces[("V", slab_index, k)] for k in range(self.n_nodes)]
 
     def boundary_vertical_faces(self, slab_index: int | None = None) -> list[Face]:
+        if self.periodic:
+            return []
         slabs = range(self.n_slabs) if slab_index is None else [slab_index]
-        return [f for j in slabs for f in self.vertical_faces(j) if f.boundary]
+        return [self.faces[("V", j, k)] for j in slabs for k in (0, self.n_columns)]
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.n_slabs * self.n_columns
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -347,8 +363,6 @@ class Triangulation:
         }
 
     def summary(self) -> dict:
-        n_vert = sum(1 for f in self.faces.values() if f.kind == "vertical")
-        n_bvert = sum(1 for f in self.faces.values() if f.kind == "vertical" and f.boundary)
         return {
             "domain": ("circle" if self.periodic else "interval"),
             "x_lo": float(self.breakpoints[0]),
@@ -357,13 +371,10 @@ class Triangulation:
             "breakpoints": [float(x) for x in self.breakpoints],
             "n_cells": self.n_cells,
             "n_spacelike_faces": self.n_slices * self.n_columns,
-            "n_vertical_faces": n_vert,
-            "n_boundary_vertical_faces": n_bvert,
+            "n_vertical_faces": self.n_slabs * self.n_nodes,
+            "n_boundary_vertical_faces": 0 if self.periodic else 2 * self.n_slabs,
             "admissibility": self.admissibility_report(),
         }
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
 
 
 def build_triangulation(foliation: Foliation, spatial_cells: Sequence[float] | int) -> Triangulation:

@@ -187,10 +187,8 @@ def annulus_example(u_range: tuple[float, float] = (-1.0, 1.0)):
               (1,): lambda pts, u: np.asarray(u) * pts[..., 1]}
     du = {(0,): lambda pts, u: pts[..., 0] + 0.0 * np.asarray(u),
           (1,): lambda pts, u: pts[..., 1] + 0.0 * np.asarray(u)}
-    one = lambda pts, u: np.ones(np.broadcast_shapes(np.shape(pts)[:-1], np.shape(u)))
     partials = {(0,): {0: lambda pts, u: np.asarray(u) + 0.0 * pts[..., 0], 1: _zero},
                 (1,): {0: _zero, 1: lambda pts, u: np.asarray(u) + 0.0 * pts[..., 0]}}
-    del one
     omega = ParamForm(1, 2, coeffs, du, u_range, partials=partials)
     flux = FluxField(omega=omega, domain=domain, name="annulus_radial")
     observer = Observer(CoordinateForm(1, 2, {(0,): lambda p: p[..., 1],

@@ -20,6 +20,7 @@ of the flux form along decreasing time; the right cell sees the negative.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -37,6 +38,7 @@ from .mesh import (
     ROOT_STEP_TOL,
     SpacelikeTable,
     Triangulation,
+    _face_nodes,
 )
 
 __all__ = [
@@ -51,13 +53,12 @@ __all__ = [
     "SliceState",
     "Solver",
     "boundary_ghost_value",
-    "compute_lambdas",
+    "data_hull",
     "initial_slice_state",
     "numerical_flux",
     "run",
     "select_timestep",
     "step_cell",
-    "vertical_signed_flux",
 ]
 
 CFL_LIMIT = 0.5
@@ -153,15 +154,6 @@ class SliceState:
     values: np.ndarray
     fluxes: np.ndarray
 
-    def value(self, face_id: tuple) -> float:
-        return float(self.values[self._index(face_id)])
-
-    def flux(self, face_id: tuple) -> float:
-        return float(self.fluxes[self._index(face_id)])
-
-    def _index(self, face_id: tuple) -> int:
-        return self.face_ids.index(tuple(face_id))
-
 
 # ---------------------------------------------------------------------------
 # vertical flux tables
@@ -216,6 +208,23 @@ def _bracketed_secant(f, lo, hi, flo, fhi) -> np.ndarray:
     return roots
 
 
+def _weighted_sum(weights: np.ndarray, vals) -> np.ndarray:
+    """``np.sum(weights * vals, axis=-1)``, bit for bit.
+
+    When ``vals`` is a float array that only this call references (a
+    coefficient's fresh result), the product is formed in its buffer.  A
+    G' lattice then allocates one (nv, K, nq) array per slab instead of two,
+    which keeps the slab loop inside heap memory it has already touched:
+    with two, glibc trimmed and regrew the heap on every slab (~55k page
+    faults per 321-slab solve).
+    """
+    if (type(vals) is np.ndarray and vals.dtype == np.float64 and vals.flags.owndata
+            and vals.flags.writeable and sys.getrefcount(vals) == 2
+            and vals.shape == np.broadcast_shapes(weights.shape, vals.shape)):
+        return np.sum(np.multiply(weights, vals, out=vals), axis=-1)
+    return np.sum(weights * vals, axis=-1)
+
+
 class VerticalFluxes:
     """Oriented fluxes and numerical fluxes on the vertical faces of a slab.
 
@@ -267,11 +276,9 @@ class VerticalFluxes:
         u = np.asarray(u, dtype=float)
         pts = self.pts if faces is None else self.pts[np.asarray(faces)]
         if u.ndim == 1:
-            vals = fn(pts, u[:, None])
-            return np.sum(self.weights * vals, axis=-1)
+            return _weighted_sum(self.weights, fn(pts, u[:, None]))
         if u.ndim == 2:
-            vals = fn(pts[:, None, :, :], u[:, :, None])
-            return np.sum(self.weights * vals, axis=-1)
+            return _weighted_sum(self.weights, fn(pts[:, None, :, :], u[:, :, None]))
         raise MeshError("state array must have shape (nv,) or (nv, K)")
 
     def G(self, u, faces=None) -> np.ndarray:
@@ -405,16 +412,7 @@ def _face_mean(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray) -> float:
 def boundary_ghost_value(face: Face, bd: BoundaryData,
                          rule: QuadratureRule | None = None) -> float:
     """alpha_B-weighted mean of u_B over a boundary face."""
-    rule = rule if rule is not None else gauss_legendre(5, 1)
-    s = rule.nodes[:, 0]
-    if face.kind == "vertical":
-        ts = face.t_lo + s * (face.t_hi - face.t_lo)
-        pts = np.stack([ts, np.full_like(ts, face.x_lo)], axis=-1)
-        weights = rule.weights * (face.t_hi - face.t_lo)
-    else:
-        xs = face.x_lo + s * (face.x_hi - face.x_lo)
-        pts = np.stack([np.full_like(xs, face.t_lo), xs], axis=-1)
-        weights = rule.weights * (face.x_hi - face.x_lo)
+    pts, weights, _ = _face_nodes(face, rule if rule is not None else gauss_legendre(5, 1))
     return _face_mean(bd, pts, weights)
 
 
@@ -424,21 +422,47 @@ def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
     """States on the initial slice: alpha_B means of u_B per inflow face.
 
     Requires the initial slice to be inflow for the flux (positive
-    pulled-back du along increasing x); total fluxes are cached alongside.
+    pulled-back du along increasing x); the means use the slice table's
+    nodes and weights, and total fluxes are cached alongside.
     """
     cfg = cfg if cfg is not None else RunConfig()
-    rule = cfg.rule()
-    table = SpacelikeTable(tri, flux, 0, rule=rule, u_range=u_range)
+    table = SpacelikeTable(tri, flux, 0, rule=cfg.rule(), u_range=u_range)
     if np.any(table.orientation < 0.0):
         raise NotSpacelikeError("initial slice is not an inflow boundary for this flux")
-    s = rule.nodes[:, 0]
-    values = np.empty(tri.n_columns)
-    for i in range(tri.n_columns):
-        face = tri.faces[("S", 0, i)]
-        xs = face.x_lo + s * (face.x_hi - face.x_lo)
-        pts = np.stack([np.zeros_like(xs), xs], axis=-1)
-        values[i] = _face_mean(bd, pts, rule.weights * (face.x_hi - face.x_lo))
+    alpha = table.weights * bd.alpha_values(table.pts)
+    mass = np.sum(alpha, axis=-1)
+    if np.any(mass <= 0.0):
+        raise ValueError("alpha_B mass must be positive on every boundary face")
+    values = np.sum(alpha * bd.u_values(table.pts), axis=-1) / mass
     return SliceState(0, table.face_ids, values, table.q(values))
+
+
+def data_hull(bd: BoundaryData, domain: IntervalDomain | CircleDomain,
+              t_final: float) -> tuple[float, float]:
+    """Hull of u_B sampled on the initial slice and the boundary lines.
+
+    513 samples in x at t = 0 and, on an interval, 129 samples in t on each
+    end of ``[0, t_final]``; a degenerate hull is padded by 0.5e-6 on each
+    side.  Raises ``ValueError`` naming the point and the value if a sample
+    is not finite.
+    """
+    xs = np.linspace(domain.a, domain.b, 513)
+    pts = [np.stack([np.zeros_like(xs), xs], axis=-1)]
+    if not domain.periodic:
+        ts = np.linspace(0.0, max(t_final, 1e-12), 129)
+        pts += [np.stack([ts, np.full_like(ts, xb)], axis=-1) for xb in (domain.a, domain.b)]
+    pts = np.concatenate(pts)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = bd.u_values(pts)
+    bad = ~np.isfinite(u)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"boundary data u_B is not finite at (t, x) = "
+                         f"({float(pts[k, 0])!r}, {float(pts[k, 1])!r}): {float(u[k])!r}")
+    lo, hi = float(np.min(u)), float(np.max(u))
+    if hi - lo < 1e-12:
+        lo, hi = lo - 0.5e-6, hi + 0.5e-6
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +517,6 @@ class Slab:
             right = boundary_ghost_value(self.tri.faces[("V", self.j, self.m)], bd, rule)
             self._ghosts = (left, right)
         return self._ghosts
-
-    def boundary_faces(self) -> list[Face]:
-        return self.tri.boundary_vertical_faces(self.j)
 
     # -- per-cell oriented fluxes -------------------------------------------------
 
@@ -646,29 +667,11 @@ class Solver:
         self.cfg = cfg if cfg is not None else RunConfig()
         self.rule = self.cfg.rule()
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
-            else self._data_hull()
-        self._tables: dict[int, SpacelikeTable] = {}
-        self._slabs: dict[int, Slab] = {}
+            else data_hull(bd, tri.domain, tri.foliation.horizon)
+        self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
+        self._slab: Slab | None = None                 # the most recent slab
         if self.cfg.check_hyperbolicity:
             self._check_time_observer()
-
-    def _data_hull(self) -> tuple[float, float]:
-        """Hull of the boundary trace over the initial slice and all boundary faces."""
-        samples = []
-        xs = np.linspace(self.tri.breakpoints[0], self.tri.breakpoints[-1], 257)
-        pts0 = np.stack([np.zeros_like(xs), xs], axis=-1)
-        samples.append(self.bd.u_values(pts0))
-        if not self.tri.periodic:
-            ts = np.linspace(self.tri.times[0], self.tri.times[-1], 257)
-            for xb in (self.tri.breakpoints[0], self.tri.breakpoints[-1]):
-                ptsb = np.stack([ts, np.full_like(ts, xb)], axis=-1)
-                samples.append(self.bd.u_values(ptsb))
-        lo = float(min(np.min(s) for s in samples))
-        hi = float(max(np.max(s) for s in samples))
-        if hi - lo < 1e-12:
-            pad = 0.5 * max(1e-6, abs(hi) * 1e-6)
-            lo, hi = lo - pad, hi + pad
-        return lo, hi
 
     def _check_time_observer(self) -> None:
         # hyperbolicity with T = dt reduces to positivity of the dx component of du
@@ -683,15 +686,19 @@ class Solver:
                 f"flux fails hyperbolicity with the time observer (min coefficient {worst:.3e})")
 
     def slice_table(self, j: int) -> SpacelikeTable:
+        """Table of slice j; a new table evicts every slice but j - 1."""
         if j not in self._tables:
+            self._tables = {k: t for k, t in self._tables.items() if k == j - 1}
             self._tables[j] = SpacelikeTable(self.tri, self.flux, j,
                                              rule=self.rule, u_range=self.u_range)
         return self._tables[j]
 
     def slab(self, j: int) -> Slab:
-        if j not in self._slabs:
-            self._slabs[j] = Slab(self, j)
-        return self._slabs[j]
+        """Slab j, kept until another slab is asked for (tables are rebuilt
+        deterministically, so a rebuilt slab is bit-identical)."""
+        if self._slab is None or self._slab.j != j:
+            self._slab = Slab(self, j)
+        return self._slab
 
     def initial_state(self) -> SliceState:
         return initial_slice_state(self.tri, self.bd, self.flux,
@@ -723,19 +730,9 @@ def run(tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
     return Solver(tri, flux, spec, bd, cfg).run()
 
 
-def vertical_signed_flux(slab: Slab, column: int, side: str, u) -> np.ndarray:
-    """Oriented total flux of a vertical face as its owning cell sees it."""
-    return slab.signed_flux(column, side, u)
-
-
 def numerical_flux(slab: Slab, column: int, side: str, u, v):
     """Two-point numerical flux of a cell's vertical face (own state first)."""
     return slab.numerical_flux(column, side, u, v)
-
-
-def compute_lambdas(slab: Slab, estimator: str = "derivative") -> LambdaReport:
-    """Per-cell ratio bookkeeping of a slab (see :meth:`Slab.lambdas`)."""
-    return slab.lambdas(estimator=estimator)
 
 
 def step_cell(slab: Slab, column: int, state: SliceState) -> float:

@@ -113,6 +113,34 @@ class TestRunCommand:
         cfg, _ = write_config(tmp_path, extra="\n[run]\nthreads = 4\n")
         assert main(["run", "--config", cfg]) == EXIT_OK
 
+    @pytest.mark.parametrize("u_b, value", [("0/0*x", "nan"), ("1/x", "inf")])
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_non_finite_boundary_data_is_a_config_error(self, tmp_path, capsys,
+                                                        u_b, value, pinned):
+        # both blow up at x = 0 on the initial slice, the first sample point;
+        # the check runs whether or not [run] pins the state range
+        extra = "\n[run]\nu_min = 0\nu_max = 1\n" if pinned else ""
+        cfg, out = write_config(tmp_path, u_b=u_b, extra=extra)
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.strip() == (f"config error: [boundary] u_b: boundary data u_B is not "
+                               f"finite at (t, x) = (0.0, 0.0): {value}")
+        assert not os.path.exists(out)
+
+    def test_formats_without_csv_rejected(self, tmp_path, capsys):
+        # run.json always points at slices.csv, so the table cannot be switched off
+        cfg, out = write_config(tmp_path)
+        open(cfg, "a").write("formats = json\n")
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert "[output] formats: must include csv" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_formats_with_csv_writes_a_checkable_artifact(self, tmp_path):
+        cfg, out = write_config(tmp_path)
+        open(cfg, "a").write("formats = json, csv\n")
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_OK
+
 
 class TestEntropyCheckCommand:
     def test_godunov_run_passes(self, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from spacetime_fvm import presets
 from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
 from spacetime_fvm.forms import ParamForm, gauss_legendre
 from spacetime_fvm.mesh import (
+    Cell,
     CircleDomain,
     ConvergenceError,
+    Face,
     Foliation,
     IntervalDomain,
     MeshError,
@@ -85,6 +89,97 @@ class TestBuildTriangulation:
         assert cell.vertical_faces == (("V", 0, 3), ("V", 0, 0))
         face = tri.faces[("V", 0, 0)]
         assert set(face.neighbors) == {("K", 0, 3), ("K", 0, 0)}
+
+
+def eager_mesh(times, xs, periodic):
+    """Reference: every face and cell of the product mesh, stored in id order."""
+    n_slabs, m = len(times) - 1, len(xs) - 1
+    faces, cells = {}, {}
+    for j in range(n_slabs + 1):
+        for i in range(m):
+            nbrs = tuple(c for c in (("K", j - 1, i) if j > 0 else None,
+                                     ("K", j, i) if j < n_slabs else None) if c is not None)
+            faces[("S", j, i)] = Face(("S", j, i), "spacelike", j in (0, n_slabs), nbrs,
+                                      float(times[j]), float(times[j]),
+                                      float(xs[i]), float(xs[i + 1]))
+    for j in range(n_slabs):
+        for k in range(m if periodic else m + 1):
+            if periodic:
+                left, right = ("K", j, (k - 1) % m), ("K", j, k)
+            else:
+                left = ("K", j, k - 1) if k > 0 else None
+                right = ("K", j, k) if k < m else None
+            faces[("V", j, k)] = Face(("V", j, k), "vertical", left is None or right is None,
+                                      tuple(c for c in (left, right) if c is not None),
+                                      float(times[j]), float(times[j + 1]),
+                                      float(xs[k]), float(xs[k]))
+    for j in range(n_slabs):
+        for i in range(m):
+            right_node = (i + 1) % m if periodic else i + 1
+            cells[("K", j, i)] = Cell(("K", j, i), j, i, float(times[j]), float(times[j + 1]),
+                                      float(xs[i]), float(xs[i + 1]), ("S", j, i),
+                                      ("S", j + 1, i), (("V", j, i), ("V", j, right_node)))
+    return faces, cells
+
+
+class TestMeshViews:
+    @pytest.fixture(params=["interval", "circle"])
+    def tri(self, request):
+        times = np.array([0.0, 0.1, 0.25, 0.3])
+        if request.param == "interval":
+            return build_triangulation(Foliation(times, IntervalDomain(-1.0, 2.0)),
+                                       np.array([-1.0, -0.2, 0.5, 0.6, 2.0]))
+        return build_triangulation(Foliation(times, CircleDomain(2 * np.pi)), 5)
+
+    def test_views_match_eager_builder(self, tri):
+        faces, cells = eager_mesh(tri.times, tri.breakpoints, tri.periodic)
+        for view, ref in ((tri.faces, faces), (tri.cells, cells)):
+            assert len(view) == len(ref)
+            assert list(view) == list(ref)
+            assert list(view.values()) == list(ref.values())
+            assert all(key in view for key in ref)
+            assert dict(view) == ref
+        assert tri.n_cells == len(cells)
+        assert tri.boundary_vertical_faces() == [
+            f for f in faces.values() if f.kind == "vertical" and f.boundary]
+
+    def test_numpy_and_float_ids_find_the_same_entry(self, tri):
+        face = tri.faces[("S", np.int64(1), 2.0)]
+        assert face == tri.faces[("S", 1, 2)]
+        assert type(face.id[1]) is int and type(face.id[2]) is int
+
+    @pytest.mark.parametrize("key", [
+        ("S", 4, 0), ("S", 0, 5), ("S", -1, 0), ("V", 3, 0), ("K", 0, 5), ("K", 3, 0),
+        ("S", 0.5, 0), ("S", float("nan"), 0), ("S", float("inf"), 0), ("X", 0, 0),
+        ("S", 0), ("S", 0, 0, 0), ("S", "0", 0), "S00", None, 3, (["S"], 0, 0),
+    ])
+    def test_ids_outside_the_mesh_raise_key_error(self, tri, key):
+        view = tri.cells if isinstance(key, tuple) and key[:1] == ("K",) else tri.faces
+        assert key not in view
+        with pytest.raises(KeyError):
+            view[key]
+        assert view.get(key) is None
+
+    def test_views_are_read_only(self, tri):
+        with pytest.raises(TypeError):
+            tri.faces[("S", 0, 0)] = None
+        with pytest.raises(TypeError):
+            del tri.cells[("K", 0, 0)]
+
+    def test_build_stores_nothing_per_face(self):
+        # a 400-slab x 200-column mesh has 241k faces and cells; storing
+        # them costs tens of MiB, storing the partitions a few KiB
+        times = np.linspace(0.0, 1.0, 401)
+        fol = Foliation(times, IntervalDomain(0.0, 1.0))
+        xs = np.linspace(0.0, 1.0, 201)
+        tracemalloc.start()
+        try:
+            tri = build_triangulation(fol, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tri.faces) + len(tri.cells) == 401 * 200 + 400 * 201 + 400 * 200
+        assert peak < 2 ** 20
 
 
 class TestTotalFlux:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,9 +20,13 @@ from spacetime_fvm.scheme import (
     BoundaryData,
     CFLViolation,
     NumericalFluxSpec,
+    RunConfig,
     Solver,
     VerticalFluxes,
+    _face_mean,
+    _weighted_sum,
     boundary_ghost_value,
+    data_hull,
     initial_slice_state,
     select_timestep,
 )
@@ -203,6 +209,31 @@ class TestInitialSliceState:
         with pytest.raises(NotSpacelikeError):
             initial_slice_state(self._tri(4), constant_bd(0.5), reversed_flux)
         del flux
+
+    @pytest.mark.parametrize("points", [5, 12])
+    def test_equals_per_face_means_bit_for_bit(self, points):
+        # reference: the alpha_B-weighted mean of each inflow face on its own
+        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, 1.0))
+        tri = build_triangulation(fol, np.array([0.0, 0.07, 0.3, 0.31, 0.8, 1.0]))
+        bd = BoundaryData(u=lambda p: np.sin(7.0 * p[..., 1]) + p[..., 1] ** 3,
+                          alpha_density=lambda p: 1.5 + np.cos(3.0 * p[..., 1]))
+        cfg = RunConfig(quadrature_points=points)
+        rule = cfg.rule()
+        s = rule.nodes[:, 0]
+        expected = []
+        for i in range(tri.n_columns):
+            face = tri.faces[("S", 0, i)]
+            xs = face.x_lo + s * (face.x_hi - face.x_lo)
+            pts = np.stack([np.zeros_like(xs), xs], axis=-1)
+            expected.append(_face_mean(bd, pts, rule.weights * (face.x_hi - face.x_lo)))
+        state = initial_slice_state(tri, bd, presets.burgers_flux((-1.0, 2.0)), cfg=cfg)
+        assert state.values.tobytes() == np.array(expected).tobytes()
+
+    def test_nonpositive_mass_rejected(self):
+        bd = BoundaryData(u=lambda p: p[..., 1],
+                          alpha_density=lambda p: np.where(p[..., 1] > 0.5, 0.0, 1.0))
+        with pytest.raises(ValueError, match="alpha_B mass must be positive"):
+            initial_slice_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
 
 
 class TestComputeLambdas:
@@ -486,8 +517,99 @@ class TestRun:
             result.states[_slab_of(result, 0.05)].values[3])
 
 
+    def test_solver_keeps_one_slab_and_two_tables(self):
+        flux = presets.burgers_flux((-1.2, 1.2))
+        solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
+                             step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
+        assert solver.tri.n_slabs > 3
+        solver.run()
+        assert solver._slab.j == solver.tri.n_slabs - 1
+        assert sorted(solver._tables) == [solver.tri.n_slabs - 1, solver.tri.n_slabs]
+        solver.slab(1)
+        assert solver._slab.j == 1 and sorted(solver._tables) == [1, 2]
+        solver.slice_table(1)       # a cached slice evicts nothing
+        assert sorted(solver._tables) == [1, 2]
+
+    def test_slab_rebuilt_after_run_is_bit_identical(self, monkeypatch):
+        # record every slab's rhs and step during the run, then rebuild the
+        # slabs out of order from the finished solver
+        flux = presets.burgers_flux((-1.2, 1.2))
+        solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
+                             step_bd(0.45, 1.0, -0.2), nx=10, u_range=(-0.2, 1.0))
+        seen = {}
+        original = Solver.slab
+
+        def recording_slab(self, j):
+            slab = original(self, j)
+            step = slab.step
+            slab.step = lambda state: seen.setdefault(
+                j, (slab.rhs(state).tobytes(), step(state)))[1]
+            return slab
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Solver, "slab", recording_slab)
+            result = solver.run()
+        assert sorted(seen) == list(range(solver.tri.n_slabs))
+        for j in reversed(range(solver.tri.n_slabs)):
+            slab = solver.slab(j)
+            rhs, stepped = seen[j]
+            assert slab.rhs(result.states[j]).tobytes() == rhs
+            again = slab.step(result.states[j])
+            assert again.values.tobytes() == stepped.values.tobytes()
+            assert again.fluxes.tobytes() == stepped.fluxes.tobytes()
+            assert again.values.tobytes() == result.states[j + 1].values.tobytes()
+
+
 def _slab_of(result, t):
     return int(np.searchsorted(result.tri.times, t, side="right") - 1)
+
+
+class TestWeightedSum:
+    def test_bit_identical_and_leaves_held_arrays_alone(self):
+        rng = np.random.default_rng(3)
+        w = rng.uniform(0.1, 1.0, 5)
+        held = rng.normal(size=(7, 9, 5))
+        before = held.copy()
+        expected = np.sum(w * held, axis=-1)
+        assert _weighted_sum(w, held).tobytes() == expected.tobytes()
+        assert np.array_equal(held, before)          # referenced here: not reused
+        assert _weighted_sum(w, held.copy()).tobytes() == expected.tobytes()
+        readonly = np.broadcast_to(held[:, :1, :], held.shape)
+        assert _weighted_sum(w, readonly).tobytes() == \
+            np.sum(w * readonly, axis=-1).tobytes()
+
+    def test_lattice_allocates_one_full_size_array(self):
+        # the (nv, K, nq) coefficient result takes the weights in place; a
+        # separate product array puts the peak at 2.2 * full
+        vert = vertical_fluxes(presets.burgers_flux((-1.0, 1.0)), (-1.0, 1.0), nx=160)
+        us = np.linspace(-1.0, 1.0, 65)
+        full = vert.n_faces * us.size * vert.weights.size * 8
+        tracemalloc.start()
+        try:
+            vert.dG_lattice(us)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert full < peak < 1.75 * full
+
+
+class TestDataHull:
+    def test_samples_initial_slice_and_boundary_lines(self):
+        # u_B peaks on the right boundary line at the final time only
+        bd = BoundaryData(u=lambda p: p[..., 1] * (1.0 + p[..., 0]))
+        assert data_hull(bd, IntervalDomain(0.0, 1.0), 0.5) == (0.0, 1.5)
+        assert data_hull(bd, CircleDomain(1.0), 0.5) == (0.0, 1.0)
+
+    def test_degenerate_hull_is_padded(self):
+        assert data_hull(constant_bd(2.0), IntervalDomain(0.0, 1.0), 0.5) == \
+            (2.0 - 0.5e-6, 2.0 + 0.5e-6)
+
+    def test_solver_rejects_non_finite_data(self):
+        # u_B = 1 / (t - 0.25) blows up on the lateral boundary lines only
+        bd = BoundaryData(u=lambda p: 1.0 / (p[..., 0] - 0.25) + 0.0 * p[..., 1])
+        tri = build_triangulation(Foliation(np.array([0.0, 0.5]), IntervalDomain(0.0, 1.0)), 4)
+        with pytest.raises(ValueError, match=r"not finite at \(t, x\) = \(0\.25, 0\.0\): -?inf"):
+            Solver(tri, presets.burgers_flux((-1.0, 1.0)), NumericalFluxSpec(), bd)
 
 
 class TestGuards:
