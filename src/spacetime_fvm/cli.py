@@ -308,11 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="path to the run config")
+    def common(p):
+        p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     p_run = sub.add_parser("run", help="execute a configured run")
     common(p_run)

@@ -78,7 +78,6 @@ class RunSetup:
     bd: BoundaryData
     cfg: RunConfig
     hbar: float | None
-    entropy_checks: bool
     entropy_tol: float | None
     output_dir: str
     formats: tuple[str, ...]
@@ -296,8 +295,6 @@ def parse_config(text: str) -> RunSetup:
     cfg = RunConfig(cfl_target=cfl_target, inversion_tol=tol, u_range=flux_range,
                     enforce_cfl=enforce_cfl)
 
-    entropy_checks = _get_bool(cp, "entropy", "checks", True) \
-        if cp.has_section("entropy") else True
     entropy_tol = _get_float(cp, "entropy", "tol") if cp.has_section("entropy") else None
 
     output_dir = _get(cp, "output", "directory", "out") if cp.has_section("output") else "out"
@@ -314,7 +311,7 @@ def parse_config(text: str) -> RunSetup:
     raw = {name: dict(cp.items(name)) for name in cp.sections()}
     return RunSetup(flux=flux, domain=domain, t_final=t_final, breakpoints=breakpoints,
                     spec=spec, bd=bd, cfg=cfg, hbar=hbar,
-                    entropy_checks=entropy_checks, entropy_tol=entropy_tol,
+                    entropy_tol=entropy_tol,
                     output_dir=output_dir, formats=formats, raw=raw)
 
 

@@ -13,6 +13,14 @@ evaluates every discrete inequality the theory asserts:
 * Kruzkov slice distances, their contraction across slabs against the
   boundary-data budget, and the inflow-trace gap.
 
+Every Kruzkov quantity is one identity, ``F(u v c) - F(u ^ c)`` for the
+modulus entropy ``|u - c|``, applied to one flux ``F`` of the states: a
+total flux, a flux-form coefficient or a numerical flux (Kruzkov 1970;
+Crandall & Majda 1980).  :func:`_kruzkov` is its only implementation.  The
+global-inequality report evaluates Kruzkov pairs only; smooth pairs reduce
+to them by superposition.  Gauss rules come from the cached, read-only
+:func:`~spacetime_fvm.forms.gauss_legendre`.
+
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit.
 """
@@ -25,7 +33,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .forms import CoordinateForm, ParamForm
+from .forms import Coefficient, CoordinateForm, ParamForm, gauss_legendre
 from .fluxfield import FluxField
 from .mesh import SpacelikeTable, ValueOutsideImage
 from .scheme import RunResult, Slab, SliceState, Solver
@@ -57,10 +65,19 @@ __all__ = [
 ]
 
 SIMPSON_TOL = 1e-12
+# raw [-1, 1] Gauss-Legendre pairs of the adaptive quadrature
+_GAUSS_10 = np.polynomial.legendre.leggauss(10)
+_GAUSS_20 = np.polynomial.legendre.leggauss(20)
 
 
-def _sgn(x):
-    return np.sign(x)
+def _kruzkov(f: Callable, c, *states):
+    """``f(u v c, ...) - f(u ^ c, ...)``: the Kruzkov entropy flux of ``f``.
+
+    ``f`` maps one or more states to a flux (total, coefficient or
+    numerical); each state is cut at ``c``, which broadcasts against it.
+    """
+    return (f(*(np.maximum(u, c) for u in states))
+            - f(*(np.minimum(u, c) for u in states)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +166,9 @@ def identity_pair() -> EntropyPair:
 
 @dataclass(frozen=True)
 class KruzkovPair:
-    """The modulus entropy ``|u - c|`` with flux ``sgn(c - u)(omega(c) - omega(u))``.
+    """The modulus entropy ``|u - c|`` with flux ``omega(u v c) - omega(u ^ c)``.
 
-    ``sgn(0) = 0`` so the flux vanishes identically at coinciding states.
+    The flux vanishes identically at coinciding states.
     """
 
     c: float
@@ -161,32 +178,20 @@ class KruzkovPair:
         return np.abs(np.asarray(w, dtype=float) - self.c)
 
     def du(self, w):
-        return _sgn(np.asarray(w, dtype=float) - self.c)
+        return np.sign(np.asarray(w, dtype=float) - self.c)
 
 
 def kruzkov_form(flux: FluxField, ubar: float, c: float) -> CoordinateForm:
     """Kruzkov entropy flux form at frozen states, with analytic partials."""
-    sign = float(np.sign(c - ubar))
+    def frozen(fn):
+        return lambda pts: _kruzkov(lambda u: fn(pts, u), c, ubar)
+
+    partials = flux.omega.partials or {}
     coeffs = {}
     for idx, fn in flux.omega.coeffs.items():
-        part = None
-        if flux.omega.partials is not None and idx in flux.omega.partials:
-            part = {ax: (lambda pts, _p=pfn, _s=sign: _s * (_p(pts, c) - _p(pts, ubar)))
-                    for ax, pfn in flux.omega.partials[idx].items()}
-        coeffs[idx] = _KruzkovCoeff(fn, sign, ubar, c, part)
+        part = {ax: frozen(p) for ax, p in partials[idx].items()} if idx in partials else None
+        coeffs[idx] = Coefficient(frozen(fn), partials=part)
     return CoordinateForm(flux.omega.degree, flux.omega.chart_dim, coeffs)
-
-
-class _KruzkovCoeff:
-    def __init__(self, fn, sign, ubar, c, partials):
-        self.fn = fn
-        self.sign = sign
-        self.ubar = ubar
-        self.cval = c
-        self.partials = partials
-
-    def __call__(self, pts):
-        return self.sign * (self.fn(pts, self.cval) - self.fn(pts, self.ubar))
 
 
 def adaptive_simpson(f: Callable, a: float, b: float, tol: float,
@@ -241,9 +246,9 @@ class SmoothFaceEntropy:
                  nodes_per_panel: int = 10):
         self.pair = pair
         self.table = table
-        x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-        self._gx = 0.5 * (x + 1.0)
-        self._gw = 0.5 * w
+        rule = gauss_legendre(nodes_per_panel)
+        self._gx = rule.nodes[:, 0]
+        self._gw = rule.weights
         self.n_panels = n_panels
 
     def q_omega(self, w) -> np.ndarray:
@@ -277,10 +282,7 @@ def entropy_total_flux(tf_or_table, pair, ubar):
     derivative-weighted q-derivative.
     """
     if isinstance(pair, KruzkovPair):
-        q = tf_or_table.q
-        up = np.maximum(np.asarray(ubar, dtype=float), pair.c)
-        dn = np.minimum(np.asarray(ubar, dtype=float), pair.c)
-        return q(up) - q(dn)
+        return _kruzkov(tf_or_table.q, pair.c, np.asarray(ubar, dtype=float))
     if isinstance(tf_or_table, SpacelikeTable):
         helper = SmoothFaceEntropy(pair, tf_or_table)
         w = np.asarray(ubar, dtype=float)
@@ -435,32 +437,17 @@ def kruzkov_lattice(slab: Slab, state: SliceState) -> np.ndarray:
     return np.unique(np.concatenate([vals, mids]))
 
 
-def _q_omega_lattice(table: SpacelikeTable, w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """q(w v c) - q(w ^ c) on every face; w (m,) or (m,K), c broadcastable."""
-    w = np.asarray(w, dtype=float)
-    return table.q(np.maximum(w, c)) - table.q(np.minimum(w, c))
-
-
 def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
     """Q(u v c, v v c) - Q(u ^ c, v ^ c) seen from the cell (scalar/broadcast)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = np.asarray(c, dtype=float)
-    hi = slab.numerical_flux(column, side, np.maximum(u, c), np.maximum(v, c))
-    lo = slab.numerical_flux(column, side, np.minimum(u, c), np.minimum(v, c))
-    return hi - lo
+    return _kruzkov(lambda a, b: slab.numerical_flux(column, side, a, b),
+                    np.asarray(c, dtype=float), np.asarray(u, dtype=float),
+                    np.asarray(v, dtype=float))
 
 
 def _kruzkov_Q_lattice(slab: Slab, side: int, u: np.ndarray, v: np.ndarray,
                        c: np.ndarray) -> np.ndarray:
     """Kruzkov numerical flux per cell/side; u, v are (m,), c is (nc,)."""
-    uu = np.maximum(u[:, None], c[None, :])
-    vv = np.maximum(v[:, None], c[None, :])
-    hi = _q_signed_pair(slab, side, uu, vv)
-    uu = np.minimum(u[:, None], c[None, :])
-    vv = np.minimum(v[:, None], c[None, :])
-    lo = _q_signed_pair(slab, side, uu, vv)
-    return hi - lo
+    return _kruzkov(lambda a, b: _q_signed_pair(slab, side, a, b), c, u[:, None], v[:, None])
 
 
 def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: SliceState,
@@ -478,18 +465,14 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
     values = state.values
     q_plus = slab.table_plus
 
+    q_own = _kruzkov(q_plus.q, c, values[:, None])
     for side in (0, 1):
         nbv = decomp.neighbor[:, side]
         lam = decomp.lam[:, side]
         zero = decomp.lam_hat[:, side] <= 0.0
-        q_ut = _q_omega_lattice(q_plus, np.broadcast_to(decomp.face_states[:, side, None],
-                                                        (m, c.size)), c[None, :])
-        q_ub = _q_omega_lattice(q_plus, np.broadcast_to(decomp.anchored_states[:, side, None],
-                                                        (m, c.size)), c[None, :])
-        q_own = _q_omega_lattice(q_plus, np.broadcast_to(values[:, None], (m, c.size)),
-                                 c[None, :])
-        q_nb = _q_omega_lattice(q_plus, np.broadcast_to(nbv[:, None], (m, c.size)),
-                                c[None, :])
+        q_ut = _kruzkov(q_plus.q, c, decomp.face_states[:, side, None])
+        q_ub = _kruzkov(q_plus.q, c, decomp.anchored_states[:, side, None])
+        q_nb = _kruzkov(q_plus.q, c, nbv[:, None])
         Q_uv = _kruzkov_Q_lattice(slab, side, values, nbv, c)
         Q_uu = _kruzkov_Q_lattice(slab, side, values, values, c)
         Q_vv = _kruzkov_Q_lattice(slab, side, nbv, nbv, c)
@@ -504,14 +487,9 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
                            c_values: np.ndarray) -> np.ndarray:
     """Positive part of the per-cell entropy inequality, shape (m, nc)."""
     c = np.asarray(c_values, dtype=float)
-    m = slab.m
     values = state.values
-    q_plus_new = _q_omega_lattice(slab.table_plus,
-                                  np.broadcast_to(state_next.values[:, None], (m, c.size)),
-                                  c[None, :])
-    q_plus_old = _q_omega_lattice(slab.table_plus,
-                                  np.broadcast_to(values[:, None], (m, c.size)), c[None, :])
-    total = q_plus_new - q_plus_old
+    total = (_kruzkov(slab.table_plus.q, c, state_next.values[:, None])
+             - _kruzkov(slab.table_plus.q, c, values[:, None]))
     nb = _neighbors_per_cell(slab, values)
     for side in (0, 1):
         Q_uv = _kruzkov_Q_lattice(slab, side, values, nb[:, side], c)
@@ -533,11 +511,12 @@ def check_face_entropy_inequality(slab: Slab, column: int, side: str,
 # discrete boundary condition and smooth-pair numerical entropy fluxes
 # ---------------------------------------------------------------------------
 
-def _boundary_columns(slab: Slab) -> list[tuple[int, str, int]]:
-    """(column, side name, vertical node index) of the slab's boundary faces."""
+def _boundary_faces(slab: Slab) -> list[tuple[int, str, int, float]]:
+    """(column, side name, vertical node index, ghost state) of the boundary faces."""
     if slab.periodic:
         return []
-    return [(0, "left", 0), (slab.m - 1, "right", slab.m)]
+    left, right = slab.ghost_values()
+    return [(0, "left", 0, left), (slab.m - 1, "right", slab.m, right)]
 
 
 def _adaptive_gauss(f_vec: Callable, a: float, b: float, tol: float,
@@ -545,8 +524,7 @@ def _adaptive_gauss(f_vec: Callable, a: float, b: float, tol: float,
     """Adaptive Gauss quadrature; ``f_vec`` evaluates arrays of points."""
     if b <= a:
         return 0.0
-    x10, w10 = np.polynomial.legendre.leggauss(10)
-    x20, w20 = np.polynomial.legendre.leggauss(20)
+    (x10, w10), (x20, w20) = _GAUSS_10, _GAUSS_20
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     coarse = half * float(np.sum(w10 * f_vec(mid + half * x10)))
@@ -576,20 +554,13 @@ def smooth_entropy_numerical_flux(slab: Slab, column: int, side: str,
     base = float(slab.numerical_flux(column, side, u, v)) \
         - float(slab.signed_flux(column, side, 0.0)[0])
 
-    sidx = 1 if side == "right" else 0
-    node = slab.right_idx[column] if sidx == 1 else slab.left_idx[column]
-    sign = 1.0 if sidx == 1 else -1.0
-
-    def g_signed(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        return sign * slab.vert.G(w, faces=np.full(w.shape[0], node, dtype=int))
-
     def integrand(cv: np.ndarray) -> np.ndarray:
         cv = np.asarray(cv, dtype=float)
         qk = np.asarray(kruzkov_numerical_flux(slab, column, side, u, v, cv))
-        anchor = g_signed(np.maximum(0.0, cv)) - g_signed(np.minimum(0.0, cv))
+        anchor = _kruzkov(lambda w: slab.signed_flux(column, side, w), cv, 0.0)
         return 0.5 * pair.ddu(cv) * (qk - anchor)
 
+    node = slab.right_idx[column] if side == "right" else slab.left_idx[column]
     crit = slab.vert.crit_w[node]
     splits = sorted({lo, hi, float(np.clip(u, lo, hi)), float(np.clip(v, lo, hi))}
                     | {float(w) for w in crit if np.isfinite(w) and lo < w < hi})
@@ -597,6 +568,24 @@ def smooth_entropy_numerical_flux(slab: Slab, column: int, side: str,
     for a, b in zip(splits[:-1], splits[1:]):
         total += _adaptive_gauss(integrand, a, b, tol)
     return beta * base + total
+
+
+def _boundary_violation(slab: Slab, column: int, side: str, pair, u: float, b: float):
+    """``U'(b) (Q(u, b) - Q(b, b)) - (Q_U(u, b) - Q_U(b, b))`` on a boundary face.
+
+    ``b`` is the ghost state and ``Q_U`` the pair's numerical entropy flux.
+    A :class:`KruzkovPair` whose ``c`` is an array gives one violation per
+    entry, the whole check lattice in one call.
+    """
+    q_ub = float(slab.numerical_flux(column, side, u, b))
+    q_bb = float(slab.numerical_flux(column, side, b, b))
+    if isinstance(pair, KruzkovPair):
+        qo_ub = kruzkov_numerical_flux(slab, column, side, u, b, pair.c)
+        qo_bb = kruzkov_numerical_flux(slab, column, side, b, b, pair.c)
+    else:
+        qo_ub = smooth_entropy_numerical_flux(slab, column, side, pair, u, b)
+        qo_bb = smooth_entropy_numerical_flux(slab, column, side, pair, b, b)
+    return pair.du(b) * (q_ub - q_bb) - (qo_ub - qo_bb)
 
 
 def check_discrete_boundary_condition(slab: Slab, column: int, side: str,
@@ -611,18 +600,8 @@ def check_discrete_boundary_condition(slab: Slab, column: int, side: str,
     if ghosts is None:
         raise ValueError("discrete boundary condition applies to boundary faces only")
     b = ghosts[0] if side == "left" else ghosts[1]
-    u_own = float(state.values[column])
-    q_ub = float(slab.numerical_flux(column, side, u_own, b))
-    q_bb = float(slab.numerical_flux(column, side, b, b))
-    if isinstance(pair, KruzkovPair):
-        qo_ub = float(kruzkov_numerical_flux(slab, column, side, u_own, b, pair.c))
-        qo_bb = float(kruzkov_numerical_flux(slab, column, side, b, b, pair.c))
-    else:
-        qo_ub = smooth_entropy_numerical_flux(slab, column, side, pair, u_own, b)
-        qo_bb = smooth_entropy_numerical_flux(slab, column, side, pair, b, b)
-    lhs = float(pair.du(b)) * (q_ub - q_bb)
-    rhs = qo_ub - qo_bb
-    return max(0.0, lhs - rhs)
+    return max(0.0, float(_boundary_violation(slab, column, side, pair,
+                                              float(state.values[column]), b)))
 
 
 # ---------------------------------------------------------------------------
@@ -668,9 +647,7 @@ def global_dissipation_report(slab: Slab, decomp: DecompositionStates,
                         * (decomp.face_states - state_next.values[:, None]) ** 2))
 
     boundary_sum = 0.0
-    for column, side, _node in _boundary_columns(slab):
-        ghosts = slab.ghost_values()
-        b = ghosts[0] if side == "left" else ghosts[1]
+    for column, side, _node, b in _boundary_faces(slab):
         boundary_sum += smooth_entropy_numerical_flux(
             slab, column, side, pair, float(state.values[column]), b)
 
@@ -692,12 +669,8 @@ def outflow_entropy_convexity_residual(slab: Slab, decomp: DecompositionStates,
                                state_next: SliceState, pair) -> np.ndarray:
     """Positive part of q_omega(u_plus) - sum lam q_omega(face_states), per cell."""
     if isinstance(pair, KruzkovPair):
-        c = np.array([pair.c])
-        q_new = _q_omega_lattice(slab.table_plus, state_next.values[:, None], c[None, :])[:, 0]
-        q_ut = np.empty_like(decomp.face_states)
-        for side in (0, 1):
-            q_ut[:, side] = _q_omega_lattice(
-                slab.table_plus, decomp.face_states[:, side][:, None], c[None, :])[:, 0]
+        q_new = _kruzkov(slab.table_plus.q, pair.c, state_next.values)
+        q_ut = _kruzkov(slab.table_plus.q, pair.c, decomp.face_states)
     else:
         ent = SmoothFaceEntropy(pair, slab.table_plus)
         q_new = ent.q_omega(state_next.values)
@@ -714,11 +687,8 @@ def kruzkov_slice_distance(result_u: RunResult, result_v: RunResult, j: int,
     """Slice sum of Kruzkov entropy total fluxes between two runs."""
     if table is None:
         table = _shared_table(result_u, result_v, j)
-    su = result_u.states[j].values
-    sv = result_v.states[j].values
-    up = np.maximum(su, sv)
-    dn = np.minimum(su, sv)
-    return float(np.sum(table.q(up) - table.q(dn)))
+    return float(np.sum(_kruzkov(table.q, result_v.states[j].values,
+                                 result_u.states[j].values)))
 
 
 def _shared_table(ru: RunResult, rv: RunResult, j: int) -> SpacelikeTable:
@@ -771,12 +741,10 @@ def contraction_check(result_u: RunResult, result_v: RunResult,
     tri = result_u.tri
     hull = (min(result_u.u_range[0], result_v.u_range[0]),
             max(result_u.u_range[1], result_v.u_range[1]))
-    distances = np.empty(tri.n_slices)
-    tables = []
-    for j in range(tri.n_slices):
-        table = SpacelikeTable(tri, result_u.flux, j, rule=result_u.cfg.rule(), u_range=hull)
-        tables.append(table)
-        distances[j] = kruzkov_slice_distance(result_u, result_v, j, table=table)
+    tables = [SpacelikeTable(tri, result_u.flux, j, rule=result_u.cfg.rule(), u_range=hull)
+              for j in range(tri.n_slices)]
+    distances = np.array([kruzkov_slice_distance(result_u, result_v, j, table=table)
+                          for j, table in enumerate(tables)])
 
     budgets = np.zeros(tri.n_slabs)
     if not tri.periodic:
@@ -795,9 +763,8 @@ def contraction_check(result_u: RunResult, result_v: RunResult,
     table0 = tables[0]
     ub = result_u.bd.u_values(table0.pts)
     vb = result_v.bd.u_values(table0.pts)
-    dens_hi = table0._wx(table0.pts, np.maximum(ub, vb))
-    dens_lo = table0._wx(table0.pts, np.minimum(ub, vb))
-    d_bdata = float(np.sum(table0.weights * (dens_hi - dens_lo)))
+    d_bdata = float(np.sum(table0.weights
+                           * _kruzkov(lambda w: table0._wx(table0.pts, w), vb, ub)))
     trace_gap = abs(float(distances[1] - d_bdata)) if tri.n_slices > 1 else 0.0
 
     return ContractionReport(distances=distances, budgets=budgets, slacks=slacks,
@@ -868,45 +835,18 @@ class TestFunction:
         return out
 
 
-def _omega_density(slab: Slab, pair, table: SpacelikeTable, w: np.ndarray) -> np.ndarray:
-    """Pointwise oriented entropy-flux density at the table's face nodes."""
-    if isinstance(pair, KruzkovPair):
-        c = pair.c
-        sgn = _sgn(c - w)[:, None]
-        dens = sgn * (table._wx(table.pts, c + 0.0 * table.pts[..., 0])
-                      - table._wx(table.pts, w[:, None]))
-        return table.orientation[:, None] * dens
-    # smooth pair: composite Gauss in the state variable at every node
-    x, gw = np.polynomial.legendre.leggauss(10)
-    x = 0.5 * (x + 1.0)
-    gw = 0.5 * gw
-    panels = 16
-    edges = np.linspace(0.0, 1.0, panels + 1)[:-1]
-    frac = (edges[None, :, None] + x[None, None, :] / panels)
-    vnodes = w[:, None, None] * frac                          # (m, P, G)
-    vweights = (w[:, None, None] / panels) * gw[None, None, :]
-    dens = np.zeros(table.pts.shape[:-1])
-    for p in range(panels):
-        for g in range(x.size):
-            v = vnodes[:, p, g]
-            dens = dens + vweights[:, p, g, None] * pair.du(v)[:, None] \
-                * table._dwx(table.pts, v[:, None])
-    return table.orientation[:, None] * dens
+def _omega_density(pair: KruzkovPair, table: SpacelikeTable, w: np.ndarray) -> np.ndarray:
+    """Pointwise oriented Kruzkov entropy-flux density at the table's face nodes."""
+    return table.orientation[:, None] * _kruzkov(lambda u: table._wx(table.pts, u),
+                                                 pair.c, w[:, None])
 
 
-def _vertical_entropy_density(slab: Slab, pair, side: int, w: np.ndarray,
-                              c: float | None = None) -> np.ndarray:
-    """Entropy flux density at vertical-face nodes, oriented as the cell boundary."""
-    idx = slab.right_idx if side == 1 else slab.left_idx
+def _vertical_entropy_density(slab: Slab, pair: KruzkovPair, side: int,
+                              w: np.ndarray) -> np.ndarray:
+    """Kruzkov entropy flux density at vertical-face nodes, oriented as the cell boundary."""
+    pts = slab.vert.pts[slab.right_idx if side == 1 else slab.left_idx]
     sign = -1.0 if side == 1 else 1.0
-    pts = slab.vert.pts[idx]
-    if isinstance(pair, KruzkovPair):
-        c = pair.c
-        sgn = _sgn(c - w)[:, None]
-        dens = sgn * (slab.vert._wt(pts, c + 0.0 * pts[..., 0])
-                      - slab.vert._wt(pts, w[:, None]))
-        return sign * dens
-    raise NotImplementedError("vertical entropy densities are provided for Kruzkov pairs")
+    return sign * _kruzkov(lambda u: slab.vert._wt(pts, u), pair.c, w[:, None])
 
 
 def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
@@ -923,8 +863,8 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
     per-cell Stokes identity from the same face quadratures as every
     other term, which keeps the inequality exact at the discrete level;
     ``stokes_gap`` reports how far an independent cell quadrature of the
-    exterior derivative sits from that assembly.  Kruzkov pairs use
-    closed-form densities.
+    exterior derivative sits from that assembly.  Only Kruzkov pairs are
+    evaluated, with closed-form densities.
     """
     tri = result.tri
     solver = solver if solver is not None else Solver(
@@ -945,20 +885,13 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
             "smooth pairs reduce to them by superposition")
 
     c = pair.c
-    flux = result.flux
     A = B = C = D = E = 0.0
     volume = 0.0
     volume_direct = 0.0
     initial = 0.0
     boundary = 0.0
     boundary_variant = 0.0
-
-    # cell quadrature nodes (5x5 Gauss per cell, reused across slabs)
-    gx, gw = np.polynomial.legendre.leggauss(5)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
-    cx, ct = np.meshgrid(gx, gx, indexing="ij")
-    cwt = np.outer(gw, gw).ravel()
+    cell_rule = gauss_legendre(5, 2)
 
     for j in range(tri.n_slabs):
         slab = solver.slab(j)
@@ -966,40 +899,36 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         state_next = result.states[j + 1]
         decomp = decomposition_states(slab, state)
         values = state.values
-        m = slab.m
+        w_t = slab.vert.weights
 
         # psi averages on vertical faces (coordinate measure) and their
         # lambda-weighted per-cell combinations
-        wsum = float(np.sum(slab.vert.weights))
-        psi_vert = np.sum(slab.vert.weights * psi(slab.vert.pts), axis=-1) / wsum
+        wsum = float(np.sum(w_t))
+        psi_vert = np.sum(w_t * psi(slab.vert.pts), axis=-1) / wsum
         psi_face = np.stack([psi_vert[slab.left_idx], psi_vert[slab.right_idx]], axis=1)
         psi_cell_avg = np.sum(decomp.lam * psi_face, axis=1)
 
         table_plus = slab.table_plus
-        q_omega = lambda w: _q_omega_lattice(table_plus, w, c)  # noqa: E731
-        q_ut = np.stack([q_omega(decomp.face_states[:, s]) for s in (0, 1)], axis=1)
-        q_new = q_omega(state_next.values)
+        q_ut = _kruzkov(table_plus.q, c, decomp.face_states)
+        q_new = _kruzkov(table_plus.q, c, state_next.values)
 
         # A: lambda-weighted average differences against the outflow refresh
         A += float(np.sum(decomp.lam * (psi_cell_avg[:, None] - psi_face)
                           * (q_ut - q_new[:, None])))
 
         # B: vertical-face mismatch between averaged and pointwise psi
+        psi_side = [psi(slab.vert.pts[idx]) for idx in (slab.left_idx, slab.right_idx)]
+        dens_side = [_vertical_entropy_density(slab, pair, side, values) for side in (0, 1)]
         for side in (0, 1):
-            idx = slab.right_idx if side == 1 else slab.left_idx
-            pts = slab.vert.pts[idx]
-            dens = _vertical_entropy_density(slab, pair, side, values)
-            w_t = slab.vert.weights
-            psi_pt = psi(pts)
-            B += float(np.sum((psi_face[:, side][:, None] - psi_pt) * w_t * dens))
+            B += float(np.sum((psi_face[:, side][:, None] - psi_side[side]) * w_t
+                              * dens_side[side]))
 
         # C, D, E: outflow-face pointwise terms
         psi_plus = psi(table_plus.pts)
         wq = table_plus.node_weights()
-        dens_ut = [
-            _omega_density(slab, pair, table_plus, decomp.face_states[:, s]) for s in (0, 1)]
-        dens_new = _omega_density(slab, pair, table_plus, state_next.values)
-        dens_old = _omega_density(slab, pair, table_plus, values)
+        dens_ut = [_omega_density(pair, table_plus, decomp.face_states[:, s]) for s in (0, 1)]
+        dens_new = _omega_density(pair, table_plus, state_next.values)
+        dens_old = _omega_density(pair, table_plus, values)
         raw_new = table_plus.density(state_next.values)
         du_new = pair.du(state_next.values)[:, None]
         for side in (0, 1):
@@ -1012,41 +941,28 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         E -= float(np.sum((psi_cell_avg[:, None] - psi_plus) * wq * (dens_new - dens_old)))
 
         # volume term assembled by the per-cell Stokes identity from the
-        # same face quadratures (exact at the discrete level)
+        # same face quadratures (exact at the discrete level); its inflow
+        # part on slab 0 is the initial-slice term
         table_minus = slab.table_minus
-        psi_minus = psi(table_minus.pts)
-        dens_minus = _omega_density(slab, pair, table_minus, values)
-        stokes = float(np.sum(psi_plus * wq * dens_old)) \
-            - float(np.sum(psi_minus * table_minus.node_weights() * dens_minus))
+        inflow = float(np.sum(psi(table_minus.pts) * table_minus.node_weights()
+                              * _omega_density(pair, table_minus, values)))
+        stokes = float(np.sum(psi_plus * wq * dens_old)) - inflow
         for side in (0, 1):
-            idx = slab.right_idx if side == 1 else slab.left_idx
-            pts_v = slab.vert.pts[idx]
-            dens_v = _vertical_entropy_density(slab, pair, side, values)
-            stokes += float(np.sum(psi(pts_v) * slab.vert.weights * dens_v))
+            stokes += float(np.sum(psi_side[side] * w_t * dens_side[side]))
         volume -= stokes
-        volume_direct -= _volume_term(tri, slab, flux, psi, values, c, cx, ct, cwt)
-
-        # initial-slice term
+        volume_direct -= _volume_term(tri, slab, result.flux, psi, values, c, cell_rule)
         if j == 0:
-            psi0 = psi(table_minus.pts)
-            dens0 = _omega_density(slab, pair, table_minus, values)
-            initial -= float(np.sum(psi0 * table_minus.node_weights() * dens0))
+            initial -= inflow
 
         # boundary terms
-        ghosts = slab.ghost_values()
-        for column, side, node in _boundary_columns(slab):
-            b = ghosts[0] if side == "left" else ghosts[1]
+        for column, side, node, b in _boundary_faces(slab):
             psi_b = psi_vert[node]
-            boundary += psi_b * float(kruzkov_numerical_flux(
-                slab, column, side, float(values[column]), b, c))
-            s = 1 if side == "right" else 0
-            g_hi = _g_signed(slab, s, np.full(m, max(b, c)))[column]
-            g_lo = _g_signed(slab, s, np.full(m, min(b, c)))[column]
-            q_omega_ghost = float(g_hi - g_lo)
-            qd = float(slab.numerical_flux(column, side, float(values[column]), b)
+            u_own = float(values[column])
+            boundary += psi_b * float(kruzkov_numerical_flux(slab, column, side, u_own, b, c))
+            q_omega_ghost = float(_kruzkov(lambda w: slab.signed_flux(column, side, w), c, b)[0])
+            qd = float(slab.numerical_flux(column, side, u_own, b)
                        - slab.numerical_flux(column, side, b, b))
-            boundary_variant += psi_b * (q_omega_ghost
-                                         + float(pair.du(b)) * qd)
+            boundary_variant += psi_b * (q_omega_ghost + float(pair.du(b)) * qd)
 
     lhs = volume + initial + boundary
     lhs_variant = volume + initial + boundary_variant
@@ -1055,48 +971,40 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
                                   stokes_gap=abs(volume - volume_direct))
 
 
-def _volume_term(tri, slab, flux, psi, values, c, cx, ct, cwt) -> float:
+def _volume_term(tri, slab, flux, psi, values, c, cell_rule) -> float:
     """Sum over the slab's cells of the cell integrals of d(psi Omega)(u-)."""
     xs = tri.breakpoints
     t0, t1 = tri.times[slab.j], tri.times[slab.j + 1]
     xl = xs[:-1]
     widths = np.diff(xs)
-    X = xl[:, None] + cx.ravel()[None, :] * widths[:, None]
-    T = np.broadcast_to(t0 + ct.ravel() * (t1 - t0), X.shape)
+    X = xl[:, None] + cell_rule.nodes[:, 0][None, :] * widths[:, None]
+    T = np.broadcast_to(t0 + cell_rule.nodes[:, 1] * (t1 - t0), X.shape)
     pts = np.stack([T, X], axis=-1)                                  # (m, 25, 2)
     area = widths[:, None] * (t1 - t0)
-    w = cwt[None, :] * area
+    w = cell_rule.weights[None, :] * area
+
+    def omega(fn, p):
+        return _kruzkov(lambda u: fn(p, u), c, values[:, None])
 
     grad = psi.gradient(pts)
-    sgn = _sgn(c - values)[:, None]
     om = flux.omega
-    omega_t = sgn * (om.coeffs[(0,)](pts, c) - om.coeffs[(0,)](pts, values[:, None]))
-    omega_x = sgn * (om.coeffs[(1,)](pts, c) - om.coeffs[(1,)](pts, values[:, None]))
-    integrand = grad[..., 0] * omega_x - grad[..., 1] * omega_t
+    integrand = grad[..., 0] * omega(om.coeffs[(1,)], pts) \
+        - grad[..., 1] * omega(om.coeffs[(0,)], pts)
 
     if om.partials is not None and (0,) in om.partials and (1,) in om.partials:
-        d_omega_x_dt = sgn * (om.partials[(1,)][0](pts, c)
-                              - om.partials[(1,)][0](pts, values[:, None]))
-        d_omega_t_dx = sgn * (om.partials[(0,)][1](pts, c)
-                              - om.partials[(0,)][1](pts, values[:, None]))
-        integrand = integrand + psi(pts) * (d_omega_x_dt - d_omega_t_dx)
+        d_omega_x_dt = omega(om.partials[(1,)][0], pts)
+        d_omega_t_dx = omega(om.partials[(0,)][1], pts)
     else:
         h = 1e-6
         shift = np.zeros_like(pts)
         shift[..., 0] = h * (1.0 + np.abs(pts[..., 0]))
-        wx_hi = sgn * (om.coeffs[(1,)](pts + shift, c)
-                       - om.coeffs[(1,)](pts + shift, values[:, None]))
-        wx_lo = sgn * (om.coeffs[(1,)](pts - shift, c)
-                       - om.coeffs[(1,)](pts - shift, values[:, None]))
-        d_omega_x_dt = (wx_hi - wx_lo) / (2.0 * shift[..., 0])
+        d_omega_x_dt = (omega(om.coeffs[(1,)], pts + shift)
+                        - omega(om.coeffs[(1,)], pts - shift)) / (2.0 * shift[..., 0])
         shift[...] = 0.0
         shift[..., 1] = h * (1.0 + np.abs(pts[..., 1]))
-        wt_hi = sgn * (om.coeffs[(0,)](pts + shift, c)
-                       - om.coeffs[(0,)](pts + shift, values[:, None]))
-        wt_lo = sgn * (om.coeffs[(0,)](pts - shift, c)
-                       - om.coeffs[(0,)](pts - shift, values[:, None]))
-        d_omega_t_dx = (wt_hi - wt_lo) / (2.0 * shift[..., 1])
-        integrand = integrand + psi(pts) * (d_omega_x_dt - d_omega_t_dx)
+        d_omega_t_dx = (omega(om.coeffs[(0,)], pts + shift)
+                        - omega(om.coeffs[(0,)], pts - shift)) / (2.0 * shift[..., 1])
+    integrand = integrand + psi(pts) * (d_omega_x_dt - d_omega_t_dx)
 
     return float(np.sum(w * integrand))
 
@@ -1186,16 +1094,10 @@ def verify_run(result: RunResult, tol: float | None = None,
             float(np.max(cell_entropy_residuals(slab, state, state_next, c_vals))))
 
         bc = 0.0
-        ghosts = slab.ghost_values()
-        for column, side, _node in _boundary_columns(slab):
-            b = ghosts[0] if side == "left" else ghosts[1]
-            u_own = float(state.values[column])
-            q_ub = float(slab.numerical_flux(column, side, u_own, b))
-            q_bb = float(slab.numerical_flux(column, side, b, b))
-            qo_ub = np.asarray(kruzkov_numerical_flux(slab, column, side, u_own, b, c_vals))
-            qo_bb = np.asarray(kruzkov_numerical_flux(slab, column, side, b, b, c_vals))
-            lhs = _sgn(b - c_vals) * (q_ub - q_bb)
-            bc = max(bc, float(np.max(np.maximum(0.0, lhs - (qo_ub - qo_bb)))))
+        for column, side, _node, b in _boundary_faces(slab):
+            violation = _boundary_violation(slab, column, side, KruzkovPair(c_vals),
+                                            float(state.values[column]), b)
+            bc = max(bc, float(np.max(np.maximum(0.0, violation))))
         per_slab["boundary_condition"].append(bc)
 
         per_slab["outflow_convexity_square"].append(float(np.max(

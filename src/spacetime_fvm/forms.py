@@ -18,6 +18,7 @@ everything here is pure and safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -484,11 +485,13 @@ class QuadratureRule:
         return self.nodes.shape[1]
 
 
+@functools.cache
 def gauss_legendre(npoints: int = 5, dim: int = 1) -> QuadratureRule:
     """Tensor-product Gauss-Legendre rule on the unit box.
 
     Exact for polynomials of degree ``2 * npoints - 1`` per axis; the
-    5-point default therefore has exactness degree 9.
+    5-point default therefore has exactness degree 9.  Rules are cached
+    and shared, so their node and weight arrays are read-only.
     """
     if npoints < 1:
         raise FormError("need at least one quadrature point")
@@ -496,14 +499,18 @@ def gauss_legendre(npoints: int = 5, dim: int = 1) -> QuadratureRule:
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     if dim == 1:
-        return QuadratureRule(x[:, None], w, 2 * npoints - 1)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    weights = np.ones(nodes.shape[0])
-    for g in wgrids:
-        weights = weights * g.ravel()
-    return QuadratureRule(nodes, weights, 2 * npoints - 1)
+        rule = QuadratureRule(x[:, None], w, 2 * npoints - 1)
+    else:
+        grids = np.meshgrid(*([x] * dim), indexing="ij")
+        nodes = np.stack([g.ravel() for g in grids], axis=-1)
+        wgrids = np.meshgrid(*([w] * dim), indexing="ij")
+        weights = np.ones(nodes.shape[0])
+        for g in wgrids:
+            weights = weights * g.ravel()
+        rule = QuadratureRule(nodes, weights, 2 * npoints - 1)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
 
 
 def integrate(form: CoordinateForm, rule: QuadratureRule,

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .entropy import TestFunction
+from .entropy import TestFunction, _kruzkov
 from .fluxfield import (
     FaceKind,
     FluxField,
@@ -25,6 +25,7 @@ from .fluxfield import (
     check_hyperbolicity,
     classify_face,
 )
+from .forms import gauss_legendre
 from .mesh import (
     CircleDomain,
     Foliation,
@@ -135,9 +136,8 @@ def l1_error(result: RunResult, oracle: Callable, slice_index: int | None = None
     t = float(tri.times[j])
     values = result.states[j].values
     xs = tri.breakpoints
-    gx, gw = np.polynomial.legendre.leggauss(n_nodes)
-    gx = 0.5 * (gx + 1.0)
-    gw = 0.5 * gw
+    rule = gauss_legendre(n_nodes)
+    gx, gw = rule.nodes[:, 0], rule.weights
     X = xs[:-1, None] + gx[None, :] * np.diff(xs)[:, None]
     pts = np.stack([np.full_like(X, t), X], axis=-1)
     weight = np.abs(result.flux.omega.du_coeffs[(1,)](pts, u_ref))
@@ -347,7 +347,7 @@ def first_slice_trace_distance(result: RunResult) -> float:
                            u_range=result.u_range)
     u1 = result.states[1].values
     b = result.states[0].values  # per-cell inflow-data averages
-    return float(np.sum(table.q(np.maximum(u1, b)) - table.q(np.minimum(u1, b))))
+    return float(np.sum(_kruzkov(table.q, b, u1)))
 
 
 def trace_convergence_check(case: RunCase, mesh_sizes: Sequence[int]) -> TraceStudy:

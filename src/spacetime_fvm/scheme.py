@@ -133,7 +133,6 @@ class RunConfig:
     quadrature_points: int = 5
     u_range: tuple[float, float] | None = None
     enforce_cfl: bool = True
-    check_hyperbolicity: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.cfl_target <= CFL_LIMIT:
@@ -292,31 +291,16 @@ class VerticalFluxes:
     def dG(self, u, faces=None) -> np.ndarray:
         return -self._eval(self._dwt, u, faces)
 
-    def G_lattice(self, us: np.ndarray) -> np.ndarray:
-        """G of every face at a shared 1-d lattice of states -> (nv, K)."""
-        us = np.asarray(us, dtype=float)
-        return self.G(np.broadcast_to(us, (self.n_faces, us.size)))
-
     def dG_lattice(self, us: np.ndarray) -> np.ndarray:
         us = np.asarray(us, dtype=float)
         return self.dG(np.broadcast_to(us, (self.n_faces, us.size)))
-
-    def _gather_G(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        pts = self.pts[idx]
-        vals = self._wt(pts, np.asarray(w, dtype=float)[:, None])
-        return -np.sum(self.weights * vals, axis=-1)
-
-    def _gather_dG(self, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-        pts = self.pts[idx]
-        vals = self._dwt(pts, np.asarray(w, dtype=float)[:, None])
-        return -np.sum(self.weights * vals, axis=-1)
 
     def _locate_criticals(self, us: np.ndarray, dg: np.ndarray) -> None:
         # strict sign changes are polished; samples where G' vanishes exactly
         # (a sonic state landing on a sample node) are criticals themselves
         sign_change = dg[:, :-1] * dg[:, 1:] < 0.0
         face_idx, seg_idx = np.nonzero(sign_change)
-        roots = _bracketed_secant(lambda sel, w: self._gather_dG(face_idx[sel], w),
+        roots = _bracketed_secant(lambda sel, w: self.dG(w, faces=face_idx[sel]),
                                   us[seg_idx], us[seg_idx + 1],
                                   dg[face_idx, seg_idx], dg[face_idx, seg_idx + 1])
 
@@ -337,7 +321,7 @@ class VerticalFluxes:
         self.crit_g = np.full_like(self.crit_w, np.nan)
         if face_idx.size:
             self.crit_w[face_sorted, rank] = roots[order]
-            self.crit_g[face_sorted, rank] = self._gather_G(face_sorted, roots[order])
+            self.crit_g[face_sorted, rank] = self.G(roots[order], faces=face_sorted)
 
     # -- numerical fluxes -------------------------------------------------------
 
@@ -511,11 +495,9 @@ class Slab:
         if self.periodic:
             return None
         if self._ghosts is None:
-            bd = self.solver.bd
-            rule = self.solver.rule
-            left = boundary_ghost_value(self.tri.faces[("V", self.j, 0)], bd, rule)
-            right = boundary_ghost_value(self.tri.faces[("V", self.j, self.m)], bd, rule)
-            self._ghosts = (left, right)
+            bd, vert = self.solver.bd, self.vert
+            self._ghosts = (_face_mean(bd, vert.pts[0], vert.weights),
+                            _face_mean(bd, vert.pts[-1], vert.weights))
         return self._ghosts
 
     # -- per-cell oriented fluxes -------------------------------------------------
@@ -670,8 +652,7 @@ class Solver:
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
         self._slab: Slab | None = None                 # the most recent slab
-        if self.cfg.check_hyperbolicity:
-            self._check_time_observer()
+        self._check_time_observer()
 
     def _check_time_observer(self) -> None:
         # hyperbolicity with T = dt reduces to positivity of the dx component of du

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+from pathlib import Path
 
 import pytest
 
@@ -49,17 +50,17 @@ class TestRunCommand:
     def test_constant_run_writes_artifacts(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["run", "--config", cfg]) == EXIT_OK
-        rows = list(csv.DictReader(open(os.path.join(out, "slices.csv"))))
+        rows = list(csv.DictReader(Path(out, "slices.csv").read_text().splitlines()))
         assert {r["slice_index"] for r in rows}  # all slices present
         assert all(float(r["u"]) == pytest.approx(0.7, abs=1e-10) for r in rows)
-        meta = json.load(open(os.path.join(out, "run.json")))
+        meta = json.loads(Path(out, "run.json").read_text())
         assert meta["config"]["flux"]["builtin"] == "burgers"
         assert max(meta["lambda_max_per_slab"]) <= 0.5
 
     def test_shock_profile_run(self, tmp_path):
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
         assert main(["run", "--config", cfg]) == EXIT_OK
-        rows = [r for r in csv.DictReader(open(os.path.join(out, "slices.csv")))]
+        rows = list(csv.DictReader(Path(out, "slices.csv").read_text().splitlines()))
         final = max(int(r["slice_index"]) for r in rows)
         profile = [float(r["u"]) for r in rows if int(r["slice_index"]) == final]
         assert max(profile) == pytest.approx(1.0, abs=1e-9)
@@ -67,8 +68,8 @@ class TestRunCommand:
 
     def test_invalid_cfl_target_rejected(self, tmp_path):
         cfg, _ = write_config(tmp_path, extra="")
-        text = open(cfg).read().replace("cfl_target = 0.25", "cfl_target = 0.9")
-        open(cfg, "w").write(text)
+        text = Path(cfg).read_text().replace("cfl_target = 0.25", "cfl_target = 0.9")
+        Path(cfg).write_text(text)
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
 
     def test_missing_section_rejected(self, tmp_path):
@@ -83,11 +84,11 @@ class TestRunCommand:
     def test_explicit_dt_respected(self, tmp_path):
         cfg, out = write_config(
             tmp_path, extra="\n[run]\nu_min = 0\nu_max = 1\n")
-        text = open(cfg).read().replace("cfl_target = 0.25",
-                                        "cfl_target = 0.25\ndt = 0.01")
-        open(cfg, "w").write(text)
+        text = Path(cfg).read_text().replace("cfl_target = 0.25",
+                                             "cfl_target = 0.25\ndt = 0.01")
+        Path(cfg).write_text(text)
         assert main(["run", "--config", cfg]) == EXIT_OK
-        meta = json.load(open(os.path.join(out, "run.json")))
+        meta = json.loads(Path(out, "run.json").read_text())
         times = meta["mesh"]["times"]
         assert times[1] - times[0] == pytest.approx(0.01)
 
@@ -98,11 +99,11 @@ class TestRunCommand:
         # inversion reaches its cap above tolerance
         cfg, _ = write_config(tmp_path, u_b="sign(x - 0.5) * (-0.45) + 0.45",
                               extra="\n[run]\nu_min = 0\nu_max = 1\n")
-        text = open(cfg).read().replace(
+        text = Path(cfg).read_text().replace(
             "builtin = burgers",
             "builtin = custom\nwx = u + 0.1 * sign(u - 0.45)\nwt = -0.5 * u * u\n"
             "dwx_du = 1\ndwt_du = -u")
-        open(cfg, "w").write(text)
+        Path(cfg).write_text(text)
         assert main(["run", "--config", cfg]) == EXIT_SCHEME_ABORT
         err = capsys.readouterr().err
         assert re.match(r"scheme abort: face \('S', \d+, \d+\): total-flux inversion of "
@@ -112,6 +113,21 @@ class TestRunCommand:
         # configs written before the thread pool was removed keep working
         cfg, _ = write_config(tmp_path, extra="\n[run]\nthreads = 4\n")
         assert main(["run", "--config", cfg]) == EXIT_OK
+
+    def test_retired_entropy_checks_setting_still_loads(self, tmp_path):
+        # [entropy] checks was never read; configs that set it keep working
+        cfg, out = write_config(tmp_path, extra="\n[entropy]\nchecks = false\ntol = 1e-6\n")
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_OK
+        assert json.loads(Path(out, "entropy_report.json").read_text())["tol"] == 1e-6
+
+    @pytest.mark.parametrize("command", ["run", "classify", "convergence", "mesh-report"])
+    def test_tol_is_a_usage_error_outside_entropy_check(self, tmp_path, capsys, command):
+        cfg, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("u_b, value", [("0/0*x", "nan"), ("1/x", "inf")])
     @pytest.mark.parametrize("pinned", [False, True])
@@ -130,14 +146,16 @@ class TestRunCommand:
     def test_formats_without_csv_rejected(self, tmp_path, capsys):
         # run.json always points at slices.csv, so the table cannot be switched off
         cfg, out = write_config(tmp_path)
-        open(cfg, "a").write("formats = json\n")
+        with open(cfg, "a") as handle:
+            handle.write("formats = json\n")
         assert main(["run", "--config", cfg]) == EXIT_CONFIG
         assert "[output] formats: must include csv" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_formats_with_csv_writes_a_checkable_artifact(self, tmp_path):
         cfg, out = write_config(tmp_path)
-        open(cfg, "a").write("formats = json, csv\n")
+        with open(cfg, "a") as handle:
+            handle.write("formats = json, csv\n")
         assert main(["run", "--config", cfg]) == EXIT_OK
         assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_OK
 
@@ -147,7 +165,7 @@ class TestEntropyCheckCommand:
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
         assert main(["run", "--config", cfg]) == EXIT_OK
         assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_OK
-        report = json.load(open(os.path.join(out, "entropy_report.json")))
+        report = json.loads(Path(out, "entropy_report.json").read_text())
         assert report["passed"] is True
 
     def test_roundtrip_reproduces_identical_residuals(self, tmp_path):
@@ -155,9 +173,9 @@ class TestEntropyCheckCommand:
         main(["run", "--config", cfg])
         run_path = os.path.join(out, "run.json")
         main(["entropy-check", "--run", run_path])
-        first = open(os.path.join(out, "entropy_residuals.csv")).read()
+        first = Path(out, "entropy_residuals.csv").read_text()
         main(["entropy-check", "--run", run_path])
-        second = open(os.path.join(out, "entropy_residuals.csv")).read()
+        second = Path(out, "entropy_residuals.csv").read_text()
         assert first == second
 
     def test_artifact_reconstruction_matches_states(self, tmp_path):
@@ -172,10 +190,10 @@ class TestEntropyCheckCommand:
         # failed verification, never a silent pass
         cfg, out = write_config(
             tmp_path, kind="antidiffusive", u_b="sign(x - 0.4) * (-0.5) + 0.5")
-        text = open(cfg).read().replace(
+        text = Path(cfg).read_text().replace(
             "kind = antidiffusive",
             "kind = antidiffusive\nrusanov_speed = 0.002\nenforce_cfl = false")
-        open(cfg, "w").write(text)
+        Path(cfg).write_text(text)
         code = main(["run", "--config", cfg])
         if code == EXIT_SCHEME_ABORT:
             return
@@ -188,7 +206,7 @@ class TestClassifyCommand:
     def test_appendix_geometries(self, tmp_path):
         cfg, out = write_config(tmp_path, extra="\n[classify]\ngeometry = both\n")
         assert main(["classify", "--config", cfg]) == EXIT_OK
-        report = json.load(open(os.path.join(out, "classification.json")))
+        report = json.loads(Path(out, "classification.json").read_text())
         assert report["appendix"]["matches_expected"] is True
         hole = report["appendix"]["square_with_hole"]
         assert sorted(hole["inflow"]) == ["hole_top", "outer_bottom"]
@@ -196,7 +214,7 @@ class TestClassifyCommand:
     def test_run_geometry_classification(self, tmp_path):
         cfg, out = write_config(tmp_path)
         assert main(["classify", "--config", cfg]) == EXIT_OK
-        report = json.load(open(os.path.join(out, "classification.json")))
+        report = json.loads(Path(out, "classification.json").read_text())
         assert report["hyperbolicity"]["passed"] is True
         assert report["boundary_classes"]["initial_slice"]["kind"] == "spacelike_inflow"
         assert report["boundary_classes"]["final_slice"]["kind"] == "spacelike_outflow"
@@ -209,9 +227,9 @@ class TestConvergenceCommand:
             tmp_path, extra="\n[convergence]\ncase = advection\nmeshes = 8,16\n"
                             "t_final = 0.2\n")
         assert main(["convergence", "--config", cfg]) == EXIT_OK
-        study = json.load(open(os.path.join(out, "convergence.json")))
+        study = json.loads(Path(out, "convergence.json").read_text())
         assert study["errors"][1] < study["errors"][0]
-        rows = list(csv.DictReader(open(os.path.join(out, "convergence.csv"))))
+        rows = list(csv.DictReader(Path(out, "convergence.csv").read_text().splitlines()))
         assert len(rows) == 2
 
     def test_order_band_failure(self, tmp_path):
@@ -226,7 +244,7 @@ class TestMeshReportCommand:
         cfg, out = write_config(
             tmp_path, extra="\n[mesh_report]\nregion = 0.0 0.1 0.0 0.5\n")
         assert main(["mesh-report", "--config", cfg]) == EXIT_OK
-        payload = json.load(open(os.path.join(out, "mesh_report.json")))
+        payload = json.loads(Path(out, "mesh_report.json").read_text())
         assert payload["regularity"]["max_vertical_faces_per_cell"] == 2
         assert payload["summary"]["admissibility"]["admissible"] is True
         assert payload["regularity"]["cells_per_slab_in_region_max"] is not None
@@ -256,7 +274,7 @@ directory = {out}
         path = tmp_path / "circle.ini"
         path.write_text(text)
         assert main(["run", "--config", str(path)]) == EXIT_OK
-        meta = json.load(open(os.path.join(str(out), "run.json")))
+        meta = json.loads((out / "run.json").read_text())
         assert meta["mesh"]["domain"] == "circle"
 
     def test_custom_flux_expressions(self, tmp_path):
@@ -290,13 +308,13 @@ directory = {out}
         path = tmp_path / "custom.ini"
         path.write_text(text)
         assert main(["run", "--config", str(path)]) == EXIT_OK
-        rows = list(csv.DictReader(open(os.path.join(str(out), "slices.csv"))))
+        rows = list(csv.DictReader((out / "slices.csv").read_text().splitlines()))
         assert all(float(r["u"]) == pytest.approx(0.5, abs=1e-10) for r in rows)
 
     def test_repeat_runs_are_bit_identical(self, tmp_path):
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
         main(["run", "--config", cfg])
-        first = open(os.path.join(out, "slices.csv"), "rb").read()
+        first = Path(out, "slices.csv").read_bytes()
         main(["run", "--config", cfg])
-        second = open(os.path.join(out, "slices.csv"), "rb").read()
+        second = Path(out, "slices.csv").read_bytes()
         assert first == second

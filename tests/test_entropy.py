@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant_bd, make_solver, step_bd
 
@@ -21,6 +23,7 @@ from spacetime_fvm.entropy import (
     global_dissipation_report,
     global_entropy_inequality_report,
     identity_pair,
+    kruzkov_form,
     kruzkov_lattice,
     kruzkov_numerical_flux,
     kruzkov_slice_distance,
@@ -28,12 +31,15 @@ from spacetime_fvm.entropy import (
     smooth_entropy_numerical_flux,
     square_pair,
     verify_run,
+    _kruzkov,
 )
-from spacetime_fvm.harness import bump_test_function
+from spacetime_fvm.forms import exterior_derivative
+from spacetime_fvm.harness import boundary_driven_burgers_case, bump_test_function
 from spacetime_fvm.mesh import (
     CircleDomain,
     Foliation,
     IntervalDomain,
+    SpacelikeTable,
     build_triangulation,
     total_flux,
 )
@@ -98,6 +104,24 @@ class TestEntropyTotalFlux:
             lo = entropy_total_flux(tf, pair, tf.invert(qv - h))
             assert (hi - lo) / (2 * h) == pytest.approx(
                 float(pair.du(tf.invert(qv))), abs=1e-6)
+
+
+class TestKruzkovIdentity:
+    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.5, 12.0),
+           phase=st.floats(0.0, 2 * np.pi), c=st.floats(-0.8, 1.2),
+           u=st.lists(st.floats(-0.8, 1.2), min_size=6, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_signed_difference_on_capacity_fields(self, a0, ratio, k, phase, c, u):
+        flux = presets.capacity_flux(lambda x: a0 + ratio * a0 * np.sin(k * x + phase),
+                                     lambda x: ratio * a0 * k * np.cos(k * x + phase),
+                                     lambda w: 0.5 * np.asarray(w) ** 2,
+                                     lambda w: np.asarray(w), (-0.8, 1.2))
+        tri = build_triangulation(Foliation(np.array([0.0, 0.5, 1.0]),
+                                            IntervalDomain(0.0, 1.0)), 6)
+        table = SpacelikeTable(tri, flux, 1, u_range=(-0.8, 1.2))
+        u = np.asarray(u)
+        expected = np.sign(u - c) * (table.q(u) - table.q(np.full_like(u, c)))
+        assert np.array_equal(_kruzkov(table.q, c, u), expected)
 
 
 class TestKruzkovNumericalFlux:
@@ -492,8 +516,17 @@ class TestEntropyPairs:
                                    -2 * 0.5**3 / 3, atol=1e-11)
         assert omega.check_du_consistency(pts, [0.2, -0.4], tol=1e-4) < 1e-4
 
+    def test_kruzkov_form_keeps_analytic_partials(self):
+        # the traveling-density family is closed, so with analytic partials
+        # the top coefficient of d(Omega) cancels exactly
+        flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s),
+                                              u_range=(-1.5, 1.5))
+        pts = np.array([[0.1, 0.3], [0.2, 1.7], [0.05, 4.0]])
+        for ubar, c in ((0.2, 0.7), (0.7, 0.2)):
+            top = exterior_derivative(kruzkov_form(flux, ubar, c)).evaluate((0, 1), pts)
+            assert np.max(np.abs(top)) <= 1e-14
+
     def test_kruzkov_flux_vanishes_at_equal_states(self):
-        from spacetime_fvm.entropy import kruzkov_form
         flux = presets.burgers_flux((-1.0, 1.0))
         form = kruzkov_form(flux, 0.4, 0.4)
         pts = np.array([[0.0, 0.5]])
@@ -517,6 +550,29 @@ class TestVerifyRun:
         names = {c.name for c in report.checks}
         assert {"decomposition_identity", "face_inequality", "cell_inequality", "dissipation_slack",
                 "boundary_condition", "conservation_identity"} <= names
+
+    def test_boundary_condition_is_the_single_pair_check_over_the_lattice(self):
+        result = boundary_driven_burgers_case(t_final=0.3).run(10)
+        solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+        report = verify_run(result, solver=solver)
+        for j in range(result.tri.n_slabs):
+            slab = solver.slab(j)
+            state = result.states[j]
+            worst = max(check_discrete_boundary_condition(slab, column, side,
+                                                          KruzkovPair(float(c)), state)
+                        for c in kruzkov_lattice(slab, state)
+                        for column, side in ((0, "left"), (slab.m - 1, "right")))
+            assert report.per_slab["boundary_condition"][j] == worst
+
+    def test_warm_verify_computes_no_gauss_rule(self, monkeypatch):
+        result = boundary_driven_burgers_case(t_final=0.3).run(10)
+        verify_run(result)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or leggauss(n))
+        verify_run(result)
+        assert calls == []
 
     def test_report_serialization_roundtrip(self):
         import json

@@ -166,6 +166,18 @@ class TestBoundaryGhostValue:
         with pytest.raises(ValueError):
             boundary_ghost_value(face, bd)
 
+    @pytest.mark.parametrize("points", [5, 12])
+    def test_slab_ghosts_equal_face_means_bit_for_bit(self, points):
+        # a slab takes its ghosts from the nodes and weights of its vertical fluxes
+        bd = BoundaryData(u=lambda p: np.sin(5.0 * p[..., 0]) + p[..., 1],
+                          alpha_density=lambda p: 1.5 + np.cos(3.0 * p[..., 0]))
+        solver = make_solver(presets.burgers_flux((-1.5, 2.5)), IntervalDomain(0.0, 1.0),
+                             0.3, bd, nx=5, u_range=(-1.0, 2.0), quadrature_points=points)
+        for j in (0, solver.tri.n_slabs - 1):
+            expected = tuple(boundary_ghost_value(solver.tri.faces[("V", j, i)], bd, solver.rule)
+                             for i in (0, 5))
+            assert solver.slab(j).ghost_values() == expected
+
 
 class TestInitialSliceState:
     def _tri(self, nx):
