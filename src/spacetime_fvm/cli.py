@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -70,12 +71,16 @@ def _fmt(value: float) -> str:
 
 
 def write_run_csv(result: RunResult, path: str) -> None:
+    """One row per spacelike face: slice_index, t, x_left, x_right, u, q."""
+    xs = result.tri.breakpoints.tolist()
+    columns = [f"{a:.17g},{b:.17g}" for a, b in zip(xs[:-1], xs[1:])]
+    times = result.tri.times.tolist()
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["slice_index", "t", "x_left", "x_right", "u", "q"])
-        for row in result.rows():
-            writer.writerow([row[0], _fmt(row[1]), _fmt(row[2]), _fmt(row[3]),
-                             _fmt(row[4]), _fmt(row[5])])
+        handle.write("slice_index,t,x_left,x_right,u,q\r\n")
+        for state in result.states:
+            head = f"{state.slice_index},{times[state.slice_index]:.17g},"
+            handle.write("".join(f"{head}{col},{u:.17g},{q:.17g}\r\n" for col, u, q in zip(
+                columns, state.values.tolist(), state.fluxes.tolist())))
 
 
 def run_metadata(result: RunResult, setup: RunSetup, csv_name: str) -> dict:
@@ -107,21 +112,18 @@ def load_run_artifact(path: str):
     fol = Foliation(np.asarray(meta["mesh"]["times"], dtype=float), domain)
     tri = build_triangulation(fol, np.asarray(meta["mesh"]["breakpoints"], dtype=float))
     csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), meta["slices_csv"])
-    per_slice: dict[int, list[tuple[float, float]]] = {}
-    with open(csv_path, "r", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        for row in reader:
-            per_slice.setdefault(int(row["slice_index"]), []).append(
-                (float(row["u"]), float(row["q"])))
+    with warnings.catch_warnings():   # a table without rows is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+    table = table[np.argsort(table[:, 0], kind="stable")]   # rows of a slice keep file order
+    start, stop = (np.searchsorted(table[:, 0], np.arange(tri.n_slices), side=side)
+                   for side in ("left", "right"))
     states = []
     for j in range(tri.n_slices):
-        rows = per_slice.get(j)
-        if rows is None or len(rows) != tri.n_columns:
+        if stop[j] - start[j] != tri.n_columns:
             raise ConfigError(f"run artifact is missing slice {j} data")
-        values = np.array([r[0] for r in rows])
-        fluxes = np.array([r[1] for r in rows])
-        states.append(SliceState(j, [("S", j, i) for i in range(tri.n_columns)],
-                                 values, fluxes))
+        values, fluxes = table[start[j]:stop[j], 4:6].T.copy()
+        states.append(SliceState(j, [("S", j, i) for i in range(tri.n_columns)], values, fluxes))
     urange = tuple(meta["u_range"])
     result = RunResult(tri=tri, flux=setup.flux, spec=setup.spec, bd=setup.bd,
                        cfg=replace(setup.cfg, u_range=urange), u_range=urange,

@@ -189,7 +189,17 @@ def _custom_flux(cp: configparser.ConfigParser, domain, u_range) -> FluxField:
     omega = ParamForm(1, 2, {(0,): wt, (1,): wx}, {(0,): dwt, (1,): dwx}, u_range)
     flux = FluxField(omega=omega, domain=chart, name="custom")
     pts = chart.sample_points(5)
-    flux.omega.check_du_consistency(pts, np.linspace(u_range[0], u_range[1], 5), tol=1e-4)
+    us = np.linspace(u_range[0], u_range[1], 5)
+    for name, fn in (("wx", wx), ("wt", wt), ("dwx_du" if dwx_src else "du of wx", dwx),
+                     ("dwt_du" if dwt_src else "du of wt", dwt)):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = np.broadcast_to(fn(pts[:, None, :], us), (len(pts), len(us)))
+        if not np.all(np.isfinite(vals)):
+            i, k = np.argwhere(~np.isfinite(vals))[0]
+            raise ConfigError(f"[flux] {name}: not finite at (t, x) = ({float(pts[i, 0])!r}, "
+                              f"{float(pts[i, 1])!r}) for u = {float(us[k])!r}: "
+                              f"{float(vals[i, k])!r}")
+    flux.omega.check_du_consistency(pts, us, tol=1e-4)
     return flux
 
 

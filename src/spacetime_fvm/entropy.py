@@ -65,6 +65,8 @@ __all__ = [
 ]
 
 SIMPSON_TOL = 1e-12
+SMOOTH_PANELS = 32        # composite Gauss panels of SmoothFaceEntropy on [0, w]
+SMOOTH_PANEL_NODES = 10   # Gauss nodes per panel
 # raw [-1, 1] Gauss-Legendre pairs of the adaptive quadrature
 _GAUSS_10 = np.polynomial.legendre.leggauss(10)
 _GAUSS_20 = np.polynomial.legendre.leggauss(20)
@@ -238,18 +240,17 @@ class SmoothFaceEntropy:
     """Entropy total fluxes of one slice for a smooth pair.
 
     ``q_omega(w)`` integrates the derivative-weighted q-derivative from the
-    zero state with composite Gauss panels, so polynomial flux data is
+    zero state with ``SMOOTH_PANELS`` composite Gauss panels of
+    ``SMOOTH_PANEL_NODES`` nodes each, so polynomial flux data is
     integrated exactly and every face shares one consistent construction.
     """
 
-    def __init__(self, pair: EntropyPair, table: SpacelikeTable, n_panels: int = 32,
-                 nodes_per_panel: int = 10):
+    def __init__(self, pair: EntropyPair, table: SpacelikeTable):
         self.pair = pair
         self.table = table
-        rule = gauss_legendre(nodes_per_panel)
+        rule = gauss_legendre(SMOOTH_PANEL_NODES)
         self._gx = rule.nodes[:, 0]
         self._gw = rule.weights
-        self.n_panels = n_panels
 
     def q_omega(self, w) -> np.ndarray:
         """Shape-preserving entropy total flux per face; w is (m,) or (m, K)."""
@@ -263,7 +264,7 @@ class SmoothFaceEntropy:
     def _q_omega_vec(self, w: np.ndarray) -> np.ndarray:
         # composite Gauss on [0, w] per face: v-nodes (m, P*G)
         m = w.shape[0]
-        edges = np.linspace(0.0, 1.0, self.n_panels + 1)
+        edges = np.linspace(0.0, 1.0, SMOOTH_PANELS + 1)
         starts = edges[:-1][None, :, None] * w[:, None, None]
         widths = (edges[1] - edges[0]) * w[:, None, None]
         vnodes = starts + self._gx[None, None, :] * widths          # (m, P, G)
@@ -925,7 +926,7 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
 
         # C, D, E: outflow-face pointwise terms
         psi_plus = psi(table_plus.pts)
-        wq = table_plus.node_weights()
+        wq = table_plus.weights
         dens_ut = [_omega_density(pair, table_plus, decomp.face_states[:, s]) for s in (0, 1)]
         dens_new = _omega_density(pair, table_plus, state_next.values)
         dens_old = _omega_density(pair, table_plus, values)
@@ -944,7 +945,7 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         # same face quadratures (exact at the discrete level); its inflow
         # part on slab 0 is the initial-slice term
         table_minus = slab.table_minus
-        inflow = float(np.sum(psi(table_minus.pts) * table_minus.node_weights()
+        inflow = float(np.sum(psi(table_minus.pts) * table_minus.weights
                               * _omega_density(pair, table_minus, values)))
         stokes = float(np.sum(psi_plus * wq * dens_old)) - inflow
         for side in (0, 1):
@@ -1051,8 +1052,7 @@ class EntropyReport:
 
 
 def verify_run(result: RunResult, tol: float | None = None,
-               solver: Solver | None = None,
-               include_dissipation: bool = True) -> EntropyReport:
+               solver: Solver | None = None) -> EntropyReport:
     """Run every discrete entropy check over a finished run.
 
     The Kruzkov family is checked on the per-slab lattice (state hull
@@ -1069,9 +1069,7 @@ def verify_run(result: RunResult, tol: float | None = None,
 
     names = ["decomposition_identity", "bracketing", "face_inequality", "face_inequality_neighbor",
              "cell_inequality", "boundary_condition", "outflow_convexity_square",
-             "conservation_identity"]
-    if include_dissipation:
-        names.append("dissipation_slack")
+             "conservation_identity", "dissipation_slack"]
     per_slab: dict[str, list[float]] = {n: [] for n in names}
     lattice_sizes = []
 
@@ -1106,12 +1104,11 @@ def verify_run(result: RunResult, tol: float | None = None,
         per_slab["conservation_identity"].append(float(np.max(np.abs(
             slab.table_plus.q(state_next.values) - state_next.fluxes))))
 
-        if include_dissipation:
-            rep = global_dissipation_report(slab, decomp, state, state_next)
-            worst = max(0.0, -rep.slack_general)
-            if rep.slack_square_variant is not None:
-                worst = max(worst, -rep.slack_square_variant)
-            per_slab["dissipation_slack"].append(worst)
+        rep = global_dissipation_report(slab, decomp, state, state_next)
+        worst = max(0.0, -rep.slack_general)
+        if rep.slack_square_variant is not None:
+            worst = max(worst, -rep.slack_square_variant)
+        per_slab["dissipation_slack"].append(worst)
 
     checks = []
     for name in names:

@@ -613,17 +613,23 @@ class ParamForm:
         """Max mismatch between finite differences of ``base`` and ``du``.
 
         Raises when the declared derivative family disagrees with the base
-        family beyond ``tol``; returns the largest observed residual.
+        family beyond ``tol`` or either is not finite near a sample; returns
+        the largest observed residual.
         """
         pts = np.asarray(pts, dtype=float)
         worst = 0.0
         for ubar in u_samples:
             ubar = float(ubar)
             for idx, fn in self.coeffs.items():
-                fd = (np.asarray(fn(pts, ubar + step)) - np.asarray(fn(pts, ubar - step))) / (2 * step)
-                exact = np.asarray(self.du_coeffs[idx](pts, ubar))
-                scale = 1.0 + np.max(np.abs(exact)) if exact.size else 1.0
-                worst = max(worst, float(np.max(np.abs(fd - exact))) / scale)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    fd = (np.asarray(fn(pts, ubar + step))
+                          - np.asarray(fn(pts, ubar - step))) / (2 * step)
+                    exact = np.asarray(self.du_coeffs[idx](pts, ubar))
+                    scale = 1.0 + np.max(np.abs(exact)) if exact.size else 1.0
+                    resid = float(np.max(np.abs(fd - exact))) / scale
+                if not np.isfinite(resid):   # max() would drop a NaN
+                    raise FormError(f"coefficient {idx}: not finite near u = {ubar!r}")
+                worst = max(worst, resid)
         if worst > tol:
             raise FormError(f"du family inconsistent with base family (residual {worst:.3e})")
         return worst

@@ -33,6 +33,7 @@ from .mesh import (
     SpacelikeTable,
     Triangulation,
     build_triangulation,
+    segment_nodes,
     uniform_times,
 )
 from .presets import (
@@ -47,6 +48,7 @@ from .scheme import (
     RunConfig,
     RunResult,
     Solver,
+    data_hull,
     select_timestep,
 )
 
@@ -136,14 +138,10 @@ def l1_error(result: RunResult, oracle: Callable, slice_index: int | None = None
     t = float(tri.times[j])
     values = result.states[j].values
     xs = tri.breakpoints
-    rule = gauss_legendre(n_nodes)
-    gx, gw = rule.nodes[:, 0], rule.weights
-    X = xs[:-1, None] + gx[None, :] * np.diff(xs)[:, None]
-    pts = np.stack([np.full_like(X, t), X], axis=-1)
+    pts, weights = segment_nodes(gauss_legendre(n_nodes), 1, t, xs[:-1], xs[1:])
     weight = np.abs(result.flux.omega.du_coeffs[(1,)](pts, u_ref))
-    exact = oracle(t, X)
-    err = np.abs(values[:, None] - exact)
-    return float(np.sum(gw[None, :] * np.diff(xs)[:, None] * weight * err))
+    err = np.abs(values[:, None] - oracle(t, pts[..., 1]))
+    return float(np.sum(weights * weight * err))
 
 
 @dataclass
@@ -190,11 +188,8 @@ class RunCase:
     def build(self, nx: int) -> tuple[Triangulation, RunConfig]:
         xs = np.linspace(self.domain.a, self.domain.b, nx + 1)
         cfg = RunConfig(cfl_target=self.cfl_target, u_range=self.u_range)
-        hull = self.u_range
-        if hull is None:
-            hull = Solver(build_triangulation(
-                Foliation(np.array([0.0, self.t_final]), self.domain), xs),
-                self.flux, self.spec, self.bd, cfg).u_range
+        hull = self.u_range if self.u_range is not None \
+            else data_hull(self.bd, self.domain, self.t_final)
         hbar = select_timestep(self.domain, xs, self.flux, self.spec, hull,
                                self.cfl_target, self.t_final)
         fol = Foliation(uniform_times(self.t_final, hbar), self.domain)

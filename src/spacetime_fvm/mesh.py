@@ -7,13 +7,18 @@ slice, one outflow face on the upper slice and two vertical faces; on an
 interval domain the extreme vertical faces lie on the spacetime boundary.
 
 Total flux functions ``q_e(u) = oriented integral of omega(u) over e`` are
-the quantities the scheme evolves.  On spacelike faces they are strictly
-monotone, cached with derivative bounds, and invertible through one
-guarded Newton/bisection routine shared by single faces and whole slices.
+the quantities the scheme evolves.  Every one of them, on a single face,
+a whole slice or the vertical faces of a slab, is discretized the same
+way: :func:`segment_nodes` builds the Gauss nodes and weights of the
+face segments, and :func:`face_sums` forms ``sum_k w_k f(x_k, u)``.  On
+spacelike faces the total fluxes are strictly monotone, cached with
+derivative bounds, and invertible through one guarded Newton/bisection
+routine shared by single faces and whole slices.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -44,8 +49,10 @@ __all__ = [
     "Triangulation",
     "ValueOutsideImage",
     "build_triangulation",
+    "face_sums",
     "invert_total_flux",
     "mesh_regularity_report",
+    "segment_nodes",
     "total_flux",
     "uniform_breakpoints",
     "uniform_times",
@@ -391,24 +398,83 @@ def build_triangulation(foliation: Foliation, spatial_cells: Sequence[float] | i
 
 
 # ---------------------------------------------------------------------------
-# total flux functions
+# face quadrature: the one node builder and the one summation kernel
 # ---------------------------------------------------------------------------
 
-def _face_nodes(face: Face, rule: QuadratureRule):
-    """Chart points and signed weights for the face's +1 orientation."""
-    s = rule.nodes[:, 0]
-    if face.kind == "spacelike":
-        xs = face.x_lo + s * (face.x_hi - face.x_lo)
-        pts = np.stack([np.full_like(xs, face.t_lo), xs], axis=-1)
-        weights = rule.weights * (face.x_hi - face.x_lo)
-        axis = 1
-    else:
-        ts = face.t_lo + s * (face.t_hi - face.t_lo)
-        pts = np.stack([ts, np.full_like(ts, face.x_lo)], axis=-1)
-        weights = rule.weights * (face.t_hi - face.t_lo)
-        axis = 0
-    return pts, weights, axis
+def segment_nodes(rule: QuadratureRule, axis: int, fixed, lo, hi):
+    """Gauss nodes and weights of coordinate segments in the (t, x) chart.
 
+    Each segment runs along chart ``axis`` from ``lo`` to ``hi`` with the
+    other coordinate held at ``fixed``; the three broadcast to the segment
+    shape ``S``.  Returns ``pts`` of shape ``S + (nq, 2)`` and ``weights``
+    of shape ``shape(hi - lo) + (nq,)``: the rule's weights times the
+    segment length, for the orientation of increasing coordinate.
+    """
+    lo = np.asarray(lo, dtype=float)
+    length = np.asarray(hi, dtype=float) - lo
+    fixed = np.asarray(fixed, dtype=float)[..., None]
+    along = lo[..., None] + rule.nodes[:, 0] * length[..., None]
+    pts = np.empty(np.broadcast_shapes(along.shape, fixed.shape) + (2,))
+    pts[..., axis] = along
+    pts[..., 1 - axis] = fixed
+    return pts, length[..., None] * rule.weights
+
+
+def _weighted_sum(weights: np.ndarray, vals) -> np.ndarray:
+    """``np.sum(weights * vals, axis=-1)``, bit for bit.
+
+    When ``vals`` is a float array that only this call references (a
+    coefficient's fresh result), the product is formed in its buffer.  A
+    G' lattice then allocates one (nv, K, nq) array per slab instead of two,
+    which keeps the slab loop inside heap memory it has already touched:
+    with two, glibc trimmed and regrew the heap on every slab (~55k page
+    faults per 321-slab solve).
+    """
+    if (type(vals) is np.ndarray and vals.dtype == np.float64 and vals.flags.owndata
+            and vals.flags.writeable and sys.getrefcount(vals) == 2
+            and vals.shape == np.broadcast_shapes(weights.shape, vals.shape)):
+        return np.sum(np.multiply(weights, vals, out=vals), axis=-1)
+    return np.sum(weights * vals, axis=-1)
+
+
+def face_sums(fn: Callable, pts: np.ndarray, weights: np.ndarray, u) -> np.ndarray:
+    """``sum_k w_k fn(x_k, u)`` per face: the quadrature of every face table.
+
+    ``pts`` (n, nq, 2) holds one row of face nodes per state row and
+    ``weights`` is (n, nq), or (nq,) when all faces share them; ``u`` has
+    shape (n,) or (n, K), and the result has the shape of ``u``.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.ndim == 1:
+        return _weighted_sum(weights, fn(pts, u[:, None]))
+    if u.ndim == 2:
+        return _weighted_sum(weights[..., None, :], fn(pts[:, None, :, :], u[:, :, None]))
+    raise MeshError("state array must have shape (n,) or (n, K)")
+
+
+def _face_integral(fn: Callable, pts: np.ndarray, weights: np.ndarray) -> Callable:
+    """``u -> sum_k w_k fn(x_k, u)`` on one face, for states of any shape."""
+    def integral(u):
+        return _weighted_sum(weights, fn(pts, np.asarray(u, dtype=float)[..., None]))
+    return integral
+
+
+def _chart_integral(family: Callable, chart: FaceChart, rule: QuadratureRule) -> Callable:
+    """``u -> integral of family(u) over chart`` per state, through the generic pullback."""
+    return np.vectorize(lambda v: integrate_over_face(family(float(v)), chart, rule),
+                        otypes=[float])
+
+
+def _face_nodes(face: Face, rule: QuadratureRule):
+    """Chart points and weights of one face for its +1 orientation, and its axis."""
+    if face.kind == "spacelike":
+        return (*segment_nodes(rule, 1, face.t_lo, face.x_lo, face.x_hi), 1)
+    return (*segment_nodes(rule, 0, face.x_lo, face.t_lo, face.t_hi), 0)
+
+
+# ---------------------------------------------------------------------------
+# total flux functions
+# ---------------------------------------------------------------------------
 
 @dataclass
 class TotalFlux:
@@ -457,12 +523,14 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     end return that end of ``u_range`` exactly.  Raises
     :class:`ValueOutsideImage` for a target outside the padded image and
     :class:`ConvergenceError` for a root above tolerance after
-    ``INVERT_MAX_ITERATIONS``.
+    ``INVERT_MAX_ITERATIONS``; a target, image end or final residual that
+    is NaN counts as outside or above tolerance.
     """
     values = np.asarray(values, dtype=float)
     scale = np.maximum(1.0, np.abs(values))
     tol_abs = tol * scale
-    if np.any(values < image_lo - tol_abs) or np.any(values > image_hi + tol_abs):
+    inside = (values >= image_lo - tol_abs) & (values <= image_hi + tol_abs)
+    if not inside.all():
         k = int(np.argmax(np.maximum(image_lo - values, values - image_hi)))
         raise ValueOutsideImage(
             f"face {face_ids[k]}: target {float(values[k])!r} outside image "
@@ -489,7 +557,7 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
         u = np.where(active, np.where(bad, 0.5 * (lo + hi), nxt), u)
     if active.any():
         resid = np.abs(q_of(u) - values)
-        failed = active & (resid > np.maximum(tol_abs, 1e-13 * scale))
+        failed = active & ~(resid <= np.maximum(tol_abs, 1e-13 * scale))   # NaN fails
         if failed.any():
             k = int(np.argmax(np.where(failed, resid / scale, -1.0)))
             raise ConvergenceError(
@@ -517,37 +585,12 @@ def total_flux(face: Face | FaceChart, flux: FluxField,
 
     if isinstance(face, Face):
         pts, weights, axis = _face_nodes(face, rule)
-        wfn = flux.omega.coeffs[(axis,)]
-        dwfn = flux.omega.du_coeffs[(axis,)]
-
-        def q_fn(u, _p=pts, _w=weights, _f=wfn):
-            u = np.asarray(u, dtype=float)
-            vals = _f(_p, u[..., None]) if u.ndim else _f(_p, u)
-            return np.sum(_w * vals, axis=-1)
-
-        def dq_fn(u, _p=pts, _w=weights, _f=dwfn):
-            u = np.asarray(u, dtype=float)
-            vals = _f(_p, u[..., None]) if u.ndim else _f(_p, u)
-            return np.sum(_w * vals, axis=-1)
-
+        q_fn = _face_integral(flux.omega.coeffs[(axis,)], pts, weights)
+        dq_fn = _face_integral(flux.omega.du_coeffs[(axis,)], pts, weights)
         face_id = face.id
     else:
-        chart = face
-
-        def q_fn(u, _c=chart, _r=rule):
-            u = np.asarray(u, dtype=float)
-            if u.ndim:
-                return np.array([integrate_over_face(flux.omega.base(float(v)), _c, _r)
-                                 for v in u.ravel()]).reshape(u.shape)
-            return np.asarray(integrate_over_face(flux.omega.base(float(u)), _c, _r))
-
-        def dq_fn(u, _c=chart, _r=rule):
-            u = np.asarray(u, dtype=float)
-            if u.ndim:
-                return np.array([integrate_over_face(flux.omega.du(float(v)), _c, _r)
-                                 for v in u.ravel()]).reshape(u.shape)
-            return np.asarray(integrate_over_face(flux.omega.du(float(u)), _c, _r))
-
+        q_fn = _chart_integral(flux.omega.base, face, rule)
+        dq_fn = _chart_integral(flux.omega.du, face, rule)
         face_id = ("chart",)
 
     dq_samples = dq_fn(us)
@@ -604,26 +647,30 @@ class SpacelikeTable:
         self.x_hi = xs[1:].copy()
         self.widths = self.x_hi - self.x_lo
         self.t = float(tri.times[slice_index])
-        s = rule.nodes[:, 0]
-        X = self.x_lo[:, None] + s[None, :] * self.widths[:, None]
-        self.pts = np.stack([np.full_like(X, self.t), X], axis=-1)      # (m, nq, 2)
-        base_w = rule.weights[None, :] * self.widths[:, None]           # (m, nq)
+        self.pts, base_w = segment_nodes(rule, 1, self.t, self.x_lo, self.x_hi)  # (m, nq, 2)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
 
         u_lo, u_hi = u_range if u_range is not None else flux.u_range
         self.u_range = (float(u_lo), float(u_hi))
-        us = np.linspace(u_lo, u_hi, DQ_SAMPLE_COUNT)
-        dens = self._dwx(self.pts[:, None, :, :], us[None, :, None])    # (m, k, nq)
-        per_face_pos = np.all(dens > 0.0, axis=(1, 2))
-        per_face_neg = np.all(dens < 0.0, axis=(1, 2))
+        us = np.broadcast_to(np.linspace(u_lo, u_hi, DQ_SAMPLE_COUNT),
+                             (tri.n_columns, DQ_SAMPLE_COUNT))
+        signs = []
+
+        def dwx_with_signs(pts, u):
+            # a face is spacelike when its density has one sign at every node
+            dens = self._dwx(pts, u)                                    # (m, k, nq)
+            signs.append((np.all(dens > 0.0, axis=(1, 2)), np.all(dens < 0.0, axis=(1, 2))))
+            return dens
+
+        dq_samples = face_sums(dwx_with_signs, self.pts, base_w, us)    # (m, k)
+        per_face_pos, per_face_neg = signs[0]
         if not np.all(per_face_pos | per_face_neg):
             raise NotSpacelikeError(
                 f"slice {slice_index} contains faces that are not spacelike for this flux")
         self.orientation = np.where(per_face_pos, 1.0, -1.0)
         self.weights = self.orientation[:, None] * base_w
-
-        dq_samples = np.sum(self.weights[:, None, :] * dens, axis=-1)   # (m, k)
+        dq_samples = self.orientation[:, None] * dq_samples   # = sums over oriented weights
         self.dq_min_raw = dq_samples.min(axis=1)
         self.dq_max_raw = dq_samples.max(axis=1)
         self.dq_min = DQ_MIN_SAFETY * self.dq_min_raw
@@ -635,32 +682,18 @@ class SpacelikeTable:
     def n_faces(self) -> int:
         return len(self.face_ids)
 
-    def _eval(self, fn, u):
-        u = np.asarray(u, dtype=float)
-        if u.ndim == 1:                      # (m,)
-            vals = fn(self.pts, u[:, None])
-            return np.sum(self.weights * vals, axis=-1)
-        if u.ndim == 2:                      # (m, K)
-            vals = fn(self.pts[:, None, :, :], u[:, :, None])
-            return np.sum(self.weights[:, None, :] * vals, axis=-1)
-        raise MeshError("state array must have shape (m,) or (m, K)")
-
     def q(self, u) -> np.ndarray:
         """Oriented total fluxes; ``u`` has shape (m,) or (m, K)."""
-        return self._eval(self._wx, u)
+        return face_sums(self._wx, self.pts, self.weights, u)
 
     def dq(self, u) -> np.ndarray:
-        return self._eval(self._dwx, u)
+        return face_sums(self._dwx, self.pts, self.weights, u)
 
     def density(self, u) -> np.ndarray:
         """Pointwise oriented pullback density of omega(u) at the face nodes."""
         u = np.asarray(u, dtype=float)
         vals = self._wx(self.pts, u[:, None])
         return self.orientation[:, None] * vals
-
-    def node_weights(self) -> np.ndarray:
-        """Signed quadrature weights matching :meth:`density` (sum = oriented q)."""
-        return self.weights
 
     def invert(self, values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """States whose oriented total fluxes equal ``values``, one per face.
@@ -674,18 +707,10 @@ class SpacelikeTable:
     def total_flux_view(self, column: int) -> TotalFlux:
         """Per-face TotalFlux sharing this table's cached quadrature."""
         idx = int(column)
-
-        def q_fn(u, _i=idx):
-            u = np.asarray(u, dtype=float)
-            vals = self._wx(self.pts[_i], u[..., None])
-            return np.sum(self.weights[_i] * vals, axis=-1)
-
-        def dq_fn(u, _i=idx):
-            u = np.asarray(u, dtype=float)
-            vals = self._dwx(self.pts[_i], u[..., None])
-            return np.sum(self.weights[_i] * vals, axis=-1)
-
-        return TotalFlux(face_id=self.face_ids[idx], q_fn=q_fn, dq_fn=dq_fn,
+        pts, weights = self.pts[idx], self.weights[idx]
+        return TotalFlux(face_id=self.face_ids[idx],
+                         q_fn=_face_integral(self._wx, pts, weights),
+                         dq_fn=_face_integral(self._dwx, pts, weights),
                          u_range=self.u_range,
                          dq_min=float(self.dq_min[idx]), dq_max=float(self.dq_max[idx]),
                          dq_min_raw=float(self.dq_min_raw[idx]),

@@ -20,25 +20,26 @@ of the flux form along decreasing time; the right cell sees the negative.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fluxfield import FluxField, NotSpacelikeError
 from .forms import QuadratureRule, gauss_legendre
 from .mesh import (
+    DQ_SAMPLE_COUNT,
     CircleDomain,
     Face,
     IntervalDomain,
-    MeshError,
     ROOT_STEP_TOL,
     SpacelikeTable,
     Triangulation,
     _face_nodes,
+    face_sums,
+    segment_nodes,
 )
 
 __all__ = [
@@ -64,6 +65,7 @@ __all__ = [
 CFL_LIMIT = 0.5
 CRITICAL_SAMPLES = 65
 RUSANOV_MARGIN = 1.1
+TIMESTEP_PROBES = 5      # candidate slabs across the horizon in select_timestep
 
 
 class CFLViolation(RuntimeError):
@@ -207,23 +209,6 @@ def _bracketed_secant(f, lo, hi, flo, fhi) -> np.ndarray:
     return roots
 
 
-def _weighted_sum(weights: np.ndarray, vals) -> np.ndarray:
-    """``np.sum(weights * vals, axis=-1)``, bit for bit.
-
-    When ``vals`` is a float array that only this call references (a
-    coefficient's fresh result), the product is formed in its buffer.  A
-    G' lattice then allocates one (nv, K, nq) array per slab instead of two,
-    which keeps the slab loop inside heap memory it has already touched:
-    with two, glibc trimmed and regrew the heap on every slab (~55k page
-    faults per 321-slab solve).
-    """
-    if (type(vals) is np.ndarray and vals.dtype == np.float64 and vals.flags.owndata
-            and vals.flags.writeable and sys.getrefcount(vals) == 2
-            and vals.shape == np.broadcast_shapes(weights.shape, vals.shape)):
-        return np.sum(np.multiply(weights, vals, out=vals), axis=-1)
-    return np.sum(weights * vals, axis=-1)
-
-
 class VerticalFluxes:
     """Oriented fluxes and numerical fluxes on the vertical faces of a slab.
 
@@ -244,12 +229,7 @@ class VerticalFluxes:
         self.t_hi = float(t_hi)
         self.spec = spec
         self.u_range = (float(u_range[0]), float(u_range[1]))
-        s = rule.nodes[:, 0]
-        ts = t_lo + s * (t_hi - t_lo)
-        self.pts = np.stack([np.broadcast_to(ts, (self.x_nodes.size, ts.size)),
-                             np.broadcast_to(self.x_nodes[:, None], (self.x_nodes.size, ts.size))],
-                            axis=-1)                                   # (nv, nt, 2)
-        self.weights = rule.weights * (t_hi - t_lo)                    # (nt,)
+        self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, t_hi)  # (nv, nt, 2)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
 
@@ -271,14 +251,8 @@ class VerticalFluxes:
 
     # -- raw face fluxes ------------------------------------------------------
 
-    def _eval(self, fn, u, faces=None):
-        u = np.asarray(u, dtype=float)
-        pts = self.pts if faces is None else self.pts[np.asarray(faces)]
-        if u.ndim == 1:
-            return _weighted_sum(self.weights, fn(pts, u[:, None]))
-        if u.ndim == 2:
-            return _weighted_sum(self.weights, fn(pts[:, None, :, :], u[:, :, None]))
-        raise MeshError("state array must have shape (nv,) or (nv, K)")
+    def _pts(self, faces) -> np.ndarray:
+        return self.pts if faces is None else self.pts[np.asarray(faces)]
 
     def G(self, u, faces=None) -> np.ndarray:
         """Left-cell-oriented total flux at per-face states.
@@ -286,10 +260,10 @@ class VerticalFluxes:
         ``faces`` optionally gathers a subset (with repetition) of the
         slab's vertical faces; the leading axis of ``u`` must match it.
         """
-        return -self._eval(self._wt, u, faces)
+        return -face_sums(self._wt, self._pts(faces), self.weights, u)
 
     def dG(self, u, faces=None) -> np.ndarray:
-        return -self._eval(self._dwt, u, faces)
+        return -face_sums(self._dwt, self._pts(faces), self.weights, u)
 
     def dG_lattice(self, us: np.ndarray) -> np.ndarray:
         us = np.asarray(us, dtype=float)
@@ -385,19 +359,20 @@ class VerticalFluxes:
 # boundary data handling
 # ---------------------------------------------------------------------------
 
-def _face_mean(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray) -> float:
+def _face_means(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """alpha_B-weighted means of u_B, one per face; nodes run along the last axis."""
     alpha = weights * bd.alpha_values(pts)
-    mass = float(np.sum(alpha))
-    if mass <= 0.0:
+    mass = np.sum(alpha, axis=-1)
+    if np.any(mass <= 0.0):
         raise ValueError("alpha_B mass must be positive on every boundary face")
-    return float(np.sum(alpha * bd.u_values(pts)) / mass)
+    return np.sum(alpha * bd.u_values(pts), axis=-1) / mass
 
 
 def boundary_ghost_value(face: Face, bd: BoundaryData,
                          rule: QuadratureRule | None = None) -> float:
     """alpha_B-weighted mean of u_B over a boundary face."""
     pts, weights, _ = _face_nodes(face, rule if rule is not None else gauss_legendre(5, 1))
-    return _face_mean(bd, pts, weights)
+    return float(_face_means(bd, pts, weights))
 
 
 def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
@@ -410,14 +385,14 @@ def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
     nodes and weights, and total fluxes are cached alongside.
     """
     cfg = cfg if cfg is not None else RunConfig()
-    table = SpacelikeTable(tri, flux, 0, rule=cfg.rule(), u_range=u_range)
+    return _inflow_state(SpacelikeTable(tri, flux, 0, rule=cfg.rule(), u_range=u_range), bd)
+
+
+def _inflow_state(table: SpacelikeTable, bd: BoundaryData) -> SliceState:
+    """The initial slice state on the table of slice 0."""
     if np.any(table.orientation < 0.0):
         raise NotSpacelikeError("initial slice is not an inflow boundary for this flux")
-    alpha = table.weights * bd.alpha_values(table.pts)
-    mass = np.sum(alpha, axis=-1)
-    if np.any(mass <= 0.0):
-        raise ValueError("alpha_B mass must be positive on every boundary face")
-    values = np.sum(alpha * bd.u_values(table.pts), axis=-1) / mass
+    values = _face_means(bd, table.pts, table.weights)
     return SliceState(0, table.face_ids, values, table.q(values))
 
 
@@ -495,9 +470,8 @@ class Slab:
         if self.periodic:
             return None
         if self._ghosts is None:
-            bd, vert = self.solver.bd, self.vert
-            self._ghosts = (_face_mean(bd, vert.pts[0], vert.weights),
-                            _face_mean(bd, vert.pts[-1], vert.weights))
+            means = _face_means(self.solver.bd, self.vert.pts[[0, -1]], self.vert.weights)
+            self._ghosts = (float(means[0]), float(means[1]))
         return self._ghosts
 
     # -- per-cell oriented fluxes -------------------------------------------------
@@ -627,15 +601,6 @@ class RunResult:
         i = int(np.clip(np.searchsorted(xs, x, side="right") - 1, 0, self.tri.n_columns - 1))
         return float(self.states[j].values[i])
 
-    def rows(self) -> Iterable[tuple]:
-        """CSV rows (slice_index, t, x_left, x_right, u, q)."""
-        xs = self.tri.breakpoints
-        for state in self.states:
-            t = float(self.tri.times[state.slice_index])
-            for i in range(self.tri.n_columns):
-                yield (state.slice_index, t, float(xs[i]), float(xs[i + 1]),
-                       float(state.values[i]), float(state.fluxes[i]))
-
 
 class Solver:
     """Binds a triangulation, flux field, numerical flux and boundary data."""
@@ -682,8 +647,8 @@ class Solver:
         return self._slab
 
     def initial_state(self) -> SliceState:
-        return initial_slice_state(self.tri, self.bd, self.flux,
-                                   cfg=self.cfg, u_range=self.u_range)
+        """The initial slice state, on the cached table of slice 0."""
+        return _inflow_state(self.slice_table(0), self.bd)
 
     def run(self) -> RunResult:
         start = time.perf_counter()
@@ -725,21 +690,17 @@ def step_cell(slab: Slab, column: int, state: SliceState) -> float:
 # time step selection
 # ---------------------------------------------------------------------------
 
-def _slab_ratio(domain, breakpoints, flux, spec, rule, u_range, t0, hbar) -> float:
+def _slab_ratio(domain, xs, flux, spec, u_range, t0, hbar) -> float:
     """Max per-cell lambda ratio of a candidate slab starting at t0."""
-    xs = np.asarray(breakpoints, dtype=float)
     m = xs.size - 1
+    rule = gauss_legendre(5, 1)
     x_nodes = xs[:-1] if domain.periodic else xs
     vert = VerticalFluxes(x_nodes, t0, t0 + hbar, flux, spec, rule, u_range)
     sup = vert.lipschitz_sup()
     # dq bounds on the outflow slice of the candidate slab
-    s = rule.nodes[:, 0]
-    X = xs[:-1, None] + s[None, :] * np.diff(xs)[:, None]
-    pts = np.stack([np.full_like(X, t0 + hbar), X], axis=-1)
-    us = np.linspace(*u_range, 33)
-    dens = flux.omega.du_coeffs[(1,)](pts[:, None, :, :], us[None, :, None])
-    dq = np.abs(np.sum((rule.weights[None, None, :] * np.diff(xs)[:, None, None]) * dens, axis=-1))
-    dq_min = np.min(dq, axis=1)
+    pts, weights = segment_nodes(rule, 1, t0 + hbar, xs[:-1], xs[1:])
+    us = np.broadcast_to(np.linspace(*u_range, DQ_SAMPLE_COUNT), (m, DQ_SAMPLE_COUNT))
+    dq_min = np.min(np.abs(face_sums(flux.omega.du_coeffs[(1,)], pts, weights, us)), axis=1)
     left = np.arange(m)
     right = (np.arange(m) + 1) % m if domain.periodic else np.arange(m) + 1
     lam = (sup[left] + sup[right]) / dq_min
@@ -749,12 +710,12 @@ def _slab_ratio(domain, breakpoints, flux, spec, rule, u_range, t0, hbar) -> flo
 def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence[float],
                     flux: FluxField, spec: NumericalFluxSpec,
                     u_range: tuple[float, float], cfl_target: float,
-                    t_final: float, probes: int = 5,
-                    rule: QuadratureRule | None = None) -> float:
+                    t_final: float) -> float:
     """Largest slab height whose lambda ratios stay below the target.
 
-    Scales a probe slab to the target ratio and verifies on slabs sampled
-    across the horizon (the flux may be time dependent).  Returns 0 for a
+    Scales a probe slab to the target ratio and verifies on
+    ``TIMESTEP_PROBES`` slabs sampled across the horizon (the flux may be
+    time dependent), each with 5-point Gauss rules.  Returns 0 for a
     zero horizon; raises :class:`DegenerateFluxError` when no height above
     ``1e-12 * t_final`` is admissible.
     """
@@ -762,12 +723,11 @@ def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence
         raise ValueError(f"cfl_target must lie in (0, {CFL_LIMIT}]")
     if t_final <= 0.0:
         return 0.0
-    rule = rule if rule is not None else gauss_legendre(5, 1)
     breakpoints = np.asarray(breakpoints, dtype=float)
 
     def worst_ratio(hbar: float) -> float:
-        starts = np.linspace(0.0, max(t_final - hbar, 0.0), probes)
-        return max(_slab_ratio(domain, breakpoints, flux, spec, rule, u_range, t0, hbar)
+        starts = np.linspace(0.0, max(t_final - hbar, 0.0), TIMESTEP_PROBES)
+        return max(_slab_ratio(domain, breakpoints, flux, spec, u_range, t0, hbar)
                    for t0 in starts)
 
     hbar = float(t_final)

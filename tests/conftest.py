@@ -1,7 +1,10 @@
+import tempfile
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from spacetime_fvm import presets
 from spacetime_fvm.fluxfield import FluxField
@@ -13,6 +16,18 @@ from spacetime_fvm.mesh import (
     uniform_times,
 )
 from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, RunConfig, Solver, select_timestep
+
+# property tests draw the same examples on every run and keep no example
+# database; the constants Hypothesis caches from the source files go to a
+# directory that lives for one session, so a run leaves no .hypothesis/
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -14,6 +15,8 @@ from spacetime_fvm.cli import (
     load_run_artifact,
     main,
 )
+from spacetime_fvm.config import load_config
+from spacetime_fvm.scheme import Solver
 
 BASE_CONFIG = """
 [spacetime]
@@ -44,6 +47,16 @@ def write_config(tmp_path, name="run.ini", kind="godunov", u_b="0.7", extra=""):
     path = tmp_path / name
     path.write_text(text)
     return str(path), str(out)
+
+
+def write_custom_config(tmp_path, wx="u", u_b="0.5", wt="-0.5 * u * u"):
+    """A custom flux ``wx dx + wt dt`` with derivatives 1 and -u, states in [0, 1]."""
+    cfg, out = write_config(tmp_path, u_b=u_b, extra="\n[run]\nu_min = 0\nu_max = 1\n")
+    text = Path(cfg).read_text().replace(
+        "builtin = burgers",
+        f"builtin = custom\nwx = {wx}\nwt = {wt}\ndwx_du = 1\ndwt_du = -u")
+    Path(cfg).write_text(text)
+    return cfg, out
 
 
 class TestRunCommand:
@@ -97,17 +110,35 @@ class TestRunCommand:
         # q jumps at u = 0.45, between the states where the derivative
         # check samples it: targets inside the jump cannot be met, so the
         # inversion reaches its cap above tolerance
-        cfg, _ = write_config(tmp_path, u_b="sign(x - 0.5) * (-0.45) + 0.45",
-                              extra="\n[run]\nu_min = 0\nu_max = 1\n")
-        text = Path(cfg).read_text().replace(
-            "builtin = burgers",
-            "builtin = custom\nwx = u + 0.1 * sign(u - 0.45)\nwt = -0.5 * u * u\n"
-            "dwx_du = 1\ndwt_du = -u")
-        Path(cfg).write_text(text)
+        cfg, _ = write_custom_config(tmp_path, "u + 0.1 * sign(u - 0.45)",
+                                     u_b="sign(x - 0.5) * (-0.45) + 0.45")
         assert main(["run", "--config", cfg]) == EXIT_SCHEME_ABORT
         err = capsys.readouterr().err
         assert re.match(r"scheme abort: face \('S', \d+, \d+\): total-flux inversion of "
                         r"target \S+ stopped after 100 iterations with residual \S+", err)
+
+    def test_non_finite_flux_coefficient_is_a_config_error(self, tmp_path, capsys):
+        # NaN for x < 0.5: the first coefficient sample (t, x, u) = (0, 0, 0) catches it
+        cfg, out = write_custom_config(tmp_path, "u + 0 * (x - 0.5) ** 0.5")
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.strip() == ("config error: [flux] wx: not finite at (t, x) = (0.0, 0.0) "
+                               "for u = 0.0: nan")
+        assert not os.path.exists(out)
+
+    # NaN only for |x - 0.6| < 0.05, between the coefficient samples (x = 0.5,
+    # 0.75): the faces there get NaN total fluxes, so some inversion target
+    # is NaN, which lies outside every image
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("flux", [{"wx": "u + 0 * (abs(x - 0.6) - 0.05) ** 0.5"},
+                                      {"wt": "-0.5 * u * u + 0 * (abs(x - 0.6) - 0.05) ** 0.5"}],
+                             ids=["wx", "wt"])
+    def test_nan_inversion_target_is_a_scheme_abort(self, tmp_path, capsys, flux):
+        cfg, out = write_custom_config(tmp_path, **flux)
+        assert main(["run", "--config", cfg]) == EXIT_SCHEME_ABORT
+        err = capsys.readouterr().err
+        assert re.match(r"scheme abort: face \('S', 1, \d+\): target nan outside image", err)
+        assert not os.path.exists(os.path.join(out, "slices.csv"))
 
     def test_retired_threads_setting_still_loads(self, tmp_path):
         # configs written before the thread pool was removed keep working
@@ -184,6 +215,43 @@ class TestEntropyCheckCommand:
         _, result = load_run_artifact(os.path.join(out, "run.json"))
         assert result.tri.n_columns == 16
         assert len(result.states) == result.tri.n_slices
+
+    def test_state_table_format(self, tmp_path):
+        # the table written from arrays equals the csv module's rendering of
+        # the same rows, and reads back bit for bit
+        cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
+        setup = load_config(cfg)
+        result = Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd,
+                        setup.cfg).run()
+        main(["run", "--config", cfg])
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["slice_index", "t", "x_left", "x_right", "u", "q"])
+        xs, times = result.tri.breakpoints, result.tri.times
+        for state in result.states:
+            for i in range(result.tri.n_columns):
+                writer.writerow([state.slice_index] + [f"{float(v):.17g}" for v in (
+                    times[state.slice_index], xs[i], xs[i + 1], state.values[i],
+                    state.fluxes[i])])
+        assert Path(out, "slices.csv").read_bytes() == buf.getvalue().encode()
+        _, loaded = load_run_artifact(os.path.join(out, "run.json"))
+        for a, b in zip(loaded.states, result.states):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.fluxes.tobytes() == b.fluxes.tobytes()
+
+    @pytest.mark.parametrize("keep", [-1, 1])
+    def test_missing_or_short_slice_is_a_config_error(self, tmp_path, capsys, keep):
+        # keep = -1 drops the last row (slice N is short); keep = 1 keeps only
+        # the header (slice 0 is missing)
+        cfg, out = write_config(tmp_path)
+        main(["run", "--config", cfg])
+        table = Path(out, "slices.csv")
+        lines = table.read_text().splitlines(keepends=True)
+        table.write_text("".join(lines[:keep]))
+        n_slices = len(json.loads(Path(out, "run.json").read_text())["mesh"]["times"])
+        missing = n_slices - 1 if keep < 0 else 0
+        assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_CONFIG
+        assert f"run artifact is missing slice {missing} data" in capsys.readouterr().err
 
     def test_broken_flux_flagged(self, tmp_path):
         # the anti-dissipative testing flux must end in a scheme abort or a

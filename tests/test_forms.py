@@ -270,6 +270,15 @@ class TestParamForm:
         with pytest.raises(FormError):
             family.check_du_consistency(pts_2d((0.0, 0.5)), [0.0])
 
+    def test_non_finite_residual_rejected(self):
+        # a NaN residual used to drop out of max() and pass as agreement
+        coeffs = {(1,): lambda pts, u: np.asarray(u) + 0.0 * np.sqrt(pts[..., 1] - 0.25)}
+        du = {(1,): lambda pts, u: np.ones(np.broadcast_shapes(np.shape(pts)[:-1],
+                                                               np.shape(u)))}
+        family = ParamForm(1, 2, coeffs, du, (-1.0, 1.0))
+        with pytest.raises(FormError, match=r"coefficient \(1,\): not finite near u = 0\.5"):
+            family.check_du_consistency(pts_2d((0.0, 0.5), (0.0, 0.1)), [0.5])
+
     def test_degenerate_u_range_rejected(self):
         with pytest.raises(FormError):
             ParamForm(1, 2, {(1,): lambda p, u: u}, {(1,): lambda p, u: 1.0}, (1.0, 1.0))

@@ -19,10 +19,13 @@ from spacetime_fvm.mesh import (
     IntervalDomain,
     MeshError,
     SpacelikeTable,
+    TotalFlux,
     ValueOutsideImage,
     build_triangulation,
+    face_sums,
     invert_total_flux,
     mesh_regularity_report,
+    segment_nodes,
     total_flux,
     uniform_times,
 )
@@ -254,6 +257,52 @@ class TestInvertTotalFlux:
         view = table.total_flux_view(2)
         assert view.q(0.4) == pytest.approx(table.q(u * 0 + 0.4)[2])
 
+    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.0, 6.0),
+           points=st.sampled_from([5, 12]),
+           s=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_table_view_and_face_agree_bit_for_bit(self, a0, ratio, k, points, s):
+        # the three ways to a face's total flux share one node builder and
+        # one summation kernel, so they agree exactly, not approximately
+        u_range = (-0.8, 1.2)
+        flux = capacity_field(a0, ratio * a0, k, 0.3, u_range)
+        tri = interval_tri(2, 6)
+        rule = gauss_legendre(points, 1)
+        table = SpacelikeTable(tri, flux, 1, rule=rule, u_range=u_range)
+        u = u_range[0] + np.asarray(s) * (u_range[1] - u_range[0])
+        rows = table.q(u)
+        for i in range(tri.n_columns):
+            view = table.total_flux_view(i).q(u[i])
+            face = total_flux(tri.faces[("S", 1, i)], flux, rule=rule, u_range=u_range).q(u[i])
+            assert np.float64(view).tobytes() == rows[i].tobytes()
+            assert np.float64(face).tobytes() == rows[i].tobytes()
+
+
+class TestFaceQuadrature:
+    def test_segment_nodes_place_gauss_points_on_each_segment(self):
+        rule = gauss_legendre(3, 1)
+        pts, weights = segment_nodes(rule, 1, 0.25, np.array([0.0, 0.5]), np.array([0.5, 2.0]))
+        assert pts.shape == (2, 3, 2) and weights.shape == (2, 3)
+        np.testing.assert_array_equal(pts[..., 0], 0.25)
+        np.testing.assert_allclose(pts[1, :, 1], 0.5 + 1.5 * rule.nodes[:, 0], rtol=1e-15)
+        np.testing.assert_allclose(weights.sum(axis=1), [0.5, 1.5], rtol=1e-15)
+        # time segments at three nodes share one weight row
+        pts, weights = segment_nodes(rule, 0, np.array([0.0, 0.3, 1.0]), 0.1, 0.2)
+        assert pts.shape == (3, 3, 2) and weights.shape == (3,)
+        np.testing.assert_array_equal(pts[:, :, 1], np.repeat([[0.0], [0.3], [1.0]], 3, axis=1))
+        np.testing.assert_allclose(pts[0, :, 0], 0.1 + 0.1 * rule.nodes[:, 0], rtol=1e-15)
+
+    def test_face_sums_integrates_per_state_row(self):
+        pts, weights = segment_nodes(gauss_legendre(4, 1), 1, 0.0, np.array([0.0, 1.0]),
+                                     np.array([1.0, 3.0]))
+        fn = lambda p, u: u * p[..., 1] ** 2   # noqa: E731 - integral u (b^3 - a^3) / 3
+        np.testing.assert_allclose(face_sums(fn, pts, weights, np.array([1.0, 2.0])),
+                                   [1.0 / 3.0, 2.0 * 26.0 / 3.0], rtol=1e-14)
+        lattice = face_sums(fn, pts, weights, np.array([[1.0, 3.0], [2.0, 0.0]]))
+        np.testing.assert_allclose(lattice, [[1.0 / 3.0, 1.0], [52.0 / 3.0, 0.0]], rtol=1e-14)
+        with pytest.raises(MeshError, match="state array must have shape"):
+            face_sums(fn, pts, weights, np.zeros((2, 2, 2)))
+
 
 def capacity_field(a0, a1, k, phase, u_range):
     """``a(x) u dx - u^2/2 dt`` with capacity ``a0 + a1 sin(k x + phase)``."""
@@ -316,6 +365,25 @@ class TestInversionKernel:
             ui = tf.invert(yi, tol=tol)
             assert u_range[0] <= ui <= u_range[1]
             assert abs(float(tf.q(ui)) - yi) <= tol * max(1.0, abs(yi))
+
+    def _affine_tf(self, q_fn):
+        # q(u) = u on [0, 1] unless q_fn overrides it
+        return TotalFlux(face_id=("S", 1, 3), q_fn=q_fn, dq_fn=lambda u: np.ones_like(u),
+                         u_range=(0.0, 1.0), dq_min=0.9, dq_max=1.1, dq_min_raw=1.0,
+                         dq_max_raw=1.0, image=(0.0, 1.0), monotone=True)
+
+    def test_nan_target_is_outside_the_image(self):
+        tf = self._affine_tf(lambda u: u)
+        with pytest.raises(ValueOutsideImage,
+                           match=r"face \('S', 1, 3\): target nan outside image \[0\.0, 1\.0\]"):
+            tf.invert(float("nan"))
+
+    def test_nan_residual_is_a_convergence_error(self):
+        # q is NaN on (0.4, 0.6), where the first midpoint lands: no residual
+        # there is within tolerance, so the cap is reached and reported
+        tf = self._affine_tf(lambda u: np.where(np.abs(u - 0.5) < 0.1, np.nan, u))
+        with pytest.raises(ConvergenceError, match=r"target 0\.3 .* residual nan"):
+            tf.invert(0.3)
 
     def test_wrong_derivative_raises_convergence_error(self):
         # dq a million times too large: every Newton step stays inside the

@@ -6,6 +6,7 @@ import pytest
 from conftest import classical_godunov_step, constant_bd, counting_flux, make_solver, step_bd
 
 from spacetime_fvm import presets
+from spacetime_fvm import scheme as scheme_module
 from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
 from spacetime_fvm.forms import ParamForm, gauss_legendre
 from spacetime_fvm.harness import CharacteristicsLinear, l1_error
@@ -14,6 +15,7 @@ from spacetime_fvm.mesh import (
     Foliation,
     IntervalDomain,
     ValueOutsideImage,
+    _weighted_sum,
     build_triangulation,
 )
 from spacetime_fvm.scheme import (
@@ -23,8 +25,6 @@ from spacetime_fvm.scheme import (
     RunConfig,
     Solver,
     VerticalFluxes,
-    _face_mean,
-    _weighted_sum,
     boundary_ghost_value,
     data_hull,
     initial_slice_state,
@@ -237,7 +237,8 @@ class TestInitialSliceState:
             face = tri.faces[("S", 0, i)]
             xs = face.x_lo + s * (face.x_hi - face.x_lo)
             pts = np.stack([np.zeros_like(xs), xs], axis=-1)
-            expected.append(_face_mean(bd, pts, rule.weights * (face.x_hi - face.x_lo)))
+            alpha = rule.weights * (face.x_hi - face.x_lo) * bd.alpha_values(pts)
+            expected.append(np.sum(alpha * bd.u_values(pts)) / np.sum(alpha))
         state = initial_slice_state(tri, bd, presets.burgers_flux((-1.0, 2.0)), cfg=cfg)
         assert state.values.tobytes() == np.array(expected).tobytes()
 
@@ -542,6 +543,22 @@ class TestRun:
         solver.slice_table(1)       # a cached slice evicts nothing
         assert sorted(solver._tables) == [1, 2]
 
+    def test_run_builds_one_table_per_slice(self, monkeypatch):
+        # the initial state takes slice 0's table from the solver's cache,
+        # where slab 0 finds it again
+        built = []
+
+        class CountingTable(scheme_module.SpacelikeTable):
+            def __init__(self, tri, flux, slice_index, **kwargs):
+                built.append(slice_index)
+                super().__init__(tri, flux, slice_index, **kwargs)
+
+        solver = make_solver(presets.burgers_flux((-1.2, 1.2)), IntervalDomain(0.0, 1.0), 0.2,
+                             step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
+        monkeypatch.setattr(scheme_module, "SpacelikeTable", CountingTable)
+        solver.run()
+        assert built == list(range(solver.tri.n_slices))
+
     def test_slab_rebuilt_after_run_is_bit_identical(self, monkeypatch):
         # record every slab's rhs and step during the run, then rebuild the
         # slabs out of order from the finished solver
@@ -574,6 +591,19 @@ class TestRun:
 
 def _slab_of(result, t):
     return int(np.searchsorted(result.tri.times, t, side="right") - 1)
+
+
+class TestVerticalFaceSums:
+    @pytest.mark.parametrize("lattice", [(), (7,)])
+    def test_gathered_faces_equal_full_rows_bit_for_bit(self, lattice):
+        flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
+        vert = vertical_fluxes(flux, (-1.0, 1.0), nx=12, t0=0.3, t1=0.45)
+        rng = np.random.default_rng(11)
+        u_full = rng.uniform(-1.0, 1.0, (vert.n_faces,) + lattice)
+        idx = rng.integers(0, vert.n_faces, 20)
+        assert vert.G(u_full[idx], faces=idx).tobytes() == vert.G(u_full)[idx].tobytes()
+        assert vert.dG(u_full[idx], faces=idx).tobytes() == vert.dG(u_full)[idx].tobytes()
+        assert vert.weights.shape == (5,)
 
 
 class TestWeightedSum:
