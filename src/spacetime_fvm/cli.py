@@ -42,6 +42,7 @@ from .mesh import (
     ConvergenceError,
     Foliation,
     MeshError,
+    SliceFaceIds,
     ValueOutsideImage,
     build_triangulation,
     mesh_regularity_report,
@@ -123,7 +124,7 @@ def load_run_artifact(path: str):
         if stop[j] - start[j] != tri.n_columns:
             raise ConfigError(f"run artifact is missing slice {j} data")
         values, fluxes = table[start[j]:stop[j], 4:6].T.copy()
-        states.append(SliceState(j, [("S", j, i) for i in range(tri.n_columns)], values, fluxes))
+        states.append(SliceState(j, SliceFaceIds(j, tri.n_columns), values, fluxes))
     urange = tuple(meta["u_range"])
     result = RunResult(tri=tri, flux=setup.flux, spec=setup.spec, bd=setup.bd,
                        cfg=replace(setup.cfg, u_range=urange), u_range=urange,

@@ -162,6 +162,7 @@ def _expr_coefficient(source: str, section: str, key: str) -> Callable:
                   u=np.broadcast_to(np.asarray(u, dtype=float),
                                     np.broadcast_shapes(np.shape(pts)[:-1], np.shape(u))))
 
+    fn.names = expr.names
     return fn
 
 
@@ -179,6 +180,7 @@ def _custom_flux(cp: configparser.ConfigParser, domain, u_range) -> FluxField:
             u = np.asarray(u, dtype=float)
             return (_f(pts, u + _FD_STATE_STEP) - _f(pts, u - _FD_STATE_STEP)) \
                 / (2.0 * _FD_STATE_STEP)
+        dfn.names = fn.names           # reads what its base reads
         return dfn
 
     dwx = _expr_coefficient(dwx_src, "flux", "dwx_du") if dwx_src else fd_du(wx)
@@ -187,7 +189,8 @@ def _custom_flux(cp: configparser.ConfigParser, domain, u_range) -> FluxField:
     chart = RectangleDomain((0.0, domain.a), (1.0, domain.b),
                             periodic_axes=(1,) if domain.periodic else ())
     omega = ParamForm(1, 2, {(0,): wt, (1,): wx}, {(0,): dwt, (1,): dwx}, u_range)
-    flux = FluxField(omega=omega, domain=chart, name="custom")
+    flux = FluxField(omega=omega, domain=chart, name="custom",
+                     reads_t=any("t" in fn.names for fn in (wx, wt, dwx, dwt)))
     pts = chart.sample_points(5)
     us = np.linspace(u_range[0], u_range[1], 5)
     for name, fn in (("wx", wx), ("wt", wt), ("dwx_du" if dwx_src else "du of wx", dwx),

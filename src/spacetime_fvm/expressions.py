@@ -91,7 +91,8 @@ def compile_expression(source: str, variables: Sequence[str] = ("t", "x", "u")) 
 
     Variables not appearing in the expression are still accepted as
     keyword arguments; the result is broadcast against all of them so
-    constants keep the callers' shapes.
+    constants keep the callers' shapes.  ``fn.names`` is the set of
+    variables the expression reads.
     """
     try:
         tree = ast.parse(source, mode="eval")
@@ -113,4 +114,6 @@ def compile_expression(source: str, variables: Sequence[str] = ("t", "x", "u")) 
             else np.asarray(value, dtype=float)
 
     fn.source = source
+    fn.names = frozenset(node.id for node in ast.walk(tree)
+                         if isinstance(node, ast.Name) and node.id in allowed)
     return fn

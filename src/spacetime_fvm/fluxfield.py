@@ -189,12 +189,22 @@ class FluxField:
     ``growth_bound`` is a user-supplied 1-form alpha with
     ``-i*alpha <= i* du_omega(u) <= i*alpha`` on sampled faces, verified by
     :meth:`verify_growth_bound` rather than synthesized.
+
+    ``reads_t`` declares whether any coefficient of ``omega`` or of its
+    u-derivative reads the chart's t coordinate.  ``reads_t=False`` says
+    that d/dt is a symmetry of the flux: faces that differ only by a shift
+    in t then have the same total flux function, and the solver builds
+    the flux tables of a run once per slice shape instead of once per
+    slice (every spacelike slice; every slab of the same height).  The
+    default, True, is always safe and means no reuse; the solver checks a
+    False declaration on samples and rejects a flux that breaks it.
     """
 
     omega: ParamForm
     domain: object
     growth_bound: CoordinateForm | None = None
     name: str = "flux"
+    reads_t: bool = True
 
     def __post_init__(self):
         if self.omega.degree != self.omega.chart_dim - 1:

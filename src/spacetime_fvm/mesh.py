@@ -18,8 +18,10 @@ routine shared by single faces and whole slices.
 
 from __future__ import annotations
 
+import copy
+import operator
 import sys
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -44,6 +46,7 @@ __all__ = [
     "IntervalDomain",
     "MeshError",
     "RegularityReport",
+    "SliceFaceIds",
     "SpacelikeTable",
     "TotalFlux",
     "Triangulation",
@@ -627,27 +630,47 @@ def invert_total_flux(tf: TotalFlux, value: float, tol: float = 1e-12) -> float:
 # vectorized slice tables (the solver's fast path)
 # ---------------------------------------------------------------------------
 
+class SliceFaceIds(SequenceABC):
+    """The ids ``("S", slice_index, i)`` of a slice's m faces, built on lookup."""
+
+    __slots__ = ("slice_index", "_n")
+
+    def __init__(self, slice_index: int, n: int):
+        self.slice_index = slice_index
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i) -> tuple:
+        k = operator.index(i)
+        k = k + self._n if k < 0 else k
+        if not 0 <= k < self._n:
+            raise IndexError(i)
+        return ("S", self.slice_index, k)
+
+
 class SpacelikeTable:
     """Vectorized total fluxes for every spacelike face of one slice.
 
     Nodes, signed weights and derivative bounds are precomputed once per
     slice; evaluation broadcasts a per-face state array against the face
     axis, so all queries of the scheme and the entropy verifiers are single
-    vectorized calls.
+    vectorized calls.  The slice's geometry (``slice_index``, ``face_ids``,
+    ``t``, ``pts``) is cheap; everything else derives from the flux, and
+    :meth:`on_slice` shares it with another slice when the flux does not
+    read t.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, slice_index: int,
                  rule: QuadratureRule | None = None,
                  u_range: tuple[float, float] | None = None):
-        rule = rule if rule is not None else gauss_legendre(5, 1)
-        self.slice_index = slice_index
-        self.face_ids = [("S", slice_index, i) for i in range(tri.n_columns)]
+        self._rule = rule if rule is not None else gauss_legendre(5, 1)
         xs = tri.breakpoints
         self.x_lo = xs[:-1].copy()
         self.x_hi = xs[1:].copy()
         self.widths = self.x_hi - self.x_lo
-        self.t = float(tri.times[slice_index])
-        self.pts, base_w = segment_nodes(rule, 1, self.t, self.x_lo, self.x_hi)  # (m, nq, 2)
+        base_w = self._place(tri, slice_index)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
 
@@ -677,6 +700,25 @@ class SpacelikeTable:
         self.dq_max = DQ_MAX_SAFETY * self.dq_max_raw
         self.image_lo = self.q(np.full(len(self.face_ids), u_lo))
         self.image_hi = self.q(np.full(len(self.face_ids), u_hi))
+
+    def _place(self, tri: Triangulation, slice_index: int) -> np.ndarray:
+        """Set the geometry of slice ``slice_index``; returns the unsigned weights."""
+        self.slice_index = slice_index
+        self.face_ids = SliceFaceIds(slice_index, tri.n_columns)
+        self.t = float(tri.times[slice_index])
+        self.pts, base_w = segment_nodes(self._rule, 1, self.t, self.x_lo, self.x_hi)
+        return base_w
+
+    def on_slice(self, tri: Triangulation, slice_index: int) -> "SpacelikeTable":
+        """This table's flux-derived arrays on slice ``slice_index`` of ``tri``.
+
+        Only for a flux that does not read t: its table of that slice is
+        then this one, bit for bit, except for the geometry set here.  The
+        arrays are shared, not copied.
+        """
+        table = copy.copy(self)
+        table._place(tri, slice_index)
+        return table
 
     @property
     def n_faces(self) -> int:

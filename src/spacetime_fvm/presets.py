@@ -52,7 +52,7 @@ def flat_flux(f: Callable, df: Callable, u_range: tuple[float, float],
 
     This is the classical conservation law ``u_t + f(u)_x = 0``; it is
     geometry compatible for any f since neither coefficient depends on
-    the chart point.
+    the chart point, and it declares ``reads_t=False``.
     """
     dom = domain if domain is not None else RectangleDomain((0.0, 0.0), (1.0, 1.0))
     coeffs = {(_T,): lambda pts, u: -np.asarray(f(u)) + 0.0 * pts[..., 0],
@@ -61,7 +61,7 @@ def flat_flux(f: Callable, df: Callable, u_range: tuple[float, float],
           (_X,): lambda pts, u: np.ones(np.broadcast_shapes(np.shape(pts)[:-1], np.shape(u)))}
     partials = {(_T,): {_T: _zero, _X: _zero}, (_X,): {_T: _zero, _X: _zero}}
     omega = ParamForm(1, 2, coeffs, du, u_range, partials=partials)
-    return FluxField(omega=omega, domain=dom, name=name)
+    return FluxField(omega=omega, domain=dom, name=name, reads_t=False)
 
 
 def burgers_flux(u_range: tuple[float, float] = (-1.0, 1.0),
@@ -131,6 +131,7 @@ def capacity_flux(a: Callable, da: Callable, f: Callable, df: Callable,
 
     Closed for frozen u (the dx coefficient is time independent and the dt
     coefficient is space independent), so constants remain exact solutions.
+    No coefficient reads t, so it declares ``reads_t=False``.
     """
     dom = domain if domain is not None else RectangleDomain((0.0, 0.0), (1.0, 1.0))
 
@@ -141,7 +142,7 @@ def capacity_flux(a: Callable, da: Callable, f: Callable, df: Callable,
     partials = {(_T,): {_T: _zero, _X: _zero},
                 (_X,): {_T: _zero, _X: lambda pts, u: da(pts[..., _X]) * np.asarray(u)}}
     omega = ParamForm(1, 2, coeffs, du, u_range, partials=partials)
-    return FluxField(omega=omega, domain=dom, name=name)
+    return FluxField(omega=omega, domain=dom, name=name, reads_t=False)
 
 
 # ---------------------------------------------------------------------------

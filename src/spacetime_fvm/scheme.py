@@ -20,6 +20,7 @@ of the flux form along decreasing time; the right cell sees the negative.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -66,6 +67,7 @@ CFL_LIMIT = 0.5
 CRITICAL_SAMPLES = 65
 RUSANOV_MARGIN = 1.1
 TIMESTEP_PROBES = 5      # candidate slabs across the horizon in select_timestep
+HEIGHT_CACHE_SIZE = 16   # vertical flux tables a solver keeps, by slab height
 
 
 class CFLViolation(RuntimeError):
@@ -73,7 +75,8 @@ class CFLViolation(RuntimeError):
 
 
 class DegenerateFluxError(RuntimeError):
-    """No admissible slab height exists above the search floor."""
+    """No admissible slab height exists above the search floor, or a CFL
+    ratio is not finite."""
 
 
 class FluxKind(str, Enum):
@@ -151,7 +154,7 @@ class SliceState:
     """Per-slice map from spacelike faces to states and cached total fluxes."""
 
     slice_index: int
-    face_ids: list[tuple]
+    face_ids: Sequence[tuple]
     values: np.ndarray
     fluxes: np.ndarray
 
@@ -218,18 +221,20 @@ class VerticalFluxes:
     the admissible state range are located once (sign changes of G' on a
     ``CRITICAL_SAMPLES`` lattice, polished by :func:`_bracketed_secant`;
     exact lattice zeros of G' count as found), making the interval min/max
-    flux exact for fluxes with finitely many extrema.
+    flux exact for fluxes with finitely many extrema.  The slab's geometry
+    (``t_lo``, ``t_hi``, ``pts``) is cheap; the rest derives from the flux
+    and the slab height, and :meth:`on_slab` shares it with another slab of
+    the same height when the flux does not read t.
     """
 
     def __init__(self, x_nodes: np.ndarray, t_lo: float, t_hi: float,
                  flux: FluxField, spec: NumericalFluxSpec,
                  rule: QuadratureRule, u_range: tuple[float, float]):
         self.x_nodes = np.asarray(x_nodes, dtype=float)
-        self.t_lo = float(t_lo)
-        self.t_hi = float(t_hi)
         self.spec = spec
         self.u_range = (float(u_range[0]), float(u_range[1]))
-        self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, t_hi)  # (nv, nt, 2)
+        self._rule = rule
+        self._place(t_lo, t_hi)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
 
@@ -244,6 +249,22 @@ class VerticalFluxes:
             self.speed = np.full(self.n_faces, float(spec.rusanov_speed))
         else:
             self.speed = RUSANOV_MARGIN * self._dg_abs_max
+
+    def _place(self, t_lo: float, t_hi: float) -> None:
+        self.t_lo = float(t_lo)
+        self.t_hi = float(t_hi)
+        self.pts, self.weights = segment_nodes(self._rule, 0, self.x_nodes, t_lo, t_hi)
+
+    def on_slab(self, t_lo: float, t_hi: float) -> "VerticalFluxes":
+        """This table's flux-derived arrays on the slab ``[t_lo, t_hi]``.
+
+        Only for a flux that does not read t and a slab whose float height
+        ``t_hi - t_lo`` equals this one's: its table is then this one, bit
+        for bit, except for the geometry set here.  The arrays are shared.
+        """
+        vert = copy.copy(self)
+        vert._place(t_lo, t_hi)
+        return vert
 
     @property
     def n_faces(self) -> int:
@@ -454,9 +475,7 @@ class Slab:
         self.periodic = tri.periodic
         self.table_minus = solver.slice_table(j)
         self.table_plus = solver.slice_table(j + 1)
-        x_nodes = tri.breakpoints[:-1] if tri.periodic else tri.breakpoints
-        self.vert = VerticalFluxes(x_nodes, tri.times[j], tri.times[j + 1],
-                                   solver.flux, solver.spec, solver.rule, solver.u_range)
+        self.vert = solver.vertical_fluxes(j)
         cols = np.arange(self.m)
         self.left_idx = cols
         self.right_idx = (cols + 1) % self.m if tri.periodic else cols + 1
@@ -512,6 +531,10 @@ class Slab:
         lam_hat = np.stack([sup[self.left_idx], sup[self.right_idx]], axis=1) \
             / dq_min[:, None]
         lam_hat_cell = np.sum(lam_hat, axis=1)
+        _check_ratios_finite(f"slab {self.j}", lam_hat_cell, sup, dq_min,
+                             self.left_idx, self.right_idx,
+                             lambda k: repr(("V", self.j, k)),
+                             lambda i: repr(("S", self.j + 1, i)))
         lam = np.empty_like(lam_hat)
         nonzero = lam_hat_cell > 0.0
         lam[nonzero] = lam_hat[nonzero] / lam_hat_cell[nonzero, None]
@@ -603,7 +626,15 @@ class RunResult:
 
 
 class Solver:
-    """Binds a triangulation, flux field, numerical flux and boundary data."""
+    """Binds a triangulation, flux field, numerical flux and boundary data.
+
+    For a flux declared not to read t (``flux.reads_t`` False) the solver
+    builds the flux-derived arrays of the spacelike tables once per run and
+    those of the vertical flux tables once per exact float slab height (at
+    most ``HEIGHT_CACHE_SIZE`` heights kept); every slice and slab still
+    gets its own nodes, so whatever reads t there (u_B, test functions)
+    sees the slab's true t.  The results are the same bits either way.
+    """
 
     def __init__(self, tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
                  bd: BoundaryData, cfg: RunConfig | None = None):
@@ -617,27 +648,82 @@ class Solver:
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
         self._slab: Slab | None = None                 # the most recent slab
+        # for a flux that does not read t: the table whose arrays every slice
+        # shares, and by slab height those every slab of that height shares
+        self._slice_arrays: SpacelikeTable | None = None
+        self._vertical_arrays: dict[float, VerticalFluxes] = {}
         self._check_time_observer()
+        if not flux.reads_t:
+            self._check_time_independent()
 
-    def _check_time_observer(self) -> None:
-        # hyperbolicity with T = dt reduces to positivity of the dx component of du
+    def _samples(self):
+        """9 states and a (9 t, 33 x) grid of chart points over the mesh."""
         us = np.linspace(*self.u_range, 9)
         ts = np.linspace(self.tri.times[0], self.tri.times[-1], 9)
         xs = np.linspace(self.tri.breakpoints[0], self.tri.breakpoints[-1], 33)
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
-        pts = np.stack([tt.ravel(), xx.ravel()], axis=-1)
+        return us, np.stack([tt, xx], axis=-1)
+
+    def _check_time_observer(self) -> None:
+        # hyperbolicity with T = dt reduces to positivity of the dx component of du
+        us, pts = self._samples()
         worst = min(float(np.min(self.flux.omega.du_coeffs[(1,)](pts, u))) for u in us)
         if worst <= 0.0:
             raise NotSpacelikeError(
                 f"flux fails hyperbolicity with the time observer (min coefficient {worst:.3e})")
 
+    def _check_time_independent(self) -> None:
+        # a flux declared not to read t must give the same bits at every sampled t
+        us, pts = self._samples()
+        pts = pts[:, :, None, :]                                  # (t, x, 1, 2) against u
+        omega = self.flux.omega
+        coefficients = (("wt", omega.coeffs[(0,)]), ("wx", omega.coeffs[(1,)]),
+                        ("dwt_du", omega.du_coeffs[(0,)]), ("dwx_du", omega.du_coeffs[(1,)]))
+        for name, fn in coefficients:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                vals = np.ascontiguousarray(
+                    np.broadcast_to(fn(pts, us), pts.shape[:2] + us.shape), dtype=float)
+            bits = vals.view(np.int64)
+            differs = bits != bits[:1]
+            if differs.any():
+                i, k, n = np.argwhere(differs)[0]
+                raise ValueError(
+                    f"flux {self.flux.name!r} is declared not to read t, but {name} does: "
+                    f"at x = {float(pts[0, k, 0, 1])!r}, u = {float(us[n])!r} it is "
+                    f"{float(vals[0, k, n])!r} at t = {float(pts[0, k, 0, 0])!r} and "
+                    f"{float(vals[i, k, n])!r} at t = {float(pts[i, k, 0, 0])!r}")
+
     def slice_table(self, j: int) -> SpacelikeTable:
         """Table of slice j; a new table evicts every slice but j - 1."""
         if j not in self._tables:
             self._tables = {k: t for k, t in self._tables.items() if k == j - 1}
-            self._tables[j] = SpacelikeTable(self.tri, self.flux, j,
-                                             rule=self.rule, u_range=self.u_range)
+            if self._slice_arrays is not None:
+                table = self._slice_arrays.on_slice(self.tri, j)
+            else:
+                table = SpacelikeTable(self.tri, self.flux, j, rule=self.rule,
+                                       u_range=self.u_range)
+                if not self.flux.reads_t:
+                    self._slice_arrays = table
+            self._tables[j] = table
         return self._tables[j]
+
+    def vertical_fluxes(self, j: int) -> VerticalFluxes:
+        """Vertical flux table of slab j, shared by slab height when the flux
+        does not read t (least recently used heights evicted first)."""
+        t_lo, t_hi = float(self.tri.times[j]), float(self.tri.times[j + 1])
+        height = t_hi - t_lo
+        shared = self._vertical_arrays.pop(height, None)
+        if shared is not None:
+            self._vertical_arrays[height] = shared
+            return shared.on_slab(t_lo, t_hi)
+        x_nodes = self.tri.breakpoints[:-1] if self.tri.periodic else self.tri.breakpoints
+        vert = VerticalFluxes(x_nodes, t_lo, t_hi, self.flux, self.spec, self.rule,
+                              self.u_range)
+        if not self.flux.reads_t:
+            self._vertical_arrays[height] = vert
+            if len(self._vertical_arrays) > HEIGHT_CACHE_SIZE:
+                del self._vertical_arrays[next(iter(self._vertical_arrays))]
+        return vert
 
     def slab(self, j: int) -> Slab:
         """Slab j, kept until another slab is asked for (tables are rebuilt
@@ -690,6 +776,24 @@ def step_cell(slab: Slab, column: int, state: SliceState) -> float:
 # time step selection
 # ---------------------------------------------------------------------------
 
+def _check_ratios_finite(slab: str, ratios, sup, dq_min, left, right,
+                         vertical: Callable[[int], str], outflow: Callable[[int], str]) -> None:
+    """Raise :class:`DegenerateFluxError` for the first cell whose CFL ratio
+    ``(sup[left] + sup[right]) / dq_min`` is not finite, naming the slab,
+    the face whose bound is at fault (the outflow face when none is
+    non-finite) and the values; ``vertical(k)``/``outflow(i)`` name faces."""
+    bad = ~np.isfinite(ratios)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    parts = [(f"G' bound of vertical face {vertical(int(k))}", sup[k])
+             for k in (left[i], right[i])]
+    parts.append((f"dq_min of outflow face {outflow(i)}", dq_min[i]))
+    what, value = next((p for p in parts if not np.isfinite(p[1])), parts[-1])
+    raise DegenerateFluxError(f"{slab}: CFL ratio of cell {i} is {float(ratios[i])!r}: "
+                              f"{what} is {float(value)!r}")
+
+
 def _slab_ratio(domain, xs, flux, spec, u_range, t0, hbar) -> float:
     """Max per-cell lambda ratio of a candidate slab starting at t0."""
     m = xs.size - 1
@@ -704,6 +808,10 @@ def _slab_ratio(domain, xs, flux, spec, u_range, t0, hbar) -> float:
     left = np.arange(m)
     right = (np.arange(m) + 1) % m if domain.periodic else np.arange(m) + 1
     lam = (sup[left] + sup[right]) / dq_min
+    _check_ratios_finite(f"probe slab (t0, hbar) = ({float(t0)!r}, {float(hbar)!r})",
+                         lam, sup, dq_min, left, right,
+                         lambda k: f"x = {float(x_nodes[k])!r}",
+                         lambda i: f"[{float(xs[i])!r}, {float(xs[i + 1])!r}]")
     return float(np.max(lam))
 
 

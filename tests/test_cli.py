@@ -140,6 +140,26 @@ class TestRunCommand:
         assert re.match(r"scheme abort: face \('S', 1, \d+\): target nan outside image", err)
         assert not os.path.exists(os.path.join(out, "slices.csv"))
 
+    # the same NaN stretch in dwt_du: the vertical faces there get a NaN G'
+    # bound, so the CFL ratio of the cell at x in [0.5, 0.5625] is NaN; the
+    # slab-height search and, with an explicit dt, the run's CFL check name it
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("dt, where", [
+        (None, r"probe slab \(t0, hbar\) = \(0\.0, 0\.2\): CFL ratio of cell 8 is nan: "
+               r"G' bound of vertical face x = 0\.5625 is nan"),
+        ("0.01", r"slab 0: CFL ratio of cell 8 is nan: "
+                 r"G' bound of vertical face \('V', 0, 9\) is nan")], ids=["search", "dt"])
+    def test_nan_cfl_ratio_is_a_scheme_abort_naming_its_face(self, tmp_path, capsys, dt, where):
+        cfg, out = write_custom_config(tmp_path)
+        text = Path(cfg).read_text().replace(
+            "dwt_du = -u", "dwt_du = -u + 0 * (abs(x - 0.6) - 0.05) ** 0.5")
+        if dt is not None:
+            text = text.replace("cfl_target = 0.25", f"cfl_target = 0.25\ndt = {dt}")
+        Path(cfg).write_text(text)
+        assert main(["run", "--config", cfg]) == EXIT_SCHEME_ABORT
+        assert re.fullmatch("scheme abort: " + where, capsys.readouterr().err.strip())
+        assert not os.path.exists(os.path.join(out, "slices.csv"))
+
     def test_retired_threads_setting_still_loads(self, tmp_path):
         # configs written before the thread pool was removed keep working
         cfg, _ = write_config(tmp_path, extra="\n[run]\nthreads = 4\n")

@@ -22,3 +22,8 @@ class TestCompiledExpressions:
         assert const.shape == (4, 2) and np.all(const == 1.0)
         partial = compile_expression("2 * x", variables=("x", "u"))(x=x, u=u)
         assert np.array_equal(partial, np.broadcast_to(2 * x, (4, 2)))
+
+    def test_names_are_the_variables_read(self):
+        assert compile_expression("(2 + sin(x - t)) * u").names == {"t", "x", "u"}
+        assert compile_expression("-0.5 * u * u + 0 * x").names == {"x", "u"}
+        assert compile_expression("pi * e").names == frozenset()

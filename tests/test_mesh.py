@@ -18,6 +18,7 @@ from spacetime_fvm.mesh import (
     Foliation,
     IntervalDomain,
     MeshError,
+    SliceFaceIds,
     SpacelikeTable,
     TotalFlux,
     ValueOutsideImage,
@@ -247,6 +248,24 @@ class TestInvertTotalFlux:
     def test_roundtrip_identity(self, ub):
         tf = self._flat_tf(width=0.7)
         assert invert_total_flux(tf, float(tf.q(ub))) == pytest.approx(ub, abs=1e-11)
+
+    def test_face_ids_are_built_on_lookup(self):
+        tri = interval_tri(3, 6)
+        table = SpacelikeTable(tri, presets.burgers_flux((-1.0, 1.0)), 1)
+        ids = table.face_ids
+        assert isinstance(ids, SliceFaceIds) and len(ids) == 6
+        assert list(ids) == [("S", 1, i) for i in range(6)]
+        assert ids[-1] == ("S", 1, 5) and ids[np.int64(2)] == ("S", 1, 2)
+        with pytest.raises(IndexError):
+            ids[6]
+        # a table moved to another slice names and places that slice's faces,
+        # and shares the flux-derived arrays
+        moved = table.on_slice(tri, 2)
+        assert list(moved.face_ids) == [("S", 2, i) for i in range(6)]
+        fresh = SpacelikeTable(tri, presets.burgers_flux((-1.0, 1.0)), 2)
+        assert moved.t == fresh.t and moved.pts.tobytes() == fresh.pts.tobytes()
+        assert moved.weights is table.weights and moved.image_hi is table.image_hi
+        assert table.slice_index == 1 and np.all(table.pts[..., 0] == tri.times[1])
 
     def test_vectorized_table_matches_scalar(self):
         tri = interval_tri(2, 6)

@@ -1,15 +1,20 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import classical_godunov_step, constant_bd, counting_flux, make_solver, step_bd
 
 from spacetime_fvm import presets
 from spacetime_fvm import scheme as scheme_module
+from spacetime_fvm.config import parse_config
+from spacetime_fvm.entropy import KruzkovPair, global_entropy_inequality_report, verify_run
 from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
 from spacetime_fvm.forms import ParamForm, gauss_legendre
-from spacetime_fvm.harness import CharacteristicsLinear, l1_error
+from spacetime_fvm.harness import CharacteristicsLinear, bump_test_function, l1_error
 from spacetime_fvm.mesh import (
     CircleDomain,
     Foliation,
@@ -545,7 +550,8 @@ class TestRun:
 
     def test_run_builds_one_table_per_slice(self, monkeypatch):
         # the initial state takes slice 0's table from the solver's cache,
-        # where slab 0 finds it again
+        # where slab 0 finds it again; a flux that does not read t (Burgers)
+        # builds one table and moves it to every other slice
         built = []
 
         class CountingTable(scheme_module.SpacelikeTable):
@@ -553,11 +559,17 @@ class TestRun:
                 built.append(slice_index)
                 super().__init__(tri, flux, slice_index, **kwargs)
 
-        solver = make_solver(presets.burgers_flux((-1.2, 1.2)), IntervalDomain(0.0, 1.0), 0.2,
-                             step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
-        monkeypatch.setattr(scheme_module, "SpacelikeTable", CountingTable)
-        solver.run()
-        assert built == list(range(solver.tri.n_slices))
+        traveling = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s),
+                                                   lambda s: np.cos(s))
+        for flux in (traveling, presets.burgers_flux((-1.2, 1.2))):
+            built.clear()
+            solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
+                                 step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
+            with monkeypatch.context() as patch:
+                patch.setattr(scheme_module, "SpacelikeTable", CountingTable)
+                solver.run()
+            assert solver.tri.n_slabs > 3
+            assert built == (list(range(solver.tri.n_slices)) if flux.reads_t else [0])
 
     def test_slab_rebuilt_after_run_is_bit_identical(self, monkeypatch):
         # record every slab's rhs and step during the run, then rebuild the
@@ -591,6 +603,142 @@ class TestRun:
 
 def _slab_of(result, t):
     return int(np.searchsorted(result.tri.times, t, side="right") - 1)
+
+
+def _boundary_in_t():
+    # u_B varies in t on both boundary lines: a slab whose vertical table
+    # carried another slab's nodes would get other ghost states
+    return BoundaryData(u=lambda p: np.where(p[..., 1] < 0.4, 0.7 + 0.2 * np.sin(9.0 * p[..., 0]),
+                                             -0.1 + 0.1 * np.cos(5.0 * p[..., 0])))
+
+
+def _mixed_heights(hbar, t_final, seed):
+    # slab heights drawn from 20 distinct values: some repeat, and more
+    # heights than the solver keeps, so its cache both hits and evicts
+    rng = np.random.default_rng(seed)
+    heights = hbar * np.linspace(0.5, 1.0, 20)
+    times = [0.0]
+    while times[-1] < t_final:
+        times.append(times[-1] + float(rng.choice(heights)))
+    return np.array(times)
+
+
+def assert_declaration_changes_no_bit(flux, tri, bd, u_range, kind="godunov_osher"):
+    """A run of ``flux`` (declared not to read t) equals the undeclared run bit for bit:
+    states, fluxes, lambda_max, verify_run's per-slab series and the global
+    entropy inequality for a t-dependent test function."""
+    psi = bump_test_function(0.4 * tri.times[-1], 0.45, 0.3 * tri.times[-1], 0.3)
+    outcomes = []
+    for f in (flux, replace(flux, reads_t=True)):
+        solver = Solver(tri, f, NumericalFluxSpec(kind), bd, RunConfig(u_range=u_range))
+        result = solver.run()
+        outcomes.append((result, verify_run(result).per_slab,
+                         global_entropy_inequality_report(result, psi, KruzkovPair(0.3)).to_dict()))
+    (a, per_slab_a, global_a), (b, per_slab_b, global_b) = outcomes
+    for x, y in zip(a.states, b.states, strict=True):
+        assert x.values.tobytes() == y.values.tobytes()
+        assert x.fluxes.tobytes() == y.fluxes.tobytes()
+    assert a.lambda_max == b.lambda_max
+    assert per_slab_a == per_slab_b
+    assert global_a == global_b
+
+
+class TestTableReuse:
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+    def test_declared_run_equals_undeclared_bit_for_bit(self, kind, monkeypatch):
+        flux = presets.burgers_flux((-1.2, 1.2))
+        domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 17), (-0.3, 1.0)
+        hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(kind), u_range, 0.25, 0.25)
+        tri = build_triangulation(Foliation(_mixed_heights(hbar, 0.25, 5), domain), xs)
+        heights = np.diff(tri.times)
+        assert len(set(heights)) > scheme_module.HEIGHT_CACHE_SIZE > 0
+        built = []
+
+        class CountingVertical(scheme_module.VerticalFluxes):
+            def __init__(self, x_nodes, t_lo, t_hi, flux, *args):
+                built.append(flux.reads_t)
+                super().__init__(x_nodes, t_lo, t_hi, flux, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
+            assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range, kind)
+        # three solvers per flux (run, verify_run, global report): without the
+        # declaration each builds a table per slab, with it one per height
+        # unless the height was evicted
+        assert built.count(True) == 3 * tri.n_slabs
+        assert 3 * len(set(heights)) <= built.count(False) < 3 * tri.n_slabs
+
+    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.0, 12.0),
+           phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=10, deadline=None)
+    def test_declared_capacity_runs_equal_undeclared(self, a0, ratio, k, phase, seed):
+        flux = presets.capacity_flux(lambda x: a0 + ratio * a0 * np.sin(k * x + phase),
+                                     lambda x: ratio * a0 * k * np.cos(k * x + phase),
+                                     lambda w: 0.5 * np.asarray(w) ** 2,
+                                     lambda w: np.asarray(w), (-1.2, 1.2))
+        domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 9), (-0.3, 1.0)
+        hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(), u_range, 0.25, 0.1)
+        tri = build_triangulation(Foliation(_mixed_heights(hbar, 0.1, seed), domain), xs)
+        assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range)
+
+    @pytest.mark.parametrize("lines, reads_t", [
+        ("wx = u\nwt = -0.5 * u * u\ndwx_du = 1\ndwt_du = -u", False),
+        ("wx = u\nwt = -0.5 * u * u", False),
+        ("wx = u\nwt = -0.5 * u * u\ndwx_du = 1\ndwt_du = -u + 0 * t", True),
+        ("wx = (2 + sin(x - t)) * u\nwt = -(2 + sin(x - t)) * u", True)],
+        ids=["analytic", "fd", "zero_times_t", "traveling"])
+    def test_config_flux_reads_t_from_its_expressions(self, lines, reads_t):
+        setup = parse_config("[spacetime]\ndomain = interval 0 1\nt_final = 0.1\n"
+                             f"[flux]\nbuiltin = custom\n{lines}\n"
+                             "[mesh]\nnx = 8\n[boundary]\nu_b = 0.3 + 0.2 * x\n")
+        assert setup.flux.reads_t is reads_t
+
+    def test_flux_reading_t_never_shares_tables(self, monkeypatch):
+        setup = parse_config("[spacetime]\ndomain = interval 0 1\nt_final = 0.1\n"
+                             "[flux]\nbuiltin = custom\nwx = u\nwt = -0.5 * u * u + 0 * t\n"
+                             "[mesh]\nnx = 8\n[boundary]\nu_b = 0.3 + 0.2 * x\n")
+        slabs, slices = [], []
+
+        class CountingVertical(scheme_module.VerticalFluxes):
+            def __init__(self, *args, **kwargs):
+                slabs.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        class CountingTable(scheme_module.SpacelikeTable):
+            def __init__(self, tri, flux, slice_index, **kwargs):
+                slices.append(slice_index)
+                super().__init__(tri, flux, slice_index, **kwargs)
+
+        solver = Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd, setup.cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
+            patch.setattr(scheme_module, "SpacelikeTable", CountingTable)
+            solver.run()
+        tri = solver.tri
+        assert len(set(np.diff(tri.times))) < tri.n_slabs
+        assert slices == list(range(tri.n_slices))
+        assert slabs == list(tri.times[:-1])
+        assert solver._slice_arrays is None and not solver._vertical_arrays
+
+    @pytest.mark.parametrize("coefficient", ["wt", "wx", "dwt_du", "dwx_du"])
+    def test_wrong_declaration_is_caught(self, coefficient):
+        # Burgers with one coefficient scaled by (1 + t / 1000), declared not to read t
+        omega = presets.burgers_flux((-1.0, 1.0)).omega
+        coeffs, du = dict(omega.coeffs), dict(omega.du_coeffs)
+        table, axis = {"wt": (coeffs, 0), "wx": (coeffs, 1),
+                       "dwt_du": (du, 0), "dwx_du": (du, 1)}[coefficient]
+        fn = table[(axis,)]
+        table[(axis,)] = lambda pts, u: fn(pts, u) * (1.0 + 1e-3 * pts[..., 0])
+        flux = FluxField(omega=ParamForm(1, 2, coeffs, du, omega.u_range), domain=None,
+                         name="drifting", reads_t=False)
+        tri = build_triangulation(Foliation(np.linspace(0.0, 0.1, 5), IntervalDomain(0.0, 1.0)), 8)
+        with pytest.raises(ValueError, match=(
+                rf"flux 'drifting' is declared not to read t, but {coefficient} does: "
+                r"at x = \S+, u = \S+ it is \S+ at t = 0\.0 and \S+ at t = 0\.0125$")):
+            Solver(tri, flux, NumericalFluxSpec(), constant_bd(0.5),
+                   RunConfig(u_range=(0.2, 0.8)))
+        Solver(tri, replace(flux, reads_t=True), NumericalFluxSpec(), constant_bd(0.5),
+               RunConfig(u_range=(0.2, 0.8)))
 
 
 class TestVerticalFaceSums:
