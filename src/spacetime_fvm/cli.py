@@ -279,18 +279,30 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+def _mesh_report_region(text: str) -> tuple[float, float, float, float]:
+    """``[mesh_report] region = T0 T1 X0 X1``: four finite numbers, T0 < T1, X0 < X1."""
+    where = f"[mesh_report] region = {text!r}"
+    parts = text.split()
+    if len(parts) != 4:
+        raise ConfigError(f"{where}: expected four numbers 'T0 T1 X0 X1'")
+    try:
+        t0, t1, x0, x1 = (float(v) for v in parts)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    if not all(np.isfinite((t0, t1, x0, x1))):
+        raise ConfigError(f"{where}: bounds must be finite")
+    if not (t0 < t1 and x0 < x1):
+        raise ConfigError(f"{where}: needs T0 < T1 and X0 < X1")
+    return t0, t1, x0, x1
+
+
 def cmd_mesh_report(args) -> int:
     setup = load_config(args.config)
+    section = setup.raw.get("mesh_report", {})
+    region = _mesh_report_region(section["region"]) if "region" in section else None
     out_dir = args.out or setup.output_dir
     os.makedirs(out_dir, exist_ok=True)
     tri = setup.triangulation()
-    section = setup.raw.get("mesh_report", {})
-    region = None
-    if "region" in section:
-        vals = [float(v) for v in section["region"].split()]
-        if len(vals) != 4:
-            raise ConfigError("[mesh_report] region: expected 'T0 T1 X0 X1'")
-        region = tuple(vals)
     report = mesh_regularity_report(tri, setup.flux, compact_region=region)
     payload = {"summary": tri.summary(), "regularity": report.to_dict()}
     with open(os.path.join(out_dir, "mesh_report.json"), "w", encoding="utf-8") as handle:

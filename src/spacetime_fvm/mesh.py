@@ -14,6 +14,11 @@ face segments, and :func:`face_sums` forms ``sum_k w_k f(x_k, u)``.  On
 spacelike faces the total fluxes are strictly monotone, cached with
 derivative bounds, and invertible through one guarded Newton/bisection
 routine shared by single faces and whole slices.
+
+:func:`mesh_regularity_report` measures the regularity conditions of the
+convergence proof on the same node arrays, built for all slices or all
+slabs at once and indexed by (slab or slice, column or node); it builds no
+per-face :class:`Face`/:class:`Cell` object.
 """
 
 from __future__ import annotations
@@ -23,19 +28,12 @@ import operator
 import sys
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fluxfield import FluxField, NotSpacelikeError
-from .forms import (
-    CoordinateForm,
-    FaceChart,
-    QuadratureRule,
-    gauss_legendre,
-    integrate_over_face,
-    pullback,
-)
+from .forms import FaceChart, QuadratureRule, gauss_legendre, integrate_over_face
 
 __all__ = [
     "Cell",
@@ -53,7 +51,6 @@ __all__ = [
     "ValueOutsideImage",
     "build_triangulation",
     "face_sums",
-    "invert_total_flux",
     "mesh_regularity_report",
     "segment_nodes",
     "total_flux",
@@ -66,6 +63,7 @@ DQ_MIN_SAFETY = 0.9   # sampled minimum is an upper bound for the true inf
 DQ_MAX_SAFETY = 1.1
 INVERT_MAX_ITERATIONS = 100
 ROOT_STEP_TOL = 4e-16   # relative step below which a root is converged
+OSCILLATION_NODES = 33   # equispaced nodes per vertical face of the oscillation diagnostic
 
 
 class MeshError(ValueError):
@@ -270,8 +268,8 @@ class Triangulation:
     ``("S", slice, column)``, then vertical faces ``("V", slab, node)``;
     cells ``("K", slab, column)``) whose :class:`Face`/:class:`Cell` values
     are derived on lookup.  ``cells_in_slab`` (cells whose inflow face lies
-    on slice j), ``vertical_faces`` and ``boundary_vertical_faces`` are the
-    per-slab index sets the global estimates are summed over.
+    on slice j) and ``boundary_vertical_faces`` are the per-slab index sets
+    the global estimates are summed over.
     """
 
     def __init__(self, foliation: Foliation, breakpoints: np.ndarray):
@@ -329,9 +327,6 @@ class Triangulation:
 
     def cells_in_slab(self, slab_index: int) -> list[Cell]:
         return [self.cells[("K", slab_index, i)] for i in range(self.n_columns)]
-
-    def vertical_faces(self, slab_index: int) -> list[Face]:
-        return [self.faces[("V", slab_index, k)] for k in range(self.n_nodes)]
 
     def boundary_vertical_faces(self, slab_index: int | None = None) -> list[Face]:
         if self.periodic:
@@ -621,11 +616,6 @@ def total_flux(face: Face | FaceChart, flux: FluxField,
                      image=image, monotone=monotone or flipped)
 
 
-def invert_total_flux(tf: TotalFlux, value: float, tol: float = 1e-12) -> float:
-    """Recover the state whose total flux equals ``value`` (guarded)."""
-    return tf.invert(value, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # vectorized slice tables (the solver's fast path)
 # ---------------------------------------------------------------------------
@@ -788,60 +778,48 @@ class RegularityReport:
 
 
 def mesh_regularity_report(tri: Triangulation, flux: FluxField,
-                           metric: Callable[[np.ndarray, np.ndarray], float] | None = None,
                            compact_region: tuple[float, float, float, float] | None = None,
-                           alpha_density: Callable[[np.ndarray], np.ndarray] | None = None,
-                           form_family: Callable[[float], CoordinateForm] | None = None,
-                           psi=None,
-                           lambda_weights: float = 0.5,
-                           ubar_samples: Iterable[float] | None = None,
-                           rule: QuadratureRule | None = None) -> RegularityReport:
+                           psi: Callable[[np.ndarray], np.ndarray] | None = None
+                           ) -> RegularityReport:
     """Best constants for the mesh regularity conditions (diagnostics only).
 
     Reports the cell diameter / h ratio, h-scaled bounds on the outflow
-    derivative of q, boundary face masses, the pointwise bound on the
-    sup/inf ratio of the q-derivative density, counts of cells/slabs
-    meeting a compact region, the oscillation of face densities relative
-    to their means (for ``form_family`` at the sampled states), and the
-    per-slab sum comparing test-function averages on translated inflow and
-    outflow faces (O(h^2) on product meshes for smooth data).
-
-    ``metric`` defaults to the Euclidean chart distance, ``alpha_density``
-    to the constant 1 density of the coordinate measure, and
-    ``lambda_weights`` is the convex weight per vertical face used in the
-    face averages (product cells have two vertical faces).
+    derivative of q, boundary face masses in the coordinate measure, the
+    pointwise bound on the sup/inf ratio of the q-derivative density,
+    counts of cells/slabs meeting ``compact_region`` ``(T0, T1, X0, X1)``,
+    the oscillation of the vertical face densities relative to their means,
+    and, for a test function ``psi``, the per-slab sum comparing its
+    averages on translated inflow and outflow faces (O(h^2) on product
+    meshes for smooth data).  The states are ``flux.u_samples(9)``, the
+    faces are integrated with the 5-point Gauss rule, and a cell's average
+    weighs its two vertical faces by 1/2 each.  The dq bounds take one
+    :class:`SpacelikeTable` per slice; every other diagnostic is one array
+    pass indexed by (slab or slice, column or node).
     """
-    rule = rule if rule is not None else gauss_legendre(5, 1)
-    if metric is None:
-        metric = lambda p, q: float(np.linalg.norm(np.asarray(p) - np.asarray(q)))  # noqa: E731
-    if alpha_density is None:
-        alpha_density = lambda pts: np.ones(np.shape(pts)[:-1])  # noqa: E731
-
-    h = float(np.max(np.diff(tri.breakpoints)))
-    hbar_max = float(np.max(np.diff(tri.times)))
-    corners = [(c.t_lo, c.x_lo, c.t_hi, c.x_hi) for c in tri.cells.values()]
-    max_diam = max(metric((t0, x0), (t1, x1)) for t0, x0, t1, x1 in corners)
-
-    us = np.asarray(list(ubar_samples), dtype=float) if ubar_samples is not None \
-        else flux.u_samples(9)
+    rule = gauss_legendre(5, 1)
+    us = flux.u_samples(9)
+    times, xs = tri.times, tri.breakpoints
+    heights, widths = np.diff(times), np.diff(xs)
+    h = float(np.max(widths))
+    # a product mesh has a cell with both the largest height and the largest width
+    max_diam = float(np.linalg.norm([np.max(heights), np.max(widths)]))
 
     # h-scaled outflow derivative bounds and the pointwise density ratio bound
     dq_lo = np.inf
     dq_hi = -np.inf
     ratio_max = 0.0
     for j in range(1, tri.n_slices):
-        table = SpacelikeTable(tri, flux, j, rule=rule)
+        table = SpacelikeTable(tri, flux, j)
         dq_lo = min(dq_lo, float(np.min(table.dq_min_raw)))
         dq_hi = max(dq_hi, float(np.max(table.dq_max_raw)))
         dens = np.abs(table._dwx(table.pts[:, None, :, :], us[None, :, None]))
         ratio_max = max(ratio_max, float(np.max(np.max(dens, axis=(1, 2))
                                                 / np.min(dens, axis=(1, 2)))))
 
-    # boundary face masses with respect to the alpha density
-    bmass = 0.0
-    for face in tri.boundary_vertical_faces():
-        pts, w, _ = _face_nodes(face, rule)
-        bmass = max(bmass, float(np.sum(w * alpha_density(pts))))
+    # vertical faces (slab, node); a slab's boundary faces have its height as mass
+    x_nodes = xs[:tri.n_nodes]
+    vpts, vweights = segment_nodes(rule, 0, x_nodes, times[:-1, None], times[1:, None])
+    bmass = 0.0 if tri.periodic else float(np.max(np.sum(vweights, axis=-1)))
 
     cells_in_region = None
     slabs_in_region = None
@@ -849,56 +827,46 @@ def mesh_regularity_report(tri: Triangulation, flux: FluxField,
     tri2_slab = None
     if compact_region is not None:
         t0, t1, x0, x1 = compact_region
-        per_slab = []
-        for j in range(tri.n_slabs):
-            hit = [c for c in tri.cells_in_slab(j)
-                   if c.t_hi > t0 and c.t_lo < t1 and c.x_hi > x0 and c.x_lo < x1]
-            per_slab.append(len(hit))
-        cells_in_region = int(max(per_slab)) if per_slab else 0
-        slabs_in_region = int(sum(1 for n in per_slab if n > 0))
+        hit = (((times[1:] > t0) & (times[:-1] < t1))[:, None]
+               & ((xs[1:] > x0) & (xs[:-1] < x1)))
+        per_slab = np.count_nonzero(hit, axis=1)
+        cells_in_region = int(np.max(per_slab))
+        slabs_in_region = int(np.count_nonzero(per_slab))
         tri2_cell = cells_in_region * h
         tri2_slab = slabs_in_region * h
 
-    family = form_family if form_family is not None else (lambda ub: flux.omega.base(ub))
-
-    # oscillation of the pulled-back face density relative to its alpha mean,
-    # normalized by the face's own density scale
+    # oscillation of the pulled-back vertical density wt relative to its mean
+    # over equispaced nodes, normalized by the face's own density scale
+    along = times[:-1, None] + np.linspace(0.0, 1.0, OSCILLATION_NODES) * heights[:, None]
+    opts = np.stack(np.broadcast_arrays(along[:, None, :], x_nodes[None, :, None]), axis=-1)
+    mean_weights = np.full(OSCILLATION_NODES, 1.0 / OSCILLATION_NODES)
     osc_max = 0.0
-    dense = np.linspace(0.0, 1.0, 33)[:, None]
-    for j in range(tri.n_slabs):
-        for face in tri.vertical_faces(j):
-            chart = face.chart()
-            nodes = chart.ref_points(dense)
-            pts = chart.param(nodes)
-            aw = alpha_density(pts)
-            aw = aw / np.sum(aw)
-            for ub in us:
-                phi = pullback(family(float(ub)), chart).evaluate((0,), nodes)
-                phi = phi / max(1.0, float(np.max(np.abs(phi))))
-                mean = float(np.sum(aw * phi))
-                osc_max = max(osc_max, float(np.sum(aw * np.abs(phi - mean))))
+    for ub in us:
+        phi = np.broadcast_to(flux.omega.coeffs[(0,)](opts, ub), opts.shape[:-1])
+        phi = phi / np.maximum(1.0, np.max(np.abs(phi), axis=-1, keepdims=True))
+        mean = np.sum(mean_weights * phi, axis=-1, keepdims=True)
+        osc_max = max(osc_max, float(np.max(np.sum(mean_weights * np.abs(phi - mean),
+                                                   axis=-1))))
 
     trichange = None
     if psi is not None:
-        trichange = 0.0
-        lam = float(lambda_weights)
-        for j in range(1, tri.n_slabs):
-            totals = np.zeros(len(us))
-            for cell in tri.cells_in_slab(j):
-                below = tri.cells[("K", j - 1, cell.column)]
-                psi_below = _face_average_psi(tri, below, psi, alpha_density, lam, rule)
-                psi_here = _face_average_psi(tri, cell, psi, alpha_density, lam, rule)
-                for k, ub in enumerate(us):
-                    form = family(float(ub))
-                    inflow = _psi_weighted_face_integral(
-                        tri.faces[cell.inflow_face], form, psi, psi_below, rule, flux)
-                    outflow = _psi_weighted_face_integral(
-                        tri.faces[cell.outflow_face], form, psi, psi_here, rule, flux)
-                    totals[k] += abs(inflow - outflow)
-            trichange = max(trichange, float(np.max(totals)))
+        # psi averages: per vertical face, then per cell (1/2 per face); the
+        # integral over slice s >= 1 uses the average of the cell below it,
+        # both as the inflow of slab s and as the outflow of slab s - 1
+        face_avg = np.sum(vweights * psi(vpts), axis=-1) / np.sum(vweights, axis=-1)
+        left = np.arange(tri.n_columns)
+        cell_avg = 0.5 * face_avg[:, left] + 0.5 * face_avg[:, (left + 1) % tri.n_nodes]
+        spts, sweights = segment_nodes(rule, 1, times[1:, None], xs[:-1], xs[1:])
+        dens = flux.omega.du_coeffs[(1,)](spts, 0.5 * sum(flux.u_range))
+        sign = np.where(np.all(np.broadcast_to(dens, spts.shape[:-1]) < 0, axis=-1), -1.0, 1.0)
+        weighted = sweights * (cell_avg[..., None] - psi(spts))
+        coeff = flux.omega.coeffs[(1,)](spts[:, :, None], us[:, None])
+        integral = sign[..., None] * np.sum(weighted[:, :, None, :] * coeff, axis=-1)
+        totals = np.sum(np.abs(integral[:-1] - integral[1:]), axis=1)   # (slab, state)
+        trichange = float(np.max(totals, initial=0.0))
 
     return RegularityReport(
-        h=h, hbar_max=hbar_max, max_cell_diameter=float(max_diam),
+        h=h, hbar_max=float(np.max(heights)), max_cell_diameter=max_diam,
         diameter_ratio=float(max_diam / h),
         dq_over_h_min=float(dq_lo / h), dq_over_h_max=float(dq_hi / h),
         boundary_alpha_mass_over_h_max=float(bmass / h),
@@ -911,24 +879,3 @@ def mesh_regularity_report(tri: Triangulation, flux: FluxField,
         curvature_oscillation_max=osc_max,
         slab_translation_sum_max=trichange,
     )
-
-
-def _face_average_psi(tri, cell, psi, alpha_density, lam, rule):
-    total = 0.0
-    for fid in cell.vertical_faces:
-        face = tri.faces[fid]
-        pts, w, _ = _face_nodes(face, rule)
-        aw = w * alpha_density(pts)
-        total += lam * float(np.sum(aw * psi(pts)) / np.sum(aw))
-    return total
-
-
-def _psi_weighted_face_integral(face, form, psi, psi_avg, rule, flux):
-    """Oriented integral of (psi_avg - psi) i*form over a spacelike face."""
-    pts, w, axis = _face_nodes(face, rule)
-    coeff = form.evaluate((axis,), pts)
-    sign = 1.0
-    dens = flux.omega.du_coeffs[(axis,)](pts, 0.5 * sum(flux.u_range))
-    if np.all(dens < 0):
-        sign = -1.0
-    return sign * float(np.sum(w * (psi_avg - psi(pts)) * coeff))

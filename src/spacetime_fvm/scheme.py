@@ -57,10 +57,7 @@ __all__ = [
     "boundary_ghost_value",
     "data_hull",
     "initial_slice_state",
-    "numerical_flux",
-    "run",
     "select_timestep",
-    "step_cell",
 ]
 
 CFL_LIMIT = 0.5
@@ -754,22 +751,6 @@ class Solver:
         return RunResult(tri=self.tri, flux=self.flux, spec=self.spec, bd=self.bd,
                          cfg=self.cfg, u_range=self.u_range, states=states,
                          lambda_max=lambda_max, wall_time=time.perf_counter() - start)
-
-
-def run(tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
-        bd: BoundaryData, cfg: RunConfig | None = None) -> RunResult:
-    """Slice-by-slice evolution over the whole foliation."""
-    return Solver(tri, flux, spec, bd, cfg).run()
-
-
-def numerical_flux(slab: Slab, column: int, side: str, u, v):
-    """Two-point numerical flux of a cell's vertical face (own state first)."""
-    return slab.numerical_flux(column, side, u, v)
-
-
-def step_cell(slab: Slab, column: int, state: SliceState) -> float:
-    """Single-cell update through the guarded total-flux inversion."""
-    return slab.step_cell(column, state)
 
 
 # ---------------------------------------------------------------------------

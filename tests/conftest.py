@@ -4,6 +4,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from spacetime_fvm import presets
@@ -56,6 +57,33 @@ def make_solver(flux, domain, t_final, bd, nx, kind="godunov_osher", cfl=0.25,
     fol = Foliation(uniform_times(t_final, hbar), domain)
     tri = build_triangulation(fol, xs)
     return Solver(tri, flux, spec, bd, cfg)
+
+
+@st.composite
+def densities(draw):
+    """A positive density ``a0 (1 + ratio sin(k s + phase))`` and its derivative."""
+    a0 = draw(st.floats(0.5, 3.0))
+    ratio = draw(st.floats(-0.9, 0.9))
+    k = draw(st.floats(0.5, 12.0))
+    phase = draw(st.floats(0.0, 2 * np.pi))
+    return (lambda s: a0 + ratio * a0 * np.sin(k * s + phase),
+            lambda s: ratio * a0 * k * np.cos(k * s + phase))
+
+
+def capacity_field(density, u_range):
+    """``a(x) u dx - u^2/2 dt`` for a density ``(a, da)`` drawn by :func:`densities`."""
+    a, da = density
+    return presets.capacity_flux(a, da, lambda w: 0.5 * np.asarray(w) ** 2,
+                                 lambda w: np.asarray(w), u_range)
+
+
+@st.composite
+def flux_fields(draw, u_range):
+    """A random ``capacity_flux`` or ``traveling_density_flux`` field on ``u_range``."""
+    density = draw(densities())
+    if draw(st.sampled_from(["capacity", "traveling_density"])) == "capacity":
+        return capacity_field(density, u_range)
+    return presets.traveling_density_flux(*density, u_range)
 
 
 def constant_bd(value):

@@ -337,6 +337,22 @@ class TestMeshReportCommand:
         assert payload["summary"]["admissibility"]["admissible"] is True
         assert payload["regularity"]["cells_per_slab_in_region_max"] is not None
 
+    @pytest.mark.parametrize("region, fault", [
+        ("a b c d", "could not convert string to float: 'a'"),
+        ("0.0 0.1 0.0", "expected four numbers 'T0 T1 X0 X1'"),
+        ("nan 0.1 0.0 0.5", "bounds must be finite"),
+        ("0.0 inf 0.0 0.5", "bounds must be finite"),
+        ("0.1 0.0 0.0 0.5", "needs T0 < T1 and X0 < X1"),
+        ("0.1 0.1 0.0 0.5", "needs T0 < T1 and X0 < X1"),
+        ("0.0 0.1 0.5 0.5", "needs T0 < T1 and X0 < X1"),
+    ])
+    def test_bad_region_is_a_config_error_naming_it(self, tmp_path, capsys, region, fault):
+        cfg, out = write_config(tmp_path, extra=f"\n[mesh_report]\nregion = {region}\n")
+        assert main(["mesh-report", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            f"config error: [mesh_report] region = {region!r}: {fault}")
+        assert not os.path.exists(out)
+
 
 class TestCircleConfig:
     def test_circle_domain_runs(self, tmp_path):

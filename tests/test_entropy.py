@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_bd, make_solver, step_bd
+from conftest import capacity_field, constant_bd, densities, make_solver, step_bd
 
 from spacetime_fvm import presets
 from spacetime_fvm.entropy import (
@@ -107,15 +107,11 @@ class TestEntropyTotalFlux:
 
 
 class TestKruzkovIdentity:
-    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.5, 12.0),
-           phase=st.floats(0.0, 2 * np.pi), c=st.floats(-0.8, 1.2),
+    @given(density=densities(), c=st.floats(-0.8, 1.2),
            u=st.lists(st.floats(-0.8, 1.2), min_size=6, max_size=6))
     @settings(max_examples=40, deadline=None)
-    def test_equals_signed_difference_on_capacity_fields(self, a0, ratio, k, phase, c, u):
-        flux = presets.capacity_flux(lambda x: a0 + ratio * a0 * np.sin(k * x + phase),
-                                     lambda x: ratio * a0 * k * np.cos(k * x + phase),
-                                     lambda w: 0.5 * np.asarray(w) ** 2,
-                                     lambda w: np.asarray(w), (-0.8, 1.2))
+    def test_equals_signed_difference_on_capacity_fields(self, density, c, u):
+        flux = capacity_field(density, (-0.8, 1.2))
         tri = build_triangulation(Foliation(np.array([0.0, 0.5, 1.0]),
                                             IntervalDomain(0.0, 1.0)), 6)
         table = SpacelikeTable(tri, flux, 1, u_range=(-0.8, 1.2))

@@ -9,7 +9,13 @@ from conftest import counting_flux
 
 from spacetime_fvm import presets
 from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
-from spacetime_fvm.forms import ParamForm, gauss_legendre
+from spacetime_fvm.forms import (
+    CoordinateForm,
+    ParamForm,
+    gauss_legendre,
+    integrate_over_face,
+    pullback,
+)
 from spacetime_fvm.mesh import (
     Cell,
     CircleDomain,
@@ -21,10 +27,10 @@ from spacetime_fvm.mesh import (
     SliceFaceIds,
     SpacelikeTable,
     TotalFlux,
+    Triangulation,
     ValueOutsideImage,
     build_triangulation,
     face_sums,
-    invert_total_flux,
     mesh_regularity_report,
     segment_nodes,
     total_flux,
@@ -226,7 +232,7 @@ class TestInvertTotalFlux:
 
     def test_linear_inverse(self):
         tf = self._flat_tf(width=2.0)  # q(u) = 2u
-        assert invert_total_flux(tf, 1.0) == pytest.approx(0.5, abs=1e-13)
+        assert tf.invert(1.0) == pytest.approx(0.5, abs=1e-13)
 
     def test_sinusoidal_inverse(self):
         flux = presets.capacity_flux(lambda x: 2.0 + np.sin(x), lambda x: np.cos(x),
@@ -236,18 +242,18 @@ class TestInvertTotalFlux:
         tri = build_triangulation(fol, 1)
         tf = total_flux(tri.faces[("S", 0, 0)], flux, rule=gauss_legendre(20, 1),
                         u_range=(-2.0, 2.0))
-        assert invert_total_flux(tf, 2 * np.pi + 2) == pytest.approx(1.0, abs=1e-12)
+        assert tf.invert(2 * np.pi + 2) == pytest.approx(1.0, abs=1e-12)
 
     def test_value_outside_image(self):
         tf = self._flat_tf(width=1.0, u_range=(0.0, 1.0))  # image [0, 1]
         with pytest.raises(ValueOutsideImage):
-            invert_total_flux(tf, 2.0)
+            tf.invert(2.0)
 
     @given(st.floats(-0.99, 0.99))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_identity(self, ub):
         tf = self._flat_tf(width=0.7)
-        assert invert_total_flux(tf, float(tf.q(ub))) == pytest.approx(ub, abs=1e-11)
+        assert tf.invert(float(tf.q(ub))) == pytest.approx(ub, abs=1e-11)
 
     def test_face_ids_are_built_on_lookup(self):
         tri = interval_tri(3, 6)
@@ -521,7 +527,7 @@ class TestRegularityReport:
         for n in (8, 16, 32):
             fol = Foliation(np.linspace(0.0, 0.5, n + 1), IntervalDomain(0.0, 2 * np.pi))
             tri = build_triangulation(fol, n)
-            rep = mesh_regularity_report(tri, flux, psi=psi, ubar_samples=[0.4])
+            rep = mesh_regularity_report(tri, flux, psi=psi)
             sums.append(rep.slab_translation_sum_max)
         assert sums[0] > sums[1] > sums[2]
         rate = np.log2(sums[0] / sums[1])
@@ -529,12 +535,95 @@ class TestRegularityReport:
         rate2 = np.log2(sums[1] / sums[2])
         assert rate2 > 1.5
 
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_builds_no_face_or_cell_objects(self, periodic, monkeypatch):
+        def refuse(self, tag, a, b):
+            raise AssertionError(f"built the mesh object {(tag, a, b)}")
+
+        monkeypatch.setattr(Triangulation, "_face", refuse)
+        monkeypatch.setattr(Triangulation, "_cell", refuse)
+        tri = _report_tri(periodic)
+        rep = mesh_regularity_report(tri, _traveling(), compact_region=(0.0, 0.2, 1.0, 3.0),
+                                     psi=_smooth_psi())
+        assert rep.slab_translation_sum_max > 0.0
+        assert rep.cells_per_slab_in_region_max == 3
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_oscillation_and_translation_sum_equal_the_generic_layer(self, periodic):
+        # recomputed face by face through the generic pullback and face
+        # integrals, on every vertical face and every slab of a small mesh
+        flux, psi = _traveling(), _smooth_psi()
+        tri = _report_tri(periodic)
+        rep = mesh_regularity_report(tri, flux, psi=psi)
+        us = flux.u_samples(9)
+
+        unit = np.linspace(0.0, 1.0, 33)[:, None]
+        oscillation = 0.0
+        for j in range(tri.n_slabs):
+            for k in range(tri.n_nodes):
+                chart = tri.faces[("V", j, k)].chart()
+                nodes = chart.ref_points(unit)
+                for ub in us:
+                    phi = pullback(flux.omega.base(ub), chart).evaluate((0,), nodes)
+                    phi = phi / max(1.0, float(np.max(np.abs(phi))))
+                    oscillation = max(oscillation, float(np.mean(np.abs(phi - np.mean(phi)))))
+        assert rep.curvature_oscillation_max == pytest.approx(oscillation, rel=1e-12)
+
+        def face_mean(j, k):
+            chart = tri.faces[("V", j, k)].chart()
+            return (integrate_over_face(CoordinateForm(1, 2, {(0,): psi}), chart)
+                    / integrate_over_face(CoordinateForm(1, 2, {(0,): 1.0}), chart))
+
+        def cell_mean(j, i):
+            right = (i + 1) % tri.n_columns if periodic else i + 1
+            return 0.5 * face_mean(j, i) + 0.5 * face_mean(j, right)
+
+        def weighted_flux(slice_index, i, mean, ub):
+            # oriented by the positive density: +1 along increasing x
+            form = CoordinateForm(1, 2, {(1,): lambda p: (mean - psi(p))
+                                         * flux.omega.coeffs[(1,)](p, ub)})
+            return integrate_over_face(form, tri.faces[("S", slice_index, i)].chart())
+
+        sums = []
+        for j in range(1, tri.n_slabs):
+            per_state = np.zeros(len(us))
+            for i in range(tri.n_columns):
+                below, here = cell_mean(j - 1, i), cell_mean(j, i)
+                for n, ub in enumerate(us):
+                    per_state[n] += abs(weighted_flux(j, i, below, ub)
+                                        - weighted_flux(j + 1, i, here, ub))
+            sums.append(float(np.max(per_state)))
+        assert rep.slab_translation_sum_max == pytest.approx(max(sums), rel=1e-12)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_boundary_mass_and_cell_diameter(self, periodic):
+        tri = _report_tri(periodic)
+        rep = mesh_regularity_report(tri, _traveling())
+        heights, widths = np.diff(tri.times), np.diff(tri.breakpoints)
+        # the coordinate measure of a boundary face is the slab height
+        expected_mass = 0.0 if periodic else pytest.approx(heights.max() / widths.max(),
+                                                           rel=1e-15)
+        assert rep.boundary_alpha_mass_over_h_max == expected_mass
+        assert rep.max_cell_diameter == pytest.approx(np.hypot(heights.max(), widths.max()),
+                                                      rel=1e-15)
+
     def test_curvature_oscillation_small_on_products(self):
         flux = presets.burgers_flux((-1.0, 1.0))
         tri = interval_tri(4, 8)
         rep = mesh_regularity_report(tri, flux)
         # flat vertical faces with constant densities: no oscillation
         assert rep.curvature_oscillation_max == pytest.approx(0.0, abs=1e-12)
+
+
+def _traveling():
+    return presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
+
+
+def _report_tri(periodic):
+    """Three slabs of unequal heights over six unequal columns of [0, 2 pi]."""
+    domain = CircleDomain(2 * np.pi) if periodic else IntervalDomain(0.0, 2 * np.pi)
+    xs = 2 * np.pi * np.array([0.0, 0.1, 0.3, 0.45, 0.6, 0.85, 1.0])
+    return build_triangulation(Foliation(np.array([0.0, 0.1, 0.25, 0.32]), domain), xs)
 
 
 def _smooth_psi():

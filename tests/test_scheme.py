@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import classical_godunov_step, constant_bd, counting_flux, make_solver, step_bd
+from conftest import (
+    classical_godunov_step,
+    constant_bd,
+    counting_flux,
+    flux_fields,
+    make_solver,
+    step_bd,
+)
 
 from spacetime_fvm import presets
 from spacetime_fvm import scheme as scheme_module
@@ -28,6 +35,7 @@ from spacetime_fvm.scheme import (
     CFLViolation,
     NumericalFluxSpec,
     RunConfig,
+    SliceState,
     Solver,
     VerticalFluxes,
     boundary_ghost_value,
@@ -141,6 +149,89 @@ class TestNumericalFlux:
         dqv = (slab.numerical_flux(0, "right", 0.1, 0.2 + delta)
                - slab.numerical_flux(0, "right", 0.1, 0.2 - delta)) / (2 * delta)
         assert dqv > 1e-3  # wrong sign on purpose
+
+
+FIELD_U_RANGE = (-0.8, 1.2)
+FD_STEP = 1e-6
+# central differences of Q with step 1e-6: rounding of Q values of size < 1
+# contributes ~1e-10, and Q is piecewise quadratic in each argument here
+FD_SLACK = 1e-8
+
+
+def _field_vertical_fluxes(flux, kind):
+    """Vertical flux table of the slab [0.1, 0.15] over six cells of [0, 1]."""
+    return VerticalFluxes(np.linspace(0.0, 1.0, 7), 0.1, 0.15, flux, NumericalFluxSpec(kind),
+                          gauss_legendre(5, 1), FIELD_U_RANGE)
+
+
+@pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+class TestNumericalFluxProperties:
+    """The numerical flux axioms on random capacity and traveling-density fields."""
+
+    @given(flux=flux_fields(FIELD_U_RANGE),
+           u=st.lists(st.floats(*FIELD_U_RANGE), min_size=7, max_size=7))
+    @settings(max_examples=100, deadline=None)
+    def test_consistency_bit_for_bit(self, kind, flux, u):
+        vert = _field_vertical_fluxes(flux, kind)
+        u = np.asarray(u)
+        assert np.array_equal(vert.Q(u, u), vert.G(u))
+
+    @given(flux=flux_fields(FIELD_U_RANGE),
+           grid=st.lists(st.floats(*FIELD_U_RANGE), min_size=2, max_size=16),
+           other=st.floats(*FIELD_U_RANGE))
+    @settings(max_examples=100, deadline=None)
+    def test_monotone_in_each_argument(self, kind, flux, grid, other):
+        vert = _field_vertical_fluxes(flux, kind)
+        grid = np.broadcast_to(np.sort(grid), (vert.n_faces, len(grid)))
+        fixed = np.full_like(grid, other)
+        q_own = vert.Q(grid, fixed)          # nondecreasing along the grid
+        q_neighbor = vert.Q(fixed, grid)     # nonincreasing along the grid
+        for q, sign in ((q_own, 1.0), (q_neighbor, -1.0)):
+            # a step between neighbouring floats may round either way
+            slack = 8 * np.finfo(float).eps * np.max(np.abs(q), axis=1, keepdims=True)
+            assert np.all(sign * np.diff(q, axis=1) >= -slack)
+
+    @given(flux=flux_fields(FIELD_U_RANGE),
+           uv=st.lists(st.tuples(st.floats(FIELD_U_RANGE[0] + FD_STEP, FIELD_U_RANGE[1] - FD_STEP),
+                                 st.floats(FIELD_U_RANGE[0] + FD_STEP, FIELD_U_RANGE[1] - FD_STEP)),
+                       min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_difference_quotients_below_lipschitz_sup(self, kind, flux, uv):
+        vert = _field_vertical_fluxes(flux, kind)
+        u, v = (np.broadcast_to(np.asarray(c), (vert.n_faces, len(uv))) for c in zip(*uv))
+        dqu = (vert.Q(u + FD_STEP, v) - vert.Q(u - FD_STEP, v)) / (2 * FD_STEP)
+        dqv = (vert.Q(u, v + FD_STEP) - vert.Q(u, v - FD_STEP)) / (2 * FD_STEP)
+        assert np.all(dqu - dqv <= vert.lipschitz_sup()[:, None] + FD_SLACK)
+
+    @given(flux=flux_fields(FIELD_U_RANGE), left=st.floats(*FIELD_U_RANGE),
+           right=st.floats(*FIELD_U_RANGE), x_jump=st.floats(0.1, 0.9))
+    @settings(max_examples=25, deadline=None)
+    def test_maximum_principle_on_riemann_data(self, kind, flux, left, right, x_jump):
+        solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.05,
+                             step_bd(x_jump, left, right), nx=10, kind=kind)
+        result = solver.run()
+        values = np.concatenate([state.values for state in result.states])
+        # the update is monotone under the CFL bound and keeps constants, so
+        # states leave the data's range only by rounding
+        assert np.all(values >= min(left, right) - 1e-12)
+        assert np.all(values <= max(left, right) + 1e-12)
+
+    @given(flux=flux_fields(FIELD_U_RANGE),
+           values=st.lists(st.floats(*FIELD_U_RANGE), min_size=8, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_exact_conservation_on_circle(self, kind, flux, values):
+        solver = make_solver(flux, CircleDomain(1.0), 0.1, constant_bd(0.5), nx=8,
+                             kind=kind, u_range=FIELD_U_RANGE, hbar=0.05)
+        slab = solver.slab(0)
+        values = np.asarray(values)
+        state = SliceState(0, slab.table_minus.face_ids, values, slab.table_minus.q(values))
+        rhs = slab.rhs(state)
+        face_fluxes = slab.face_fluxes(values)
+        # the face fluxes telescope; each of the m terms and partial sums
+        # rounds at most twice
+        bound = 2 * len(values) * np.finfo(float).eps * (
+            np.sum(np.abs(state.fluxes)) + 2 * np.sum(np.abs(face_fluxes)))
+        assert abs(np.sum(rhs) - np.sum(state.fluxes)) <= bound
 
 
 class TestBoundaryGhostValue:
