@@ -92,7 +92,7 @@ class EntropyPair:
 
     The associated flux family is the u-derivative-weighted integral of the
     flux derivative, anchored so it vanishes at state zero; it is realized
-    on demand as a :class:`ParamForm` or through per-face total fluxes.
+    on demand as a :class:`ParamForm` or on a slice's total-flux table.
     ``ddu_fn`` (second derivative) enables the exact numerical entropy flux
     superposition; when missing it is formed by central differences.
     """
@@ -275,24 +275,17 @@ class SmoothFaceEntropy:
         return np.sum(vw * self.pair.du(vn) * dq, axis=1)
 
 
-def entropy_total_flux(tf_or_table, pair, ubar):
-    """Entropy total flux along a face for any pair.
+def entropy_total_flux(table: SpacelikeTable, pair, ubar):
+    """Entropy total fluxes of a slice's faces for any pair, one per state row.
 
     For Kruzkov pairs this is the lattice formula
     ``q(u v c) - q(u ^ c)``; for smooth pairs the anchored integral of the
-    derivative-weighted q-derivative.
+    derivative-weighted q-derivative (:class:`SmoothFaceEntropy`).
     """
+    ubar = np.asarray(ubar, dtype=float)
     if isinstance(pair, KruzkovPair):
-        return _kruzkov(tf_or_table.q, pair.c, np.asarray(ubar, dtype=float))
-    if isinstance(tf_or_table, SpacelikeTable):
-        helper = SmoothFaceEntropy(pair, tf_or_table)
-        w = np.asarray(ubar, dtype=float)
-        return helper.q_omega(w)
-
-    def integrand(v):
-        return pair.du(v) * tf_or_table.dq(np.asarray(v))
-
-    return adaptive_simpson(integrand, 0.0, float(ubar), SIMPSON_TOL)
+        return _kruzkov(table.q, pair.c, ubar)
+    return SmoothFaceEntropy(pair, table).q_omega(ubar)
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +492,6 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
     return np.maximum(0.0, total)
 
 
-def check_face_entropy_inequality(slab: Slab, column: int, side: str,
-                                  pair: KruzkovPair, decomp: DecompositionStates,
-                                  state: SliceState) -> tuple[float, float]:
-    """(dei residual, boundary-flavor residual) of one cell/face for one pair."""
-    res = face_entropy_residuals(slab, decomp, state, np.array([pair.c]))
-    s = 0 if side == "left" else 1
-    return float(res["face_inequality"][column, s, 0]), float(res["boundary"][column, s, 0])
-
-
 # ---------------------------------------------------------------------------
 # discrete boundary condition and smooth-pair numerical entropy fluxes
 # ---------------------------------------------------------------------------
@@ -692,23 +676,29 @@ def kruzkov_slice_distance(result_u: RunResult, result_v: RunResult, j: int,
                                  result_u.states[j].values)))
 
 
-def _shared_table(ru: RunResult, rv: RunResult, j: int) -> SpacelikeTable:
+def _require_shared_mesh(ru: RunResult, rv: RunResult) -> None:
     if ru.tri.n_columns != rv.tri.n_columns or ru.tri.n_slabs != rv.tri.n_slabs \
             or not np.allclose(ru.tri.breakpoints, rv.tri.breakpoints) \
             or not np.allclose(ru.tri.times, rv.tri.times):
         raise ValueError("contraction checks require both runs on the same triangulation")
+
+
+def _shared_table(ru: RunResult, rv: RunResult, j: int) -> SpacelikeTable:
+    _require_shared_mesh(ru, rv)
     hull = (min(ru.u_range[0], rv.u_range[0]), max(ru.u_range[1], rv.u_range[1]))
     return SpacelikeTable(ru.tri, ru.flux, j, rule=ru.cfg.rule(), u_range=hull)
 
 
-def boundary_bound_mass(flux: FluxField, face, u_range: tuple[float, float],
+def boundary_bound_mass(flux: FluxField, t_lo: float, t_hi: float, x: float,
+                        u_range: tuple[float, float],
                         inflation: float = 1.05, n_samples: int = 33) -> float:
-    """Mass of a sampled bound form dominating |du_omega| on a boundary face."""
-    ts = np.linspace(face.t_lo, face.t_hi, n_samples)
-    pts = np.stack([ts, np.full_like(ts, face.x_lo)], axis=-1)
+    """Mass of a sampled bound form dominating |du_omega| on the boundary
+    face ``{x} x [t_lo, t_hi]``."""
+    ts = np.linspace(t_lo, t_hi, n_samples)
+    pts = np.stack([ts, np.full_like(ts, x)], axis=-1)
     us = np.linspace(u_range[0], u_range[1], 17)
     worst = max(float(np.max(np.abs(flux.omega.du_coeffs[(0,)](pts, u)))) for u in us)
-    return inflation * worst * (face.t_hi - face.t_lo)
+    return inflation * worst * (t_hi - t_lo)
 
 
 @dataclass
@@ -739,6 +729,7 @@ def contraction_check(result_u: RunResult, result_v: RunResult,
     The trace gap compares the first interior slice distance with the
     Kruzkov form of the boundary data on the initial slice.
     """
+    _require_shared_mesh(result_u, result_v)
     tri = result_u.tri
     hull = (min(result_u.u_range[0], result_v.u_range[0]),
             max(result_u.u_range[1], result_v.u_range[1]))
@@ -749,13 +740,15 @@ def contraction_check(result_u: RunResult, result_v: RunResult,
 
     budgets = np.zeros(tri.n_slabs)
     if not tri.periodic:
+        times = tri.times.tolist()
         for j in range(tri.n_slabs):
-            for face in tri.boundary_vertical_faces(j):
-                ts = np.linspace(face.t_lo, face.t_hi, 33)
-                pts = np.stack([ts, np.full_like(ts, face.x_lo)], axis=-1)
+            t_lo, t_hi = times[j], times[j + 1]
+            for x in (float(tri.breakpoints[0]), float(tri.breakpoints[-1])):
+                ts = np.linspace(t_lo, t_hi, 33)
+                pts = np.stack([ts, np.full_like(ts, x)], axis=-1)
                 du_sup = float(np.max(np.abs(result_u.bd.u_values(pts)
                                              - result_v.bd.u_values(pts))))
-                budgets[j] += du_sup * boundary_bound_mass(result_u.flux, face, hull)
+                budgets[j] += du_sup * boundary_bound_mass(result_u.flux, t_lo, t_hi, x, hull)
 
     slacks = distances[1:] - distances[:-1] - budgets
     max_slack = float(np.max(slacks)) if slacks.size else 0.0

@@ -35,7 +35,6 @@ from .forms import (
 
 __all__ = [
     "AnnulusDomain",
-    "BoundaryPiece",
     "FaceClass",
     "FaceKind",
     "FluxField",

@@ -7,18 +7,19 @@ slice, one outflow face on the upper slice and two vertical faces; on an
 interval domain the extreme vertical faces lie on the spacetime boundary.
 
 Total flux functions ``q_e(u) = oriented integral of omega(u) over e`` are
-the quantities the scheme evolves.  Every one of them, on a single face,
-a whole slice or the vertical faces of a slab, is discretized the same
-way: :func:`segment_nodes` builds the Gauss nodes and weights of the
-face segments, and :func:`face_sums` forms ``sum_k w_k f(x_k, u)``.  On
-spacelike faces the total fluxes are strictly monotone, cached with
-derivative bounds, and invertible through one guarded Newton/bisection
-routine shared by single faces and whole slices.
+the quantities the scheme evolves.  Every one of them, on the spacelike
+faces of a slice or the vertical faces of a slab, is one row of a table
+discretized the same way: :func:`segment_nodes` builds the Gauss nodes and
+weights of the face segments, and :func:`face_sums` forms
+``sum_k w_k f(x_k, u)``.  On spacelike faces the total fluxes are strictly
+monotone, cached with derivative bounds in a :class:`SpacelikeTable`, and
+inverted column by column through one guarded Newton/bisection routine.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
-slabs at once and indexed by (slab or slice, column or node); it builds no
-per-face :class:`Face`/:class:`Cell` object.
+slabs at once and indexed by (slab or slice, column or node).  The
+per-face :class:`Face`/:class:`Cell` views are an inspection API; no
+computation builds them.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fluxfield import FluxField, NotSpacelikeError
-from .forms import FaceChart, QuadratureRule, gauss_legendre, integrate_over_face
+from .forms import FaceChart, QuadratureRule, gauss_legendre
 
 __all__ = [
     "Cell",
@@ -46,14 +47,12 @@ __all__ = [
     "RegularityReport",
     "SliceFaceIds",
     "SpacelikeTable",
-    "TotalFlux",
     "Triangulation",
     "ValueOutsideImage",
     "build_triangulation",
     "face_sums",
     "mesh_regularity_report",
     "segment_nodes",
-    "total_flux",
     "uniform_breakpoints",
     "uniform_times",
 ]
@@ -121,6 +120,14 @@ class CircleDomain:
     periodic = True
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Raise :class:`MeshError` naming the first non-finite entry of a partition."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise MeshError(f"{name}[{k}] is not finite: {float(values[k])!r}")
+
+
 @dataclass(frozen=True)
 class Foliation:
     """Slice times together with the spatial domain of every slice."""
@@ -132,6 +139,7 @@ class Foliation:
         times = np.asarray(self.times, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise MeshError("a foliation needs at least two slice times")
+        _require_finite("slice times", times)
         if abs(times[0]) > 0.0:
             raise MeshError("the first slice must sit at t = 0 (the inflow slice)")
         if np.any(np.diff(times) <= 0.0):
@@ -182,24 +190,12 @@ class Face:
     x_lo: float
     x_hi: float
 
-    @property
-    def slice_index(self) -> int | None:
-        return self.id[1] if self.kind == "spacelike" else None
-
-    @property
-    def slab_index(self) -> int | None:
-        return self.id[1] if self.kind == "vertical" else None
-
     def chart(self) -> FaceChart:
         if self.kind == "spacelike":
             return FaceChart.coordinate_segment(2, axis=1, fixed=[(0, self.t_lo)],
                                                 lo=self.x_lo, hi=self.x_hi)
         return FaceChart.coordinate_segment(2, axis=0, fixed=[(1, self.x_lo)],
                                             lo=self.t_lo, hi=self.t_hi)
-
-    @property
-    def extent(self) -> float:
-        return (self.x_hi - self.x_lo) if self.kind == "spacelike" else (self.t_hi - self.t_lo)
 
 
 @dataclass(frozen=True)
@@ -216,10 +212,6 @@ class Cell:
     inflow_face: tuple
     outflow_face: tuple
     vertical_faces: tuple  # (left id, right id)
-
-    @property
-    def diameter(self) -> float:
-        return float(np.hypot(self.t_hi - self.t_lo, self.x_hi - self.x_lo))
 
 
 class _MeshView(Mapping):
@@ -267,9 +259,8 @@ class Triangulation:
     read-only mappings in deterministic id order (spacelike faces
     ``("S", slice, column)``, then vertical faces ``("V", slab, node)``;
     cells ``("K", slab, column)``) whose :class:`Face`/:class:`Cell` values
-    are derived on lookup.  ``cells_in_slab`` (cells whose inflow face lies
-    on slice j) and ``boundary_vertical_faces`` are the per-slab index sets
-    the global estimates are summed over.
+    are derived on lookup.  The views are for inspection: every computation
+    reads the two partitions.
     """
 
     def __init__(self, foliation: Foliation, breakpoints: np.ndarray):
@@ -277,6 +268,7 @@ class Triangulation:
         xs = np.asarray(breakpoints, dtype=float)
         if xs.ndim != 1 or xs.size < 2:
             raise MeshError("need at least one spatial cell")
+        _require_finite("spatial breakpoints", xs)
         if np.any(np.diff(xs) <= 0.0):
             raise MeshError("spatial breakpoints must be strictly increasing")
         if abs(xs[0] - domain.a) > 1e-12 * (1 + abs(domain.a)) or \
@@ -323,17 +315,6 @@ class Triangulation:
                     inflow_face=("S", j, i), outflow_face=("S", j + 1, i),
                     vertical_faces=(("V", j, i), ("V", j, right_node)))
 
-    # -- index sets ----------------------------------------------------------
-
-    def cells_in_slab(self, slab_index: int) -> list[Cell]:
-        return [self.cells[("K", slab_index, i)] for i in range(self.n_columns)]
-
-    def boundary_vertical_faces(self, slab_index: int | None = None) -> list[Face]:
-        if self.periodic:
-            return []
-        slabs = range(self.n_slabs) if slab_index is None else [slab_index]
-        return [self.faces[("V", j, k)] for j in slabs for k in (0, self.n_columns)]
-
     @property
     def n_cells(self) -> int:
         return self.n_slabs * self.n_columns
@@ -341,23 +322,20 @@ class Triangulation:
     # -- diagnostics ----------------------------------------------------------
 
     def admissibility_report(self) -> dict:
-        """Check the structural invariants and return per-condition flags."""
-        one_in_one_out = all(
-            c.inflow_face in self.faces and c.outflow_face in self.faces
-            and self.faces[c.inflow_face].kind == "spacelike"
-            and self.faces[c.outflow_face].kind == "spacelike"
-            for c in self.cells.values())
-        faces_on_slices = all(
-            self.faces[c.inflow_face].slice_index == c.slab_index
-            and self.faces[c.outflow_face].slice_index == c.slab_index + 1
-            for c in self.cells.values())
-        interior_shared = all(
-            len(f.neighbors) == 2
-            for f in self.faces.values() if f.kind == "vertical" and not f.boundary)
-        inflow_chained = all(
-            self.faces[c.inflow_face].slice_index == 0
-            or ("K", c.slab_index - 1, c.column) in self.cells
-            for c in self.cells.values())
+        """Per-condition flags of the structural invariants.
+
+        Cell ``("K", j, i)`` has inflow face ``("S", j, i)``, outflow face
+        ``("S", j + 1, i)`` and vertical faces at nodes i and i + 1 (mod m on
+        a circle), so each flag is a property of the two partitions: slab j
+        lies between slices j and j + 1 of strictly increasing times, slice 0
+        is the initial slice at t = 0, and strictly increasing breakpoints give
+        every interior node the two columns on either side of it.
+        """
+        times, xs = self.times, self.breakpoints
+        one_in_one_out = self.n_slices == self.n_slabs + 1
+        faces_on_slices = bool(np.all(np.diff(times) > 0.0))
+        interior_shared = bool(np.all(np.diff(xs) > 0.0))
+        inflow_chained = bool(times[0] == 0.0)
         return {
             "one_inflow_one_outflow": one_in_one_out,
             "spacelike_faces_on_slices": faces_on_slices,
@@ -450,66 +428,9 @@ def face_sums(fn: Callable, pts: np.ndarray, weights: np.ndarray, u) -> np.ndarr
     raise MeshError("state array must have shape (n,) or (n, K)")
 
 
-def _face_integral(fn: Callable, pts: np.ndarray, weights: np.ndarray) -> Callable:
-    """``u -> sum_k w_k fn(x_k, u)`` on one face, for states of any shape."""
-    def integral(u):
-        return _weighted_sum(weights, fn(pts, np.asarray(u, dtype=float)[..., None]))
-    return integral
-
-
-def _chart_integral(family: Callable, chart: FaceChart, rule: QuadratureRule) -> Callable:
-    """``u -> integral of family(u) over chart`` per state, through the generic pullback."""
-    return np.vectorize(lambda v: integrate_over_face(family(float(v)), chart, rule),
-                        otypes=[float])
-
-
-def _face_nodes(face: Face, rule: QuadratureRule):
-    """Chart points and weights of one face for its +1 orientation, and its axis."""
-    if face.kind == "spacelike":
-        return (*segment_nodes(rule, 1, face.t_lo, face.x_lo, face.x_hi), 1)
-    return (*segment_nodes(rule, 0, face.x_lo, face.t_lo, face.t_hi), 0)
-
-
 # ---------------------------------------------------------------------------
 # total flux functions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TotalFlux:
-    """Cached total flux ``q(u)`` along one face with derivative bounds.
-
-    ``dq_min``/``dq_max`` are safety-factored bounds of the sampled
-    derivative (0.9 and 1.1); ``dq_min_raw``/``dq_max_raw`` keep the plain
-    sampled extrema, which the CFL bookkeeping uses so that its constants
-    match the defining ratios exactly.  ``image`` is the closed interval
-    ``[q(u_lo), q(u_hi)]`` over the admissible state range.
-    """
-
-    face_id: tuple
-    q_fn: Callable[[np.ndarray], np.ndarray]
-    dq_fn: Callable[[np.ndarray], np.ndarray]
-    u_range: tuple[float, float]
-    dq_min: float
-    dq_max: float
-    dq_min_raw: float
-    dq_max_raw: float
-    image: tuple[float, float]
-    monotone: bool
-
-    def q(self, u):
-        return self.q_fn(np.asarray(u, dtype=float))
-
-    def dq(self, u):
-        return self.dq_fn(np.asarray(u, dtype=float))
-
-    def invert(self, value: float, tol: float = 1e-12) -> float:
-        if not self.monotone:
-            raise NotSpacelikeError("total flux on this face is not monotone")
-        u = _invert_increasing(self.q_fn, self.dq_fn, np.array([float(value)]), self.u_range,
-                               np.array([self.image[0]]), np.array([self.image[1]]),
-                               [self.face_id], tol)
-        return float(u[0])
-
 
 def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol):
     """Solve ``q(u) = values`` entrywise for increasing q on ``u_range``.
@@ -563,57 +484,6 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
                 f"stopped after {INVERT_MAX_ITERATIONS} iterations with residual "
                 f"{float(resid[k])!r} (tolerance {float(tol_abs[k])!r})")
     return u
-
-
-def total_flux(face: Face | FaceChart, flux: FluxField,
-               rule: QuadratureRule | None = None,
-               require_monotone: bool = True,
-               u_range: tuple[float, float] | None = None) -> TotalFlux:
-    """Total flux function of a face, oriented for monotonicity when spacelike.
-
-    For mesh faces the quadrature runs directly on the coordinate segment;
-    arbitrary :class:`FaceChart` objects go through the generic pullback.
-    With ``require_monotone`` the face must be spacelike (sign-definite
-    pulled-back du), otherwise the flux is cached as-is in the chart's own
-    orientation.
-    """
-    rule = rule if rule is not None else gauss_legendre(5, 1)
-    u_lo, u_hi = u_range if u_range is not None else flux.u_range
-    us = np.linspace(u_lo, u_hi, DQ_SAMPLE_COUNT)
-
-    if isinstance(face, Face):
-        pts, weights, axis = _face_nodes(face, rule)
-        q_fn = _face_integral(flux.omega.coeffs[(axis,)], pts, weights)
-        dq_fn = _face_integral(flux.omega.du_coeffs[(axis,)], pts, weights)
-        face_id = face.id
-    else:
-        q_fn = _chart_integral(flux.omega.base, face, rule)
-        dq_fn = _chart_integral(flux.omega.du, face, rule)
-        face_id = ("chart",)
-
-    dq_samples = dq_fn(us)
-    monotone = bool(np.all(dq_samples > 0.0))
-    flipped = bool(np.all(dq_samples < 0.0))
-    if require_monotone and not (monotone or flipped):
-        raise NotSpacelikeError(
-            "face is not spacelike: pulled-back du_omega is not sign-definite "
-            f"(sampled range [{float(dq_samples.min()):.3e}, {float(dq_samples.max()):.3e}])")
-    sign = -1.0 if (require_monotone and flipped) else 1.0
-    if sign < 0:
-        base_q, base_dq = q_fn, dq_fn
-        q_fn = lambda u: -base_q(u)          # noqa: E731 - orientation flip
-        dq_fn = lambda u: -base_dq(u)        # noqa: E731
-        dq_samples = -dq_samples
-
-    dq_min_raw = float(dq_samples.min())
-    dq_max_raw = float(dq_samples.max())
-    image = (float(q_fn(np.asarray(u_lo))), float(q_fn(np.asarray(u_hi))))
-    if image[0] > image[1]:
-        image = (image[1], image[0])
-    return TotalFlux(face_id=face_id, q_fn=q_fn, dq_fn=dq_fn, u_range=(u_lo, u_hi),
-                     dq_min=DQ_MIN_SAFETY * dq_min_raw, dq_max=DQ_MAX_SAFETY * dq_max_raw,
-                     dq_min_raw=dq_min_raw, dq_max_raw=dq_max_raw,
-                     image=image, monotone=monotone or flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -735,20 +605,6 @@ class SpacelikeTable:
         """
         return _invert_increasing(self.q, self.dq, values, self.u_range, self.image_lo,
                                   self.image_hi, self.face_ids, tol)
-
-    def total_flux_view(self, column: int) -> TotalFlux:
-        """Per-face TotalFlux sharing this table's cached quadrature."""
-        idx = int(column)
-        pts, weights = self.pts[idx], self.weights[idx]
-        return TotalFlux(face_id=self.face_ids[idx],
-                         q_fn=_face_integral(self._wx, pts, weights),
-                         dq_fn=_face_integral(self._dwx, pts, weights),
-                         u_range=self.u_range,
-                         dq_min=float(self.dq_min[idx]), dq_max=float(self.dq_max[idx]),
-                         dq_min_raw=float(self.dq_min_raw[idx]),
-                         dq_max_raw=float(self.dq_max_raw[idx]),
-                         image=(float(self.image_lo[idx]), float(self.image_hi[idx])),
-                         monotone=True)
 
 
 # ---------------------------------------------------------------------------

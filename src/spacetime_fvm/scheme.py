@@ -33,12 +33,10 @@ from .forms import QuadratureRule, gauss_legendre
 from .mesh import (
     DQ_SAMPLE_COUNT,
     CircleDomain,
-    Face,
     IntervalDomain,
     ROOT_STEP_TOL,
     SpacelikeTable,
     Triangulation,
-    _face_nodes,
     face_sums,
     segment_nodes,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "RunResult",
     "SliceState",
     "Solver",
-    "boundary_ghost_value",
     "data_hull",
     "initial_slice_state",
     "select_timestep",
@@ -386,13 +383,6 @@ def _face_means(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray) -> np.nd
     return np.sum(alpha * bd.u_values(pts), axis=-1) / mass
 
 
-def boundary_ghost_value(face: Face, bd: BoundaryData,
-                         rule: QuadratureRule | None = None) -> float:
-    """alpha_B-weighted mean of u_B over a boundary face."""
-    pts, weights, _ = _face_nodes(face, rule if rule is not None else gauss_legendre(5, 1))
-    return float(_face_means(bd, pts, weights))
-
-
 def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
                         cfg: RunConfig | None = None,
                         u_range: tuple[float, float] | None = None) -> SliceState:
@@ -565,18 +555,11 @@ class Slab:
         F = self.face_fluxes(state.values)
         return state.fluxes - (F[self.right_idx] - F[self.left_idx])
 
-    def step_cell(self, column: int, state: SliceState) -> float:
-        """Single-cell update value (same path as the vectorized step)."""
-        rhs = self.rhs(state)
-        view = self.table_plus.total_flux_view(column)
-        return view.invert(float(rhs[column]), tol=self.solver.cfg.inversion_tol)
-
     def step(self, state: SliceState) -> SliceState:
         """Advance the whole slab: one vectorized inversion of q_plus.
 
         Each root of :meth:`SpacelikeTable.invert` depends only on its own
-        column, so ``step(state).values[i] == step_cell(i, state)`` bit for
-        bit.
+        column and target.
         """
         rhs = self.rhs(state)
         u_plus = self.table_plus.invert(rhs, tol=self.solver.cfg.inversion_tol)

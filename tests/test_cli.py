@@ -273,6 +273,23 @@ class TestEntropyCheckCommand:
         assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_CONFIG
         assert f"run artifact is missing slice {missing} data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, index, value, name", [
+        ("times", 2, float("nan"), "slice times"),
+        ("times", 1, float("inf"), "slice times"),
+        ("breakpoints", 3, float("nan"), "spatial breakpoints"),
+    ])
+    def test_non_finite_mesh_entry_is_a_config_error_naming_it(self, tmp_path, capsys,
+                                                               key, index, value, name):
+        cfg, out = write_config(tmp_path)
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        path = Path(out, "run.json")
+        meta = json.loads(path.read_text())
+        meta["mesh"][key][index] = value
+        path.write_text(json.dumps(meta))
+        assert main(["entropy-check", "--run", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            f"config error: {name}[{index}] is not finite: {value!r}")
+
     def test_broken_flux_flagged(self, tmp_path):
         # the anti-dissipative testing flux must end in a scheme abort or a
         # failed verification, never a silent pass

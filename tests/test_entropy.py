@@ -14,7 +14,6 @@ from spacetime_fvm.entropy import (
     boundary_bound_mass,
     cell_entropy_residuals,
     check_discrete_boundary_condition,
-    check_face_entropy_inequality,
     contraction_check,
     convex_decomposition_residual,
     decomposition_states,
@@ -41,7 +40,6 @@ from spacetime_fvm.mesh import (
     IntervalDomain,
     SpacelikeTable,
     build_triangulation,
-    total_flux,
 )
 from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, Solver
 
@@ -59,51 +57,51 @@ def burgers_rarefaction_solver(nx=12, t_final=0.2, kind="godunov_osher"):
 
 
 class TestEntropyTotalFlux:
-    def _unit_face_tf(self):
-        flux = presets.burgers_flux((-2.0, 2.0))
-        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, 1.0))
-        tri = build_triangulation(fol, 1)
-        return total_flux(tri.faces[("S", 0, 0)], flux, u_range=(-2.0, 2.0))
+    @staticmethod
+    def _unit_face_table(flux=None, width=1.0, **kwargs):
+        # one spacelike face [0, width] on the initial slice
+        flux = flux if flux is not None else presets.burgers_flux((-2.0, 2.0))
+        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, width))
+        return SpacelikeTable(build_triangulation(fol, 1), flux, 0,
+                              u_range=(-2.0, 2.0), **kwargs)
 
     def test_identity_pair_reduces_to_q(self):
-        tf = self._unit_face_tf()
+        table = self._unit_face_table()
         for ub in (-1.0, 0.25, 1.5):
-            assert entropy_total_flux(tf, identity_pair(), ub) == \
-                pytest.approx(tf.q(ub), abs=1e-12)
+            assert entropy_total_flux(table, identity_pair(), [ub])[0] == \
+                pytest.approx(table.q(np.array([ub]))[0], abs=1e-12)
 
     def test_kruzkov_modulus_on_unit_face(self):
-        tf = self._unit_face_tf()  # q(u) = u
+        table = self._unit_face_table()  # q(u) = u
         c = 0.3
         for ub in (-1.0, 0.0, 0.7, 1.2):
-            assert entropy_total_flux(tf, KruzkovPair(c), ub) == \
+            assert entropy_total_flux(table, KruzkovPair(c), [ub])[0] == \
                 pytest.approx(abs(ub - c), abs=1e-13)
 
     def test_kruzkov_vanishes_at_parameter(self):
-        tf = self._unit_face_tf()
-        assert entropy_total_flux(tf, KruzkovPair(0.4), 0.4) == pytest.approx(0.0, abs=0)
+        table = self._unit_face_table()
+        assert entropy_total_flux(table, KruzkovPair(0.4), [0.4])[0] == 0.0
 
     def test_square_pair_quadratic(self):
-        tf = self._unit_face_tf()
-        assert entropy_total_flux(tf, square_pair(), 0.5) == pytest.approx(0.25, abs=1e-12)
+        table = self._unit_face_table()
+        assert entropy_total_flux(table, square_pair(), [0.5])[0] == \
+            pytest.approx(0.25, abs=1e-12)
 
     def test_total_entropy_flux_derivative_identity(self):
         # d/dq of (entropy total flux composed with the inverse of q) equals
         # the entropy derivative at the recovered state, by finite differences
+        from spacetime_fvm.forms import gauss_legendre
         flux = presets.capacity_flux(lambda x: 2.0 + np.sin(x), lambda x: np.cos(x),
                                      lambda u: 0.0 * np.asarray(u),
                                      lambda u: 0.0 * np.asarray(u), (-2.0, 2.0))
-        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, np.pi))
-        tri = build_triangulation(fol, 1)
-        from spacetime_fvm.forms import gauss_legendre
-        tf = total_flux(tri.faces[("S", 0, 0)], flux, rule=gauss_legendre(20, 1),
-                        u_range=(-2.0, 2.0))
+        table = self._unit_face_table(flux, width=np.pi, rule=gauss_legendre(20, 1))
         pair = square_pair()
         h = 1e-5
-        for qv in np.linspace(tf.image[0] * 0.5, tf.image[1] * 0.5, 7):
-            hi = entropy_total_flux(tf, pair, tf.invert(qv + h))
-            lo = entropy_total_flux(tf, pair, tf.invert(qv - h))
+        for qv in np.linspace(table.image_lo[0] * 0.5, table.image_hi[0] * 0.5, 7):
+            hi = entropy_total_flux(table, pair, table.invert(np.array([qv + h])))[0]
+            lo = entropy_total_flux(table, pair, table.invert(np.array([qv - h])))[0]
             assert (hi - lo) / (2 * h) == pytest.approx(
-                float(pair.du(tf.invert(qv))), abs=1e-6)
+                float(pair.du(table.invert(np.array([qv]))[0])), abs=1e-6)
 
 
 class TestKruzkovIdentity:
@@ -212,15 +210,6 @@ class TestFaceInequalities:
             res = face_entropy_residuals(slab, dec, result.states[j], c_vals)
             assert float(np.max(res["face_inequality"])) <= 1e-9
             assert float(np.max(res["boundary"])) <= 1e-9
-
-    def test_single_face_wrapper(self):
-        solver = burgers_shock_solver()
-        state = solver.initial_state()
-        slab = solver.slab(0)
-        dec = decomposition_states(slab, state)
-        dei, bnd = check_face_entropy_inequality(slab, 3, "left", KruzkovPair(0.0),
-                                                 dec, state)
-        assert dei <= 1e-12 and bnd <= 1e-12
 
     def test_non_monotone_flux_flagged(self):
         # anti-dissipative flux with a mild speed so the run survives long
@@ -374,8 +363,8 @@ class TestHFunctionBracketing:
 
         def h_fn(u, v):
             lam = dec.lam[column, side]
-            q_plus = slab.table_plus.total_flux_view(column)
-            return float(q_plus.q(u)) - (slab.numerical_flux(column, side_name, u, v)
+            q_plus = slab.table_plus.q(np.full(slab.m, u))[column]
+            return float(q_plus) - (slab.numerical_flux(column, side_name, u, v)
                                          - slab.numerical_flux(column, side_name, u, u)) / lam
 
         for u, v, c in rng.uniform(0.0, 1.0, size=(30, 3)):
@@ -469,22 +458,43 @@ class TestContraction:
         for j in (0, 1, len(ru.states) - 1):
             assert kruzkov_slice_distance(ru, rv, j) >= 0.0
 
+    @staticmethod
+    def _assert_rejected_both_ways(ru, rv):
+        for a, b in ((ru, rv), (rv, ru)):
+            with pytest.raises(ValueError, match="both runs on the same triangulation"):
+                contraction_check(a, b)
+
     def test_mismatched_meshes_rejected(self):
         ru, _ = self._circle_runs(nx=10, t_final=0.1)
         flux = presets.burgers_flux((-1.5, 1.5))
         other = make_solver(flux, CircleDomain(1.0), 0.1,
                             BoundaryData(u=lambda p: 0.1 + 0.0 * p[..., 1]),
                             nx=12, u_range=(-0.8, 0.8)).run()
-        with pytest.raises(ValueError):
-            contraction_check(ru, other)
+        self._assert_rejected_both_ways(ru, other)
+
+    def test_equal_columns_on_different_slabs_rejected(self):
+        # the inflow speed sets the slab height: 26 and 21 slabs over 12 columns
+        ra = boundary_driven_burgers_case(u_inflow=0.9, t_final=0.3).run(12)
+        rb = boundary_driven_burgers_case(u_inflow=0.7, t_final=0.3).run(12)
+        assert ra.tri.n_columns == rb.tri.n_columns
+        assert ra.tri.n_slabs != rb.tri.n_slabs
+        self._assert_rejected_both_ways(ra, rb)
+
+    def test_equal_shapes_with_different_slice_times_rejected(self):
+        ru, rv = self._circle_runs(nx=10, t_final=0.1)
+        times = ru.tri.times.copy()
+        times[1:-1] += 0.25 * (times[2] - times[1])
+        tri = build_triangulation(Foliation(times, ru.tri.domain), ru.tri.breakpoints)
+        moved = Solver(tri, rv.flux, rv.spec, rv.bd, rv.cfg).run()
+        assert moved.tri.n_slabs == ru.tri.n_slabs
+        self._assert_rejected_both_ways(ru, moved)
 
     def test_boundary_bound_dominates_flux_derivative(self):
         flux = presets.burgers_flux((-1.0, 1.0))
-        solver = burgers_shock_solver(nx=8)
-        face = solver.tri.faces[("V", 0, 0)]
-        mass = boundary_bound_mass(flux, face, (0.0, 1.0))
+        times = burgers_shock_solver(nx=8).tri.times
+        mass = boundary_bound_mass(flux, times[0], times[1], 0.0, (0.0, 1.0))
         # |d(dt-component)/du| = |u| <= 1 on the hull; 5 percent inflation
-        assert mass == pytest.approx(1.05 * 1.0 * face.extent, rel=1e-12)
+        assert mass == pytest.approx(1.05 * 1.0 * (times[1] - times[0]), rel=1e-12)
 
 
 class TestEntropyPairs:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import counting_flux
 
 from spacetime_fvm import presets
-from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
+from spacetime_fvm.fluxfield import FaceKind, FluxField, classify_face
 from spacetime_fvm.forms import (
     CoordinateForm,
     ParamForm,
@@ -26,14 +26,13 @@ from spacetime_fvm.mesh import (
     MeshError,
     SliceFaceIds,
     SpacelikeTable,
-    TotalFlux,
     Triangulation,
     ValueOutsideImage,
+    _invert_increasing,
     build_triangulation,
     face_sums,
     mesh_regularity_report,
     segment_nodes,
-    total_flux,
     uniform_times,
 )
 
@@ -41,6 +40,12 @@ from spacetime_fvm.mesh import (
 def interval_tri(n_slabs=4, nx=8, t_final=1.0, a=0.0, b=1.0):
     fol = Foliation(np.linspace(0.0, t_final, n_slabs + 1), IntervalDomain(a, b))
     return build_triangulation(fol, nx)
+
+
+def face_table(flux, x_lo, x_hi, t=0.1, **kwargs):
+    """The one-column SpacelikeTable of the face ``[x_lo, x_hi]`` at time ``t``."""
+    tri = build_triangulation(Foliation(np.array([0.0, t]), IntervalDomain(x_lo, x_hi)), 1)
+    return SpacelikeTable(tri, flux, 1, **kwargs)
 
 
 class TestBuildTriangulation:
@@ -81,6 +86,26 @@ class TestBuildTriangulation:
             Foliation(np.array([0.1, 0.5]), IntervalDomain(0.0, 1.0))
         with pytest.raises(MeshError):
             Foliation(np.array([0.0, 0.4, 0.4]), IntervalDomain(0.0, 1.0))
+
+    @pytest.mark.parametrize("times, fault", [
+        ([0.0, np.nan, 1.0], r"slice times\[1\] is not finite: nan"),
+        ([0.0, np.inf], r"slice times\[1\] is not finite: inf"),
+        ([np.nan, 0.5, 1.0], r"slice times\[0\] is not finite: nan"),
+        ([0.0, 0.5, -np.inf], r"slice times\[2\] is not finite: -inf"),
+    ])
+    def test_non_finite_slice_times_rejected_naming_the_entry(self, times, fault):
+        # NaN compares False both ways, so the ordering checks alone pass it
+        with pytest.raises(MeshError, match=fault):
+            Foliation(np.array(times), IntervalDomain(0.0, 1.0))
+
+    @pytest.mark.parametrize("xs, fault", [
+        ([0.0, np.nan, 1.0], r"spatial breakpoints\[1\] is not finite: nan"),
+        ([0.0, 0.5, 0.7, np.inf], r"spatial breakpoints\[3\] is not finite: inf"),
+    ])
+    def test_non_finite_breakpoints_rejected_naming_the_entry(self, xs, fault):
+        fol = Foliation(np.array([0.0, 1.0]), IntervalDomain(0.0, 1.0))
+        with pytest.raises(MeshError, match=fault):
+            build_triangulation(fol, np.array(xs))
 
     def test_cell_topology(self):
         tri = interval_tri(2, 3)
@@ -150,8 +175,29 @@ class TestMeshViews:
             assert all(key in view for key in ref)
             assert dict(view) == ref
         assert tri.n_cells == len(cells)
-        assert tri.boundary_vertical_faces() == [
-            f for f in faces.values() if f.kind == "vertical" and f.boundary]
+
+    def test_admissibility_flags_match_a_walk_over_the_reference_mesh(self, tri):
+        # the report reads the partitions; walking every reference face and
+        # cell checks the same four invariants object by object
+        faces, cells = eager_mesh(tri.times, tri.breakpoints, tri.periodic)
+        slice_of = {fid: fid[1] for fid, f in faces.items() if f.kind == "spacelike"}
+        walked = {
+            "one_inflow_one_outflow": all(
+                faces[c.inflow_face].kind == faces[c.outflow_face].kind == "spacelike"
+                for c in cells.values()),
+            "spacelike_faces_on_slices": all(
+                slice_of[c.inflow_face] == c.slab_index
+                and slice_of[c.outflow_face] == c.slab_index + 1 for c in cells.values()),
+            "interior_vertical_shared_by_two": all(
+                len(f.neighbors) == 2
+                for f in faces.values() if f.kind == "vertical" and not f.boundary),
+            "inflow_is_outflow_or_initial": all(
+                slice_of[c.inflow_face] == 0 or ("K", c.slab_index - 1, c.column) in cells
+                for c in cells.values()),
+        }
+        report = tri.admissibility_report()
+        assert report == {**walked, "admissible": all(walked.values())}
+        assert report["admissible"] is True
 
     def test_numpy_and_float_ids_find_the_same_entry(self, tri):
         face = tri.faces[("S", np.int64(1), 2.0)]
@@ -194,66 +240,55 @@ class TestMeshViews:
 
 class TestTotalFlux:
     def test_flat_density(self):
-        tri = interval_tri(1, 1)
-        flux = presets.burgers_flux((-1.0, 1.0))
-        tf = total_flux(tri.faces[("S", 0, 0)], flux)
-        assert tf.q(0.5) == pytest.approx(0.5)
-        assert tf.dq(0.3) == pytest.approx(1.0)
-        assert tf.dq_min == pytest.approx(0.9)        # safety-factored bound
-        assert tf.dq_min_raw == pytest.approx(1.0)    # sampled extremum
+        table = face_table(presets.burgers_flux((-1.0, 1.0)), 0.0, 1.0)
+        assert table.q(np.array([0.5]))[0] == pytest.approx(0.5)
+        assert table.dq(np.array([0.3]))[0] == pytest.approx(1.0)
+        assert table.dq_min[0] == pytest.approx(0.9)        # safety-factored bound
+        assert table.dq_min_raw[0] == pytest.approx(1.0)    # sampled extremum
 
     def test_sinusoidal_density_total(self):
         flux = presets.capacity_flux(lambda x: 2.0 + np.sin(x), lambda x: np.cos(x),
                                      lambda u: 0.0 * np.asarray(u),
                                      lambda u: 0.0 * np.asarray(u), (-2.0, 2.0))
-        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, np.pi))
-        tri = build_triangulation(fol, 1)
-        tf = total_flux(tri.faces[("S", 0, 0)], flux, rule=gauss_legendre(20, 1))
-        assert tf.q(1.0) == pytest.approx(2 * np.pi + 2, rel=1e-12)
+        table = face_table(flux, 0.0, np.pi, rule=gauss_legendre(20, 1))
+        assert table.q(np.array([1.0]))[0] == pytest.approx(2 * np.pi + 2, rel=1e-12)
 
     def test_annulus_circle_not_spacelike(self):
+        # the circle's total flux and its u-derivative vanish identically, so
+        # no orientation makes it monotone
         flux, _, boundary = presets.annulus_example()
-        with pytest.raises(NotSpacelikeError):
-            total_flux(boundary[0].face, flux)
-        tf = total_flux(boundary[0].face, flux, require_monotone=False)
+        face = boundary[0].face
         for ub in (-0.7, 0.0, 0.9):
-            assert tf.q(ub) == pytest.approx(0.0, abs=1e-12)
-        assert not tf.monotone
-        with pytest.raises(NotSpacelikeError):
-            tf.invert(0.0)
+            assert integrate_over_face(flux.omega.base(ub), face) == pytest.approx(0.0, abs=1e-12)
+            assert integrate_over_face(flux.omega.du(ub), face) == pytest.approx(0.0, abs=1e-12)
+        assert classify_face(face, boundary[0].normal, flux).kind is FaceKind.NOT_SPACELIKE
 
 
 class TestInvertTotalFlux:
-    def _flat_tf(self, width=0.5, u_range=(-1.0, 1.0)):
-        flux = presets.burgers_flux(u_range)
-        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, width))
-        tri = build_triangulation(fol, 1)
-        return total_flux(tri.faces[("S", 0, 0)], flux, u_range=u_range)
+    def _flat_table(self, width=0.5, u_range=(-1.0, 1.0)):
+        return face_table(presets.burgers_flux(u_range), 0.0, width, u_range=u_range)
 
     def test_linear_inverse(self):
-        tf = self._flat_tf(width=2.0)  # q(u) = 2u
-        assert tf.invert(1.0) == pytest.approx(0.5, abs=1e-13)
+        table = self._flat_table(width=2.0)  # q(u) = 2u
+        assert table.invert(np.array([1.0]))[0] == pytest.approx(0.5, abs=1e-13)
 
     def test_sinusoidal_inverse(self):
         flux = presets.capacity_flux(lambda x: 2.0 + np.sin(x), lambda x: np.cos(x),
                                      lambda u: 0.0 * np.asarray(u),
                                      lambda u: 0.0 * np.asarray(u), (-2.0, 2.0))
-        fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, np.pi))
-        tri = build_triangulation(fol, 1)
-        tf = total_flux(tri.faces[("S", 0, 0)], flux, rule=gauss_legendre(20, 1),
-                        u_range=(-2.0, 2.0))
-        assert tf.invert(2 * np.pi + 2) == pytest.approx(1.0, abs=1e-12)
+        table = face_table(flux, 0.0, np.pi, rule=gauss_legendre(20, 1), u_range=(-2.0, 2.0))
+        assert table.invert(np.array([2 * np.pi + 2]))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_value_outside_image(self):
-        tf = self._flat_tf(width=1.0, u_range=(0.0, 1.0))  # image [0, 1]
+        table = self._flat_table(width=1.0, u_range=(0.0, 1.0))  # image [0, 1]
         with pytest.raises(ValueOutsideImage):
-            tf.invert(2.0)
+            table.invert(np.array([2.0]))
 
     @given(st.floats(-0.99, 0.99))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_identity(self, ub):
-        tf = self._flat_tf(width=0.7)
-        assert tf.invert(float(tf.q(ub))) == pytest.approx(ub, abs=1e-11)
+        table = self._flat_table(width=0.7)
+        assert table.invert(table.q(np.array([ub])))[0] == pytest.approx(ub, abs=1e-11)
 
     def test_face_ids_are_built_on_lookup(self):
         tri = interval_tri(3, 6)
@@ -278,29 +313,15 @@ class TestInvertTotalFlux:
         flux = presets.burgers_flux((-1.0, 1.0))
         table = SpacelikeTable(tri, flux, 1)
         u = np.linspace(-0.8, 0.8, 6)
-        np.testing.assert_allclose(table.invert(table.q(u)), u, atol=1e-12)
-        view = table.total_flux_view(2)
-        assert view.q(0.4) == pytest.approx(table.q(u * 0 + 0.4)[2])
-
-    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.0, 6.0),
-           points=st.sampled_from([5, 12]),
-           s=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
-    @settings(max_examples=30, deadline=None)
-    def test_table_view_and_face_agree_bit_for_bit(self, a0, ratio, k, points, s):
-        # the three ways to a face's total flux share one node builder and
-        # one summation kernel, so they agree exactly, not approximately
-        u_range = (-0.8, 1.2)
-        flux = capacity_field(a0, ratio * a0, k, 0.3, u_range)
-        tri = interval_tri(2, 6)
-        rule = gauss_legendre(points, 1)
-        table = SpacelikeTable(tri, flux, 1, rule=rule, u_range=u_range)
-        u = u_range[0] + np.asarray(s) * (u_range[1] - u_range[0])
-        rows = table.q(u)
-        for i in range(tri.n_columns):
-            view = table.total_flux_view(i).q(u[i])
-            face = total_flux(tri.faces[("S", 1, i)], flux, rule=rule, u_range=u_range).q(u[i])
-            assert np.float64(view).tobytes() == rows[i].tobytes()
-            assert np.float64(face).tobytes() == rows[i].tobytes()
+        targets = table.q(u)
+        roots = table.invert(targets)
+        np.testing.assert_allclose(roots, u, atol=1e-12)
+        # each root depends only on its own target: moving every other
+        # column's target leaves it unchanged, bit for bit
+        moved = table.q(np.full(6, -0.35))
+        for i in range(6):
+            others = np.where(np.arange(6) == i, targets, moved)
+            assert table.invert(others)[i].tobytes() == roots[i].tobytes()
 
 
 class TestFaceQuadrature:
@@ -349,9 +370,9 @@ class TestInversionKernel:
         u = table.invert(targets)
         assert 1 <= len(calls[("dw", 1)]) <= 4       # one dq call per iteration
         np.testing.assert_allclose(u, np.linspace(-0.85, 1.05, 12), atol=1e-15)
+        single = face_table(flux, tri.breakpoints[5], tri.breakpoints[6], u_range=(-0.9, 1.1))
         calls.clear()
-        view = table.total_flux_view(5)
-        view.invert(float(targets[5]))
+        single.invert(single.q(np.array([0.7])))
         assert 1 <= len(calls[("dw", 1)]) <= 4
 
     def test_targets_at_image_ends_return_range_ends(self):
@@ -366,9 +387,9 @@ class TestInversionKernel:
         mixed = np.where(np.arange(6) % 2 == 0, table.image_lo, table.image_hi)
         assert np.array_equal(table.invert(mixed),
                               np.where(np.arange(6) % 2 == 0, *u_range))
-        view = table.total_flux_view(3)
-        assert view.invert(view.image[0]) == u_range[0]
-        assert view.invert(view.image[1]) == u_range[1]
+        single = face_table(flux, tri.breakpoints[3], tri.breakpoints[4], u_range=u_range)
+        assert single.invert(single.image_lo)[0] == u_range[0]
+        assert single.invert(single.image_hi)[0] == u_range[1]
 
     @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.5, 12.0),
            phase=st.floats(0.0, 2 * np.pi),
@@ -385,30 +406,29 @@ class TestInversionKernel:
         assert np.all((u >= u_range[0]) & (u <= u_range[1]))
         assert np.all(np.abs(table.q(u) - y) <= tol * np.maximum(1.0, np.abs(y)))
         for i, si in enumerate(s):
-            tf = total_flux(tri.faces[("S", 1, i)], flux, u_range=u_range)
-            yi = tf.image[0] + si * (tf.image[1] - tf.image[0])
-            ui = tf.invert(yi, tol=tol)
-            assert u_range[0] <= ui <= u_range[1]
-            assert abs(float(tf.q(ui)) - yi) <= tol * max(1.0, abs(yi))
+            single = face_table(flux, tri.breakpoints[i], tri.breakpoints[i + 1],
+                                u_range=u_range)
+            yi = single.image_lo + si * (single.image_hi - single.image_lo)
+            ui = single.invert(yi, tol=tol)
+            assert u_range[0] <= ui[0] <= u_range[1]
+            assert abs(single.q(ui)[0] - yi[0]) <= tol * max(1.0, abs(yi[0]))
 
-    def _affine_tf(self, q_fn):
-        # q(u) = u on [0, 1] unless q_fn overrides it
-        return TotalFlux(face_id=("S", 1, 3), q_fn=q_fn, dq_fn=lambda u: np.ones_like(u),
-                         u_range=(0.0, 1.0), dq_min=0.9, dq_max=1.1, dq_min_raw=1.0,
-                         dq_max_raw=1.0, image=(0.0, 1.0), monotone=True)
+    @staticmethod
+    def _invert_affine(q_of, target):
+        # one face ("S", 1, 3) with q(u) = u on [0, 1] unless q_of overrides it
+        return _invert_increasing(q_of, np.ones_like, np.array([target]), (0.0, 1.0),
+                                  np.array([0.0]), np.array([1.0]), [("S", 1, 3)], 1e-12)
 
     def test_nan_target_is_outside_the_image(self):
-        tf = self._affine_tf(lambda u: u)
         with pytest.raises(ValueOutsideImage,
                            match=r"face \('S', 1, 3\): target nan outside image \[0\.0, 1\.0\]"):
-            tf.invert(float("nan"))
+            self._invert_affine(lambda u: u, float("nan"))
 
     def test_nan_residual_is_a_convergence_error(self):
         # q is NaN on (0.4, 0.6), where the first midpoint lands: no residual
         # there is within tolerance, so the cap is reached and reported
-        tf = self._affine_tf(lambda u: np.where(np.abs(u - 0.5) < 0.1, np.nan, u))
         with pytest.raises(ConvergenceError, match=r"target 0\.3 .* residual nan"):
-            tf.invert(0.3)
+            self._invert_affine(lambda u: np.where(np.abs(u - 0.5) < 0.1, np.nan, u), 0.3)
 
     def test_wrong_derivative_raises_convergence_error(self):
         # dq a million times too large: every Newton step stays inside the
@@ -428,9 +448,9 @@ class TestInversionKernel:
                            match=r"face \('S', 1, 0\).*target 0\.025.*residual") as info:
             table.invert(targets)
         assert not isinstance(info.value, ValueError)
-        tf = total_flux(tri.faces[("S", 1, 2)], flux, u_range=(0.0, 1.0))
-        with pytest.raises(ConvergenceError, match=r"face \('S', 1, 2\)"):
-            tf.invert(float(targets[0]))
+        single = face_table(flux, tri.breakpoints[2], tri.breakpoints[3], u_range=(0.0, 1.0))
+        with pytest.raises(ConvergenceError, match=r"face \('S', 1, 0\).*target 0\.025"):
+            single.invert(targets[:1])
 
 
 class TestConservationTopology:
@@ -447,7 +467,7 @@ class TestConservationTopology:
         tri = build_triangulation(fol, 5)
         rule = gauss_legendre(5, 1)
         c = 0.7
-        for cell in tri.cells_in_slab(1):
+        for cell in (tri.cells[("K", 1, i)] for i in range(tri.n_columns)):
             t0, t1 = cell.t_lo, cell.t_hi
             s = rule.nodes[:, 0]
             # outflow minus inflow with the increasing-x orientation

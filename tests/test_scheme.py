@@ -29,6 +29,7 @@ from spacetime_fvm.mesh import (
     ValueOutsideImage,
     _weighted_sum,
     build_triangulation,
+    segment_nodes,
 )
 from spacetime_fvm.scheme import (
     BoundaryData,
@@ -38,7 +39,7 @@ from spacetime_fvm.scheme import (
     SliceState,
     Solver,
     VerticalFluxes,
-    boundary_ghost_value,
+    _face_means,
     data_hull,
     initial_slice_state,
     select_timestep,
@@ -235,32 +236,28 @@ class TestNumericalFluxProperties:
 
 
 class TestBoundaryGhostValue:
-    def _face(self, t0=0.0, t1=1.0):
-        fol = Foliation(np.array([t0, t1]), IntervalDomain(0.0, 1.0))
-        tri = build_triangulation(fol, 2)
-        return tri.faces[("V", 0, 0)]
+    @staticmethod
+    def _ghost(bd, t0=0.0, t1=1.0, x=0.0, rule=None):
+        """alpha_B-weighted mean of u_B over the boundary face {x} x [t0, t1]."""
+        rule = rule if rule is not None else gauss_legendre(5, 1)
+        return float(_face_means(bd, *segment_nodes(rule, 0, x, t0, t1)))
 
     def test_constant_data(self):
-        face = self._face()
-        bd = constant_bd(0.7)
-        assert boundary_ghost_value(face, bd) == pytest.approx(0.7)
+        assert self._ghost(constant_bd(0.7)) == pytest.approx(0.7)
 
     def test_linear_data_unweighted(self):
-        face = self._face()
         bd = BoundaryData(u=lambda p: p[..., 0])
-        assert boundary_ghost_value(face, bd) == pytest.approx(0.5)
+        assert self._ghost(bd) == pytest.approx(0.5)
 
     def test_linear_data_weighted(self):
-        face = self._face()
         bd = BoundaryData(u=lambda p: p[..., 0], alpha_density=lambda p: 2.0 * p[..., 0])
         # int t * 2t dt / int 2t dt on [0, 1] = (2/3) / 1
-        assert boundary_ghost_value(face, bd) == pytest.approx(2.0 / 3.0)
+        assert self._ghost(bd) == pytest.approx(2.0 / 3.0)
 
     def test_nonpositive_mass_rejected(self):
-        face = self._face()
         bd = BoundaryData(u=lambda p: p[..., 0], alpha_density=lambda p: 0.0 * p[..., 0])
-        with pytest.raises(ValueError):
-            boundary_ghost_value(face, bd)
+        with pytest.raises(ValueError, match="alpha_B mass must be positive"):
+            self._ghost(bd)
 
     @pytest.mark.parametrize("points", [5, 12])
     def test_slab_ghosts_equal_face_means_bit_for_bit(self, points):
@@ -269,9 +266,10 @@ class TestBoundaryGhostValue:
                           alpha_density=lambda p: 1.5 + np.cos(3.0 * p[..., 0]))
         solver = make_solver(presets.burgers_flux((-1.5, 2.5)), IntervalDomain(0.0, 1.0),
                              0.3, bd, nx=5, u_range=(-1.0, 2.0), quadrature_points=points)
+        times, xs = solver.tri.times, solver.tri.breakpoints
         for j in (0, solver.tri.n_slabs - 1):
-            expected = tuple(boundary_ghost_value(solver.tri.faces[("V", j, i)], bd, solver.rule)
-                             for i in (0, 5))
+            expected = tuple(self._ghost(bd, float(times[j]), float(times[j + 1]),
+                                         float(xs[i]), solver.rule) for i in (0, 5))
             assert solver.slab(j).ghost_values() == expected
 
 
@@ -406,9 +404,7 @@ class TestStepCell:
         solver = make_solver(flux, CircleDomain(2 * np.pi), 0.05, constant_bd(0.7),
                              nx=8, u_range=(0.0, 1.0))
         state = solver.initial_state()
-        slab = solver.slab(0)
-        for column in range(4):
-            assert slab.step_cell(column, state) == pytest.approx(0.7, abs=1e-12)
+        np.testing.assert_allclose(solver.slab(0).step(state).values, 0.7, atol=1e-12)
 
     def test_upwind_identity(self):
         adv = presets.linear_advection_flux(1.0, (-1.0, 1.0))
@@ -462,29 +458,6 @@ class TestStepCell:
                 state.fluxes[:] = slab.table_minus.q(bumped)
                 shifted = slab.step(state).values
                 assert np.all(shifted - base >= -1e-9)
-
-    def test_step_cell_bit_identical_to_step(self):
-        # q nonlinear in u and varying in x, so Newton takes several steps
-        def cap(pts):
-            return 1.0 + 0.5 * np.sin(2 * np.pi * pts[..., 1])
-
-        omega = ParamForm(1, 2, {
-            (0,): lambda pts, u: -0.5 * np.asarray(u) ** 2 + 0.0 * pts[..., 0],
-            (1,): lambda pts, u: cap(pts) * (u + 0.2 * np.asarray(u) ** 3),
-        }, {
-            (0,): lambda pts, u: -np.asarray(u) + 0.0 * pts[..., 0],
-            (1,): lambda pts, u: cap(pts) * (1.0 + 0.6 * np.asarray(u) ** 2),
-        }, (-1.0, 1.0))
-        flux = FluxField(omega=omega, domain=presets.burgers_flux().domain, name="cubic_q")
-        solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.05,
-                             step_bd(0.45, 0.9, -0.3), nx=12, u_range=(-0.5, 1.0))
-        result = solver.run()
-        for j in (0, result.tri.n_slabs // 2):
-            slab = solver.slab(j)
-            stepped = slab.step(result.states[j]).values
-            cells = np.array([slab.step_cell(i, result.states[j]) for i in range(slab.m)])
-            assert np.array_equal(cells, stepped)
-            assert np.array_equal(stepped, result.states[j + 1].values)
 
 
 def vertical_fluxes(flux, u_range, nx=10, t0=0.0, t1=0.05):
