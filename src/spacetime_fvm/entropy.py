@@ -21,6 +21,14 @@ global-inequality report evaluates Kruzkov pairs only; smooth pairs reduce
 to them by superposition.  Gauss rules come from the cached, read-only
 :func:`~spacetime_fvm.forms.gauss_legendre`.
 
+Vertical-face fluxes live in face arrays.  With ``u_L``/``u_R`` the states of
+the left/right cell of each face (:meth:`Slab.neighbor_states`), a face
+holds ``Q(u_L, u_R)``, ``G(u_L)`` and ``G(u_R)`` in left-cell orientation,
+plain or cut at the check lattice.  The flux is conservative, so a cell's
+per-side triple ``(Q(u, nb), Q(u, u), Q(nb, nb))`` is a signed gather
+(:func:`_cell_sides`): ``(-Q, -G(u_R), -G(u_L))`` at its left face,
+``(Q, G(u_L), G(u_R))`` at its right face.
+
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit.
 """
@@ -256,23 +264,16 @@ class SmoothFaceEntropy:
         """Shape-preserving entropy total flux per face; w is (m,) or (m, K)."""
         w = np.asarray(w, dtype=float)
         flat = w.reshape(w.shape[0], -1)
-        out = np.empty_like(flat)
-        for k in range(flat.shape[1]):
-            out[:, k] = self._q_omega_vec(flat[:, k])
-        return out.reshape(w.shape)
-
-    def _q_omega_vec(self, w: np.ndarray) -> np.ndarray:
-        # composite Gauss on [0, w] per face: v-nodes (m, P*G)
-        m = w.shape[0]
+        m, k = flat.shape
+        # composite Gauss on [0, w] per face and state: v-nodes (m, K, P*G);
+        # the weights are built after dq, whose lattice sets the peak memory
         edges = np.linspace(0.0, 1.0, SMOOTH_PANELS + 1)
-        starts = edges[:-1][None, :, None] * w[:, None, None]
-        widths = (edges[1] - edges[0]) * w[:, None, None]
-        vnodes = starts + self._gx[None, None, :] * widths          # (m, P, G)
-        vweights = np.broadcast_to(self._gw[None, None, :] * widths, vnodes.shape)
-        vn = vnodes.reshape(m, -1)
-        vw = vweights.reshape(m, -1)
-        dq = self.table.dq(vn)                                       # (m, P*G)
-        return np.sum(vw * self.pair.du(vn) * dq, axis=1)
+        starts = edges[:-1][None, None, :, None] * flat[:, :, None, None]
+        widths = (edges[1] - edges[0]) * flat[:, :, None, None]
+        vn = (starts + self._gx * widths).reshape(m, k, -1)
+        dq = self.table.dq(vn.reshape(m, -1)).reshape(vn.shape)
+        vw = np.broadcast_to(self._gw * widths, (m, k, SMOOTH_PANELS, self._gw.size))
+        return np.sum(vw.reshape(vn.shape) * self.pair.du(vn) * dq, axis=-1).reshape(w.shape)
 
 
 def entropy_total_flux(table: SpacelikeTable, pair, ubar):
@@ -316,27 +317,15 @@ class DecompositionStates:
     bracket_residual: float
 
 
-def _neighbors_per_cell(slab: Slab, values: np.ndarray) -> np.ndarray:
-    u_left, u_right = slab.neighbor_states(values)
-    # cell i: left neighbor state = left-cell state of its LEFT face,
-    #          right neighbor state = right-cell state of its RIGHT face
-    nb = np.empty((slab.m, 2))
-    nb[:, 0] = u_left[slab.left_idx]
-    nb[:, 1] = u_right[slab.right_idx]
-    return nb
+def _cell_sides(slab: Slab, q, g_left, g_right):
+    """Per-cell ``(Q_uv, Q_uu, Q_vv)`` of side 0 (left face) and side 1 (right).
 
-
-def _q_signed_pair(slab: Slab, side: int, u, v):
-    """Q_{K, e}(u, v) for all cells on one side; u, v shaped (m,) or (m, K)."""
-    if side == 1:
-        return slab.vert.Q(u, v, faces=slab.right_idx)
-    return -slab.vert.Q(v, u, faces=slab.left_idx)
-
-
-def _g_signed(slab: Slab, side: int, w):
-    if side == 1:
-        return slab.vert.G(np.asarray(w, dtype=float), faces=slab.right_idx)
-    return -slab.vert.G(np.asarray(w, dtype=float), faces=slab.left_idx)
+    Gathers face arrays ``Q(u_L, u_R)``, ``G(u_L)``, ``G(u_R)`` (leading
+    axis the face) as the module docstring sets out.
+    """
+    left, right = slab.left_idx, slab.right_idx
+    return ((-q[left], -g_right[left], -g_left[left]),
+            (q[right], g_left[right], g_right[right]))
 
 
 def decomposition_states(slab: Slab, state: SliceState,
@@ -351,15 +340,14 @@ def decomposition_states(slab: Slab, state: SliceState,
     report = slab.lambdas()
     lam = report.lam
     lam_hat = report.lam_hat
-    nb = _neighbors_per_cell(slab, values)
+    u_left, u_right = slab.neighbor_states(values)
+    nb = np.stack([u_left[slab.left_idx], u_right[slab.right_idx]], axis=1)
+    sides = _cell_sides(slab, slab.face_fluxes(values), slab.vert.G(u_left), slab.vert.G(u_right))
 
     m = slab.m
     delta_q = np.empty((m, 2))
     delta_q_bar = np.empty((m, 2))
-    for side in (0, 1):
-        q_uv = _q_signed_pair(slab, side, values, nb[:, side])
-        q_uu = _g_signed(slab, side, values)
-        q_vv = _g_signed(slab, side, nb[:, side])
+    for side, (q_uv, q_uu, q_vv) in enumerate(sides):
         delta_q[:, side] = q_uv - q_uu
         delta_q_bar[:, side] = q_uv - q_vv
 
@@ -438,10 +426,16 @@ def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
                     np.asarray(v, dtype=float))
 
 
-def _kruzkov_Q_lattice(slab: Slab, side: int, u: np.ndarray, v: np.ndarray,
-                       c: np.ndarray) -> np.ndarray:
-    """Kruzkov numerical flux per cell/side; u, v are (m,), c is (nc,)."""
-    return _kruzkov(lambda a, b: _q_signed_pair(slab, side, a, b), c, u[:, None], v[:, None])
+def _kruzkov_sides(slab: Slab, values: np.ndarray, c: np.ndarray):
+    """:func:`_cell_sides` of the face arrays cut at ``c``, each (m, nc).
+
+    Each lattice is evaluated once per vertical face, for both its cells.
+    """
+    u_left, u_right = slab.neighbor_states(values)
+    u_left, u_right = u_left[:, None], u_right[:, None]
+    vert = slab.vert
+    return _cell_sides(slab, _kruzkov(vert.Q, c, u_left, u_right),
+                       _kruzkov(vert.G, c, u_left), _kruzkov(vert.G, c, u_right))
 
 
 def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: SliceState,
@@ -453,23 +447,23 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
     anchored at the neighbor state.
     """
     c = np.asarray(c_values, dtype=float)
+    return _face_residuals(slab, decomp, state, c, _kruzkov_sides(slab, state.values, c))
+
+
+def _face_residuals(slab, decomp, state, c, sides) -> dict[str, np.ndarray]:
+    """:func:`face_entropy_residuals` on prebuilt :func:`_kruzkov_sides`."""
     m = slab.m
     out_dei = np.empty((m, 2, c.size))
     out_bnd = np.empty((m, 2, c.size))
-    values = state.values
     q_plus = slab.table_plus
 
-    q_own = _kruzkov(q_plus.q, c, values[:, None])
-    for side in (0, 1):
-        nbv = decomp.neighbor[:, side]
+    q_own = _kruzkov(q_plus.q, c, state.values[:, None])
+    for side, (Q_uv, Q_uu, Q_vv) in enumerate(sides):
         lam = decomp.lam[:, side]
         zero = decomp.lam_hat[:, side] <= 0.0
         q_ut = _kruzkov(q_plus.q, c, decomp.face_states[:, side, None])
         q_ub = _kruzkov(q_plus.q, c, decomp.anchored_states[:, side, None])
-        q_nb = _kruzkov(q_plus.q, c, nbv[:, None])
-        Q_uv = _kruzkov_Q_lattice(slab, side, values, nbv, c)
-        Q_uu = _kruzkov_Q_lattice(slab, side, values, values, c)
-        Q_vv = _kruzkov_Q_lattice(slab, side, nbv, nbv, c)
+        q_nb = _kruzkov(q_plus.q, c, decomp.neighbor[:, side, None])
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))[:, None]
         out_dei[:, side, :] = np.maximum(0.0, q_ut - (q_own - inv_lam * (Q_uv - Q_uu)))
@@ -481,13 +475,14 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
                            c_values: np.ndarray) -> np.ndarray:
     """Positive part of the per-cell entropy inequality, shape (m, nc)."""
     c = np.asarray(c_values, dtype=float)
-    values = state.values
+    return _cell_residuals(slab, state, state_next, c, _kruzkov_sides(slab, state.values, c))
+
+
+def _cell_residuals(slab, state, state_next, c, sides) -> np.ndarray:
+    """:func:`cell_entropy_residuals` on prebuilt :func:`_kruzkov_sides`."""
     total = (_kruzkov(slab.table_plus.q, c, state_next.values[:, None])
-             - _kruzkov(slab.table_plus.q, c, values[:, None]))
-    nb = _neighbors_per_cell(slab, values)
-    for side in (0, 1):
-        Q_uv = _kruzkov_Q_lattice(slab, side, values, nb[:, side], c)
-        Q_uu = _kruzkov_Q_lattice(slab, side, values, values, c)
+             - _kruzkov(slab.table_plus.q, c, state.values[:, None]))
+    for Q_uv, Q_uu, _ in sides:
         total = total + (Q_uv - Q_uu)
     return np.maximum(0.0, total)
 
@@ -667,24 +662,24 @@ def outflow_entropy_convexity_residual(slab: Slab, decomp: DecompositionStates,
 # Kruzkov distances and contraction
 # ---------------------------------------------------------------------------
 
-def kruzkov_slice_distance(result_u: RunResult, result_v: RunResult, j: int,
-                           table: SpacelikeTable | None = None) -> float:
+def kruzkov_slice_distance(result_u: RunResult, result_v: RunResult, j: int) -> float:
     """Slice sum of Kruzkov entropy total fluxes between two runs."""
-    if table is None:
-        table = _shared_table(result_u, result_v, j)
-    return float(np.sum(_kruzkov(table.q, result_v.states[j].values,
-                                 result_u.states[j].values)))
+    _require_shared_mesh(result_u, result_v)
+    return _slice_distance(_shared_table(result_u, result_v, j), result_u, result_v, j)
+
+
+def _slice_distance(table: SpacelikeTable, ru: RunResult, rv: RunResult, j: int) -> float:
+    return float(np.sum(_kruzkov(table.q, rv.states[j].values, ru.states[j].values)))
 
 
 def _require_shared_mesh(ru: RunResult, rv: RunResult) -> None:
-    if ru.tri.n_columns != rv.tri.n_columns or ru.tri.n_slabs != rv.tri.n_slabs \
-            or not np.allclose(ru.tri.breakpoints, rv.tri.breakpoints) \
-            or not np.allclose(ru.tri.times, rv.tri.times):
+    # exact: states on slices a rounding apart are not on one mesh
+    if not (np.array_equal(ru.tri.breakpoints, rv.tri.breakpoints)
+            and np.array_equal(ru.tri.times, rv.tri.times)):
         raise ValueError("contraction checks require both runs on the same triangulation")
 
 
 def _shared_table(ru: RunResult, rv: RunResult, j: int) -> SpacelikeTable:
-    _require_shared_mesh(ru, rv)
     hull = (min(ru.u_range[0], rv.u_range[0]), max(ru.u_range[1], rv.u_range[1]))
     return SpacelikeTable(ru.tri, ru.flux, j, rule=ru.cfg.rule(), u_range=hull)
 
@@ -735,7 +730,7 @@ def contraction_check(result_u: RunResult, result_v: RunResult,
             max(result_u.u_range[1], result_v.u_range[1]))
     tables = [SpacelikeTable(tri, result_u.flux, j, rule=result_u.cfg.rule(), u_range=hull)
               for j in range(tri.n_slices)]
-    distances = np.array([kruzkov_slice_distance(result_u, result_v, j, table=table)
+    distances = np.array([_slice_distance(table, result_u, result_v, j)
                           for j, table in enumerate(tables)])
 
     budgets = np.zeros(tri.n_slabs)
@@ -1078,11 +1073,13 @@ def verify_run(result: RunResult, tol: float | None = None,
             float(np.max(convex_decomposition_residual(slab, decomp, state_next))))
         per_slab["bracketing"].append(decomp.bracket_residual)
 
-        face_res = face_entropy_residuals(slab, decomp, state, c_vals)
+        sides = _kruzkov_sides(slab, state.values, c_vals)
+        face_res = _face_residuals(slab, decomp, state, c_vals, sides)
         per_slab["face_inequality"].append(float(np.max(face_res["face_inequality"])))
         per_slab["face_inequality_neighbor"].append(float(np.max(face_res["boundary"])))
         per_slab["cell_inequality"].append(
-            float(np.max(cell_entropy_residuals(slab, state, state_next, c_vals))))
+            float(np.max(_cell_residuals(slab, state, state_next, c_vals, sides))))
+        del sides, face_res  # freed before the smooth-pair checks set the peak memory
 
         bc = 0.0
         for column, side, _node, b in _boundary_faces(slab):

@@ -503,17 +503,15 @@ class Slab:
 
     # -- CFL ------------------------------------------------------------------------
 
-    def lambdas(self, estimator: str = "derivative") -> LambdaReport:
+    def lambdas(self) -> LambdaReport:
         """Per-cell lambda ratios; the cell sums must stay below 1/2.
 
-        ``estimator='derivative'`` uses the exact suprema of the built-in
-        fluxes (from G' samples); ``'fd_grid'`` uses central differences of
-        Q on a state grid, matching the defining ratio literally.
+        Uses the exact suprema of the built-in fluxes (from G' samples);
+        computed once per slab.
         """
-        if estimator == "derivative" and self._lambda_report is not None:
+        if self._lambda_report is not None:
             return self._lambda_report
-        sup = self.vert.lipschitz_sup() if estimator == "derivative" \
-            else self.vert.lipschitz_sup_fd()
+        sup = self.vert.lipschitz_sup()
         dq_min = self.table_plus.dq_min_raw
         lam_hat = np.stack([sup[self.left_idx], sup[self.right_idx]], axis=1) \
             / dq_min[:, None]
@@ -526,12 +524,10 @@ class Slab:
         nonzero = lam_hat_cell > 0.0
         lam[nonzero] = lam_hat[nonzero] / lam_hat_cell[nonzero, None]
         lam[~nonzero] = 0.5
-        report = LambdaReport(lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam,
-                              cfl_limit=CFL_LIMIT,
-                              passed=bool(np.max(lam_hat_cell) <= CFL_LIMIT * (1 + 1e-12)))
-        if estimator == "derivative":
-            self._lambda_report = report
-        return report
+        self._lambda_report = LambdaReport(
+            lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam, cfl_limit=CFL_LIMIT,
+            passed=bool(np.max(lam_hat_cell) <= CFL_LIMIT * (1 + 1e-12)))
+        return self._lambda_report
 
     # -- the update -------------------------------------------------------------------
 

@@ -4,6 +4,8 @@ builds a per-face mesh view."""
 import importlib
 import os
 import pkgutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from spacetime_fvm.harness import bump_test_function
 from spacetime_fvm.mesh import IntervalDomain, Triangulation
 from spacetime_fvm.scheme import BoundaryData, Solver
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ["spacetime_fvm"] + [f"spacetime_fvm.{m.name}"
                                for m in pkgutil.iter_modules(spacetime_fvm.__path__)]
 
@@ -28,6 +31,18 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", ["tracing", "workloads"])
+def test_benchmark_modules_import(name, monkeypatch):
+    """The benchmark imports library names at load: a rename fails here, not there."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        importlib.import_module(name)
+    finally:
+        for module in ("tracing", "workloads"):
+            sys.modules.pop(module, None)
 
 
 CONFIG = """

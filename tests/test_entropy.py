@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import capacity_field, constant_bd, densities, make_solver, step_bd
+from conftest import capacity_field, constant_bd, counting_flux, densities, make_solver, step_bd
 
 from spacetime_fvm import presets
 from spacetime_fvm.entropy import (
     EntropyPair,
     KruzkovPair,
+    SmoothFaceEntropy,
     TestFunction,
     adaptive_simpson,
     boundary_bound_mass,
@@ -86,6 +87,17 @@ class TestEntropyTotalFlux:
         table = self._unit_face_table()
         assert entropy_total_flux(table, square_pair(), [0.5])[0] == \
             pytest.approx(0.25, abs=1e-12)
+
+    def test_smooth_pair_columns_are_independent(self):
+        # one (m, K) evaluation equals K column evaluations bit for bit
+        solver = burgers_rarefaction_solver(nx=8)
+        table = solver.slab(0).table_plus
+        w = np.linspace(-0.5, 0.5, 24).reshape(8, 3)
+        ent = SmoothFaceEntropy(square_pair(), table)
+        both = ent.q_omega(w)
+        assert both.shape == w.shape
+        for k in range(w.shape[1]):
+            assert both[:, k].tobytes() == ent.q_omega(w[:, k]).tobytes()
 
     def test_total_entropy_flux_derivative_identity(self):
         # d/dq of (entropy total flux composed with the inverse of q) equals
@@ -229,6 +241,141 @@ class TestFaceInequalities:
         assert float(np.max(res["face_inequality"])) > 1e-9
 
 
+def _signed_q(slab, side, u, v):
+    """Q_{K, e}(u, v) of every cell on one side, evaluated on that side's faces."""
+    if side == 1:
+        return slab.vert.Q(u, v, faces=slab.right_idx)
+    return -slab.vert.Q(v, u, faces=slab.left_idx)
+
+
+def _signed_g(slab, side, w):
+    if side == 1:
+        return slab.vert.G(w, faces=slab.right_idx)
+    return -slab.vert.G(w, faces=slab.left_idx)
+
+
+def _signed_kruzkov_q(slab, side, u, v, c):
+    return _kruzkov(lambda a, b: _signed_q(slab, side, a, b), c, u[:, None], v[:, None])
+
+
+def _oracle_neighbors(slab, values):
+    u_left, u_right = slab.neighbor_states(values)
+    nb = np.empty((slab.m, 2))
+    nb[:, 0] = u_left[slab.left_idx]
+    nb[:, 1] = u_right[slab.right_idx]
+    return nb
+
+
+def _oracle_deltas(slab, values):
+    """(delta_q, delta_q_bar), each flux rebuilt once per cell side."""
+    nb = _oracle_neighbors(slab, values)
+    delta_q = np.empty((slab.m, 2))
+    delta_q_bar = np.empty((slab.m, 2))
+    for side in (0, 1):
+        q_uv = _signed_q(slab, side, values, nb[:, side])
+        delta_q[:, side] = q_uv - _signed_g(slab, side, values)
+        delta_q_bar[:, side] = q_uv - _signed_g(slab, side, nb[:, side])
+    return delta_q, delta_q_bar
+
+
+def _oracle_face_residuals(slab, decomp, state, c):
+    values = state.values
+    q = slab.table_plus.q
+    out = {"face_inequality": np.empty((slab.m, 2, c.size)),
+           "boundary": np.empty((slab.m, 2, c.size))}
+    q_own = _kruzkov(q, c, values[:, None])
+    for side in (0, 1):
+        nbv = decomp.neighbor[:, side]
+        zero = decomp.lam_hat[:, side] <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, decomp.lam[:, side]))[:, None]
+        Q_uv = _signed_kruzkov_q(slab, side, values, nbv, c)
+        Q_uu = _signed_kruzkov_q(slab, side, values, values, c)
+        Q_vv = _signed_kruzkov_q(slab, side, nbv, nbv, c)
+        q_ut = _kruzkov(q, c, decomp.face_states[:, side, None])
+        q_ub = _kruzkov(q, c, decomp.anchored_states[:, side, None])
+        q_nb = _kruzkov(q, c, nbv[:, None])
+        out["face_inequality"][:, side, :] = np.maximum(
+            0.0, q_ut - (q_own - inv_lam * (Q_uv - Q_uu)))
+        out["boundary"][:, side, :] = np.maximum(0.0, q_ub - (q_nb + inv_lam * (Q_uv - Q_vv)))
+    return out
+
+
+def _oracle_cell_residuals(slab, state, state_next, c):
+    values = state.values
+    total = (_kruzkov(slab.table_plus.q, c, state_next.values[:, None])
+             - _kruzkov(slab.table_plus.q, c, values[:, None]))
+    nb = _oracle_neighbors(slab, values)
+    for side in (0, 1):
+        total = total + (_signed_kruzkov_q(slab, side, values, nb[:, side], c)
+                         - _signed_kruzkov_q(slab, side, values, values, c))
+    return np.maximum(0.0, total)
+
+
+def _circle_burgers_solver(kind="godunov_osher"):
+    flux = presets.burgers_flux((-1.5, 1.5))
+    bd = BoundaryData(u=lambda p: 0.6 * np.sin(2 * np.pi * p[..., 1]) + 0.1)
+    return make_solver(flux, CircleDomain(1.0), 0.15, bd, nx=12, kind=kind,
+                       u_range=(-0.8, 0.8))
+
+
+def _boundary_driven_solver():
+    result = boundary_driven_burgers_case(t_final=0.2).run(12)
+    return Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+
+
+class TestFaceArrays:
+    """Each vertical-face flux is built once and read by both cells beside it.
+
+    The oracle rebuilds every flux once per cell side, as the per-cell
+    formulas read; both layouts must agree bit for bit.
+    """
+
+    @pytest.mark.parametrize("make", [
+        lambda: burgers_shock_solver(nx=12, kind="godunov_osher"),
+        lambda: burgers_shock_solver(nx=12, kind="rusanov"),
+        _circle_burgers_solver,
+        _boundary_driven_solver,
+    ], ids=["interval-godunov", "interval-rusanov", "circle", "boundary-driven"])
+    def test_equal_to_per_cell_side_oracle(self, make):
+        solver = make()
+        result = solver.run()
+        for j in range(result.tri.n_slabs):
+            slab = solver.slab(j)
+            state, state_next = result.states[j], result.states[j + 1]
+            decomp = decomposition_states(slab, state)
+            delta_q, delta_q_bar = _oracle_deltas(slab, state.values)
+            assert decomp.delta_q.tobytes() == delta_q.tobytes()
+            assert decomp.delta_q_bar.tobytes() == delta_q_bar.tobytes()
+            assert decomp.neighbor.tobytes() == _oracle_neighbors(slab, state.values).tobytes()
+            c = kruzkov_lattice(slab, state)
+            face = face_entropy_residuals(slab, decomp, state, c)
+            oracle = _oracle_face_residuals(slab, decomp, state, c)
+            for key in ("face_inequality", "boundary"):
+                assert face[key].tobytes() == oracle[key].tobytes()
+            assert cell_entropy_residuals(slab, state, state_next, c).tobytes() \
+                == _oracle_cell_residuals(slab, state, state_next, c).tobytes()
+
+    @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
+                             ids=["interval", "circle"])
+    def test_face_and_cell_checks_evaluate_each_face_lattice_once(self, domain):
+        flux, calls = counting_flux(presets.burgers_flux((-1.5, 1.5)))
+        bd = BoundaryData(u=lambda p: 0.5 + 0.3 * np.sin(2 * np.pi * p[..., 1]))
+        solver = make_solver(flux, domain, 0.05, bd, nx=10, u_range=(-1.0, 1.0))
+        result = solver.run()
+        slab = solver.slab(1)
+        state, state_next = result.states[1], result.states[2]
+        decomp = decomposition_states(slab, state)
+        c = kruzkov_lattice(slab, state)
+        calls.clear()
+        face_entropy_residuals(slab, decomp, state, c)
+        cell_entropy_residuals(slab, state, state_next, c)
+        # per check: Q(u_L, u_R) (two G each) and G(u_L), G(u_R), each cut at
+        # c both ways -- 8 G lattices on the vertical faces
+        nv, nq = slab.vert.pts.shape[:2]
+        assert sum(calls[("w", 0)]) == 2 * 8 * nv * c.size * nq
+
+
 class TestCellInequality:
     def test_constant_zero(self):
         flux = presets.burgers_flux((-1.0, 1.0))
@@ -332,7 +479,6 @@ class TestDissipation:
         dec = decomposition_states(slab, result.states[0])
         rep = global_dissipation_report(slab, dec, result.states[0], result.states[1])
         # right side is purely the incoming slice content
-        from spacetime_fvm.entropy import SmoothFaceEntropy
         ent = SmoothFaceEntropy(square_pair(), slab.table_minus)
         assert rep.rhs == pytest.approx(float(np.sum(ent.q_omega(result.states[0].values))),
                                         abs=1e-13)
@@ -488,6 +634,22 @@ class TestContraction:
         moved = Solver(tri, rv.flux, rv.spec, rv.bd, rv.cfg).run()
         assert moved.tri.n_slabs == ru.tri.n_slabs
         self._assert_rejected_both_ways(ru, moved)
+
+    def test_shifted_interior_slice_time_rejected(self):
+        # a mesh is one mesh bit for bit; 5e-9 is inside a default allclose
+        ru, rv = self._circle_runs(nx=10, t_final=0.1)
+        times = ru.tri.times.copy()
+        times[2] += 5e-9
+        tri = build_triangulation(Foliation(times, ru.tri.domain), ru.tri.breakpoints)
+        moved = Solver(tri, rv.flux, rv.spec, rv.bd, rv.cfg).run()
+        self._assert_rejected_both_ways(ru, moved)
+
+    def test_slice_distance_on_different_meshes_rejected(self):
+        # 26 and 21 slabs: slice 20 sits at t = 0.2308 in one run, 0.2857 in the other
+        ra = boundary_driven_burgers_case(u_inflow=0.9, t_final=0.3).run(12)
+        rb = boundary_driven_burgers_case(u_inflow=0.7, t_final=0.3).run(12)
+        with pytest.raises(ValueError, match="both runs on the same triangulation"):
+            kruzkov_slice_distance(ra, rb, 20)
 
     def test_boundary_bound_dominates_flux_derivative(self):
         flux = presets.burgers_flux((-1.0, 1.0))

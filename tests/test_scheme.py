@@ -32,6 +32,7 @@ from spacetime_fvm.mesh import (
     segment_nodes,
 )
 from spacetime_fvm.scheme import (
+    CFL_LIMIT,
     BoundaryData,
     CFLViolation,
     NumericalFluxSpec,
@@ -343,6 +344,13 @@ class TestInitialSliceState:
             initial_slice_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
 
 
+def _fd_ratios(slab):
+    """Per-cell (left, right) ratios from the finite-difference Lipschitz estimate."""
+    sup = slab.vert.lipschitz_sup_fd()
+    return np.stack([sup[slab.left_idx], sup[slab.right_idx]], axis=1) \
+        / slab.table_plus.dq_min_raw[:, None]
+
+
 class TestComputeLambdas:
     def test_upwind_advection_ratios(self):
         dx = 1.0 / 8.0
@@ -350,11 +358,12 @@ class TestComputeLambdas:
         adv = presets.linear_advection_flux(1.0, (-1.0, 1.0))
         solver = make_solver(adv, IntervalDomain(0.0, 1.0), hbar, constant_bd(0.5),
                              nx=8, cfl=0.5, u_range=(-1.0, 1.0), hbar=hbar)
-        report = solver.slab(0).lambdas(estimator="fd_grid")
-        np.testing.assert_allclose(report.lam_hat, hbar / dx, rtol=1e-6)
-        np.testing.assert_allclose(report.lam_hat_cell, 2 * hbar / dx, rtol=1e-6)
-        assert report.passed
-        assert report.max_cell_ratio() == pytest.approx(0.25, rel=1e-6)
+        lam_hat = _fd_ratios(solver.slab(0))
+        lam_hat_cell = np.sum(lam_hat, axis=1)
+        np.testing.assert_allclose(lam_hat, hbar / dx, rtol=1e-6)
+        np.testing.assert_allclose(lam_hat_cell, 2 * hbar / dx, rtol=1e-6)
+        assert np.max(lam_hat_cell) <= CFL_LIMIT * (1 + 1e-12)
+        assert float(np.max(lam_hat_cell)) == pytest.approx(0.25, rel=1e-6)
 
     def test_symmetric_weights(self):
         adv = presets.linear_advection_flux(1.0, (-1.0, 1.0))
@@ -368,9 +377,8 @@ class TestComputeLambdas:
         flux = presets.burgers_flux((-1.2, 1.2))
         solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.01, constant_bd(0.5),
                              nx=6, u_range=(-1.0, 1.0), hbar=0.01)
-        a = solver.slab(0).lambdas(estimator="derivative")
-        b = solver.slab(0).lambdas(estimator="fd_grid")
-        np.testing.assert_allclose(a.lam_hat, b.lam_hat, rtol=2e-2)
+        slab = solver.slab(0)
+        np.testing.assert_allclose(slab.lambdas().lam_hat, _fd_ratios(slab), rtol=2e-2)
 
 
 class TestSelectTimestep:
