@@ -16,7 +16,8 @@ evaluates every discrete inequality the theory asserts:
 Every Kruzkov quantity is one identity, ``F(u v c) - F(u ^ c)`` for the
 modulus entropy ``|u - c|``, applied to one flux ``F`` of the states: a
 total flux, a flux-form coefficient or a numerical flux (Kruzkov 1970;
-Crandall & Majda 1980).  :func:`_kruzkov` is its only implementation.  The
+Crandall & Majda 1980): :func:`_kruzkov`, and on the check lattices its factored
+form :func:`_kruzkov_split`, one ``F`` per lattice point and per state.  The
 global-inequality report evaluates Kruzkov pairs only; smooth pairs reduce
 to them by superposition.  Gauss rules come from the cached, read-only
 :func:`~spacetime_fvm.forms.gauss_legendre`.
@@ -88,6 +89,18 @@ def _kruzkov(f: Callable, c, *states):
     """
     return (f(*(np.maximum(u, c) for u in states))
             - f(*(np.minimum(u, c) for u in states)))
+
+
+def _kruzkov_split(f_c, f_s, c, s):
+    """:func:`_kruzkov` of a one-state ``f`` from ``f_c = f(c)`` and ``f_s = f(s)``, bit for bit.
+
+    One state: ``s v c`` and ``s ^ c`` are ``c`` or ``s`` by the sign of
+    ``c - s``, so the difference picks from ``f_c`` and ``f_s``.  Two states
+    ``lo <= hi`` of a face: off the straddle set ``lo < c < hi``,
+    ``Q(u_L v c, u_R v c) - Q(u_L ^ c, u_R ^ c)`` is ``Q(c, c) - Q(u_L, u_R)``
+    for ``c >= hi``, its negative for ``c <= lo``, and ``Q(c, c) = G(c)``.
+    """
+    return np.where(c > s, f_c, f_s) - np.where(c < s, f_c, f_s)
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +439,33 @@ def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
                     np.asarray(v, dtype=float))
 
 
-def _kruzkov_sides(slab: Slab, values: np.ndarray, c: np.ndarray):
-    """:func:`_cell_sides` of the face arrays cut at ``c``, each (m, nc).
+class _CheckLattice:
+    """One slab's Kruzkov lattices (:func:`_kruzkov_split`) for the face and cell checks.
 
-    Each lattice is evaluated once per vertical face, for both its cells.
+    Q is evaluated on the straddle set and where G(c) is a zero, whose sign
+    ``Q(c, c) = 0.5 (G + G) -+ 0.5 s 0`` of a central flux may flip.
     """
-    u_left, u_right = slab.neighbor_states(values)
-    u_left, u_right = u_left[:, None], u_right[:, None]
-    vert = slab.vert
-    return _cell_sides(slab, _kruzkov(vert.Q, c, u_left, u_right),
-                       _kruzkov(vert.G, c, u_left), _kruzkov(vert.G, c, u_right))
+
+    def __init__(self, slab: Slab, values: np.ndarray, c):
+        self.c = c = np.asarray(c, dtype=float)
+        vert, self._q = slab.vert, slab.table_plus.q
+        self.q_c = self._q(np.broadcast_to(c, (slab.m, c.size)))
+        self.q_own = self.q(values)
+        u_left, u_right = slab.neighbor_states(values)
+        g_c = vert.G(np.broadcast_to(c, (vert.n_faces, c.size)))
+        lo, hi = np.minimum(u_left, u_right)[:, None], np.maximum(u_left, u_right)[:, None]
+        q_lr = vert.Q(u_left, u_right)[:, None]
+        k_q = np.where(c >= hi, g_c - q_lr, q_lr - g_c)
+        faces, cols = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))
+        k_q[faces, cols] = _kruzkov(lambda a, b: vert.Q(a, b, faces=faces),
+                                    c[cols], u_left[faces], u_right[faces])
+        self.sides = _cell_sides(
+            slab, k_q, _kruzkov_split(g_c, vert.G(u_left)[:, None], c, u_left[:, None]),
+            _kruzkov_split(g_c, vert.G(u_right)[:, None], c, u_right[:, None]))
+
+    def q(self, s: np.ndarray) -> np.ndarray:
+        """Kruzkov q lattice of per-cell states ``s`` (m,), shape (m, nc)."""
+        return _kruzkov_split(self.q_c, self._q(s)[:, None], self.c, s[:, None])
 
 
 def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: SliceState,
@@ -446,27 +476,23 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
     flavor anchored at face_states, ``boundary`` for the neighbor flavor
     anchored at the neighbor state.
     """
-    c = np.asarray(c_values, dtype=float)
-    return _face_residuals(slab, decomp, state, c, _kruzkov_sides(slab, state.values, c))
+    return _face_residuals(slab, decomp, _CheckLattice(slab, state.values, c_values))
 
 
-def _face_residuals(slab, decomp, state, c, sides) -> dict[str, np.ndarray]:
-    """:func:`face_entropy_residuals` on prebuilt :func:`_kruzkov_sides`."""
+def _face_residuals(slab, decomp, lattice: _CheckLattice) -> dict[str, np.ndarray]:
+    """:func:`face_entropy_residuals` on a prebuilt :class:`_CheckLattice`."""
     m = slab.m
-    out_dei = np.empty((m, 2, c.size))
-    out_bnd = np.empty((m, 2, c.size))
-    q_plus = slab.table_plus
-
-    q_own = _kruzkov(q_plus.q, c, state.values[:, None])
-    for side, (Q_uv, Q_uu, Q_vv) in enumerate(sides):
+    out_dei = np.empty((m, 2, lattice.c.size))
+    out_bnd = np.empty((m, 2, lattice.c.size))
+    for side, (Q_uv, Q_uu, Q_vv) in enumerate(lattice.sides):
         lam = decomp.lam[:, side]
         zero = decomp.lam_hat[:, side] <= 0.0
-        q_ut = _kruzkov(q_plus.q, c, decomp.face_states[:, side, None])
-        q_ub = _kruzkov(q_plus.q, c, decomp.anchored_states[:, side, None])
-        q_nb = _kruzkov(q_plus.q, c, decomp.neighbor[:, side, None])
+        q_ut = lattice.q(decomp.face_states[:, side])
+        q_ub = lattice.q(decomp.anchored_states[:, side])
+        q_nb = lattice.q(decomp.neighbor[:, side])
         with np.errstate(divide="ignore", invalid="ignore"):
             inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))[:, None]
-        out_dei[:, side, :] = np.maximum(0.0, q_ut - (q_own - inv_lam * (Q_uv - Q_uu)))
+        out_dei[:, side, :] = np.maximum(0.0, q_ut - (lattice.q_own - inv_lam * (Q_uv - Q_uu)))
         out_bnd[:, side, :] = np.maximum(0.0, q_ub - (q_nb + inv_lam * (Q_uv - Q_vv)))
     return {"face_inequality": out_dei, "boundary": out_bnd}
 
@@ -474,15 +500,13 @@ def _face_residuals(slab, decomp, state, c, sides) -> dict[str, np.ndarray]:
 def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState,
                            c_values: np.ndarray) -> np.ndarray:
     """Positive part of the per-cell entropy inequality, shape (m, nc)."""
-    c = np.asarray(c_values, dtype=float)
-    return _cell_residuals(slab, state, state_next, c, _kruzkov_sides(slab, state.values, c))
+    return _cell_residuals(state_next, _CheckLattice(slab, state.values, c_values))
 
 
-def _cell_residuals(slab, state, state_next, c, sides) -> np.ndarray:
-    """:func:`cell_entropy_residuals` on prebuilt :func:`_kruzkov_sides`."""
-    total = (_kruzkov(slab.table_plus.q, c, state_next.values[:, None])
-             - _kruzkov(slab.table_plus.q, c, state.values[:, None]))
-    for Q_uv, Q_uu, _ in sides:
+def _cell_residuals(state_next, lattice: _CheckLattice) -> np.ndarray:
+    """:func:`cell_entropy_residuals` on a prebuilt :class:`_CheckLattice`."""
+    total = lattice.q(state_next.values) - lattice.q_own
+    for Q_uv, Q_uu, _ in lattice.sides:
         total = total + (Q_uv - Q_uu)
     return np.maximum(0.0, total)
 
@@ -614,13 +638,15 @@ def global_dissipation_report(slab: Slab, decomp: DecompositionStates,
     side, so a negative slack still indicates a genuine violation.
     """
     pair = pair if pair is not None else square_pair()
+    return _dissipation_report(slab, decomp, state, state_next, pair,
+                               SmoothFaceEntropy(pair, slab.table_plus).q_omega(state_next.values),
+                               SmoothFaceEntropy(pair, slab.table_minus).q_omega(state.values))
+
+
+def _dissipation_report(slab, decomp, state, state_next, pair, q_omega_plus, q_omega_minus):
+    """:func:`global_dissipation_report` on prebuilt ``q_omega`` of both slices' states."""
     hull = slab.solver.u_range
     c_mod = pair.convexity_modulus((min(hull[0], 0.0), max(hull[1], 0.0)))
-
-    ent_plus = SmoothFaceEntropy(pair, slab.table_plus)
-    ent_minus = SmoothFaceEntropy(pair, slab.table_minus)
-    q_omega_plus = ent_plus.q_omega(state_next.values)
-    q_omega_minus = ent_minus.q_omega(state.values)
 
     coeff = (slab.table_plus.dq_min ** 2 / slab.table_plus.dq_max)[:, None]
     diss = float(np.sum(decomp.lam * coeff
@@ -655,6 +681,11 @@ def outflow_entropy_convexity_residual(slab: Slab, decomp: DecompositionStates,
         ent = SmoothFaceEntropy(pair, slab.table_plus)
         q_new = ent.q_omega(state_next.values)
         q_ut = ent.q_omega(decomp.face_states)
+    return _convexity_residual(decomp, q_new, q_ut)
+
+
+def _convexity_residual(decomp, q_new, q_ut) -> np.ndarray:
+    """:func:`outflow_entropy_convexity_residual` on prebuilt q_omega(u_plus), q_omega(ut)."""
     return np.maximum(0.0, q_new - np.sum(decomp.lam * q_ut, axis=1))
 
 
@@ -1060,6 +1091,9 @@ def verify_run(result: RunResult, tol: float | None = None,
              "conservation_identity", "dissipation_slack"]
     per_slab: dict[str, list[float]] = {n: [] for n in names}
     lattice_sizes = []
+    square = square_pair()
+    q_omega_minus = SmoothFaceEntropy(square, solver.slice_table(0)).q_omega(
+        result.states[0].values)
 
     for j in range(tri.n_slabs):
         slab = solver.slab(j)
@@ -1073,13 +1107,12 @@ def verify_run(result: RunResult, tol: float | None = None,
             float(np.max(convex_decomposition_residual(slab, decomp, state_next))))
         per_slab["bracketing"].append(decomp.bracket_residual)
 
-        sides = _kruzkov_sides(slab, state.values, c_vals)
-        face_res = _face_residuals(slab, decomp, state, c_vals, sides)
+        lattice = _CheckLattice(slab, state.values, c_vals)
+        face_res = _face_residuals(slab, decomp, lattice)
         per_slab["face_inequality"].append(float(np.max(face_res["face_inequality"])))
         per_slab["face_inequality_neighbor"].append(float(np.max(face_res["boundary"])))
-        per_slab["cell_inequality"].append(
-            float(np.max(_cell_residuals(slab, state, state_next, c_vals, sides))))
-        del sides, face_res  # freed before the smooth-pair checks set the peak memory
+        per_slab["cell_inequality"].append(float(np.max(_cell_residuals(state_next, lattice))))
+        del lattice, face_res  # freed before the smooth-pair checks set the peak memory
 
         bc = 0.0
         for column, side, _node, b in _boundary_faces(slab):
@@ -1088,13 +1121,18 @@ def verify_run(result: RunResult, tol: float | None = None,
             bc = max(bc, float(np.max(np.maximum(0.0, violation))))
         per_slab["boundary_condition"].append(bc)
 
+        # q_omega(u_plus) serves convexity, dissipation and the next slab's inflow
+        ent = SmoothFaceEntropy(square, slab.table_plus)
+        q_omega_plus = ent.q_omega(state_next.values)
         per_slab["outflow_convexity_square"].append(float(np.max(
-            outflow_entropy_convexity_residual(slab, decomp, state_next, square_pair()))))
+            _convexity_residual(decomp, q_omega_plus, ent.q_omega(decomp.face_states)))))
 
         per_slab["conservation_identity"].append(float(np.max(np.abs(
             slab.table_plus.q(state_next.values) - state_next.fluxes))))
 
-        rep = global_dissipation_report(slab, decomp, state, state_next)
+        rep = _dissipation_report(slab, decomp, state, state_next, square,
+                                  q_omega_plus, q_omega_minus)
+        q_omega_minus = q_omega_plus
         worst = max(0.0, -rep.slack_general)
         if rep.slack_square_variant is not None:
             worst = max(worst, -rep.slack_square_variant)

@@ -231,6 +231,7 @@ class VerticalFluxes:
         self._place(t_lo, t_hi)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
+        self.derived: dict = {}   # a slab's CFL report, shared by every on_slab copy
 
         us = np.linspace(*self.u_range, CRITICAL_SAMPLES)
         dg = self.dG_lattice(us)                                       # (nv, K)
@@ -254,7 +255,8 @@ class VerticalFluxes:
 
         Only for a flux that does not read t and a slab whose float height
         ``t_hi - t_lo`` equals this one's: its table is then this one, bit
-        for bit, except for the geometry set here.  The arrays are shared.
+        for bit, except for the geometry set here.  The arrays and ``derived``
+        are shared.
         """
         vert = copy.copy(self)
         vert._place(t_lo, t_hi)
@@ -467,7 +469,6 @@ class Slab:
         self.left_idx = cols
         self.right_idx = (cols + 1) % self.m if tri.periodic else cols + 1
         self._ghosts: tuple[float, float] | None = None
-        self._lambda_report: LambdaReport | None = None
 
     # -- boundary ----------------------------------------------------------------
 
@@ -506,11 +507,12 @@ class Slab:
     def lambdas(self) -> LambdaReport:
         """Per-cell lambda ratios; the cell sums must stay below 1/2.
 
-        Uses the exact suprema of the built-in fluxes (from G' samples);
-        computed once per slab.
+        Uses the exact suprema of the built-in fluxes (from G' samples); kept
+        in ``vert.derived``, as a shared vertical table implies shared slice arrays.
         """
-        if self._lambda_report is not None:
-            return self._lambda_report
+        report = self.vert.derived.get("lambdas")
+        if report is not None:
+            return report
         sup = self.vert.lipschitz_sup()
         dq_min = self.table_plus.dq_min_raw
         lam_hat = np.stack([sup[self.left_idx], sup[self.right_idx]], axis=1) \
@@ -524,10 +526,10 @@ class Slab:
         nonzero = lam_hat_cell > 0.0
         lam[nonzero] = lam_hat[nonzero] / lam_hat_cell[nonzero, None]
         lam[~nonzero] = 0.5
-        self._lambda_report = LambdaReport(
+        report = self.vert.derived["lambdas"] = LambdaReport(
             lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam, cfl_limit=CFL_LIMIT,
             passed=bool(np.max(lam_hat_cell) <= CFL_LIMIT * (1 + 1e-12)))
-        return self._lambda_report
+        return report
 
     # -- the update -------------------------------------------------------------------
 

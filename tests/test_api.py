@@ -15,9 +15,14 @@ from conftest import make_solver
 import spacetime_fvm
 from spacetime_fvm import presets
 from spacetime_fvm.cli import EXIT_OK, main
-from spacetime_fvm.entropy import KruzkovPair, contraction_check, global_entropy_inequality_report
-from spacetime_fvm.harness import bump_test_function
-from spacetime_fvm.mesh import IntervalDomain, Triangulation
+from spacetime_fvm.entropy import (
+    KruzkovPair,
+    contraction_check,
+    global_entropy_inequality_report,
+    verify_run,
+)
+from spacetime_fvm.harness import boundary_driven_burgers_case, bump_test_function
+from spacetime_fvm.mesh import CircleDomain, IntervalDomain, Triangulation
 from spacetime_fvm.scheme import BoundaryData, Solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -43,6 +48,31 @@ def test_benchmark_modules_import(name, monkeypatch):
     finally:
         for module in ("tracing", "workloads"):
             sys.modules.pop(module, None)
+
+
+def _advection_on_circle():
+    flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
+    bd = BoundaryData(u=lambda p: 0.5 + 0.25 * np.sin(p[..., 1] + 1.0))
+    return make_solver(flux, CircleDomain(2.0 * np.pi), 0.3, bd, nx=12).run()
+
+
+@pytest.mark.parametrize("make", [_advection_on_circle,
+                                  lambda: boundary_driven_burgers_case(t_final=0.2).run(12)],
+                         ids=["advection-circle", "boundary-driven-burgers"])
+def test_traced_verify_mirrors_verify_run(make, monkeypatch):
+    """The benchmark's traced verify, built from the public checks, gives
+    ``verify_run``'s report bit for bit, so the two cannot drift apart."""
+    result = make()
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        tracing = importlib.import_module("tracing")
+        traced = tracing.traced_verify(result, tracing.Tracer(True))
+    finally:
+        sys.modules.pop("tracing", None)
+    report = verify_run(result)
+    assert traced.per_slab == report.per_slab
+    assert traced.to_json() == report.to_json()
 
 
 CONFIG = """

@@ -31,6 +31,8 @@ from spacetime_fvm.entropy import (
     smooth_entropy_numerical_flux,
     square_pair,
     verify_run,
+    _CheckLattice,
+    _cell_sides,
     _kruzkov,
 )
 from spacetime_fvm.forms import exterior_derivative
@@ -319,6 +321,29 @@ def _circle_burgers_solver(kind="godunov_osher"):
                        u_range=(-0.8, 0.8))
 
 
+def _traveling_density_solver():
+    # the advection benchmark's flux and data on a coarse circle
+    flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
+    bd = BoundaryData(u=lambda p: 0.5 + 0.25 * np.sin(p[..., 1] + 1.0))
+    return make_solver(flux, CircleDomain(2.0 * np.pi), 0.3, bd, nx=12)
+
+
+def _capacity_solver():
+    flux = capacity_field((lambda x: 1.5 + np.sin(3.0 * x), lambda x: 3.0 * np.cos(3.0 * x)),
+                          (-1.2, 1.2))
+    return make_solver(flux, IntervalDomain(0.0, 1.0), 0.1, step_bd(0.45, 0.9, -0.1),
+                       nx=12, u_range=(-0.2, 1.0))
+
+
+def _anti_diffusive_solver():
+    # a mild anti-diffusive speed survives a short run
+    flux = presets.burgers_flux((-1.2, 1.2))
+    base = make_solver(flux, IntervalDomain(0.0, 1.0), 0.02, step_bd(0.4, 0.9, 0.1),
+                       nx=12, u_range=(0.0, 1.0))
+    return Solver(base.tri, flux, NumericalFluxSpec("anti_diffusive", rusanov_speed=0.004),
+                  base.bd, base.cfg)
+
+
 def _boundary_driven_solver():
     result = boundary_driven_burgers_case(t_final=0.2).run(12)
     return Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
@@ -336,7 +361,11 @@ class TestFaceArrays:
         lambda: burgers_shock_solver(nx=12, kind="rusanov"),
         _circle_burgers_solver,
         _boundary_driven_solver,
-    ], ids=["interval-godunov", "interval-rusanov", "circle", "boundary-driven"])
+        _traveling_density_solver,
+        _capacity_solver,
+        _anti_diffusive_solver,
+    ], ids=["interval-godunov", "interval-rusanov", "circle", "boundary-driven",
+            "traveling-density-circle", "capacity", "anti-diffusive"])
     def test_equal_to_per_cell_side_oracle(self, make):
         solver = make()
         result = solver.run()
@@ -356,6 +385,38 @@ class TestFaceArrays:
             assert cell_entropy_residuals(slab, state, state_next, c).tobytes() \
                 == _oracle_cell_residuals(slab, state, state_next, c).tobytes()
 
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov", "anti_diffusive"])
+    def test_ties_equal_per_cell_side_oracle(self, kind):
+        # step data: states 1 and 0 on most cells, so most faces have
+        # u_L == u_R; c repeats states and ghosts exactly, lies below and
+        # above every state, is unsorted and has duplicates; G(0) is -0.0,
+        # which the anti-diffusive Q(0, 0) rounds to +0.0
+        flux = presets.burgers_flux((-2.0, 2.0))
+        base = make_solver(flux, IntervalDomain(0.0, 1.0), 0.05, step_bd(0.4, 1.0, 0.0),
+                           nx=12, u_range=(-0.5, 1.5))
+        solver = Solver(base.tri, flux, NumericalFluxSpec(kind), base.bd, base.cfg)
+        slab = solver.slab(0)
+        state = solver.initial_state()
+        state_next = slab.step(state)
+        values = state.values
+        u_left, u_right = slab.neighbor_states(values)
+        assert np.sum(u_left == u_right) >= 8 and 0.0 < values[4] < 1.0
+        c = np.array([0.5, 1.0, values[4], -0.7, 0.0, 1.3, 1.0, values[4], 0.0, -0.7, 0.25])
+        # the factored face arrays equal the ones cut at c state by state
+        uL, uR = u_left[:, None], u_right[:, None]
+        vert = slab.vert
+        unfactored = _cell_sides(slab, _kruzkov(vert.Q, c, uL, uR), _kruzkov(vert.G, c, uL),
+                                 _kruzkov(vert.G, c, uR))
+        for arrays, expected in zip(_CheckLattice(slab, values, c).sides, unfactored):
+            assert [a.tobytes() for a in arrays] == [e.tobytes() for e in expected]
+        decomp = decomposition_states(slab, state)
+        face = face_entropy_residuals(slab, decomp, state, c)
+        oracle = _oracle_face_residuals(slab, decomp, state, c)
+        for key in ("face_inequality", "boundary"):
+            assert face[key].tobytes() == oracle[key].tobytes()
+        assert cell_entropy_residuals(slab, state, state_next, c).tobytes() \
+            == _oracle_cell_residuals(slab, state, state_next, c).tobytes()
+
     @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
                              ids=["interval", "circle"])
     def test_face_and_cell_checks_evaluate_each_face_lattice_once(self, domain):
@@ -367,13 +428,24 @@ class TestFaceArrays:
         state, state_next = result.states[1], result.states[2]
         decomp = decomposition_states(slab, state)
         c = kruzkov_lattice(slab, state)
+        nv, nq = slab.vert.pts.shape[:2]
+        m, nq_s = slab.table_plus.pts.shape[:2]
+        # Q is evaluated directly where c straddles a face's two states, and
+        # where G(c) is a zero (Q(c, c) may carry the other sign there)
+        u_left, u_right = slab.neighbor_states(state.values)
+        lo, hi = np.minimum(u_left, u_right)[:, None], np.maximum(u_left, u_right)[:, None]
+        g_zero = slab.vert.G(np.broadcast_to(c, (nv, c.size))) == 0.0
+        direct = int(np.count_nonzero(((lo < c) & (c < hi)) | g_zero))
+        assert 0 < direct < nv * c.size // 4
         calls.clear()
         face_entropy_residuals(slab, decomp, state, c)
         cell_entropy_residuals(slab, state, state_next, c)
-        # per check: Q(u_L, u_R) (two G each) and G(u_L), G(u_R), each cut at
-        # c both ways -- 8 G lattices on the vertical faces
-        nv, nq = slab.vert.pts.shape[:2]
-        assert sum(calls[("w", 0)]) == 2 * 8 * nv * c.size * nq
+        # per check: G at every (face, c); G(u_L), G(u_R) and Q(u_L, u_R)
+        # (two G) per face; Q at both cuts (four G) per direct point
+        assert sum(calls[("w", 0)]) == 2 * nq * (nv * c.size + 4 * nv + 4 * direct)
+        # q at every (cell, c) per check; per cell q of the old state in
+        # each, of the three face-check states per side and of u_plus
+        assert sum(calls[("w", 1)]) == nq_s * (2 * m * c.size + 2 * m + 6 * m + m)
 
 
 class TestCellInequality:

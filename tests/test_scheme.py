@@ -35,6 +35,7 @@ from spacetime_fvm.scheme import (
     CFL_LIMIT,
     BoundaryData,
     CFLViolation,
+    DegenerateFluxError,
     NumericalFluxSpec,
     RunConfig,
     SliceState,
@@ -811,6 +812,43 @@ class TestTableReuse:
                    RunConfig(u_range=(0.2, 0.8)))
         Solver(tri, replace(flux, reads_t=True), NumericalFluxSpec(), constant_bd(0.5),
                RunConfig(u_range=(0.2, 0.8)))
+
+    def test_one_lambda_report_per_slab_height(self):
+        # heights 1, 1, 1, 2, 1, 2 times 2^-7, exact in binary: declared, the
+        # slabs of one height share one CFL report, equal bit for bit to the
+        # report each slab builds alone
+        tri = build_triangulation(Foliation(np.array([0, 1, 2, 3, 5, 6, 8]) * 2.0 ** -7,
+                                            IntervalDomain(0.0, 1.0)), 10)
+        flux = presets.burgers_flux((-1.2, 1.2))
+        reports = []
+        for f in (flux, replace(flux, reads_t=True)):
+            solver = Solver(tri, f, NumericalFluxSpec(), step_bd(0.45, 1.0, -0.2),
+                            RunConfig(u_range=(-0.2, 1.0)))
+            reports.append([solver.slab(j).lambdas() for j in range(tri.n_slabs)])
+        shared, own = reports
+        assert len({id(r) for r in shared}) == 2 and len({id(r) for r in own}) == tri.n_slabs
+        for a, b in zip(shared, own):
+            assert (a.lam_hat.tobytes(), a.lam_hat_cell.tobytes(), a.lam.tobytes(), a.passed) \
+                == (b.lam_hat.tobytes(), b.lam_hat_cell.tobytes(), b.lam.tobytes(), b.passed)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_shared_height_names_the_slab_at_fault(self):
+        # G' is NaN for |x - 0.6| < 0.05: a failed report is not kept, so
+        # every slab of the shared height that is asked names itself
+        omega = presets.burgers_flux((-1.2, 1.2)).omega
+        dwt = omega.du_coeffs[(0,)]
+        du = {**omega.du_coeffs,
+              (0,): lambda pts, u: dwt(pts, u) + 0.0 * (np.abs(pts[..., 1] - 0.6) - 0.05) ** 0.5}
+        flux = FluxField(omega=ParamForm(1, 2, dict(omega.coeffs), du, omega.u_range),
+                         domain=None, name="nan_stretch", reads_t=False)
+        tri = build_triangulation(Foliation(np.arange(6) * 2.0 ** -7, IntervalDomain(0.0, 1.0)), 16)
+        solver = Solver(tri, flux, NumericalFluxSpec(), constant_bd(0.5),
+                        RunConfig(u_range=(0.2, 0.8)))
+        for j in (3, 1, 3):
+            with pytest.raises(DegenerateFluxError,
+                               match=rf"^slab {j}: CFL ratio of cell 8 is nan: "
+                                     rf"G' bound of vertical face \('V', {j}, 9\) is nan$"):
+                solver.slab(j).lambdas()
 
 
 class TestVerticalFaceSums:
