@@ -190,7 +190,9 @@ def _custom_flux(cp: configparser.ConfigParser, domain, u_range) -> FluxField:
                             periodic_axes=(1,) if domain.periodic else ())
     omega = ParamForm(1, 2, {(0,): wt, (1,): wx}, {(0,): dwt, (1,): dwx}, u_range)
     flux = FluxField(omega=omega, domain=chart, name="custom",
-                     reads_t=any("t" in fn.names for fn in (wx, wt, dwx, dwt)))
+                     reads_t=any("t" in fn.names for fn in (wx, wt, dwx, dwt)),
+                     u_free_du=frozenset(idx for idx, fn in (((0,), dwt), ((1,), dwx))
+                                         if "u" not in fn.names))
     pts = chart.sample_points(5)
     us = np.linspace(u_range[0], u_range[1], 5)
     for name, fn in (("wx", wx), ("wt", wt), ("dwx_du" if dwx_src else "du of wx", dwx),

@@ -264,6 +264,7 @@ class SmoothFaceEntropy:
     zero state with ``SMOOTH_PANELS`` composite Gauss panels of
     ``SMOOTH_PANEL_NODES`` nodes each, so polynomial flux data is
     integrated exactly and every face shares one consistent construction.
+    For a dq that does not read u the table's ``dq`` is one broadcast column.
     """
 
     def __init__(self, pair: EntropyPair, table: SpacelikeTable):

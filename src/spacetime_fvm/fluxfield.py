@@ -197,6 +197,10 @@ class FluxField:
     slice (every spacelike slice; every slab of the same height).  The
     default, True, is always safe and means no reuse; the solver checks a
     False declaration on samples and rejects a flux that breaks it.
+
+    ``u_free_du`` holds the indices, ``(0,)`` for dt and ``(1,)`` for dx, whose
+    u-derivative does not read u: the face tables evaluate it on one state
+    column and broadcast it.  Empty, the default, is always safe; checked like ``reads_t``.
     """
 
     omega: ParamForm
@@ -204,6 +208,7 @@ class FluxField:
     growth_bound: CoordinateForm | None = None
     name: str = "flux"
     reads_t: bool = True
+    u_free_du: frozenset = frozenset()
 
     def __post_init__(self):
         if self.omega.degree != self.omega.chart_dim - 1:

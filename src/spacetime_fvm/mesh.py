@@ -50,6 +50,7 @@ __all__ = [
     "Triangulation",
     "ValueOutsideImage",
     "build_triangulation",
+    "column_at",
     "face_sums",
     "mesh_regularity_report",
     "segment_nodes",
@@ -428,6 +429,12 @@ def face_sums(fn: Callable, pts: np.ndarray, weights: np.ndarray, u) -> np.ndarr
     raise MeshError("state array must have shape (n,) or (n, K)")
 
 
+def column_at(col: np.ndarray, u) -> np.ndarray:
+    """Per-face ``col`` (n,) at states ``u`` (n,) or (n, K); NaN where u is not finite."""
+    u = np.asarray(u, dtype=float)
+    return np.where(np.isfinite(u), col if u.ndim == 1 else col[:, None], np.nan)
+
+
 # ---------------------------------------------------------------------------
 # total flux functions
 # ---------------------------------------------------------------------------
@@ -442,8 +449,8 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     end return that end of ``u_range`` exactly.  Raises
     :class:`ValueOutsideImage` for a target outside the padded image and
     :class:`ConvergenceError` for a root above tolerance after
-    ``INVERT_MAX_ITERATIONS``; a target, image end or final residual that
-    is NaN counts as outside or above tolerance.
+    ``INVERT_MAX_ITERATIONS``, and at once for an active root whose
+    residual is NaN; a target or image end that is NaN counts as outside.
     """
     values = np.asarray(values, dtype=float)
     scale = np.maximum(1.0, np.abs(values))
@@ -464,6 +471,12 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
         if not active.any():
             return u
         r = q_of(u) - values
+        nan = active & np.isnan(r)
+        if nan.any():
+            k = int(np.argmax(nan))
+            raise ConvergenceError(
+                f"face {face_ids[k]}: total-flux inversion of target {float(values[k])!r} "
+                f"stopped at iterate u = {float(u[k])!r} with residual nan")
         lo = np.where(active & (r < 0.0), u, lo)
         hi = np.where(active & (r >= 0.0), u, hi)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -536,8 +549,9 @@ class SpacelikeTable:
 
         u_lo, u_hi = u_range if u_range is not None else flux.u_range
         self.u_range = (float(u_lo), float(u_hi))
-        us = np.broadcast_to(np.linspace(u_lo, u_hi, DQ_SAMPLE_COUNT),
-                             (tri.n_columns, DQ_SAMPLE_COUNT))
+        n_samples = 1 if (1,) in flux.u_free_du else DQ_SAMPLE_COUNT   # 1: dq reads no u
+        us = np.broadcast_to(np.linspace(u_lo, u_hi, DQ_SAMPLE_COUNT)[:n_samples],
+                             (tri.n_columns, n_samples))
         signs = []
 
         def dwx_with_signs(pts, u):
@@ -554,6 +568,7 @@ class SpacelikeTable:
         self.orientation = np.where(per_face_pos, 1.0, -1.0)
         self.weights = self.orientation[:, None] * base_w
         dq_samples = self.orientation[:, None] * dq_samples   # = sums over oriented weights
+        self.dq_column = dq_samples[:, 0] if n_samples == 1 else None
         self.dq_min_raw = dq_samples.min(axis=1)
         self.dq_max_raw = dq_samples.max(axis=1)
         self.dq_min = DQ_MIN_SAFETY * self.dq_min_raw
@@ -589,6 +604,9 @@ class SpacelikeTable:
         return face_sums(self._wx, self.pts, self.weights, u)
 
     def dq(self, u) -> np.ndarray:
+        """Oriented dq; ``dq_column`` broadcast if ``(1,)`` is in ``flux.u_free_du``."""
+        if self.dq_column is not None:
+            return column_at(self.dq_column, u)
         return face_sums(self._dwx, self.pts, self.weights, u)
 
     def density(self, u) -> np.ndarray:

@@ -8,7 +8,7 @@ partials, so geometry-compatibility checks are exact up to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,8 @@ def flat_flux(f: Callable, df: Callable, u_range: tuple[float, float],
 
     This is the classical conservation law ``u_t + f(u)_x = 0``; it is
     geometry compatible for any f since neither coefficient depends on
-    the chart point, and it declares ``reads_t=False``.
+    the chart point, and it declares ``reads_t=False`` and, as the dx
+    derivative is 1, ``u_free_du={(1,)}``.
     """
     dom = domain if domain is not None else RectangleDomain((0.0, 0.0), (1.0, 1.0))
     coeffs = {(_T,): lambda pts, u: -np.asarray(f(u)) + 0.0 * pts[..., 0],
@@ -61,7 +62,8 @@ def flat_flux(f: Callable, df: Callable, u_range: tuple[float, float],
           (_X,): lambda pts, u: np.ones(np.broadcast_shapes(np.shape(pts)[:-1], np.shape(u)))}
     partials = {(_T,): {_T: _zero, _X: _zero}, (_X,): {_T: _zero, _X: _zero}}
     omega = ParamForm(1, 2, coeffs, du, u_range, partials=partials)
-    return FluxField(omega=omega, domain=dom, name=name, reads_t=False)
+    return FluxField(omega=omega, domain=dom, name=name, reads_t=False,
+                     u_free_du=frozenset({(_X,)}))
 
 
 def burgers_flux(u_range: tuple[float, float] = (-1.0, 1.0),
@@ -72,8 +74,10 @@ def burgers_flux(u_range: tuple[float, float] = (-1.0, 1.0),
 
 def linear_advection_flux(speed: float = 1.0, u_range: tuple[float, float] = (-1.0, 1.0),
                           domain: RectangleDomain | None = None) -> FluxField:
-    return flat_flux(lambda u, _a=speed: _a * np.asarray(u), lambda u, _a=speed: _a + 0.0 * np.asarray(u),
-                     u_range, domain, name=f"advection{speed:g}")
+    return replace(flat_flux(lambda u, _a=speed: _a * np.asarray(u),
+                             lambda u, _a=speed: _a + 0.0 * np.asarray(u),
+                             u_range, domain, name=f"advection{speed:g}"),
+                   u_free_du=frozenset({(_T,), (_X,)}))
 
 
 def traveling_density_flux(phi: Callable, dphi: Callable,
@@ -84,6 +88,7 @@ def traveling_density_flux(phi: Callable, dphi: Callable,
 
     Closed for every frozen u because the same density multiplies both
     components; the exact solution transports initial data at unit speed.
+    Linear in u, it declares ``u_free_du={(0,), (1,)}``.
     """
     dom = domain if domain is not None else RectangleDomain((0.0, 0.0), (1.0, 2.0 * np.pi),
                                                             periodic_axes=(1,))
@@ -120,7 +125,7 @@ def traveling_density_flux(phi: Callable, dphi: Callable,
     partials = {(_T,): {_T: w_t_t, _X: w_t_x}, (_X,): {_T: w_x_t, _X: w_x_x}}
     omega = ParamForm(1, 2, {(_T,): wt, (_X,): wx}, {(_T,): dwt, (_X,): dwx},
                       u_range, partials=partials)
-    return FluxField(omega=omega, domain=dom, name=name)
+    return FluxField(omega=omega, domain=dom, name=name, u_free_du=frozenset({(_T,), (_X,)}))
 
 
 def capacity_flux(a: Callable, da: Callable, f: Callable, df: Callable,
@@ -131,7 +136,8 @@ def capacity_flux(a: Callable, da: Callable, f: Callable, df: Callable,
 
     Closed for frozen u (the dx coefficient is time independent and the dt
     coefficient is space independent), so constants remain exact solutions.
-    No coefficient reads t, so it declares ``reads_t=False``.
+    No coefficient reads t and ``a(x)`` does not read u: it declares
+    ``reads_t=False`` and ``u_free_du={(1,)}``.
     """
     dom = domain if domain is not None else RectangleDomain((0.0, 0.0), (1.0, 1.0))
 
@@ -142,7 +148,8 @@ def capacity_flux(a: Callable, da: Callable, f: Callable, df: Callable,
     partials = {(_T,): {_T: _zero, _X: _zero},
                 (_X,): {_T: _zero, _X: lambda pts, u: da(pts[..., _X]) * np.asarray(u)}}
     omega = ParamForm(1, 2, coeffs, du, u_range, partials=partials)
-    return FluxField(omega=omega, domain=dom, name=name, reads_t=False)
+    return FluxField(omega=omega, domain=dom, name=name, reads_t=False,
+                     u_free_du=frozenset({(_X,)}))
 
 
 # ---------------------------------------------------------------------------

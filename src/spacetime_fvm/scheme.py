@@ -37,6 +37,7 @@ from .mesh import (
     ROOT_STEP_TOL,
     SpacelikeTable,
     Triangulation,
+    column_at,
     face_sums,
     segment_nodes,
 )
@@ -215,7 +216,10 @@ class VerticalFluxes:
     the admissible state range are located once (sign changes of G' on a
     ``CRITICAL_SAMPLES`` lattice, polished by :func:`_bracketed_secant`;
     exact lattice zeros of G' count as found), making the interval min/max
-    flux exact for fluxes with finitely many extrema.  The slab's geometry
+    flux exact for fluxes with finitely many extrema.  With ``(0,)`` in
+    ``flux.u_free_du`` the lattice is one column, ``dg_column``, and the
+    search is skipped: a G' constant in u has no critical point, so
+    ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  The slab's geometry
     (``t_lo``, ``t_hi``, ``pts``) is cheap; the rest derives from the flux
     and the slab height, and :meth:`on_slab` shares it with another slab of
     the same height when the flux does not read t.
@@ -233,12 +237,18 @@ class VerticalFluxes:
         self._dwt = flux.omega.du_coeffs[(0,)]
         self.derived: dict = {}   # a slab's CFL report, shared by every on_slab copy
 
-        us = np.linspace(*self.u_range, CRITICAL_SAMPLES)
+        self.dg_column = None
+        u_free = (0,) in flux.u_free_du
+        us = np.linspace(*self.u_range, CRITICAL_SAMPLES)[:1 if u_free else None]
         dg = self.dG_lattice(us)                                       # (nv, K)
         self._dg_abs_max = np.max(np.abs(dg), axis=1)
         self._dg_max = np.max(dg, axis=1)
         self._dg_min = np.min(dg, axis=1)
-        self._locate_criticals(us, dg)
+        if u_free:
+            self.dg_column = dg[:, 0]
+            self.crit_w = self.crit_g = np.empty((self.n_faces, 0))
+        else:
+            self._locate_criticals(us, dg)
 
         if spec.rusanov_speed is not None and spec.kind is not FluxKind.GODUNOV_OSHER:
             self.speed = np.full(self.n_faces, float(spec.rusanov_speed))
@@ -280,6 +290,10 @@ class VerticalFluxes:
         return -face_sums(self._wt, self._pts(faces), self.weights, u)
 
     def dG(self, u, faces=None) -> np.ndarray:
+        """G' at per-face states; ``dg_column`` broadcast when it does not read u."""
+        if self.dg_column is not None:
+            return column_at(self.dg_column if faces is None
+                             else self.dg_column[np.asarray(faces)], u)
         return -face_sums(self._dwt, self._pts(faces), self.weights, u)
 
     def dG_lattice(self, us: np.ndarray) -> np.ndarray:
@@ -630,9 +644,7 @@ class Solver:
         # shares, and by slab height those every slab of that height shares
         self._slice_arrays: SpacelikeTable | None = None
         self._vertical_arrays: dict[float, VerticalFluxes] = {}
-        self._check_time_observer()
-        if not flux.reads_t:
-            self._check_time_independent()
+        self._check_samples()
 
     def _samples(self):
         """9 states and a (9 t, 33 x) grid of chart points over the mesh."""
@@ -642,34 +654,37 @@ class Solver:
         tt, xx = np.meshgrid(ts, xs, indexing="ij")
         return us, np.stack([tt, xx], axis=-1)
 
-    def _check_time_observer(self) -> None:
-        # hyperbolicity with T = dt reduces to positivity of the dx component of du
+    def _check_samples(self) -> None:
+        # one pass: hyperbolicity with T = dt (dx component of du > 0), then bit for
+        # bit reads_t False (no change along t, axis 0) and u_free_du (along u, axis 2)
+        flux, omega = self.flux, self.flux.omega
         us, pts = self._samples()
-        worst = min(float(np.min(self.flux.omega.du_coeffs[(1,)](pts, u))) for u in us)
-        if worst <= 0.0:
-            raise NotSpacelikeError(
-                f"flux fails hyperbolicity with the time observer (min coefficient {worst:.3e})")
-
-    def _check_time_independent(self) -> None:
-        # a flux declared not to read t must give the same bits at every sampled t
-        us, pts = self._samples()
+        grids = (pts[:, 0, 0], pts[0, :, 1], us)
         pts = pts[:, :, None, :]                                  # (t, x, 1, 2) against u
-        omega = self.flux.omega
-        coefficients = (("wt", omega.coeffs[(0,)]), ("wx", omega.coeffs[(1,)]),
-                        ("dwt_du", omega.du_coeffs[(0,)]), ("dwx_du", omega.du_coeffs[(1,)]))
-        for name, fn in coefficients:
+        for name, fn, index in (("dwx_du", omega.du_coeffs[(1,)], (1,)),
+                                ("wt", omega.coeffs[(0,)], None), ("wx", omega.coeffs[(1,)], None),
+                                ("dwt_du", omega.du_coeffs[(0,)], (0,))):
+            axes = [a for a, on in ((0, not flux.reads_t), (2, index in flux.u_free_du)) if on]
+            if not axes and name != "dwx_du":
+                continue
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 vals = np.ascontiguousarray(
                     np.broadcast_to(fn(pts, us), pts.shape[:2] + us.shape), dtype=float)
+            if name == "dwx_du" and np.min(vals) <= 0.0:
+                raise NotSpacelikeError(f"flux fails hyperbolicity with the time observer "
+                                        f"(min coefficient {float(np.min(vals)):.3e})")
             bits = vals.view(np.int64)
-            differs = bits != bits[:1]
-            if differs.any():
-                i, k, n = np.argwhere(differs)[0]
-                raise ValueError(
-                    f"flux {self.flux.name!r} is declared not to read t, but {name} does: "
-                    f"at x = {float(pts[0, k, 0, 1])!r}, u = {float(us[n])!r} it is "
-                    f"{float(vals[0, k, n])!r} at t = {float(pts[0, k, 0, 0])!r} and "
-                    f"{float(vals[i, k, n])!r} at t = {float(pts[i, k, 0, 0])!r}")
+            for axis in axes:
+                differs = bits != np.take(bits, [0], axis=axis)
+                if differs.any():
+                    idx = tuple(np.argwhere(differs)[0])
+                    at = [f"{v} = {float(g[i])!r}" for v, g, i in zip("txu", grids, idx)]
+                    raise ValueError(
+                        f"flux {flux.name!r} is declared not to read {'txu'[axis]}, but {name} "
+                        f"does: at {', '.join(at[:axis] + at[axis + 1:])} it is "
+                        f"{float(vals[idx[:axis] + (0,) + idx[axis + 1:]])!r} at "
+                        f"{'txu'[axis]} = {float(grids[axis][0])!r} and {float(vals[idx])!r} "
+                        f"at {at[axis]}")
 
     def slice_table(self, j: int) -> SpacelikeTable:
         """Table of slice j; a new table evicts every slice but j - 1."""
@@ -763,9 +778,10 @@ def _slab_ratio(domain, xs, flux, spec, u_range, t0, hbar) -> float:
     x_nodes = xs[:-1] if domain.periodic else xs
     vert = VerticalFluxes(x_nodes, t0, t0 + hbar, flux, spec, rule, u_range)
     sup = vert.lipschitz_sup()
-    # dq bounds on the outflow slice of the candidate slab
+    # dq bounds on the outflow slice of the candidate slab (1 column: dq reads no u)
     pts, weights = segment_nodes(rule, 1, t0 + hbar, xs[:-1], xs[1:])
-    us = np.broadcast_to(np.linspace(*u_range, DQ_SAMPLE_COUNT), (m, DQ_SAMPLE_COUNT))
+    n = 1 if (1,) in flux.u_free_du else DQ_SAMPLE_COUNT
+    us = np.broadcast_to(np.linspace(*u_range, DQ_SAMPLE_COUNT)[:n], (m, n))
     dq_min = np.min(np.abs(face_sums(flux.omega.du_coeffs[(1,)], pts, weights, us)), axis=1)
     left = np.arange(m)
     right = (np.arange(m) + 1) % m if domain.periodic else np.arange(m) + 1

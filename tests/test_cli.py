@@ -3,10 +3,12 @@ import io
 import json
 import os
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from spacetime_fvm import config as config_module
 from spacetime_fvm.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -158,6 +160,18 @@ class TestRunCommand:
         Path(cfg).write_text(text)
         assert main(["run", "--config", cfg]) == EXIT_SCHEME_ABORT
         assert re.fullmatch("scheme abort: " + where, capsys.readouterr().err.strip())
+        assert not os.path.exists(os.path.join(out, "slices.csv"))
+
+    def test_wrong_u_free_declaration_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # Burgers declared with a dt derivative free of u, which -u is not
+        burgers = config_module.burgers_flux
+        monkeypatch.setattr(config_module, "burgers_flux", lambda *args, **kwargs: replace(
+            burgers(*args, **kwargs), u_free_du=frozenset({(0,)})))
+        cfg, out = write_config(tmp_path, u_b="0.5 + 0.2 * x")
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert re.fullmatch(r"config error: flux 'burgers' is declared not to read u, but "
+                            r"dwt_du does: at t = 0\.0, x = 0\.0 it is \S+ at u = 0\.5 and "
+                            r"\S+ at u = \S+", capsys.readouterr().err.strip())
         assert not os.path.exists(os.path.join(out, "slices.csv"))
 
     def test_retired_threads_setting_still_loads(self, tmp_path):

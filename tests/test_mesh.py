@@ -430,6 +430,21 @@ class TestInversionKernel:
         with pytest.raises(ConvergenceError, match=r"target 0\.3 .* residual nan"):
             self._invert_affine(lambda u: np.where(np.abs(u - 0.5) < 0.1, np.nan, u), 0.3)
 
+    def test_nan_residual_stops_at_the_first_q_call(self):
+        # the first iterate, the midpoint 0.5, has a NaN residual: the
+        # inversion names it at once instead of bisecting to the cap
+        calls = []
+
+        def q_of(u):
+            calls.append(u.copy())
+            return np.where(np.abs(u - 0.5) < 0.1, np.nan, u)
+
+        with pytest.raises(ConvergenceError, match=(
+                r"^face \('S', 1, 3\): total-flux inversion of target 0\.3 stopped at "
+                r"iterate u = 0\.5 with residual nan$")):
+            self._invert_affine(q_of, 0.3)
+        assert len(calls) == 1
+
     def test_wrong_derivative_raises_convergence_error(self):
         # dq a million times too large: every Newton step stays inside the
         # bracket but barely moves, so the cap is reached above tolerance

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,16 @@ from conftest import (
 
 from spacetime_fvm import presets
 from spacetime_fvm import scheme as scheme_module
-from spacetime_fvm.config import parse_config
-from spacetime_fvm.entropy import KruzkovPair, global_entropy_inequality_report, verify_run
+from spacetime_fvm.config import load_config, parse_config
+from spacetime_fvm.entropy import (
+    SMOOTH_PANEL_NODES,
+    SMOOTH_PANELS,
+    KruzkovPair,
+    SmoothFaceEntropy,
+    global_entropy_inequality_report,
+    square_pair,
+    verify_run,
+)
 from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
 from spacetime_fvm.forms import ParamForm, gauss_legendre
 from spacetime_fvm.harness import CharacteristicsLinear, bump_test_function, l1_error
@@ -26,6 +35,7 @@ from spacetime_fvm.mesh import (
     CircleDomain,
     Foliation,
     IntervalDomain,
+    SpacelikeTable,
     ValueOutsideImage,
     _weighted_sum,
     build_triangulation,
@@ -696,22 +706,29 @@ def _mixed_heights(hbar, t_final, seed):
     return np.array(times)
 
 
-def assert_declaration_changes_no_bit(flux, tri, bd, u_range, kind="godunov_osher"):
-    """A run of ``flux`` (declared not to read t) equals the undeclared run bit for bit:
-    states, fluxes, lambda_max, verify_run's per-slab series and the global
-    entropy inequality for a t-dependent test function."""
+def assert_declaration_changes_no_bit(flux, tri, bd, u_range, kind="godunov_osher",
+                                      undeclared=None):
+    """A run of ``flux`` equals the run of ``undeclared`` (by default ``flux``
+    declared to read t) bit for bit: states, fluxes, lambda_max, every slab's
+    critical points, verify_run's per-slab series and the global entropy
+    inequality for a t-dependent test function."""
     psi = bump_test_function(0.4 * tri.times[-1], 0.45, 0.3 * tri.times[-1], 0.3)
     outcomes = []
-    for f in (flux, replace(flux, reads_t=True)):
+    for f in (flux, undeclared if undeclared is not None else replace(flux, reads_t=True)):
         solver = Solver(tri, f, NumericalFluxSpec(kind), bd, RunConfig(u_range=u_range))
+        slabs = []                                  # the run's slabs, kept as it asks for them
+        solver.slab = lambda j, _slab=solver.slab: slabs.append(_slab(j)) or slabs[-1]
         result = solver.run()
-        outcomes.append((result, verify_run(result).per_slab,
+        crits = [(s.vert.crit_w.shape, s.vert.crit_w.tobytes(), s.vert.crit_g.tobytes())
+                 for s in slabs]
+        outcomes.append((result, crits, verify_run(result).per_slab,
                          global_entropy_inequality_report(result, psi, KruzkovPair(0.3)).to_dict()))
-    (a, per_slab_a, global_a), (b, per_slab_b, global_b) = outcomes
+    (a, crits_a, per_slab_a, global_a), (b, crits_b, per_slab_b, global_b) = outcomes
     for x, y in zip(a.states, b.states, strict=True):
         assert x.values.tobytes() == y.values.tobytes()
         assert x.fluxes.tobytes() == y.fluxes.tobytes()
     assert a.lambda_max == b.lambda_max
+    assert crits_a == crits_b
     assert per_slab_a == per_slab_b
     assert global_a == global_b
 
@@ -849,6 +866,122 @@ class TestTableReuse:
                                match=rf"^slab {j}: CFL ratio of cell 8 is nan: "
                                      rf"G' bound of vertical face \('V', {j}, 9\) is nan$"):
                 solver.slab(j).lambdas()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+U_FREE_BOTH = frozenset({(0,), (1,)})
+U_FREE_DX = frozenset({(1,)})
+CONFIG_FLUX = ("[spacetime]\ndomain = interval 0 1\nt_final = 0.1\n[flux]\nbuiltin = custom\n"
+               "{}\n[mesh]\nnx = 8\n[boundary]\nu_b = 0.3 + 0.2 * x\n")
+
+
+class TestUFreeDerivatives:
+    """``u_free_du``: a u-derivative that does not read u is one column per face."""
+
+    @pytest.mark.parametrize("name, declared", [
+        ("advection_circle", U_FREE_BOTH), ("burgers_shock", U_FREE_DX),
+        ("convergence_advection", U_FREE_BOTH), ("custom_capacity", U_FREE_DX)])
+    def test_config_declarations(self, name, declared):
+        assert load_config(str(CONFIGS / f"{name}.ini")).flux.u_free_du == declared
+
+    @pytest.mark.parametrize("lines, declared", [
+        # the benchmark's rarefaction flux
+        ("wx = u\nwt = -0.5 * u * u\ndwx_du = 1\ndwt_du = -u", U_FREE_DX),
+        ("wx = u\nwt = -0.5 * u * u", frozenset()),       # derivatives of wx, wt read u
+        ("wx = (2 + sin(x - t)) * u\nwt = -(2 + sin(x - t)) * u\n"
+         "dwx_du = 2 + sin(x - t)\ndwt_du = -(2 + sin(x - t))", U_FREE_BOTH),
+        ("wx = u\nwt = -0.5 * u * u\ndwx_du = 1 + 0 * u\ndwt_du = -u", frozenset())],
+        ids=["rarefaction", "fd", "traveling", "zero_times_u"])
+    def test_config_flux_declares_from_its_expressions(self, lines, declared):
+        assert parse_config(CONFIG_FLUX.format(lines)).flux.u_free_du == declared
+
+    def test_preset_declarations(self):
+        assert presets.linear_advection_flux(0.7).u_free_du == U_FREE_BOTH
+        assert presets.burgers_flux().u_free_du == U_FREE_DX
+        assert presets.traveling_density_flux(np.exp, np.exp).u_free_du == U_FREE_BOTH
+        assert FluxField(omega=presets.burgers_flux().omega, domain=None).u_free_du == frozenset()
+
+    def test_advection_on_the_circle_equals_undeclared_bit_for_bit(self):
+        flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
+        domain, xs, u_range = CircleDomain(2 * np.pi), np.linspace(0.0, 2 * np.pi, 17), (0.2, 0.8)
+        hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(), u_range, 0.25, 0.3)
+        tri = build_triangulation(Foliation(_mixed_heights(hbar, 0.3, 3), domain), xs)
+        bd = BoundaryData(u=lambda p: 0.5 + 0.25 * np.sin(p[..., 1]))
+        assert flux.u_free_du == U_FREE_BOTH
+        assert_declaration_changes_no_bit(flux, tri, bd, u_range,
+                                          undeclared=replace(flux, u_free_du=frozenset()))
+
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+    def test_interval_burgers_equals_undeclared_bit_for_bit(self, kind):
+        flux = presets.burgers_flux((-1.2, 1.2))
+        domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 17), (-0.3, 1.0)
+        hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(kind), u_range, 0.25, 0.25)
+        tri = build_triangulation(Foliation(_mixed_heights(hbar, 0.25, 5), domain), xs)
+        assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range, kind,
+                                          undeclared=replace(flux, u_free_du=frozenset()))
+
+    @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.0, 12.0),
+           phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=10, deadline=None)
+    def test_capacity_runs_equal_undeclared(self, a0, ratio, k, phase, seed):
+        flux = presets.capacity_flux(lambda x: a0 + ratio * a0 * np.sin(k * x + phase),
+                                     lambda x: ratio * a0 * k * np.cos(k * x + phase),
+                                     lambda w: 0.5 * np.asarray(w) ** 2,
+                                     lambda w: np.asarray(w), (-1.2, 1.2))
+        domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 9), (-0.3, 1.0)
+        hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(), u_range, 0.25, 0.1)
+        tri = build_triangulation(Foliation(_mixed_heights(hbar, 0.1, seed), domain), xs)
+        assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range,
+                                          undeclared=replace(flux, u_free_du=frozenset()))
+
+    def test_q_omega_evaluates_dq_once_per_face(self):
+        # the table's dq column costs m * nq points of dwx, and q_omega on an
+        # (m, K) state array evaluates no more (undeclared: m * K * 320 * nq)
+        base = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
+        flux, calls = counting_flux(base)
+        flux = replace(flux, u_free_du=base.u_free_du)
+        tri = build_triangulation(Foliation(np.array([0.0, 0.1]), CircleDomain(2 * np.pi)), 12)
+        table = SpacelikeTable(tri, flux, 1, u_range=(-1.0, 1.0))
+        w = np.random.default_rng(2).uniform(-1.0, 1.0, (12, 7))
+        q = SmoothFaceEntropy(square_pair(), table).q_omega(w)
+        m, nq = table.pts.shape[:2]
+        assert sum(calls[("dw", 1)]) == m * nq
+        undeclared = SpacelikeTable(tri, replace(flux, u_free_du=frozenset()), 1,
+                                    u_range=(-1.0, 1.0))
+        calls.clear()
+        again = SmoothFaceEntropy(square_pair(), undeclared).q_omega(w)
+        assert sum(calls[("dw", 1)]) == m * 7 * SMOOTH_PANELS * SMOOTH_PANEL_NODES * nq
+        assert q.tobytes() == again.tobytes()
+
+    def test_broadcast_derivatives_keep_non_finite_states(self):
+        flux = presets.burgers_flux((-1.0, 1.0))        # dwx = 1 at every state
+        tri = build_triangulation(Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, 1.0)), 4)
+        table = SpacelikeTable(tri, flux, 1, u_range=(-1.0, 1.0))
+        u = np.array([0.3, np.nan, np.inf, -0.2])
+        np.testing.assert_allclose(table.dq(u), [0.25, np.nan, np.nan, 0.25], rtol=1e-14)
+        assert table.dq(np.zeros((4, 3))).shape == (4, 3)
+        vert = vertical_fluxes(presets.linear_advection_flux(0.5, (-1.0, 1.0)), (-1.0, 1.0), nx=3)
+        assert vert.dg_column is not None and vert.crit_w.shape == (4, 0)
+        np.testing.assert_allclose(vert.dG(u), [0.025, np.nan, np.nan, 0.025], rtol=1e-14)
+
+    @pytest.mark.parametrize("coefficient", ["dwt_du", "dwx_du"])
+    def test_wrong_declaration_is_caught(self, coefficient):
+        # Burgers with one u-derivative scaled by (1 + u / 1000), declared free of u
+        omega = presets.burgers_flux((-1.0, 1.0)).omega
+        du = dict(omega.du_coeffs)
+        axis = {"dwt_du": 0, "dwx_du": 1}[coefficient]
+        fn = du[(axis,)]
+        du[(axis,)] = lambda pts, u: fn(pts, u) * (1.0 + 1e-3 * np.asarray(u))
+        flux = FluxField(omega=ParamForm(1, 2, dict(omega.coeffs), du, omega.u_range),
+                         domain=None, name="stiffening", u_free_du=frozenset({(axis,)}))
+        tri = build_triangulation(Foliation(np.linspace(0.0, 0.1, 5), IntervalDomain(0.0, 1.0)), 8)
+        with pytest.raises(ValueError, match=(
+                rf"^flux 'stiffening' is declared not to read u, but {coefficient} does: "
+                r"at t = 0\.0, x = 0\.0 it is \S+ at u = 0\.2 and \S+ at u = 0\.275$")):
+            Solver(tri, flux, NumericalFluxSpec(), constant_bd(0.5),
+                   RunConfig(u_range=(0.2, 0.8)))
+        Solver(tri, replace(flux, u_free_du=frozenset()), NumericalFluxSpec(), constant_bd(0.5),
+               RunConfig(u_range=(0.2, 0.8)))
 
 
 class TestVerticalFaceSums:
