@@ -13,7 +13,7 @@ discretized the same way: :func:`segment_nodes` builds the Gauss nodes and
 weights of the face segments, and :func:`face_sums` forms
 ``sum_k w_k f(x_k, u)``.  On spacelike faces the total fluxes are strictly
 monotone, cached with derivative bounds in a :class:`SpacelikeTable`, and
-inverted column by column through one guarded Newton/bisection routine.
+inverted column by column by :func:`bracketed_root`, the one root finder.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
@@ -61,7 +61,7 @@ __all__ = [
 DQ_SAMPLE_COUNT = 33
 DQ_MIN_SAFETY = 0.9   # sampled minimum is an upper bound for the true inf
 DQ_MAX_SAFETY = 1.1
-INVERT_MAX_ITERATIONS = 100
+ROOT_MAX_STEPS = 100   # evaluations of f per bracketed_root call
 ROOT_STEP_TOL = 4e-16   # relative step below which a root is converged
 OSCILLATION_NODES = 33   # equispaced nodes per vertical face of the oscillation diagnostic
 
@@ -439,18 +439,74 @@ def column_at(col: np.ndarray, u) -> np.ndarray:
 # total flux functions
 # ---------------------------------------------------------------------------
 
+def _secant(lo, hi, flo, fhi):
+    # from the end with the smaller |f|: keeps a root within rounding of an end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = (hi - lo) / (fhi - flo)
+    return np.where(np.abs(flo) < np.abs(fhi), lo - flo * d, hi - fhi * d)
+
+
+def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf):
+    """Roots of ``f`` in brackets ``[lo, hi]`` with ``flo = f(lo) < 0 <= f(hi) = fhi``.
+
+    Each step evaluates f at the iterates (first ``w``) and keeps the
+    sub-bracket whose ends differ in sign.  The next iterate is the Newton
+    step if ``df`` is given and that step is finite and strictly inside,
+    else the Illinois secant of the bracket (Dowell & Jarratt 1971: an end
+    kept twice in a row has its value halved), or its midpoint when the
+    secant point is not strictly inside or the two previous secant steps
+    both failed to halve the bracket: without ``df`` the bracket halves at
+    least every three steps.  A root stops once ``|f| <= tol`` and its
+    Newton (or secant) step or its bracket is within
+    ``ROOT_STEP_TOL * (1 + |w|)``; a point bracket stops unevaluated.
+    Returns the last evaluated iterates, their f values (None if f was not
+    called) and the mask of the open roots: at once those whose f is NaN,
+    else those open after ``ROOT_MAX_STEPS`` evaluations of f.
+    """
+    active = lo < hi
+    x, fx = w, None
+    moved_lo = took = None         # the previous step: the roots that moved lo, took the secant
+    slow = slow_before = False     # the two previous secant steps failed to halve the bracket
+    for _ in range(ROOT_MAX_STEPS):
+        if not active.any():
+            break
+        x, fx = w, f(w)
+        nan = active & np.isnan(fx)
+        if nan.any():
+            return x, fx, nan
+        move_lo = fx < 0.0
+        width = None if took is None else hi - lo
+        lo, flo = np.where(move_lo, x, lo), np.where(move_lo, fx, flo)
+        hi, fhi = np.where(move_lo, hi, x), np.where(move_lo, fhi, fx)
+        slow_before, slow = slow, False if took is None else took & (hi - lo > 0.5 * width)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = _secant(lo, hi, flo, fhi) if df is None else x - fx / df(x)
+        step = np.fmin(np.abs(p - x), hi - lo)   # a NaN Newton step: the bracket
+        active &= ~((np.abs(fx) <= tol) & (step <= ROOT_STEP_TOL * (1.0 + np.abs(x))))
+        fall = active if df is None else active & ~((lo < p) & (p < hi))
+        took = None
+        if fall.any():
+            if moved_lo is not None:
+                flo = np.where(fall & ~move_lo & ~moved_lo, 0.5 * flo, flo)
+                fhi = np.where(fall & move_lo & moved_lo, 0.5 * fhi, fhi)
+            s = _secant(lo, hi, flo, fhi)
+            bisect = (slow & slow_before) | ~((lo < s) & (s < hi))
+            took = fall & ~bisect
+            p = np.where(fall, np.where(bisect, 0.5 * (lo + hi), s), p)
+        moved_lo = move_lo
+        w = np.where(active, p, x)
+    return x, fx, active
+
+
 def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol):
     """Solve ``q(u) = values`` entrywise for increasing q on ``u_range``.
 
-    Newton steps inside a closed bracket ``q(lo) < target <= q(hi)``; a step
-    that is not finite or not strictly inside is replaced by bisection.  A
-    root stops, frozen, once its step is below ``ROOT_STEP_TOL * (1 + |u|)``
-    and its residual within ``tol * max(1, |target|)``.  Targets at an image
-    end return that end of ``u_range`` exactly.  Raises
-    :class:`ValueOutsideImage` for a target outside the padded image and
-    :class:`ConvergenceError` for a root above tolerance after
-    ``INVERT_MAX_ITERATIONS``, and at once for an active root whose
-    residual is NaN; a target or image end that is NaN counts as outside.
+    :func:`bracketed_root` by Newton steps from the midpoint of ``u_range``
+    to the residual tolerance ``max(tol, 1e-13) * max(1, |target|)``; a
+    target at an image end returns that end of ``u_range`` exactly.  Raises
+    :class:`ValueOutsideImage` for a target outside the image padded by
+    ``tol`` (NaN counts as outside) and :class:`ConvergenceError` for a NaN
+    residual or a root above tolerance after ``ROOT_MAX_STEPS``.
     """
     values = np.asarray(values, dtype=float)
     scale = np.maximum(1.0, np.abs(values))
@@ -463,39 +519,18 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
             f"[{float(image_lo[k])!r}, {float(image_hi[k])!r}]")
     at_lo = values <= image_lo
     at_hi = values >= image_hi
-    lo = np.full_like(values, u_range[0])
-    hi = np.full_like(values, u_range[1])
-    u = np.where(at_lo, lo, np.where(at_hi, hi, 0.5 * (lo + hi)))
-    active = ~(at_lo | at_hi)
-    for _ in range(INVERT_MAX_ITERATIONS):
-        if not active.any():
-            return u
-        r = q_of(u) - values
-        nan = active & np.isnan(r)
-        if nan.any():
-            k = int(np.argmax(nan))
-            raise ConvergenceError(
-                f"face {face_ids[k]}: total-flux inversion of target {float(values[k])!r} "
-                f"stopped at iterate u = {float(u[k])!r} with residual nan")
-        lo = np.where(active & (r < 0.0), u, lo)
-        hi = np.where(active & (r >= 0.0), u, hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = u - r / dq_of(u)
-        # the converged test comes first: at a root the step rounds to zero
-        # and lands on the endpoint this iteration has just moved to u
-        done = (np.abs(nxt - u) <= ROOT_STEP_TOL * (1.0 + np.abs(u))) & (np.abs(r) <= tol_abs)
-        active &= ~done
-        bad = ~np.isfinite(nxt) | (nxt <= lo) | (nxt >= hi)
-        u = np.where(active, np.where(bad, 0.5 * (lo + hi), nxt), u)
-    if active.any():
-        resid = np.abs(q_of(u) - values)
-        failed = active & ~(resid <= np.maximum(tol_abs, 1e-13 * scale))   # NaN fails
-        if failed.any():
-            k = int(np.argmax(np.where(failed, resid / scale, -1.0)))
-            raise ConvergenceError(
-                f"face {face_ids[k]}: total-flux inversion of target {float(values[k])!r} "
-                f"stopped after {INVERT_MAX_ITERATIONS} iterations with residual "
-                f"{float(resid[k])!r} (tolerance {float(tol_abs[k])!r})")
+    ftol = max(tol, 1e-13) * scale   # a floor that the rounding of q lets residuals reach
+    u = np.where(at_lo, u_range[0], np.where(at_hi, u_range[1], 0.5 * (u_range[0] + u_range[1])))
+    u, r, open_ = bracketed_root(lambda w: q_of(w) - values, u, np.where(at_hi, u, u_range[0]),
+                                 np.where(at_lo, u, u_range[1]), image_lo - values,
+                                 image_hi - values, df=dq_of, tol=ftol)
+    if open_.any():
+        k = int(np.argmax(np.where(open_, np.abs(r) / scale, -1.0)))   # a NaN residual first
+        stop = (f"at iterate u = {float(u[k])!r} with residual nan" if np.isnan(r[k]) else
+                f"after {ROOT_MAX_STEPS} iterations with residual {float(abs(r[k]))!r} "
+                f"(tolerance {float(ftol[k])!r})")
+        raise ConvergenceError(f"face {face_ids[k]}: total-flux inversion of target "
+                               f"{float(values[k])!r} stopped {stop}")
     return u
 
 

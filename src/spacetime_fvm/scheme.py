@@ -33,10 +33,11 @@ from .forms import QuadratureRule, gauss_legendre
 from .mesh import (
     DQ_SAMPLE_COUNT,
     CircleDomain,
+    ConvergenceError,
     IntervalDomain,
-    ROOT_STEP_TOL,
     SpacelikeTable,
     Triangulation,
+    bracketed_root,
     column_at,
     face_sums,
     segment_nodes,
@@ -158,55 +159,6 @@ class SliceState:
 # vertical flux tables
 # ---------------------------------------------------------------------------
 
-def _bracketed_secant(f, lo, hi, flo, fhi) -> np.ndarray:
-    """Roots of f in brackets ``[lo, hi]`` whose end values differ in sign.
-
-    Regula falsi with the Illinois modification (Dowell & Jarratt 1971): an
-    end kept twice in a row has its value halved.  A step bisects when the
-    secant point is not strictly inside or the two previous steps both
-    failed to halve the bracket (one failure is what the Illinois halving
-    repairs), so the bracket halves at least every three steps and the cap
-    always suffices.  A root stops where f is exactly 0, or once the next
-    secant step or the bracket is within ``ROOT_STEP_TOL * (1 + |w|)``.
-    ``f(sel, w)`` evaluates the roots with indices ``sel`` at ``w``.
-    """
-    lo, hi, flo, fhi = (np.array(a, dtype=float) for a in (lo, hi, flo, fhi))
-    roots = np.empty(lo.size)
-    halvings = np.ceil(np.log2(max(float(np.max(hi - lo, initial=0.0)) / ROOT_STEP_TOL, 2.0)))
-    idx = np.arange(lo.size)
-    lo_negative = flo < 0.0
-    last = np.full(lo.size, np.inf)
-    moved = np.zeros(lo.size)        # +1: the last step moved lo, -1: it moved hi
-    slow = np.zeros(lo.size, dtype=bool)       # the last step failed to halve
-    slow_before = np.zeros(lo.size, dtype=bool)
-    for _ in range(3 * int(halvings) + 3):
-        if idx.size == 0:
-            break
-        w = lo - flo * (hi - lo) / (fhi - flo)
-        small = np.abs(w - last) <= ROOT_STEP_TOL * (1.0 + np.abs(w))
-        bisect = ~small & ((slow & slow_before) | ~((lo < w) & (w < hi)))
-        w = np.where(bisect, 0.5 * (lo + hi), w)
-        fw = np.zeros_like(w)            # a small step stops like an exact zero
-        if not small.all():
-            fw[~small] = f(idx[~small], w[~small])
-        move_lo = (fw < 0.0) == lo_negative
-        width = hi - lo
-        flo = np.where(~move_lo & (moved < 0), 0.5 * flo, flo)
-        fhi = np.where(move_lo & (moved > 0), 0.5 * fhi, fhi)
-        lo, flo = np.where(move_lo, w, lo), np.where(move_lo, fw, flo)
-        hi, fhi = np.where(move_lo, hi, w), np.where(move_lo, fhi, fw)
-        moved = np.where(move_lo, 1.0, -1.0)
-        slow_before, slow = slow, ~bisect & (hi - lo > 0.5 * width)
-        last = w
-        done = (fw == 0.0) | (hi - lo <= ROOT_STEP_TOL * (1.0 + np.abs(w)))
-        roots[idx[done]] = w[done]
-        keep = ~done
-        idx, lo, hi, flo, fhi, lo_negative, last, moved, slow, slow_before = (
-            a[keep] for a in (idx, lo, hi, flo, fhi, lo_negative, last, moved, slow, slow_before))
-    roots[idx] = 0.5 * (lo + hi)
-    return roots
-
-
 class VerticalFluxes:
     """Oriented fluxes and numerical fluxes on the vertical faces of a slab.
 
@@ -214,9 +166,10 @@ class VerticalFluxes:
     (outward orientation); ``Q(u, v)`` is the numerical flux in that same
     orientation with ``u`` the left-cell state.  Critical points of G over
     the admissible state range are located once (sign changes of G' on a
-    ``CRITICAL_SAMPLES`` lattice, polished by :func:`_bracketed_secant`;
-    exact lattice zeros of G' count as found), making the interval min/max
-    flux exact for fluxes with finitely many extrema.  With ``(0,)`` in
+    ``CRITICAL_SAMPLES`` lattice, polished by ``mesh.bracketed_root``, which
+    raises at a NaN G' or at its step bound; exact lattice zeros of G' count
+    as found), making the interval min/max flux exact for fluxes with
+    finitely many extrema.  With ``(0,)`` in
     ``flux.u_free_du`` the lattice is one column, ``dg_column``, and the
     search is skipped: a G' constant in u has no critical point, so
     ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  The slab's geometry
@@ -305,9 +258,19 @@ class VerticalFluxes:
         # (a sonic state landing on a sample node) are criticals themselves
         sign_change = dg[:, :-1] * dg[:, 1:] < 0.0
         face_idx, seg_idx = np.nonzero(sign_change)
-        roots = _bracketed_secant(lambda sel, w: self.dG(w, faces=face_idx[sel]),
-                                  us[seg_idx], us[seg_idx + 1],
-                                  dg[face_idx, seg_idx], dg[face_idx, seg_idx + 1])
+        lo, hi = us[seg_idx], us[seg_idx + 1]
+        glo, ghi = dg[face_idx, seg_idx], dg[face_idx, seg_idx + 1]
+        sign = np.sign(ghi)   # sign * G' is negative at lo
+        roots, g, open_ = bracketed_root(lambda w: sign * self.dG(w, faces=face_idx),
+                                         lo - glo * (hi - lo) / (ghi - glo), lo, hi,
+                                         -np.abs(glo), np.abs(ghi))
+        if open_.any():
+            k = int(np.argmax(open_))
+            raise ConvergenceError(
+                f"vertical face x = {float(self.x_nodes[face_idx[k]])!r} of the slab "
+                f"[{self.t_lo!r}, {self.t_hi!r}]: critical-point search on the lattice segment "
+                f"[{float(lo[k])!r}, {float(hi[k])!r}] stopped at u = {float(roots[k])!r} with "
+                f"G' = {float(sign[k] * g[k])!r}")
 
         is_zero = dg == 0.0
         left_zero = np.pad(is_zero[:, :-1], ((0, 0), (1, 0)), constant_values=True)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import counting_flux
 
-from spacetime_fvm import presets
+from spacetime_fvm import harness, presets
+from spacetime_fvm import mesh as mesh_module
 from spacetime_fvm.fluxfield import FaceKind, FluxField, classify_face
 from spacetime_fvm.forms import (
     CoordinateForm,
@@ -24,11 +25,14 @@ from spacetime_fvm.mesh import (
     Foliation,
     IntervalDomain,
     MeshError,
+    ROOT_MAX_STEPS,
+    ROOT_STEP_TOL,
     SliceFaceIds,
     SpacelikeTable,
     Triangulation,
     ValueOutsideImage,
     _invert_increasing,
+    bracketed_root,
     build_triangulation,
     face_sums,
     mesh_regularity_report,
@@ -359,7 +363,8 @@ def capacity_field(a0, a1, k, phase, u_range):
 
 
 class TestInversionKernel:
-    """Termination of the one Newton/bisection routine behind every inversion."""
+    """Termination of ``bracketed_root``, the one root finder behind every
+    inversion (Newton steps) and critical-point polish (Illinois secant)."""
 
     def test_affine_q_converges_in_at_most_four_iterations(self):
         flux, calls = counting_flux(presets.burgers_flux((-1.0, 1.0)))
@@ -425,8 +430,8 @@ class TestInversionKernel:
             self._invert_affine(lambda u: u, float("nan"))
 
     def test_nan_residual_is_a_convergence_error(self):
-        # q is NaN on (0.4, 0.6), where the first midpoint lands: no residual
-        # there is within tolerance, so the cap is reached and reported
+        # q is NaN on (0.4, 0.6), where the first midpoint lands: the
+        # inversion stops at that first q call and reports the NaN residual
         with pytest.raises(ConvergenceError, match=r"target 0\.3 .* residual nan"):
             self._invert_affine(lambda u: np.where(np.abs(u - 0.5) < 0.1, np.nan, u), 0.3)
 
@@ -444,6 +449,65 @@ class TestInversionKernel:
                 r"iterate u = 0\.5 with residual nan$")):
             self._invert_affine(q_of, 0.3)
         assert len(calls) == 1
+
+    def test_target_within_rounding_of_an_image_end_takes_two_q_calls(self, monkeypatch):
+        # in this shock, targets lie as little as 1e-323 above image_lo = 0:
+        # the Newton step from the midpoint lands on the bracket end u = 0,
+        # and the secant of the bracket, taken from that end, finds the root
+        # at once where bisection took ~50 q calls
+        counts, gaps = [], []
+
+        def counting(q_of, dq_of, values, u_range, image_lo, *args):
+            calls = []
+            gap = values - image_lo
+            gaps.append(float(np.min(gap[gap > 0.0], initial=1.0)))
+
+            def counted_q(u):
+                calls.append(1)
+                return q_of(u)
+
+            u = _invert_increasing(counted_q, dq_of, values, u_range, image_lo, *args)
+            counts.append(len(calls))
+            return u
+
+        monkeypatch.setattr(mesh_module, "_invert_increasing", counting)
+        harness.burgers_riemann_case(1.0, 0.0).run(80)
+        assert min(gaps) < 1e-30                     # the straggler targets occur
+        assert max(counts) <= 3
+
+    def test_nan_without_derivative_leaves_the_root_open(self):
+        # f is NaN on (0.3, 0.7) and the secant start is the root 0.55: the
+        # kernel stops at that first call instead of taking 0.3 for the root
+        calls = []
+
+        def f(w):
+            calls.append(w.copy())
+            return np.where(np.abs(w - 0.5) < 0.2, np.nan, w - 0.55)
+
+        x, fx, open_ = bracketed_root(f, np.array([0.55]), np.array([0.0]), np.array([1.0]),
+                                      np.array([-0.55]), np.array([0.45]))
+        assert open_.tolist() == [True] and np.isnan(fx[0]) and x[0] == 0.55
+        assert len(calls) == 1
+
+    def test_bracket_around_a_jump_closes_within_the_bound(self):
+        # one lattice segment of 65 states on [-1, 1] around a jump of f with
+        # no root: without derivative the bracket halves at least every
+        # three steps, and it closes on the jump within ROOT_MAX_STEPS
+        lo, hi = np.linspace(-1.0, 1.0, 65)[41:43]
+        jump = 0.3 + 1e-3 * np.sqrt(2.0)
+        calls = []
+
+        def f(w):
+            calls.append(1)
+            return np.where(w < jump, w - jump - 0.1, w - jump + 0.1)
+
+        flo, fhi = f(np.array([lo])), f(np.array([hi]))
+        calls.clear()
+        x, _, open_ = bracketed_root(f, lo - flo * (hi - lo) / (fhi - flo), np.array([lo]),
+                                     np.array([hi]), flo, fhi)
+        assert not open_.any()
+        assert len(calls) <= ROOT_MAX_STEPS
+        assert abs(x[0] - jump) <= 2 * ROOT_STEP_TOL * (1.0 + jump)
 
     def test_wrong_derivative_raises_convergence_error(self):
         # dq a million times too large: every Newton step stays inside the

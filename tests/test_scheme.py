@@ -33,6 +33,7 @@ from spacetime_fvm.forms import ParamForm, gauss_legendre
 from spacetime_fvm.harness import CharacteristicsLinear, bump_test_function, l1_error
 from spacetime_fvm.mesh import (
     CircleDomain,
+    ConvergenceError,
     Foliation,
     IntervalDomain,
     SpacelikeTable,
@@ -512,7 +513,7 @@ def bisected_criticals(vert, n_steps=80):
 
 
 class TestCriticalPoints:
-    """Critical points of G: lattice detection plus the bracketed secant polish."""
+    """Critical points of G: lattice detection plus the polish by ``bracketed_root``."""
 
     def test_burgers_sonic_state_within_a_few_ulps(self):
         sonic = 0.3 + 1e-3 * np.sqrt(2.0)            # off the G' lattice
@@ -558,6 +559,18 @@ class TestCriticalPoints:
         expected = np.tile([-0.55, 0.3, 0.0], (vert.n_faces, 1))
         np.testing.assert_allclose(vert.crit_w, expected, rtol=0, atol=1e-15)
         np.testing.assert_allclose(vert.crit_w, bisected_criticals(vert), rtol=0, atol=1e-14)
+
+    def test_nan_g_prime_at_the_polish_is_a_convergence_error(self):
+        # G' is NaN on (0.51, 0.52), between the lattice states 0.5 and
+        # 0.53125, and the secant start is the root 0.515 inside that band
+        flux = presets.flat_flux(
+            lambda u: 0.5 * (np.asarray(u) - 0.515) ** 2,
+            lambda u: np.where(np.abs(np.asarray(u) - 0.515) < 0.005, np.nan,
+                               np.asarray(u) - 0.515), (-1.0, 1.0))
+        with pytest.raises(ConvergenceError, match=(
+                r"^vertical face x = 0\.0 of the slab \[0\.0, 0\.05\]: critical-point search on "
+                r"the lattice segment \[0\.5, 0\.53125\] stopped at u = 0\.51\d* with G' = nan$")):
+            vertical_fluxes(flux, (-1.0, 1.0))
 
     def test_no_criticals_for_monotone_g(self):
         flux = presets.linear_advection_flux(1.0, (-1.0, 1.0))
