@@ -71,6 +71,13 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _texts(values: np.ndarray) -> list[str]:
+    """``.17g`` text per value; each 64-bit pattern is formatted once (slices repeat states)."""
+    keys = values.view(np.int64).tolist()
+    text = {k: f"{v:.17g}" for k, v in dict(zip(keys, values.tolist())).items()}
+    return [text[k] for k in keys]
+
+
 def write_run_csv(result: RunResult, path: str) -> None:
     """One row per spacelike face: slice_index, t, x_left, x_right, u, q."""
     xs = result.tri.breakpoints.tolist()
@@ -80,8 +87,8 @@ def write_run_csv(result: RunResult, path: str) -> None:
         handle.write("slice_index,t,x_left,x_right,u,q\r\n")
         for state in result.states:
             head = f"{state.slice_index},{times[state.slice_index]:.17g},"
-            handle.write("".join(f"{head}{col},{u:.17g},{q:.17g}\r\n" for col, u, q in zip(
-                columns, state.values.tolist(), state.fluxes.tolist())))
+            handle.write("".join(f"{head}{col},{u},{q}\r\n" for col, u, q in zip(
+                columns, _texts(state.values), _texts(state.fluxes))))
 
 
 def run_metadata(result: RunResult, setup: RunSetup, csv_name: str) -> dict:

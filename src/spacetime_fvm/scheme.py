@@ -24,6 +24,7 @@ import copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -353,12 +354,16 @@ class VerticalFluxes:
 # boundary data handling
 # ---------------------------------------------------------------------------
 
-def _face_means(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """alpha_B-weighted means of u_B, one per face; nodes run along the last axis."""
+def _face_means(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray,
+                face: Callable[[tuple], str]) -> np.ndarray:
+    """alpha_B-weighted means of u_B, one per face; nodes run along the last axis.
+    ``face(index)`` names the first face (leading index) whose mass is not positive."""
     alpha = weights * bd.alpha_values(pts)
     mass = np.sum(alpha, axis=-1)
     if np.any(mass <= 0.0):
-        raise ValueError("alpha_B mass must be positive on every boundary face")
+        idx = tuple(np.argwhere(mass <= 0.0)[0].tolist())
+        raise ValueError(f"alpha_B mass must be positive on every boundary face: "
+                         f"{face(idx)} has mass {float(mass[idx])!r}")
     return np.sum(alpha * bd.u_values(pts), axis=-1) / mass
 
 
@@ -379,7 +384,8 @@ def _inflow_state(table: SpacelikeTable, bd: BoundaryData) -> SliceState:
     """The initial slice state on the table of slice 0."""
     if np.any(table.orientation < 0.0):
         raise NotSpacelikeError("initial slice is not an inflow boundary for this flux")
-    values = _face_means(bd, table.pts, table.weights)
+    values = _face_means(bd, table.pts, table.weights,
+                         lambda idx: f"initial slice face {table.face_ids[idx[0]]!r}")
     return SliceState(0, table.face_ids, values, table.q(values))
 
 
@@ -445,7 +451,6 @@ class Slab:
         cols = np.arange(self.m)
         self.left_idx = cols
         self.right_idx = (cols + 1) % self.m if tri.periodic else cols + 1
-        self._ghosts: tuple[float, float] | None = None
 
     # -- boundary ----------------------------------------------------------------
 
@@ -453,10 +458,7 @@ class Slab:
         """(left, right) ghost states of this slab, or None on a circle."""
         if self.periodic:
             return None
-        if self._ghosts is None:
-            means = _face_means(self.solver.bd, self.vert.pts[[0, -1]], self.vert.weights)
-            self._ghosts = (float(means[0]), float(means[1]))
-        return self._ghosts
+        return tuple(self.solver.ghosts[self.j].tolist())
 
     # -- per-cell oriented fluxes -------------------------------------------------
 
@@ -680,6 +682,15 @@ class Solver:
             if len(self._vertical_arrays) > HEIGHT_CACHE_SIZE:
                 del self._vertical_arrays[next(iter(self._vertical_arrays))]
         return vert
+
+    @cached_property
+    def ghosts(self) -> np.ndarray:
+        """(n_slabs, 2) left and right ghost states of an interval run, from one u_B call."""
+        t, xb = self.tri.times, self.tri.breakpoints[[0, -1]]
+        pts, weights = segment_nodes(self.rule, 0, xb[None, :], t[:-1, None], t[1:, None])
+        return _face_means(self.bd, pts, weights, lambda idx: (
+            f"the {('left', 'right')[idx[1]]} face of slab {idx[0]} (x = "
+            f"{float(xb[idx[1]])!r}, t in [{float(t[idx[0]])!r}, {float(t[idx[0] + 1])!r}])"))
 
     def slab(self, j: int) -> Slab:
         """Slab j, kept until another slab is asked for (tables are rebuilt

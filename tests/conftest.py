@@ -113,7 +113,7 @@ def classical_godunov_step(u, u_ghost_left, u_ghost_right, f, lam, n_scan=4001):
 
 
 def counting_flux(flux):
-    """The same flux with coefficients that record every call.
+    """The same flux, declarations included, with coefficients that record every call.
 
     Returns ``(flux, calls)``: ``calls[("w", axis)]`` and ``calls[("dw", axis)]``
     list the number of points each call of the form coefficient or its
@@ -135,4 +135,5 @@ def counting_flux(flux):
         {idx: counted(("dw",) + idx, fn) for idx, fn in omega.du_coeffs.items()},
         omega.u_range, partials=omega.partials)
     return FluxField(omega=counted_omega, domain=flux.domain,
-                     growth_bound=flux.growth_bound, name=flux.name), calls
+                     growth_bound=flux.growth_bound, name=flux.name, reads_t=flux.reads_t,
+                     u_free_du=flux.u_free_du), calls

@@ -6,6 +6,7 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spacetime_fvm import config as config_module
@@ -16,6 +17,7 @@ from spacetime_fvm.cli import (
     EXIT_VERIFICATION,
     load_run_artifact,
     main,
+    write_run_csv,
 )
 from spacetime_fvm.config import load_config
 from spacetime_fvm.scheme import Solver
@@ -208,6 +210,16 @@ class TestRunCommand:
                                f"finite at (t, x) = (0.0, 0.0): {value}")
         assert not os.path.exists(out)
 
+    def test_nonpositive_alpha_b_mass_names_its_face(self, tmp_path, capsys):
+        # alpha_B = 1 - x vanishes on the right boundary line only; the
+        # initial slice's Gauss nodes stay inside (0, 1)
+        cfg, out = write_config(tmp_path, u_b="0.7\nalpha_b = 1 - x")
+        assert main(["run", "--config", cfg]) == EXIT_CONFIG
+        assert re.fullmatch(r"config error: alpha_B mass must be positive on every boundary "
+                            r"face: the right face of slab 0 \(x = 1\.0, t in \[0\.0, \S+\]\) "
+                            r"has mass 0\.0", capsys.readouterr().err.strip())
+        assert not os.path.exists(os.path.join(out, "slices.csv"))
+
     def test_formats_without_csv_rejected(self, tmp_path, capsys):
         # run.json always points at slices.csv, so the table cannot be switched off
         cfg, out = write_config(tmp_path)
@@ -223,6 +235,19 @@ class TestRunCommand:
             handle.write("formats = json, csv\n")
         assert main(["run", "--config", cfg]) == EXIT_OK
         assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_OK
+
+
+def _per_row_csv(result) -> bytes:
+    """``write_run_csv`` formatting every value on its own, row by row."""
+    xs = result.tri.breakpoints.tolist()
+    columns = [f"{a:.17g},{b:.17g}" for a, b in zip(xs[:-1], xs[1:])]
+    times = result.tri.times.tolist()
+    text = "slice_index,t,x_left,x_right,u,q\r\n"
+    for state in result.states:
+        head = f"{state.slice_index},{times[state.slice_index]:.17g},"
+        text += "".join(f"{head}{col},{u:.17g},{q:.17g}\r\n" for col, u, q in zip(
+            columns, state.values.tolist(), state.fluxes.tolist()))
+    return text.encode()
 
 
 class TestEntropyCheckCommand:
@@ -272,6 +297,23 @@ class TestEntropyCheckCommand:
         for a, b in zip(loaded.states, result.states):
             assert a.values.tobytes() == b.values.tobytes()
             assert a.fluxes.tobytes() == b.fluxes.tobytes()
+
+    def test_state_table_equals_per_row_formatting(self, tmp_path):
+        # the writer formats each bit pattern of a slice once: 0.0 and -0.0,
+        # and NaNs with other payloads, keep their own text
+        cfg, _ = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
+        setup = load_config(cfg)
+        result = Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd,
+                        setup.cfg).run()
+        nans = np.array([0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+        for state in result.states[::3]:
+            state.values[:5] = [0.0, -0.0, 0.0, -0.0, 0.0]
+            state.fluxes[-4:] = [-0.0, 0.0, *nans]
+        path = tmp_path / "slices.csv"
+        write_run_csv(result, str(path))
+        table = path.read_bytes()
+        assert table == _per_row_csv(result)
+        assert all(text in table for text in (b",-0,", b",-0\r\n", b",0\r\n", b",nan\r\n"))
 
     @pytest.mark.parametrize("keep", [-1, 1])
     def test_missing_or_short_slice_is_a_config_error(self, tmp_path, capsys, keep):

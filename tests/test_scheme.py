@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -253,7 +254,7 @@ class TestBoundaryGhostValue:
     def _ghost(bd, t0=0.0, t1=1.0, x=0.0, rule=None):
         """alpha_B-weighted mean of u_B over the boundary face {x} x [t0, t1]."""
         rule = rule if rule is not None else gauss_legendre(5, 1)
-        return float(_face_means(bd, *segment_nodes(rule, 0, x, t0, t1)))
+        return float(_face_means(bd, *segment_nodes(rule, 0, x, t0, t1), str))
 
     def test_constant_data(self):
         assert self._ghost(constant_bd(0.7)) == pytest.approx(0.7)
@@ -274,16 +275,43 @@ class TestBoundaryGhostValue:
 
     @pytest.mark.parametrize("points", [5, 12])
     def test_slab_ghosts_equal_face_means_bit_for_bit(self, points):
-        # a slab takes its ghosts from the nodes and weights of its vertical fluxes
+        # one u_B call for every slab gives each slab the bits of its own
+        # boundary faces, also where uniform heights differ by rounding
         bd = BoundaryData(u=lambda p: np.sin(5.0 * p[..., 0]) + p[..., 1],
                           alpha_density=lambda p: 1.5 + np.cos(3.0 * p[..., 0]))
         solver = make_solver(presets.burgers_flux((-1.5, 2.5)), IntervalDomain(0.0, 1.0),
                              0.3, bd, nx=5, u_range=(-1.0, 2.0), quadrature_points=points)
         times, xs = solver.tri.times, solver.tri.breakpoints
-        for j in (0, solver.tri.n_slabs - 1):
+        assert np.unique(np.diff(times)).size > 1
+        for j in range(solver.tri.n_slabs):
             expected = tuple(self._ghost(bd, float(times[j]), float(times[j + 1]),
                                          float(xs[i]), solver.rule) for i in (0, 5))
-            assert solver.slab(j).ghost_values() == expected
+            slab = solver.slab(j)
+            assert slab.ghost_values() == expected
+            # the per-slab oracle: the means on the slab's own vertical nodes
+            means = _face_means(bd, slab.vert.pts[[0, -1]], slab.vert.weights, str)
+            assert expected == (float(means[0]), float(means[1]))
+
+    @pytest.mark.parametrize("nx", [8, 32])
+    def test_ghosts_of_a_run_cost_one_u_b_call(self, nx):
+        calls = []
+
+        def u_b(p):
+            calls.append(p.shape)
+            return 0.5 + 0.4 * np.sin(3.0 * p[..., 0]) * np.cos(2.0 * p[..., 1])
+
+        bd = BoundaryData(u=u_b)
+        solver = make_solver(presets.burgers_flux((-1.5, 1.5)), IntervalDomain(0.0, 1.0),
+                             0.2, bd, nx=nx, u_range=(-1.0, 1.0))
+        calls.clear()                                   # the data hull and the probe solver
+        result = solver.run()
+        n_slabs, nq = solver.tri.n_slabs, solver.rule.nodes.shape[0]
+        assert n_slabs > 2
+        # the initial slice, then every slab's two boundary faces at once
+        assert calls == [(nx, nq, 2), (n_slabs, 2, nq, 2)]
+        # the verifier rebuilds the run's solver, which makes one table of its own
+        verify_run(result)
+        assert calls[2:] == [(n_slabs, 2, nq, 2)]
 
 
 class TestInitialSliceState:
@@ -328,6 +356,13 @@ class TestInitialSliceState:
         with pytest.raises(NotSpacelikeError):
             initial_slice_state(self._tri(4), constant_bd(0.5), reversed_flux)
         del flux
+
+    def test_nonpositive_mass_names_the_face(self):
+        bd = BoundaryData(u=lambda p: p[..., 1], alpha_density=lambda p: p[..., 1] - 0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                "alpha_B mass must be positive on every boundary face: initial slice face "
+                "('S', 0, 0) has mass -0.09375")):
+            initial_slice_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
 
     @pytest.mark.parametrize("points", [5, 12])
     def test_equals_per_face_means_bit_for_bit(self, points):
@@ -952,7 +987,6 @@ class TestUFreeDerivatives:
         # (m, K) state array evaluates no more (undeclared: m * K * 320 * nq)
         base = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
         flux, calls = counting_flux(base)
-        flux = replace(flux, u_free_du=base.u_free_du)
         tri = build_triangulation(Foliation(np.array([0.0, 0.1]), CircleDomain(2 * np.pi)), 12)
         table = SpacelikeTable(tri, flux, 1, u_range=(-1.0, 1.0))
         w = np.random.default_rng(2).uniform(-1.0, 1.0, (12, 7))
