@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -74,7 +75,7 @@ __all__ = [
 ]
 
 SIMPSON_TOL = 1e-12
-SMOOTH_PANELS = 32        # composite Gauss panels of SmoothFaceEntropy on [0, w]
+SMOOTH_PANELS = 32        # Gauss panels of SmoothFaceEntropy's table on the hull and 0
 SMOOTH_PANEL_NODES = 10   # Gauss nodes per panel
 # raw [-1, 1] Gauss-Legendre pairs of the adaptive quadrature
 _GAUSS_10 = np.polynomial.legendre.leggauss(10)
@@ -177,6 +178,7 @@ class EntropyPair:
                          coeffs, du_coeffs, flux.omega.u_range)
 
 
+@cache   # one pair, so its q_omega table is built once per slice table
 def square_pair() -> EntropyPair:
     return EntropyPair(lambda w: w * w, lambda w: 2.0 * w, name="square",
                        ddu_fn=lambda w: 2.0 + 0.0 * w)
@@ -260,11 +262,13 @@ def adaptive_simpson(f: Callable, a: float, b: float, tol: float,
 class SmoothFaceEntropy:
     """Entropy total fluxes of one slice for a smooth pair.
 
-    ``q_omega(w)`` integrates the derivative-weighted q-derivative from the
-    zero state with ``SMOOTH_PANELS`` composite Gauss panels of
-    ``SMOOTH_PANEL_NODES`` nodes each, so polynomial flux data is
-    integrated exactly and every face shares one consistent construction.
-    For a dq that does not read u the table's ``dq`` is one broadcast column.
+    ``q_omega(w)``, the integral of ``U'(v) dq(v)`` from 0 to ``w``, is a
+    per-face cumulative sum from 0 over ``SMOOTH_PANELS`` equal panels of
+    ``SMOOTH_PANEL_NODES`` Gauss nodes on the state range and 0 (an edge),
+    plus one such rule from the start of the state's panel: polynomial flux
+    data is integrated exactly.  The table does not read the states; it is
+    kept by pair in the slice table's ``derived``, shared by every slice of
+    a flux that does not read t.  A dq that does not read u is one column.
     """
 
     def __init__(self, pair: EntropyPair, table: SpacelikeTable):
@@ -273,21 +277,35 @@ class SmoothFaceEntropy:
         rule = gauss_legendre(SMOOTH_PANEL_NODES)
         self._gx = rule.nodes[:, 0]
         self._gw = rule.weights
+        if pair not in table.derived:
+            lo, hi = min(table.u_range[0], 0.0), max(table.u_range[1], 0.0)
+            h = (hi - lo) / SMOOTH_PANELS
+            n_neg = int(np.ceil(-lo / h))
+            starts = h * np.arange(-n_neg, int(np.ceil(hi / h)))
+            panels = self._panels(np.broadcast_to(starts, (table.n_faces, starts.size)), h)
+            down = -np.cumsum(panels[:, :n_neg][:, ::-1], axis=1)[:, ::-1]
+            up = np.cumsum(panels[:, n_neg:], axis=1)
+            table.derived[pair] = (h, n_neg, starts, np.concatenate(   # from 0 to each start
+                [down, np.zeros((table.n_faces, 1)), up[:, :-1]], axis=1))
+        self._h, self._n_neg, self._starts, self._cumulative = table.derived[pair]
+
+    def _panels(self, start: np.ndarray, width) -> np.ndarray:
+        """Gauss rules of ``U' dq`` on ``[start, start + width]``; ``start`` is (m, K)."""
+        width = np.broadcast_to(width, start.shape)[..., None]
+        vn = start[..., None] + self._gx * width                     # (m, K, G)
+        dq = self.table.dq(vn.reshape(start.shape[0], -1)).reshape(vn.shape)
+        return np.sum(self._gw * width * self.pair.du(vn) * dq, axis=-1)
 
     def q_omega(self, w) -> np.ndarray:
         """Shape-preserving entropy total flux per face; w is (m,) or (m, K)."""
         w = np.asarray(w, dtype=float)
         flat = w.reshape(w.shape[0], -1)
-        m, k = flat.shape
-        # composite Gauss on [0, w] per face and state: v-nodes (m, K, P*G);
-        # the weights are built after dq, whose lattice sets the peak memory
-        edges = np.linspace(0.0, 1.0, SMOOTH_PANELS + 1)
-        starts = edges[:-1][None, None, :, None] * flat[:, :, None, None]
-        widths = (edges[1] - edges[0]) * flat[:, :, None, None]
-        vn = (starts + self._gx * widths).reshape(m, k, -1)
-        dq = self.table.dq(vn.reshape(m, -1)).reshape(vn.shape)
-        vw = np.broadcast_to(self._gw * widths, (m, k, SMOOTH_PANELS, self._gw.size))
-        return np.sum(vw.reshape(vn.shape) * self.pair.du(vn) * dq, axis=-1).reshape(w.shape)
+        # the panel of each state: fmax takes a NaN state to panel 0 (its q_omega stays NaN)
+        k = np.fmin(np.fmax(np.floor(flat / self._h) + self._n_neg, 0.0),
+                    self._starts.size - 1).astype(np.intp)
+        start = self._starts[k]
+        return (np.take_along_axis(self._cumulative, k, axis=1)
+                + self._panels(start, flat - start)).reshape(w.shape)
 
 
 def entropy_total_flux(table: SpacelikeTable, pair, ubar):
@@ -376,19 +394,15 @@ def decomposition_states(slab: Slab, state: SliceState,
 
     q_nb = slab.table_plus.q(nb)
     q_own = slab.table_plus.q(values)
-    target_tilde = q_own[:, None] - scaled
-    target_bar = q_nb + scaled_bar
-
-    face_states = np.empty((m, 2))
-    anchored_states = np.empty((m, 2))
-    for side in (0, 1):
-        face_states[:, side] = np.where(zero[:, side], values,
-                                   _safe_invert(slab, target_tilde[:, side], zero[:, side], tol))
-        anchored_states[:, side] = np.where(zero[:, side], nb[:, side],
-                                 _safe_invert(slab, target_bar[:, side], zero[:, side], tol))
-
-    q_face_states = slab.table_plus.q(face_states)
-    q_anchored_states = slab.table_plus.q(anchored_states)
+    # one inversion per slab; columns: face states of sides 0, 1, then anchored states
+    skip = np.concatenate([zero, zero], axis=1)
+    targets = np.where(skip, slab.table_plus.image_lo[:, None],   # skipped: a safe in-image value
+                       np.concatenate([q_own[:, None] - scaled, q_nb + scaled_bar], axis=1))
+    states = np.where(skip, np.concatenate([np.stack([values, values], axis=1), nb], axis=1),
+                      slab.table_plus.invert(targets, tol=tol))
+    face_states, anchored_states = states[:, :2], states[:, 2:]
+    q_states = slab.table_plus.q(states)
+    q_face_states, q_anchored_states = q_states[:, :2], q_states[:, 2:]
 
     lo = np.minimum(q_own[:, None], q_nb)
     hi = np.maximum(q_own[:, None], q_nb)
@@ -402,12 +416,6 @@ def decomposition_states(slab: Slab, state: SliceState,
         lam_hat_cell=report.lam_hat_cell, delta_q=delta_q, delta_q_bar=delta_q_bar,
         neighbor=nb, q_face_states=q_face_states, q_anchored_states=q_anchored_states,
         bracket_residual=bracket)
-
-
-def _safe_invert(slab: Slab, targets: np.ndarray, skip: np.ndarray, tol: float) -> np.ndarray:
-    # inversion targets on skipped faces are replaced by a safe in-image value
-    safe = np.where(skip, slab.table_plus.image_lo, targets)
-    return slab.table_plus.invert(safe, tol=tol)
 
 
 def convex_decomposition_residual(slab: Slab, decomp: DecompositionStates,
@@ -443,8 +451,10 @@ def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
 class _CheckLattice:
     """One slab's Kruzkov lattices (:func:`_kruzkov_split`) for the face and cell checks.
 
-    Q is evaluated on the straddle set and where G(c) is a zero, whose sign
-    ``Q(c, c) = 0.5 (G + G) -+ 0.5 s 0`` of a central flux may flip.
+    Q is cut state by state on the straddle set and where G(c) is a zero,
+    whose sign ``Q(c, c) = 0.5 (G + G) -+ 0.5 s 0`` of a central flux may
+    flip; its G values there are those of ``G(c)``, ``G(u_L)`` and ``G(u_R)``,
+    so the lattices cost no flux evaluation beyond those three arrays.
     """
 
     def __init__(self, slab: Slab, values: np.ndarray, c):
@@ -454,15 +464,22 @@ class _CheckLattice:
         self.q_own = self.q(values)
         u_left, u_right = slab.neighbor_states(values)
         g_c = vert.G(np.broadcast_to(c, (vert.n_faces, c.size)))
+        g_left, g_right = vert.G(u_left), vert.G(u_right)
         lo, hi = np.minimum(u_left, u_right)[:, None], np.maximum(u_left, u_right)[:, None]
-        q_lr = vert.Q(u_left, u_right)[:, None]
+        q_lr = vert._combine(u_left, u_right, g_left, g_right)[:, None]
         k_q = np.where(c >= hi, g_c - q_lr, q_lr - g_c)
         faces, cols = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))
-        k_q[faces, cols] = _kruzkov(lambda a, b: vert.Q(a, b, faces=faces),
-                                    c[cols], u_left[faces], u_right[faces])
+        # Q at both cuts from the G values at hand: G(u v c) is G(c) where c > u, else G(u)
+        cf, gc, ul, ur, gl, gr = (c[cols], g_c[faces, cols], u_left[faces], u_right[faces],
+                                  g_left[faces], g_right[faces])
+        k_q[faces, cols] = (
+            vert._combine(np.maximum(ul, cf), np.maximum(ur, cf), np.where(cf > ul, gc, gl),
+                          np.where(cf > ur, gc, gr), faces)
+            - vert._combine(np.minimum(ul, cf), np.minimum(ur, cf), np.where(cf < ul, gc, gl),
+                            np.where(cf < ur, gc, gr), faces))
         self.sides = _cell_sides(
-            slab, k_q, _kruzkov_split(g_c, vert.G(u_left)[:, None], c, u_left[:, None]),
-            _kruzkov_split(g_c, vert.G(u_right)[:, None], c, u_right[:, None]))
+            slab, k_q, _kruzkov_split(g_c, g_left[:, None], c, u_left[:, None]),
+            _kruzkov_split(g_c, g_right[:, None], c, u_right[:, None]))
 
     def q(self, s: np.ndarray) -> np.ndarray:
         """Kruzkov q lattice of per-cell states ``s`` (m,), shape (m, nc)."""

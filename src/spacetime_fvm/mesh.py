@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import operator
 import sys
+import weakref
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -506,17 +507,25 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     target at an image end returns that end of ``u_range`` exactly.  Raises
     :class:`ValueOutsideImage` for a target outside the image padded by
     ``tol`` (NaN counts as outside) and :class:`ConvergenceError` for a NaN
-    residual or a root above tolerance after ``ROOT_MAX_STEPS``.
+    residual or a root above tolerance after ``ROOT_MAX_STEPS``, naming the
+    face, the column of an (n, K) ``values`` and the target.
     """
     values = np.asarray(values, dtype=float)
+    if values.ndim == 2:   # the image ends of a face hold for every state of its row
+        image_lo, image_hi = (np.broadcast_to(e[:, None], values.shape)
+                              for e in (image_lo, image_hi))
     scale = np.maximum(1.0, np.abs(values))
     tol_abs = tol * scale
+
+    def at_fault(score) -> tuple[tuple, str]:
+        k = np.unravel_index(int(np.argmax(score)), values.shape)
+        return k, f"face {face_ids[k[0]]}" + (f", state column {k[1]}" if len(k) == 2 else "")
+
     inside = (values >= image_lo - tol_abs) & (values <= image_hi + tol_abs)
     if not inside.all():
-        k = int(np.argmax(np.maximum(image_lo - values, values - image_hi)))
-        raise ValueOutsideImage(
-            f"face {face_ids[k]}: target {float(values[k])!r} outside image "
-            f"[{float(image_lo[k])!r}, {float(image_hi[k])!r}]")
+        k, at = at_fault(np.maximum(image_lo - values, values - image_hi))
+        raise ValueOutsideImage(f"{at}: target {float(values[k])!r} outside image "
+                                f"[{float(image_lo[k])!r}, {float(image_hi[k])!r}]")
     at_lo = values <= image_lo
     at_hi = values >= image_hi
     ftol = max(tol, 1e-13) * scale   # a floor that the rounding of q lets residuals reach
@@ -525,11 +534,11 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
                                  np.where(at_lo, u, u_range[1]), image_lo - values,
                                  image_hi - values, df=dq_of, tol=ftol)
     if open_.any():
-        k = int(np.argmax(np.where(open_, np.abs(r) / scale, -1.0)))   # a NaN residual first
+        k, at = at_fault(np.where(open_, np.abs(r) / scale, -1.0))   # a NaN residual first
         stop = (f"at iterate u = {float(u[k])!r} with residual nan" if np.isnan(r[k]) else
                 f"after {ROOT_MAX_STEPS} iterations with residual {float(abs(r[k]))!r} "
                 f"(tolerance {float(ftol[k])!r})")
-        raise ConvergenceError(f"face {face_ids[k]}: total-flux inversion of target "
+        raise ConvergenceError(f"{at}: total-flux inversion of target "
                                f"{float(values[k])!r} stopped {stop}")
     return u
 
@@ -566,8 +575,8 @@ class SpacelikeTable:
     axis, so all queries of the scheme and the entropy verifiers are single
     vectorized calls.  The slice's geometry (``slice_index``, ``face_ids``,
     ``t``, ``pts``) is cheap; everything else derives from the flux, and
-    :meth:`on_slice` shares it with another slice when the flux does not
-    read t.
+    :meth:`on_slice` shares it, ``derived`` included, with another slice
+    when the flux does not read t.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, slice_index: int,
@@ -578,6 +587,7 @@ class SpacelikeTable:
         self.x_lo = xs[:-1].copy()
         self.x_hi = xs[1:].copy()
         self.widths = self.x_hi - self.x_lo
+        self.derived = weakref.WeakKeyDictionary()   # q_omega tables by entropy pair
         base_w = self._place(tri, slice_index)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
@@ -651,7 +661,7 @@ class SpacelikeTable:
         return self.orientation[:, None] * vals
 
     def invert(self, values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        """States whose oriented total fluxes equal ``values``, one per face.
+        """States whose oriented total fluxes equal ``values``, (m,) or (m, K).
 
         See :func:`_invert_increasing` for the iteration, its stopping rule
         and errors; each result depends only on its own face and target.

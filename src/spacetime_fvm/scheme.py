@@ -298,8 +298,10 @@ class VerticalFluxes:
         """Numerical flux per face in left-cell orientation; shapes (n,) or (n, K)."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
-        gu = self.G(u, faces)
-        gv = self.G(v, faces)
+        return self._combine(u, v, self.G(u, faces), self.G(v, faces), faces)
+
+    def _combine(self, u, v, gu, gv, faces=None) -> np.ndarray:
+        """:meth:`Q` from the states and their fluxes ``gu = G(u)``, ``gv = G(v)``."""
         speed = self.speed if faces is None else self.speed[np.asarray(faces)]
         crit_w = self.crit_w if faces is None else self.crit_w[np.asarray(faces)]
         crit_g = self.crit_g if faces is None else self.crit_g[np.asarray(faces)]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spacetime_fvm import cli as cli_module
 from spacetime_fvm import config as config_module
 from spacetime_fvm.cli import (
     EXIT_CONFIG,
@@ -21,6 +22,8 @@ from spacetime_fvm.cli import (
 )
 from spacetime_fvm.config import load_config
 from spacetime_fvm.scheme import Solver
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 BASE_CONFIG = """
 [spacetime]
@@ -248,6 +251,31 @@ def _per_row_csv(result) -> bytes:
         text += "".join(f"{head}{col},{u:.17g},{q:.17g}\r\n" for col, u, q in zip(
             columns, state.values.tolist(), state.fluxes.tolist()))
     return text.encode()
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_runs_and_verifies(tmp_path, config, monkeypatch):
+    # run, then entropy-check, in process; the artifact reads back bit for bit
+    written = []
+
+    def keep(result, path):
+        written.append(result)
+        write_run_csv(result, path)
+
+    monkeypatch.setattr(cli_module, "write_run_csv", keep)
+    out = tmp_path / config.stem
+    assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    run_json = str(out / "run.json")
+    assert main(["entropy-check", "--run", run_json]) == EXIT_OK
+    assert json.loads((out / "entropy_report.json").read_text())["passed"] is True
+    _, loaded = load_run_artifact(run_json)
+    [result] = written
+    assert loaded.tri.times.tobytes() == result.tri.times.tobytes()
+    assert loaded.tri.breakpoints.tobytes() == result.tri.breakpoints.tobytes()
+    assert len(loaded.states) == len(result.states)
+    for a, b in zip(loaded.states, result.states):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.fluxes.tobytes() == b.fluxes.tobytes()
 
 
 class TestEntropyCheckCommand:

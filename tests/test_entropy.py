@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from conftest import capacity_field, constant_bd, counting_flux, densities, make
 
 from spacetime_fvm import presets
 from spacetime_fvm.entropy import (
+    SIMPSON_TOL,
+    SMOOTH_PANEL_NODES,
+    SMOOTH_PANELS,
     EntropyPair,
     KruzkovPair,
     SmoothFaceEntropy,
@@ -35,7 +40,8 @@ from spacetime_fvm.entropy import (
     _cell_sides,
     _kruzkov,
 )
-from spacetime_fvm.forms import exterior_derivative
+from spacetime_fvm.fluxfield import FluxField, RectangleDomain
+from spacetime_fvm.forms import ParamForm, exterior_derivative, gauss_legendre
 from spacetime_fvm.harness import boundary_driven_burgers_case, bump_test_function
 from spacetime_fvm.mesh import (
     CircleDomain,
@@ -118,6 +124,104 @@ class TestEntropyTotalFlux:
                 float(pair.du(table.invert(np.array([qv]))[0])), abs=1e-6)
 
 
+def _composite_q_omega(pair, table, w):
+    """The per-state rule: ``SMOOTH_PANELS`` composite Gauss panels of
+    ``SMOOTH_PANEL_NODES`` nodes on [0, w] for every state w, no table."""
+    w = np.asarray(w, dtype=float)
+    flat = w.reshape(w.shape[0], -1)
+    m, k = flat.shape
+    rule = gauss_legendre(SMOOTH_PANEL_NODES)
+    edges = np.linspace(0.0, 1.0, SMOOTH_PANELS + 1)
+    starts = edges[:-1][None, None, :, None] * flat[:, :, None, None]
+    widths = (edges[1] - edges[0]) * flat[:, :, None, None]
+    vn = (starts + rule.nodes[:, 0] * widths).reshape(m, k, -1)
+    dq = table.dq(vn.reshape(m, -1)).reshape(vn.shape)
+    vw = np.broadcast_to(rule.weights * widths, (m, k, SMOOTH_PANELS, rule.weights.size))
+    return np.sum(vw.reshape(vn.shape) * pair.du(vn) * dq, axis=-1).reshape(w.shape)
+
+
+def _cubic_capacity_flux(u_range):
+    """``(1 + 0.3 x)(u + u^3 / 3) dx - u^2 / 2 dt``: a dq that reads u; no t."""
+    coeffs = {(0,): lambda p, u: -0.5 * np.asarray(u) ** 2 + 0.0 * p[..., 0],
+              (1,): lambda p, u: (1.0 + 0.3 * p[..., 1]) * (u + u ** 3 / 3.0)}
+    du = {(0,): lambda p, u: -np.asarray(u) + 0.0 * p[..., 0],
+          (1,): lambda p, u: (1.0 + 0.3 * p[..., 1]) * (1.0 + u * u)}
+    return FluxField(ParamForm(1, 2, coeffs, du, u_range),
+                     RectangleDomain((0.0, 0.0), (1.0, 1.0)), name="cubic", reads_t=False)
+
+
+_SMOOTH_TABLE_CASES = {
+    # (flux, domain, table u_range): dq summed at every state, or one column
+    "burgers-undeclared": (replace(presets.burgers_flux((-1.5, 1.5)), u_free_du=frozenset()),
+                           IntervalDomain(0.0, 1.0), (-0.5, 1.0)),
+    "cubic": (_cubic_capacity_flux((-1.5, 1.5)), IntervalDomain(0.0, 1.0), (-0.7, 1.2)),
+    "traveling-density": (presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), np.cos),
+                          CircleDomain(2 * np.pi), (-0.4, 0.9)),
+    "traveling-density-positive-hull": (
+        presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), np.cos),
+        CircleDomain(2 * np.pi), (0.2, 0.8)),
+    "capacity": (capacity_field((lambda x: 1.5 + np.sin(3 * x), lambda x: 3 * np.cos(3 * x)),
+                                (-1.2, 1.2)), IntervalDomain(0.0, 1.0), (-0.3, 1.0)),
+    "capacity-negative-hull": (
+        capacity_field((lambda x: 1.5 + np.sin(3 * x), lambda x: 3 * np.cos(3 * x)),
+                       (-1.2, 1.2)), IntervalDomain(0.0, 1.0), (-0.8, -0.2)),
+}
+
+
+class TestSmoothEntropyTable:
+    """``q_omega`` from one cumulative table per face against the per-state rule."""
+
+    @pytest.mark.parametrize("case", list(_SMOOTH_TABLE_CASES))
+    def test_agrees_with_per_state_rule(self, case):
+        flux, domain, u_range = _SMOOTH_TABLE_CASES[case]
+        tri = build_triangulation(Foliation(np.array([0.0, 0.1, 0.25]), domain), 12)
+        lo, hi = u_range
+        h = (max(hi, 0.0) - min(lo, 0.0)) / SMOOTH_PANELS
+        w = np.random.default_rng(5).uniform(lo, hi, (12, 10))
+        # 0, both hull ends, one panel width outside them, a negative state, NaN
+        w[:, :6] = [0.0, lo, hi, lo - h, hi + h, -0.37 * h]
+        w[4, 7] = np.nan
+        pairs = (square_pair(), EntropyPair(np.exp, np.exp, name="exp", ddu_fn=np.exp))
+        for j in (1, 2):
+            table = SpacelikeTable(tri, flux, j, u_range=u_range)
+            for pair in pairs:
+                new = SmoothFaceEntropy(pair, table).q_omega(w)
+                old = _composite_q_omega(pair, table, w)
+                assert np.array_equal(np.isnan(new), np.isnan(w))
+                ok = np.isnan(w) | (np.abs(new - old) <= SIMPSON_TOL * np.maximum(1.0, np.abs(old)))
+                assert ok.all(), case
+                assert np.all(new[:, 0] == 0.0)       # anchored at the zero state
+
+    def test_table_is_shared_across_slices_of_a_flux_without_t(self):
+        flux, domain, u_range = _SMOOTH_TABLE_CASES["cubic"]
+        tri = build_triangulation(Foliation(np.array([0.0, 0.1, 0.25]), domain), 12)
+        table = SpacelikeTable(tri, flux, 1, u_range=u_range)
+        w = np.random.default_rng(6).uniform(*u_range, (12, 3))
+        first = SmoothFaceEntropy(square_pair(), table).q_omega(w)
+        shared = table.on_slice(tri, 2)
+        assert shared.derived is table.derived
+        assert SmoothFaceEntropy(square_pair(), shared).q_omega(w).tobytes() == first.tobytes()
+        fresh = SpacelikeTable(tri, flux, 2, u_range=u_range)
+        assert SmoothFaceEntropy(square_pair(), fresh).q_omega(w).tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("reads_t", [True, False], ids=["reads-t", "t-free"])
+    def test_verify_builds_one_table_per_slice_or_per_run(self, reads_t, monkeypatch):
+        solver = _traveling_density_solver() if reads_t else burgers_shock_solver(nx=8)
+        assert solver.flux.reads_t is reads_t
+        result = solver.run()
+        tables = []
+        init = SmoothFaceEntropy.__init__
+
+        def recording(self, pair, table):
+            init(self, pair, table)
+            tables.append(self._cumulative)           # kept alive: ids stay distinct
+
+        monkeypatch.setattr(SmoothFaceEntropy, "__init__", recording)
+        assert verify_run(result).passed
+        assert len(tables) >= result.tri.n_slices
+        assert len({id(t) for t in tables}) == (result.tri.n_slices if reads_t else 1)
+
+
 class TestKruzkovIdentity:
     @given(density=densities(), c=st.floats(-0.8, 1.2),
            u=st.lists(st.floats(-0.8, 1.2), min_size=6, max_size=6))
@@ -165,18 +269,17 @@ class TestKruzkovNumericalFlux:
 
 class TestDecomposition:
     def test_equal_neighbors_collapse(self):
-        solver = burgers_shock_solver()
+        # constant data: every neighbor and both ghosts equal the cell state
+        solver = make_solver(presets.burgers_flux((-1.2, 1.2)), IntervalDomain(0.0, 1.0), 0.25,
+                             constant_bd(0.6), nx=12, u_range=(0.0, 1.0))
         state = solver.initial_state()
         state.values[:] = 0.6
         state.fluxes[:] = solver.slab(0).table_minus.q(state.values)
-        solver_bd_backup = solver.bd
-        solver.bd = constant_bd(0.6)
         slab = solver.slab(0)
-        slab._ghosts = None
+        np.testing.assert_allclose(slab.ghost_values(), 0.6, rtol=1e-15)
         dec = decomposition_states(slab, state)
         np.testing.assert_allclose(dec.face_states, 0.6, atol=1e-13)
         np.testing.assert_allclose(dec.anchored_states, 0.6, atol=1e-13)
-        solver.bd = solver_bd_backup
 
     def test_convex_decomposition_identity(self):
         solver = burgers_shock_solver(nx=16)
@@ -314,6 +417,57 @@ def _oracle_cell_residuals(slab, state, state_next, c):
     return np.maximum(0.0, total)
 
 
+def _oracle_decomposition_states(slab, values, decomp):
+    """Face and anchored states by one inversion per state family and side."""
+    table, tol = slab.table_plus, slab.solver.cfg.inversion_tol
+    zero = decomp.lam_hat <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(zero, 0.0, decomp.delta_q / np.where(zero, 1.0, decomp.lam))
+        scaled_bar = np.where(zero, 0.0, decomp.delta_q_bar / np.where(zero, 1.0, decomp.lam))
+    q_own, q_nb = table.q(values), table.q(decomp.neighbor)
+    face, anchored = np.empty((slab.m, 2)), np.empty((slab.m, 2))
+    for side in (0, 1):
+        z = zero[:, side]
+        face[:, side] = np.where(z, values, table.invert(
+            np.where(z, table.image_lo, q_own - scaled[:, side]), tol=tol))
+        anchored[:, side] = np.where(z, decomp.neighbor[:, side], table.invert(
+            np.where(z, table.image_lo, q_nb[:, side] + scaled_bar[:, side]), tol=tol))
+    return face, anchored
+
+
+def _half_still_solver():
+    # u dx - b(x) u^2 / 2 dt with b = 0 on x <= 0.5: the vertical faces there
+    # have G' = 0, so their lambda ratio is zero
+    def b(p):
+        return np.maximum(0.0, p[..., 1] - 0.5)
+
+    coeffs = {(0,): lambda p, u: -0.5 * np.asarray(u) ** 2 * b(p),
+              (1,): lambda p, u: np.asarray(u) + 0.0 * p[..., 0]}
+    du = {(0,): lambda p, u: -np.asarray(u) * b(p),
+          (1,): lambda p, u: 1.0 + 0.0 * (p[..., 0] + u)}
+    flux = FluxField(ParamForm(1, 2, coeffs, du, (-1.2, 1.2)),
+                     RectangleDomain((0.0, 0.0), (1.0, 1.0)), name="half-still", reads_t=False)
+    return make_solver(flux, IntervalDomain(0.0, 1.0), 0.1, step_bd(0.3, 0.9, 0.1), nx=12,
+                       u_range=(0.0, 1.0))
+
+
+def _direct_straddle_sides(slab, values, c):
+    """:class:`_CheckLattice` sides with Q evaluated at both cuts of each
+    straddle point (and zero of G(c)), and the number of those points."""
+    vert = slab.vert
+    u_left, u_right = slab.neighbor_states(values)
+    g_c = vert.G(np.broadcast_to(c, (vert.n_faces, c.size)))
+    lo, hi = np.minimum(u_left, u_right)[:, None], np.maximum(u_left, u_right)[:, None]
+    q_lr = vert.Q(u_left, u_right)[:, None]
+    k_q = np.where(c >= hi, g_c - q_lr, q_lr - g_c)
+    faces, cols = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))
+    k_q[faces, cols] = _kruzkov(lambda a, b: vert.Q(a, b, faces=faces),
+                                c[cols], u_left[faces], u_right[faces])
+    sides = _cell_sides(slab, k_q, _kruzkov(vert.G, c, u_left[:, None]),
+                        _kruzkov(vert.G, c, u_right[:, None]))
+    return sides, faces.size
+
+
 def _circle_burgers_solver(kind="godunov_osher"):
     flux = presets.burgers_flux((-1.5, 1.5))
     bd = BoundaryData(u=lambda p: 0.6 * np.sin(2 * np.pi * p[..., 1]) + 0.1)
@@ -385,6 +539,44 @@ class TestFaceArrays:
             assert cell_entropy_residuals(slab, state, state_next, c).tobytes() \
                 == _oracle_cell_residuals(slab, state, state_next, c).tobytes()
 
+    def test_decomposition_states_equal_per_column_inversions(self):
+        # one (m, 4) inversion per slab against four calls, one per family and side
+        zeros = 0
+        for make in (lambda: burgers_shock_solver(nx=12), _boundary_driven_solver,
+                     _traveling_density_solver, _capacity_solver, _half_still_solver):
+            solver = make()
+            result = solver.run()
+            for j in range(result.tri.n_slabs):
+                slab, state = solver.slab(j), result.states[j]
+                decomp = decomposition_states(slab, state)
+                face, anchored = _oracle_decomposition_states(slab, state.values, decomp)
+                zeros += int(np.count_nonzero(decomp.lam_hat <= 0.0))
+                q = slab.table_plus.q
+                for got, expected in ((decomp.face_states, face),
+                                      (decomp.anchored_states, anchored),
+                                      (decomp.q_face_states, q(face)),
+                                      (decomp.q_anchored_states, q(anchored))):
+                    assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+        assert zeros > 0                              # faces with a zero lambda ratio occur
+
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+    def test_straddle_q_equals_direct_q(self, kind):
+        # Burgers on a circle with states on both sides of the sonic point:
+        # Godunov faces carry a critical point inside the straddle brackets
+        solver = _circle_burgers_solver(kind)
+        result = solver.run()
+        straddles = 0
+        for j in range(result.tri.n_slabs):
+            slab, values = solver.slab(j), result.states[j].values
+            c = kruzkov_lattice(slab, result.states[j])
+            expected, direct = _direct_straddle_sides(slab, values, c)
+            straddles += direct
+            for arrays, oracle in zip(_CheckLattice(slab, values, c).sides, expected):
+                assert [a.tobytes() for a in arrays] == [e.tobytes() for e in oracle]
+        assert straddles > 0
+        if kind == "godunov_osher":
+            assert np.isfinite(solver.slab(0).vert.crit_w).any()
+
     @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov", "anti_diffusive"])
     def test_ties_equal_per_cell_side_oracle(self, kind):
         # step data: states 1 and 0 on most cells, so most faces have
@@ -430,7 +622,7 @@ class TestFaceArrays:
         c = kruzkov_lattice(slab, state)
         nv, nq = slab.vert.pts.shape[:2]
         m, nq_s = slab.table_plus.pts.shape[:2]
-        # Q is evaluated directly where c straddles a face's two states, and
+        # Q is cut state by state where c straddles a face's two states, and
         # where G(c) is a zero (Q(c, c) may carry the other sign there)
         u_left, u_right = slab.neighbor_states(state.values)
         lo, hi = np.minimum(u_left, u_right)[:, None], np.maximum(u_left, u_right)[:, None]
@@ -440,9 +632,9 @@ class TestFaceArrays:
         calls.clear()
         face_entropy_residuals(slab, decomp, state, c)
         cell_entropy_residuals(slab, state, state_next, c)
-        # per check: G at every (face, c); G(u_L), G(u_R) and Q(u_L, u_R)
-        # (two G) per face; Q at both cuts (four G) per direct point
-        assert sum(calls[("w", 0)]) == 2 * nq * (nv * c.size + 4 * nv + 4 * direct)
+        # per check: G at every (face, c) and G(u_L), G(u_R) per face; Q(u_L,
+        # u_R) and Q at both cuts of a direct point combine those G values
+        assert sum(calls[("w", 0)]) == 2 * nq * (nv * c.size + 2 * nv)
         # q at every (cell, c) per check; per cell q of the old state in
         # each, of the three face-check states per side and of u_plus
         assert sum(calls[("w", 1)]) == nq_s * (2 * m * c.size + 2 * m + 6 * m + m)

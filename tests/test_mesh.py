@@ -427,6 +427,43 @@ class TestInversionKernel:
         return _invert_increasing(q_of, np.ones_like, np.array([target]), (0.0, 1.0),
                                   np.array([0.0]), np.array([1.0]), [("S", 1, 3)], 1e-12)
 
+    @staticmethod
+    def _invert_grid(q_of, targets):
+        # four faces ("S", 1, i) with q(u) = u on [0, 1], four states per face
+        return _invert_increasing(q_of, np.ones_like, targets, (0.0, 1.0), np.zeros(4),
+                                  np.ones(4), SliceFaceIds(1, 4), 1e-12)
+
+    def test_state_grid_names_the_face_row_and_state_column(self):
+        targets = np.full((4, 4), 0.5)
+        targets[2, 3] = 1.5
+        with pytest.raises(ValueOutsideImage, match=(
+                r"^face \('S', 1, 2\), state column 3: target 1\.5 outside image "
+                r"\[0\.0, 1\.0\]$")):
+            self._invert_grid(lambda u: u, targets)
+
+    def test_nan_residual_in_a_later_column_names_it(self):
+        # q is NaN near the first iterate 0.5 only at (row 1, column 2)
+        nan_at = np.zeros((4, 4), dtype=bool)
+        nan_at[1, 2] = True
+        targets = np.full((4, 4), 0.3)
+        with pytest.raises(ConvergenceError, match=(
+                r"^face \('S', 1, 1\), state column 2: total-flux inversion of target 0\.3 "
+                r"stopped at iterate u = 0\.5 with residual nan$")):
+            self._invert_grid(lambda u: np.where(nan_at & (np.abs(u - 0.5) < 0.1), np.nan, u),
+                              targets)
+
+    def test_state_grid_equals_per_column_inversions_bit_for_bit(self):
+        # declared and undeclared: dq one broadcast column, or summed at every state
+        flux = capacity_field(2.0, 0.5, 3.0, 0.2, (-0.7, 1.3))
+        s = np.random.default_rng(4).uniform(0.0, 1.0, (6, 5))
+        s[:, 0], s[:, 1] = 0.0, 1.0                   # targets at both image ends
+        for f in (flux, replace(flux, u_free_du=frozenset())):
+            table = SpacelikeTable(interval_tri(2, 6), f, 1, u_range=(-0.7, 1.3))
+            targets = table.image_lo[:, None] + s * (table.image_hi - table.image_lo)[:, None]
+            grid = table.invert(targets)
+            for k in range(targets.shape[1]):
+                assert grid[:, k].tobytes() == table.invert(targets[:, k]).tobytes()
+
     def test_nan_target_is_outside_the_image(self):
         with pytest.raises(ValueOutsideImage,
                            match=r"face \('S', 1, 3\): target nan outside image \[0\.0, 1\.0\]"):

@@ -984,7 +984,8 @@ class TestUFreeDerivatives:
 
     def test_q_omega_evaluates_dq_once_per_face(self):
         # the table's dq column costs m * nq points of dwx, and q_omega on an
-        # (m, K) state array evaluates no more (undeclared: m * K * 320 * nq)
+        # (m, K) state array evaluates no more (undeclared: the cumulative
+        # table's m * 32 panels and one panel per state, 10 nodes each)
         base = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s))
         flux, calls = counting_flux(base)
         tri = build_triangulation(Foliation(np.array([0.0, 0.1]), CircleDomain(2 * np.pi)), 12)
@@ -997,7 +998,7 @@ class TestUFreeDerivatives:
                                     u_range=(-1.0, 1.0))
         calls.clear()
         again = SmoothFaceEntropy(square_pair(), undeclared).q_omega(w)
-        assert sum(calls[("dw", 1)]) == m * 7 * SMOOTH_PANELS * SMOOTH_PANEL_NODES * nq
+        assert sum(calls[("dw", 1)]) == m * (SMOOTH_PANELS + 7) * SMOOTH_PANEL_NODES * nq
         assert q.tobytes() == again.tobytes()
 
     def test_broadcast_derivatives_keep_non_finite_states(self):
