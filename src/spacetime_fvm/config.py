@@ -158,9 +158,8 @@ def _expr_coefficient(source: str, section: str, key: str) -> Callable:
         raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     def fn(pts, u, _e=expr):
-        return _e(t=pts[..., 0], x=pts[..., 1],
-                  u=np.broadcast_to(np.asarray(u, dtype=float),
-                                    np.broadcast_shapes(np.shape(pts)[:-1], np.shape(u))))
+        t, x, u = pts[..., 0], pts[..., 1], np.asarray(u, dtype=float)
+        return _e(t=t, x=x, u=np.broadcast_to(u, np.broadcast(t, u).shape))   # u at every node
 
     fn.names = expr.names
     return fn

@@ -360,12 +360,13 @@ def _cell_sides(slab: Slab, q, g_left, g_right):
             (q[right], g_left[right], g_right[right]))
 
 
-def decomposition_states(slab: Slab, state: SliceState,
-                         tol: float | None = None) -> DecompositionStates:
+def decomposition_states(slab: Slab, state: SliceState, tol: float | None = None,
+                         q_own: np.ndarray | None = None) -> DecompositionStates:
     """Intermediate states of the convex decomposition for one slab.
 
     Requires the CFL ratios of the slab to pass (image containment); an
     inversion failure therefore flags a CFL or flux-axiom breach.
+    ``q_own`` is ``slab.table_plus.q(state.values)`` when the caller has it.
     """
     tol = tol if tol is not None else slab.solver.cfg.inversion_tol
     values = state.values
@@ -393,7 +394,7 @@ def decomposition_states(slab: Slab, state: SliceState,
         scaled_bar = np.where(zero, 0.0, delta_q_bar / np.where(zero, 1.0, lam))
 
     q_nb = slab.table_plus.q(nb)
-    q_own = slab.table_plus.q(values)
+    q_own = slab.table_plus.q(values) if q_own is None else q_own
     # one inversion per slab; columns: face states of sides 0, 1, then anchored states
     skip = np.concatenate([zero, zero], axis=1)
     targets = np.where(skip, slab.table_plus.image_lo[:, None],   # skipped: a safe in-image value
@@ -419,10 +420,13 @@ def decomposition_states(slab: Slab, state: SliceState,
 
 
 def convex_decomposition_residual(slab: Slab, decomp: DecompositionStates,
-                                  state_next: SliceState) -> np.ndarray:
-    """|sum_lam q(face_states) - q(u_plus)| per cell (the defining identity)."""
+                                  state_next: SliceState,
+                                  q_next: np.ndarray | None = None) -> np.ndarray:
+    """|sum_lam q(face_states) - q(u_plus)| per cell (the defining identity);
+    ``q_next`` is ``q(u_plus)`` when the caller has it."""
     recombined = np.sum(decomp.lam * decomp.q_face_states, axis=1)
-    return np.abs(recombined - slab.table_plus.q(state_next.values))
+    q_next = slab.table_plus.q(state_next.values) if q_next is None else q_next
+    return np.abs(recombined - q_next)
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +459,14 @@ class _CheckLattice:
     whose sign ``Q(c, c) = 0.5 (G + G) -+ 0.5 s 0`` of a central flux may
     flip; its G values there are those of ``G(c)``, ``G(u_L)`` and ``G(u_R)``,
     so the lattices cost no flux evaluation beyond those three arrays.
+    ``q_values`` is ``slab.table_plus.q(values)`` when the caller has it.
     """
 
-    def __init__(self, slab: Slab, values: np.ndarray, c):
+    def __init__(self, slab: Slab, values: np.ndarray, c, q_values: np.ndarray | None = None):
         self.c = c = np.asarray(c, dtype=float)
         vert, self._q = slab.vert, slab.table_plus.q
         self.q_c = self._q(np.broadcast_to(c, (slab.m, c.size)))
-        self.q_own = self.q(values)
+        self.q_own = self.q(values, q_values)
         u_left, u_right = slab.neighbor_states(values)
         g_c = vert.G(np.broadcast_to(c, (vert.n_faces, c.size)))
         g_left, g_right = vert.G(u_left), vert.G(u_right)
@@ -481,9 +486,11 @@ class _CheckLattice:
             slab, k_q, _kruzkov_split(g_c, g_left[:, None], c, u_left[:, None]),
             _kruzkov_split(g_c, g_right[:, None], c, u_right[:, None]))
 
-    def q(self, s: np.ndarray) -> np.ndarray:
-        """Kruzkov q lattice of per-cell states ``s`` (m,), shape (m, nc)."""
-        return _kruzkov_split(self.q_c, self._q(s)[:, None], self.c, s[:, None])
+    def q(self, s: np.ndarray, q_s: np.ndarray | None = None) -> np.ndarray:
+        """Kruzkov q lattice of per-cell states ``s`` (m,), shape (m, nc), from
+        ``q_s = q(s)`` if given."""
+        q_s = self._q(s) if q_s is None else q_s
+        return _kruzkov_split(self.q_c, q_s[:, None], self.c, s[:, None])
 
 
 def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: SliceState,
@@ -521,9 +528,10 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
     return _cell_residuals(state_next, _CheckLattice(slab, state.values, c_values))
 
 
-def _cell_residuals(state_next, lattice: _CheckLattice) -> np.ndarray:
-    """:func:`cell_entropy_residuals` on a prebuilt :class:`_CheckLattice`."""
-    total = lattice.q(state_next.values) - lattice.q_own
+def _cell_residuals(state_next, lattice: _CheckLattice, q_next=None) -> np.ndarray:
+    """:func:`cell_entropy_residuals` on a prebuilt :class:`_CheckLattice`,
+    with ``q_next = q(u_plus)`` if given."""
+    total = lattice.q(state_next.values, q_next) - lattice.q_own
     for Q_uv, Q_uu, _ in lattice.sides:
         total = total + (Q_uv - Q_uu)
     return np.maximum(0.0, total)
@@ -1117,19 +1125,23 @@ def verify_run(result: RunResult, tol: float | None = None,
         slab = solver.slab(j)
         state = result.states[j]
         state_next = result.states[j + 1]
-        decomp = decomposition_states(slab, state)
+        # q of both slices' states on the outflow table, each evaluated once
+        q_own = slab.table_plus.q(state.values)
+        q_next = slab.table_plus.q(state_next.values)
+        decomp = decomposition_states(slab, state, q_own=q_own)
         c_vals = kruzkov_lattice(slab, state)
         lattice_sizes.append(int(c_vals.size))
 
         per_slab["decomposition_identity"].append(
-            float(np.max(convex_decomposition_residual(slab, decomp, state_next))))
+            float(np.max(convex_decomposition_residual(slab, decomp, state_next, q_next))))
         per_slab["bracketing"].append(decomp.bracket_residual)
 
-        lattice = _CheckLattice(slab, state.values, c_vals)
+        lattice = _CheckLattice(slab, state.values, c_vals, q_own)
         face_res = _face_residuals(slab, decomp, lattice)
         per_slab["face_inequality"].append(float(np.max(face_res["face_inequality"])))
         per_slab["face_inequality_neighbor"].append(float(np.max(face_res["boundary"])))
-        per_slab["cell_inequality"].append(float(np.max(_cell_residuals(state_next, lattice))))
+        per_slab["cell_inequality"].append(
+            float(np.max(_cell_residuals(state_next, lattice, q_next))))
         del lattice, face_res  # freed before the smooth-pair checks set the peak memory
 
         bc = 0.0
@@ -1145,8 +1157,7 @@ def verify_run(result: RunResult, tol: float | None = None,
         per_slab["outflow_convexity_square"].append(float(np.max(
             _convexity_residual(decomp, q_omega_plus, ent.q_omega(decomp.face_states)))))
 
-        per_slab["conservation_identity"].append(float(np.max(np.abs(
-            slab.table_plus.q(state_next.values) - state_next.fluxes))))
+        per_slab["conservation_identity"].append(float(np.max(np.abs(q_next - state_next.fluxes))))
 
         rep = _dissipation_report(slab, decomp, state, state_next, square,
                                   q_omega_plus, q_omega_minus)

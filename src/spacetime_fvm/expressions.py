@@ -70,20 +70,28 @@ def _validate(node: ast.AST, variables: set[str], source: str) -> None:
         raise ExpressionError(f"syntax element {type(node).__name__} not allowed in {source!r}")
 
 
-def _evaluate(node: ast.AST, env: dict) -> np.ndarray:
-    if isinstance(node, ast.Expression):
-        return _evaluate(node.body, env)
+def _compile(node: ast.AST, variables: set[str]) -> Callable[[dict], object]:
+    """The closure ``env -> value`` of a validated node.
+
+    It makes the same ufunc calls on the same operands in the same order as
+    walking the tree would, so values and warnings are those of the walk.
+    Nothing is folded: ``0/0*x`` warns when it is evaluated, not here.
+    """
     if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_evaluate(node.left, env), _evaluate(node.right, env))
+        op, left, right = (_BINOPS[type(node.op)], _compile(node.left, variables),
+                           _compile(node.right, variables))
+        return lambda env: op(left(env), right(env))
     if isinstance(node, ast.UnaryOp):
-        return _UNARYOPS[type(node.op)](_evaluate(node.operand, env))
+        op, operand = _UNARYOPS[type(node.op)], _compile(node.operand, variables)
+        return lambda env: op(operand(env))
     if isinstance(node, ast.Call):
-        return _FUNCTIONS[node.func.id](_evaluate(node.args[0], env))
-    if isinstance(node, ast.Name):
-        return env[node.id] if node.id in env else _CONSTANTS[node.id]
-    if isinstance(node, ast.Constant):
-        return node.value
-    raise ExpressionError("unreachable expression node")
+        fn, arg = _FUNCTIONS[node.func.id], _compile(node.args[0], variables)
+        return lambda env: fn(arg(env))
+    if isinstance(node, ast.Name) and node.id in variables:
+        name = node.id
+        return lambda env: env[name]
+    value = _CONSTANTS[node.id] if isinstance(node, ast.Name) else node.value
+    return lambda env: value
 
 
 def compile_expression(source: str, variables: Sequence[str] = ("t", "x", "u")) -> Callable:
@@ -100,18 +108,22 @@ def compile_expression(source: str, variables: Sequence[str] = ("t", "x", "u")) 
         raise ExpressionError(f"cannot parse expression {source!r}: {exc.msg}") from exc
     allowed = set(variables)
     _validate(tree, allowed, source)
+    evaluate = _compile(tree.body, allowed)
 
     def fn(**env):
-        missing = allowed - set(env)
-        if missing:
+        if not allowed <= env.keys():
+            missing = allowed - set(env)
             raise ExpressionError(f"missing variables {sorted(missing)} for {source!r}")
-        value = _evaluate(tree, env)
-        shape = np.broadcast_shapes(*[np.shape(v) for v in env.values()]) if env else ()
+        value = evaluate(env)
+        shape = np.broadcast(*env.values()).shape if env else ()
         if isinstance(value, np.ndarray) and value.shape == shape and value.dtype == float \
                 and not any(value is v for v in env.values()):
             return value                 # already a new array of the full shape
-        return np.broadcast_to(np.asarray(value, dtype=float), shape).copy() if shape \
-            else np.asarray(value, dtype=float)
+        if not shape:
+            return np.asarray(value, dtype=float)
+        out = np.empty(shape)
+        out[...] = value
+        return out
 
     fn.source = source
     fn.names = frozenset(node.id for node in ast.walk(tree)

@@ -24,7 +24,6 @@ computation builds them.
 
 from __future__ import annotations
 
-import copy
 import operator
 import sys
 import weakref
@@ -398,6 +397,13 @@ def segment_nodes(rule: QuadratureRule, axis: int, fixed, lo, hi):
     return pts, length[..., None] * rule.weights
 
 
+def _sharing(obj, **geometry):
+    """A new object of ``obj``'s class sharing all its attributes but ``geometry``."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(obj.__dict__, **geometry)
+    return new
+
+
 def _weighted_sum(weights: np.ndarray, vals) -> np.ndarray:
     """``np.sum(weights * vals, axis=-1)``, bit for bit.
 
@@ -447,22 +453,22 @@ def _secant(lo, hi, flo, fhi):
     return np.where(np.abs(flo) < np.abs(fhi), lo - flo * d, hi - fhi * d)
 
 
-def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf):
+def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf, fw=None):
     """Roots of ``f`` in brackets ``[lo, hi]`` with ``flo = f(lo) < 0 <= f(hi) = fhi``.
 
-    Each step evaluates f at the iterates (first ``w``) and keeps the
-    sub-bracket whose ends differ in sign.  The next iterate is the Newton
-    step if ``df`` is given and that step is finite and strictly inside,
-    else the Illinois secant of the bracket (Dowell & Jarratt 1971: an end
-    kept twice in a row has its value halved), or its midpoint when the
-    secant point is not strictly inside or the two previous secant steps
-    both failed to halve the bracket: without ``df`` the bracket halves at
-    least every three steps.  A root stops once ``|f| <= tol`` and its
+    Each step evaluates f at the iterates (first ``w``, unless its values
+    ``fw`` are given) and keeps the sub-bracket whose ends differ in sign.
+    The next iterate is the Newton step if ``df`` is given and that step is
+    finite and strictly inside, else the Illinois secant of the bracket
+    (Dowell & Jarratt 1971: an end kept twice in a row has its value
+    halved), or its midpoint when the secant point is not strictly inside or
+    the two previous secant steps both failed to halve the bracket: without
+    ``df`` the bracket halves at least every three steps.  A root stops once ``|f| <= tol`` and its
     Newton (or secant) step or its bracket is within
     ``ROOT_STEP_TOL * (1 + |w|)``; a point bracket stops unevaluated.
-    Returns the last evaluated iterates, their f values (None if f was not
-    called) and the mask of the open roots: at once those whose f is NaN,
-    else those open after ``ROOT_MAX_STEPS`` evaluations of f.
+    Returns the last evaluated iterates, their f values (None if no step
+    was taken) and the mask of the open roots: at once those whose f is NaN,
+    else those open after ``ROOT_MAX_STEPS`` iterates.
     """
     active = lo < hi
     x, fx = w, None
@@ -471,7 +477,7 @@ def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf):
     for _ in range(ROOT_MAX_STEPS):
         if not active.any():
             break
-        x, fx = w, f(w)
+        x, fx, fw = w, f(w) if fw is None else fw, None
         nan = active & np.isnan(fx)
         if nan.any():
             return x, fx, nan
@@ -499,12 +505,15 @@ def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf):
     return x, fx, active
 
 
-def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol):
+def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol,
+                       q_mid=None):
     """Solve ``q(u) = values`` entrywise for increasing q on ``u_range``.
 
     :func:`bracketed_root` by Newton steps from the midpoint of ``u_range``
     to the residual tolerance ``max(tol, 1e-13) * max(1, |target|)``; a
-    target at an image end returns that end of ``u_range`` exactly.  Raises
+    target at an image end returns that end of ``u_range`` exactly.  Given
+    ``q_mid``, q at the midpoint per face, the first iterate costs no q
+    evaluation.  Raises
     :class:`ValueOutsideImage` for a target outside the image padded by
     ``tol`` (NaN counts as outside) and :class:`ConvergenceError` for a NaN
     residual or a root above tolerance after ``ROOT_MAX_STEPS``, naming the
@@ -512,8 +521,8 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:   # the image ends of a face hold for every state of its row
-        image_lo, image_hi = (np.broadcast_to(e[:, None], values.shape)
-                              for e in (image_lo, image_hi))
+        image_lo, image_hi, q_mid = (e if e is None else np.broadcast_to(e[:, None], values.shape)
+                                     for e in (image_lo, image_hi, q_mid))
     scale = np.maximum(1.0, np.abs(values))
     tol_abs = tol * scale
 
@@ -530,9 +539,11 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     at_hi = values >= image_hi
     ftol = max(tol, 1e-13) * scale   # a floor that the rounding of q lets residuals reach
     u = np.where(at_lo, u_range[0], np.where(at_hi, u_range[1], 0.5 * (u_range[0] + u_range[1])))
+    fw = None if q_mid is None else \
+        np.where(at_lo, image_lo, np.where(at_hi, image_hi, q_mid)) - values
     u, r, open_ = bracketed_root(lambda w: q_of(w) - values, u, np.where(at_hi, u, u_range[0]),
                                  np.where(at_lo, u, u_range[1]), image_lo - values,
-                                 image_hi - values, df=dq_of, tol=ftol)
+                                 image_hi - values, df=dq_of, tol=ftol, fw=fw)
     if open_.any():
         k, at = at_fault(np.where(open_, np.abs(r) / scale, -1.0))   # a NaN residual first
         stop = (f"at iterate u = {float(u[k])!r} with residual nan" if np.isnan(r[k]) else
@@ -573,7 +584,9 @@ class SpacelikeTable:
     Nodes, signed weights and derivative bounds are precomputed once per
     slice; evaluation broadcasts a per-face state array against the face
     axis, so all queries of the scheme and the entropy verifiers are single
-    vectorized calls.  The slice's geometry (``slice_index``, ``face_ids``,
+    vectorized calls.  ``image_lo``, ``q_mid`` and ``image_hi`` are q at the
+    lower end, the midpoint and the upper end of ``u_range``, from one
+    (m, 3) call.  The slice's geometry (``slice_index``, ``face_ids``,
     ``t``, ``pts``) is cheap; everything else derives from the flux, and
     :meth:`on_slice` shares it, ``derived`` included, with another slice
     when the flux does not read t.
@@ -588,7 +601,10 @@ class SpacelikeTable:
         self.x_hi = xs[1:].copy()
         self.widths = self.x_hi - self.x_lo
         self.derived = weakref.WeakKeyDictionary()   # q_omega tables by entropy pair
-        base_w = self._place(tri, slice_index)
+        self.slice_index = slice_index
+        self.face_ids = SliceFaceIds(slice_index, tri.n_columns)
+        self.t = float(tri.times[slice_index])
+        self.pts, base_w = segment_nodes(self._rule, 1, self.t, self.x_lo, self.x_hi)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
 
@@ -618,27 +634,22 @@ class SpacelikeTable:
         self.dq_max_raw = dq_samples.max(axis=1)
         self.dq_min = DQ_MIN_SAFETY * self.dq_min_raw
         self.dq_max = DQ_MAX_SAFETY * self.dq_max_raw
-        self.image_lo = self.q(np.full(len(self.face_ids), u_lo))
-        self.image_hi = self.q(np.full(len(self.face_ids), u_hi))
-
-    def _place(self, tri: Triangulation, slice_index: int) -> np.ndarray:
-        """Set the geometry of slice ``slice_index``; returns the unsigned weights."""
-        self.slice_index = slice_index
-        self.face_ids = SliceFaceIds(slice_index, tri.n_columns)
-        self.t = float(tri.times[slice_index])
-        self.pts, base_w = segment_nodes(self._rule, 1, self.t, self.x_lo, self.x_hi)
-        return base_w
+        u_mid = 0.5 * (self.u_range[0] + self.u_range[1])   # the inversion's first iterate
+        ends = self.q(np.broadcast_to([u_lo, u_mid, u_hi], (tri.n_columns, 3)))
+        self.image_lo, self.q_mid, self.image_hi = ends.T
 
     def on_slice(self, tri: Triangulation, slice_index: int) -> "SpacelikeTable":
         """This table's flux-derived arrays on slice ``slice_index`` of ``tri``.
 
         Only for a flux that does not read t: its table of that slice is
         then this one, bit for bit, except for the geometry set here.  The
-        arrays are shared, not copied.
+        nodes are this table's with the t column rewritten (a slice's x
+        nodes and weights do not depend on t); every other array is shared.
         """
-        table = copy.copy(self)
-        table._place(tri, slice_index)
-        return table
+        t, pts = float(tri.times[slice_index]), self.pts.copy()
+        pts[..., 0] = t
+        return _sharing(self, slice_index=slice_index, t=t, pts=pts,
+                        face_ids=SliceFaceIds(slice_index, tri.n_columns))
 
     @property
     def n_faces(self) -> int:
@@ -667,7 +678,7 @@ class SpacelikeTable:
         and errors; each result depends only on its own face and target.
         """
         return _invert_increasing(self.q, self.dq, values, self.u_range, self.image_lo,
-                                  self.image_hi, self.face_ids, tol)
+                                  self.image_hi, self.face_ids, tol, q_mid=self.q_mid)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ of the flux form along decreasing time; the right cell sees the negative.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -38,6 +37,7 @@ from .mesh import (
     IntervalDomain,
     SpacelikeTable,
     Triangulation,
+    _sharing,
     bracketed_root,
     column_at,
     face_sums,
@@ -186,7 +186,8 @@ class VerticalFluxes:
         self.spec = spec
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self._rule = rule
-        self._place(t_lo, t_hi)
+        self.t_lo, self.t_hi = float(t_lo), float(t_hi)
+        self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, t_hi)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
         self.derived: dict = {}   # a slab's CFL report, shared by every on_slab copy
@@ -209,22 +210,18 @@ class VerticalFluxes:
         else:
             self.speed = RUSANOV_MARGIN * self._dg_abs_max
 
-    def _place(self, t_lo: float, t_hi: float) -> None:
-        self.t_lo = float(t_lo)
-        self.t_hi = float(t_hi)
-        self.pts, self.weights = segment_nodes(self._rule, 0, self.x_nodes, t_lo, t_hi)
-
     def on_slab(self, t_lo: float, t_hi: float) -> "VerticalFluxes":
         """This table's flux-derived arrays on the slab ``[t_lo, t_hi]``.
 
         Only for a flux that does not read t and a slab whose float height
         ``t_hi - t_lo`` equals this one's: its table is then this one, bit
-        for bit, except for the geometry set here.  The arrays and ``derived``
-        are shared.
+        for bit, except for the geometry set here.  The nodes are this
+        table's with the t column rewritten as :func:`segment_nodes` places
+        it; the weights, the other arrays and ``derived`` are shared.
         """
-        vert = copy.copy(self)
-        vert._place(t_lo, t_hi)
-        return vert
+        t_lo, t_hi, pts = float(t_lo), float(t_hi), self.pts.copy()
+        pts[..., 0] = t_lo + self._rule.nodes[:, 0] * (t_hi - t_lo)
+        return _sharing(self, t_lo=t_lo, t_hi=t_hi, pts=pts)
 
     @property
     def n_faces(self) -> int:
@@ -296,9 +293,11 @@ class VerticalFluxes:
 
     def Q(self, u, v, faces=None) -> np.ndarray:
         """Numerical flux per face in left-cell orientation; shapes (n,) or (n, K)."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return self._combine(u, v, self.G(u, faces), self.G(v, faces), faces)
+        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        g = self.G(np.stack([u, v], axis=-1) if u.ndim == 1 else np.concatenate([u, v], axis=1),
+                   faces)                                 # one flux call for both states
+        gu, gv = (g[:, 0], g[:, 1]) if u.ndim == 1 else np.split(g, 2, axis=1)
+        return self._combine(u, v, gu, gv, faces)
 
     def _combine(self, u, v, gu, gv, faces=None) -> np.ndarray:
         """:meth:`Q` from the states and their fluxes ``gu = G(u)``, ``gv = G(v)``."""
@@ -450,9 +449,7 @@ class Slab:
         self.table_minus = solver.slice_table(j)
         self.table_plus = solver.slice_table(j + 1)
         self.vert = solver.vertical_fluxes(j)
-        cols = np.arange(self.m)
-        self.left_idx = cols
-        self.right_idx = (cols + 1) % self.m if tri.periodic else cols + 1
+        self.left_idx, self.right_idx = solver.cell_faces
 
     # -- boundary ----------------------------------------------------------------
 
@@ -611,6 +608,8 @@ class Solver:
         # shares, and by slab height those every slab of that height shares
         self._slice_arrays: SpacelikeTable | None = None
         self._vertical_arrays: dict[float, VerticalFluxes] = {}
+        cols = np.arange(tri.n_columns)   # each cell's left and right vertical face
+        self.cell_faces = (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)
         self._check_samples()
 
     def _samples(self):

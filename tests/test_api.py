@@ -4,6 +4,7 @@ builds a per-face mesh view."""
 import importlib
 import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,6 +74,18 @@ def test_traced_verify_mirrors_verify_run(make, monkeypatch):
     report = verify_run(result)
     assert traced.per_slab == report.per_slab
     assert traced.to_json() == report.to_json()
+
+
+def test_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` exits 0: among its checks, the traced run
+    (whose flux drops the reads_t and u_free_du declarations) reproduces the
+    untraced run bit for bit, so a declared path that changes rounding fails
+    here."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], capture_output=True,
+                          text=True, timeout=300, check=False,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "selftest: ok"
 
 
 CONFIG = """

@@ -313,6 +313,21 @@ class TestInvertTotalFlux:
         assert moved.weights is table.weights and moved.image_hi is table.image_hi
         assert table.slice_index == 1 and np.all(table.pts[..., 0] == tri.times[1])
 
+    @pytest.mark.parametrize("name", ["burgers", "traveling_density", "capacity"])
+    def test_image_ends_and_midpoint_equal_three_calls(self, name):
+        # the (m, 3) call that sets image_lo, q_mid and image_hi gives the
+        # bits of one (m,) call per state, so the inversion's first iterate
+        # has the q it would evaluate
+        flux = {"burgers": lambda: presets.burgers_flux((-1.0, 1.0)),
+                "traveling_density": lambda: presets.traveling_density_flux(
+                    lambda s: 2.0 + np.sin(s), np.cos, u_range=(-1.0, 1.0)),
+                "capacity": lambda: capacity_field(2.0, 0.5, 3.0, 0.2, (-1.0, 1.0))}[name]()
+        tri = interval_tri(3, 7)
+        table = SpacelikeTable(tri, flux, 2, u_range=(-0.7, 0.9))
+        for u, q in ((-0.7, table.image_lo), (0.5 * (-0.7 + 0.9), table.q_mid),
+                     (0.9, table.image_hi)):
+            assert q.tobytes() == table.q(np.full(7, u)).tobytes()
+
     def test_vectorized_table_matches_scalar(self):
         tri = interval_tri(2, 6)
         flux = presets.burgers_flux((-1.0, 1.0))
@@ -490,14 +505,14 @@ class TestInversionKernel:
             self._invert_affine(q_of, 0.3)
         assert len(calls) == 1
 
-    def test_target_within_rounding_of_an_image_end_takes_two_q_calls(self, monkeypatch):
+    def test_target_within_rounding_of_an_image_end_takes_one_q_call(self, monkeypatch):
         # in this shock, targets lie as little as 1e-323 above image_lo = 0:
-        # the Newton step from the midpoint lands on the bracket end u = 0,
-        # and the secant of the bracket, taken from that end, finds the root
-        # at once where bisection took ~50 q calls
+        # the Newton step from the midpoint, whose q the table holds, lands
+        # on the bracket end u = 0, and the secant of the bracket, taken from
+        # that end, finds the root with the one q call where bisection took ~50
         counts, gaps = [], []
 
-        def counting(q_of, dq_of, values, u_range, image_lo, *args):
+        def counting(q_of, dq_of, values, u_range, image_lo, *args, **kwargs):
             calls = []
             gap = values - image_lo
             gaps.append(float(np.min(gap[gap > 0.0], initial=1.0)))
@@ -506,14 +521,46 @@ class TestInversionKernel:
                 calls.append(1)
                 return q_of(u)
 
-            u = _invert_increasing(counted_q, dq_of, values, u_range, image_lo, *args)
+            u = _invert_increasing(counted_q, dq_of, values, u_range, image_lo, *args, **kwargs)
             counts.append(len(calls))
             return u
 
         monkeypatch.setattr(mesh_module, "_invert_increasing", counting)
         harness.burgers_riemann_case(1.0, 0.0).run(80)
         assert min(gaps) < 1e-30                     # the straggler targets occur
-        assert max(counts) <= 3
+        assert len(counts) > 0 and counts == [1] * len(counts)
+
+    @given(a=st.floats(0.1, 5.0), b=st.floats(-2.0, 2.0), c=st.floats(0.0, 3.0),
+           roots=st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=6),
+           newton=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_known_first_value_changes_no_bit(self, a, b, c, roots, newton):
+        # f(w) = a (w - r) + b (w^3 - r^3) + c (e^w - e^r) on [-1, 1], strictly
+        # increasing for b >= 0 and steep a; passing fw = f(w) skips exactly
+        # the first call and leaves every iterate, value and mask bit for bit
+        b = abs(b)
+        r = np.asarray(roots)
+
+        def f(w):
+            calls.append(1)
+            return a * (w - r) + b * (w ** 3 - r ** 3) + c * (np.exp(w) - np.exp(r))
+
+        def df(w):
+            return a + 3.0 * b * w ** 2 + c * np.exp(w)
+
+        lo, hi = np.full(r.size, -1.0), np.full(r.size, 1.0)
+        calls = []
+        flo, fhi, w = f(lo), f(hi), np.zeros(r.size)
+        kwargs = dict(df=df if newton else None, tol=1e-13)
+        calls.clear()
+        plain = bracketed_root(f, w, lo, hi, flo, fhi, **kwargs)
+        n_plain = len(calls)
+        fw = f(w)
+        calls.clear()
+        known = bracketed_root(f, w, lo, hi, flo, fhi, fw=fw, **kwargs)
+        assert len(calls) == n_plain - 1
+        for x, y in zip(plain, known):
+            assert x.tobytes() == y.tobytes()
 
     def test_nan_without_derivative_leaves_the_root_open(self):
         # f is NaN on (0.3, 0.7) and the secant start is the root 0.55: the

@@ -878,6 +878,45 @@ class TestTableReuse:
         Solver(tri, replace(flux, reads_t=True), NumericalFluxSpec(), constant_bd(0.5),
                RunConfig(u_range=(0.2, 0.8)))
 
+    @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
+                             ids=["interval", "circle"])
+    def test_shared_nodes_equal_segment_nodes(self, domain):
+        # a shared table's nodes are the first table's with the t column
+        # rewritten: for every slice and slab they are segment_nodes', bit for bit
+        flux = presets.burgers_flux((-1.2, 1.2))
+        xs = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 11))
+        xs[0], xs[-1] = 0.0, 1.0
+        tri = build_triangulation(Foliation(_mixed_heights(0.01, 0.2, 7), domain), xs)
+        solver = Solver(tri, flux, NumericalFluxSpec(), constant_bd(0.5),
+                        RunConfig(u_range=(-0.3, 1.0)))
+        rule, x_nodes = solver.rule, xs[:tri.n_nodes]
+        for j in range(tri.n_slices):
+            table = solver.slice_table(j)
+            pts, weights = segment_nodes(rule, 1, tri.times[j], xs[:-1], xs[1:])
+            assert table.t == tri.times[j] and table.pts.tobytes() == pts.tobytes()
+            assert table.weights.tobytes() == (table.orientation[:, None] * weights).tobytes()
+        for j in range(tri.n_slabs):
+            vert = solver.vertical_fluxes(j)
+            pts, weights = segment_nodes(rule, 0, x_nodes, tri.times[j], tri.times[j + 1])
+            assert (vert.t_lo, vert.t_hi) == (tri.times[j], tri.times[j + 1])
+            assert vert.pts.tobytes() == pts.tobytes()
+            assert vert.weights.tobytes() == weights.tobytes()
+        assert solver._slice_arrays is not None and solver._vertical_arrays
+
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+    def test_numerical_flux_from_one_call_equals_two(self, kind):
+        # Q evaluates G(u) and G(v) in one (n, 2) or (n, 2K) call: its bits
+        # are those of _combine on two separate G calls
+        flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), np.cos,
+                                              u_range=(-1.0, 1.0))
+        vert = VerticalFluxes(np.linspace(0.0, 1.0, 9), 0.1, 0.13, flux,
+                              NumericalFluxSpec(kind), gauss_legendre(5, 1), (-1.0, 1.0))
+        rng = np.random.default_rng(11)
+        for shape in ((9,), (9, 4)):
+            u, v = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+            two = vert._combine(u, v, vert.G(u), vert.G(v))
+            assert vert.Q(u, v).tobytes() == two.tobytes()
+
     def test_one_lambda_report_per_slab_height(self):
         # heights 1, 1, 1, 2, 1, 2 times 2^-7, exact in binary: declared, the
         # slabs of one height share one CFL report, equal bit for bit to the
