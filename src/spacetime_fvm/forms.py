@@ -185,10 +185,6 @@ class CoordinateForm:
         merged = {idx: _summed(parts) for idx, parts in canonical.items()}
         object.__setattr__(self, "coeffs", merged)
 
-    @classmethod
-    def zero(cls, chart_dim: int, degree: int = 0) -> "CoordinateForm":
-        return cls(degree=degree, chart_dim=chart_dim, coeffs={})
-
     @property
     def is_empty(self) -> bool:
         return not self.coeffs
@@ -209,14 +205,6 @@ class CoordinateForm:
         if self.degree != self.chart_dim:
             raise FormError("top_coefficient requires a top-degree form")
         return self.evaluate(tuple(range(self.chart_dim)), pts)
-
-    def __add__(self, other: "CoordinateForm") -> "CoordinateForm":
-        if self.degree != other.degree or self.chart_dim != other.chart_dim:
-            raise FormError("can only add forms of equal degree and chart dimension")
-        coeffs: dict = {}
-        for idx in set(self.coeffs) | set(other.coeffs):
-            coeffs[idx] = _summed([self.coefficient(idx), other.coefficient(idx)])
-        return CoordinateForm(self.degree, self.chart_dim, coeffs)
 
     def scaled(self, factor: float) -> "CoordinateForm":
         return CoordinateForm(
@@ -388,9 +376,6 @@ class FaceChart:
             lo[..., axis] -= h
             cols.append((self.param(hi) - self.param(lo)) / (2.0 * h)[..., None])
         return np.stack(cols, axis=-1)
-
-    def ref_volume(self) -> float:
-        return float(np.prod([hi - lo for lo, hi in zip(self.ref_lo, self.ref_hi)]))
 
     def ref_points(self, unit_nodes: np.ndarray) -> np.ndarray:
         """Map nodes on the unit box to the face's reference box."""

@@ -138,7 +138,7 @@ def l1_error(result: RunResult, oracle: Callable, slice_index: int | None = None
     t = float(tri.times[j])
     values = result.states[j].values
     xs = tri.breakpoints
-    pts, weights = segment_nodes(gauss_legendre(n_nodes), 1, t, xs[:-1], xs[1:])
+    pts, weights = segment_nodes(gauss_legendre(n_nodes), 1, t, xs[:-1], np.diff(xs))
     weight = np.abs(result.flux.omega.du_coeffs[(1,)](pts, u_ref))
     err = np.abs(values[:, None] - oracle(t, pts[..., 1]))
     return float(np.sum(weights * weight * err))

@@ -29,6 +29,7 @@ import sys
 import weakref
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,6 +156,23 @@ class Foliation:
     def n_slabs(self) -> int:
         return len(self.times) - 1
 
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """Nominal slab heights: every table places slab j's nodes at
+        ``t_j + s_k * heights[j]`` with weights ``heights[j] * w_k``.  A height
+        of ``np.diff(times)`` within ``4 * np.spacing(t_final)`` of its group's
+        first height takes that height; any other keeps its value and starts a
+        group.  This absorbs the ulps by which ``np.linspace`` times split equal
+        heights, and it reads the times alone, so a reloaded run gets its bits."""
+        tol = 4.0 * np.spacing(self.horizon)
+        heights, first = np.diff(self.times).tolist(), np.inf
+        for j, h in enumerate(heights):
+            if abs(h - first) <= tol:
+                heights[j] = first
+            else:
+                first = h
+        return np.array(heights)
+
 
 def uniform_times(t_final: float, hbar: float) -> np.ndarray:
     """Uniform slice times covering ``[0, t_final]`` with slabs of height <= hbar."""
@@ -279,6 +297,7 @@ class Triangulation:
         self.foliation = foliation
         self.domain = domain
         self.times = foliation.times
+        self.heights = foliation.heights
         self.breakpoints = xs
         self.n_columns = xs.size - 1
         self.n_slabs = foliation.n_slabs
@@ -378,17 +397,18 @@ def build_triangulation(foliation: Foliation, spatial_cells: Sequence[float] | i
 # face quadrature: the one node builder and the one summation kernel
 # ---------------------------------------------------------------------------
 
-def segment_nodes(rule: QuadratureRule, axis: int, fixed, lo, hi):
+def segment_nodes(rule: QuadratureRule, axis: int, fixed, lo, length):
     """Gauss nodes and weights of coordinate segments in the (t, x) chart.
 
-    Each segment runs along chart ``axis`` from ``lo`` to ``hi`` with the
-    other coordinate held at ``fixed``; the three broadcast to the segment
-    shape ``S``.  Returns ``pts`` of shape ``S + (nq, 2)`` and ``weights``
-    of shape ``shape(hi - lo) + (nq,)``: the rule's weights times the
-    segment length, for the orientation of increasing coordinate.
+    Each segment runs along chart ``axis`` from ``lo`` over ``length`` with
+    the other coordinate held at ``fixed``; the three broadcast to the
+    segment shape ``S``.  Returns ``pts`` of shape ``S + (nq, 2)``, the
+    nodes ``lo + s_k * length``, and ``weights`` of shape
+    ``shape(length) + (nq,)``: the rule's weights times the length, for the
+    orientation of increasing coordinate.
     """
     lo = np.asarray(lo, dtype=float)
-    length = np.asarray(hi, dtype=float) - lo
+    length = np.asarray(length, dtype=float)
     fixed = np.asarray(fixed, dtype=float)[..., None]
     along = lo[..., None] + rule.nodes[:, 0] * length[..., None]
     pts = np.empty(np.broadcast_shapes(along.shape, fixed.shape) + (2,))
@@ -604,7 +624,7 @@ class SpacelikeTable:
         self.slice_index = slice_index
         self.face_ids = SliceFaceIds(slice_index, tri.n_columns)
         self.t = float(tri.times[slice_index])
-        self.pts, base_w = segment_nodes(self._rule, 1, self.t, self.x_lo, self.x_hi)
+        self.pts, base_w = segment_nodes(self._rule, 1, self.t, self.x_lo, self.widths)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
 
@@ -729,7 +749,7 @@ def mesh_regularity_report(tri: Triangulation, flux: FluxField,
     rule = gauss_legendre(5, 1)
     us = flux.u_samples(9)
     times, xs = tri.times, tri.breakpoints
-    heights, widths = np.diff(times), np.diff(xs)
+    heights, widths = tri.heights, np.diff(xs)
     h = float(np.max(widths))
     # a product mesh has a cell with both the largest height and the largest width
     max_diam = float(np.linalg.norm([np.max(heights), np.max(widths)]))
@@ -748,7 +768,7 @@ def mesh_regularity_report(tri: Triangulation, flux: FluxField,
 
     # vertical faces (slab, node); a slab's boundary faces have its height as mass
     x_nodes = xs[:tri.n_nodes]
-    vpts, vweights = segment_nodes(rule, 0, x_nodes, times[:-1, None], times[1:, None])
+    vpts, vweights = segment_nodes(rule, 0, x_nodes, times[:-1, None], heights[:, None])
     bmass = 0.0 if tri.periodic else float(np.max(np.sum(vweights, axis=-1)))
 
     cells_in_region = None
@@ -786,7 +806,7 @@ def mesh_regularity_report(tri: Triangulation, flux: FluxField,
         face_avg = np.sum(vweights * psi(vpts), axis=-1) / np.sum(vweights, axis=-1)
         left = np.arange(tri.n_columns)
         cell_avg = 0.5 * face_avg[:, left] + 0.5 * face_avg[:, (left + 1) % tri.n_nodes]
-        spts, sweights = segment_nodes(rule, 1, times[1:, None], xs[:-1], xs[1:])
+        spts, sweights = segment_nodes(rule, 1, times[1:, None], xs[:-1], widths)
         dens = flux.omega.du_coeffs[(1,)](spts, 0.5 * sum(flux.u_range))
         sign = np.where(np.all(np.broadcast_to(dens, spts.shape[:-1]) < 0, axis=-1), -1.0, 1.0)
         weighted = sweights * (cell_avg[..., None] - psi(spts))

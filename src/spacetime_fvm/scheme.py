@@ -64,7 +64,6 @@ CFL_LIMIT = 0.5
 CRITICAL_SAMPLES = 65
 RUSANOV_MARGIN = 1.1
 TIMESTEP_PROBES = 5      # candidate slabs across the horizon in select_timestep
-HEIGHT_CACHE_SIZE = 16   # vertical flux tables a solver keeps, by slab height
 
 
 class CFLViolation(RuntimeError):
@@ -173,21 +172,21 @@ class VerticalFluxes:
     finitely many extrema.  With ``(0,)`` in
     ``flux.u_free_du`` the lattice is one column, ``dg_column``, and the
     search is skipped: a G' constant in u has no critical point, so
-    ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  The slab's geometry
-    (``t_lo``, ``t_hi``, ``pts``) is cheap; the rest derives from the flux
-    and the slab height, and :meth:`on_slab` shares it with another slab of
-    the same height when the flux does not read t.
+    ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  The slab's start
+    (``t_lo``, ``pts``) is cheap; the rest derives from the flux and the
+    slab's nominal ``height`` (:attr:`Foliation.heights`), and :meth:`on_slab`
+    shares it with another slab of that height when the flux does not read t.
     """
 
-    def __init__(self, x_nodes: np.ndarray, t_lo: float, t_hi: float,
+    def __init__(self, x_nodes: np.ndarray, t_lo: float, height: float,
                  flux: FluxField, spec: NumericalFluxSpec,
                  rule: QuadratureRule, u_range: tuple[float, float]):
         self.x_nodes = np.asarray(x_nodes, dtype=float)
         self.spec = spec
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self._rule = rule
-        self.t_lo, self.t_hi = float(t_lo), float(t_hi)
-        self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, t_hi)
+        self.t_lo, self.height = float(t_lo), float(height)
+        self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, height)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
         self.derived: dict = {}   # a slab's CFL report, shared by every on_slab copy
@@ -210,18 +209,17 @@ class VerticalFluxes:
         else:
             self.speed = RUSANOV_MARGIN * self._dg_abs_max
 
-    def on_slab(self, t_lo: float, t_hi: float) -> "VerticalFluxes":
-        """This table's flux-derived arrays on the slab ``[t_lo, t_hi]``.
+    def on_slab(self, t_lo: float) -> "VerticalFluxes":
+        """This table's flux-derived arrays on the slab of this ``height`` from ``t_lo``.
 
-        Only for a flux that does not read t and a slab whose float height
-        ``t_hi - t_lo`` equals this one's: its table is then this one, bit
-        for bit, except for the geometry set here.  The nodes are this
-        table's with the t column rewritten as :func:`segment_nodes` places
-        it; the weights, the other arrays and ``derived`` are shared.
+        Only for a flux that does not read t: its table of that slab is then
+        this one, bit for bit, except for the start set here.  The nodes are
+        this table's with the t column rewritten as :func:`segment_nodes`
+        places it; the weights, the other arrays and ``derived`` are shared.
         """
-        t_lo, t_hi, pts = float(t_lo), float(t_hi), self.pts.copy()
-        pts[..., 0] = t_lo + self._rule.nodes[:, 0] * (t_hi - t_lo)
-        return _sharing(self, t_lo=t_lo, t_hi=t_hi, pts=pts)
+        t_lo, pts = float(t_lo), self.pts.copy()
+        pts[..., 0] = t_lo + self._rule.nodes[:, 0] * self.height
+        return _sharing(self, t_lo=t_lo, pts=pts)
 
     @property
     def n_faces(self) -> int:
@@ -266,9 +264,9 @@ class VerticalFluxes:
             k = int(np.argmax(open_))
             raise ConvergenceError(
                 f"vertical face x = {float(self.x_nodes[face_idx[k]])!r} of the slab "
-                f"[{self.t_lo!r}, {self.t_hi!r}]: critical-point search on the lattice segment "
-                f"[{float(lo[k])!r}, {float(hi[k])!r}] stopped at u = {float(roots[k])!r} with "
-                f"G' = {float(sign[k] * g[k])!r}")
+                f"[{self.t_lo!r}, {self.t_lo + self.height!r}]: critical-point search on the "
+                f"lattice segment [{float(lo[k])!r}, {float(hi[k])!r}] stopped at "
+                f"u = {float(roots[k])!r} with G' = {float(sign[k] * g[k])!r}")
 
         is_zero = dg == 0.0
         left_zero = np.pad(is_zero[:, :-1], ((0, 0), (1, 0)), constant_values=True)
@@ -586,10 +584,10 @@ class Solver:
 
     For a flux declared not to read t (``flux.reads_t`` False) the solver
     builds the flux-derived arrays of the spacelike tables once per run and
-    those of the vertical flux tables once per exact float slab height (at
-    most ``HEIGHT_CACHE_SIZE`` heights kept); every slice and slab still
-    gets its own nodes, so whatever reads t there (u_B, test functions)
-    sees the slab's true t.  The results are the same bits either way.
+    those of the vertical flux tables where the nominal slab height
+    (``tri.heights``) changes; every slice and slab still gets its own
+    nodes, so whatever reads t there (u_B, test functions) sees the slab's
+    own t.  The results are the same bits either way.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
@@ -603,11 +601,10 @@ class Solver:
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
-        self._slab: Slab | None = None                 # the most recent slab
         # for a flux that does not read t: the table whose arrays every slice
-        # shares, and by slab height those every slab of that height shares
+        # shares, and the last vertical table, shared by slabs of its height
         self._slice_arrays: SpacelikeTable | None = None
-        self._vertical_arrays: dict[float, VerticalFluxes] = {}
+        self._vertical_arrays: VerticalFluxes | None = None
         cols = np.arange(tri.n_columns)   # each cell's left and right vertical face
         self.cell_faces = (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)
         self._check_samples()
@@ -667,38 +664,34 @@ class Solver:
         return self._tables[j]
 
     def vertical_fluxes(self, j: int) -> VerticalFluxes:
-        """Vertical flux table of slab j, shared by slab height when the flux
-        does not read t (least recently used heights evicted first)."""
-        t_lo, t_hi = float(self.tri.times[j]), float(self.tri.times[j + 1])
-        height = t_hi - t_lo
-        shared = self._vertical_arrays.pop(height, None)
-        if shared is not None:
-            self._vertical_arrays[height] = shared
-            return shared.on_slab(t_lo, t_hi)
+        """Vertical flux table of slab j; when the flux does not read t, the
+        last table built is shared until the nominal slab height changes."""
+        t_lo, height = float(self.tri.times[j]), float(self.tri.heights[j])
+        shared = self._vertical_arrays
+        if shared is not None and shared.height == height:
+            return shared.on_slab(t_lo)
         x_nodes = self.tri.breakpoints[:-1] if self.tri.periodic else self.tri.breakpoints
-        vert = VerticalFluxes(x_nodes, t_lo, t_hi, self.flux, self.spec, self.rule,
+        vert = VerticalFluxes(x_nodes, t_lo, height, self.flux, self.spec, self.rule,
                               self.u_range)
         if not self.flux.reads_t:
-            self._vertical_arrays[height] = vert
-            if len(self._vertical_arrays) > HEIGHT_CACHE_SIZE:
-                del self._vertical_arrays[next(iter(self._vertical_arrays))]
+            self._vertical_arrays = vert
         return vert
 
     @cached_property
     def ghosts(self) -> np.ndarray:
         """(n_slabs, 2) left and right ghost states of an interval run, from one u_B call."""
         t, xb = self.tri.times, self.tri.breakpoints[[0, -1]]
-        pts, weights = segment_nodes(self.rule, 0, xb[None, :], t[:-1, None], t[1:, None])
+        pts, weights = segment_nodes(self.rule, 0, xb[None, :], t[:-1, None],
+                                     self.tri.heights[:, None])
         return _face_means(self.bd, pts, weights, lambda idx: (
             f"the {('left', 'right')[idx[1]]} face of slab {idx[0]} (x = "
             f"{float(xb[idx[1]])!r}, t in [{float(t[idx[0]])!r}, {float(t[idx[0] + 1])!r}])"))
 
     def slab(self, j: int) -> Slab:
-        """Slab j, kept until another slab is asked for (tables are rebuilt
-        deterministically, so a rebuilt slab is bit-identical)."""
-        if self._slab is None or self._slab.j != j:
-            self._slab = Slab(self, j)
-        return self._slab
+        """A new slab j (tables are rebuilt deterministically, so a rebuilt
+        slab is bit-identical); the solver keeps no slab, so a dropped solver
+        is freed without the cycle collector."""
+        return Slab(self, j)
 
     def initial_state(self) -> SliceState:
         """The initial slice state, on the cached table of slice 0."""
@@ -751,10 +744,10 @@ def _slab_ratio(domain, xs, flux, spec, u_range, t0, hbar) -> float:
     m = xs.size - 1
     rule = gauss_legendre(5, 1)
     x_nodes = xs[:-1] if domain.periodic else xs
-    vert = VerticalFluxes(x_nodes, t0, t0 + hbar, flux, spec, rule, u_range)
+    vert = VerticalFluxes(x_nodes, t0, hbar, flux, spec, rule, u_range)
     sup = vert.lipschitz_sup()
     # dq bounds on the outflow slice of the candidate slab (1 column: dq reads no u)
-    pts, weights = segment_nodes(rule, 1, t0 + hbar, xs[:-1], xs[1:])
+    pts, weights = segment_nodes(rule, 1, t0 + hbar, xs[:-1], np.diff(xs))
     n = 1 if (1,) in flux.u_free_du else DQ_SAMPLE_COUNT
     us = np.broadcast_to(np.linspace(*u_range, DQ_SAMPLE_COUNT)[:n], (m, n))
     dq_min = np.min(np.abs(face_sums(flux.omega.du_coeffs[(1,)], pts, weights, us)), axis=1)
@@ -775,9 +768,10 @@ def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence
     """Largest slab height whose lambda ratios stay below the target.
 
     Scales a probe slab to the target ratio and verifies on
-    ``TIMESTEP_PROBES`` slabs sampled across the horizon (the flux may be
-    time dependent), each with 5-point Gauss rules.  Returns 0 for a
-    zero horizon; raises :class:`DegenerateFluxError` when no height above
+    ``TIMESTEP_PROBES`` slabs sampled across the horizon if the flux reads
+    t, else on the one from t = 0 (all slabs of one height then have its
+    ratio), each with 5-point Gauss rules.  Returns 0 for a zero horizon;
+    raises :class:`DegenerateFluxError` when no height above
     ``1e-12 * t_final`` is admissible.
     """
     if not 0.0 < cfl_target <= CFL_LIMIT:
@@ -787,7 +781,8 @@ def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence
     breakpoints = np.asarray(breakpoints, dtype=float)
 
     def worst_ratio(hbar: float) -> float:
-        starts = np.linspace(0.0, max(t_final - hbar, 0.0), TIMESTEP_PROBES)
+        starts = np.linspace(0.0, max(t_final - hbar, 0.0),
+                             TIMESTEP_PROBES if flux.reads_t else 1)
         return max(_slab_ratio(domain, breakpoints, flux, spec, u_range, t0, hbar)
                    for t0 in starts)
 

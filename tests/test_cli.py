@@ -21,6 +21,7 @@ from spacetime_fvm.cli import (
     write_run_csv,
 )
 from spacetime_fvm.config import load_config
+from spacetime_fvm.mesh import Foliation
 from spacetime_fvm.scheme import Solver
 
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
@@ -271,6 +272,7 @@ def test_shipped_config_runs_and_verifies(tmp_path, config, monkeypatch):
     _, loaded = load_run_artifact(run_json)
     [result] = written
     assert loaded.tri.times.tobytes() == result.tri.times.tobytes()
+    assert loaded.tri.heights.tobytes() == result.tri.heights.tobytes()
     assert loaded.tri.breakpoints.tobytes() == result.tri.breakpoints.tobytes()
     assert len(loaded.states) == len(result.states)
     for a, b in zip(loaded.states, result.states):
@@ -295,6 +297,23 @@ class TestEntropyCheckCommand:
         main(["entropy-check", "--run", run_path])
         second = Path(out, "entropy_residuals.csv").read_text()
         assert first == second
+
+    def test_run_placed_at_exact_heights_still_passes(self, tmp_path, monkeypatch):
+        # a run.json from before nominal slab heights placed each slab's nodes
+        # by np.diff(times); entropy-check re-reads it with nominal heights
+        config = next(p for p in SHIPPED_CONFIGS if p.stem == "custom_capacity")
+        slices = {}
+        for exact in (True, False):
+            out = tmp_path / str(exact)
+            with monkeypatch.context() as patch:
+                if exact:
+                    patch.setattr(Foliation, "heights",
+                                  property(lambda self: np.diff(self.times)))
+                assert main(["run", "--config", str(config), "--out", str(out)]) == EXIT_OK
+            slices[exact] = (out / "slices.csv").read_bytes()
+        assert slices[True] != slices[False]
+        assert main(["entropy-check", "--run", str(tmp_path / "True" / "run.json")]) == EXIT_OK
+        assert json.loads((tmp_path / "True" / "entropy_report.json").read_text())["passed"]
 
     def test_artifact_reconstruction_matches_states(self, tmp_path):
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")

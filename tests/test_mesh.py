@@ -347,20 +347,20 @@ class TestInvertTotalFlux:
 class TestFaceQuadrature:
     def test_segment_nodes_place_gauss_points_on_each_segment(self):
         rule = gauss_legendre(3, 1)
-        pts, weights = segment_nodes(rule, 1, 0.25, np.array([0.0, 0.5]), np.array([0.5, 2.0]))
+        pts, weights = segment_nodes(rule, 1, 0.25, np.array([0.0, 0.5]), np.array([0.5, 1.5]))
         assert pts.shape == (2, 3, 2) and weights.shape == (2, 3)
         np.testing.assert_array_equal(pts[..., 0], 0.25)
         np.testing.assert_allclose(pts[1, :, 1], 0.5 + 1.5 * rule.nodes[:, 0], rtol=1e-15)
         np.testing.assert_allclose(weights.sum(axis=1), [0.5, 1.5], rtol=1e-15)
         # time segments at three nodes share one weight row
-        pts, weights = segment_nodes(rule, 0, np.array([0.0, 0.3, 1.0]), 0.1, 0.2)
+        pts, weights = segment_nodes(rule, 0, np.array([0.0, 0.3, 1.0]), 0.1, 0.1)
         assert pts.shape == (3, 3, 2) and weights.shape == (3,)
         np.testing.assert_array_equal(pts[:, :, 1], np.repeat([[0.0], [0.3], [1.0]], 3, axis=1))
         np.testing.assert_allclose(pts[0, :, 0], 0.1 + 0.1 * rule.nodes[:, 0], rtol=1e-15)
 
     def test_face_sums_integrates_per_state_row(self):
         pts, weights = segment_nodes(gauss_legendre(4, 1), 1, 0.0, np.array([0.0, 1.0]),
-                                     np.array([1.0, 3.0]))
+                                     np.array([1.0, 2.0]))
         fn = lambda p, u: u * p[..., 1] ** 2   # noqa: E731 - integral u (b^3 - a^3) / 3
         np.testing.assert_allclose(face_sums(fn, pts, weights, np.array([1.0, 2.0])),
                                    [1.0 / 3.0, 2.0 * 26.0 / 3.0], rtol=1e-14)
@@ -827,3 +827,27 @@ class TestUniformHelpers:
 
     def test_zero_horizon(self):
         assert uniform_times(0.0, 0.1).tolist() == [0.0]
+
+    @given(t_final=st.floats(1e-3, 1e3), n=st.integers(1, 5000))
+    @settings(max_examples=200, deadline=None)
+    def test_uniform_times_have_one_nominal_height(self, t_final, n):
+        # np.linspace splits the height by rounding; the first height, times[1],
+        # is the one nominal height of every slab
+        times = uniform_times(t_final, t_final / n)
+        heights = Foliation(times, IntervalDomain(0.0, 1.0)).heights
+        assert heights.size == times.size - 1 and np.all(heights == times[1])
+
+    @given(picks=st.lists(st.sampled_from([0.01, 0.0125, 0.02, 0.03]), min_size=1,
+                          max_size=200),
+           scale=st.floats(1e-3, 1e2))
+    @settings(max_examples=100, deadline=None)
+    def test_heights_apart_by_more_than_the_tolerance_stay_exact(self, picks, scale):
+        # summed times put rounding into each exact height: consecutive equal
+        # picks take the exact height of the first slab of their run, and a
+        # slab whose pick differs from the one before keeps its exact height
+        times = np.concatenate([[0.0], np.cumsum(np.array(picks) * scale)])
+        exact = np.diff(times)
+        starts = [0] + [j for j in range(1, len(picks)) if picks[j] != picks[j - 1]]
+        first = np.repeat(starts, np.diff(starts + [len(picks)]))
+        heights = Foliation(times, IntervalDomain(0.0, 1.0)).heights
+        assert heights.tobytes() == exact[first].tobytes()

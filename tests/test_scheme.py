@@ -1,5 +1,7 @@
+import gc
 import re
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from conftest import (
     step_bd,
 )
 
+from spacetime_fvm import entropy as entropy_module
 from spacetime_fvm import presets
 from spacetime_fvm import scheme as scheme_module
 from spacetime_fvm.config import load_config, parse_config
@@ -42,6 +45,7 @@ from spacetime_fvm.mesh import (
     _weighted_sum,
     build_triangulation,
     segment_nodes,
+    uniform_times,
 )
 from spacetime_fvm.scheme import (
     CFL_LIMIT,
@@ -251,10 +255,10 @@ class TestNumericalFluxProperties:
 
 class TestBoundaryGhostValue:
     @staticmethod
-    def _ghost(bd, t0=0.0, t1=1.0, x=0.0, rule=None):
-        """alpha_B-weighted mean of u_B over the boundary face {x} x [t0, t1]."""
+    def _ghost(bd, t0=0.0, height=1.0, x=0.0, rule=None):
+        """alpha_B-weighted mean of u_B over the boundary face {x} x [t0, t0 + height]."""
         rule = rule if rule is not None else gauss_legendre(5, 1)
-        return float(_face_means(bd, *segment_nodes(rule, 0, x, t0, t1), str))
+        return float(_face_means(bd, *segment_nodes(rule, 0, x, t0, height), str))
 
     def test_constant_data(self):
         assert self._ghost(constant_bd(0.7)) == pytest.approx(0.7)
@@ -276,15 +280,16 @@ class TestBoundaryGhostValue:
     @pytest.mark.parametrize("points", [5, 12])
     def test_slab_ghosts_equal_face_means_bit_for_bit(self, points):
         # one u_B call for every slab gives each slab the bits of its own
-        # boundary faces, also where uniform heights differ by rounding
+        # boundary faces, placed by the slab's nominal height also where the
+        # exact uniform heights differ by rounding
         bd = BoundaryData(u=lambda p: np.sin(5.0 * p[..., 0]) + p[..., 1],
                           alpha_density=lambda p: 1.5 + np.cos(3.0 * p[..., 0]))
         solver = make_solver(presets.burgers_flux((-1.5, 2.5)), IntervalDomain(0.0, 1.0),
                              0.3, bd, nx=5, u_range=(-1.0, 2.0), quadrature_points=points)
-        times, xs = solver.tri.times, solver.tri.breakpoints
-        assert np.unique(np.diff(times)).size > 1
+        times, heights, xs = solver.tri.times, solver.tri.heights, solver.tri.breakpoints
+        assert np.unique(np.diff(times)).size > 1 == np.unique(heights).size
         for j in range(solver.tri.n_slabs):
-            expected = tuple(self._ghost(bd, float(times[j]), float(times[j + 1]),
+            expected = tuple(self._ghost(bd, float(times[j]), float(heights[j]),
                                          float(xs[i]), solver.rule) for i in (0, 5))
             slab = solver.slab(j)
             assert slab.ghost_values() == expected
@@ -666,18 +671,41 @@ class TestRun:
             result.states[_slab_of(result, 0.05)].values[3])
 
 
-    def test_solver_keeps_one_slab_and_two_tables(self):
+    def test_solver_keeps_two_tables(self):
         flux = presets.burgers_flux((-1.2, 1.2))
         solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
                              step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
         assert solver.tri.n_slabs > 3
         solver.run()
-        assert solver._slab.j == solver.tri.n_slabs - 1
         assert sorted(solver._tables) == [solver.tri.n_slabs - 1, solver.tri.n_slabs]
         solver.slab(1)
-        assert solver._slab.j == 1 and sorted(solver._tables) == [1, 2]
+        assert sorted(solver._tables) == [1, 2]
         solver.slice_table(1)       # a cached slice evicts nothing
         assert sorted(solver._tables) == [1, 2]
+
+    def test_dropped_solver_is_freed_without_the_cycle_collector(self, monkeypatch):
+        # no reference cycle holds a solver: with the collector off, its last
+        # reference going frees it, and verify_run's own solver too
+        solver = make_solver(presets.burgers_flux((-1.2, 1.2)), IntervalDomain(0.0, 1.0), 0.2,
+                             step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
+        inner = []
+
+        class TrackedSolver(Solver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                inner.append(weakref.ref(self))
+
+        monkeypatch.setattr(entropy_module, "Solver", TrackedSolver)
+        gc.disable()
+        try:
+            result = solver.run()
+            ref = weakref.ref(solver)
+            del solver
+            assert ref() is None
+            verify_run(result)
+            assert len(inner) == 1 and inner[0]() is None
+        finally:
+            gc.enable()
 
     def test_run_builds_one_table_per_slice(self, monkeypatch):
         # the initial state takes slice 0's table from the solver's cache,
@@ -788,23 +816,73 @@ class TestTableReuse:
         domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 17), (-0.3, 1.0)
         hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(kind), u_range, 0.25, 0.25)
         tri = build_triangulation(Foliation(_mixed_heights(hbar, 0.25, 5), domain), xs)
-        heights = np.diff(tri.times)
-        assert len(set(heights)) > scheme_module.HEIGHT_CACHE_SIZE > 0
+        runs = 1 + np.count_nonzero(np.diff(tri.heights))   # of consecutive equal heights
+        assert runs < tri.n_slabs
         built = []
 
         class CountingVertical(scheme_module.VerticalFluxes):
-            def __init__(self, x_nodes, t_lo, t_hi, flux, *args):
+            def __init__(self, x_nodes, t_lo, height, flux, *args):
                 built.append(flux.reads_t)
-                super().__init__(x_nodes, t_lo, t_hi, flux, *args)
+                super().__init__(x_nodes, t_lo, height, flux, *args)
 
         with monkeypatch.context() as patch:
             patch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
             assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range, kind)
         # three solvers per flux (run, verify_run, global report): without the
-        # declaration each builds a table per slab, with it one per height
-        # unless the height was evicted
+        # declaration each builds a table per slab, with it one per run of a height
         assert built.count(True) == 3 * tri.n_slabs
-        assert 3 * len(set(heights)) <= built.count(False) < 3 * tri.n_slabs
+        assert built.count(False) == 3 * runs
+
+    @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
+                             ids=["interval", "circle"])
+    def test_uniform_run_builds_one_vertical_table_per_solver(self, domain, monkeypatch):
+        # np.linspace times split the uniform height by rounding and the
+        # nominal height joins them again: declared, each of the three solvers
+        # builds one vertical table, and the run equals the undeclared one
+        flux = presets.burgers_flux((-1.2, 1.2))
+        xs, u_range = np.linspace(0.0, 1.0, 17), (-0.3, 1.0)
+        hbar = select_timestep(domain, xs, flux, NumericalFluxSpec(), u_range, 0.25, 0.3)
+        tri = build_triangulation(Foliation(uniform_times(0.3, hbar), domain), xs)
+        assert np.unique(np.diff(tri.times)).size > 1 == np.unique(tri.heights).size
+        built = []
+
+        class CountingVertical(scheme_module.VerticalFluxes):
+            def __init__(self, x_nodes, t_lo, height, flux, *args):
+                built.append(flux.reads_t)
+                super().__init__(x_nodes, t_lo, height, flux, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
+            assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range)
+        assert built.count(False) == 3 and built.count(True) == 3 * tri.n_slabs
+
+    @pytest.mark.parametrize("flux", [
+        presets.burgers_flux((-1.2, 1.2)),
+        presets.capacity_flux(lambda x: 1.0 + 0.3 * np.sin(5.0 * x),
+                              lambda x: 1.5 * np.cos(5.0 * x),
+                              lambda w: 0.5 * np.asarray(w) ** 2, lambda w: np.asarray(w),
+                              (-1.2, 1.2))], ids=["burgers", "capacity"])
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+    def test_t_free_timestep_search_probes_once_per_iteration(self, flux, kind, monkeypatch):
+        # a flux that does not read t gives every slab of one height the ratio
+        # of the slab at t = 0: one probe per iteration finds the bits of the
+        # TIMESTEP_PROBES-probe search
+        domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 17), (-0.3, 1.0)
+        starts, hbars = {}, {}
+
+        class CountingVertical(scheme_module.VerticalFluxes):
+            def __init__(self, x_nodes, t_lo, height, flux, *args):
+                starts[flux.reads_t].append(t_lo)
+                super().__init__(x_nodes, t_lo, height, flux, *args)
+
+        monkeypatch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
+        for f in (flux, replace(flux, reads_t=True)):
+            starts[f.reads_t] = []
+            hbars[f.reads_t] = select_timestep(domain, xs, f, NumericalFluxSpec(kind), u_range,
+                                               0.25, 0.3)
+        assert np.float64(hbars[False]).tobytes() == np.float64(hbars[True]).tobytes()
+        assert set(starts[False]) == {0.0}
+        assert len(starts[True]) == scheme_module.TIMESTEP_PROBES * len(starts[False])
 
     @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.0, 12.0),
            phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2 ** 16))
@@ -882,7 +960,8 @@ class TestTableReuse:
                              ids=["interval", "circle"])
     def test_shared_nodes_equal_segment_nodes(self, domain):
         # a shared table's nodes are the first table's with the t column
-        # rewritten: for every slice and slab they are segment_nodes', bit for bit
+        # rewritten: for every slice and slab they are segment_nodes', bit for
+        # bit, a slab's from its start and nominal height
         flux = presets.burgers_flux((-1.2, 1.2))
         xs = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 11))
         xs[0], xs[-1] = 0.0, 1.0
@@ -892,13 +971,13 @@ class TestTableReuse:
         rule, x_nodes = solver.rule, xs[:tri.n_nodes]
         for j in range(tri.n_slices):
             table = solver.slice_table(j)
-            pts, weights = segment_nodes(rule, 1, tri.times[j], xs[:-1], xs[1:])
+            pts, weights = segment_nodes(rule, 1, tri.times[j], xs[:-1], np.diff(xs))
             assert table.t == tri.times[j] and table.pts.tobytes() == pts.tobytes()
             assert table.weights.tobytes() == (table.orientation[:, None] * weights).tobytes()
         for j in range(tri.n_slabs):
             vert = solver.vertical_fluxes(j)
-            pts, weights = segment_nodes(rule, 0, x_nodes, tri.times[j], tri.times[j + 1])
-            assert (vert.t_lo, vert.t_hi) == (tri.times[j], tri.times[j + 1])
+            pts, weights = segment_nodes(rule, 0, x_nodes, tri.times[j], tri.heights[j])
+            assert (vert.t_lo, vert.height) == (tri.times[j], tri.heights[j])
             assert vert.pts.tobytes() == pts.tobytes()
             assert vert.weights.tobytes() == weights.tobytes()
         assert solver._slice_arrays is not None and solver._vertical_arrays
@@ -918,9 +997,9 @@ class TestTableReuse:
             assert vert.Q(u, v).tobytes() == two.tobytes()
 
     def test_one_lambda_report_per_slab_height(self):
-        # heights 1, 1, 1, 2, 1, 2 times 2^-7, exact in binary: declared, the
-        # slabs of one height share one CFL report, equal bit for bit to the
-        # report each slab builds alone
+        # heights 1, 1, 1, 2, 1, 2 times 2^-7, exact in binary: declared, each
+        # run of consecutive slabs of one height shares one CFL report, equal
+        # bit for bit to the report each slab builds alone
         tri = build_triangulation(Foliation(np.array([0, 1, 2, 3, 5, 6, 8]) * 2.0 ** -7,
                                             IntervalDomain(0.0, 1.0)), 10)
         flux = presets.burgers_flux((-1.2, 1.2))
@@ -930,7 +1009,7 @@ class TestTableReuse:
                             RunConfig(u_range=(-0.2, 1.0)))
             reports.append([solver.slab(j).lambdas() for j in range(tri.n_slabs)])
         shared, own = reports
-        assert len({id(r) for r in shared}) == 2 and len({id(r) for r in own}) == tri.n_slabs
+        assert len({id(r) for r in shared}) == 4 and len({id(r) for r in own}) == tri.n_slabs
         for a, b in zip(shared, own):
             assert (a.lam_hat.tobytes(), a.lam_hat_cell.tobytes(), a.lam.tobytes(), a.passed) \
                 == (b.lam_hat.tobytes(), b.lam_hat_cell.tobytes(), b.lam.tobytes(), b.passed)
