@@ -25,10 +25,12 @@ to them by superposition.  Gauss rules come from the cached, read-only
 Vertical-face fluxes live in face arrays.  With ``u_L``/``u_R`` the states of
 the left/right cell of each face (:meth:`Slab.neighbor_states`), a face
 holds ``Q(u_L, u_R)``, ``G(u_L)`` and ``G(u_R)`` in left-cell orientation,
-plain or cut at the check lattice.  The flux is conservative, so a cell's
-per-side triple ``(Q(u, nb), Q(u, u), Q(nb, nb))`` is a signed gather
-(:func:`_cell_sides`): ``(-Q, -G(u_R), -G(u_L))`` at its left face,
-``(Q, G(u_L), G(u_R))`` at its right face.
+plain (:func:`_plain_faces`, once per slab) or cut at a check lattice.  The
+flux is conservative, so a cell's per-side triple ``(Q(u, nb), Q(u, u),
+Q(nb, nb))`` is a signed gather (:func:`_cell_sides`): ``(-Q, -G(u_R),
+-G(u_L))`` at its left face, ``(Q, G(u_L), G(u_R))`` at its right face.
+The face and cell checks cut them only at the (cell, c) pairs inside each
+cell's state hull (:class:`_CheckLattice`).
 
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit.
@@ -349,13 +351,17 @@ class DecompositionStates:
     bracket_residual: float
 
 
-def _cell_sides(slab: Slab, q, g_left, g_right):
-    """Per-cell ``(Q_uv, Q_uu, Q_vv)`` of side 0 (left face) and side 1 (right).
+def _plain_faces(slab: Slab, values: np.ndarray):
+    """``(u_L, u_R, G(u_L), G(u_R), Q(u_L, u_R))`` per vertical face, ``Q`` from the
+    two ``G`` arrays: what the decomposition and both check lattices of a slab read."""
+    u_left, u_right = slab.neighbor_states(values)
+    g_left, g_right = slab.vert.G(u_left), slab.vert.G(u_right)
+    return u_left, u_right, g_left, g_right, slab.vert._combine(u_left, u_right, g_left, g_right)
 
-    Gathers face arrays ``Q(u_L, u_R)``, ``G(u_L)``, ``G(u_R)`` (leading
-    axis the face) as the module docstring sets out.
-    """
-    left, right = slab.left_idx, slab.right_idx
+
+def _cell_sides(q, g_left, g_right, left, right):
+    """Per-cell ``(Q_uv, Q_uu, Q_vv)`` of side 0 and side 1: face arrays ``Q(u_L, u_R)``,
+    ``G(u_L)``, ``G(u_R)`` gathered at ``left`` and ``right``, as the module docstring sets out."""
     return ((-q[left], -g_right[left], -g_left[left]),
             (q[right], g_left[right], g_right[right]))
 
@@ -368,21 +374,20 @@ def decomposition_states(slab: Slab, state: SliceState, tol: float | None = None
     inversion failure therefore flags a CFL or flux-axiom breach.
     ``q_own`` is ``slab.table_plus.q(state.values)`` when the caller has it.
     """
+    return _decompose(slab, state, tol, q_own, _plain_faces(slab, state.values))
+
+
+def _decompose(slab: Slab, state: SliceState, tol, q_own, plain) -> DecompositionStates:
+    """:func:`decomposition_states` reading :func:`_plain_faces` ``plain``."""
     tol = tol if tol is not None else slab.solver.cfg.inversion_tol
     values = state.values
     report = slab.lambdas()
-    lam = report.lam
-    lam_hat = report.lam_hat
-    u_left, u_right = slab.neighbor_states(values)
+    lam, lam_hat = report.lam, report.lam_hat
+    u_left, u_right, g_left, g_right, q_lr = plain
     nb = np.stack([u_left[slab.left_idx], u_right[slab.right_idx]], axis=1)
-    sides = _cell_sides(slab, slab.face_fluxes(values), slab.vert.G(u_left), slab.vert.G(u_right))
-
-    m = slab.m
-    delta_q = np.empty((m, 2))
-    delta_q_bar = np.empty((m, 2))
-    for side, (q_uv, q_uu, q_vv) in enumerate(sides):
-        delta_q[:, side] = q_uv - q_uu
-        delta_q_bar[:, side] = q_uv - q_vv
+    sides = _cell_sides(q_lr, g_left, g_right, slab.left_idx, slab.right_idx)
+    delta_q = np.stack([q_uv - q_uu for q_uv, q_uu, _ in sides], axis=1)
+    delta_q_bar = np.stack([q_uv - q_vv for q_uv, _, q_vv in sides], axis=1)
 
     zero = lam_hat <= 0.0
     flat_tol = 1e-11 * (1.0 + float(np.max(np.abs(state.fluxes))))
@@ -434,7 +439,8 @@ def convex_decomposition_residual(slab: Slab, decomp: DecompositionStates,
 # ---------------------------------------------------------------------------
 
 def kruzkov_lattice(slab: Slab, state: SliceState) -> np.ndarray:
-    """Check parameters: state hull endpoints, slab values, consecutive midpoints."""
+    """Sorted check parameters: state hull endpoints, slab values, consecutive
+    midpoints; the face and cell checks read a cell's points in its hull only."""
     values = [state.values]
     ghosts = slab.ghost_values()
     if ghosts is not None:
@@ -453,84 +459,95 @@ def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
 
 
 class _CheckLattice:
-    """One slab's Kruzkov lattices (:func:`_kruzkov_split`) for the face and cell checks.
+    """One check's Kruzkov lattice (:func:`_kruzkov_split`) on the (cell, c) pairs of local hulls.
 
-    Q is cut state by state on the straddle set and where G(c) is a zero,
-    whose sign ``Q(c, c) = 0.5 (G + G) -+ 0.5 s 0`` of a central flux may
-    flip; its G values there are those of ``G(c)``, ``G(u_L)`` and ``G(u_R)``,
-    so the lattices cost no flux evaluation beyond those three arrays.
-    ``q_values`` is ``slab.table_plus.q(values)`` when the caller has it.
+    A cell's pairs, ``cells`` and ``c`` (n,) by cell and then by c, are the
+    points of ``c`` (sorted, de-duplicated) in the closed hull of ``u``, both
+    neighbours or ghosts and its ``extra`` states; off it the checks reduce
+    to the decomposition and conservation identities.  An empty hull keeps
+    the first point at or above its low end, clamped to the last (a NaN row
+    keeps one NaN pair).  ``sides`` holds the face arrays at the pairs' left,
+    then right faces; Q is cut state by state on the straddle set and where
+    G(c) is a zero (a central flux may flip its sign there), from ``G(c)``
+    and :func:`_plain_faces` ``plain``.  ``q_values`` is ``q(values)`` if given.
     """
 
-    def __init__(self, slab: Slab, values: np.ndarray, c, q_values: np.ndarray | None = None):
-        self.c = c = np.asarray(c, dtype=float)
-        vert, self._q = slab.vert, slab.table_plus.q
-        self.q_c = self._q(np.broadcast_to(c, (slab.m, c.size)))
+    def __init__(self, slab: Slab, values: np.ndarray, c, extra, plain,
+                 q_values: np.ndarray | None = None):
+        lattice = np.unique(np.asarray(c, dtype=float))
+        rows = np.column_stack([values, plain[0][slab.left_idx], plain[1][slab.right_idx], *extra])
+        start = np.minimum(np.searchsorted(lattice, np.min(rows, axis=1)), lattice.size - 1)
+        counts = np.maximum(np.searchsorted(lattice, np.max(rows, axis=1), "right") - start, 1)
+        self.cells = cells = np.repeat(np.arange(slab.m), counts)
+        self.c = lattice[np.repeat(start + counts - np.cumsum(counts), counts)
+                         + np.arange(cells.size)]
+        self._q = slab.table_plus.q
+        self.q_c = self._q(self.c, faces=cells)
         self.q_own = self.q(values, q_values)
-        u_left, u_right = slab.neighbor_states(values)
-        g_c = vert.G(np.broadcast_to(c, (vert.n_faces, c.size)))
-        g_left, g_right = vert.G(u_left), vert.G(u_right)
-        lo, hi = np.minimum(u_left, u_right)[:, None], np.maximum(u_left, u_right)[:, None]
-        q_lr = vert._combine(u_left, u_right, g_left, g_right)[:, None]
+        faces = np.concatenate([slab.left_idx[cells], slab.right_idx[cells]])
+        c = np.concatenate([self.c, self.c])
+        vert = slab.vert
+        g_c = vert.G(c, faces=faces)
+        u_left, u_right, g_left, g_right, q_lr = (a[faces] for a in plain)
+        lo, hi = np.minimum(u_left, u_right), np.maximum(u_left, u_right)
         k_q = np.where(c >= hi, g_c - q_lr, q_lr - g_c)
-        faces, cols = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))
+        cut = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))[0]
         # Q at both cuts from the G values at hand: G(u v c) is G(c) where c > u, else G(u)
-        cf, gc, ul, ur, gl, gr = (c[cols], g_c[faces, cols], u_left[faces], u_right[faces],
-                                  g_left[faces], g_right[faces])
-        k_q[faces, cols] = (
+        cf, gc, ul, ur, gl, gr = (a[cut] for a in (c, g_c, u_left, u_right, g_left, g_right))
+        k_q[cut] = (
             vert._combine(np.maximum(ul, cf), np.maximum(ur, cf), np.where(cf > ul, gc, gl),
-                          np.where(cf > ur, gc, gr), faces)
+                          np.where(cf > ur, gc, gr), faces[cut])
             - vert._combine(np.minimum(ul, cf), np.minimum(ur, cf), np.where(cf < ul, gc, gl),
-                            np.where(cf < ur, gc, gr), faces))
-        self.sides = _cell_sides(
-            slab, k_q, _kruzkov_split(g_c, g_left[:, None], c, u_left[:, None]),
-            _kruzkov_split(g_c, g_right[:, None], c, u_right[:, None]))
+                            np.where(cf < ur, gc, gr), faces[cut]))
+        self.sides = _cell_sides(k_q, _kruzkov_split(g_c, g_left, c, u_left),
+                                 _kruzkov_split(g_c, g_right, c, u_right),
+                                 slice(None, cells.size), slice(cells.size, None))
 
     def q(self, s: np.ndarray, q_s: np.ndarray | None = None) -> np.ndarray:
-        """Kruzkov q lattice of per-cell states ``s`` (m,), shape (m, nc), from
-        ``q_s = q(s)`` if given."""
+        """Kruzkov q of per-cell states ``s`` (m,) at the pairs, from ``q_s = q(s)`` if given."""
         q_s = self._q(s) if q_s is None else q_s
-        return _kruzkov_split(self.q_c, q_s[:, None], self.c, s[:, None])
+        return _kruzkov_split(self.q_c, q_s[self.cells], self.c, s[self.cells])
 
 
 def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: SliceState,
                            c_values: np.ndarray) -> dict[str, np.ndarray]:
-    """Positive parts of the per-face inequalities over the check lattice.
-
-    Returns residual arrays of shape (m, 2, nc): ``dei`` for the interior
-    flavor anchored at face_states, ``boundary`` for the neighbor flavor
-    anchored at the neighbor state.
+    """Positive parts of the per-face inequalities on the local check lattice, shape
+    (2, n), side by pair: ``face_inequality`` anchored at face_states, ``boundary``
+    at the neighbor state.  A cell's pairs are the points of ``c_values`` in the hull
+    of ``u``, both neighbours or ghosts and its face and anchored states (:class:`_CheckLattice`).
     """
-    return _face_residuals(slab, decomp, _CheckLattice(slab, state.values, c_values))
+    return _face_residuals(slab, decomp, state.values, c_values, _plain_faces(slab, state.values))
 
 
-def _face_residuals(slab, decomp, lattice: _CheckLattice) -> dict[str, np.ndarray]:
-    """:func:`face_entropy_residuals` on a prebuilt :class:`_CheckLattice`."""
-    m = slab.m
-    out_dei = np.empty((m, 2, lattice.c.size))
-    out_bnd = np.empty((m, 2, lattice.c.size))
+def _face_residuals(slab, decomp, values, c, plain, q_own=None) -> dict[str, np.ndarray]:
+    """:func:`face_entropy_residuals` with ``q_own = q(values)`` if given."""
+    lattice = _CheckLattice(slab, values, c, (decomp.face_states, decomp.anchored_states),
+                            plain, q_own)
+    zero = decomp.lam_hat <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, decomp.lam))[lattice.cells]
+    dei, bnd = [], []
     for side, (Q_uv, Q_uu, Q_vv) in enumerate(lattice.sides):
-        lam = decomp.lam[:, side]
-        zero = decomp.lam_hat[:, side] <= 0.0
         q_ut = lattice.q(decomp.face_states[:, side])
         q_ub = lattice.q(decomp.anchored_states[:, side])
         q_nb = lattice.q(decomp.neighbor[:, side])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, lam))[:, None]
-        out_dei[:, side, :] = np.maximum(0.0, q_ut - (lattice.q_own - inv_lam * (Q_uv - Q_uu)))
-        out_bnd[:, side, :] = np.maximum(0.0, q_ub - (q_nb + inv_lam * (Q_uv - Q_vv)))
-    return {"face_inequality": out_dei, "boundary": out_bnd}
+        dei.append(np.maximum(0.0, q_ut - (lattice.q_own - inv_lam[:, side] * (Q_uv - Q_uu))))
+        bnd.append(np.maximum(0.0, q_ub - (q_nb + inv_lam[:, side] * (Q_uv - Q_vv))))
+    return {"face_inequality": np.stack(dei), "boundary": np.stack(bnd)}
 
 
 def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState,
                            c_values: np.ndarray) -> np.ndarray:
-    """Positive part of the per-cell entropy inequality, shape (m, nc)."""
-    return _cell_residuals(state_next, _CheckLattice(slab, state.values, c_values))
+    """Positive part of the per-cell entropy inequality on the local check lattice,
+    shape (n,): a cell's pairs are the points of ``c_values`` in the hull of
+    ``u``, both neighbours or ghosts, and ``u_plus`` (:class:`_CheckLattice`)."""
+    return _cell_residuals(slab, state.values, state_next, c_values,
+                           _plain_faces(slab, state.values))
 
 
-def _cell_residuals(state_next, lattice: _CheckLattice, q_next=None) -> np.ndarray:
-    """:func:`cell_entropy_residuals` on a prebuilt :class:`_CheckLattice`,
-    with ``q_next = q(u_plus)`` if given."""
+def _cell_residuals(slab, values, state_next, c, plain, q_own=None, q_next=None) -> np.ndarray:
+    """:func:`cell_entropy_residuals` with ``q_own = q(u)``, ``q_next = q(u_plus)`` if given."""
+    lattice = _CheckLattice(slab, values, c, (state_next.values,), plain, q_own)
     total = lattice.q(state_next.values, q_next) - lattice.q_own
     for Q_uv, Q_uu, _ in lattice.sides:
         total = total + (Q_uv - Q_uu)
@@ -1100,10 +1117,12 @@ def verify_run(result: RunResult, tol: float | None = None,
                solver: Solver | None = None) -> EntropyReport:
     """Run every discrete entropy check over a finished run.
 
-    The Kruzkov family is checked on the per-slab lattice (state hull
-    endpoints, slab values and consecutive midpoints); the quadratic pair
-    drives the dissipation estimate.  The default tolerance scales with
-    the slab flux magnitude.
+    The Kruzkov family is checked on the per-slab :func:`kruzkov_lattice`: the
+    boundary condition at every point, the face and cell checks at each cell's
+    points in its state hull (elsewhere they reduce to the decomposition and
+    conservation identities); ``c_lattice_sizes`` records the full lattice
+    sizes.  The quadratic pair drives the dissipation estimate.  The default
+    tolerance scales with the slab flux magnitude.
     """
     tri = result.tri
     solver = solver if solver is not None else Solver(
@@ -1125,10 +1144,12 @@ def verify_run(result: RunResult, tol: float | None = None,
         slab = solver.slab(j)
         state = result.states[j]
         state_next = result.states[j + 1]
-        # q of both slices' states on the outflow table, each evaluated once
+        # q of both slices' states on the outflow table and the plain face
+        # fluxes, each evaluated once per slab for every check that reads them
         q_own = slab.table_plus.q(state.values)
         q_next = slab.table_plus.q(state_next.values)
-        decomp = decomposition_states(slab, state, q_own=q_own)
+        plain = _plain_faces(slab, state.values)
+        decomp = _decompose(slab, state, None, q_own, plain)
         c_vals = kruzkov_lattice(slab, state)
         lattice_sizes.append(int(c_vals.size))
 
@@ -1136,13 +1157,11 @@ def verify_run(result: RunResult, tol: float | None = None,
             float(np.max(convex_decomposition_residual(slab, decomp, state_next, q_next))))
         per_slab["bracketing"].append(decomp.bracket_residual)
 
-        lattice = _CheckLattice(slab, state.values, c_vals, q_own)
-        face_res = _face_residuals(slab, decomp, lattice)
+        face_res = _face_residuals(slab, decomp, state.values, c_vals, plain, q_own)
         per_slab["face_inequality"].append(float(np.max(face_res["face_inequality"])))
         per_slab["face_inequality_neighbor"].append(float(np.max(face_res["boundary"])))
-        per_slab["cell_inequality"].append(
-            float(np.max(_cell_residuals(state_next, lattice, q_next))))
-        del lattice, face_res  # freed before the smooth-pair checks set the peak memory
+        per_slab["cell_inequality"].append(float(np.max(
+            _cell_residuals(slab, state.values, state_next, c_vals, plain, q_own, q_next))))
 
         bc = 0.0
         for column, side, _node, b in _boundary_faces(slab):
@@ -1170,7 +1189,7 @@ def verify_run(result: RunResult, tol: float | None = None,
     checks = []
     for name in names:
         series = per_slab[name]
-        worst = max(series) if series else 0.0
+        worst = float(np.max(series)) if series else 0.0   # a NaN anywhere fails the check
         checks.append(CheckSummary(name=name, max_residual=float(worst), tol=tol,
                                    n_checked=len(series), passed=bool(worst <= tol)))
     return EntropyReport(checks=checks, per_slab=per_slab, tol=tol,

@@ -675,9 +675,10 @@ class SpacelikeTable:
     def n_faces(self) -> int:
         return len(self.face_ids)
 
-    def q(self, u) -> np.ndarray:
-        """Oriented total fluxes; ``u`` has shape (m,) or (m, K)."""
-        return face_sums(self._wx, self.pts, self.weights, u)
+    def q(self, u, faces=None) -> np.ndarray:
+        """Oriented total fluxes, ``u`` (m,) or (m, K); ``faces`` gathers rows (repeats allowed)."""
+        rows = slice(None) if faces is None else np.asarray(faces)
+        return face_sums(self._wx, self.pts[rows], self.weights[rows], u)
 
     def dq(self, u) -> np.ndarray:
         """Oriented dq; ``dq_column`` broadcast if ``(1,)`` is in ``flux.u_free_du``."""

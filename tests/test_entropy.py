@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import capacity_field, constant_bd, counting_flux, densities, make_solver, step_bd
 
-from spacetime_fvm import presets
+from spacetime_fvm import entropy, presets
 from spacetime_fvm.entropy import (
     SIMPSON_TOL,
     SMOOTH_PANEL_NODES,
@@ -39,10 +40,15 @@ from spacetime_fvm.entropy import (
     _CheckLattice,
     _cell_sides,
     _kruzkov,
+    _plain_faces,
 )
 from spacetime_fvm.fluxfield import FluxField, RectangleDomain
 from spacetime_fvm.forms import ParamForm, exterior_derivative, gauss_legendre
-from spacetime_fvm.harness import boundary_driven_burgers_case, bump_test_function
+from spacetime_fvm.harness import (
+    advection_circle_case,
+    boundary_driven_burgers_case,
+    bump_test_function,
+)
 from spacetime_fvm.mesh import (
     CircleDomain,
     Foliation,
@@ -50,7 +56,7 @@ from spacetime_fvm.mesh import (
     SpacelikeTable,
     build_triangulation,
 )
-from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, Solver
+from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, SliceState, Solver
 
 
 def burgers_shock_solver(nx=12, t_final=0.25, kind="godunov_osher"):
@@ -435,6 +441,52 @@ def _oracle_decomposition_states(slab, values, decomp):
     return face, anchored
 
 
+OFF_HULL_EPS = 64 * np.finfo(float).eps   # an off-hull entry is at most this times 1 + max |q|
+
+
+def _face_rows(slab, decomp, values):
+    """The states a cell's face inequalities read: u, both neighbours, face and anchored states."""
+    return np.column_stack([values, _oracle_neighbors(slab, values), decomp.face_states,
+                            decomp.anchored_states])
+
+
+def _cell_rows(slab, values, values_next):
+    """The states a cell's cell inequality reads: u, both neighbours and u_plus."""
+    return np.column_stack([values, _oracle_neighbors(slab, values), values_next])
+
+
+def _loop_pairs(rows, c):
+    """(cells, cols) of each row's lattice points in its closed hull, row by row;
+    a row with none keeps the first point at or above its low end, else the last."""
+    cells, cols = [], []
+    for i, row in enumerate(rows):
+        lo, hi = np.min(row), np.max(row)
+        inside = np.nonzero((lo <= c) & (c <= hi))[0].tolist()
+        if not inside:
+            above = np.nonzero(c >= lo)[0]
+            inside = [int(above[0]) if above.size else c.size - 1]
+        cells += [i] * len(inside)
+        cols += inside
+    return np.array(cells, dtype=np.intp), np.array(cols, dtype=np.intp)
+
+
+def _off_hull_bound(*states):
+    return OFF_HULL_EPS * (1.0 + max(float(np.max(np.abs(s.fluxes))) for s in states))
+
+
+def _assert_local_on_oracle(local, oracle, rows, c, bound):
+    """``local`` (..., n) holds ``oracle`` (m, ..., nc) at the pairs of ``rows`` bit
+    for bit, in pair order; every oracle entry off the pairs is at most ``bound``."""
+    cells, cols = _loop_pairs(rows, c)
+    assert local.shape == oracle.shape[1:-1] + (cells.size,)
+    at_pairs = np.moveaxis(oracle[cells, ..., cols], 0, -1)
+    assert np.ascontiguousarray(at_pairs).tobytes() == local.tobytes()
+    off = np.ones((oracle.shape[0], c.size), dtype=bool)
+    off[cells, cols] = False
+    assert np.all(np.moveaxis(oracle, -1, 1)[off] <= bound)
+    assert np.max(local) <= np.max(oracle) <= np.max(local) + bound
+
+
 def _half_still_solver():
     # u dx - b(x) u^2 / 2 dt with b = 0 on x <= 0.5: the vertical faces there
     # have G' = 0, so their lambda ratio is zero
@@ -463,8 +515,8 @@ def _direct_straddle_sides(slab, values, c):
     faces, cols = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))
     k_q[faces, cols] = _kruzkov(lambda a, b: vert.Q(a, b, faces=faces),
                                 c[cols], u_left[faces], u_right[faces])
-    sides = _cell_sides(slab, k_q, _kruzkov(vert.G, c, u_left[:, None]),
-                        _kruzkov(vert.G, c, u_right[:, None]))
+    sides = _cell_sides(k_q, _kruzkov(vert.G, c, u_left[:, None]),
+                        _kruzkov(vert.G, c, u_right[:, None]), slab.left_idx, slab.right_idx)
     return sides, faces.size
 
 
@@ -532,12 +584,15 @@ class TestFaceArrays:
             assert decomp.delta_q_bar.tobytes() == delta_q_bar.tobytes()
             assert decomp.neighbor.tobytes() == _oracle_neighbors(slab, state.values).tobytes()
             c = kruzkov_lattice(slab, state)
+            bound = _off_hull_bound(state, state_next)
             face = face_entropy_residuals(slab, decomp, state, c)
             oracle = _oracle_face_residuals(slab, decomp, state, c)
             for key in ("face_inequality", "boundary"):
-                assert face[key].tobytes() == oracle[key].tobytes()
-            assert cell_entropy_residuals(slab, state, state_next, c).tobytes() \
-                == _oracle_cell_residuals(slab, state, state_next, c).tobytes()
+                _assert_local_on_oracle(face[key], oracle[key],
+                                        _face_rows(slab, decomp, state.values), c, bound)
+            _assert_local_on_oracle(cell_entropy_residuals(slab, state, state_next, c),
+                                    _oracle_cell_residuals(slab, state, state_next, c),
+                                    _cell_rows(slab, state.values, state_next.values), c, bound)
 
     def test_decomposition_states_equal_per_column_inversions(self):
         # one (m, 4) inversion per slab against four calls, one per family and side
@@ -565,15 +620,35 @@ class TestFaceArrays:
         # Godunov faces carry a critical point inside the straddle brackets
         solver = _circle_burgers_solver(kind)
         result = solver.run()
-        straddles = 0
+        straddles = local_straddles = 0
         for j in range(result.tri.n_slabs):
-            slab, values = solver.slab(j), result.states[j].values
-            c = kruzkov_lattice(slab, result.states[j])
+            slab, state = solver.slab(j), result.states[j]
+            values = state.values
+            c = kruzkov_lattice(slab, state)
             expected, direct = _direct_straddle_sides(slab, values, c)
             straddles += direct
-            for arrays, oracle in zip(_CheckLattice(slab, values, c).sides, expected):
-                assert [a.tobytes() for a in arrays] == [e.tobytes() for e in oracle]
-        assert straddles > 0
+            # rows spanning the lattice: every cell holds every point, in the full layout
+            plain = _plain_faces(slab, values)
+            spanning = (np.broadcast_to(c[[0, -1]], (slab.m, 2)),)
+            full = _CheckLattice(slab, values, c, spanning, plain)
+            for arrays, oracle in zip(full.sides, expected):
+                assert [a.reshape(slab.m, c.size).tobytes() for a in arrays] \
+                    == [e.tobytes() for e in oracle]
+            # the face check's own rows: the same entries at its pairs
+            decomp = decomposition_states(slab, state)
+            local = _CheckLattice(slab, values, c, (decomp.face_states, decomp.anchored_states),
+                                  plain)
+            cells, cols = _loop_pairs(_face_rows(slab, decomp, values), c)
+            assert local.cells.tobytes() == cells.tobytes()
+            assert local.c.tobytes() == c[cols].tobytes()
+            for arrays, oracle in zip(local.sides, expected):
+                assert [a.tobytes() for a in arrays] == [e[cells, cols].tobytes() for e in oracle]
+            u_left, u_right = slab.neighbor_states(values)
+            for idx in (slab.left_idx, slab.right_idx):
+                lo = np.minimum(u_left, u_right)[idx[cells]]
+                hi = np.maximum(u_left, u_right)[idx[cells]]
+                local_straddles += int(np.count_nonzero((lo < local.c) & (local.c < hi)))
+        assert straddles > 0 and local_straddles > 0
         if kind == "godunov_osher":
             assert np.isfinite(solver.slab(0).vert.crit_w).any()
 
@@ -594,20 +669,28 @@ class TestFaceArrays:
         u_left, u_right = slab.neighbor_states(values)
         assert np.sum(u_left == u_right) >= 8 and 0.0 < values[4] < 1.0
         c = np.array([0.5, 1.0, values[4], -0.7, 0.0, 1.3, 1.0, values[4], 0.0, -0.7, 0.25])
-        # the factored face arrays equal the ones cut at c state by state
+        cs = np.unique(c)     # the lattice the checks read
+        # the factored face arrays equal the ones cut at c state by state, at
+        # every (cell, c) when the rows span the lattice
         uL, uR = u_left[:, None], u_right[:, None]
         vert = slab.vert
-        unfactored = _cell_sides(slab, _kruzkov(vert.Q, c, uL, uR), _kruzkov(vert.G, c, uL),
-                                 _kruzkov(vert.G, c, uR))
-        for arrays, expected in zip(_CheckLattice(slab, values, c).sides, unfactored):
-            assert [a.tobytes() for a in arrays] == [e.tobytes() for e in expected]
+        unfactored = _cell_sides(_kruzkov(vert.Q, cs, uL, uR), _kruzkov(vert.G, cs, uL),
+                                 _kruzkov(vert.G, cs, uR), slab.left_idx, slab.right_idx)
+        full = _CheckLattice(slab, values, c, (np.broadcast_to([-0.7, 1.3], (slab.m, 2)),),
+                             _plain_faces(slab, values))
+        for arrays, expected in zip(full.sides, unfactored):
+            assert [a.reshape(slab.m, cs.size).tobytes() for a in arrays] \
+                == [e.tobytes() for e in expected]
         decomp = decomposition_states(slab, state)
+        bound = _off_hull_bound(state, state_next)
         face = face_entropy_residuals(slab, decomp, state, c)
-        oracle = _oracle_face_residuals(slab, decomp, state, c)
+        oracle = _oracle_face_residuals(slab, decomp, state, cs)
         for key in ("face_inequality", "boundary"):
-            assert face[key].tobytes() == oracle[key].tobytes()
-        assert cell_entropy_residuals(slab, state, state_next, c).tobytes() \
-            == _oracle_cell_residuals(slab, state, state_next, c).tobytes()
+            _assert_local_on_oracle(face[key], oracle[key], _face_rows(slab, decomp, values),
+                                    cs, bound)
+        _assert_local_on_oracle(cell_entropy_residuals(slab, state, state_next, c),
+                                _oracle_cell_residuals(slab, state, state_next, cs),
+                                _cell_rows(slab, values, state_next.values), cs, bound)
 
     @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
                              ids=["interval", "circle"])
@@ -629,15 +712,163 @@ class TestFaceArrays:
         g_zero = slab.vert.G(np.broadcast_to(c, (nv, c.size))) == 0.0
         direct = int(np.count_nonzero(((lo < c) & (c < hi)) | g_zero))
         assert 0 < direct < nv * c.size // 4
+        n_face = _loop_pairs(_face_rows(slab, decomp, state.values), c)[0].size
+        n_cell = _loop_pairs(_cell_rows(slab, state.values, state_next.values), c)[0].size
+        assert 2 * m <= n_face + n_cell < m * c.size   # the full layout had 2 m nc pairs
         calls.clear()
         face_entropy_residuals(slab, decomp, state, c)
         cell_entropy_residuals(slab, state, state_next, c)
-        # per check: G at every (face, c) and G(u_L), G(u_R) per face; Q(u_L,
-        # u_R) and Q at both cuts of a direct point combine those G values
-        assert sum(calls[("w", 0)]) == 2 * nq * (nv * c.size + 2 * nv)
-        # q at every (cell, c) per check; per cell q of the old state in
-        # each, of the three face-check states per side and of u_plus
-        assert sum(calls[("w", 1)]) == nq_s * (2 * m * c.size + 2 * m + 6 * m + m)
+        # per check: G(c) at both faces of each pair's cell and G(u_L), G(u_R)
+        # per face; Q(u_L, u_R) and Q at both cuts of a direct point combine
+        # those G values
+        assert sum(calls[("w", 0)]) == nq * (2 * (n_face + n_cell) + 2 * 2 * nv)
+        # q(c) at each pair's cell; per cell q of the old state in each check,
+        # of the three face-check states per side and of u_plus
+        assert sum(calls[("w", 1)]) == nq_s * (n_face + n_cell + 2 * m + 6 * m + m)
+
+
+@cache
+def _step_solver(kind):
+    """Burgers step data on 8 cells, ghosts 1 and 0, slab height admissible on [-0.5, 1.5]."""
+    flux = presets.burgers_flux((-2.0, 2.0))
+    base = make_solver(flux, IntervalDomain(0.0, 1.0), 0.05, step_bd(0.4, 1.0, 0.0),
+                       nx=8, u_range=(-0.5, 1.5))
+    return Solver(base.tri, flux, NumericalFluxSpec(kind), base.bd, base.cfg)
+
+
+class TestLocalLattice:
+    """The face and cell checks read each cell only at the lattice points in its state hull."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["godunov_osher", "rusanov"]), data=st.data())
+    def test_local_entries_are_the_full_lattice_at_the_hull_pairs(self, kind, data):
+        # states with ties, at the u_range ends, at the ghosts and at lattice
+        # points; c unsorted with duplicates
+        solver = _step_solver(kind)
+        slab = solver.slab(0)
+        pool = [-0.5, 1.5, 0.0, 1.0, 0.25, 0.5]
+        values = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(pool), st.floats(-0.5, 1.5)), min_size=8, max_size=8)))
+        table = slab.table_minus
+        state = SliceState(0, table.face_ids, values, table.q(values))
+        state_next = slab.step(state)
+        c = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(pool + values.tolist()), st.floats(-1.0, 2.0)),
+            min_size=1, max_size=12)))
+        c = np.concatenate([c, c[:data.draw(st.integers(0, c.size))]])
+        c = c[data.draw(st.permutations(range(c.size)))]
+        cs = np.unique(c)
+        decomp = decomposition_states(slab, state)
+        face_rows = _face_rows(slab, decomp, values)
+        cell_rows = _cell_rows(slab, values, state_next.values)
+        plain = _plain_faces(slab, values)
+        for extra, rows in (((decomp.face_states, decomp.anchored_states), face_rows),
+                            ((state_next.values,), cell_rows)):
+            lattice = _CheckLattice(slab, values, c, extra, plain)
+            cells, cols = _loop_pairs(rows, cs)
+            assert lattice.cells.tobytes() == cells.tobytes()
+            assert lattice.c.tobytes() == cs[cols].tobytes()
+        bound = _off_hull_bound(state, state_next)
+        face = face_entropy_residuals(slab, decomp, state, c)
+        oracle = _oracle_face_residuals(slab, decomp, state, cs)
+        for key in ("face_inequality", "boundary"):
+            _assert_local_on_oracle(face[key], oracle[key], face_rows, cs, bound)
+        _assert_local_on_oracle(cell_entropy_residuals(slab, state, state_next, c),
+                                _oracle_cell_residuals(slab, state, state_next, cs),
+                                cell_rows, cs, bound)
+
+    def test_pairs_per_cell_stay_bounded_as_the_lattice_grows(self):
+        for nx in (40, 80, 160):
+            result = advection_circle_case().run(nx)
+            solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+            pairs = lattice = 0
+            for j in range(result.tri.n_slabs):
+                slab, state = solver.slab(j), result.states[j]
+                c = kruzkov_lattice(slab, state)
+                decomp = decomposition_states(slab, state)
+                lattice += c.size
+                pairs += _loop_pairs(_face_rows(slab, decomp, state.values), c)[0].size
+                pairs += _loop_pairs(_cell_rows(slab, state.values,
+                                                result.states[j + 1].values), c)[0].size
+            per_check = result.tri.n_slabs * nx
+            assert 1.5 * nx <= lattice / result.tri.n_slabs <= 2.5 * nx   # nc ~ 2m
+            assert pairs / (2 * per_check) <= 12.0
+
+    def test_nan_u_plus_gives_a_nan_cell_residual_and_fails_the_report(self):
+        result = boundary_driven_burgers_case(t_final=0.2).run(12)
+        solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+        j = result.tri.n_slabs - 1
+        last = result.states[-1]
+        values = last.values.copy()
+        values[5] = np.nan
+        bad = replace(result, states=result.states[:-1]
+                      + [SliceState(last.slice_index, last.face_ids, values, last.fluxes)])
+        slab, state = solver.slab(j), bad.states[j]
+        res = cell_entropy_residuals(slab, state, bad.states[-1], kruzkov_lattice(slab, state))
+        assert np.isnan(np.max(res))
+        report = verify_run(bad)
+        assert np.isnan(report.per_slab["cell_inequality"][j])
+        check = next(c for c in report.checks if c.name == "cell_inequality")
+        assert np.isnan(check.max_residual) and not check.passed and not report.passed
+
+    def test_nan_face_state_gives_a_nan_face_residual_and_fails_the_report(self, monkeypatch):
+        result = boundary_driven_burgers_case(t_final=0.2).run(12)
+        solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+        slab, state = solver.slab(2), result.states[2]
+        decomp = decomposition_states(slab, state)
+        decomp.face_states[4, 0] = np.nan
+        res = face_entropy_residuals(slab, decomp, state, kruzkov_lattice(slab, state))
+        assert np.isnan(np.max(res["face_inequality"]))
+
+        decompose = entropy._decompose
+
+        def nan_face_state(slab, *args):
+            out = decompose(slab, *args)
+            if slab.j == 2:
+                out.face_states[4, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(entropy, "_decompose", nan_face_state)
+        report = verify_run(result)
+        assert np.isnan(report.per_slab["face_inequality"][2])
+        check = next(c for c in report.checks if c.name == "face_inequality")
+        assert np.isnan(check.max_residual) and not check.passed and not report.passed
+
+    @pytest.mark.parametrize("make", [_boundary_driven_solver, _circle_burgers_solver],
+                             ids=["interval", "circle"])
+    def test_public_checks_give_verify_runs_per_slab_series(self, make):
+        solver = make()
+        result = solver.run()
+        report = verify_run(result)
+        for j in range(result.tri.n_slabs):
+            slab, state, state_next = solver.slab(j), result.states[j], result.states[j + 1]
+            c = kruzkov_lattice(slab, state)
+            face = face_entropy_residuals(slab, decomposition_states(slab, state), state, c)
+            assert float(np.max(face["face_inequality"])) == report.per_slab["face_inequality"][j]
+            assert float(np.max(face["boundary"])) == report.per_slab["face_inequality_neighbor"][j]
+            assert float(np.max(cell_entropy_residuals(slab, state, state_next, c))) \
+                == report.per_slab["cell_inequality"][j]
+
+    def test_verify_evaluates_the_plain_face_fluxes_once_per_slab(self):
+        # a circle has no boundary terms, so G is evaluated only by the plain
+        # face arrays and at the pairs of the two lattices
+        base = _traveling_density_solver()
+        flux, calls = counting_flux(base.flux)
+        solver = Solver(base.tri, flux, base.spec, base.bd, base.cfg)
+        result = solver.run()
+        nv, nq = solver.slab(0).vert.pts.shape[:2]
+        expected = 0
+        for j in range(result.tri.n_slabs):
+            slab, state = solver.slab(j), result.states[j]
+            c = kruzkov_lattice(slab, state)
+            n_face = _loop_pairs(_face_rows(slab, decomposition_states(slab, state), state.values),
+                                 c)[0].size
+            n_cell = _loop_pairs(_cell_rows(slab, state.values, result.states[j + 1].values),
+                                 c)[0].size
+            expected += nq * (2 * nv + 2 * (n_face + n_cell))
+        calls.clear()
+        verify_run(result, solver=solver)
+        assert sum(calls[("w", 0)]) == expected
 
 
 class TestCellInequality:
