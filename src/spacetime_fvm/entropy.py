@@ -25,12 +25,17 @@ to them by superposition.  Gauss rules come from the cached, read-only
 Vertical-face fluxes live in face arrays.  With ``u_L``/``u_R`` the states of
 the left/right cell of each face (:meth:`Slab.neighbor_states`), a face
 holds ``Q(u_L, u_R)``, ``G(u_L)`` and ``G(u_R)`` in left-cell orientation,
-plain (:func:`_plain_faces`, once per slab) or cut at a check lattice.  The
-flux is conservative, so a cell's per-side triple ``(Q(u, nb), Q(u, u),
-Q(nb, nb))`` is a signed gather (:func:`_cell_sides`): ``(-Q, -G(u_R),
--G(u_L))`` at its left face, ``(Q, G(u_L), G(u_R))`` at its right face.
-The face and cell checks cut them only at the (cell, c) pairs inside each
-cell's state hull (:class:`_CheckLattice`).
+plain (:func:`_plain_faces`, once per slab) or cut at ``c`` from ``G(c)``
+(:func:`_kruzkov_faces`).  The flux is conservative, so a cell's per-side
+triple ``(Q(u, nb), Q(u, u), Q(nb, nb))`` is a signed gather
+(:func:`_cell_sides`): ``(-Q, -G(u_R), -G(u_L))`` at its left face,
+``(Q, G(u_L), G(u_R))`` at its right face.  The face and cell checks cut
+them at the (cell, c) pairs inside each cell's state hull, the boundary
+terms at every point on side 0 of cell 0 and side 1 of cell m - 1
+(:class:`_CheckLattice`).  A smooth pair's boundary numerical flux
+superposes the same face arrays with a fixed Gauss rule on the pieces
+between the integrand's kinks (:func:`smooth_entropy_numerical_flux`), so
+no check calls a scalar numerical flux.
 
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit.
@@ -40,14 +45,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .forms import Coefficient, CoordinateForm, ParamForm, gauss_legendre
+from .forms import Coefficient, CoordinateForm, gauss_legendre
 from .fluxfield import FluxField
-from .mesh import SpacelikeTable, ValueOutsideImage
+from .mesh import ConvergenceError, SpacelikeTable, ValueOutsideImage, bracketed_root
 from .scheme import RunResult, Slab, SliceState, Solver
 
 __all__ = [
@@ -76,12 +81,9 @@ __all__ = [
     "verify_run",
 ]
 
-SIMPSON_TOL = 1e-12
 SMOOTH_PANELS = 32        # Gauss panels of SmoothFaceEntropy's table on the hull and 0
 SMOOTH_PANEL_NODES = 10   # Gauss nodes per panel
-# raw [-1, 1] Gauss-Legendre pairs of the adaptive quadrature
-_GAUSS_10 = np.polynomial.legendre.leggauss(10)
-_GAUSS_20 = np.polynomial.legendre.leggauss(20)
+SMOOTH_FLUX_NODES = 20    # Gauss nodes per piece of a smooth pair's numerical entropy flux
 
 
 def _kruzkov(f: Callable, c, *states):
@@ -116,9 +118,9 @@ class EntropyPair:
 
     The associated flux family is the u-derivative-weighted integral of the
     flux derivative, anchored so it vanishes at state zero; it is realized
-    on demand as a :class:`ParamForm` or on a slice's total-flux table.
-    ``ddu_fn`` (second derivative) enables the exact numerical entropy flux
-    superposition; when missing it is formed by central differences.
+    on a slice's total-flux table (:class:`SmoothFaceEntropy`).  ``ddu_fn``
+    (second derivative) weights the numerical entropy flux superposition;
+    when missing it is formed by central differences.
     """
 
     u_fn: Callable
@@ -154,30 +156,6 @@ class EntropyPair:
         second = self.u(ws + h) - 2 * self.u(ws) + self.u(ws - h)
         if np.min(second) < -tol * h * h:
             raise ValueError(f"entropy {self.name} is not convex on the hull")
-
-    def omega_form(self, flux: FluxField, tol: float = SIMPSON_TOL) -> ParamForm:
-        """The entropy flux family as a ParamForm (frozen-state coefficients).
-
-        Coefficients integrate the derivative-weighted flux derivative from
-        state zero by adaptive Simpson quadrature; intended for frozen
-        scalar states (diagnostics), not for the solver hot path.
-        """
-        coeffs = {}
-        du_coeffs = {}
-        for idx, dfn in flux.omega.du_coeffs.items():
-            def coeff(pts, u, _dfn=dfn):
-                u = float(u)
-                return adaptive_simpson(
-                    lambda v, _p=pts: self.du(v) * _dfn(_p, v), 0.0, u, tol,
-                    shape=np.shape(pts)[:-1])
-
-            def dcoeff(pts, u, _dfn=dfn):
-                return self.du(u) * _dfn(pts, u)
-
-            coeffs[idx] = coeff
-            du_coeffs[idx] = dcoeff
-        return ParamForm(flux.omega.degree, flux.omega.chart_dim,
-                         coeffs, du_coeffs, flux.omega.u_range)
 
 
 @cache   # one pair, so its q_omega table is built once per slice table
@@ -219,42 +197,6 @@ def kruzkov_form(flux: FluxField, ubar: float, c: float) -> CoordinateForm:
         part = {ax: frozen(p) for ax, p in partials[idx].items()} if idx in partials else None
         coeffs[idx] = Coefficient(frozen(fn), partials=part)
     return CoordinateForm(flux.omega.degree, flux.omega.chart_dim, coeffs)
-
-
-def adaptive_simpson(f: Callable, a: float, b: float, tol: float,
-                     shape: tuple = (), max_depth: int = 28) -> np.ndarray:
-    """Adaptive Simpson quadrature for array-valued integrands.
-
-    ``f(v)`` may return an array; the refinement criterion is the max-norm
-    Richardson error estimate.  Handles ``a > b`` with the usual sign flip.
-    """
-    if a == b:
-        return np.zeros(shape)
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-
-    def simp(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        lm = f(0.5 * (lo + mid))
-        rm = f(0.5 * (mid + hi))
-        left = simp(lo, mid, flo, lm, fmid)
-        right = simp(mid, hi, fmid, rm, fhi)
-        err = np.max(np.abs(left + right - whole))
-        if depth >= max_depth or err <= 15.0 * tol * max(1.0, hi - lo):
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(lo, mid, flo, lm, fmid, left, depth + 1)
-                + recurse(mid, hi, fmid, rm, fhi, right, depth + 1))
-
-    fa = f(a)
-    fm = f(0.5 * (a + b))
-    fb = f(b)
-    whole = simp(a, b, fa, fm, fb)
-    return sign * recurse(a, b, fa, fm, fb, whole, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -458,50 +400,67 @@ def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
                     np.asarray(v, dtype=float))
 
 
-class _CheckLattice:
-    """One check's Kruzkov lattice (:func:`_kruzkov_split`) on the (cell, c) pairs of local hulls.
+def _kruzkov_faces(vert, faces, c, g_c, plain):
+    """Kruzkov face arrays ``(Q, G(u_L), G(u_R))`` at ``faces`` cut at ``c`` (:func:`_kruzkov_split`).
 
-    A cell's pairs, ``cells`` and ``c`` (n,) by cell and then by c, are the
-    points of ``c`` (sorted, de-duplicated) in the closed hull of ``u``, both
-    neighbours or ghosts and its ``extra`` states; off it the checks reduce
-    to the decomposition and conservation identities.  An empty hull keeps
-    the first point at or above its low end, clamped to the last (a NaN row
-    keeps one NaN pair).  ``sides`` holds the face arrays at the pairs' left,
-    then right faces; Q is cut state by state on the straddle set and where
-    G(c) is a zero (a central flux may flip its sign there), from ``G(c)``
-    and :func:`_plain_faces` ``plain``.  ``q_values`` is ``q(values)`` if given.
+    ``g_c`` is ``G(c)`` and ``plain`` is ``(u_L, u_R, G(u_L), G(u_R), Q(u_L, u_R))``
+    at those faces, each of ``c``'s shape.  Q is cut state by state on the
+    straddle set and where G(c) is a zero (a central flux may flip its sign
+    there), from the G values at hand: G(u v c) is G(c) where c > u, else G(u).
+    """
+    u_left, u_right, g_left, g_right, q_lr = plain
+    lo, hi = np.minimum(u_left, u_right), np.maximum(u_left, u_right)
+    k_q = np.where(c >= hi, g_c - q_lr, q_lr - g_c)
+    cut = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))[0]
+    cf, gc, ul, ur, gl, gr = (a[cut] for a in (c, g_c, u_left, u_right, g_left, g_right))
+    k_q[cut] = (
+        vert._combine(np.maximum(ul, cf), np.maximum(ur, cf), np.where(cf > ul, gc, gl),
+                      np.where(cf > ur, gc, gr), faces[cut])
+        - vert._combine(np.minimum(ul, cf), np.minimum(ur, cf), np.where(cf < ul, gc, gl),
+                        np.where(cf < ur, gc, gr), faces[cut]))
+    return k_q, _kruzkov_split(g_c, g_left, c, u_left), _kruzkov_split(g_c, g_right, c, u_right)
+
+
+class _CheckLattice:
+    """A Kruzkov lattice on the (cell, c) pairs ``cells``, ``c`` (n,).
+
+    ``sides`` holds the cells' side triples (:func:`_cell_sides`) at the pairs,
+    from the face arrays at their left, then right faces (:func:`_kruzkov_faces`)
+    and :func:`_plain_faces` ``plain``.  The face and cell checks read the pairs
+    in each cell's state hull (:meth:`in_hulls`); the boundary condition reads
+    cells 0 and m - 1 at every point (:func:`_boundary_sides`).
     """
 
-    def __init__(self, slab: Slab, values: np.ndarray, c, extra, plain,
-                 q_values: np.ndarray | None = None):
+    def __init__(self, slab: Slab, cells: np.ndarray, c: np.ndarray, plain):
+        self.cells, self.c = cells, c
+        self._q = slab.table_plus.q
+        faces = np.concatenate([slab.left_idx[cells], slab.right_idx[cells]])
+        c = np.concatenate([c, c])
+        self.sides = _cell_sides(
+            *_kruzkov_faces(slab.vert, faces, c, slab.vert.G(c, faces=faces),
+                            [a[faces] for a in plain]),
+            slice(None, cells.size), slice(cells.size, None))
+
+    @classmethod
+    def in_hulls(cls, slab: Slab, values: np.ndarray, c, extra, plain) -> "_CheckLattice":
+        """The points of ``c`` (sorted, de-duplicated) in the closed hull of each cell's
+        ``u``, both neighbours or ghosts and its ``extra`` states, by cell and then by c.
+
+        Off the hull the checks reduce to the decomposition and conservation
+        identities.  An empty hull keeps the first point at or above its low
+        end, clamped to the last (a NaN row keeps one NaN pair).
+        """
         lattice = np.unique(np.asarray(c, dtype=float))
         rows = np.column_stack([values, plain[0][slab.left_idx], plain[1][slab.right_idx], *extra])
         start = np.minimum(np.searchsorted(lattice, np.min(rows, axis=1)), lattice.size - 1)
         counts = np.maximum(np.searchsorted(lattice, np.max(rows, axis=1), "right") - start, 1)
-        self.cells = cells = np.repeat(np.arange(slab.m), counts)
-        self.c = lattice[np.repeat(start + counts - np.cumsum(counts), counts)
-                         + np.arange(cells.size)]
-        self._q = slab.table_plus.q
-        self.q_c = self._q(self.c, faces=cells)
-        self.q_own = self.q(values, q_values)
-        faces = np.concatenate([slab.left_idx[cells], slab.right_idx[cells]])
-        c = np.concatenate([self.c, self.c])
-        vert = slab.vert
-        g_c = vert.G(c, faces=faces)
-        u_left, u_right, g_left, g_right, q_lr = (a[faces] for a in plain)
-        lo, hi = np.minimum(u_left, u_right), np.maximum(u_left, u_right)
-        k_q = np.where(c >= hi, g_c - q_lr, q_lr - g_c)
-        cut = np.nonzero(((lo < c) & (c < hi)) | (g_c == 0.0))[0]
-        # Q at both cuts from the G values at hand: G(u v c) is G(c) where c > u, else G(u)
-        cf, gc, ul, ur, gl, gr = (a[cut] for a in (c, g_c, u_left, u_right, g_left, g_right))
-        k_q[cut] = (
-            vert._combine(np.maximum(ul, cf), np.maximum(ur, cf), np.where(cf > ul, gc, gl),
-                          np.where(cf > ur, gc, gr), faces[cut])
-            - vert._combine(np.minimum(ul, cf), np.minimum(ur, cf), np.where(cf < ul, gc, gl),
-                            np.where(cf < ur, gc, gr), faces[cut]))
-        self.sides = _cell_sides(k_q, _kruzkov_split(g_c, g_left, c, u_left),
-                                 _kruzkov_split(g_c, g_right, c, u_right),
-                                 slice(None, cells.size), slice(cells.size, None))
+        cells = np.repeat(np.arange(slab.m), counts)
+        return cls(slab, cells, lattice[np.repeat(start + counts - np.cumsum(counts), counts)
+                                        + np.arange(cells.size)], plain)
+
+    @cached_property
+    def q_c(self) -> np.ndarray:
+        return self._q(self.c, faces=self.cells)
 
     def q(self, s: np.ndarray, q_s: np.ndarray | None = None) -> np.ndarray:
         """Kruzkov q of per-cell states ``s`` (m,) at the pairs, from ``q_s = q(s)`` if given."""
@@ -521,8 +480,9 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
 
 def _face_residuals(slab, decomp, values, c, plain, q_own=None) -> dict[str, np.ndarray]:
     """:func:`face_entropy_residuals` with ``q_own = q(values)`` if given."""
-    lattice = _CheckLattice(slab, values, c, (decomp.face_states, decomp.anchored_states),
-                            plain, q_own)
+    lattice = _CheckLattice.in_hulls(slab, values, c,
+                                     (decomp.face_states, decomp.anchored_states), plain)
+    q_own = lattice.q(values, q_own)
     zero = decomp.lam_hat <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, decomp.lam))[lattice.cells]
@@ -531,7 +491,7 @@ def _face_residuals(slab, decomp, values, c, plain, q_own=None) -> dict[str, np.
         q_ut = lattice.q(decomp.face_states[:, side])
         q_ub = lattice.q(decomp.anchored_states[:, side])
         q_nb = lattice.q(decomp.neighbor[:, side])
-        dei.append(np.maximum(0.0, q_ut - (lattice.q_own - inv_lam[:, side] * (Q_uv - Q_uu))))
+        dei.append(np.maximum(0.0, q_ut - (q_own - inv_lam[:, side] * (Q_uv - Q_uu))))
         bnd.append(np.maximum(0.0, q_ub - (q_nb + inv_lam[:, side] * (Q_uv - Q_vv))))
     return {"face_inequality": np.stack(dei), "boundary": np.stack(bnd)}
 
@@ -547,8 +507,8 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
 
 def _cell_residuals(slab, values, state_next, c, plain, q_own=None, q_next=None) -> np.ndarray:
     """:func:`cell_entropy_residuals` with ``q_own = q(u)``, ``q_next = q(u_plus)`` if given."""
-    lattice = _CheckLattice(slab, values, c, (state_next.values,), plain, q_own)
-    total = lattice.q(state_next.values, q_next) - lattice.q_own
+    lattice = _CheckLattice.in_hulls(slab, values, c, (state_next.values,), plain)
+    total = lattice.q(state_next.values, q_next) - lattice.q(values, q_own)
     for Q_uv, Q_uu, _ in lattice.sides:
         total = total + (Q_uv - Q_uu)
     return np.maximum(0.0, total)
@@ -558,97 +518,128 @@ def _cell_residuals(slab, values, state_next, c, plain, q_own=None, q_next=None)
 # discrete boundary condition and smooth-pair numerical entropy fluxes
 # ---------------------------------------------------------------------------
 
-def _boundary_faces(slab: Slab) -> list[tuple[int, str, int, float]]:
-    """(column, side name, vertical node index, ghost state) of the boundary faces."""
-    if slab.periodic:
-        return []
-    left, right = slab.ghost_values()
-    return [(0, "left", 0, left), (slab.m - 1, "right", slab.m, right)]
+def _boundary_sides(slab: Slab, plain, c: np.ndarray) -> list[tuple]:
+    """The left, then right boundary face as its cell sees it: side 0 of cell 0, side 1 of cell m - 1.
+
+    Per face ``(u, b, Q(u, b) - Q(b, b), Q_c(u, b), Q_c(b, b))``: the cell and
+    ghost states, the plain flux difference from :func:`_plain_faces` ``plain``
+    and the Kruzkov numerical fluxes at every point of ``c``, from a
+    :class:`_CheckLattice` holding the two cells at all of them.
+    """
+    n = c.size
+    kruzkov = _CheckLattice(slab, np.repeat([0, slab.m - 1], n), np.tile(c, 2), plain).sides
+    u_left, u_right, g_left, g_right, q_lr = plain
+    sides = _cell_sides(q_lr, g_left, g_right, slab.left_idx[:1], slab.right_idx[-1:])
+    states = ((u_right[0], u_left[0]), (u_left[-1], u_right[-1]))
+    return [(u, b, float(q_uv[0] - q_vv[0]), k_uv[pairs], k_vv[pairs])
+            for (u, b), (q_uv, _, q_vv), (k_uv, _, k_vv), pairs
+            in zip(states, sides, kruzkov, (slice(None, n), slice(n, None)))]
 
 
-def _adaptive_gauss(f_vec: Callable, a: float, b: float, tol: float,
-                    depth: int = 0, max_depth: int = 18) -> float:
-    """Adaptive Gauss quadrature; ``f_vec`` evaluates arrays of points."""
-    if b <= a:
-        return 0.0
-    (x10, w10), (x20, w20) = _GAUSS_10, _GAUSS_20
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    coarse = half * float(np.sum(w10 * f_vec(mid + half * x10)))
-    fine = half * float(np.sum(w20 * f_vec(mid + half * x20)))
-    if depth >= max_depth or abs(fine - coarse) <= tol * max(1.0, abs(fine)):
-        return fine
-    return (_adaptive_gauss(f_vec, a, mid, tol, depth + 1, max_depth)
-            + _adaptive_gauss(f_vec, mid, b, tol, depth + 1, max_depth))
+def _boundary_condition_gaps(slab: Slab, plain, pair) -> list[np.ndarray]:
+    """``U'(b) (Q(u, b) - Q(b, b)) - (Q_U(u, b) - Q_U(b, b))`` on the left, then right boundary face.
+
+    ``Q_U`` is the pair's numerical entropy flux: one entry per point of a
+    :class:`KruzkovPair`'s ``c`` (:func:`_boundary_sides`), one for a smooth
+    pair (:func:`smooth_entropy_numerical_flux`).
+    """
+    kruzkov = isinstance(pair, KruzkovPair)
+    sides = _boundary_sides(slab, plain, np.atleast_1d(np.asarray(pair.c, dtype=float))
+                            if kruzkov else np.empty(0))
+    gaps = []
+    for (column, side), (u, b, q_diff, k_ub, k_bb) in zip(((0, "left"), (slab.m - 1, "right")),
+                                                           sides):
+        if not kruzkov:
+            k_ub, k_bb = (smooth_entropy_numerical_flux(slab, column, side, pair, s, b)
+                          for s in (u, b))
+        gaps.append(pair.du(b) * q_diff - (k_ub - k_bb))
+    return gaps
+
+
+def _flux_crossings(vert, face: int, lo: float, hi: float) -> list[float]:
+    """Where ``G`` of ``face`` crosses its value at ``lo``, at ``hi`` or at a critical point strictly between.
+
+    Between two states on both sides of a critical point, the interval
+    min/max (Godunov) flux ``Q(s, c)`` switches the end that attains it where
+    ``G(c)`` crosses one of these values: a kink in ``c``.  ``G`` is monotone
+    between consecutive critical points, so each such piece holds at most
+    one crossing of each value, polished by :func:`~spacetime_fvm.mesh.bracketed_root`.
+    """
+    crit = vert.crit_w[face]
+    inside = np.sort(crit[(lo < crit) & (crit < hi)])
+    if not inside.size:
+        return []                    # G is monotone on [lo, hi]
+    ends = np.concatenate([[lo], inside, [hi]])
+    g = vert.G(ends, faces=np.full(ends.size, face))
+    piece, value = np.nonzero((g[:-1, None] - g) * (g[1:, None] - g) < 0.0)
+    g_lo, g_hi, target = g[piece], g[piece + 1], g[value]
+    sign = np.sign(g_hi - target)    # sign * (G - target) is negative at the piece's start
+    faces = np.full(piece.size, face)
+    roots, _, open_ = bracketed_root(lambda w: sign * (vert.G(w, faces=faces) - target),
+                                     0.5 * (ends[piece] + ends[piece + 1]), ends[piece],
+                                     ends[piece + 1], sign * (g_lo - target), sign * (g_hi - target))
+    if open_.any():
+        raise ConvergenceError(f"vertical face x = {float(vert.x_nodes[face])!r}: the crossing of "
+                               f"G = {float(target[open_][0])!r} in [{lo!r}, {hi!r}] did not converge")
+    return roots.tolist()
 
 
 def smooth_entropy_numerical_flux(slab: Slab, column: int, side: str,
-                                  pair: EntropyPair, u: float, v: float,
-                                  tol: float = SIMPSON_TOL) -> float:
+                                  pair: EntropyPair, u: float, v: float) -> float:
     """Numerical entropy flux for a smooth convex pair via Kruzkov superposition.
 
     Decomposes the pair into modulus entropies over the state hull (plus a
     linear part) and integrates the corresponding Kruzkov numerical fluxes
     against the second derivative; consistency with the anchored entropy
     total flux follows because the hull contains the zero state.  The
-    parameter integral is split at the states and the face's critical
-    points and refined adaptively across any remaining kinks.
+    parameter integral is split where the integrand has a kink: at the hull
+    ends, 0 (the anchor's kink), the states, the face's critical points and
+    the flux crossings between the states (:func:`_flux_crossings`).  Each
+    piece takes one ``SMOOTH_FLUX_NODES``-point Gauss rule: the Kruzkov fluxes
+    are the face arrays of :func:`_kruzkov_faces`, from one G evaluation on the face.
     """
+    vert = slab.vert
+    face = slab.right_idx[column] if side == "right" else slab.left_idx[column]
+    sign = 1.0 if side == "right" else -1.0
     lo, hi = slab.solver.u_range
-    lo = min(lo, 0.0, u, v)
-    hi = max(hi, 0.0, u, v)
+    lo, hi = min(lo, 0.0, u, v), max(hi, 0.0, u, v)
     beta = 0.5 * (float(pair.du(lo)) + float(pair.du(hi)))
-    base = float(slab.numerical_flux(column, side, u, v)) \
-        - float(slab.signed_flux(column, side, 0.0)[0])
-
-    def integrand(cv: np.ndarray) -> np.ndarray:
-        cv = np.asarray(cv, dtype=float)
-        qk = np.asarray(kruzkov_numerical_flux(slab, column, side, u, v, cv))
-        anchor = _kruzkov(lambda w: slab.signed_flux(column, side, w), cv, 0.0)
-        return 0.5 * pair.ddu(cv) * (qk - anchor)
-
-    node = slab.right_idx[column] if side == "right" else slab.left_idx[column]
-    crit = slab.vert.crit_w[node]
-    splits = sorted({lo, hi, float(np.clip(u, lo, hi)), float(np.clip(v, lo, hi))}
-                    | {float(w) for w in crit if np.isfinite(w) and lo < w < hi})
-    total = 0.0
-    for a, b in zip(splits[:-1], splits[1:]):
-        total += _adaptive_gauss(integrand, a, b, tol)
-    return beta * base + total
-
-
-def _boundary_violation(slab: Slab, column: int, side: str, pair, u: float, b: float):
-    """``U'(b) (Q(u, b) - Q(b, b)) - (Q_U(u, b) - Q_U(b, b))`` on a boundary face.
-
-    ``b`` is the ghost state and ``Q_U`` the pair's numerical entropy flux.
-    A :class:`KruzkovPair` whose ``c`` is an array gives one violation per
-    entry, the whole check lattice in one call.
-    """
-    q_ub = float(slab.numerical_flux(column, side, u, b))
-    q_bb = float(slab.numerical_flux(column, side, b, b))
-    if isinstance(pair, KruzkovPair):
-        qo_ub = kruzkov_numerical_flux(slab, column, side, u, b, pair.c)
-        qo_bb = kruzkov_numerical_flux(slab, column, side, b, b, pair.c)
-    else:
-        qo_ub = smooth_entropy_numerical_flux(slab, column, side, pair, u, b)
-        qo_bb = smooth_entropy_numerical_flux(slab, column, side, pair, b, b)
-    return pair.du(b) * (q_ub - q_bb) - (qo_ub - qo_bb)
+    splits = np.array(sorted({lo, hi, 0.0, float(u), float(v)}
+                             | {float(w) for w in vert.crit_w[face] if lo < w < hi}
+                             | set(_flux_crossings(vert, face, min(u, v), max(u, v)))))
+    rule = gauss_legendre(SMOOTH_FLUX_NODES)
+    widths = np.diff(splits)
+    c = (splits[:-1, None] + widths[:, None] * rule.nodes[:, 0]).ravel()
+    states = np.array([u, v] if side == "right" else [v, u], dtype=float)   # (u_L, u_R)
+    g = vert.G(np.concatenate([c, states, [0.0]]), faces=np.full(c.size + 3, face))
+    g_c, g_states, g_zero = g[:-3], g[-3:-1], g[-1]
+    q_lr = vert._combine(states[:1], states[1:], g_states[:1], g_states[1:], [face])[0]
+    plain = [np.broadcast_to(a, c.shape) for a in (*states, *g_states, q_lr)]
+    k_q = _kruzkov_faces(vert, np.full(c.size, face), c, g_c, plain)[0]
+    integrand = 0.5 * pair.ddu(c) * sign * (k_q - _kruzkov_split(g_c, g_zero, c, 0.0))
+    pieces = np.sum(rule.weights * integrand.reshape(widths.size, -1), axis=1)
+    return float(beta * sign * (q_lr - g_zero) + np.sum(widths * pieces))
 
 
 def check_discrete_boundary_condition(slab: Slab, column: int, side: str,
                                       pair, state: SliceState) -> float:
     """Residual of the discrete boundary condition on one boundary face.
 
+    The face is the left one of column 0 or the right one of column m - 1.
     The entropy numerical flux difference must dominate the derivative-
     weighted plain flux difference; returns the positive part of the
-    violation.
+    violation, the largest over the points of a :class:`KruzkovPair` whose
+    ``c`` is an array.
     """
-    ghosts = slab.ghost_values()
-    if ghosts is None:
+    if slab.periodic or (column, side) not in ((0, "left"), (slab.m - 1, "right")):
         raise ValueError("discrete boundary condition applies to boundary faces only")
-    b = ghosts[0] if side == "left" else ghosts[1]
-    return max(0.0, float(_boundary_violation(slab, column, side, pair,
-                                              float(state.values[column]), b)))
+    return _positive_max(
+        _boundary_condition_gaps(slab, _plain_faces(slab, state.values), pair)[side == "right"])
+
+
+def _positive_max(values) -> float:
+    """The largest positive part of ``values``: 0.0 (not -0.0) if none is positive, NaN at a NaN."""
+    return float(np.max(np.maximum(0.0, values))) + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +687,10 @@ def _dissipation_report(slab, decomp, state, state_next, pair, q_omega_plus, q_o
                         * (decomp.face_states - state_next.values[:, None]) ** 2))
 
     boundary_sum = 0.0
-    for column, side, _node, b in _boundary_faces(slab):
-        boundary_sum += smooth_entropy_numerical_flux(
-            slab, column, side, pair, float(state.values[column]), b)
+    if not slab.periodic:
+        for (column, side), b in zip(((0, "left"), (slab.m - 1, "right")), slab.ghost_values()):
+            boundary_sum += smooth_entropy_numerical_flux(
+                slab, column, side, pair, float(state.values[column]), b)
 
     lhs = float(np.sum(q_omega_plus)) + c_mod * diss
     rhs = -boundary_sum + float(np.sum(q_omega_minus))
@@ -960,8 +952,9 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         slab = solver.slab(j)
         state = result.states[j]
         state_next = result.states[j + 1]
-        decomp = decomposition_states(slab, state)
         values = state.values
+        plain = _plain_faces(slab, values)
+        decomp = _decompose(slab, state, None, None, plain)
         w_t = slab.vert.weights
 
         # psi averages on vertical faces (coordinate measure) and their
@@ -1018,14 +1011,12 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
             initial -= inflow
 
         # boundary terms
-        for column, side, node, b in _boundary_faces(slab):
-            psi_b = psi_vert[node]
-            u_own = float(values[column])
-            boundary += psi_b * float(kruzkov_numerical_flux(slab, column, side, u_own, b, c))
-            q_omega_ghost = float(_kruzkov(lambda w: slab.signed_flux(column, side, w), c, b)[0])
-            qd = float(slab.numerical_flux(column, side, u_own, b)
-                       - slab.numerical_flux(column, side, b, b))
-            boundary_variant += psi_b * (q_omega_ghost + float(pair.du(b)) * qd)
+        if not slab.periodic:
+            psi_b = psi_vert[[slab.left_idx[0], slab.right_idx[-1]]]
+            for psi_k, (_u, b, q_diff, k_ub, k_bb) in zip(
+                    psi_b, _boundary_sides(slab, plain, np.array([float(c)]))):
+                boundary += psi_k * float(k_ub[0])
+                boundary_variant += psi_k * (float(k_bb[0]) + float(pair.du(b)) * q_diff)
 
     lhs = volume + initial + boundary
     lhs_variant = volume + initial + boundary_variant
@@ -1163,12 +1154,8 @@ def verify_run(result: RunResult, tol: float | None = None,
         per_slab["cell_inequality"].append(float(np.max(
             _cell_residuals(slab, state.values, state_next, c_vals, plain, q_own, q_next))))
 
-        bc = 0.0
-        for column, side, _node, b in _boundary_faces(slab):
-            violation = _boundary_violation(slab, column, side, KruzkovPair(c_vals),
-                                            float(state.values[column]), b)
-            bc = max(bc, float(np.max(np.maximum(0.0, violation))))
-        per_slab["boundary_condition"].append(bc)
+        per_slab["boundary_condition"].append(0.0 if slab.periodic else _positive_max(
+            np.concatenate(_boundary_condition_gaps(slab, plain, KruzkovPair(c_vals)))))
 
         # q_omega(u_plus) serves convexity, dissipation and the next slab's inflow
         ent = SmoothFaceEntropy(square, slab.table_plus)
@@ -1181,10 +1168,8 @@ def verify_run(result: RunResult, tol: float | None = None,
         rep = _dissipation_report(slab, decomp, state, state_next, square,
                                   q_omega_plus, q_omega_minus)
         q_omega_minus = q_omega_plus
-        worst = max(0.0, -rep.slack_general)
-        if rep.slack_square_variant is not None:
-            worst = max(worst, -rep.slack_square_variant)
-        per_slab["dissipation_slack"].append(worst)
+        slacks = [s for s in (rep.slack_general, rep.slack_square_variant) if s is not None]
+        per_slab["dissipation_slack"].append(_positive_max(-np.array(slacks)))
 
     checks = []
     for name in names:

@@ -22,9 +22,13 @@ from spacetime_fvm.entropy import (
     global_entropy_inequality_report,
     verify_run,
 )
-from spacetime_fvm.harness import boundary_driven_burgers_case, bump_test_function
+from spacetime_fvm.harness import (
+    boundary_driven_burgers_case,
+    bump_test_function,
+    burgers_riemann_case,
+)
 from spacetime_fvm.mesh import CircleDomain, IntervalDomain, Triangulation
-from spacetime_fvm.scheme import BoundaryData, Solver
+from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, Solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 MODULES = ["spacetime_fvm"] + [f"spacetime_fvm.{m.name}"
@@ -57,9 +61,13 @@ def _advection_on_circle():
     return make_solver(flux, CircleDomain(2.0 * np.pi), 0.3, bd, nx=12).run()
 
 
-@pytest.mark.parametrize("make", [_advection_on_circle,
-                                  lambda: boundary_driven_burgers_case(t_final=0.2).run(12)],
-                         ids=["advection-circle", "boundary-driven-burgers"])
+@pytest.mark.parametrize("make", [
+    _advection_on_circle,
+    lambda: boundary_driven_burgers_case(t_final=0.2).run(12),
+    # states at the hull ends, on every slab's boundary faces
+    lambda: burgers_riemann_case(1.0, 0.0).run(40),
+    lambda: boundary_driven_burgers_case(t_final=0.2, spec=NumericalFluxSpec("rusanov")).run(12),
+], ids=["advection-circle", "boundary-driven-burgers", "riemann-1-0", "boundary-driven-rusanov"])
 def test_traced_verify_mirrors_verify_run(make, monkeypatch):
     """The benchmark's traced verify, built from the public checks, gives
     ``verify_run``'s report bit for bit, so the two cannot drift apart."""

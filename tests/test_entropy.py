@@ -10,14 +10,12 @@ from conftest import capacity_field, constant_bd, counting_flux, densities, make
 
 from spacetime_fvm import entropy, presets
 from spacetime_fvm.entropy import (
-    SIMPSON_TOL,
     SMOOTH_PANEL_NODES,
     SMOOTH_PANELS,
     EntropyPair,
     KruzkovPair,
     SmoothFaceEntropy,
     TestFunction,
-    adaptive_simpson,
     boundary_bound_mass,
     cell_entropy_residuals,
     check_discrete_boundary_condition,
@@ -56,7 +54,7 @@ from spacetime_fvm.mesh import (
     SpacelikeTable,
     build_triangulation,
 )
-from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, SliceState, Solver
+from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, Slab, SliceState, Solver
 
 
 def burgers_shock_solver(nx=12, t_final=0.25, kind="godunov_osher"):
@@ -130,6 +128,9 @@ class TestEntropyTotalFlux:
                 float(pair.du(table.invert(np.array([qv]))[0])), abs=1e-6)
 
 
+SMOOTH_TABLE_TOL = 1e-12   # relative gap of the cumulative table to the per-state rule
+
+
 def _composite_q_omega(pair, table, w):
     """The per-state rule: ``SMOOTH_PANELS`` composite Gauss panels of
     ``SMOOTH_PANEL_NODES`` nodes on [0, w] for every state w, no table."""
@@ -194,7 +195,7 @@ class TestSmoothEntropyTable:
                 new = SmoothFaceEntropy(pair, table).q_omega(w)
                 old = _composite_q_omega(pair, table, w)
                 assert np.array_equal(np.isnan(new), np.isnan(w))
-                ok = np.isnan(w) | (np.abs(new - old) <= SIMPSON_TOL * np.maximum(1.0, np.abs(old)))
+                ok = np.isnan(w) | (np.abs(new - old) <= SMOOTH_TABLE_TOL * np.maximum(1.0, np.abs(old)))
                 assert ok.all(), case
                 assert np.all(new[:, 0] == 0.0)       # anchored at the zero state
 
@@ -630,14 +631,14 @@ class TestFaceArrays:
             # rows spanning the lattice: every cell holds every point, in the full layout
             plain = _plain_faces(slab, values)
             spanning = (np.broadcast_to(c[[0, -1]], (slab.m, 2)),)
-            full = _CheckLattice(slab, values, c, spanning, plain)
+            full = _CheckLattice.in_hulls(slab, values, c, spanning, plain)
             for arrays, oracle in zip(full.sides, expected):
                 assert [a.reshape(slab.m, c.size).tobytes() for a in arrays] \
                     == [e.tobytes() for e in oracle]
             # the face check's own rows: the same entries at its pairs
             decomp = decomposition_states(slab, state)
-            local = _CheckLattice(slab, values, c, (decomp.face_states, decomp.anchored_states),
-                                  plain)
+            local = _CheckLattice.in_hulls(slab, values, c,
+                                           (decomp.face_states, decomp.anchored_states), plain)
             cells, cols = _loop_pairs(_face_rows(slab, decomp, values), c)
             assert local.cells.tobytes() == cells.tobytes()
             assert local.c.tobytes() == c[cols].tobytes()
@@ -676,8 +677,9 @@ class TestFaceArrays:
         vert = slab.vert
         unfactored = _cell_sides(_kruzkov(vert.Q, cs, uL, uR), _kruzkov(vert.G, cs, uL),
                                  _kruzkov(vert.G, cs, uR), slab.left_idx, slab.right_idx)
-        full = _CheckLattice(slab, values, c, (np.broadcast_to([-0.7, 1.3], (slab.m, 2)),),
-                             _plain_faces(slab, values))
+        full = _CheckLattice.in_hulls(slab, values, c,
+                                      (np.broadcast_to([-0.7, 1.3], (slab.m, 2)),),
+                                      _plain_faces(slab, values))
         for arrays, expected in zip(full.sides, unfactored):
             assert [a.reshape(slab.m, cs.size).tobytes() for a in arrays] \
                 == [e.tobytes() for e in expected]
@@ -764,7 +766,7 @@ class TestLocalLattice:
         plain = _plain_faces(slab, values)
         for extra, rows in (((decomp.face_states, decomp.anchored_states), face_rows),
                             ((state_next.values,), cell_rows)):
-            lattice = _CheckLattice(slab, values, c, extra, plain)
+            lattice = _CheckLattice.in_hulls(slab, values, c, extra, plain)
             cells, cols = _loop_pairs(rows, cs)
             assert lattice.cells.tobytes() == cells.tobytes()
             assert lattice.c.tobytes() == cs[cols].tobytes()
@@ -808,6 +810,7 @@ class TestLocalLattice:
         assert np.isnan(np.max(res))
         report = verify_run(bad)
         assert np.isnan(report.per_slab["cell_inequality"][j])
+        assert np.isnan(report.per_slab["dissipation_slack"][j])
         check = next(c for c in report.checks if c.name == "cell_inequality")
         assert np.isnan(check.max_residual) and not check.passed and not report.passed
 
@@ -931,6 +934,14 @@ class TestDiscreteBoundaryCondition:
             assert check_discrete_boundary_condition(slab, column, side, pair,
                                                      state) <= 1e-11
 
+    def test_interior_face_rejected(self):
+        solver = burgers_shock_solver(nx=10)
+        state = solver.initial_state()
+        for column, side in ((1, "left"), (0, "right"), (9, "left")):
+            with pytest.raises(ValueError, match="boundary faces only"):
+                check_discrete_boundary_condition(solver.slab(0), column, side,
+                                                  KruzkovPair(0.5), state)
+
     def test_outflow_boundary_within_tolerance(self):
         solver = burgers_shock_solver(nx=12, t_final=0.35)
         result = solver.run()
@@ -940,6 +951,84 @@ class TestDiscreteBoundaryCondition:
                 res = check_discrete_boundary_condition(
                     slab, slab.m - 1, "right", KruzkovPair(float(c)), result.states[j])
                 assert res <= 1e-9
+
+
+def _reference_smooth_flux(slab, column, side, pair, u, v, extra=(), zero=True, panels=64):
+    """:func:`smooth_entropy_numerical_flux` by the scalar path: the Kruzkov
+    superposition integrand from ``kruzkov_numerical_flux`` and ``Slab.signed_flux``
+    on ``panels`` composite 20-point Gauss panels per piece.  The pieces end at the
+    hull ends, the states, the face's critical points, ``extra`` and, with ``zero``, 0."""
+    lo, hi = slab.solver.u_range
+    lo, hi = min(lo, 0.0, u, v), max(hi, 0.0, u, v)
+    beta = 0.5 * (float(pair.du(lo)) + float(pair.du(hi)))
+    base = float(slab.numerical_flux(column, side, u, v)) \
+        - float(slab.signed_flux(column, side, 0.0)[0])
+    crit = slab.vert.crit_w[slab.right_idx[column] if side == "right" else slab.left_idx[column]]
+    ends = {lo, hi, u, v, *extra} | {float(w) for w in crit if lo < w < hi} \
+        | ({0.0} if zero else set())
+    splits = np.array(sorted(ends))
+    edges = np.concatenate([np.linspace(a, b, panels + 1)[:-1]
+                            for a, b in zip(splits[:-1], splits[1:])] + [splits[-1:]])
+    rule = gauss_legendre(20)
+    widths = np.diff(edges)[:, None]
+    c = (edges[:-1, None] + widths * rule.nodes[:, 0]).ravel()
+    qk = np.asarray(kruzkov_numerical_flux(slab, column, side, u, v, c))
+    anchor = _kruzkov(lambda w: slab.signed_flux(column, side, w), c, 0.0)
+    integrand = (0.5 * pair.ddu(c) * (qk - anchor)).reshape(widths.size, -1)
+    return beta * base + float(np.sum(widths * np.sum(rule.weights * integrand, axis=1)[:, None]))
+
+
+_EXP_PAIR = EntropyPair(np.exp, np.exp, name="exp", ddu_fn=np.exp)
+
+
+class TestSmoothBoundaryFlux:
+    """The array superposition against the scalar integrand on fine composite rules."""
+
+    @pytest.mark.parametrize("flux", [
+        presets.linear_advection_flux(1.0, (-1.5, 1.5)),
+        presets.flat_flux(lambda u: 0.5 * (np.asarray(u) - 0.3) ** 2,
+                          lambda u: np.asarray(u) - 0.3, (-1.5, 1.5)),
+    ], ids=["advection", "shifted-burgers"])
+    def test_zero_split_matches_composite_reference(self, flux):
+        # G'(0) != 0 and 0 is no critical point: the anchor G(0 v c) - G(0 ^ c)
+        # has its kink at 0, inside the hull, between boundary states
+        bd = BoundaryData(u=lambda p: 0.6 * np.sin(2 * np.pi * (p[..., 1] - 0.7 * p[..., 0])) + 0.1)
+        solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.3, bd, nx=30, u_range=(-0.5, 0.7))
+        result = solver.run()
+        err = miss = 0.0
+        states = []
+        for j in range(result.tri.n_slabs):
+            slab, values = solver.slab(j), result.states[j].values
+            assert not np.any(slab.vert.crit_w == 0.0)
+            for (column, side), b in zip(((0, "left"), (slab.m - 1, "right")),
+                                         slab.ghost_values()):
+                u = float(values[column])
+                states += [u, b]
+                for w, pair in ((u, square_pair()), (b, square_pair()), (u, _EXP_PAIR)):
+                    ref = _reference_smooth_flux(slab, column, side, pair, w, b)
+                    err = max(err, abs(smooth_entropy_numerical_flux(slab, column, side,
+                                                                     pair, w, b) - ref))
+                    miss = max(miss, abs(_reference_smooth_flux(slab, column, side, pair, w, b,
+                                                                zero=False, panels=1) - ref))
+        assert min(states) < 0.0 < max(states)
+        assert err <= 1e-14
+        assert miss > 1e-7          # the same pieces without the split at 0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_transonic_godunov_face_splits_at_flux_crossings(self, side):
+        # a Burgers shock from 0.9 to -0.2: for -0.2 < c < 0.9, Q(c, -0.2) =
+        # max(G(c), G(-0.2)) switches its end at c = 0.2
+        solver = make_solver(presets.burgers_flux((-1.5, 1.5)), IntervalDomain(0.0, 1.0), 0.1,
+                             constant_bd(0.0), nx=8, u_range=(-1.0, 1.0))
+        slab = solver.slab(0)
+        column = 0 if side == "left" else slab.m - 1
+        own, nb = (-0.2, 0.9) if side == "left" else (0.9, -0.2)
+        for pair in (square_pair(), _EXP_PAIR):
+            ref = _reference_smooth_flux(slab, column, side, pair, own, nb, extra=(0.2,))
+            new = smooth_entropy_numerical_flux(slab, column, side, pair, own, nb)
+            assert abs(new - ref) <= 1e-14
+            without = _reference_smooth_flux(slab, column, side, pair, own, nb, panels=1)
+            assert abs(without - ref) > 1e-8
 
 
 class TestDissipation:
@@ -1166,19 +1255,6 @@ class TestEntropyPairs:
         with pytest.raises(ValueError):
             bad.validate((-1.0, 1.0))
 
-    def test_omega_form_anchored_and_consistent(self):
-        flux = presets.burgers_flux((-1.0, 1.0))
-        pair = square_pair()
-        omega = pair.omega_form(flux)
-        pts = np.array([[0.0, 0.3], [0.1, 0.8]])
-        # anchored at the zero state
-        np.testing.assert_allclose(omega.base(0.0).evaluate((1,), pts), 0.0, atol=1e-14)
-        # dx coefficient: integral of 2v dv = u^2; dt coefficient: -2u^3/3
-        np.testing.assert_allclose(omega.base(0.5).evaluate((1,), pts), 0.25, atol=1e-11)
-        np.testing.assert_allclose(omega.base(0.5).evaluate((0,), pts),
-                                   -2 * 0.5**3 / 3, atol=1e-11)
-        assert omega.check_du_consistency(pts, [0.2, -0.4], tol=1e-4) < 1e-4
-
     def test_kruzkov_form_keeps_analytic_partials(self):
         # the traveling-density family is closed, so with analytic partials
         # the top coefficient of d(Omega) cancels exactly
@@ -1195,12 +1271,6 @@ class TestEntropyPairs:
         pts = np.array([[0.0, 0.5]])
         np.testing.assert_allclose(form.evaluate((0,), pts), 0.0, atol=0)
         np.testing.assert_allclose(form.evaluate((1,), pts), 0.0, atol=0)
-
-    def test_adaptive_simpson_array_valued(self):
-        out = adaptive_simpson(lambda v: np.array([v * v, np.sin(v)]), 0.0, 1.0, 1e-12,
-                               shape=(2,))
-        np.testing.assert_allclose(out, [1 / 3, 1 - np.cos(1.0)], atol=1e-10)
-        assert adaptive_simpson(lambda v: v, 1.0, 0.0, 1e-12) == pytest.approx(-0.5)
 
 
 class TestVerifyRun:
@@ -1226,6 +1296,31 @@ class TestVerifyRun:
                         for c in kruzkov_lattice(slab, state)
                         for column, side in ((0, "left"), (slab.m - 1, "right")))
             assert report.per_slab["boundary_condition"][j] == worst
+
+    def test_verifier_makes_no_scalar_numerical_flux_call(self, monkeypatch):
+        result = boundary_driven_burgers_case(t_final=0.2).run(12)
+        solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar numerical-flux path")
+
+        for name in ("numerical_flux", "signed_flux"):
+            monkeypatch.setattr(Slab, name, refuse)
+        monkeypatch.setattr(entropy, "kruzkov_numerical_flux", refuse)
+        report = verify_run(result, solver=solver)
+        assert report.passed
+        for j in range(result.tri.n_slabs):
+            slab, state = solver.slab(j), result.states[j]
+            lattice = KruzkovPair(kruzkov_lattice(slab, state))
+            faces = ((0, "left"), (slab.m - 1, "right"))
+            assert max(check_discrete_boundary_condition(slab, column, side, lattice, state)
+                       for column, side in faces) == report.per_slab["boundary_condition"][j]
+            for column, side in faces:
+                assert check_discrete_boundary_condition(slab, column, side, square_pair(),
+                                                         state) <= report.tol
+        psi = bump_test_function(0.05, 0.5, 0.04, 0.3)
+        assert global_entropy_inequality_report(result, psi, KruzkovPair(0.5),
+                                                solver=solver).satisfied
 
     def test_warm_verify_computes_no_gauss_rule(self, monkeypatch):
         result = boundary_driven_burgers_case(t_final=0.3).run(10)
