@@ -13,7 +13,8 @@ discretized the same way: :func:`segment_nodes` builds the Gauss nodes and
 weights of the face segments, and :func:`face_sums` forms
 ``sum_k w_k f(x_k, u)``.  On spacelike faces the total fluxes are strictly
 monotone, cached with derivative bounds in a :class:`SpacelikeTable`, and
-inverted column by column by :func:`bracketed_root`, the one root finder.
+inverted column by column by :func:`bracketed_root`, the one root finder,
+whose first two iterates an affine q settles without its bookkeeping.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
@@ -525,15 +526,50 @@ def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf, fw=None):
     return x, fx, active
 
 
+def _settle(q_of, dq, values, u, at_end, u_range, image_lo, image_hi, fw, tol):
+    """The states of :func:`_invert_increasing`'s :func:`bracketed_root` call,
+    by that call's arithmetic for ``dq`` (per face) that reads no u, when it
+    stops every root at its second iterate; None if a root is within ``tol``
+    or NaN at the first, or is open at the second.  Rows ``at_end`` keep ``u``.
+    """
+    if at_end.all():
+        return u
+    if not ((np.abs(fw) > tol) | at_end).all():
+        return None
+    u_lo, u_hi = u_range
+    mid = 0.5 * (u_lo + u_hi)
+    move_lo = fw < 0.0
+    lo, hi = np.where(move_lo, mid, u_lo), np.where(move_lo, u_hi, mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = mid - fw / dq
+    newton = ((lo < p) & (p < hi)) | at_end
+    if not newton.all():
+        s = _secant(lo, hi, np.where(move_lo, fw, image_lo - values),
+                    np.where(move_lo, image_hi - values, fw))
+        p = np.where(newton, p, np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi)))
+    x = np.where(at_end, u, p)
+    fx = q_of(x) - values
+    move_lo = fx < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = x - fx / dq
+    step = np.fmin(np.abs(p - x), np.where(move_lo, hi, x) - np.where(move_lo, x, lo))
+    stop = (np.abs(fx) <= tol) & (step <= ROOT_STEP_TOL * (1.0 + np.abs(x)))
+    return x if (stop | at_end).all() else None
+
+
 def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol,
-                       q_mid=None):
+                       q_mid=None, dq_column=None):
     """Solve ``q(u) = values`` entrywise for increasing q on ``u_range``.
 
-    :func:`bracketed_root` by Newton steps from the midpoint of ``u_range``
-    to the residual tolerance ``max(tol, 1e-13) * max(1, |target|)``; a
-    target at an image end returns that end of ``u_range`` exactly.  Given
-    ``q_mid``, q at the midpoint per face, the first iterate costs no q
-    evaluation.  Raises
+    Newton steps from the midpoint of ``u_range`` to the residual tolerance
+    ``max(tol, 1e-13) * max(1, |target|)``.  Given ``q_mid``, q at the
+    midpoint per face, the first iterate costs no q evaluation.  A target at
+    an image end returns that end of ``u_range`` exactly.  Given ``q_mid``
+    and ``dq_column`` (dq per face when it reads no u) on a finite
+    ``u_range``, :func:`_settle` returns the second iterate when every other
+    target stops there, as for an affine q, at one q call.  Otherwise
+    :func:`bracketed_root` runs on the whole array, at most ``ROOT_MAX_STEPS``
+    q evaluations; both ways give the same bits.  Raises
     :class:`ValueOutsideImage` for a target outside the image padded by
     ``tol`` (NaN counts as outside) and :class:`ConvergenceError` for a NaN
     residual or a root above tolerance after ``ROOT_MAX_STEPS``, naming the
@@ -543,6 +579,7 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     if values.ndim == 2:   # the image ends of a face hold for every state of its row
         image_lo, image_hi, q_mid = (e if e is None else np.broadcast_to(e[:, None], values.shape)
                                      for e in (image_lo, image_hi, q_mid))
+        dq_column = None if dq_column is None else dq_column[:, None]
     scale = np.maximum(1.0, np.abs(values))
     tol_abs = tol * scale
 
@@ -559,8 +596,12 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     at_hi = values >= image_hi
     ftol = max(tol, 1e-13) * scale   # a floor that the rounding of q lets residuals reach
     u = np.where(at_lo, u_range[0], np.where(at_hi, u_range[1], 0.5 * (u_range[0] + u_range[1])))
-    fw = None if q_mid is None else \
-        np.where(at_lo, image_lo, np.where(at_hi, image_hi, q_mid)) - values
+    fw = None if q_mid is None else q_mid - values   # read at the open roots only
+    if fw is not None and dq_column is not None and -np.inf < u_range[0] < u_range[1] < np.inf:
+        settled = _settle(q_of, dq_column, values, u, at_lo | at_hi, u_range, image_lo,
+                          image_hi, fw, ftol)
+        if settled is not None:
+            return settled
     u, r, open_ = bracketed_root(lambda w: q_of(w) - values, u, np.where(at_hi, u, u_range[0]),
                                  np.where(at_lo, u, u_range[1]), image_lo - values,
                                  image_hi - values, df=dq_of, tol=ftol, fw=fw)
@@ -699,7 +740,8 @@ class SpacelikeTable:
         and errors; each result depends only on its own face and target.
         """
         return _invert_increasing(self.q, self.dq, values, self.u_range, self.image_lo,
-                                  self.image_hi, self.face_ids, tol, q_mid=self.q_mid)
+                                  self.image_hi, self.face_ids, tol, q_mid=self.q_mid,
+                                  dq_column=self.dq_column)
 
 
 # ---------------------------------------------------------------------------

@@ -291,9 +291,14 @@ class VerticalFluxes:
 
     def Q(self, u, v, faces=None) -> np.ndarray:
         """Numerical flux per face in left-cell orientation; shapes (n,) or (n, K)."""
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        g = self.G(np.stack([u, v], axis=-1) if u.ndim == 1 else np.concatenate([u, v], axis=1),
-                   faces)                                 # one flux call for both states
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        if u.ndim == 1 and u.shape == v.shape:
+            uv = np.empty((u.size, 2))
+            uv[:, 0], uv[:, 1] = u, v
+        else:
+            u, v = np.broadcast_arrays(u, v)
+            uv = np.stack([u, v], axis=-1) if u.ndim == 1 else np.concatenate([u, v], axis=1)
+        g = self.G(uv, faces)                             # one flux call for both states
         gu, gv = (g[:, 0], g[:, 1]) if u.ndim == 1 else np.split(g, 2, axis=1)
         return self._combine(u, v, gu, gv, faces)
 
@@ -701,11 +706,11 @@ class Solver:
         start = time.perf_counter()
         state = self.initial_state()
         states = [state]
-        lambda_max = []
+        lambda_max, report = [], None
         for j in range(self.tri.n_slabs):
             slab = self.slab(j)
-            report = slab.lambdas()
-            lambda_max.append(report.max_cell_ratio())
+            shared, report = report, slab.lambdas()
+            lambda_max.append(lambda_max[-1] if report is shared else report.max_cell_ratio())
             if self.cfg.enforce_cfl and not report.passed:
                 raise CFLViolation(
                     f"slab {j}: max cell ratio {report.max_cell_ratio():.6f} exceeds "

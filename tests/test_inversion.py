@@ -1,0 +1,314 @@
+"""The total-flux inversion against its bracketed_root-only oracle.
+
+``oracle_invert`` is ``mesh._invert_increasing`` without the settle step:
+every inversion runs :func:`~spacetime_fvm.mesh.bracketed_root` on the whole
+array.  The inversion must give its bits, or raise its exception with its
+text, on every target, every table and every run.
+"""
+
+import glob
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spacetime_fvm import harness, presets
+from spacetime_fvm import mesh as mesh_module
+from spacetime_fvm.config import load_config, parse_config
+from spacetime_fvm.entropy import verify_run
+from spacetime_fvm.mesh import (
+    ROOT_MAX_STEPS,
+    ConvergenceError,
+    Foliation,
+    IntervalDomain,
+    SpacelikeTable,
+    ValueOutsideImage,
+    _invert_increasing,
+    bracketed_root,
+    build_triangulation,
+)
+from spacetime_fvm.scheme import Solver
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def oracle_invert(q_of, dq_of, values, u_range, image_lo, image_hi, face_ids, tol,
+                  q_mid=None, dq_column=None):
+    """The inversion as bracketed_root alone computes it (``dq_column`` unread)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 2:
+        image_lo, image_hi, q_mid = (e if e is None else np.broadcast_to(e[:, None], values.shape)
+                                     for e in (image_lo, image_hi, q_mid))
+    scale = np.maximum(1.0, np.abs(values))
+    tol_abs = tol * scale
+
+    def at_fault(score):
+        k = np.unravel_index(int(np.argmax(score)), values.shape)
+        return k, f"face {face_ids[k[0]]}" + (f", state column {k[1]}" if len(k) == 2 else "")
+
+    inside = (values >= image_lo - tol_abs) & (values <= image_hi + tol_abs)
+    if not inside.all():
+        k, at = at_fault(np.maximum(image_lo - values, values - image_hi))
+        raise ValueOutsideImage(f"{at}: target {float(values[k])!r} outside image "
+                                f"[{float(image_lo[k])!r}, {float(image_hi[k])!r}]")
+    at_lo = values <= image_lo
+    at_hi = values >= image_hi
+    ftol = max(tol, 1e-13) * scale
+    u = np.where(at_lo, u_range[0], np.where(at_hi, u_range[1], 0.5 * (u_range[0] + u_range[1])))
+    fw = None if q_mid is None else \
+        np.where(at_lo, image_lo, np.where(at_hi, image_hi, q_mid)) - values
+    u, r, open_ = bracketed_root(lambda w: q_of(w) - values, u, np.where(at_hi, u, u_range[0]),
+                                 np.where(at_lo, u, u_range[1]), image_lo - values,
+                                 image_hi - values, df=dq_of, tol=ftol, fw=fw)
+    if open_.any():
+        k, at = at_fault(np.where(open_, np.abs(r) / scale, -1.0))
+        stop = (f"at iterate u = {float(u[k])!r} with residual nan" if np.isnan(r[k]) else
+                f"after {ROOT_MAX_STEPS} iterations with residual {float(abs(r[k]))!r} "
+                f"(tolerance {float(ftol[k])!r})")
+        raise ConvergenceError(f"{at}: total-flux inversion of target "
+                               f"{float(values[k])!r} stopped {stop}")
+    return u
+
+
+FLUXES = {
+    "burgers": presets.burgers_flux((-1.0, 1.0)),
+    "capacity": presets.capacity_flux(lambda x: 2.0 + 0.5 * np.sin(3.0 * x + 0.2),
+                                      lambda x: 1.5 * np.cos(3.0 * x + 0.2),
+                                      lambda u: 0.5 * np.asarray(u) ** 2,
+                                      lambda u: np.asarray(u), (-1.0, 1.5)),
+    "traveling": presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), lambda s: np.cos(s)),
+}
+# (0, 1) puts image_lo at 0 for the Burgers table, so 1e-323 above it is a target
+U_RANGES = [(0.0, 1.0), (-0.7, 1.3), (0.25, 0.5)]
+
+
+def make_table(flux_name, m, u_range, dq_fault=None, row=0):
+    tri = build_triangulation(Foliation(np.array([0.0, 0.1, 0.3]), IntervalDomain(0.0, 1.0)), m)
+    table = SpacelikeTable(tri, FLUXES[flux_name], 1, u_range=u_range)
+    assert table.dq_column is not None   # every flux here declares dq u-free
+    if dq_fault is not None:
+        table.dq_column = table.dq_column.copy()
+        table.dq_column[row] = {"zero": 0.0, "nan": np.nan}[dq_fault]
+    return table
+
+
+def outcome(invert):
+    """The bits of an inversion, or its exception type and text."""
+    try:
+        u = invert()
+    except (ValueOutsideImage, ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return u.shape, u.dtype, u.tobytes()
+
+
+def both(table, values, tol=1e-12, q_of=None):
+    """(the table's inversion, the oracle's) of ``values``, each as :func:`outcome`;
+    ``q_of`` replaces the table's q in both."""
+    if q_of is None:
+        q_of = table.q
+        mine = outcome(lambda: table.invert(values, tol))
+    else:
+        mine = outcome(lambda: _invert_increasing(
+            q_of, table.dq, values, table.u_range, table.image_lo, table.image_hi,
+            table.face_ids, tol, q_mid=table.q_mid, dq_column=table.dq_column))
+    theirs = outcome(lambda: oracle_invert(q_of, table.dq, values, table.u_range, table.image_lo,
+                                           table.image_hi, table.face_ids, tol,
+                                           q_mid=table.q_mid))
+    return mine, theirs
+
+
+def targets(table, kinds, fractions, columns, tol=1e-12):
+    """Targets of the given kinds per (face, state), shape (m,) or (m, columns)."""
+    m = table.n_faces
+    shape = (m,) if columns is None else (m, columns)
+    kinds = np.resize(np.asarray(kinds), shape)
+    f = np.resize(np.asarray(fractions), shape)
+    lo, hi, mid = (e if columns is None else e[:, None]
+                   for e in (table.image_lo, table.image_hi, table.q_mid))
+    lo, hi, mid = (np.broadcast_to(e, shape) for e in (lo, hi, mid))
+    end = np.where(kinds == 3, lo, hi)
+    near_end = end + (2.0 * f - 1.0) * tol * np.maximum(1.0, np.abs(end))
+    choices = [
+        lo + f * (hi - lo),                  # across the image
+        lo,                                  # exactly at each end
+        hi,
+        near_end,                            # within tol of each end
+        near_end,
+        lo + 1e-323,                         # 1e-323 above image_lo
+        np.nextafter(lo, np.inf),
+        mid,                                 # exactly at q_mid, and within rounding of it
+        mid + (2.0 * f - 1.0) * 8.0 * np.spacing(mid),
+    ]
+    return np.choose(kinds, choices)
+
+
+class TestOracleProperty:
+    @given(flux_name=st.sampled_from(sorted(FLUXES)), u_range=st.sampled_from(U_RANGES),
+           m=st.integers(1, 6), columns=st.sampled_from([None, 1, 3]),
+           kinds=st.lists(st.integers(0, 8), min_size=1, max_size=18),
+           fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=18),
+           dq_fault=st.sampled_from([None, None, "zero", "nan"]), row=st.integers(0, 5),
+           tol=st.sampled_from([1e-12, 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_inversion_equals_the_oracle_bit_for_bit(self, flux_name, u_range, m, columns,
+                                                     kinds, fractions, dq_fault, row, tol):
+        table = make_table(flux_name, m, u_range, dq_fault, row % m)
+        mine, theirs = both(table, targets(table, kinds, fractions, columns, tol), tol)
+        assert mine == theirs
+
+    @pytest.mark.parametrize("columns", [None, 2])
+    @pytest.mark.parametrize("flux_name", sorted(FLUXES))
+    def test_errors_equal_the_oracle(self, flux_name, columns):
+        table = make_table(flux_name, 4, (-0.7, 1.3))
+        inner = targets(table, [0], [0.3], columns)
+        for bad in (np.nan, float(np.max(table.image_hi)) + 1.0):
+            values = inner.copy()
+            values[(2,) if columns is None else (2, 1)] = bad
+            mine, theirs = both(table, values)
+            assert mine == theirs and mine[0] is ValueOutsideImage
+
+        # q turns NaN on row 1 away from the midpoint: at the second iterate
+        mid = 0.5 * sum(table.u_range)
+        row = (np.arange(4) == 1) if columns is None else (np.arange(4) == 1)[:, None]
+
+        def nan_q(u):
+            return np.where(row & (u != mid), np.nan, table.q(u))
+
+        mine, theirs = both(table, inner, q_of=nan_q)
+        assert mine == theirs
+        assert mine[0] is ConvergenceError and mine[1].endswith("with residual nan")
+
+        # q NaN at the midpoint of row 1: the first iterate
+        table.q_mid = np.where(np.arange(4) == 1, np.nan, table.q_mid)
+        mine, theirs = both(table, inner)
+        assert mine == theirs
+        assert mine[0] is ConvergenceError and mine[1].endswith(f"u = {mid!r} with residual nan")
+
+
+@pytest.fixture
+def counted_roots(monkeypatch):
+    """The number of calls of ``bracketed_root`` from inside ``mesh``: the inversions."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return bracketed_root(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "bracketed_root", counting)
+    return calls
+
+
+def count_per_inversion(monkeypatch, invert):
+    """Patch ``invert`` in as the inversion; list its (q calls, dq calls) per call."""
+    counts = []
+
+    def counting(q_of, dq_of, *args, **kwargs):
+        n = [0, 0]
+
+        def q(u):
+            n[0] += 1
+            return q_of(u)
+
+        def dq(u):
+            n[1] += 1
+            return dq_of(u)
+
+        u = invert(q, dq, *args, **kwargs)
+        counts.append(tuple(n))
+        return u
+
+    monkeypatch.setattr(mesh_module, "_invert_increasing", counting)
+    return counts
+
+
+NON_AFFINE = "\n".join([
+    "[spacetime]", "domain = interval 0 1", "t_final = 0.15",
+    "[flux]", "builtin = custom", "wx = u + 0.2 * u * u * u", "wt = -0.5 * u * u",
+    "dwx_du = 1 + 0.6 * u * u", "dwt_du = -u",
+    "[mesh]", "nx = 24", "cfl_target = 0.25",
+    "[scheme]", "kind = godunov",
+    "[boundary]", "u_b = 0.8 * (0.5 - 0.5 * sign(x - 0.4)) - 0.2 * (0.5 + 0.5 * sign(x - 0.4))",
+    "[run]", "u_min = -0.2", "u_max = 0.8",
+])
+
+
+def solve(setup):
+    return Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd, setup.cfg).run()
+
+
+class TestPath:
+    def test_riemann_straggler_run_and_verify_never_enter_bracketed_root(self, counted_roots):
+        result = harness.burgers_riemann_case(1.0, 0.0).run(80)
+        verify_run(result)
+        assert counted_roots == []
+
+    def test_boundary_driven_run_never_enters_bracketed_root(self, counted_roots):
+        harness.boundary_driven_burgers_case().run(80)
+        assert counted_roots == []
+
+    def test_non_affine_flux_takes_bracketed_root_with_the_oracle_calls(self, monkeypatch):
+        setup = parse_config(NON_AFFINE)
+        assert (1,) not in setup.flux.u_free_du
+        oracle_counts = count_per_inversion(monkeypatch, oracle_invert)
+        expected = solve(setup)
+        counts = count_per_inversion(monkeypatch, _invert_increasing)
+        roots = []
+        monkeypatch.setattr(mesh_module, "bracketed_root",
+                            lambda *a, **k: roots.append(1) or bracketed_root(*a, **k))
+        result = solve(setup)
+        assert counts == oracle_counts and len(roots) == len(counts) == result.tri.n_slabs
+        assert all(q > 0 and dq > 0 for q, dq in counts)
+        for a, b in zip(result.states, expected.states):
+            assert a.values.tobytes() == b.values.tobytes()
+
+
+def _benchmark_configs(name, monkeypatch):
+    """The "tiny" config texts of a benchmark workload, imported read-only."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    try:
+        workloads = importlib.import_module("workloads")
+        return workloads.WORKLOADS[name].configs(workloads.workload_params(name, 7),
+                                                 workloads.SIZES["tiny"][name])
+    finally:
+        for module in ("tracing", "workloads"):
+            sys.modules.pop(module, None)
+
+
+HARNESS_CASES = {
+    "advection": harness.advection_circle_case,
+    "shock": lambda: harness.burgers_riemann_case(1.0, 0.0),
+    "rarefaction": lambda: harness.burgers_riemann_case(-0.5, 0.5),
+    "boundary": harness.boundary_driven_burgers_case,
+}
+
+
+def _runs(kind, name, monkeypatch):
+    """The results of one guarded case: config file, harness case or workload."""
+    if kind == "config":
+        setup = load_config(str(ROOT / "configs" / name))
+        return [(solve(setup), setup.entropy_tol)]
+    if kind == "harness":
+        return [(HARNESS_CASES[name]().run(80), None)]
+    return [(solve(parse_config(text)), None) for text in _benchmark_configs(name, monkeypatch)]
+
+
+GUARDED = ([("config", Path(p).name) for p in sorted(glob.glob(str(ROOT / "configs" / "*.ini")))]
+           + [("harness", name) for name in HARNESS_CASES]
+           + [("tiny", name) for name in ("shock_run", "advection_check", "rarefaction_ladder")])
+
+
+@pytest.mark.parametrize("kind, name", GUARDED, ids=[f"{k}-{n}" for k, n in GUARDED])
+def test_runs_and_reports_equal_the_oracle_bit_for_bit(kind, name, monkeypatch):
+    def outputs():
+        return [([s.values.tobytes() for s in result.states], verify_run(result, tol=tol).to_json())
+                for result, tol in _runs(kind, name, monkeypatch)]
+
+    mine = outputs()
+    monkeypatch.setattr(mesh_module, "_invert_increasing", oracle_invert)
+    assert outputs() == mine
