@@ -11,7 +11,8 @@ Subcommands::
 Exit codes: 0 success, 2 configuration error, 3 scheme abort (a total-flux
 inversion left its image or did not converge, a CFL violation, or a
 degenerate flux), 4 verification failure (an entropy check or declared
-acceptance band failed).
+acceptance band failed).  An entropy tolerance (``--tol`` or ``[entropy]
+tol``) that is not finite or is negative is a configuration error.
 """
 
 from __future__ import annotations
@@ -71,24 +72,40 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """``.17g`` text per value; each 64-bit pattern is formatted once (slices repeat states)."""
-    keys = values.view(np.int64).tolist()
-    text = {k: f"{v:.17g}" for k, v in dict(zip(keys, values.tolist())).items()}
-    return [text[k] for k in keys]
+CSV_ROWS_PER_WRITE = 1024   # rows of slices.csv joined per write: whole slices, at least one
+
+
+def _texts(values: np.ndarray, fmt: str) -> np.ndarray:
+    """``fmt.format(v)`` per value as an object array; each 64-bit pattern is formatted once
+    (slices repeat states), so 0.0 and -0.0 and NaN payloads keep their own text."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([fmt.format(v) for v in keys.view(np.float64).tolist()], dtype=object)[inverse]
 
 
 def write_run_csv(result: RunResult, path: str) -> None:
-    """One row per spacelike face: slice_index, t, x_left, x_right, u, q."""
+    """One row per spacelike face: slice_index, t, x_left, x_right, u, q.
+
+    Slices are written in chunks of about ``CSV_ROWS_PER_WRITE`` rows, each
+    one join of its row pieces, so memory does not grow with the run.
+    """
+    m = result.tri.n_columns
     xs = result.tri.breakpoints.tolist()
-    columns = [f"{a:.17g},{b:.17g}" for a, b in zip(xs[:-1], xs[1:])]
+    columns = np.array([f"{a:.17g},{b:.17g}" for a, b in zip(xs[:-1], xs[1:])], dtype=object)
     times = result.tri.times.tolist()
+    per_write = max(1, CSV_ROWS_PER_WRITE // m)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write("slice_index,t,x_left,x_right,u,q\r\n")
-        for state in result.states:
-            head = f"{state.slice_index},{times[state.slice_index]:.17g},"
-            handle.write("".join(f"{head}{col},{u},{q}\r\n" for col, u, q in zip(
-                columns, _texts(state.values), _texts(state.fluxes))))
+        for k in range(0, len(result.states), per_write):
+            chunk = result.states[k:k + per_write]
+            rows = np.empty((len(chunk), m, 4), dtype=object)
+            rows[..., 0] = np.array([f"{s.slice_index},{times[s.slice_index]:.17g},"
+                                     for s in chunk], dtype=object)[:, None]
+            rows[..., 1] = columns
+            rows[..., 2] = _texts(np.concatenate([s.values for s in chunk]),
+                                  ",{:.17g}").reshape(len(chunk), m)
+            rows[..., 3] = _texts(np.concatenate([s.fluxes for s in chunk]),
+                                  ",{:.17g}\r\n").reshape(len(chunk), m)
+            handle.write("".join(rows.ravel().tolist()))
 
 
 def run_metadata(result: RunResult, setup: RunSetup, csv_name: str) -> dict:
@@ -163,6 +180,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_entropy_check(args) -> int:
+    if args.tol is not None and not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol: must be finite and non-negative, got {args.tol!r}")
     setup, result = load_run_artifact(args.run)
     out_dir = args.out or os.path.dirname(os.path.abspath(args.run)) or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -310,6 +310,8 @@ def parse_config(text: str) -> RunSetup:
                     enforce_cfl=enforce_cfl)
 
     entropy_tol = _get_float(cp, "entropy", "tol") if cp.has_section("entropy") else None
+    if entropy_tol is not None and not (np.isfinite(entropy_tol) and entropy_tol >= 0.0):
+        raise ConfigError(f"[entropy] tol: must be finite and non-negative, got {entropy_tol!r}")
 
     output_dir = _get(cp, "output", "directory", "out") if cp.has_section("output") else "out"
     formats_raw = _get(cp, "output", "formats", "csv,json") \

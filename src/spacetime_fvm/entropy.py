@@ -37,14 +37,25 @@ superposes the same face arrays with a fixed Gauss rule on the pieces
 between the integrand's kinks (:func:`smooth_entropy_numerical_flux`), so
 no check calls a scalar numerical flux.
 
+:func:`verify_run` runs blocks of ``VERIFY_BLOCK_ROWS // m`` slabs (at least
+one) on one (slab, column) row axis (:class:`_Block`): the slabs' tables
+stacked row by row, the plain face fluxes, the decomposition (one
+inversion), the identity, bracketing, conservation, convexity and
+dissipation checks once per block, each reduced per slab over its rows.
+The row budget bounds the block's arrays; the check lattice stays per
+slab, one lattice for the face and the cell check, each reading its own
+pairs through a mask (:meth:`_CheckLattice.in_hulls`).  A smooth pair's
+table for a dq that does not read u is the dq column times one factor
+shared by every face (:class:`SmoothFaceEntropy`).
+
 Everything is evaluated with fixed summation order over prebuilt arrays,
-so reports are reproducible bit for bit.
+so reports are reproducible bit for bit, at every block size.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from typing import Callable, Iterable
 
@@ -52,8 +63,14 @@ import numpy as np
 
 from .forms import Coefficient, CoordinateForm, gauss_legendre
 from .fluxfield import FluxField
-from .mesh import ConvergenceError, SpacelikeTable, ValueOutsideImage, bracketed_root
-from .scheme import RunResult, Slab, SliceState, Solver
+from .mesh import (
+    ConvergenceError,
+    SpacelikeTable,
+    ValueOutsideImage,
+    _sharing,
+    bracketed_root,
+)
+from .scheme import LambdaReport, RunResult, Slab, SliceState, Solver
 
 __all__ = [
     "ContractionReport",
@@ -84,6 +101,7 @@ __all__ = [
 SMOOTH_PANELS = 32        # Gauss panels of SmoothFaceEntropy's table on the hull and 0
 SMOOTH_PANEL_NODES = 10   # Gauss nodes per panel
 SMOOTH_FLUX_NODES = 20    # Gauss nodes per piece of a smooth pair's numerical entropy flux
+VERIFY_BLOCK_ROWS = 320   # (slab, column) rows per block of verify_run: ~4 slabs at m = 80
 
 
 def _kruzkov(f: Callable, c, *states):
@@ -212,7 +230,10 @@ class SmoothFaceEntropy:
     plus one such rule from the start of the state's panel: polynomial flux
     data is integrated exactly.  The table does not read the states; it is
     kept by pair in the slice table's ``derived``, shared by every slice of
-    a flux that does not read t.  A dq that does not read u is one column.
+    a flux that does not read t.  A dq that does not read u is one column,
+    and the panels are then that column times one (panel, node) factor
+    ``gw h U'(v)``, the same for every face and the same bits as the
+    per-face rule.
     """
 
     def __init__(self, pair: EntropyPair, table: SpacelikeTable):
@@ -226,7 +247,11 @@ class SmoothFaceEntropy:
             h = (hi - lo) / SMOOTH_PANELS
             n_neg = int(np.ceil(-lo / h))
             starts = h * np.arange(-n_neg, int(np.ceil(hi / h)))
-            panels = self._panels(np.broadcast_to(starts, (table.n_faces, starts.size)), h)
+            if table.dq_column is None:
+                panels = self._panels(np.broadcast_to(starts, (table.n_faces, starts.size)), h)
+            else:   # dq reads no u: one (panel, node) factor gw h U'(v) serves every face
+                factor = self._gw * h * pair.du(starts[:, None] + self._gx * h)
+                panels = np.sum(factor * table.dq_column[:, None, None], axis=-1)
             down = -np.cumsum(panels[:, :n_neg][:, ::-1], axis=1)[:, ::-1]
             up = np.cumsum(panels[:, n_neg:], axis=1)
             table.derived[pair] = (h, n_neg, starts, np.concatenate(   # from 0 to each start
@@ -276,7 +301,9 @@ class DecompositionStates:
     ``face_states`` solves the single-face refresh of the update,
     ``anchored_states`` the neighbor-anchored variant; ``lam`` are the convex weights.  Both state
     families are produced by guarded total-flux inversion and satisfy the
-    bracketing recorded in ``bracket_residual``.
+    bracketing recorded in ``bracket_residual``.  The rows of a block's
+    decomposition are its slabs' cells, slab by slab, and its
+    ``bracket_residual`` lists one value per slab.
     """
 
     slab_index: int
@@ -291,11 +318,85 @@ class DecompositionStates:
     q_face_states: np.ndarray      # (m, 2)
     q_anchored_states: np.ndarray        # (m, 2)
     bracket_residual: float
+    q_neighbor: np.ndarray | None = None   # (m, 2)
 
 
-def _plain_faces(slab: Slab, values: np.ndarray):
+def _stacked(tables: list, **fixed):
+    """``tables[0]`` with each per-face array of ``tables`` concatenated along the face axis.
+
+    A per-face array is one whose first axis has ``tables[0]``'s face count;
+    two-dimensional ones are widened with NaN to the widest (a NaN critical
+    point is never inside a face's states).  ``fixed`` sets attributes as
+    given and ``derived`` starts empty.  Built by
+    :func:`~spacetime_fvm.mesh._sharing`, so the flux callbacks are shared.
+    """
+    if len(tables) == 1:
+        return tables[0]
+    first, rows = tables[0], {}
+    for name, value in vars(first).items():
+        if name in fixed or not (isinstance(value, np.ndarray)
+                                 and value.shape[:1] == (first.n_faces,)):
+            continue
+        parts = [vars(t)[name] for t in tables]
+        if value.ndim == 2:
+            width = max(p.shape[1] for p in parts)
+            parts = [p if p.shape[1] == width else
+                     np.pad(p, ((0, 0), (0, width - p.shape[1])), constant_values=np.nan)
+                     for p in parts]
+        rows[name] = np.concatenate(parts)
+    return _sharing(first, derived={}, **rows, **fixed)
+
+
+class _Block:
+    """Consecutive slabs of a run as one slab on the (slab, column) row axis.
+
+    Cell row ``b * m + i`` is column i of ``slabs[b]`` and face row
+    ``b * nv + k`` its vertical face k.  ``table_plus`` and ``vert`` are the
+    slabs' tables with their per-face arrays stacked (:func:`_stacked`; the
+    vertical weights per row, read on all rows only).  The kernels that read them (:func:`~spacetime_fvm.mesh.face_sums`,
+    the inversion, ``_combine``) work row by row, so each slab's rows get
+    the bits of a one-slab block.  The stacked face ids are row numbers:
+    :func:`verify_run` re-runs a block that raises slab by slab, which names
+    the face.
+    """
+
+    def __init__(self, slabs: list[Slab]):
+        first = slabs[0]
+        self.slabs, self.n, self.m = slabs, len(slabs), first.m
+        self.j, self.solver, self.periodic = first.j, first.solver, first.periodic
+        shift = first.vert.n_faces * np.arange(self.n)[:, None]
+        self.left_idx = (first.left_idx + shift).ravel()
+        self.right_idx = (first.right_idx + shift).ravel()
+        self.table_plus = _stacked([s.table_plus for s in slabs], face_ids=range(self.n * self.m))
+        verts = [s.vert for s in slabs]   # per-row weights: slab heights may differ
+        self.vert = _stacked(verts, weights=np.concatenate(
+            [np.broadcast_to(v.weights, v.pts.shape[:2]) for v in verts]))
+
+    def lambdas(self) -> LambdaReport:
+        reports = [s.lambdas() for s in self.slabs]
+        lam_hat, lam_hat_cell, lam = (np.concatenate([getattr(r, name) for r in reports])
+                                      for name in ("lam_hat", "lam_hat_cell", "lam"))
+        return LambdaReport(lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam,
+                            cfl_limit=reports[0].cfl_limit, passed=all(r.passed for r in reports))
+
+    def neighbor_states(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`Slab.neighbor_states` of every slab, face rows slab by slab."""
+        cells = values.reshape(self.n, self.m)
+        if self.periodic:
+            return np.roll(cells, 1, axis=1).ravel(), values
+        ghosts = self.solver.ghosts[self.j:self.j + self.n]
+        return (np.concatenate([ghosts[:, :1], cells], axis=1).ravel(),
+                np.concatenate([cells, ghosts[:, 1:]], axis=1).ravel())
+
+    def per_slab(self, values: np.ndarray, reduce=np.max) -> list[float]:
+        """``reduce`` of each slab's rows of ``values`` (cells first), as floats."""
+        return reduce(values.reshape(self.n, -1), axis=1).tolist()
+
+
+def _plain_faces(slab, values: np.ndarray):
     """``(u_L, u_R, G(u_L), G(u_R), Q(u_L, u_R))`` per vertical face, ``Q`` from the
-    two ``G`` arrays: what the decomposition and both check lattices of a slab read."""
+    two ``G`` arrays: what the decomposition and both check lattices of a slab
+    (or :class:`_Block`) read."""
     u_left, u_right = slab.neighbor_states(values)
     g_left, g_right = slab.vert.G(u_left), slab.vert.G(u_right)
     return u_left, u_right, g_left, g_right, slab.vert._combine(u_left, u_right, g_left, g_right)
@@ -316,54 +417,59 @@ def decomposition_states(slab: Slab, state: SliceState, tol: float | None = None
     inversion failure therefore flags a CFL or flux-axiom breach.
     ``q_own`` is ``slab.table_plus.q(state.values)`` when the caller has it.
     """
-    return _decompose(slab, state, tol, q_own, _plain_faces(slab, state.values))
+    decomp = _decompose(_Block([slab]), state, tol, q_own, _plain_faces(slab, state.values))
+    return replace(decomp, bracket_residual=decomp.bracket_residual[0])
 
 
-def _decompose(slab: Slab, state: SliceState, tol, q_own, plain) -> DecompositionStates:
-    """:func:`decomposition_states` reading :func:`_plain_faces` ``plain``."""
-    tol = tol if tol is not None else slab.solver.cfg.inversion_tol
+def _decompose(block: _Block, state: SliceState, tol, q_own, plain) -> DecompositionStates:
+    """:func:`decomposition_states` of every slab of ``block``; ``state`` holds the
+    block's inflow states and fluxes, ``plain`` its :func:`_plain_faces`."""
+    tol = tol if tol is not None else block.solver.cfg.inversion_tol
     values = state.values
-    report = slab.lambdas()
+    report = block.lambdas()
     lam, lam_hat = report.lam, report.lam_hat
     u_left, u_right, g_left, g_right, q_lr = plain
-    nb = np.stack([u_left[slab.left_idx], u_right[slab.right_idx]], axis=1)
-    sides = _cell_sides(q_lr, g_left, g_right, slab.left_idx, slab.right_idx)
+    nb = np.stack([u_left[block.left_idx], u_right[block.right_idx]], axis=1)
+    sides = _cell_sides(q_lr, g_left, g_right, block.left_idx, block.right_idx)
     delta_q = np.stack([q_uv - q_uu for q_uv, q_uu, _ in sides], axis=1)
     delta_q_bar = np.stack([q_uv - q_vv for q_uv, _, q_vv in sides], axis=1)
 
     zero = lam_hat <= 0.0
-    flat_tol = 1e-11 * (1.0 + float(np.max(np.abs(state.fluxes))))
-    if np.any(np.abs(delta_q[zero]) > flat_tol) or np.any(np.abs(delta_q_bar[zero]) > flat_tol):
+    # per slab, from the largest flux of its inflow slice
+    flat_tol = 1e-11 * (1.0 + np.repeat(block.per_slab(np.abs(state.fluxes)), block.m))[:, None]
+    if np.any(zero & ((np.abs(delta_q) > flat_tol) | (np.abs(delta_q_bar) > flat_tol))):
         raise ValueOutsideImage("flux varies across a face whose lambda ratio is zero")
 
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(zero, 0.0, delta_q / np.where(zero, 1.0, lam))
         scaled_bar = np.where(zero, 0.0, delta_q_bar / np.where(zero, 1.0, lam))
 
-    q_nb = slab.table_plus.q(nb)
-    q_own = slab.table_plus.q(values) if q_own is None else q_own
-    # one inversion per slab; columns: face states of sides 0, 1, then anchored states
+    table = block.table_plus
+    q_nb = table.q(nb)
+    q_own = table.q(values) if q_own is None else q_own
+    # one inversion per block; columns: face states of sides 0, 1, then anchored states
     skip = np.concatenate([zero, zero], axis=1)
-    targets = np.where(skip, slab.table_plus.image_lo[:, None],   # skipped: a safe in-image value
+    targets = np.where(skip, table.image_lo[:, None],   # skipped: a safe in-image value
                        np.concatenate([q_own[:, None] - scaled, q_nb + scaled_bar], axis=1))
     states = np.where(skip, np.concatenate([np.stack([values, values], axis=1), nb], axis=1),
-                      slab.table_plus.invert(targets, tol=tol))
+                      table.invert(targets, tol=tol))
     face_states, anchored_states = states[:, :2], states[:, 2:]
-    q_states = slab.table_plus.q(states)
+    q_states = table.q(states)
     q_face_states, q_anchored_states = q_states[:, :2], q_states[:, 2:]
 
     lo = np.minimum(q_own[:, None], q_nb)
     hi = np.maximum(q_own[:, None], q_nb)
     scale = 1.0 + np.abs(lo) + np.abs(hi)
-    bracket = max(
-        float(np.max(np.maximum(lo - q_face_states, q_face_states - hi) / scale)),
-        float(np.max(np.maximum(lo - q_anchored_states, q_anchored_states - hi) / scale)))
+    # Python max of the two maxima per slab: a NaN in the first wins, in the second does not
+    bracket = [max(f, a) for f, a in zip(
+        block.per_slab(np.maximum(lo - q_face_states, q_face_states - hi) / scale),
+        block.per_slab(np.maximum(lo - q_anchored_states, q_anchored_states - hi) / scale))]
 
     return DecompositionStates(
-        slab_index=slab.j, face_states=face_states, anchored_states=anchored_states, lam=lam, lam_hat=lam_hat,
-        lam_hat_cell=report.lam_hat_cell, delta_q=delta_q, delta_q_bar=delta_q_bar,
-        neighbor=nb, q_face_states=q_face_states, q_anchored_states=q_anchored_states,
-        bracket_residual=bracket)
+        slab_index=block.j, face_states=face_states, anchored_states=anchored_states, lam=lam,
+        lam_hat=lam_hat, lam_hat_cell=report.lam_hat_cell, delta_q=delta_q,
+        delta_q_bar=delta_q_bar, neighbor=nb, q_face_states=q_face_states,
+        q_anchored_states=q_anchored_states, bracket_residual=bracket, q_neighbor=q_nb)
 
 
 def convex_decomposition_residual(slab: Slab, decomp: DecompositionStates,
@@ -427,12 +533,14 @@ class _CheckLattice:
     ``sides`` holds the cells' side triples (:func:`_cell_sides`) at the pairs,
     from the face arrays at their left, then right faces (:func:`_kruzkov_faces`)
     and :func:`_plain_faces` ``plain``.  The face and cell checks read the pairs
-    in each cell's state hull (:meth:`in_hulls`); the boundary condition reads
-    cells 0 and m - 1 at every point (:func:`_boundary_sides`).
+    in each cell's state hull (:meth:`in_hulls`), each through its entry of
+    ``masks``; the boundary condition reads cells 0 and m - 1 at every point
+    (:func:`_boundary_sides`).
     """
 
     def __init__(self, slab: Slab, cells: np.ndarray, c: np.ndarray, plain):
         self.cells, self.c = cells, c
+        self.masks = [slice(None)]
         self._q = slab.table_plus.q
         faces = np.concatenate([slab.left_idx[cells], slab.right_idx[cells]])
         c = np.concatenate([c, c])
@@ -442,21 +550,34 @@ class _CheckLattice:
             slice(None, cells.size), slice(cells.size, None))
 
     @classmethod
-    def in_hulls(cls, slab: Slab, values: np.ndarray, c, extra, plain) -> "_CheckLattice":
+    def in_hulls(cls, slab: Slab, values: np.ndarray, c, extra, plain,
+                 *more) -> "_CheckLattice":
         """The points of ``c`` (sorted, de-duplicated) in the closed hull of each cell's
         ``u``, both neighbours or ghosts and its ``extra`` states, by cell and then by c.
 
         Off the hull the checks reduce to the decomposition and conservation
         identities.  An empty hull keeps the first point at or above its low
-        end, clamped to the last (a NaN row keeps one NaN pair).
+        end, clamped to the last (a NaN row keeps one NaN pair).  Each of
+        ``more`` is the extra states of another hull: a cell's pairs then run
+        from the first to the last point of all its hulls, and ``masks``
+        selects each hull's own pairs, ``extra``'s first.
         """
         lattice = np.unique(np.asarray(c, dtype=float))
-        rows = np.column_stack([values, plain[0][slab.left_idx], plain[1][slab.right_idx], *extra])
-        start = np.minimum(np.searchsorted(lattice, np.min(rows, axis=1)), lattice.size - 1)
-        counts = np.maximum(np.searchsorted(lattice, np.max(rows, axis=1), "right") - start, 1)
+        shared = [values, plain[0][slab.left_idx], plain[1][slab.right_idx]]
+        hulls = []
+        for states in (extra, *more):
+            rows = np.column_stack(shared + list(states))
+            start = np.minimum(np.searchsorted(lattice, np.min(rows, axis=1)), lattice.size - 1)
+            hulls.append((start, np.maximum(np.searchsorted(lattice, np.max(rows, axis=1),
+                                                            "right"), start + 1)))
+        start = np.minimum.reduce([lo for lo, _ in hulls])
+        counts = np.maximum.reduce([hi for _, hi in hulls]) - start
         cells = np.repeat(np.arange(slab.m), counts)
-        return cls(slab, cells, lattice[np.repeat(start + counts - np.cumsum(counts), counts)
-                                        + np.arange(cells.size)], plain)
+        index = np.repeat(start + counts - np.cumsum(counts), counts) + np.arange(cells.size)
+        out = cls(slab, cells, lattice[index], plain)
+        if more:
+            out.masks = [(lo[cells] <= index) & (index < hi[cells]) for lo, hi in hulls]
+        return out
 
     @cached_property
     def q_c(self) -> np.ndarray:
@@ -475,23 +596,26 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
     at the neighbor state.  A cell's pairs are the points of ``c_values`` in the hull
     of ``u``, both neighbours or ghosts and its face and anchored states (:class:`_CheckLattice`).
     """
-    return _face_residuals(slab, decomp, state.values, c_values, _plain_faces(slab, state.values))
+    values = state.values
+    lattice = _CheckLattice.in_hulls(slab, values, c_values,
+                                     (decomp.face_states, decomp.anchored_states),
+                                     _plain_faces(slab, values))
+    return _face_residuals(decomp, lattice, lattice.q(values))
 
 
-def _face_residuals(slab, decomp, values, c, plain, q_own=None) -> dict[str, np.ndarray]:
-    """:func:`face_entropy_residuals` with ``q_own = q(values)`` if given."""
-    lattice = _CheckLattice.in_hulls(slab, values, c,
-                                     (decomp.face_states, decomp.anchored_states), plain)
-    q_own = lattice.q(values, q_own)
+def _face_residuals(decomp, lattice, k_own, q_states=None) -> dict[str, np.ndarray]:
+    """:func:`face_entropy_residuals` at every pair of ``lattice``, from ``k_own``, the
+    Kruzkov q of the old states there; ``q_states`` is q of the face, anchored and
+    neighbour states, (m, 2) each, if the caller has them."""
     zero = decomp.lam_hat <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_lam = np.where(zero, 0.0, 1.0 / np.where(zero, 1.0, decomp.lam))[lattice.cells]
+    states = (decomp.face_states, decomp.anchored_states, decomp.neighbor)
     dei, bnd = [], []
     for side, (Q_uv, Q_uu, Q_vv) in enumerate(lattice.sides):
-        q_ut = lattice.q(decomp.face_states[:, side])
-        q_ub = lattice.q(decomp.anchored_states[:, side])
-        q_nb = lattice.q(decomp.neighbor[:, side])
-        dei.append(np.maximum(0.0, q_ut - (q_own - inv_lam[:, side] * (Q_uv - Q_uu))))
+        q_ut, q_ub, q_nb = (lattice.q(s[:, side], q if q is None else q[:, side])
+                            for s, q in zip(states, q_states or (None, None, None)))
+        dei.append(np.maximum(0.0, q_ut - (k_own - inv_lam[:, side] * (Q_uv - Q_uu))))
         bnd.append(np.maximum(0.0, q_ub - (q_nb + inv_lam[:, side] * (Q_uv - Q_vv))))
     return {"face_inequality": np.stack(dei), "boundary": np.stack(bnd)}
 
@@ -501,14 +625,16 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
     """Positive part of the per-cell entropy inequality on the local check lattice,
     shape (n,): a cell's pairs are the points of ``c_values`` in the hull of
     ``u``, both neighbours or ghosts, and ``u_plus`` (:class:`_CheckLattice`)."""
-    return _cell_residuals(slab, state.values, state_next, c_values,
-                           _plain_faces(slab, state.values))
+    values = state.values
+    lattice = _CheckLattice.in_hulls(slab, values, c_values, (state_next.values,),
+                                     _plain_faces(slab, values))
+    return _cell_residuals(state_next.values, lattice, lattice.q(values))
 
 
-def _cell_residuals(slab, values, state_next, c, plain, q_own=None, q_next=None) -> np.ndarray:
-    """:func:`cell_entropy_residuals` with ``q_own = q(u)``, ``q_next = q(u_plus)`` if given."""
-    lattice = _CheckLattice.in_hulls(slab, values, c, (state_next.values,), plain)
-    total = lattice.q(state_next.values, q_next) - lattice.q(values, q_own)
+def _cell_residuals(values_next, lattice, k_own, q_next=None) -> np.ndarray:
+    """:func:`cell_entropy_residuals` at every pair of ``lattice``, from ``k_own``, the
+    Kruzkov q of the old states there, and ``q_next = q(u_plus)`` if given."""
+    total = lattice.q(values_next, q_next) - k_own
     for Q_uv, Q_uu, _ in lattice.sides:
         total = total + (Q_uv - Q_uu)
     return np.maximum(0.0, total)
@@ -672,38 +798,40 @@ def global_dissipation_report(slab: Slab, decomp: DecompositionStates,
     side, so a negative slack still indicates a genuine violation.
     """
     pair = pair if pair is not None else square_pair()
-    return _dissipation_report(slab, decomp, state, state_next, pair,
-                               SmoothFaceEntropy(pair, slab.table_plus).q_omega(state_next.values),
-                               SmoothFaceEntropy(pair, slab.table_minus).q_omega(state.values))
+    q_omega_minus = SmoothFaceEntropy(pair, slab.table_minus).q_omega(state.values)
+    q_omega_plus = SmoothFaceEntropy(pair, slab.table_plus).q_omega(state_next.values)
+    return _dissipation_reports(_Block([slab]), decomp, state.values, state_next.values, pair,
+                                [float(np.sum(q_omega_plus))], float(np.sum(q_omega_minus)))[0]
 
 
-def _dissipation_report(slab, decomp, state, state_next, pair, q_omega_plus, q_omega_minus):
-    """:func:`global_dissipation_report` on prebuilt ``q_omega`` of both slices' states."""
-    hull = slab.solver.u_range
+def _dissipation_reports(block, decomp, values, values_next, pair, sums_plus,
+                         sum_minus) -> list[DissipationReport]:
+    """:func:`global_dissipation_report` of each slab of ``block`` from the sums of q_omega
+    on each outflow slice, ``sums_plus``, and on the first inflow slice, ``sum_minus``."""
+    hull = block.solver.u_range
     c_mod = pair.convexity_modulus((min(hull[0], 0.0), max(hull[1], 0.0)))
-
-    coeff = (slab.table_plus.dq_min ** 2 / slab.table_plus.dq_max)[:, None]
-    diss = float(np.sum(decomp.lam * coeff
-                        * (decomp.face_states - state_next.values[:, None]) ** 2))
-
-    boundary_sum = 0.0
-    if not slab.periodic:
-        for (column, side), b in zip(((0, "left"), (slab.m - 1, "right")), slab.ghost_values()):
-            boundary_sum += smooth_entropy_numerical_flux(
-                slab, column, side, pair, float(state.values[column]), b)
-
-    lhs = float(np.sum(q_omega_plus)) + c_mod * diss
-    rhs = -boundary_sum + float(np.sum(q_omega_minus))
-    slack = rhs - lhs
-
     square_like = abs(float(pair.u(0.0))) < 1e-14 and abs(float(pair.du(0.0))) < 1e-14
-    slack_sq = None
-    if square_like:
+
+    table = block.table_plus
+    coeff = (table.dq_min ** 2 / table.dq_max)[:, None]
+    dissipation = block.per_slab(decomp.lam * coeff * (decomp.face_states - values_next[:, None]) ** 2,
+                                 np.sum)
+    reports = []
+    for slab, diss, sum_plus in zip(block.slabs, dissipation, sums_plus):
+        boundary_sum = 0.0
+        if not slab.periodic:
+            start = (slab.j - block.j) * block.m
+            for (column, side), b in zip(((0, "left"), (slab.m - 1, "right")), slab.ghost_values()):
+                boundary_sum += smooth_entropy_numerical_flux(
+                    slab, column, side, pair, float(values[start + column]), b)
+        lhs = sum_plus + c_mod * diss
+        rhs = -boundary_sum + sum_minus
         # anchored convex pairs with vanishing slope at zero have q_omega >= 0
-        slack_sq = rhs - c_mod * diss
-    return DissipationReport(slab_index=slab.j, dissipation=diss, lhs_general=lhs,
-                             rhs=rhs, slack_general=slack,
-                             slack_square_variant=slack_sq)
+        reports.append(DissipationReport(
+            slab_index=slab.j, dissipation=diss, lhs_general=lhs, rhs=rhs, slack_general=rhs - lhs,
+            slack_square_variant=rhs - c_mod * diss if square_like else None))
+        sum_minus = sum_plus
+    return reports
 
 
 def outflow_entropy_convexity_residual(slab: Slab, decomp: DecompositionStates,
@@ -954,7 +1082,7 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         state_next = result.states[j + 1]
         values = state.values
         plain = _plain_faces(slab, values)
-        decomp = _decompose(slab, state, None, None, plain)
+        decomp = _decompose(_Block([slab]), state, None, None, plain)
         w_t = slab.vert.weights
 
         # psi averages on vertical faces (coordinate measure) and their
@@ -1067,6 +1195,11 @@ def _volume_term(tri, slab, flux, psi, values, c, cell_rule) -> float:
 # run-level verification
 # ---------------------------------------------------------------------------
 
+_CHECK_NAMES = ("decomposition_identity", "bracketing", "face_inequality",
+                "face_inequality_neighbor", "cell_inequality", "boundary_condition",
+                "outflow_convexity_square", "conservation_identity", "dissipation_slack")
+
+
 @dataclass
 class CheckSummary:
     name: str
@@ -1112,70 +1245,117 @@ def verify_run(result: RunResult, tol: float | None = None,
     boundary condition at every point, the face and cell checks at each cell's
     points in its state hull (elsewhere they reduce to the decomposition and
     conservation identities); ``c_lattice_sizes`` records the full lattice
-    sizes.  The quadratic pair drives the dissipation estimate.  The default
-    tolerance scales with the slab flux magnitude.
+    sizes.  The quadratic pair drives the dissipation estimate.  Slab 0's
+    conservation identity also covers the initial slice.  The default
+    tolerance scales with the largest finite slice flux; a given one must
+    be finite and non-negative (``ValueError``).
+
+    The slabs run in blocks of ``VERIFY_BLOCK_ROWS // m`` (at least one)
+    (:class:`_Block`): the per-cell families once per block, the check
+    lattice once per slab (:func:`_verify_block`).
     """
     tri = result.tri
     solver = solver if solver is not None else Solver(
         tri, result.flux, result.spec, result.bd, result.cfg)
+    states = result.states
+    if tol is None:
+        flux_scale = max(float(np.max(np.abs(s.fluxes), initial=0.0, where=np.isfinite(s.fluxes)))
+                         for s in states)
+        tol = 1e-9 * (1.0 + flux_scale)
+    elif not (np.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"entropy tolerance must be finite and non-negative, got {tol!r}")
 
-    flux_scale = max(float(np.max(np.abs(s.fluxes))) for s in result.states)
-    tol = tol if tol is not None else 1e-9 * (1.0 + flux_scale)
-
-    names = ["decomposition_identity", "bracketing", "face_inequality", "face_inequality_neighbor",
-             "cell_inequality", "boundary_condition", "outflow_convexity_square",
-             "conservation_identity", "dissipation_slack"]
-    per_slab: dict[str, list[float]] = {n: [] for n in names}
-    lattice_sizes = []
-    square = square_pair()
-    q_omega_minus = SmoothFaceEntropy(square, solver.slice_table(0)).q_omega(
-        result.states[0].values)
-
-    for j in range(tri.n_slabs):
-        slab = solver.slab(j)
-        state = result.states[j]
-        state_next = result.states[j + 1]
-        # q of both slices' states on the outflow table and the plain face
-        # fluxes, each evaluated once per slab for every check that reads them
-        q_own = slab.table_plus.q(state.values)
-        q_next = slab.table_plus.q(state_next.values)
-        plain = _plain_faces(slab, state.values)
-        decomp = _decompose(slab, state, None, q_own, plain)
-        c_vals = kruzkov_lattice(slab, state)
-        lattice_sizes.append(int(c_vals.size))
-
-        per_slab["decomposition_identity"].append(
-            float(np.max(convex_decomposition_residual(slab, decomp, state_next, q_next))))
-        per_slab["bracketing"].append(decomp.bracket_residual)
-
-        face_res = _face_residuals(slab, decomp, state.values, c_vals, plain, q_own)
-        per_slab["face_inequality"].append(float(np.max(face_res["face_inequality"])))
-        per_slab["face_inequality_neighbor"].append(float(np.max(face_res["boundary"])))
-        per_slab["cell_inequality"].append(float(np.max(
-            _cell_residuals(slab, state.values, state_next, c_vals, plain, q_own, q_next))))
-
-        per_slab["boundary_condition"].append(0.0 if slab.periodic else _positive_max(
-            np.concatenate(_boundary_condition_gaps(slab, plain, KruzkovPair(c_vals)))))
-
-        # q_omega(u_plus) serves convexity, dissipation and the next slab's inflow
-        ent = SmoothFaceEntropy(square, slab.table_plus)
-        q_omega_plus = ent.q_omega(state_next.values)
-        per_slab["outflow_convexity_square"].append(float(np.max(
-            _convexity_residual(decomp, q_omega_plus, ent.q_omega(decomp.face_states)))))
-
-        per_slab["conservation_identity"].append(float(np.max(np.abs(q_next - state_next.fluxes))))
-
-        rep = _dissipation_report(slab, decomp, state, state_next, square,
-                                  q_omega_plus, q_omega_minus)
-        q_omega_minus = q_omega_plus
-        slacks = [s for s in (rep.slack_general, rep.slack_square_variant) if s is not None]
-        per_slab["dissipation_slack"].append(_positive_max(-np.array(slacks)))
+    per_slab: dict[str, list[float]] = {n: [] for n in _CHECK_NAMES}
+    lattice_sizes: list[int] = []
+    first = solver.slice_table(0)
+    slice0_gap = float(np.max(np.abs(first.q(states[0].values) - states[0].fluxes)))
+    sum_minus = float(np.sum(SmoothFaceEntropy(square_pair(), first).q_omega(states[0].values)))
+    size = max(1, VERIFY_BLOCK_ROWS // tri.n_columns)
+    for j0 in range(0, tri.n_slabs, size):
+        slabs = range(j0, min(j0 + size, tri.n_slabs))
+        try:
+            series, sizes, sum_minus = _verify_block(solver, states, slabs, sum_minus)
+        except (ValueOutsideImage, ConvergenceError):
+            for j in slabs:   # slab by slab, so the first failing slab names its own face
+                sum_minus = _verify_block(solver, states, range(j, j + 1), sum_minus)[2]
+            raise
+        for name in _CHECK_NAMES:
+            per_slab[name] += series[name]
+        lattice_sizes += sizes
+    conservation = per_slab["conservation_identity"]
+    conservation[0] = float(np.maximum(slice0_gap, conservation[0]))   # a NaN in either stays
 
     checks = []
-    for name in names:
+    for name in _CHECK_NAMES:
         series = per_slab[name]
         worst = float(np.max(series)) if series else 0.0   # a NaN anywhere fails the check
         checks.append(CheckSummary(name=name, max_residual=float(worst), tol=tol,
                                    n_checked=len(series), passed=bool(worst <= tol)))
     return EntropyReport(checks=checks, per_slab=per_slab, tol=tol,
                          c_lattice_sizes=lattice_sizes)
+
+
+def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus: float):
+    """The per-slab series of :func:`verify_run` for slabs ``js``, their lattice sizes, and
+    the sum of the square pair's q_omega on the last outflow slice.
+
+    ``sum_minus`` is that sum on the first inflow slice.  The decomposition,
+    the identity, bracketing, conservation, convexity and dissipation checks
+    run once on the block's rows and reduce per slab; each slab's check
+    lattice is the union of its face and cell check pairs, with G(c), q(c)
+    and the face arrays evaluated once for both checks.
+    """
+    block = _Block([solver.slab(j) for j in js])
+    m, nv = block.m, block.slabs[0].vert.n_faces
+    inflow, outflow = (SliceState(block.j + k, None,
+                                  np.concatenate([states[j + k].values for j in js]),
+                                  np.concatenate([states[j + k].fluxes for j in js]))
+                       for k in (0, 1))
+    values, values_next = inflow.values, outflow.values
+    table = block.table_plus
+    q_own, q_next = table.q(values), table.q(values_next)
+    plain = _plain_faces(block, values)
+    decomp = _decompose(block, inflow, None, q_own, plain)
+    square = square_pair()
+    entropies = [SmoothFaceEntropy(square, slab.table_plus) for slab in block.slabs]
+    ent = entropies[0] if block.n == 1 else _sharing(   # each slice's table, stacked
+        entropies[0], table=table, _cumulative=np.concatenate([e._cumulative for e in entropies]))
+    q_omega_plus = ent.q_omega(values_next)
+    sums_plus = block.per_slab(q_omega_plus, np.sum)
+    reports = _dissipation_reports(block, decomp, values, values_next, square, sums_plus,
+                                   sum_minus)
+    series = {
+        "decomposition_identity": block.per_slab(
+            convex_decomposition_residual(block, decomp, outflow, q_next)),
+        "bracketing": decomp.bracket_residual,
+        "face_inequality": [], "face_inequality_neighbor": [], "cell_inequality": [],
+        "boundary_condition": [],
+        "outflow_convexity_square": block.per_slab(
+            _convexity_residual(decomp, q_omega_plus, ent.q_omega(decomp.face_states))),
+        "conservation_identity": block.per_slab(np.abs(q_next - outflow.fluxes)),
+        "dissipation_slack": [_positive_max(-np.array(
+            [s for s in (rep.slack_general, rep.slack_square_variant) if s is not None]))
+            for rep in reports],
+    }
+    sizes = []
+    for b, slab in enumerate(block.slabs):
+        rows, faces = slice(b * m, (b + 1) * m), slice(b * nv, (b + 1) * nv)
+        cells = replace(decomp, **{k: v[rows] for k, v in vars(decomp).items()
+                                   if isinstance(v, np.ndarray)})
+        u, u_next, plain_b = values[rows], values_next[rows], [a[faces] for a in plain]
+        c_vals = kruzkov_lattice(slab, states[slab.j])
+        sizes.append(int(c_vals.size))
+        lattice = _CheckLattice.in_hulls(slab, u, c_vals,
+                                         (cells.face_states, cells.anchored_states), plain_b,
+                                         (u_next,))
+        face_pairs, cell_pairs = lattice.masks
+        k_own = lattice.q(u, q_own[rows])
+        face = _face_residuals(cells, lattice, k_own, (cells.q_face_states,
+                                                       cells.q_anchored_states, cells.q_neighbor))
+        series["face_inequality"].append(float(np.max(face["face_inequality"][:, face_pairs])))
+        series["face_inequality_neighbor"].append(float(np.max(face["boundary"][:, face_pairs])))
+        series["cell_inequality"].append(float(np.max(
+            _cell_residuals(u_next, lattice, k_own, q_next[rows])[cell_pairs])))
+        series["boundary_condition"].append(0.0 if slab.periodic else _positive_max(
+            np.concatenate(_boundary_condition_gaps(slab, plain_b, KruzkovPair(c_vals)))))
+    return series, sizes, sums_plus[-1]

@@ -288,6 +288,47 @@ class TestEntropyCheckCommand:
         report = json.loads(Path(out, "entropy_report.json").read_text())
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_meaningless_tolerance_is_a_config_error(self, tmp_path, capsys, value):
+        # a NaN or negative tolerance fails every check and inf passes every
+        # one: none of them says anything about the run, so none is accepted
+        cfg, out = write_config(tmp_path)
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        run_path = os.path.join(out, "run.json")
+        capsys.readouterr()
+        assert main(["entropy-check", "--run", run_path, "--tol", value]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            f"config error: --tol: must be finite and non-negative, got {float(value)!r}")
+        assert not Path(out, "entropy_report.json").exists()
+        # the same value as [entropy] tol, in a config and in a run artifact's config
+        message = f"config error: [entropy] tol: must be finite and non-negative, got {float(value)!r}"
+        bad, _ = write_config(tmp_path, name="bad.ini", extra=f"\n[entropy]\ntol = {value}\n")
+        assert main(["run", "--config", bad]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == message
+        meta = json.loads(Path(run_path).read_text())
+        meta["config"]["entropy"] = {"tol": value}
+        Path(run_path).write_text(json.dumps(meta))
+        assert main(["entropy-check", "--run", run_path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == message
+        assert not Path(out, "entropy_report.json").exists()
+
+    def test_nan_initial_slice_flux_fails_the_check(self, tmp_path):
+        # slab 0's conservation identity covers slice 0, whose q no other check reads
+        cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        table = Path(out, "slices.csv")
+        lines = table.read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        assert fields[0] == "0"
+        lines[1] = ",".join(fields[:-1] + ["nan\r\n"])
+        table.write_text("".join(lines))
+        assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_VERIFICATION
+        report = json.loads(Path(out, "entropy_report.json").read_text())
+        conservation = next(c for c in report["checks"] if c["name"] == "conservation_identity")
+        assert np.isnan(conservation["max_residual"]) and not conservation["passed"]
+        assert np.isnan(report["per_slab"]["conservation_identity"][0])
+        assert np.isfinite(report["tol"])
+
     def test_roundtrip_reproduces_identical_residuals(self, tmp_path):
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
         main(["run", "--config", cfg])
@@ -361,6 +402,26 @@ class TestEntropyCheckCommand:
         table = path.read_bytes()
         assert table == _per_row_csv(result)
         assert all(text in table for text in (b",-0,", b",-0\r\n", b",0\r\n", b",nan\r\n"))
+
+    def test_state_table_in_several_writes_equals_per_row_formatting(self, tmp_path, monkeypatch):
+        # four slices per write: the run spans several chunks, a chunk boundary
+        # falls between two slices mid-run, and the last chunk is short
+        cfg, _ = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
+        setup = load_config(cfg)
+        result = Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd,
+                        setup.cfg).run()
+        m, n = result.tri.n_columns, len(result.states)
+        assert n >= 9 and n % 4 != 0
+        result.states[4].values[:3] = [0.0, -0.0, np.nan]
+        monkeypatch.setattr(cli_module, "CSV_ROWS_PER_WRITE", 4 * m + m // 2)
+        texts = cli_module._texts
+        calls = []
+        monkeypatch.setattr(cli_module, "_texts",
+                            lambda values, fmt: calls.append(values.size) or texts(values, fmt))
+        path = tmp_path / "slices.csv"
+        write_run_csv(result, str(path))
+        assert path.read_bytes() == _per_row_csv(result)
+        assert calls == [4 * m, 4 * m] * (n // 4) + [(n % 4) * m] * 2
 
     @pytest.mark.parametrize("keep", [-1, 1])
     def test_missing_or_short_slice_is_a_config_error(self, tmp_path, capsys, keep):

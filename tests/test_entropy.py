@@ -825,10 +825,12 @@ class TestLocalLattice:
 
         decompose = entropy._decompose
 
-        def nan_face_state(slab, *args):
-            out = decompose(slab, *args)
-            if slab.j == 2:
-                out.face_states[4, 0] = np.nan
+        def nan_face_state(block, *args):
+            # cell 4 of slab 2 in the block that holds it; q of a NaN state is NaN
+            out = decompose(block, *args)
+            if block.j <= 2 < block.j + block.n:
+                row = (2 - block.j) * block.m + 4
+                out.face_states[row, 0] = out.q_face_states[row, 0] = np.nan
             return out
 
         monkeypatch.setattr(entropy, "_decompose", nan_face_state)
@@ -854,7 +856,9 @@ class TestLocalLattice:
 
     def test_verify_evaluates_the_plain_face_fluxes_once_per_slab(self):
         # a circle has no boundary terms, so G is evaluated only by the plain
-        # face arrays and at the pairs of the two lattices
+        # face arrays and at the pairs of the one lattice the face and cell
+        # checks share: per cell, its points from the first to the last pair
+        # of either check
         base = _traveling_density_solver()
         flux, calls = counting_flux(base.flux)
         solver = Solver(base.tri, flux, base.spec, base.bd, base.cfg)
@@ -864,11 +868,13 @@ class TestLocalLattice:
         for j in range(result.tri.n_slabs):
             slab, state = solver.slab(j), result.states[j]
             c = kruzkov_lattice(slab, state)
-            n_face = _loop_pairs(_face_rows(slab, decomposition_states(slab, state), state.values),
-                                 c)[0].size
-            n_cell = _loop_pairs(_cell_rows(slab, state.values, result.states[j + 1].values),
-                                 c)[0].size
-            expected += nq * (2 * nv + 2 * (n_face + n_cell))
+            face = _loop_pairs(_face_rows(slab, decomposition_states(slab, state), state.values), c)
+            cell = _loop_pairs(_cell_rows(slab, state.values, result.states[j + 1].values), c)
+            cells, cols = (np.concatenate(a) for a in zip(face, cell))
+            first, last = np.full(slab.m, c.size), np.full(slab.m, -1)
+            np.minimum.at(first, cells, cols)
+            np.maximum.at(last, cells, cols)
+            expected += nq * (2 * nv + 2 * int(np.sum(last - first + 1)))
         calls.clear()
         verify_run(result, solver=solver)
         assert sum(calls[("w", 0)]) == expected
@@ -1283,6 +1289,30 @@ class TestVerifyRun:
         names = {c.name for c in report.checks}
         assert {"decomposition_identity", "face_inequality", "cell_inequality", "dissipation_slack",
                 "boundary_condition", "conservation_identity"} <= names
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_meaningless_tolerance_is_rejected(self, tol):
+        result = boundary_driven_burgers_case(t_final=0.2).run(12)
+        with pytest.raises(ValueError, match=f"finite and non-negative, got {tol!r}"):
+            verify_run(result, tol=tol)
+
+    @pytest.mark.parametrize("tol", [None, 1e-9], ids=["default-tol", "given-tol"])
+    def test_nan_slice_flux_fails_wherever_it_sits(self, tol):
+        # slice 0's fluxes are checked by slab 0's conservation identity, and
+        # the default tolerance reads finite fluxes only
+        result = boundary_driven_burgers_case(t_final=0.2).run(12)
+        clean = verify_run(result, tol=tol)
+        assert clean.passed
+        for j in (0, 3):
+            state = result.states[j]
+            fluxes = state.fluxes.copy()
+            fluxes[5] = np.nan
+            states = list(result.states)
+            states[j] = SliceState(state.slice_index, state.face_ids, state.values, fluxes)
+            report = verify_run(replace(result, states=states), tol=tol)
+            assert np.isnan(report.per_slab["conservation_identity"][max(j - 1, 0)])
+            assert not report.passed
+            assert report.tol == clean.tol and np.isfinite(report.tol)
 
     def test_boundary_condition_is_the_single_pair_check_over_the_lattice(self):
         result = boundary_driven_burgers_case(t_final=0.3).run(10)
