@@ -37,16 +37,13 @@ superposes the same face arrays with a fixed Gauss rule on the pieces
 between the integrand's kinks (:func:`smooth_entropy_numerical_flux`), so
 no check calls a scalar numerical flux.
 
-:func:`verify_run` runs blocks of ``VERIFY_BLOCK_ROWS // m`` slabs (at least
-one) on one (slab, column) row axis (:class:`_Block`): the slabs' tables
-stacked row by row, the plain face fluxes, the decomposition (one
-inversion), the identity, bracketing, conservation, convexity and
-dissipation checks once per block, each reduced per slab over its rows.
-The row budget bounds the block's arrays; the check lattice stays per
-slab, one lattice for the face and the cell check, each reading its own
-pairs through a mask (:meth:`_CheckLattice.in_hulls`).  A smooth pair's
-table for a dq that does not read u is the dq column times one factor
-shared by every face (:class:`SmoothFaceEntropy`).
+:func:`verify_run` runs the solver's blocks of slabs (:meth:`Solver.block`):
+the plain face fluxes, the decomposition (one inversion), the identity,
+bracketing, conservation, convexity and dissipation checks, and a smooth
+pair's table once per block, each reduced per slab.  One check lattice per
+slab serves the face and the cell check through masks
+(:meth:`_CheckLattice.in_hulls`).  A smooth pair's table for a dq that does
+not read u is the dq column times one (panel, node) factor.
 
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit, at every block size.
@@ -67,10 +64,9 @@ from .mesh import (
     ConvergenceError,
     SpacelikeTable,
     ValueOutsideImage,
-    _sharing,
     bracketed_root,
 )
-from .scheme import LambdaReport, RunResult, Slab, SliceState, Solver
+from .scheme import RunResult, Slab, SlabBlock, SliceState, Solver
 
 __all__ = [
     "ContractionReport",
@@ -101,7 +97,6 @@ __all__ = [
 SMOOTH_PANELS = 32        # Gauss panels of SmoothFaceEntropy's table on the hull and 0
 SMOOTH_PANEL_NODES = 10   # Gauss nodes per panel
 SMOOTH_FLUX_NODES = 20    # Gauss nodes per piece of a smooth pair's numerical entropy flux
-VERIFY_BLOCK_ROWS = 320   # (slab, column) rows per block of verify_run: ~4 slabs at m = 80
 
 
 def _kruzkov(f: Callable, c, *states):
@@ -273,8 +268,9 @@ class SmoothFaceEntropy:
         k = np.fmin(np.fmax(np.floor(flat / self._h) + self._n_neg, 0.0),
                     self._starts.size - 1).astype(np.intp)
         start = self._starts[k]
-        return (np.take_along_axis(self._cumulative, k, axis=1)
-                + self._panels(start, flat - start)).reshape(w.shape)
+        # a block table tiled from one slice's table (flux not reading t) repeats its rows
+        rows = np.arange(flat.shape[0])[:, None] % self._cumulative.shape[0]
+        return (self._cumulative[rows, k] + self._panels(start, flat - start)).reshape(w.shape)
 
 
 def entropy_total_flux(table: SpacelikeTable, pair, ubar):
@@ -321,82 +317,10 @@ class DecompositionStates:
     q_neighbor: np.ndarray | None = None   # (m, 2)
 
 
-def _stacked(tables: list, **fixed):
-    """``tables[0]`` with each per-face array of ``tables`` concatenated along the face axis.
-
-    A per-face array is one whose first axis has ``tables[0]``'s face count;
-    two-dimensional ones are widened with NaN to the widest (a NaN critical
-    point is never inside a face's states).  ``fixed`` sets attributes as
-    given and ``derived`` starts empty.  Built by
-    :func:`~spacetime_fvm.mesh._sharing`, so the flux callbacks are shared.
-    """
-    if len(tables) == 1:
-        return tables[0]
-    first, rows = tables[0], {}
-    for name, value in vars(first).items():
-        if name in fixed or not (isinstance(value, np.ndarray)
-                                 and value.shape[:1] == (first.n_faces,)):
-            continue
-        parts = [vars(t)[name] for t in tables]
-        if value.ndim == 2:
-            width = max(p.shape[1] for p in parts)
-            parts = [p if p.shape[1] == width else
-                     np.pad(p, ((0, 0), (0, width - p.shape[1])), constant_values=np.nan)
-                     for p in parts]
-        rows[name] = np.concatenate(parts)
-    return _sharing(first, derived={}, **rows, **fixed)
-
-
-class _Block:
-    """Consecutive slabs of a run as one slab on the (slab, column) row axis.
-
-    Cell row ``b * m + i`` is column i of ``slabs[b]`` and face row
-    ``b * nv + k`` its vertical face k.  ``table_plus`` and ``vert`` are the
-    slabs' tables with their per-face arrays stacked (:func:`_stacked`; the
-    vertical weights per row, read on all rows only).  The kernels that read them (:func:`~spacetime_fvm.mesh.face_sums`,
-    the inversion, ``_combine``) work row by row, so each slab's rows get
-    the bits of a one-slab block.  The stacked face ids are row numbers:
-    :func:`verify_run` re-runs a block that raises slab by slab, which names
-    the face.
-    """
-
-    def __init__(self, slabs: list[Slab]):
-        first = slabs[0]
-        self.slabs, self.n, self.m = slabs, len(slabs), first.m
-        self.j, self.solver, self.periodic = first.j, first.solver, first.periodic
-        shift = first.vert.n_faces * np.arange(self.n)[:, None]
-        self.left_idx = (first.left_idx + shift).ravel()
-        self.right_idx = (first.right_idx + shift).ravel()
-        self.table_plus = _stacked([s.table_plus for s in slabs], face_ids=range(self.n * self.m))
-        verts = [s.vert for s in slabs]   # per-row weights: slab heights may differ
-        self.vert = _stacked(verts, weights=np.concatenate(
-            [np.broadcast_to(v.weights, v.pts.shape[:2]) for v in verts]))
-
-    def lambdas(self) -> LambdaReport:
-        reports = [s.lambdas() for s in self.slabs]
-        lam_hat, lam_hat_cell, lam = (np.concatenate([getattr(r, name) for r in reports])
-                                      for name in ("lam_hat", "lam_hat_cell", "lam"))
-        return LambdaReport(lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam,
-                            cfl_limit=reports[0].cfl_limit, passed=all(r.passed for r in reports))
-
-    def neighbor_states(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`Slab.neighbor_states` of every slab, face rows slab by slab."""
-        cells = values.reshape(self.n, self.m)
-        if self.periodic:
-            return np.roll(cells, 1, axis=1).ravel(), values
-        ghosts = self.solver.ghosts[self.j:self.j + self.n]
-        return (np.concatenate([ghosts[:, :1], cells], axis=1).ravel(),
-                np.concatenate([cells, ghosts[:, 1:]], axis=1).ravel())
-
-    def per_slab(self, values: np.ndarray, reduce=np.max) -> list[float]:
-        """``reduce`` of each slab's rows of ``values`` (cells first), as floats."""
-        return reduce(values.reshape(self.n, -1), axis=1).tolist()
-
-
 def _plain_faces(slab, values: np.ndarray):
     """``(u_L, u_R, G(u_L), G(u_R), Q(u_L, u_R))`` per vertical face, ``Q`` from the
     two ``G`` arrays: what the decomposition and both check lattices of a slab
-    (or :class:`_Block`) read."""
+    (or :class:`~spacetime_fvm.scheme.SlabBlock`) read."""
     u_left, u_right = slab.neighbor_states(values)
     g_left, g_right = slab.vert.G(u_left), slab.vert.G(u_right)
     return u_left, u_right, g_left, g_right, slab.vert._combine(u_left, u_right, g_left, g_right)
@@ -417,16 +341,16 @@ def decomposition_states(slab: Slab, state: SliceState, tol: float | None = None
     inversion failure therefore flags a CFL or flux-axiom breach.
     ``q_own`` is ``slab.table_plus.q(state.values)`` when the caller has it.
     """
-    decomp = _decompose(_Block([slab]), state, tol, q_own, _plain_faces(slab, state.values))
+    decomp = _decompose(slab.block(), state, tol, q_own, _plain_faces(slab, state.values))
     return replace(decomp, bracket_residual=decomp.bracket_residual[0])
 
 
-def _decompose(block: _Block, state: SliceState, tol, q_own, plain) -> DecompositionStates:
+def _decompose(block: SlabBlock, state: SliceState, tol, q_own, plain) -> DecompositionStates:
     """:func:`decomposition_states` of every slab of ``block``; ``state`` holds the
     block's inflow states and fluxes, ``plain`` its :func:`_plain_faces`."""
     tol = tol if tol is not None else block.solver.cfg.inversion_tol
     values = state.values
-    report = block.lambdas()
+    report = block.report
     lam, lam_hat = report.lam, report.lam_hat
     u_left, u_right, g_left, g_right, q_lr = plain
     nb = np.stack([u_left[block.left_idx], u_right[block.right_idx]], axis=1)
@@ -460,10 +384,9 @@ def _decompose(block: _Block, state: SliceState, tol, q_own, plain) -> Decomposi
     lo = np.minimum(q_own[:, None], q_nb)
     hi = np.maximum(q_own[:, None], q_nb)
     scale = 1.0 + np.abs(lo) + np.abs(hi)
-    # Python max of the two maxima per slab: a NaN in the first wins, in the second does not
-    bracket = [max(f, a) for f, a in zip(
-        block.per_slab(np.maximum(lo - q_face_states, q_face_states - hi) / scale),
-        block.per_slab(np.maximum(lo - q_anchored_states, q_anchored_states - hi) / scale))]
+    # per slab, the larger of the two families' maxima; a NaN in either stays
+    bracket = np.maximum(*(block.per_slab(np.maximum(lo - q, q - hi) / scale)
+                           for q in (q_face_states, q_anchored_states))).tolist()
 
     return DecompositionStates(
         slab_index=block.j, face_states=face_states, anchored_states=anchored_states, lam=lam,
@@ -800,13 +723,14 @@ def global_dissipation_report(slab: Slab, decomp: DecompositionStates,
     pair = pair if pair is not None else square_pair()
     q_omega_minus = SmoothFaceEntropy(pair, slab.table_minus).q_omega(state.values)
     q_omega_plus = SmoothFaceEntropy(pair, slab.table_plus).q_omega(state_next.values)
-    return _dissipation_reports(_Block([slab]), decomp, state.values, state_next.values, pair,
-                                [float(np.sum(q_omega_plus))], float(np.sum(q_omega_minus)))[0]
+    return _dissipation_reports(slab.block(), [slab], decomp, state.values, state_next.values,
+                                pair, [float(np.sum(q_omega_plus))],
+                                float(np.sum(q_omega_minus)))[0]
 
 
-def _dissipation_reports(block, decomp, values, values_next, pair, sums_plus,
+def _dissipation_reports(block, slabs, decomp, values, values_next, pair, sums_plus,
                          sum_minus) -> list[DissipationReport]:
-    """:func:`global_dissipation_report` of each slab of ``block`` from the sums of q_omega
+    """:func:`global_dissipation_report` of each of ``slabs`` (``block``'s) from the sums of q_omega
     on each outflow slice, ``sums_plus``, and on the first inflow slice, ``sum_minus``."""
     hull = block.solver.u_range
     c_mod = pair.convexity_modulus((min(hull[0], 0.0), max(hull[1], 0.0)))
@@ -817,7 +741,7 @@ def _dissipation_reports(block, decomp, values, values_next, pair, sums_plus,
     dissipation = block.per_slab(decomp.lam * coeff * (decomp.face_states - values_next[:, None]) ** 2,
                                  np.sum)
     reports = []
-    for slab, diss, sum_plus in zip(block.slabs, dissipation, sums_plus):
+    for slab, diss, sum_plus in zip(slabs, dissipation, sums_plus):
         boundary_sum = 0.0
         if not slab.periodic:
             start = (slab.j - block.j) * block.m
@@ -1082,7 +1006,7 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         state_next = result.states[j + 1]
         values = state.values
         plain = _plain_faces(slab, values)
-        decomp = _decompose(_Block([slab]), state, None, None, plain)
+        decomp = _decompose(slab.block(), state, None, None, plain)
         w_t = slab.vert.weights
 
         # psi averages on vertical faces (coordinate measure) and their
@@ -1250,9 +1174,8 @@ def verify_run(result: RunResult, tol: float | None = None,
     tolerance scales with the largest finite slice flux; a given one must
     be finite and non-negative (``ValueError``).
 
-    The slabs run in blocks of ``VERIFY_BLOCK_ROWS // m`` (at least one)
-    (:class:`_Block`): the per-cell families once per block, the check
-    lattice once per slab (:func:`_verify_block`).
+    The slabs run in the solver's blocks (:meth:`Solver.block`): the per-cell
+    families once per block, the check lattice once per slab (:func:`_verify_block`).
     """
     tri = result.tri
     solver = solver if solver is not None else Solver(
@@ -1270,9 +1193,9 @@ def verify_run(result: RunResult, tol: float | None = None,
     first = solver.slice_table(0)
     slice0_gap = float(np.max(np.abs(first.q(states[0].values) - states[0].fluxes)))
     sum_minus = float(np.sum(SmoothFaceEntropy(square_pair(), first).q_omega(states[0].values)))
-    size = max(1, VERIFY_BLOCK_ROWS // tri.n_columns)
-    for j0 in range(0, tri.n_slabs, size):
-        slabs = range(j0, min(j0 + size, tri.n_slabs))
+    slabs = range(0)
+    while slabs.stop < tri.n_slabs:
+        slabs = solver.block(slabs.stop).slabs
         try:
             series, sizes, sum_minus = _verify_block(solver, states, slabs, sum_minus)
         except (ValueOutsideImage, ConvergenceError):
@@ -1305,8 +1228,9 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
     lattice is the union of its face and cell check pairs, with G(c), q(c)
     and the face arrays evaluated once for both checks.
     """
-    block = _Block([solver.slab(j) for j in js])
-    m, nv = block.m, block.slabs[0].vert.n_faces
+    slabs = [solver.slab(j) for j in js]
+    block = solver.block(js.start) if len(js) > 1 else slabs[0].block()
+    m, nv = block.m, slabs[0].vert.n_faces
     inflow, outflow = (SliceState(block.j + k, None,
                                   np.concatenate([states[j + k].values for j in js]),
                                   np.concatenate([states[j + k].fluxes for j in js]))
@@ -1317,12 +1241,10 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
     plain = _plain_faces(block, values)
     decomp = _decompose(block, inflow, None, q_own, plain)
     square = square_pair()
-    entropies = [SmoothFaceEntropy(square, slab.table_plus) for slab in block.slabs]
-    ent = entropies[0] if block.n == 1 else _sharing(   # each slice's table, stacked
-        entropies[0], table=table, _cumulative=np.concatenate([e._cumulative for e in entropies]))
+    ent = SmoothFaceEntropy(square, table)
     q_omega_plus = ent.q_omega(values_next)
     sums_plus = block.per_slab(q_omega_plus, np.sum)
-    reports = _dissipation_reports(block, decomp, values, values_next, square, sums_plus,
+    reports = _dissipation_reports(block, slabs, decomp, values, values_next, square, sums_plus,
                                    sum_minus)
     series = {
         "decomposition_identity": block.per_slab(
@@ -1338,7 +1260,7 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
             for rep in reports],
     }
     sizes = []
-    for b, slab in enumerate(block.slabs):
+    for b, slab in enumerate(slabs):
         rows, faces = slice(b * m, (b + 1) * m), slice(b * nv, (b + 1) * nv)
         cells = replace(decomp, **{k: v[rows] for k, v in vars(decomp).items()
                                    if isinstance(v, np.ndarray)})

@@ -418,10 +418,15 @@ def segment_nodes(rule: QuadratureRule, axis: int, fixed, lo, length):
     return pts, length[..., None] * rule.weights
 
 
-def _sharing(obj, **geometry):
-    """A new object of ``obj``'s class sharing all its attributes but ``geometry``."""
+def _sharing(obj, rows=None, **geometry):
+    """A new object of ``obj``'s class sharing all its attributes but ``geometry``; given
+    ``rows``, each other array is tiled ``rows`` times (an int) or cut to ``rows`` (a slice)."""
     new = object.__new__(type(obj))
     new.__dict__.update(obj.__dict__, **geometry)
+    if rows is not None:
+        new.__dict__.update((k, v[rows] if isinstance(rows, slice) else np.concatenate([v] * rows))
+                            for k, v in obj.__dict__.items()
+                            if isinstance(v, np.ndarray) and k not in geometry)
     return new
 
 
@@ -650,22 +655,25 @@ class SpacelikeTable:
     (m, 3) call.  The slice's geometry (``slice_index``, ``face_ids``,
     ``t``, ``pts``) is cheap; everything else derives from the flux, and
     :meth:`on_slice` shares it, ``derived`` included, with another slice
-    when the flux does not read t.
+    when the flux does not read t.  A range of slices gives their block table.
     """
 
-    def __init__(self, tri: Triangulation, flux: FluxField, slice_index: int,
+    def __init__(self, tri: Triangulation, flux: FluxField, slice_index: int | range,
                  rule: QuadratureRule | None = None,
                  u_range: tuple[float, float] | None = None):
         self._rule = rule if rule is not None else gauss_legendre(5, 1)
-        xs = tri.breakpoints
-        self.x_lo = xs[:-1].copy()
-        self.x_hi = xs[1:].copy()
+        xs, m = tri.breakpoints, tri.n_columns
+        block = isinstance(slice_index, range)
+        slices = np.asarray(slice_index if block else [slice_index])
+        self.x_lo = np.tile(xs[:-1], slices.size)
+        self.x_hi = np.tile(xs[1:], slices.size)
         self.widths = self.x_hi - self.x_lo
         self.derived = weakref.WeakKeyDictionary()   # q_omega tables by entropy pair
         self.slice_index = slice_index
-        self.face_ids = SliceFaceIds(slice_index, tri.n_columns)
-        self.t = float(tri.times[slice_index])
-        self.pts, base_w = segment_nodes(self._rule, 1, self.t, self.x_lo, self.widths)
+        self.face_ids = range(slices.size * m) if block else SliceFaceIds(slice_index, m)
+        self.t = tri.times[slices] if block else float(tri.times[slice_index])
+        self.pts, base_w = segment_nodes(self._rule, 1, np.repeat(tri.times[slices], m),
+                                         self.x_lo, self.widths)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
 
@@ -673,7 +681,7 @@ class SpacelikeTable:
         self.u_range = (float(u_lo), float(u_hi))
         n_samples = 1 if (1,) in flux.u_free_du else DQ_SAMPLE_COUNT   # 1: dq reads no u
         us = np.broadcast_to(np.linspace(u_lo, u_hi, DQ_SAMPLE_COUNT)[:n_samples],
-                             (tri.n_columns, n_samples))
+                             (self.n_faces, n_samples))
         signs = []
 
         def dwx_with_signs(pts, u):
@@ -685,8 +693,9 @@ class SpacelikeTable:
         dq_samples = face_sums(dwx_with_signs, self.pts, base_w, us)    # (m, k)
         per_face_pos, per_face_neg = signs[0]
         if not np.all(per_face_pos | per_face_neg):
+            bad = int(slices[np.argmin(per_face_pos | per_face_neg) // m])
             raise NotSpacelikeError(
-                f"slice {slice_index} contains faces that are not spacelike for this flux")
+                f"slice {bad} contains faces that are not spacelike for this flux")
         self.orientation = np.where(per_face_pos, 1.0, -1.0)
         self.weights = self.orientation[:, None] * base_w
         dq_samples = self.orientation[:, None] * dq_samples   # = sums over oriented weights
@@ -696,21 +705,34 @@ class SpacelikeTable:
         self.dq_min = DQ_MIN_SAFETY * self.dq_min_raw
         self.dq_max = DQ_MAX_SAFETY * self.dq_max_raw
         u_mid = 0.5 * (self.u_range[0] + self.u_range[1])   # the inversion's first iterate
-        ends = self.q(np.broadcast_to([u_lo, u_mid, u_hi], (tri.n_columns, 3)))
+        ends = self.q(np.broadcast_to([u_lo, u_mid, u_hi], (self.n_faces, 3)))
         self.image_lo, self.q_mid, self.image_hi = ends.T
 
-    def on_slice(self, tri: Triangulation, slice_index: int) -> "SpacelikeTable":
+    def on_slice(self, tri: Triangulation, slice_index: int | range) -> "SpacelikeTable":
         """This table's flux-derived arrays on slice ``slice_index`` of ``tri``.
 
         Only for a flux that does not read t: its table of that slice is
         then this one, bit for bit, except for the geometry set here.  The
         nodes are this table's with the t column rewritten (a slice's x
-        nodes and weights do not depend on t); every other array is shared.
+        nodes and weights do not depend on t); every other array is shared
+        (for a range of slices, this table's rows are tiled).
         """
+        if isinstance(slice_index, range):
+            t = tri.times[slice_index.start:slice_index.stop]
+            table = _sharing(self, t.size, slice_index=slice_index, t=t,
+                             face_ids=range(t.size * self.n_faces))
+            table.pts[..., 0] = np.repeat(t, self.n_faces)[:, None]
+            return table
         t, pts = float(tri.times[slice_index]), self.pts.copy()
         pts[..., 0] = t
         return _sharing(self, slice_index=slice_index, t=t, pts=pts,
                         face_ids=SliceFaceIds(slice_index, tri.n_columns))
+
+    def block_rows(self, b: int) -> "SpacelikeTable":
+        """The b-th slice's rows of this block table: its table built alone, bit for bit."""
+        m, j = self.n_faces // self.t.size, self.slice_index[b]
+        return _sharing(self, slice(b * m, (b + 1) * m), slice_index=j, t=float(self.t[b]),
+                        face_ids=SliceFaceIds(j, m), derived=weakref.WeakKeyDictionary())
 
     @property
     def n_faces(self) -> int:

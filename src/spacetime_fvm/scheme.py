@@ -20,8 +20,9 @@ of the flux form along decreasing time; the right cell sees the negative.
 
 from __future__ import annotations
 
+import bisect
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Sequence
@@ -53,6 +54,7 @@ __all__ = [
     "NumericalFluxSpec",
     "RunConfig",
     "RunResult",
+    "SlabBlock",
     "SliceState",
     "Solver",
     "data_hull",
@@ -64,6 +66,7 @@ CFL_LIMIT = 0.5
 CRITICAL_SAMPLES = 65
 RUSANOV_MARGIN = 1.1
 TIMESTEP_PROBES = 5      # candidate slabs across the horizon in select_timestep
+BLOCK_ROWS = 320         # (slab, column) rows per block of slab tables: 4 slabs at m = 80
 
 
 class CFLViolation(RuntimeError):
@@ -176,16 +179,18 @@ class VerticalFluxes:
     (``t_lo``, ``pts``) is cheap; the rest derives from the flux and the
     slab's nominal ``height`` (:attr:`Foliation.heights`), and :meth:`on_slab`
     shares it with another slab of that height when the flux does not read t.
+    Per-row ``x_nodes`` and ``t_lo`` give a block table (:class:`SlabBlock`).
     """
 
-    def __init__(self, x_nodes: np.ndarray, t_lo: float, height: float,
+    def __init__(self, x_nodes: np.ndarray, t_lo: float | np.ndarray, height: float,
                  flux: FluxField, spec: NumericalFluxSpec,
                  rule: QuadratureRule, u_range: tuple[float, float]):
         self.x_nodes = np.asarray(x_nodes, dtype=float)
         self.spec = spec
         self.u_range = (float(u_range[0]), float(u_range[1]))
         self._rule = rule
-        self.t_lo, self.height = float(t_lo), float(height)
+        self.t_lo = t_lo if isinstance(t_lo, np.ndarray) else float(t_lo)
+        self.height = float(height)
         self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, height)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
@@ -209,17 +214,31 @@ class VerticalFluxes:
         else:
             self.speed = RUSANOV_MARGIN * self._dg_abs_max
 
-    def on_slab(self, t_lo: float) -> "VerticalFluxes":
+    def on_slab(self, t_lo: float | np.ndarray) -> "VerticalFluxes":
         """This table's flux-derived arrays on the slab of this ``height`` from ``t_lo``.
 
         Only for a flux that does not read t: its table of that slab is then
         this one, bit for bit, except for the start set here.  The nodes are
         this table's with the t column rewritten as :func:`segment_nodes`
-        places it; the weights, the other arrays and ``derived`` are shared.
+        places it; the weights, the other arrays and ``derived`` are shared;
+        for an array of starts, this table's rows are tiled.
         """
+        if isinstance(t_lo, np.ndarray):
+            vert = _sharing(self, t_lo.size // self.n_faces, t_lo=t_lo, weights=self.weights)
+            vert.pts[..., 0] = t_lo[:, None] + self._rule.nodes[:, 0] * self.height
+            return vert
         t_lo, pts = float(t_lo), self.pts.copy()
         pts[..., 0] = t_lo + self._rule.nodes[:, 0] * self.height
         return _sharing(self, t_lo=t_lo, pts=pts)
+
+    def block_rows(self, rows: slice, report: "LambdaReport") -> "VerticalFluxes":
+        """The ``rows`` of one slab of this block table, its table built alone, bit for bit,
+        with its CFL ``report``."""
+        width = self.crit_w.shape[1] and int(np.max(np.count_nonzero(
+            ~np.isnan(self.crit_w[rows]), axis=1)))
+        return _sharing(self, rows, t_lo=float(self.t_lo[rows.start]), weights=self.weights,
+                        crit_w=self.crit_w[rows, :width], crit_g=self.crit_g[rows, :width],
+                        derived={"lambdas": report})
 
     @property
     def n_faces(self) -> int:
@@ -262,9 +281,10 @@ class VerticalFluxes:
                                          -np.abs(glo), np.abs(ghi))
         if open_.any():
             k = int(np.argmax(open_))
+            t_lo = float(np.broadcast_to(self.t_lo, self.x_nodes.shape)[face_idx[k]])
             raise ConvergenceError(
                 f"vertical face x = {float(self.x_nodes[face_idx[k]])!r} of the slab "
-                f"[{self.t_lo!r}, {self.t_lo + self.height!r}]: critical-point search on the "
+                f"[{t_lo!r}, {t_lo + self.height!r}]: critical-point search on the "
                 f"lattice segment [{float(lo[k])!r}, {float(hi[k])!r}] stopped at "
                 f"u = {float(roots[k])!r} with G' = {float(sign[k] * g[k])!r}")
 
@@ -341,18 +361,6 @@ class VerticalFluxes:
             return np.maximum(self._dg_abs_max, self.speed)
         return self._dg_abs_max
 
-    def lipschitz_sup_fd(self, n_grid: int = 17) -> np.ndarray:
-        """Finite-difference estimate of the same supremum on a (u, v) grid."""
-        lo, hi = self.u_range
-        delta = 1e-5 * (1.0 + (hi - lo))
-        us = np.linspace(lo + delta, hi - delta, n_grid)
-        uu, vv = np.meshgrid(us, us, indexing="ij")
-        uu = np.broadcast_to(uu.ravel(), (self.n_faces, n_grid * n_grid))
-        vv = np.broadcast_to(vv.ravel(), (self.n_faces, n_grid * n_grid))
-        dqu = (self.Q(uu + delta, vv) - self.Q(uu - delta, vv)) / (2 * delta)
-        dqv = (self.Q(uu, vv + delta) - self.Q(uu, vv - delta)) / (2 * delta)
-        return np.clip(np.max(dqu - dqv, axis=1), 0.0, None)
-
 
 # ---------------------------------------------------------------------------
 # boundary data handling
@@ -427,16 +435,60 @@ def data_hull(bd: BoundaryData, domain: IntervalDomain | CircleDomain,
 
 @dataclass
 class LambdaReport:
-    """Per-cell CFL ratios of one slab (arrays indexed by cell column)."""
+    """Per-cell CFL ratios of one slab or block (arrays indexed by cell row)."""
 
     lam_hat: np.ndarray          # (m, 2): per cell, per (left, right) face
     lam_hat_cell: np.ndarray     # (m,)
     lam: np.ndarray              # (m, 2) convex weights, rows sum to 1
     cfl_limit: float
-    passed: bool
+
+    @cached_property
+    def passed(self) -> bool:
+        return bool(np.max(self.lam_hat_cell) <= self.cfl_limit * (1 + 1e-12))
 
     def max_cell_ratio(self) -> float:
         return float(np.max(self.lam_hat_cell))
+
+
+def _lambda_report(vert, table_plus, left, right, j: int) -> LambdaReport:
+    """Per-cell lambda ratios of slab j or of a block from it; a non-finite one raises."""
+    sup, dq_min = vert.lipschitz_sup(), table_plus.dq_min_raw
+    lam_hat = np.stack([sup[left], sup[right]], axis=1) / dq_min[:, None]
+    lam_hat_cell = np.sum(lam_hat, axis=1)
+    _check_ratios_finite(f"slab {j}", lam_hat_cell, sup, dq_min, left, right,
+                         lambda k: repr(("V", j, k)), lambda i: repr(("S", j + 1, i)))
+    lam = np.empty_like(lam_hat)
+    nonzero = lam_hat_cell > 0.0
+    lam[nonzero] = lam_hat[nonzero] / lam_hat_cell[nonzero, None]
+    lam[~nonzero] = 0.5
+    return LambdaReport(lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam, cfl_limit=CFL_LIMIT)
+
+
+class SlabBlock:
+    """Slabs ``j + b`` of one height as one slab on the (slab, column) row axis: cell row
+    ``b * m + i``, face row ``b * nv + k`` (critical points NaN-padded to the widest row);
+    the kernels work row by row, so each slab's rows get its own tables' bits."""
+
+    def __init__(self, solver: "Solver", slabs: range, table, vert, report=None):
+        self.solver, self.slabs, self.j, self.n = solver, slabs, slabs.start, len(slabs)
+        self.m, self.periodic = solver.tri.n_columns, solver.tri.periodic
+        self.table_plus, self.vert = table, vert
+        shift = vert.n_faces // self.n * np.arange(self.n)[:, None]
+        self.left_idx, self.right_idx = ((idx + shift).ravel() for idx in solver.cell_faces)
+        self.report = report or _lambda_report(vert, table, self.left_idx, self.right_idx, self.j)
+
+    def neighbor_states(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`Slab.neighbor_states` of every slab, face rows slab by slab."""
+        cells = values.reshape(self.n, self.m)
+        if self.periodic:
+            return np.roll(cells, 1, axis=1).ravel(), values
+        ghosts = self.solver.ghosts[self.j:self.j + self.n]
+        return (np.concatenate([ghosts[:, :1], cells], axis=1).ravel(),
+                np.concatenate([cells, ghosts[:, 1:]], axis=1).ravel())
+
+    def per_slab(self, values: np.ndarray, reduce=np.max) -> list[float]:
+        """``reduce`` of each slab's rows of ``values`` (cells first), as floats."""
+        return reduce(values.reshape(self.n, -1), axis=1).tolist()
 
 
 class Slab:
@@ -492,25 +544,15 @@ class Slab:
         in ``vert.derived``, as a shared vertical table implies shared slice arrays.
         """
         report = self.vert.derived.get("lambdas")
-        if report is not None:
-            return report
-        sup = self.vert.lipschitz_sup()
-        dq_min = self.table_plus.dq_min_raw
-        lam_hat = np.stack([sup[self.left_idx], sup[self.right_idx]], axis=1) \
-            / dq_min[:, None]
-        lam_hat_cell = np.sum(lam_hat, axis=1)
-        _check_ratios_finite(f"slab {self.j}", lam_hat_cell, sup, dq_min,
-                             self.left_idx, self.right_idx,
-                             lambda k: repr(("V", self.j, k)),
-                             lambda i: repr(("S", self.j + 1, i)))
-        lam = np.empty_like(lam_hat)
-        nonzero = lam_hat_cell > 0.0
-        lam[nonzero] = lam_hat[nonzero] / lam_hat_cell[nonzero, None]
-        lam[~nonzero] = 0.5
-        report = self.vert.derived["lambdas"] = LambdaReport(
-            lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam, cfl_limit=CFL_LIMIT,
-            passed=bool(np.max(lam_hat_cell) <= CFL_LIMIT * (1 + 1e-12)))
+        if report is None:
+            report = self.vert.derived["lambdas"] = _lambda_report(
+                self.vert, self.table_plus, self.left_idx, self.right_idx, self.j)
         return report
+
+    def block(self) -> SlabBlock:
+        """This slab as a block of one."""
+        return SlabBlock(self.solver, range(self.j, self.j + 1), self.table_plus, self.vert,
+                         self.lambdas())
 
     # -- the update -------------------------------------------------------------------
 
@@ -592,7 +634,8 @@ class Solver:
     those of the vertical flux tables where the nominal slab height
     (``tri.heights``) changes; every slice and slab still gets its own
     nodes, so whatever reads t there (u_B, test functions) sees the slab's
-    own t.  The results are the same bits either way.
+    own t.  For a flux that reads t, every table is a row view of its block's
+    (:meth:`block`).  The results are the same bits either way.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
@@ -606,6 +649,7 @@ class Solver:
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
+        self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block tables, those before
         # for a flux that does not read t: the table whose arrays every slice
         # shares, and the last vertical table, shared by slabs of its height
         self._slice_arrays: SpacelikeTable | None = None
@@ -660,6 +704,9 @@ class Solver:
             self._tables = {k: t for k, t in self._tables.items() if k == j - 1}
             if self._slice_arrays is not None:
                 table = self._slice_arrays.on_slice(self.tri, j)
+            elif j > 0 and self.flux.reads_t:
+                js, block_table = self._block_tables(j - 1)[:2]
+                table = block_table.block_rows(j - 1 - js.start)
             else:
                 table = SpacelikeTable(self.tri, self.flux, j, rule=self.rule,
                                        u_range=self.u_range)
@@ -671,16 +718,55 @@ class Solver:
     def vertical_fluxes(self, j: int) -> VerticalFluxes:
         """Vertical flux table of slab j; when the flux does not read t, the
         last table built is shared until the nominal slab height changes."""
+        if self.flux.reads_t:
+            js, _, vert, report = self._block_tables(j)
+            b, nv, m = j - js.start, self.tri.n_nodes, self.tri.n_columns
+            own = (a[b * m:(b + 1) * m] for a in (report.lam_hat, report.lam_hat_cell, report.lam))
+            return vert.block_rows(slice(b * nv, (b + 1) * nv), LambdaReport(*own, CFL_LIMIT))
         t_lo, height = float(self.tri.times[j]), float(self.tri.heights[j])
         shared = self._vertical_arrays
-        if shared is not None and shared.height == height:
-            return shared.on_slab(t_lo)
-        x_nodes = self.tri.breakpoints[:-1] if self.tri.periodic else self.tri.breakpoints
-        vert = VerticalFluxes(x_nodes, t_lo, height, self.flux, self.spec, self.rule,
-                              self.u_range)
-        if not self.flux.reads_t:
-            self._vertical_arrays = vert
-        return vert
+        if shared is None or shared.height != height:
+            shared = self._vertical_arrays = VerticalFluxes(
+                self.tri.breakpoints[:self.tri.n_nodes], t_lo, height, self.flux, self.spec,
+                self.rule, self.u_range)
+        return shared.on_slab(t_lo)
+
+    @cached_property
+    def _block_starts(self) -> list[int]:
+        """Block starts: every ``BLOCK_ROWS // m``-th slab and each change of nominal height."""
+        size, h = max(1, BLOCK_ROWS // self.tri.n_columns), self.tri.heights
+        return [j for j in range(self.tri.n_slabs) if j % size == 0 or h[j] != h[j - 1]]
+
+    def block(self, j: int) -> SlabBlock:
+        """Slab j's block: one pass for a flux that reads t, else tiled; split if that raises."""
+        return SlabBlock(self, *self._block_tables(j))
+
+    def _block_tables(self, j: int) -> tuple:
+        starts = self._block_starts
+        k = bisect.bisect_right(starts, j) - 1
+        js = range(starts[k], starts[k + 1] if k + 1 < len(starts) else self.tri.n_slabs)
+        if js.start not in self._blocks:
+            tri, slices = self.tri, range(js.start + 1, js.stop + 1)
+            t_lo = np.repeat(tri.times[js.start:js.stop], tri.n_nodes)   # per (slab, node) row
+            try:
+                if self.flux.reads_t:
+                    table = SpacelikeTable(tri, self.flux, slices, rule=self.rule,
+                                           u_range=self.u_range)
+                    vert = VerticalFluxes(np.tile(tri.breakpoints[:tri.n_nodes], len(js)), t_lo,
+                                          tri.heights[j], self.flux, self.spec, self.rule,
+                                          self.u_range)
+                else:
+                    table = self.slice_table(slices.start).on_slice(tri, slices)
+                    vert = self.vertical_fluxes(js.start).on_slab(t_lo)
+                report = SlabBlock(self, js, table, vert).report
+            except (NotSpacelikeError, ConvergenceError, DegenerateFluxError):
+                if len(js) == 1:
+                    raise
+                starts[k + 1:k + 1] = js[1:]
+                return self._block_tables(j)
+            self._blocks = {s: b for s, b in self._blocks.items() if b[0].stop == js.start}
+            self._blocks[js.start] = (js, table, vert, report)
+        return self._blocks[js.start]
 
     @cached_property
     def ghosts(self) -> np.ndarray:
@@ -693,9 +779,9 @@ class Solver:
             f"{float(xb[idx[1]])!r}, t in [{float(t[idx[0]])!r}, {float(t[idx[0] + 1])!r}])"))
 
     def slab(self, j: int) -> Slab:
-        """A new slab j (tables are rebuilt deterministically, so a rebuilt
-        slab is bit-identical); the solver keeps no slab, so a dropped solver
-        is freed without the cycle collector."""
+        """A new slab j, in any order (tables are rebuilt deterministically, so a
+        rebuilt slab is bit-identical); the solver keeps no slab, so a dropped
+        solver is freed without the cycle collector."""
         return Slab(self, j)
 
     def initial_state(self) -> SliceState:

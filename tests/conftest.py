@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from spacetime_fvm import presets
+from spacetime_fvm import presets, scheme
 from spacetime_fvm.fluxfield import FluxField
 from spacetime_fvm.forms import ParamForm
 from spacetime_fvm.mesh import (
@@ -29,6 +29,18 @@ set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 def pytest_unconfigure(config):
     _HYPOTHESIS_HOME.cleanup()
+
+
+def block_ranges(tri):
+    """The slabs of each of a solver's table blocks on ``tri``: runs of one nominal
+    height, cut at every multiple of ``BLOCK_ROWS // m`` slabs."""
+    size, blocks = max(1, scheme.BLOCK_ROWS // tri.n_columns), []
+    for j in range(tri.n_slabs):
+        if blocks and j % size and tri.heights[j] == tri.heights[blocks[-1].start]:
+            blocks[-1] = range(blocks[-1].start, j + 1)
+        else:
+            blocks.append(range(j, j + 1))
+    return blocks
 
 
 @pytest.fixture

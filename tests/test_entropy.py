@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import capacity_field, constant_bd, counting_flux, densities, make_solver, step_bd
+from conftest import (block_ranges, capacity_field, constant_bd, counting_flux, densities,
+                      make_solver, step_bd)
 
 from spacetime_fvm import entropy, presets
+from spacetime_fvm import scheme as scheme_module
 from spacetime_fvm.entropy import (
     SMOOTH_PANEL_NODES,
     SMOOTH_PANELS,
@@ -213,9 +215,15 @@ class TestSmoothEntropyTable:
 
     @pytest.mark.parametrize("reads_t", [True, False], ids=["reads-t", "t-free"])
     def test_verify_builds_one_table_per_slice_or_per_run(self, reads_t, monkeypatch):
+        # one table for slice 0 and one per block of three slabs (the last one
+        # short) for a flux that reads t; one per run for one that does not,
+        # which every block's tiled table reads
         solver = _traveling_density_solver() if reads_t else burgers_shock_solver(nx=8)
         assert solver.flux.reads_t is reads_t
         result = solver.run()
+        monkeypatch.setattr(scheme_module, "BLOCK_ROWS", 3 * result.tri.n_columns)
+        blocks, n = block_ranges(result.tri), result.tri.n_slabs
+        assert n % 3 != 0 and len(blocks) == -(-n // 3) > 1
         tables = []
         init = SmoothFaceEntropy.__init__
 
@@ -225,8 +233,8 @@ class TestSmoothEntropyTable:
 
         monkeypatch.setattr(SmoothFaceEntropy, "__init__", recording)
         assert verify_run(result).passed
-        assert len(tables) >= result.tri.n_slices
-        assert len({id(t) for t in tables}) == (result.tri.n_slices if reads_t else 1)
+        assert len(tables) == 1 + len(blocks)
+        assert len({id(t) for t in tables}) == (1 + len(blocks) if reads_t else 1)
 
 
 class TestKruzkovIdentity:
@@ -837,6 +845,28 @@ class TestLocalLattice:
         report = verify_run(result)
         assert np.isnan(report.per_slab["face_inequality"][2])
         check = next(c for c in report.checks if c.name == "face_inequality")
+        assert np.isnan(check.max_residual) and not check.passed and not report.passed
+
+    def test_nan_anchored_state_gives_a_nan_bracketing_residual(self, monkeypatch):
+        # the decomposition's inversion leaves cell 4 of slab 2 a NaN anchored
+        # state on side 1 and finite face states: the bracketing residual of
+        # slab 2 takes the larger of the two families' maxima, and a NaN in
+        # either stays
+        result = boundary_driven_burgers_case(t_final=0.2).run(12)
+        invert = SpacelikeTable.invert
+
+        def nan_anchored_state(table, values, tol=1e-12):
+            out = invert(table, values, tol)
+            rows = np.flatnonzero(table.pts[:, 0, 0] == result.tri.times[3])   # slab 2's outflow
+            if values.ndim == 2 and rows.size:
+                out[rows[4], 3] = np.nan
+            return out
+
+        monkeypatch.setattr(SpacelikeTable, "invert", nan_anchored_state)
+        report = verify_run(result)
+        bracketing = report.per_slab["bracketing"]
+        assert np.isnan(bracketing[2]) and not np.isnan(np.delete(bracketing, 2)).any()
+        check = next(c for c in report.checks if c.name == "bracketing")
         assert np.isnan(check.max_residual) and not check.passed and not report.passed
 
     @pytest.mark.parametrize("make", [_boundary_driven_solver, _circle_burgers_solver],

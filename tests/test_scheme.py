@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    block_ranges,
     classical_godunov_step,
     constant_bd,
     counting_flux,
@@ -396,9 +397,22 @@ class TestInitialSliceState:
             initial_slice_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
 
 
+def lipschitz_sup_fd(vert, n_grid: int = 17) -> np.ndarray:
+    """Finite-difference estimate of ``vert.lipschitz_sup()`` on a (u, v) grid: the oracle."""
+    lo, hi = vert.u_range
+    delta = 1e-5 * (1.0 + (hi - lo))
+    us = np.linspace(lo + delta, hi - delta, n_grid)
+    uu, vv = np.meshgrid(us, us, indexing="ij")
+    uu = np.broadcast_to(uu.ravel(), (vert.n_faces, n_grid * n_grid))
+    vv = np.broadcast_to(vv.ravel(), (vert.n_faces, n_grid * n_grid))
+    dqu = (vert.Q(uu + delta, vv) - vert.Q(uu - delta, vv)) / (2 * delta)
+    dqv = (vert.Q(uu, vv + delta) - vert.Q(uu, vv - delta)) / (2 * delta)
+    return np.clip(np.max(dqu - dqv, axis=1), 0.0, None)
+
+
 def _fd_ratios(slab):
     """Per-cell (left, right) ratios from the finite-difference Lipschitz estimate."""
-    sup = slab.vert.lipschitz_sup_fd()
+    sup = lipschitz_sup_fd(slab.vert)
     return np.stack([sup[slab.left_idx], sup[slab.right_idx]], axis=1) \
         / slab.table_plus.dq_min_raw[:, None]
 
@@ -709,26 +723,43 @@ class TestRun:
 
     def test_run_builds_one_table_per_slice(self, monkeypatch):
         # the initial state takes slice 0's table from the solver's cache,
-        # where slab 0 finds it again; a flux that does not read t (Burgers)
-        # builds one table and moves it to every other slice
-        built = []
+        # where slab 0 finds it again; a flux that reads t builds one slice
+        # table and one vertical table per block of slabs (blocks of 3 here,
+        # the last one short), each from one call of dwx_du and of dwt_du; a
+        # flux that does not read t (Burgers) builds one table and moves it to
+        # every other slice, and one vertical table
+        built, calls = [], []
 
         class CountingTable(scheme_module.SpacelikeTable):
             def __init__(self, tri, flux, slice_index, **kwargs):
                 built.append(slice_index)
                 super().__init__(tri, flux, slice_index, **kwargs)
 
+        def counted(name, fn):
+            return lambda pts, u: calls.append(name) or fn(pts, u)
+
         traveling = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s),
                                                    lambda s: np.cos(s))
+        omega = traveling.omega
+        traveling = replace(traveling, omega=replace(omega, du_coeffs={
+            (1,): counted("dwx_du", omega.du_coeffs[(1,)]),
+            (0,): counted("dwt_du", omega.du_coeffs[(0,)])}))
+        monkeypatch.setattr(scheme_module, "BLOCK_ROWS", 3 * 8)
         for flux in (traveling, presets.burgers_flux((-1.2, 1.2))):
             built.clear()
             solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
                                  step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
+            calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(scheme_module, "SpacelikeTable", CountingTable)
                 solver.run()
-            assert solver.tri.n_slabs > 3
-            assert built == (list(range(solver.tri.n_slices)) if flux.reads_t else [0])
+            blocks = block_ranges(solver.tri)
+            assert solver.tri.n_slabs > 3 and solver.tri.n_slabs % 3 != 0
+            assert built == ([0] + [range(b.start + 1, b.stop + 1) for b in blocks]
+                             if flux.reads_t else [0])
+            if flux.reads_t:
+                assert calls.count("dwx_du") == 1 + len(blocks)
+                assert calls.count("dwt_du") == len(blocks) == -(-solver.tri.n_slabs // 3)
 
     def test_slab_rebuilt_after_run_is_bit_identical(self, monkeypatch):
         # record every slab's rhs and step during the run, then rebuild the
@@ -829,8 +860,9 @@ class TestTableReuse:
             patch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
             assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range, kind)
         # three solvers per flux (run, verify_run, global report): without the
-        # declaration each builds a table per slab, with it one per run of a height
-        assert built.count(True) == 3 * tri.n_slabs
+        # declaration each builds a table per block (one height each), with it
+        # one per run of a height
+        assert built.count(True) == 3 * len(block_ranges(tri)) < 3 * tri.n_slabs
         assert built.count(False) == 3 * runs
 
     @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
@@ -854,7 +886,8 @@ class TestTableReuse:
         with monkeypatch.context() as patch:
             patch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
             assert_declaration_changes_no_bit(flux, tri, _boundary_in_t(), u_range)
-        assert built.count(False) == 3 and built.count(True) == 3 * tri.n_slabs
+        assert built.count(False) == 3
+        assert built.count(True) == 3 * len(block_ranges(tri)) < 3 * tri.n_slabs
 
     @pytest.mark.parametrize("flux", [
         presets.burgers_flux((-1.2, 1.2)),
@@ -932,8 +965,10 @@ class TestTableReuse:
             solver.run()
         tri = solver.tri
         assert len(set(np.diff(tri.times))) < tri.n_slabs
-        assert slices == list(range(tri.n_slices))
-        assert slabs == list(tri.times[:-1])
+        blocks = block_ranges(tri)
+        assert slices == [0] + [range(b.start + 1, b.stop + 1) for b in blocks]
+        assert [t.tolist() for t in slabs] == \
+            [np.repeat(tri.times[b.start:b.stop], tri.n_nodes).tolist() for b in blocks]
         assert solver._slice_arrays is None and not solver._vertical_arrays
 
     @pytest.mark.parametrize("coefficient", ["wt", "wx", "dwt_du", "dwx_du"])
@@ -1248,3 +1283,119 @@ class TestGuards:
             return  # abort path: acceptable guard outcome
         report = verify_run(result, solver=solver)
         assert not report.passed
+
+
+def _moving_sonic_flux(speed):
+    """A flux that reads t: G has a critical point at u = speed * t on every vertical face."""
+    def wt(p, u):
+        return -0.5 * (u - speed * p[..., 0]) ** 2 * (1.0 + 0.3 * np.sin(6.0 * p[..., 1]))
+
+    def dwt(p, u):
+        return (speed * p[..., 0] - u) * (1.0 + 0.3 * np.sin(6.0 * p[..., 1]))
+
+    def wx(p, u):
+        return u * (1.5 + np.cos(p[..., 0] + p[..., 1]))
+
+    def dwx(p, u):
+        return (1.5 + np.cos(p[..., 0] + p[..., 1])) + 0.0 * u
+
+    return FluxField(omega=ParamForm(1, 2, {(0,): wt, (1,): wx}, {(0,): dwt, (1,): dwx},
+                                     (0.3, 1.0)), domain=None, name="moving-sonic")
+
+
+def _assert_same_table(view, alone):
+    """Every attribute of a block's row view equals the table built alone, byte for byte."""
+    assert vars(view).keys() == vars(alone).keys()
+    for name, value in vars(alone).items():
+        other = vars(view)[name]
+        if isinstance(value, np.ndarray):
+            assert (other.shape, other.dtype, other.tobytes()) \
+                == (value.shape, value.dtype, value.tobytes()), name
+        elif name == "face_ids":
+            assert list(other) == list(value)
+        elif name != "derived":
+            assert other == value, name
+
+
+class TestBlockTables:
+    @given(runs=st.lists(st.integers(1, 5), min_size=3, max_size=3),
+           nx=st.integers(1, 7), block=st.sampled_from([1, 3, "all"]),
+           circle=st.booleans(), kind=st.sampled_from(["godunov_osher", "rusanov"]),
+           order=st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_block_views_equal_tables_built_alone(self, runs, nx, block, circle, kind, order):
+        # slabs of three heights in runs, a critical point at u = t that
+        # enters the state range mid-run, tables asked for in any order
+        domain = CircleDomain(1.0) if circle else IntervalDomain(0.0, 1.0)
+        h = 0.02
+        heights = np.repeat([h, 0.5 * h, 0.75 * h], runs)
+        times = np.concatenate([[0.0], np.cumsum(heights)])
+        tri = build_triangulation(Foliation(times, domain), nx)
+        flux = _moving_sonic_flux(0.65 / times[-1])
+        solver = Solver(tri, flux, NumericalFluxSpec(kind), constant_bd(0.6),
+                        RunConfig(u_range=(0.3, 1.0)))
+        rule, x_nodes = solver.rule, tri.breakpoints[:tri.n_nodes]
+        slabs = list(range(tri.n_slabs))
+        order.shuffle(slabs)
+        size = tri.n_slabs if block == "all" else block
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheme_module, "BLOCK_ROWS", size * tri.n_columns)
+            assert [solver.block(j).slabs for j in range(tri.n_slabs)] == \
+                [b for b in block_ranges(tri) for _ in b]
+            for j in slabs:
+                slab = solver.slab(j)
+                _assert_same_table(slab.table_plus, SpacelikeTable(tri, flux, j + 1, rule=rule,
+                                                                   u_range=solver.u_range))
+                alone = VerticalFluxes(x_nodes, float(tri.times[j]), tri.heights[j], flux,
+                                       solver.spec, rule, solver.u_range)
+                _assert_same_table(slab.vert, alone)
+                report = scheme_module._lambda_report(alone, slab.table_plus, slab.left_idx,
+                                                      slab.right_idx, j)
+                for name in ("lam_hat", "lam_hat_cell", "lam", "cfl_limit", "passed"):
+                    other, value = getattr(slab.lambdas(), name), getattr(report, name)
+                    assert (other.tobytes() == value.tobytes() if isinstance(value, np.ndarray)
+                            else other == value), name
+        assert solver.vertical_fluxes(0).crit_w.shape[1] == 0 \
+            and solver.vertical_fluxes(tri.n_slabs - 1).crit_w.shape[1] > 0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("later", ["not_spacelike", "non_finite_ratio"])
+    def test_an_earlier_slab_of_a_block_fails_first(self, later, tmp_path, capsys):
+        # one block of ten slabs: slab 1 breaches the CFL bound, and on slice 4
+        # the x density changes sign at x = 0.31 (or slab 6's G' is infinite)
+        # between the config samples, so the block build raises first; the run
+        # must end as it does slab by slab, with slab 1's CFLViolation, exit 3
+        from spacetime_fvm.cli import EXIT_SCHEME_ABORT, main
+        window = "(1 + sign({w} - abs(t - {t})))"
+        wx, dwx = "u", "1"
+        if later == "not_spacelike":
+            flip = f"{window.format(w=0.0005, t=0.04)} * (1 + sign(x - 0.31)) / 2"
+            wx, dwx = f"u * (1 - {flip})", f"1 - {flip}"
+        spike = f"(1 + 20 * {window.format(w=0.004, t=0.015)})"
+        nan = " + 0 * (abs(t - 0.065) - 0.0005) ** 0.5" if later == "non_finite_ratio" else ""
+        config = tmp_path / "run.ini"
+        config.write_text("\n".join([
+            "[spacetime]", "domain = interval 0 1", "t_final = 0.1",
+            "[flux]", "builtin = custom", f"wx = {wx}", f"dwx_du = {dwx}",
+            f"wt = -0.5 * u * u * {spike}", f"dwt_du = -u * {spike}{nan}",
+            "[mesh]", "nx = 8", "dt = 0.01",
+            "[boundary]", "u_b = 0.5 + 0.2 * sin(6 * x)", "[run]", "u_min = 0.2", "u_max = 0.8",
+            "[output]", f"directory = {tmp_path}", ""]))
+        setup = parse_config(config.read_text())
+        tri = setup.triangulation()
+        assert tri.n_slabs == 10 and block_ranges(tri) == [range(10)]
+        errors = []
+        for rows in (scheme_module.BLOCK_ROWS, tri.n_columns):   # one block; slab by slab
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(scheme_module, "BLOCK_ROWS", rows)
+                with pytest.raises(CFLViolation) as raised:
+                    Solver(tri, setup.flux, setup.spec, setup.bd, setup.cfg).run()
+                assert main(["run", "--config", str(config)]) == EXIT_SCHEME_ABORT
+                errors.append((str(raised.value), capsys.readouterr().err))
+        assert errors[0] == errors[1]
+        assert errors[0][0].startswith("slab 1: max cell ratio ")
+        solver = Solver(tri, setup.flux, setup.spec, setup.bd, setup.cfg)
+        with pytest.raises(NotSpacelikeError if later == "not_spacelike" else DegenerateFluxError,
+                           match="slice 4 contains" if later == "not_spacelike" else "slab 6: "):
+            for j in range(tri.n_slabs):
+                solver.slab(j).lambdas()

@@ -21,7 +21,7 @@ import pytest
 
 from conftest import capacity_field, make_solver, step_bd
 
-from spacetime_fvm import entropy, harness, presets
+from spacetime_fvm import entropy, harness, presets, scheme
 from spacetime_fvm.config import load_config, parse_config
 from spacetime_fvm.entropy import (
     SMOOTH_PANEL_NODES,
@@ -361,7 +361,7 @@ def test_every_block_size_gives_the_same_report(name, monkeypatch):
     assert n % 3 != 0
     expected = _report(result)
     for slabs in (1, 3, n):
-        monkeypatch.setattr(entropy, "VERIFY_BLOCK_ROWS", slabs * m)
+        monkeypatch.setattr(scheme, "BLOCK_ROWS", slabs * m)
         assert _report(result) == expected, slabs
 
 
@@ -402,7 +402,7 @@ def test_a_failing_block_raises_the_per_slab_error(monkeypatch):
     hi = result.u_range[1]
     result.states[3].values[2] = hi + 0.5
     result.states[5].values[7] = hi + 5.0
-    monkeypatch.setattr(entropy, "VERIFY_BLOCK_ROWS", 8 * result.tri.n_columns)
+    monkeypatch.setattr(scheme, "BLOCK_ROWS", 8 * result.tri.n_columns)
     with pytest.raises(ValueOutsideImage) as expected:
         oracle_verify_run(result)
     assert "('S', 4, 2)" in str(expected.value)
