@@ -129,7 +129,13 @@ def run_metadata(result: RunResult, setup: RunSetup, csv_name: str) -> dict:
 
 
 def load_run_artifact(path: str):
-    """Rebuild (setup, triangulation, states) from a written run artifact."""
+    """Rebuild (setup, triangulation, states) from a written run artifact.
+
+    Every CSV row must name a slice: the first that does not is a
+    ``ConfigError`` naming its line (the header is line 1, and each row one
+    line: ``np.loadtxt`` skips blank lines).  Every slice must have one row
+    per column.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
     setup = setup_from_config(meta["config"])
@@ -140,7 +146,13 @@ def load_run_artifact(path: str):
     with warnings.catch_warnings():   # a table without rows is reported below
         warnings.simplefilter("ignore", UserWarning)
         table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    table = table[np.argsort(table[:, 0], kind="stable")]   # rows of a slice keep file order
+    index = table[:, 0]
+    stray = ~((index >= 0) & (index < tri.n_slices) & (index == np.floor(index)))   # NaN too
+    if stray.any():
+        k = int(np.argmax(stray))
+        raise ConfigError(f"run artifact {meta['slices_csv']} line {k + 2}: slice_index "
+                          f"{float(index[k]):.17g} is not an integer in 0..{tri.n_slices - 1}")
+    table = table[np.argsort(index, kind="stable")]   # rows of a slice keep file order
     start, stop = (np.searchsorted(table[:, 0], np.arange(tri.n_slices), side=side)
                    for side in ("left", "right"))
     states = []

@@ -39,11 +39,14 @@ no check calls a scalar numerical flux.
 
 :func:`verify_run` runs the solver's blocks of slabs (:meth:`Solver.block`):
 the plain face fluxes, the decomposition (one inversion), the identity,
-bracketing, conservation, convexity and dissipation checks, and a smooth
-pair's table once per block, each reduced per slab.  One check lattice per
-slab serves the face and the cell check through masks
-(:meth:`_CheckLattice.in_hulls`).  A smooth pair's table for a dq that does
-not read u is the dq column times one (panel, node) factor.
+bracketing, conservation, convexity and dissipation checks, a smooth pair's
+table and one check lattice once per block, each reduced per slab.  The
+lattice holds every slab's points (:func:`_kruzkov_points`, one row sort)
+and serves the face and the cell check through masks
+(:meth:`_CheckLattice.in_hulls`, one search per side); their per-slab maxima
+are segment reductions (:meth:`_CheckLattice.per_slab`).  A smooth pair's
+table for a dq that does not read u is the dq column times one (panel,
+node) factor.
 
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit, at every block size.
@@ -411,15 +414,58 @@ def convex_decomposition_residual(slab: Slab, decomp: DecompositionStates,
 
 def kruzkov_lattice(slab: Slab, state: SliceState) -> np.ndarray:
     """Sorted check parameters: state hull endpoints, slab values, consecutive
-    midpoints; the face and cell checks read a cell's points in its hull only."""
-    values = [state.values]
-    ghosts = slab.ghost_values()
-    if ghosts is not None:
-        values.append(np.asarray(ghosts))
-    lo, hi = slab.solver.u_range
-    vals = np.unique(np.round(np.concatenate(values + [np.array([lo, hi])]), 12))
-    mids = 0.5 * (vals[:-1] + vals[1:])
-    return np.unique(np.concatenate([vals, mids]))
+    midpoints; the face and cell checks read a cell's points in its hull only.
+    One slab's :func:`_kruzkov_points`."""
+    return _kruzkov_points(slab.block(), state.values)[0]
+
+
+def _kruzkov_points(block: SlabBlock, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every slab's :func:`kruzkov_lattice` from one row sort: the points slab by slab,
+    and the (n + 1,) bounds of each slab's points.
+
+    A slab's row is its values, ghosts and hull ends rounded to 12 digits,
+    sorted in place as ``np.unique`` sorts them: of equal points the first is
+    kept (so is the sign of a zero).  The midpoints of consecutive points lie
+    between them, so interleaving keeps each slab's points sorted; its NaNs
+    (and their midpoints) are last and become one point.
+    """
+    n = block.n
+    rows = [values.reshape(n, -1)]
+    if not block.periodic:
+        rows.append(block.solver.ghosts[block.j:block.j + n])
+    rows.append(np.broadcast_to(np.asarray(block.solver.u_range, dtype=float), (n, 2)))
+    v = np.round(np.concatenate(rows, axis=1), 12)
+    v.sort(axis=1)
+    new = np.ones(v.shape, dtype=bool)
+    new[:, 1:] = v[:, 1:] != v[:, :-1]
+    vals, slab = v[new], np.nonzero(new)[0]
+    points = np.empty(2 * vals.size - 1)
+    points[0::2], points[1::2] = vals, 0.5 * (vals[:-1] + vals[1:])
+    slab = np.repeat(slab, 2)[:-1]
+    inside = np.ones(points.size, dtype=bool)
+    inside[1::2] = slab[0:-1:2] == slab[2::2]   # no midpoint across two slabs
+    points, slab = points[inside], slab[inside]
+    new = np.ones(points.size, dtype=bool)
+    new[1:] = (slab[1:] != slab[:-1]) | ((points[1:] != points[:-1]) & ~np.isnan(points[:-1]))
+    bounds = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(slab[new], minlength=n), out=bounds[1:])
+    return points[new], bounds
+
+
+def _one_slab_points(c) -> tuple[np.ndarray, np.ndarray]:
+    """Check parameters ``c`` of a block of one, sorted and de-duplicated, as
+    :func:`_kruzkov_points` gives them."""
+    c = np.unique(np.asarray(c, dtype=float))
+    return c, np.array([0, c.size])
+
+
+def _slab_keys(slab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``(slab, x)`` as complex keys that sort by slab, then by x: one search serves
+    every slab.  A NaN x is ``slab + 0.5``, after the slab's other keys, as in a sort."""
+    nan = np.isnan(x)
+    keys = np.empty(x.shape, dtype=complex)
+    keys.real, keys.imag = slab + 0.5 * nan, np.where(nan, 0.0, x)
+    return keys
 
 
 def kruzkov_numerical_flux(slab: Slab, column: int, side: str, u, v, c):
@@ -451,19 +497,22 @@ def _kruzkov_faces(vert, faces, c, g_c, plain):
 
 
 class _CheckLattice:
-    """A Kruzkov lattice on the (cell, c) pairs ``cells``, ``c`` (n,).
+    """A Kruzkov lattice on the (cell, c) pairs ``cells``, ``c`` (n,) of a slab or a
+    :class:`~spacetime_fvm.scheme.SlabBlock`, cells sorted.
 
     ``sides`` holds the cells' side triples (:func:`_cell_sides`) at the pairs,
     from the face arrays at their left, then right faces (:func:`_kruzkov_faces`)
     and :func:`_plain_faces` ``plain``.  The face and cell checks read the pairs
     in each cell's state hull (:meth:`in_hulls`), each through its entry of
-    ``masks``; the boundary condition reads cells 0 and m - 1 at every point
-    (:func:`_boundary_sides`).
+    ``masks``, and reduce per slab from ``slab_pairs``, the first pair of each
+    slab (:meth:`per_slab`); the boundary condition reads cells 0 and m - 1 at
+    every point (:func:`_boundary_sides`).
     """
 
-    def __init__(self, slab: Slab, cells: np.ndarray, c: np.ndarray, plain):
+    def __init__(self, slab, cells: np.ndarray, c: np.ndarray, plain):
         self.cells, self.c = cells, c
         self.masks = [slice(None)]
+        self.slab_pairs = np.zeros(1, dtype=np.intp)
         self._q = slab.table_plus.q
         faces = np.concatenate([slab.left_idx[cells], slab.right_idx[cells]])
         c = np.concatenate([c, c])
@@ -473,34 +522,47 @@ class _CheckLattice:
             slice(None, cells.size), slice(cells.size, None))
 
     @classmethod
-    def in_hulls(cls, slab: Slab, values: np.ndarray, c, extra, plain,
+    def in_hulls(cls, block: SlabBlock, values: np.ndarray, points, extra, plain,
                  *more) -> "_CheckLattice":
-        """The points of ``c`` (sorted, de-duplicated) in the closed hull of each cell's
-        ``u``, both neighbours or ghosts and its ``extra`` states, by cell and then by c.
+        """The points of each slab in the closed hull of each of its cells' ``u``, both
+        neighbours or ghosts and its ``extra`` states, by cell and then by c.
 
+        ``points`` is ``(c, bounds)``: slab ``b``'s points, sorted and
+        de-duplicated, are ``c[bounds[b]:bounds[b + 1]]`` (:func:`_kruzkov_points`).
         Off the hull the checks reduce to the decomposition and conservation
         identities.  An empty hull keeps the first point at or above its low
-        end, clamped to the last (a NaN row keeps one NaN pair).  Each of
-        ``more`` is the extra states of another hull: a cell's pairs then run
-        from the first to the last point of all its hulls, and ``masks``
-        selects each hull's own pairs, ``extra``'s first.
+        end, clamped to its slab's last (a NaN row keeps one NaN pair).  Each
+        of ``more`` is the extra states of another hull: a cell's pairs then
+        run from the first to the last point of all its hulls, and ``masks``
+        selects each hull's own pairs, ``extra``'s first.  Every hull of every
+        slab is found by one search per side on keys of (slab, c).
         """
-        lattice = np.unique(np.asarray(c, dtype=float))
-        shared = [values, plain[0][slab.left_idx], plain[1][slab.right_idx]]
-        hulls = []
-        for states in (extra, *more):
-            rows = np.column_stack(shared + list(states))
-            start = np.minimum(np.searchsorted(lattice, np.min(rows, axis=1)), lattice.size - 1)
-            hulls.append((start, np.maximum(np.searchsorted(lattice, np.max(rows, axis=1),
-                                                            "right"), start + 1)))
+        c, bounds = points
+        slab = np.arange(values.size) // block.m
+        shared = [values, plain[0][block.left_idx], plain[1][block.right_idx]]
+        rows = [np.column_stack(shared + list(states)) for states in (extra, *more)]
+        queries = np.tile(slab, len(rows))
+        keys = _slab_keys(np.repeat(np.arange(block.n), np.diff(bounds)), c)
+        start = np.minimum(np.searchsorted(keys, _slab_keys(queries, np.concatenate(
+            [np.min(r, axis=1) for r in rows]))), bounds[1:][queries] - 1)
+        stop = np.maximum(np.searchsorted(keys, _slab_keys(queries, np.concatenate(
+            [np.max(r, axis=1) for r in rows])), "right"), start + 1)
+        hulls = list(zip(start.reshape(len(rows), -1), stop.reshape(len(rows), -1)))
         start = np.minimum.reduce([lo for lo, _ in hulls])
         counts = np.maximum.reduce([hi for _, hi in hulls]) - start
-        cells = np.repeat(np.arange(slab.m), counts)
+        cells = np.repeat(np.arange(values.size), counts)
         index = np.repeat(start + counts - np.cumsum(counts), counts) + np.arange(cells.size)
-        out = cls(slab, cells, lattice[index], plain)
+        out = cls(block, cells, c[index], plain)
+        out.slab_pairs = np.concatenate([[0], np.cumsum(counts)])[:-1:block.m]
         if more:
             out.masks = [(lo[cells] <= index) & (index < hi[cells]) for lo, hi in hulls]
         return out
+
+    def per_slab(self, values: np.ndarray, mask: np.ndarray) -> list[float]:
+        """Each slab's largest entry of ``values`` (pairs on the last axis) at its pairs in
+        ``mask``: one segment reduction, masked entries at -inf, so a NaN stays in its slab."""
+        masked = np.where(mask, values, -np.inf).reshape(-1, self.cells.size)
+        return np.max(np.maximum.reduceat(masked, self.slab_pairs, axis=1), axis=0).tolist()
 
     @cached_property
     def q_c(self) -> np.ndarray:
@@ -519,10 +581,10 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
     at the neighbor state.  A cell's pairs are the points of ``c_values`` in the hull
     of ``u``, both neighbours or ghosts and its face and anchored states (:class:`_CheckLattice`).
     """
-    values = state.values
-    lattice = _CheckLattice.in_hulls(slab, values, c_values,
+    block, values = slab.block(), state.values
+    lattice = _CheckLattice.in_hulls(block, values, _one_slab_points(c_values),
                                      (decomp.face_states, decomp.anchored_states),
-                                     _plain_faces(slab, values))
+                                     _plain_faces(block, values))
     return _face_residuals(decomp, lattice, lattice.q(values))
 
 
@@ -548,9 +610,9 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
     """Positive part of the per-cell entropy inequality on the local check lattice,
     shape (n,): a cell's pairs are the points of ``c_values`` in the hull of
     ``u``, both neighbours or ghosts, and ``u_plus`` (:class:`_CheckLattice`)."""
-    values = state.values
-    lattice = _CheckLattice.in_hulls(slab, values, c_values, (state_next.values,),
-                                     _plain_faces(slab, values))
+    block, values = slab.block(), state.values
+    lattice = _CheckLattice.in_hulls(block, values, _one_slab_points(c_values),
+                                     (state_next.values,), _plain_faces(block, values))
     return _cell_residuals(state_next.values, lattice, lattice.q(values))
 
 
@@ -730,8 +792,9 @@ def global_dissipation_report(slab: Slab, decomp: DecompositionStates,
 
 def _dissipation_reports(block, slabs, decomp, values, values_next, pair, sums_plus,
                          sum_minus) -> list[DissipationReport]:
-    """:func:`global_dissipation_report` of each of ``slabs`` (``block``'s) from the sums of q_omega
-    on each outflow slice, ``sums_plus``, and on the first inflow slice, ``sum_minus``."""
+    """:func:`global_dissipation_report` of each slab of ``block`` from the sums of q_omega
+    on each outflow slice, ``sums_plus``, and on the first inflow slice, ``sum_minus``;
+    ``slabs`` are the block's slabs, read for their boundary faces (None on a circle)."""
     hull = block.solver.u_range
     c_mod = pair.convexity_modulus((min(hull[0], 0.0), max(hull[1], 0.0)))
     square_like = abs(float(pair.u(0.0))) < 1e-14 and abs(float(pair.du(0.0))) < 1e-14
@@ -741,18 +804,20 @@ def _dissipation_reports(block, slabs, decomp, values, values_next, pair, sums_p
     dissipation = block.per_slab(decomp.lam * coeff * (decomp.face_states - values_next[:, None]) ** 2,
                                  np.sum)
     reports = []
-    for slab, diss, sum_plus in zip(slabs, dissipation, sums_plus):
+    for b, (diss, sum_plus) in enumerate(zip(dissipation, sums_plus)):
         boundary_sum = 0.0
-        if not slab.periodic:
-            start = (slab.j - block.j) * block.m
-            for (column, side), b in zip(((0, "left"), (slab.m - 1, "right")), slab.ghost_values()):
+        if not block.periodic:
+            slab = slabs[b]
+            for (column, side), ghost in zip(((0, "left"), (slab.m - 1, "right")),
+                                             slab.ghost_values()):
                 boundary_sum += smooth_entropy_numerical_flux(
-                    slab, column, side, pair, float(values[start + column]), b)
+                    slab, column, side, pair, float(values[b * block.m + column]), ghost)
         lhs = sum_plus + c_mod * diss
         rhs = -boundary_sum + sum_minus
         # anchored convex pairs with vanishing slope at zero have q_omega >= 0
         reports.append(DissipationReport(
-            slab_index=slab.j, dissipation=diss, lhs_general=lhs, rhs=rhs, slack_general=rhs - lhs,
+            slab_index=block.j + b, dissipation=diss, lhs_general=lhs, rhs=rhs,
+            slack_general=rhs - lhs,
             slack_square_variant=rhs - c_mod * diss if square_like else None))
         sum_minus = sum_plus
     return reports
@@ -1174,8 +1239,9 @@ def verify_run(result: RunResult, tol: float | None = None,
     tolerance scales with the largest finite slice flux; a given one must
     be finite and non-negative (``ValueError``).
 
-    The slabs run in the solver's blocks (:meth:`Solver.block`): the per-cell
-    families once per block, the check lattice once per slab (:func:`_verify_block`).
+    The slabs run in the solver's blocks (:meth:`Solver.block`): every family
+    once per block, the face and cell checks on one check lattice of the
+    block's slabs, each reduced per slab (:func:`_verify_block`).
     """
     tri = result.tri
     solver = solver if solver is not None else Solver(
@@ -1222,15 +1288,17 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
     """The per-slab series of :func:`verify_run` for slabs ``js``, their lattice sizes, and
     the sum of the square pair's q_omega on the last outflow slice.
 
-    ``sum_minus`` is that sum on the first inflow slice.  The decomposition,
-    the identity, bracketing, conservation, convexity and dissipation checks
-    run once on the block's rows and reduce per slab; each slab's check
-    lattice is the union of its face and cell check pairs, with G(c), q(c)
-    and the face arrays evaluated once for both checks.
+    ``sum_minus`` is that sum on the first inflow slice.  Every family runs
+    once on the block's rows and reduces per slab: the decomposition, the
+    identity, bracketing, conservation, convexity and dissipation checks, and
+    the face and cell checks on one check lattice of the block
+    (:meth:`_CheckLattice.in_hulls`), the union of their pairs, with G(c), q(c)
+    and the face arrays evaluated once for both.  The boundary condition of
+    an interval run reads each slab's points alone.
     """
-    slabs = [solver.slab(j) for j in js]
-    block = solver.block(js.start) if len(js) > 1 else slabs[0].block()
-    m, nv = block.m, slabs[0].vert.n_faces
+    slabs = None if solver.tri.periodic else [solver.slab(j) for j in js]   # boundary terms
+    block = solver.block(js.start) if len(js) > 1 else solver.slab(js.start).block()
+    nv = block.vert.n_faces // block.n
     inflow, outflow = (SliceState(block.j + k, None,
                                   np.concatenate([states[j + k].values for j in js]),
                                   np.concatenate([states[j + k].fluxes for j in js]))
@@ -1246,12 +1314,27 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
     sums_plus = block.per_slab(q_omega_plus, np.sum)
     reports = _dissipation_reports(block, slabs, decomp, values, values_next, square, sums_plus,
                                    sum_minus)
+    points, bounds = _kruzkov_points(block, values)
+    lattice = _CheckLattice.in_hulls(block, values, (points, bounds),
+                                     (decomp.face_states, decomp.anchored_states), plain,
+                                     (values_next,))
+    face_pairs, cell_pairs = lattice.masks
+    k_own = lattice.q(values, q_own)
+    face = _face_residuals(decomp, lattice, k_own, (decomp.q_face_states,
+                                                    decomp.q_anchored_states, decomp.q_neighbor))
     series = {
         "decomposition_identity": block.per_slab(
             convex_decomposition_residual(block, decomp, outflow, q_next)),
         "bracketing": decomp.bracket_residual,
-        "face_inequality": [], "face_inequality_neighbor": [], "cell_inequality": [],
-        "boundary_condition": [],
+        "face_inequality": lattice.per_slab(face["face_inequality"], face_pairs),
+        "face_inequality_neighbor": lattice.per_slab(face["boundary"], face_pairs),
+        "cell_inequality": lattice.per_slab(
+            _cell_residuals(values_next, lattice, k_own, q_next), cell_pairs),
+        "boundary_condition": [0.0] * block.n if slabs is None else [
+            _positive_max(np.concatenate(_boundary_condition_gaps(
+                slab, [a[b * nv:(b + 1) * nv] for a in plain],
+                KruzkovPair(points[bounds[b]:bounds[b + 1]]))))
+            for b, slab in enumerate(slabs)],
         "outflow_convexity_square": block.per_slab(
             _convexity_residual(decomp, q_omega_plus, ent.q_omega(decomp.face_states))),
         "conservation_identity": block.per_slab(np.abs(q_next - outflow.fluxes)),
@@ -1259,25 +1342,4 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
             [s for s in (rep.slack_general, rep.slack_square_variant) if s is not None]))
             for rep in reports],
     }
-    sizes = []
-    for b, slab in enumerate(slabs):
-        rows, faces = slice(b * m, (b + 1) * m), slice(b * nv, (b + 1) * nv)
-        cells = replace(decomp, **{k: v[rows] for k, v in vars(decomp).items()
-                                   if isinstance(v, np.ndarray)})
-        u, u_next, plain_b = values[rows], values_next[rows], [a[faces] for a in plain]
-        c_vals = kruzkov_lattice(slab, states[slab.j])
-        sizes.append(int(c_vals.size))
-        lattice = _CheckLattice.in_hulls(slab, u, c_vals,
-                                         (cells.face_states, cells.anchored_states), plain_b,
-                                         (u_next,))
-        face_pairs, cell_pairs = lattice.masks
-        k_own = lattice.q(u, q_own[rows])
-        face = _face_residuals(cells, lattice, k_own, (cells.q_face_states,
-                                                       cells.q_anchored_states, cells.q_neighbor))
-        series["face_inequality"].append(float(np.max(face["face_inequality"][:, face_pairs])))
-        series["face_inequality_neighbor"].append(float(np.max(face["boundary"][:, face_pairs])))
-        series["cell_inequality"].append(float(np.max(
-            _cell_residuals(u_next, lattice, k_own, q_next[rows])[cell_pairs])))
-        series["boundary_condition"].append(0.0 if slab.periodic else _positive_max(
-            np.concatenate(_boundary_condition_gaps(slab, plain_b, KruzkovPair(c_vals)))))
-    return series, sizes, sums_plus[-1]
+    return series, np.diff(bounds).tolist(), sums_plus[-1]

@@ -830,26 +830,36 @@ def _check_ratios_finite(slab: str, ratios, sup, dq_min, left, right,
                               f"{what} is {float(value)!r}")
 
 
-def _slab_ratio(domain, xs, flux, spec, u_range, t0, hbar) -> float:
-    """Max per-cell lambda ratio of a candidate slab starting at t0."""
-    m = xs.size - 1
+def _slab_ratios(domain, xs, flux, spec, u_range, t0: np.ndarray, hbar) -> np.ndarray:
+    """Max per-cell lambda ratio of each candidate slab of height ``hbar`` from a start of ``t0``.
+
+    The probes are one block table with per-row starts (as
+    :meth:`Solver._block_tables`), so each probe's ratio has the bits of its
+    slab's table built alone; a single probe is built from its start alone.
+    The first probe with a non-finite ratio raises.
+    """
+    m, n_probes = xs.size - 1, t0.size
     rule = gauss_legendre(5, 1)
     x_nodes = xs[:-1] if domain.periodic else xs
-    vert = VerticalFluxes(x_nodes, t0, hbar, flux, spec, rule, u_range)
-    sup = vert.lipschitz_sup()
-    # dq bounds on the outflow slice of the candidate slab (1 column: dq reads no u)
-    pts, weights = segment_nodes(rule, 1, t0 + hbar, xs[:-1], np.diff(xs))
+    t_lo = t0[0] if n_probes == 1 else np.repeat(t0, x_nodes.size)   # per (probe, node) row
+    vert = VerticalFluxes(np.concatenate([x_nodes] * n_probes), t_lo, hbar, flux, spec, rule,
+                          u_range)
+    sup = vert.lipschitz_sup().reshape(n_probes, -1)
+    # dq bounds on the outflow slice of each candidate slab (1 column: dq reads no u)
+    pts, weights = segment_nodes(rule, 1, (t0 + hbar)[:, None], xs[:-1], np.diff(xs))
     n = 1 if (1,) in flux.u_free_du else DQ_SAMPLE_COUNT
-    us = np.broadcast_to(np.linspace(*u_range, DQ_SAMPLE_COUNT)[:n], (m, n))
-    dq_min = np.min(np.abs(face_sums(flux.omega.du_coeffs[(1,)], pts, weights, us)), axis=1)
+    us = np.broadcast_to(np.linspace(*u_range, DQ_SAMPLE_COUNT)[:n], (n_probes * m, n))
+    dq = face_sums(flux.omega.du_coeffs[(1,)], pts.reshape(n_probes * m, *pts.shape[2:]),
+                   np.concatenate([weights] * n_probes), us)
+    dq_min = np.min(np.abs(dq), axis=1).reshape(n_probes, m)
     left = np.arange(m)
     right = (np.arange(m) + 1) % m if domain.periodic else np.arange(m) + 1
-    lam = (sup[left] + sup[right]) / dq_min
-    _check_ratios_finite(f"probe slab (t0, hbar) = ({float(t0)!r}, {float(hbar)!r})",
-                         lam, sup, dq_min, left, right,
-                         lambda k: f"x = {float(x_nodes[k])!r}",
-                         lambda i: f"[{float(xs[i])!r}, {float(xs[i + 1])!r}]")
-    return float(np.max(lam))
+    lam = (sup[:, left] + sup[:, right]) / dq_min
+    for start, *row in zip(t0, lam, sup, dq_min):
+        _check_ratios_finite(f"probe slab (t0, hbar) = ({float(start)!r}, {float(hbar)!r})",
+                             *row, left, right, lambda k: f"x = {float(x_nodes[k])!r}",
+                             lambda i: f"[{float(xs[i])!r}, {float(xs[i + 1])!r}]")
+    return np.max(lam, axis=1)
 
 
 def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence[float],
@@ -860,8 +870,9 @@ def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence
 
     Scales a probe slab to the target ratio and verifies on
     ``TIMESTEP_PROBES`` slabs sampled across the horizon if the flux reads
-    t, else on the one from t = 0 (all slabs of one height then have its
-    ratio), each with 5-point Gauss rules.  Returns 0 for a zero horizon;
+    t, one table for all of them (:func:`_slab_ratios`), else on the one from
+    t = 0 (all slabs of one height then have its ratio), each with 5-point
+    Gauss rules.  Returns 0 for a zero horizon;
     raises :class:`DegenerateFluxError` when no height above
     ``1e-12 * t_final`` is admissible.
     """
@@ -874,8 +885,15 @@ def select_timestep(domain: IntervalDomain | CircleDomain, breakpoints: Sequence
     def worst_ratio(hbar: float) -> float:
         starts = np.linspace(0.0, max(t_final - hbar, 0.0),
                              TIMESTEP_PROBES if flux.reads_t else 1)
-        return max(_slab_ratio(domain, breakpoints, flux, spec, u_range, t0, hbar)
-                   for t0 in starts)
+        try:
+            ratios = _slab_ratios(domain, breakpoints, flux, spec, u_range, starts, hbar)
+        except Exception:   # whatever a probe's flux raises: the parent's error, probe by probe
+            if starts.size == 1:
+                raise
+            ratios = np.concatenate([_slab_ratios(domain, breakpoints, flux, spec, u_range,
+                                                  starts[k:k + 1], hbar)
+                                     for k in range(starts.size)])
+        return max(ratios.tolist())   # in probe order
 
     hbar = float(t_final)
     floor = 1e-12 * t_final

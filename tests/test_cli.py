@@ -437,6 +437,22 @@ class TestEntropyCheckCommand:
         assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_CONFIG
         assert f"run artifact is missing slice {missing} data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", ["7.5", "99999", "-1", "nan"])
+    def test_stray_slice_index_is_a_config_error_naming_its_line(self, tmp_path, capsys,
+                                                                  index):
+        # a copy of a data row with an index that names no slice, after line 5
+        cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
+        assert main(["run", "--config", cfg]) == EXIT_OK
+        table = Path(out, "slices.csv")
+        lines = table.read_text().splitlines(keepends=True)
+        lines.insert(5, index + "," + lines[3].split(",", 1)[1])
+        table.write_text("".join(lines))
+        n_slices = len(json.loads(Path(out, "run.json").read_text())["mesh"]["times"])
+        assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            f"config error: run artifact slices.csv line 6: slice_index {index} is not an "
+            f"integer in 0..{n_slices - 1}")
+
     @pytest.mark.parametrize("key, index, value, name", [
         ("times", 2, float("nan"), "slice times"),
         ("times", 1, float("inf"), "slice times"),

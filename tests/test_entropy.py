@@ -38,6 +38,7 @@ from spacetime_fvm.entropy import (
     square_pair,
     verify_run,
     _CheckLattice,
+    _one_slab_points,
     _cell_sides,
     _kruzkov,
     _plain_faces,
@@ -639,13 +640,14 @@ class TestFaceArrays:
             # rows spanning the lattice: every cell holds every point, in the full layout
             plain = _plain_faces(slab, values)
             spanning = (np.broadcast_to(c[[0, -1]], (slab.m, 2)),)
-            full = _CheckLattice.in_hulls(slab, values, c, spanning, plain)
+            full = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c), spanning,
+                                          plain)
             for arrays, oracle in zip(full.sides, expected):
                 assert [a.reshape(slab.m, c.size).tobytes() for a in arrays] \
                     == [e.tobytes() for e in oracle]
             # the face check's own rows: the same entries at its pairs
             decomp = decomposition_states(slab, state)
-            local = _CheckLattice.in_hulls(slab, values, c,
+            local = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c),
                                            (decomp.face_states, decomp.anchored_states), plain)
             cells, cols = _loop_pairs(_face_rows(slab, decomp, values), c)
             assert local.cells.tobytes() == cells.tobytes()
@@ -685,7 +687,7 @@ class TestFaceArrays:
         vert = slab.vert
         unfactored = _cell_sides(_kruzkov(vert.Q, cs, uL, uR), _kruzkov(vert.G, cs, uL),
                                  _kruzkov(vert.G, cs, uR), slab.left_idx, slab.right_idx)
-        full = _CheckLattice.in_hulls(slab, values, c,
+        full = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c),
                                       (np.broadcast_to([-0.7, 1.3], (slab.m, 2)),),
                                       _plain_faces(slab, values))
         for arrays, expected in zip(full.sides, unfactored):
@@ -774,7 +776,8 @@ class TestLocalLattice:
         plain = _plain_faces(slab, values)
         for extra, rows in (((decomp.face_states, decomp.anchored_states), face_rows),
                             ((state_next.values,), cell_rows)):
-            lattice = _CheckLattice.in_hulls(slab, values, c, extra, plain)
+            lattice = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c), extra,
+                                             plain)
             cells, cols = _loop_pairs(rows, cs)
             assert lattice.cells.tobytes() == cells.tobytes()
             assert lattice.c.tobytes() == cs[cols].tobytes()

@@ -899,13 +899,15 @@ class TestTableReuse:
     def test_t_free_timestep_search_probes_once_per_iteration(self, flux, kind, monkeypatch):
         # a flux that does not read t gives every slab of one height the ratio
         # of the slab at t = 0: one probe per iteration finds the bits of the
-        # TIMESTEP_PROBES-probe search
+        # TIMESTEP_PROBES-probe search, whose probes share one table (one
+        # start per (probe, node) row)
         domain, xs, u_range = IntervalDomain(0.0, 1.0), np.linspace(0.0, 1.0, 17), (-0.3, 1.0)
-        starts, hbars = {}, {}
+        starts, hbars, tables = {}, {}, []
 
         class CountingVertical(scheme_module.VerticalFluxes):
             def __init__(self, x_nodes, t_lo, height, flux, *args):
-                starts[flux.reads_t].append(t_lo)
+                starts[flux.reads_t] += np.broadcast_to(t_lo, np.shape(x_nodes)).tolist()
+                tables.append(flux.reads_t)
                 super().__init__(x_nodes, t_lo, height, flux, *args)
 
         monkeypatch.setattr(scheme_module, "VerticalFluxes", CountingVertical)
@@ -916,6 +918,41 @@ class TestTableReuse:
         assert np.float64(hbars[False]).tobytes() == np.float64(hbars[True]).tobytes()
         assert set(starts[False]) == {0.0}
         assert len(starts[True]) == scheme_module.TIMESTEP_PROBES * len(starts[False])
+        assert tables.count(True) == tables.count(False)   # one table per iteration
+
+    def test_failing_probe_batch_reruns_probe_by_probe(self, monkeypatch):
+        # a flux that reads t: a batch that raises is rerun one probe at a
+        # time, so the height keeps its bits and the first failing probe
+        # raises its own error
+        flux = presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), np.cos)
+        args = (CircleDomain(2 * np.pi), np.linspace(0.0, 2 * np.pi, 17), flux,
+                NumericalFluxSpec(), (0.2, 0.8), 0.25, 0.5)
+        expected = select_timestep(*args)
+        ratios, calls = scheme_module._slab_ratios, []
+
+        def batch_fails(*a):
+            calls.append(a[5].tolist())
+            if a[5].size > 1:
+                raise ConvergenceError("the batch")
+            return ratios(*a)
+
+        monkeypatch.setattr(scheme_module, "_slab_ratios", batch_fails)
+        assert np.float64(select_timestep(*args)).tobytes() == np.float64(expected).tobytes()
+        assert max(len(c) for c in calls) == scheme_module.TIMESTEP_PROBES
+
+        def late_probe_fails(*a):
+            if a[5].size == 1 and a[5][0] > 0.0:
+                calls.append(a[5].tolist())
+                raise DegenerateFluxError(f"probe from {a[5][0]!r}")
+            return batch_fails(*a)
+
+        calls.clear()
+        monkeypatch.setattr(scheme_module, "_slab_ratios", late_probe_fails)
+        with pytest.raises(DegenerateFluxError) as raised:
+            select_timestep(*args)
+        *_, batch, first, second = calls
+        assert first == batch[:1] and second == batch[1:2] and 0.0 == batch[0] < batch[1]
+        assert str(raised.value) == f"probe from {np.float64(batch[1])!r}"
 
     @given(a0=st.floats(0.5, 3.0), ratio=st.floats(-0.9, 0.9), k=st.floats(0.0, 12.0),
            phase=st.floats(0.0, 2 * np.pi), seed=st.integers(0, 2 ** 16))

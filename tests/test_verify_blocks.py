@@ -14,12 +14,15 @@ import glob
 import importlib
 import sys
 import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import capacity_field, make_solver, step_bd
+from conftest import block_ranges, capacity_field, make_solver, step_bd
 
 from spacetime_fvm import entropy, harness, presets, scheme
 from spacetime_fvm.config import load_config, parse_config
@@ -43,7 +46,10 @@ from spacetime_fvm.entropy import (
     _cell_sides,
     _CheckLattice,
     _cell_residuals,
+    _decompose,
     _face_residuals,
+    _kruzkov_points,
+    _one_slab_points,
     _plain_faces,
     _positive_max,
 )
@@ -60,6 +66,7 @@ from spacetime_fvm.scheme import (
     BoundaryData,
     NumericalFluxSpec,
     RunConfig,
+    SliceState,
     Solver,
     select_timestep,
 )
@@ -336,6 +343,12 @@ CASES = ([("config", Path(p).name) for p in sorted(glob.glob(str(ROOT / "configs
          + [("tiny", name) for name in ("shock_run", "advection_check", "rarefaction_ladder")])
 
 
+@cache
+def _case(name):
+    """The run of a harness or other case, built once per session (read only)."""
+    return {**HARNESS, **OTHER}[name]()
+
+
 def _report(result, tol=None) -> tuple:
     report = verify_run(result, tol=tol)
     return report.to_json(), report.c_lattice_sizes
@@ -379,9 +392,11 @@ def test_one_lattice_gives_each_check_its_own_pairs_and_residuals(name):
         c = kruzkov_lattice(slab, state)
         plain = _plain_faces(slab, values)
         hulls = ((decomp.face_states, decomp.anchored_states), (state_next.values,))
-        union = _CheckLattice.in_hulls(slab, values, c, *hulls[:1], plain, *hulls[1:])
+        points = _one_slab_points(c)
+        union = _CheckLattice.in_hulls(slab.block(), values, points, *hulls[:1], plain,
+                                       *hulls[1:])
         for extra, mask in zip(hulls, union.masks):
-            own = _CheckLattice.in_hulls(slab, values, c, extra, plain)
+            own = _CheckLattice.in_hulls(slab.block(), values, points, extra, plain)
             assert union.cells[mask].tobytes() == own.cells.tobytes()
             assert union.c[mask].tobytes() == own.c.tobytes()
             shared += int(np.count_nonzero(mask)) < union.cells.size
@@ -451,3 +466,139 @@ def test_verify_peak_memory_on_the_benchmark_run(monkeypatch):
         tracemalloc.stop()
     assert report.passed
     assert peak <= 2.5 * 2 ** 20
+
+
+def _old_kruzkov_lattice(slab, values):
+    """``kruzkov_lattice`` as two ``np.unique`` calls per slab."""
+    ghosts = [] if slab.periodic else [np.asarray(slab.ghost_values())]
+    vals = np.unique(np.round(np.concatenate([values, *ghosts, np.array(slab.solver.u_range)]),
+                              12))
+    return np.unique(np.concatenate([vals, 0.5 * (vals[:-1] + vals[1:])]))
+
+
+def _block_inputs(solver, result, block):
+    """A block's inflow and outflow states, its plain face arrays and its decomposition."""
+    js = block.slabs
+    inflow, outflow = (SliceState(block.j + k, None,
+                                  np.concatenate([result.states[j + k].values for j in js]),
+                                  np.concatenate([result.states[j + k].fluxes for j in js]))
+                       for k in (0, 1))
+    plain = _plain_faces(block, inflow.values)
+    return inflow.values, outflow.values, plain, _decompose(block, inflow, None, None, plain)
+
+
+def _check_lattice(block, values, values_next, plain, decomp):
+    """The face and cell checks' lattice of ``block``, as ``verify_run`` builds it."""
+    return _CheckLattice.in_hulls(block, values, _kruzkov_points(block, values),
+                                  (decomp.face_states, decomp.anchored_states), plain,
+                                  (values_next,))
+
+
+@given(name=st.sampled_from(sorted({**HARNESS, **OTHER})), slabs=st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_block_lattice_is_its_slabs_lattices(name, slabs):
+    # the block constructor's pairs, points, masks and face arrays are those of
+    # each slab's block of one, concatenated, with cells offset by b * m; each
+    # slab's points are the two-unique lattice
+    result = _case(name)
+    m = result.tri.n_columns
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme, "BLOCK_ROWS", slabs * m)
+        solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+        for js in block_ranges(result.tri):
+            block = solver.block(js.start)
+            assert block.slabs == js
+            union = _check_lattice(block, *_block_inputs(solver, result, block))
+            own = []
+            for j in js:
+                one = solver.slab(j).block()
+                inputs = _block_inputs(solver, result, one)
+                assert _kruzkov_points(one, inputs[0])[0].tobytes() \
+                    == _old_kruzkov_lattice(solver.slab(j), inputs[0]).tobytes()
+                own.append(_check_lattice(one, *inputs))
+            assert union.cells.tobytes() == np.concatenate(
+                [lat.cells + b * m for b, lat in enumerate(own)]).tobytes()
+            assert union.c.tobytes() == np.concatenate([lat.c for lat in own]).tobytes()
+            for k, mask in enumerate(union.masks):
+                assert mask.tobytes() == np.concatenate([lat.masks[k] for lat in own]).tobytes()
+            for k, side in enumerate(union.sides):
+                for i, array in enumerate(side):
+                    assert array.tobytes() == np.concatenate(
+                        [lat.sides[k][i] for lat in own]).tobytes()
+            sizes = [lat.cells.size for lat in own]
+            assert union.slab_pairs.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+
+
+@given(values=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 0.5, np.nan]),
+                                 st.floats(-0.5, 1.5)), min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_kruzkov_lattice_keeps_the_two_unique_bits(values):
+    # signed zeros (np.unique keeps the first zero of its sort), values that
+    # round to zero, repeats and NaN states, on an interval run's first slab
+    result = _case("boundary-rusanov")
+    solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+    slab = solver.slab(0)
+    values = np.resize(np.array(values), slab.m)
+    state = SliceState(0, None, values, values)
+    assert kruzkov_lattice(slab, state).tobytes() == _old_kruzkov_lattice(slab, values).tobytes()
+
+
+# the cases whose first block can hold 2-6 slabs and leaves a slab after it
+MULTI_SLAB_BLOCKS = sorted((set(HARNESS) | set(OTHER))
+                           - {"circle-one-column", "interval-two-columns", "uneven-heights"})
+
+
+@given(name=st.sampled_from(MULTI_SLAB_BLOCKS), slabs=st.integers(2, 6), data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_a_nan_state_fails_only_its_own_slab(name, slabs, data):
+    # a NaN inflow state in one slab of the first block: that slab's face,
+    # neighbour and cell maxima are NaN, every other slab keeps its bits
+    result = _case(name)
+    m = result.tri.n_columns
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scheme, "BLOCK_ROWS", slabs * m)
+        solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+        block = solver.block(0)
+    assert block.n == slabs and block.slabs.stop < result.tri.n_slabs
+    values, values_next, plain, decomp = _block_inputs(solver, result, block)
+
+    def maxima(values):
+        lattice = _check_lattice(block, values, values_next, _plain_faces(block, values), decomp)
+        face_pairs, cell_pairs = lattice.masks
+        k_own = lattice.q(values)
+        face = _face_residuals(decomp, lattice, k_own)
+        return [lattice.per_slab(face["face_inequality"], face_pairs),
+                lattice.per_slab(face["boundary"], face_pairs),
+                lattice.per_slab(_cell_residuals(values_next, lattice, k_own), cell_pairs)]
+
+    clean = maxima(values)
+    assert np.isfinite(clean).all()
+    b = data.draw(st.integers(0, block.n - 1))
+    bad = values.copy()
+    bad[b * m + data.draw(st.integers(0, m - 1))] = np.nan
+    for got, expected in zip(maxima(bad), clean):
+        assert np.isnan(got[b])
+        assert np.array(got[:b] + got[b + 1:]).tobytes() \
+            == np.array(expected[:b] + expected[b + 1:]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["advection", "boundary-rusanov"])
+def test_verify_builds_one_check_lattice_per_block(name, monkeypatch):
+    # the face and cell checks of every block read one lattice (blocks of 4
+    # slabs, the last one short); an interval run's boundary condition adds
+    # one lattice per slab on its two boundary cells
+    result = _case(name)
+    monkeypatch.setattr(scheme, "BLOCK_ROWS", 4 * result.tri.n_columns)
+    blocks, n = block_ranges(result.tri), result.tri.n_slabs
+    assert n % 4 != 0 and len(blocks) == -(-n // 4) > 1
+    built = []
+    init = _CheckLattice.__init__
+
+    def recording(self, slab, *args):
+        built.append(getattr(slab, "slabs", None))   # a block's range, None for a slab
+        init(self, slab, *args)
+
+    monkeypatch.setattr(_CheckLattice, "__init__", recording)
+    verify_run(result)
+    assert [js for js in built if js is not None] == blocks
+    assert built.count(None) == (0 if result.tri.periodic else n)
