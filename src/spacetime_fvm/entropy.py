@@ -37,16 +37,19 @@ superposes the same face arrays with a fixed Gauss rule on the pieces
 between the integrand's kinks (:func:`smooth_entropy_numerical_flux`), so
 no check calls a scalar numerical flux.
 
-:func:`verify_run` runs the solver's blocks of slabs (:meth:`Solver.block`):
-the plain face fluxes, the decomposition (one inversion), the identity,
+Every check takes a :class:`~spacetime_fvm.scheme.Slab`: slabs ``j .. j + n - 1``
+on the (slab, column) row axis, and a slab is a block of one.
+:func:`verify_run` runs the solver's blocks (:meth:`Solver.block`): the
+plain face fluxes, the decomposition (one inversion), the identity,
 bracketing, conservation, convexity and dissipation checks, a smooth pair's
 table and one check lattice once per block, each reduced per slab.  The
 lattice holds every slab's points (:func:`_kruzkov_points`, one row sort)
 and serves the face and the cell check through masks
 (:meth:`_CheckLattice.in_hulls`, one search per side); their per-slab maxima
-are segment reductions (:meth:`_CheckLattice.per_slab`).  A smooth pair's
-table for a dq that does not read u is the dq column times one (panel,
-node) factor.
+are segment reductions (:meth:`_CheckLattice.per_slab`).  The boundary
+terms of an interval run read slab b's first and last cell rows at that
+slab's points.  A smooth pair's table for a dq that does not read u is the
+dq column times one (panel, node) factor.
 
 Everything is evaluated with fixed summation order over prebuilt arrays,
 so reports are reproducible bit for bit, at every block size.
@@ -69,7 +72,7 @@ from .mesh import (
     ValueOutsideImage,
     bracketed_root,
 )
-from .scheme import RunResult, Slab, SlabBlock, SliceState, Solver
+from .scheme import RunResult, Slab, SliceState, Solver
 
 __all__ = [
     "ContractionReport",
@@ -320,10 +323,10 @@ class DecompositionStates:
     q_neighbor: np.ndarray | None = None   # (m, 2)
 
 
-def _plain_faces(slab, values: np.ndarray):
-    """``(u_L, u_R, G(u_L), G(u_R), Q(u_L, u_R))`` per vertical face, ``Q`` from the
-    two ``G`` arrays: what the decomposition and both check lattices of a slab
-    (or :class:`~spacetime_fvm.scheme.SlabBlock`) read."""
+def _plain_faces(slab: Slab, values: np.ndarray):
+    """``(u_L, u_R, G(u_L), G(u_R), Q(u_L, u_R))`` per vertical face row, ``Q`` from the
+    two ``G`` arrays: what the decomposition and both check lattices of a slab or a
+    block read."""
     u_left, u_right = slab.neighbor_states(values)
     g_left, g_right = slab.vert.G(u_left), slab.vert.G(u_right)
     return u_left, u_right, g_left, g_right, slab.vert._combine(u_left, u_right, g_left, g_right)
@@ -336,24 +339,23 @@ def _cell_sides(q, g_left, g_right, left, right):
             (q[right], g_left[right], g_right[right]))
 
 
-def decomposition_states(slab: Slab, state: SliceState, tol: float | None = None,
-                         q_own: np.ndarray | None = None) -> DecompositionStates:
+def decomposition_states(slab: Slab, state: SliceState,
+                         tol: float | None = None) -> DecompositionStates:
     """Intermediate states of the convex decomposition for one slab.
 
     Requires the CFL ratios of the slab to pass (image containment); an
     inversion failure therefore flags a CFL or flux-axiom breach.
-    ``q_own`` is ``slab.table_plus.q(state.values)`` when the caller has it.
     """
-    decomp = _decompose(slab.block(), state, tol, q_own, _plain_faces(slab, state.values))
+    decomp = _decompose(slab, state, tol, None, _plain_faces(slab, state.values))
     return replace(decomp, bracket_residual=decomp.bracket_residual[0])
 
 
-def _decompose(block: SlabBlock, state: SliceState, tol, q_own, plain) -> DecompositionStates:
+def _decompose(block: Slab, state: SliceState, tol, q_own, plain) -> DecompositionStates:
     """:func:`decomposition_states` of every slab of ``block``; ``state`` holds the
     block's inflow states and fluxes, ``plain`` its :func:`_plain_faces`."""
     tol = tol if tol is not None else block.solver.cfg.inversion_tol
     values = state.values
-    report = block.report
+    report = block.lambdas()
     lam, lam_hat = report.lam, report.lam_hat
     u_left, u_right, g_left, g_right, q_lr = plain
     nb = np.stack([u_left[block.left_idx], u_right[block.right_idx]], axis=1)
@@ -416,10 +418,10 @@ def kruzkov_lattice(slab: Slab, state: SliceState) -> np.ndarray:
     """Sorted check parameters: state hull endpoints, slab values, consecutive
     midpoints; the face and cell checks read a cell's points in its hull only.
     One slab's :func:`_kruzkov_points`."""
-    return _kruzkov_points(slab.block(), state.values)[0]
+    return _kruzkov_points(slab, state.values)[0]
 
 
-def _kruzkov_points(block: SlabBlock, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kruzkov_points(block: Slab, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every slab's :func:`kruzkov_lattice` from one row sort: the points slab by slab,
     and the (n + 1,) bounds of each slab's points.
 
@@ -497,8 +499,8 @@ def _kruzkov_faces(vert, faces, c, g_c, plain):
 
 
 class _CheckLattice:
-    """A Kruzkov lattice on the (cell, c) pairs ``cells``, ``c`` (n,) of a slab or a
-    :class:`~spacetime_fvm.scheme.SlabBlock`, cells sorted.
+    """A Kruzkov lattice on the (cell, c) pairs ``cells``, ``c`` (n,) of a slab or a block
+    of slabs (:class:`~spacetime_fvm.scheme.Slab`), cells sorted.
 
     ``sides`` holds the cells' side triples (:func:`_cell_sides`) at the pairs,
     from the face arrays at their left, then right faces (:func:`_kruzkov_faces`)
@@ -509,7 +511,7 @@ class _CheckLattice:
     every point (:func:`_boundary_sides`).
     """
 
-    def __init__(self, slab, cells: np.ndarray, c: np.ndarray, plain):
+    def __init__(self, slab: Slab, cells: np.ndarray, c: np.ndarray, plain):
         self.cells, self.c = cells, c
         self.masks = [slice(None)]
         self.slab_pairs = np.zeros(1, dtype=np.intp)
@@ -522,7 +524,7 @@ class _CheckLattice:
             slice(None, cells.size), slice(cells.size, None))
 
     @classmethod
-    def in_hulls(cls, block: SlabBlock, values: np.ndarray, points, extra, plain,
+    def in_hulls(cls, block: Slab, values: np.ndarray, points, extra, plain,
                  *more) -> "_CheckLattice":
         """The points of each slab in the closed hull of each of its cells' ``u``, both
         neighbours or ghosts and its ``extra`` states, by cell and then by c.
@@ -581,10 +583,10 @@ def face_entropy_residuals(slab: Slab, decomp: DecompositionStates, state: Slice
     at the neighbor state.  A cell's pairs are the points of ``c_values`` in the hull
     of ``u``, both neighbours or ghosts and its face and anchored states (:class:`_CheckLattice`).
     """
-    block, values = slab.block(), state.values
-    lattice = _CheckLattice.in_hulls(block, values, _one_slab_points(c_values),
+    values = state.values
+    lattice = _CheckLattice.in_hulls(slab, values, _one_slab_points(c_values),
                                      (decomp.face_states, decomp.anchored_states),
-                                     _plain_faces(block, values))
+                                     _plain_faces(slab, values))
     return _face_residuals(decomp, lattice, lattice.q(values))
 
 
@@ -610,9 +612,9 @@ def cell_entropy_residuals(slab: Slab, state: SliceState, state_next: SliceState
     """Positive part of the per-cell entropy inequality on the local check lattice,
     shape (n,): a cell's pairs are the points of ``c_values`` in the hull of
     ``u``, both neighbours or ghosts, and ``u_plus`` (:class:`_CheckLattice`)."""
-    block, values = slab.block(), state.values
-    lattice = _CheckLattice.in_hulls(block, values, _one_slab_points(c_values),
-                                     (state_next.values,), _plain_faces(block, values))
+    values = state.values
+    lattice = _CheckLattice.in_hulls(slab, values, _one_slab_points(c_values),
+                                     (state_next.values,), _plain_faces(slab, values))
     return _cell_residuals(state_next.values, lattice, lattice.q(values))
 
 
@@ -629,26 +631,29 @@ def _cell_residuals(values_next, lattice, k_own, q_next=None) -> np.ndarray:
 # discrete boundary condition and smooth-pair numerical entropy fluxes
 # ---------------------------------------------------------------------------
 
-def _boundary_sides(slab: Slab, plain, c: np.ndarray) -> list[tuple]:
-    """The left, then right boundary face as its cell sees it: side 0 of cell 0, side 1 of cell m - 1.
+def _boundary_sides(slab: Slab, plain, c: np.ndarray, b: int = 0) -> list[tuple]:
+    """Slab b's left, then right boundary face as its cell sees it: side 0 of its first
+    cell row, side 1 of its last.
 
-    Per face ``(u, b, Q(u, b) - Q(b, b), Q_c(u, b), Q_c(b, b))``: the cell and
+    Per face ``(u, g, Q(u, g) - Q(g, g), Q_c(u, g), Q_c(g, g))``: the cell and
     ghost states, the plain flux difference from :func:`_plain_faces` ``plain``
     and the Kruzkov numerical fluxes at every point of ``c``, from a
     :class:`_CheckLattice` holding the two cells at all of them.
     """
-    n = c.size
-    kruzkov = _CheckLattice(slab, np.repeat([0, slab.m - 1], n), np.tile(c, 2), plain).sides
+    n, first, last = c.size, b * slab.m, (b + 1) * slab.m - 1
+    kruzkov = _CheckLattice(slab, np.repeat([first, last], n), np.tile(c, 2), plain).sides
     u_left, u_right, g_left, g_right, q_lr = plain
-    sides = _cell_sides(q_lr, g_left, g_right, slab.left_idx[:1], slab.right_idx[-1:])
-    states = ((u_right[0], u_left[0]), (u_left[-1], u_right[-1]))
-    return [(u, b, float(q_uv[0] - q_vv[0]), k_uv[pairs], k_vv[pairs])
-            for (u, b), (q_uv, _, q_vv), (k_uv, _, k_vv), pairs
+    left, right = slab.left_idx[first:first + 1], slab.right_idx[last:last + 1]
+    sides = _cell_sides(q_lr, g_left, g_right, left, right)
+    states = ((u_right[left[0]], u_left[left[0]]), (u_left[right[0]], u_right[right[0]]))
+    return [(u, g, float(q_uv[0] - q_vv[0]), k_uv[pairs], k_vv[pairs])
+            for (u, g), (q_uv, _, q_vv), (k_uv, _, k_vv), pairs
             in zip(states, sides, kruzkov, (slice(None, n), slice(n, None)))]
 
 
-def _boundary_condition_gaps(slab: Slab, plain, pair) -> list[np.ndarray]:
-    """``U'(b) (Q(u, b) - Q(b, b)) - (Q_U(u, b) - Q_U(b, b))`` on the left, then right boundary face.
+def _boundary_condition_gaps(slab: Slab, plain, pair, b: int = 0) -> list[np.ndarray]:
+    """``U'(g) (Q(u, g) - Q(g, g)) - (Q_U(u, g) - Q_U(g, g))`` on slab b's left, then right
+    boundary face, ``g`` its ghost state.
 
     ``Q_U`` is the pair's numerical entropy flux: one entry per point of a
     :class:`KruzkovPair`'s ``c`` (:func:`_boundary_sides`), one for a smooth
@@ -656,14 +661,14 @@ def _boundary_condition_gaps(slab: Slab, plain, pair) -> list[np.ndarray]:
     """
     kruzkov = isinstance(pair, KruzkovPair)
     sides = _boundary_sides(slab, plain, np.atleast_1d(np.asarray(pair.c, dtype=float))
-                            if kruzkov else np.empty(0))
+                            if kruzkov else np.empty(0), b)
     gaps = []
-    for (column, side), (u, b, q_diff, k_ub, k_bb) in zip(((0, "left"), (slab.m - 1, "right")),
-                                                           sides):
+    for (column, side), (u, g, q_diff, k_ug, k_gg) in zip(
+            ((b * slab.m, "left"), ((b + 1) * slab.m - 1, "right")), sides):
         if not kruzkov:
-            k_ub, k_bb = (smooth_entropy_numerical_flux(slab, column, side, pair, s, b)
-                          for s in (u, b))
-        gaps.append(pair.du(b) * q_diff - (k_ub - k_bb))
+            k_ug, k_gg = (smooth_entropy_numerical_flux(slab, column, side, pair, s, g)
+                          for s in (u, g))
+        gaps.append(pair.du(g) * q_diff - (k_ug - k_gg))
     return gaps
 
 
@@ -697,7 +702,8 @@ def _flux_crossings(vert, face: int, lo: float, hi: float) -> list[float]:
 
 def smooth_entropy_numerical_flux(slab: Slab, column: int, side: str,
                                   pair: EntropyPair, u: float, v: float) -> float:
-    """Numerical entropy flux for a smooth convex pair via Kruzkov superposition.
+    """Numerical entropy flux for a smooth convex pair via Kruzkov superposition, on the
+    ``side`` face of cell row ``column``.
 
     Decomposes the pair into modulus entropies over the state hull (plus a
     linear part) and integrates the corresponding Kruzkov numerical fluxes
@@ -785,16 +791,14 @@ def global_dissipation_report(slab: Slab, decomp: DecompositionStates,
     pair = pair if pair is not None else square_pair()
     q_omega_minus = SmoothFaceEntropy(pair, slab.table_minus).q_omega(state.values)
     q_omega_plus = SmoothFaceEntropy(pair, slab.table_plus).q_omega(state_next.values)
-    return _dissipation_reports(slab.block(), [slab], decomp, state.values, state_next.values,
-                                pair, [float(np.sum(q_omega_plus))],
-                                float(np.sum(q_omega_minus)))[0]
+    return _dissipation_reports(slab, decomp, state.values, state_next.values, pair,
+                                [float(np.sum(q_omega_plus))], float(np.sum(q_omega_minus)))[0]
 
 
-def _dissipation_reports(block, slabs, decomp, values, values_next, pair, sums_plus,
+def _dissipation_reports(block: Slab, decomp, values, values_next, pair, sums_plus,
                          sum_minus) -> list[DissipationReport]:
     """:func:`global_dissipation_report` of each slab of ``block`` from the sums of q_omega
-    on each outflow slice, ``sums_plus``, and on the first inflow slice, ``sum_minus``;
-    ``slabs`` are the block's slabs, read for their boundary faces (None on a circle)."""
+    on each outflow slice, ``sums_plus``, and on the first inflow slice, ``sum_minus``."""
     hull = block.solver.u_range
     c_mod = pair.convexity_modulus((min(hull[0], 0.0), max(hull[1], 0.0)))
     square_like = abs(float(pair.u(0.0))) < 1e-14 and abs(float(pair.du(0.0))) < 1e-14
@@ -807,11 +811,11 @@ def _dissipation_reports(block, slabs, decomp, values, values_next, pair, sums_p
     for b, (diss, sum_plus) in enumerate(zip(dissipation, sums_plus)):
         boundary_sum = 0.0
         if not block.periodic:
-            slab = slabs[b]
-            for (column, side), ghost in zip(((0, "left"), (slab.m - 1, "right")),
-                                             slab.ghost_values()):
+            for column, side, ghost in zip((b * block.m, (b + 1) * block.m - 1),
+                                           ("left", "right"),
+                                           block.solver.ghosts[block.j + b].tolist()):
                 boundary_sum += smooth_entropy_numerical_flux(
-                    slab, column, side, pair, float(values[b * block.m + column]), ghost)
+                    block, column, side, pair, float(values[column]), ghost)
         lhs = sum_plus + c_mod * diss
         rhs = -boundary_sum + sum_minus
         # anchored convex pairs with vanishing slope at zero have q_omega >= 0
@@ -1071,7 +1075,7 @@ def global_entropy_inequality_report(result: RunResult, psi: TestFunction, pair,
         state_next = result.states[j + 1]
         values = state.values
         plain = _plain_faces(slab, values)
-        decomp = _decompose(slab.block(), state, None, None, plain)
+        decomp = _decompose(slab, state, None, None, plain)
         w_t = slab.vert.weights
 
         # psi averages on vertical faces (coordinate measure) and their
@@ -1259,14 +1263,15 @@ def verify_run(result: RunResult, tol: float | None = None,
     first = solver.slice_table(0)
     slice0_gap = float(np.max(np.abs(first.q(states[0].values) - states[0].fluxes)))
     sum_minus = float(np.sum(SmoothFaceEntropy(square_pair(), first).q_omega(states[0].values)))
-    slabs = range(0)
-    while slabs.stop < tri.n_slabs:
-        slabs = solver.block(slabs.stop).slabs
+    j = 0
+    while j < tri.n_slabs:
+        block = solver.block(j)
+        j = block.slabs.stop
         try:
-            series, sizes, sum_minus = _verify_block(solver, states, slabs, sum_minus)
+            series, sizes, sum_minus = _verify_block(states, block, sum_minus)
         except (ValueOutsideImage, ConvergenceError):
-            for j in slabs:   # slab by slab, so the first failing slab names its own face
-                sum_minus = _verify_block(solver, states, range(j, j + 1), sum_minus)[2]
+            for k in block.slabs:   # slab by slab, so the first failing slab names its own face
+                sum_minus = _verify_block(states, solver.slab(k), sum_minus)[2]
             raise
         for name in _CHECK_NAMES:
             per_slab[name] += series[name]
@@ -1284,9 +1289,9 @@ def verify_run(result: RunResult, tol: float | None = None,
                          c_lattice_sizes=lattice_sizes)
 
 
-def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus: float):
-    """The per-slab series of :func:`verify_run` for slabs ``js``, their lattice sizes, and
-    the sum of the square pair's q_omega on the last outflow slice.
+def _verify_block(states: list[SliceState], block: Slab, sum_minus: float):
+    """The per-slab series of :func:`verify_run` for the slabs of ``block``, their lattice
+    sizes, and the sum of the square pair's q_omega on the last outflow slice.
 
     ``sum_minus`` is that sum on the first inflow slice.  Every family runs
     once on the block's rows and reduces per slab: the decomposition, the
@@ -1294,14 +1299,11 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
     the face and cell checks on one check lattice of the block
     (:meth:`_CheckLattice.in_hulls`), the union of their pairs, with G(c), q(c)
     and the face arrays evaluated once for both.  The boundary condition of
-    an interval run reads each slab's points alone.
+    an interval run reads each slab's points alone, at its boundary rows.
     """
-    slabs = None if solver.tri.periodic else [solver.slab(j) for j in js]   # boundary terms
-    block = solver.block(js.start) if len(js) > 1 else solver.slab(js.start).block()
-    nv = block.vert.n_faces // block.n
     inflow, outflow = (SliceState(block.j + k, None,
-                                  np.concatenate([states[j + k].values for j in js]),
-                                  np.concatenate([states[j + k].fluxes for j in js]))
+                                  np.concatenate([states[j + k].values for j in block.slabs]),
+                                  np.concatenate([states[j + k].fluxes for j in block.slabs]))
                        for k in (0, 1))
     values, values_next = inflow.values, outflow.values
     table = block.table_plus
@@ -1312,7 +1314,7 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
     ent = SmoothFaceEntropy(square, table)
     q_omega_plus = ent.q_omega(values_next)
     sums_plus = block.per_slab(q_omega_plus, np.sum)
-    reports = _dissipation_reports(block, slabs, decomp, values, values_next, square, sums_plus,
+    reports = _dissipation_reports(block, decomp, values, values_next, square, sums_plus,
                                    sum_minus)
     points, bounds = _kruzkov_points(block, values)
     lattice = _CheckLattice.in_hulls(block, values, (points, bounds),
@@ -1330,11 +1332,10 @@ def _verify_block(solver: Solver, states: list[SliceState], js: range, sum_minus
         "face_inequality_neighbor": lattice.per_slab(face["boundary"], face_pairs),
         "cell_inequality": lattice.per_slab(
             _cell_residuals(values_next, lattice, k_own, q_next), cell_pairs),
-        "boundary_condition": [0.0] * block.n if slabs is None else [
+        "boundary_condition": [0.0] * block.n if block.periodic else [
             _positive_max(np.concatenate(_boundary_condition_gaps(
-                slab, [a[b * nv:(b + 1) * nv] for a in plain],
-                KruzkovPair(points[bounds[b]:bounds[b + 1]]))))
-            for b, slab in enumerate(slabs)],
+                block, plain, KruzkovPair(points[bounds[b]:bounds[b + 1]]), b)))
+            for b in range(block.n)],
         "outflow_convexity_square": block.per_slab(
             _convexity_residual(decomp, q_omega_plus, ent.q_omega(decomp.face_states))),
         "conservation_identity": block.per_slab(np.abs(q_next - outflow.fluxes)),

@@ -54,7 +54,7 @@ __all__ = [
     "NumericalFluxSpec",
     "RunConfig",
     "RunResult",
-    "SlabBlock",
+    "Slab",
     "SliceState",
     "Solver",
     "data_hull",
@@ -179,7 +179,7 @@ class VerticalFluxes:
     (``t_lo``, ``pts``) is cheap; the rest derives from the flux and the
     slab's nominal ``height`` (:attr:`Foliation.heights`), and :meth:`on_slab`
     shares it with another slab of that height when the flux does not read t.
-    Per-row ``x_nodes`` and ``t_lo`` give a block table (:class:`SlabBlock`).
+    Per-row ``x_nodes`` and ``t_lo`` give a block table (:class:`Slab`).
     """
 
     def __init__(self, x_nodes: np.ndarray, t_lo: float | np.ndarray, height: float,
@@ -464,68 +464,35 @@ def _lambda_report(vert, table_plus, left, right, j: int) -> LambdaReport:
     return LambdaReport(lam_hat=lam_hat, lam_hat_cell=lam_hat_cell, lam=lam, cfl_limit=CFL_LIMIT)
 
 
-class SlabBlock:
-    """Slabs ``j + b`` of one height as one slab on the (slab, column) row axis: cell row
-    ``b * m + i``, face row ``b * nv + k`` (critical points NaN-padded to the widest row);
-    the kernels work row by row, so each slab's rows get its own tables' bits."""
-
-    def __init__(self, solver: "Solver", slabs: range, table, vert, report=None):
-        self.solver, self.slabs, self.j, self.n = solver, slabs, slabs.start, len(slabs)
-        self.m, self.periodic = solver.tri.n_columns, solver.tri.periodic
-        self.table_plus, self.vert = table, vert
-        shift = vert.n_faces // self.n * np.arange(self.n)[:, None]
-        self.left_idx, self.right_idx = ((idx + shift).ravel() for idx in solver.cell_faces)
-        self.report = report or _lambda_report(vert, table, self.left_idx, self.right_idx, self.j)
-
-    def neighbor_states(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`Slab.neighbor_states` of every slab, face rows slab by slab."""
-        cells = values.reshape(self.n, self.m)
-        if self.periodic:
-            return np.roll(cells, 1, axis=1).ravel(), values
-        ghosts = self.solver.ghosts[self.j:self.j + self.n]
-        return (np.concatenate([ghosts[:, :1], cells], axis=1).ravel(),
-                np.concatenate([cells, ghosts[:, 1:]], axis=1).ravel())
-
-    def per_slab(self, values: np.ndarray, reduce=np.max) -> list[float]:
-        """``reduce`` of each slab's rows of ``values`` (cells first), as floats."""
-        return reduce(values.reshape(self.n, -1), axis=1).tolist()
-
-
 class Slab:
-    """All per-slab state: flux tables, ghosts, CFL ratios, the update."""
+    """Slabs ``j .. j + n - 1`` of one nominal height on the (slab, column) row axis: cell row
+    ``b * m + i``, face row ``b * nv + k`` (critical points NaN-padded to the widest row).  A
+    slab is a block of one (:meth:`Solver.slab`, which also holds its inflow table
+    ``table_minus``); :meth:`Solver.block` gives a block.  The kernels work row by row, so
+    each slab's rows get its own tables' bits."""
 
-    def __init__(self, solver: "Solver", j: int):
-        self.solver = solver
-        self.j = j
-        tri = solver.tri
-        self.tri = tri
-        self.m = tri.n_columns
-        self.periodic = tri.periodic
-        self.table_minus = solver.slice_table(j)
-        self.table_plus = solver.slice_table(j + 1)
-        self.vert = solver.vertical_fluxes(j)
-        self.left_idx, self.right_idx = solver.cell_faces
+    def __init__(self, solver: "Solver", j: int, n: int, table_minus, table_plus, vert,
+                 report: LambdaReport | None = None):
+        self.solver, self.j, self.n = solver, j, n
+        self.m, self.periodic = solver.tri.n_columns, solver.tri.periodic
+        self.table_minus, self.table_plus, self.vert = table_minus, table_plus, vert
+        self.left_idx, self.right_idx = solver.cell_faces[n]
+        self.report = report
+
+    @property
+    def slabs(self) -> range:
+        return range(self.j, self.j + self.n)
 
     # -- boundary ----------------------------------------------------------------
 
     def ghost_values(self) -> tuple[float, float] | None:
-        """(left, right) ghost states of this slab, or None on a circle."""
+        """(left, right) ghost states of slab j, or None on a circle."""
         if self.periodic:
             return None
         return tuple(self.solver.ghosts[self.j].tolist())
 
-    # -- per-cell oriented fluxes -------------------------------------------------
-
-    def signed_flux(self, column: int, side: str, u) -> np.ndarray:
-        """g_{K, e}(u): oriented total flux through a vertical face as K sees it."""
-        idx = self.right_idx[column] if side == "right" else self.left_idx[column]
-        sign = 1.0 if side == "right" else -1.0
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        faces = np.full(u.shape[0], idx, dtype=int)
-        return sign * self.vert.G(u, faces=faces)
-
     def numerical_flux(self, column: int, side: str, u, v):
-        """Q_{K, e}(u, v) with u the cell's own state, v the neighbor state."""
+        """Q_{K, e}(u, v) with u the state of cell row ``column``, v the neighbor state."""
         shape = np.broadcast_shapes(np.shape(u), np.shape(v))
         uu = np.broadcast_to(np.asarray(u, dtype=float), shape).reshape(1, -1)
         vv = np.broadcast_to(np.asarray(v, dtype=float), shape).reshape(1, -1)
@@ -540,32 +507,32 @@ class Slab:
     def lambdas(self) -> LambdaReport:
         """Per-cell lambda ratios; the cell sums must stay below 1/2.
 
-        Uses the exact suprema of the built-in fluxes (from G' samples); kept
-        in ``vert.derived``, as a shared vertical table implies shared slice arrays.
+        Uses the exact suprema of the built-in fluxes (from G' samples).  A
+        block's ratios come with its tables; a slab's are kept in ``vert.derived``,
+        as a shared vertical table implies shared slice arrays.
         """
-        report = self.vert.derived.get("lambdas")
-        if report is None:
-            report = self.vert.derived["lambdas"] = _lambda_report(
-                self.vert, self.table_plus, self.left_idx, self.right_idx, self.j)
-        return report
+        if self.report is None:
+            derived = self.vert.derived
+            if "lambdas" not in derived:
+                derived["lambdas"] = _lambda_report(self.vert, self.table_plus, self.left_idx,
+                                                    self.right_idx, self.j)
+            self.report = derived["lambdas"]
+        return self.report
 
-    def block(self) -> SlabBlock:
-        """This slab as a block of one."""
-        return SlabBlock(self.solver, range(self.j, self.j + 1), self.table_plus, self.vert,
-                         self.lambdas())
+    def per_slab(self, values: np.ndarray, reduce=np.max) -> list[float]:
+        """``reduce`` of each slab's rows of ``values`` (cells first), as floats."""
+        return reduce(values.reshape(self.n, -1), axis=1).tolist()
 
     # -- the update -------------------------------------------------------------------
 
     def neighbor_states(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(left-cell state, right-cell state) per vertical face, ghosts filled in."""
-        if self.periodic:
-            u_left = np.roll(values, 1)
-            u_right = values
-        else:
-            gl, gr = self.ghost_values()
-            u_left = np.concatenate([[gl], values])
-            u_right = np.concatenate([values, [gr]])
-        return u_left, u_right
+        """(left-cell state, right-cell state) per vertical face row, ghosts filled in."""
+        cells = values.reshape(self.n, self.m)
+        if self.periodic:   # each slab's last cell is its first cell's left neighbour
+            return np.concatenate((cells[:, -1:], cells[:, :-1]), axis=1).ravel(), values
+        ghosts = self.solver.ghosts[self.j:self.j + self.n]
+        padded = np.concatenate((ghosts[:, :1], cells, ghosts[:, 1:]), axis=1)
+        return padded[:, :-1].ravel(), padded[:, 1:].ravel()
 
     def face_fluxes(self, values: np.ndarray) -> np.ndarray:
         """Numerical flux per vertical face in left-cell orientation."""
@@ -635,7 +602,9 @@ class Solver:
     (``tri.heights``) changes; every slice and slab still gets its own
     nodes, so whatever reads t there (u_B, test functions) sees the slab's
     own t.  For a flux that reads t, every table is a row view of its block's
-    (:meth:`block`).  The results are the same bits either way.
+    (:meth:`block`).  The results are the same bits either way.  A slab
+    (:meth:`slab`) and a block (:meth:`block`) are both a :class:`Slab`: a
+    slab is a block of one.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
@@ -654,8 +623,8 @@ class Solver:
         # shares, and the last vertical table, shared by slabs of its height
         self._slice_arrays: SpacelikeTable | None = None
         self._vertical_arrays: VerticalFluxes | None = None
-        cols = np.arange(tri.n_columns)   # each cell's left and right vertical face
-        self.cell_faces = (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)
+        cols = np.arange(tri.n_columns)   # by block size: each cell row's left and right face row
+        self.cell_faces = {1: (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)}
         self._check_samples()
 
     def _samples(self):
@@ -737,9 +706,10 @@ class Solver:
         size, h = max(1, BLOCK_ROWS // self.tri.n_columns), self.tri.heights
         return [j for j in range(self.tri.n_slabs) if j % size == 0 or h[j] != h[j - 1]]
 
-    def block(self, j: int) -> SlabBlock:
+    def block(self, j: int) -> Slab:
         """Slab j's block: one pass for a flux that reads t, else tiled; split if that raises."""
-        return SlabBlock(self, *self._block_tables(j))
+        js, table, vert, report = self._block_tables(j)
+        return Slab(self, js.start, len(js), None, table, vert, report)
 
     def _block_tables(self, j: int) -> tuple:
         starts = self._block_starts
@@ -758,7 +728,11 @@ class Solver:
                 else:
                     table = self.slice_table(slices.start).on_slice(tri, slices)
                     vert = self.vertical_fluxes(js.start).on_slab(t_lo)
-                report = SlabBlock(self, js, table, vert).report
+                if len(js) not in self.cell_faces:   # a dict, as a cached method makes a cycle
+                    shift = tri.n_nodes * np.arange(len(js))[:, None]
+                    self.cell_faces[len(js)] = tuple((idx + shift).ravel()
+                                                     for idx in self.cell_faces[1])
+                report = _lambda_report(vert, table, *self.cell_faces[len(js)], js.start)
             except (NotSpacelikeError, ConvergenceError, DegenerateFluxError):
                 if len(js) == 1:
                     raise
@@ -779,10 +753,11 @@ class Solver:
             f"{float(xb[idx[1]])!r}, t in [{float(t[idx[0]])!r}, {float(t[idx[0] + 1])!r}])"))
 
     def slab(self, j: int) -> Slab:
-        """A new slab j, in any order (tables are rebuilt deterministically, so a
-        rebuilt slab is bit-identical); the solver keeps no slab, so a dropped
-        solver is freed without the cycle collector."""
-        return Slab(self, j)
+        """A new slab j, a block of one with its inflow table, in any order (tables are
+        rebuilt deterministically, so a rebuilt slab is bit-identical); the solver keeps
+        no slab, so a dropped solver is freed without the cycle collector."""
+        return Slab(self, j, 1, self.slice_table(j), self.slice_table(j + 1),
+                    self.vertical_fluxes(j))
 
     def initial_state(self) -> SliceState:
         """The initial slice state, on the cached table of slice 0."""

@@ -43,6 +43,16 @@ def block_ranges(tri):
     return blocks
 
 
+def signed_flux(slab, column, side, u):
+    """g_{K, e}(u): the oriented total flux through a vertical face of cell row ``column``
+    as the cell sees it, one face-flux call per state."""
+    idx = slab.right_idx[column] if side == "right" else slab.left_idx[column]
+    sign = 1.0 if side == "right" else -1.0
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    faces = np.full(u.shape[0], idx, dtype=int)
+    return sign * slab.vert.G(u, faces=faces)
+
+
 @pytest.fixture
 def unit_interval():
     return IntervalDomain(0.0, 1.0)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import constant_bd, make_solver, step_bd
+from conftest import constant_bd, make_solver, signed_flux, step_bd
 
 from spacetime_fvm import presets
 from spacetime_fvm.cli import EXIT_OK, EXIT_SCHEME_ABORT, EXIT_VERIFICATION, main
@@ -133,7 +133,7 @@ def test_criterion_03_numerical_flux_axioms(kind):
     delta = 1e-6
 
     # consistency: two-point flux at coinciding states equals the face flux
-    g_own = np.array([slab.signed_flux(1, "right", float(w))[0] for w in u[:50]])
+    g_own = np.array([signed_flux(slab, 1, "right", float(w))[0] for w in u[:50]])
     q_diag = np.asarray(slab.numerical_flux(1, "right", u[:50], u[:50]))
     consistency = float(np.max(np.abs(q_diag - g_own)))
 

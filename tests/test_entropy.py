@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (block_ranges, capacity_field, constant_bd, counting_flux, densities,
-                      make_solver, step_bd)
+                      make_solver, signed_flux, step_bd)
 
 from spacetime_fvm import entropy, presets
 from spacetime_fvm import scheme as scheme_module
@@ -640,14 +640,14 @@ class TestFaceArrays:
             # rows spanning the lattice: every cell holds every point, in the full layout
             plain = _plain_faces(slab, values)
             spanning = (np.broadcast_to(c[[0, -1]], (slab.m, 2)),)
-            full = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c), spanning,
+            full = _CheckLattice.in_hulls(slab, values, _one_slab_points(c), spanning,
                                           plain)
             for arrays, oracle in zip(full.sides, expected):
                 assert [a.reshape(slab.m, c.size).tobytes() for a in arrays] \
                     == [e.tobytes() for e in oracle]
             # the face check's own rows: the same entries at its pairs
             decomp = decomposition_states(slab, state)
-            local = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c),
+            local = _CheckLattice.in_hulls(slab, values, _one_slab_points(c),
                                            (decomp.face_states, decomp.anchored_states), plain)
             cells, cols = _loop_pairs(_face_rows(slab, decomp, values), c)
             assert local.cells.tobytes() == cells.tobytes()
@@ -687,7 +687,7 @@ class TestFaceArrays:
         vert = slab.vert
         unfactored = _cell_sides(_kruzkov(vert.Q, cs, uL, uR), _kruzkov(vert.G, cs, uL),
                                  _kruzkov(vert.G, cs, uR), slab.left_idx, slab.right_idx)
-        full = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c),
+        full = _CheckLattice.in_hulls(slab, values, _one_slab_points(c),
                                       (np.broadcast_to([-0.7, 1.3], (slab.m, 2)),),
                                       _plain_faces(slab, values))
         for arrays, expected in zip(full.sides, unfactored):
@@ -776,7 +776,7 @@ class TestLocalLattice:
         plain = _plain_faces(slab, values)
         for extra, rows in (((decomp.face_states, decomp.anchored_states), face_rows),
                             ((state_next.values,), cell_rows)):
-            lattice = _CheckLattice.in_hulls(slab.block(), values, _one_slab_points(c), extra,
+            lattice = _CheckLattice.in_hulls(slab, values, _one_slab_points(c), extra,
                                              plain)
             cells, cols = _loop_pairs(rows, cs)
             assert lattice.cells.tobytes() == cells.tobytes()
@@ -994,14 +994,14 @@ class TestDiscreteBoundaryCondition:
 
 def _reference_smooth_flux(slab, column, side, pair, u, v, extra=(), zero=True, panels=64):
     """:func:`smooth_entropy_numerical_flux` by the scalar path: the Kruzkov
-    superposition integrand from ``kruzkov_numerical_flux`` and ``Slab.signed_flux``
+    superposition integrand from ``kruzkov_numerical_flux`` and ``conftest.signed_flux``
     on ``panels`` composite 20-point Gauss panels per piece.  The pieces end at the
     hull ends, the states, the face's critical points, ``extra`` and, with ``zero``, 0."""
     lo, hi = slab.solver.u_range
     lo, hi = min(lo, 0.0, u, v), max(hi, 0.0, u, v)
     beta = 0.5 * (float(pair.du(lo)) + float(pair.du(hi)))
     base = float(slab.numerical_flux(column, side, u, v)) \
-        - float(slab.signed_flux(column, side, 0.0)[0])
+        - float(signed_flux(slab, column, side, 0.0)[0])
     crit = slab.vert.crit_w[slab.right_idx[column] if side == "right" else slab.left_idx[column]]
     ends = {lo, hi, u, v, *extra} | {float(w) for w in crit if lo < w < hi} \
         | ({0.0} if zero else set())
@@ -1012,7 +1012,7 @@ def _reference_smooth_flux(slab, column, side, pair, u, v, extra=(), zero=True, 
     widths = np.diff(edges)[:, None]
     c = (edges[:-1, None] + widths * rule.nodes[:, 0]).ravel()
     qk = np.asarray(kruzkov_numerical_flux(slab, column, side, u, v, c))
-    anchor = _kruzkov(lambda w: slab.signed_flux(column, side, w), c, 0.0)
+    anchor = _kruzkov(lambda w: signed_flux(slab, column, side, w), c, 0.0)
     integrand = (0.5 * pair.ddu(c) * (qk - anchor)).reshape(widths.size, -1)
     return beta * base + float(np.sum(widths * np.sum(rule.weights * integrand, axis=1)[:, None]))
 
@@ -1367,8 +1367,7 @@ class TestVerifyRun:
         def refuse(*args, **kwargs):
             raise AssertionError("scalar numerical-flux path")
 
-        for name in ("numerical_flux", "signed_flux"):
-            monkeypatch.setattr(Slab, name, refuse)
+        monkeypatch.setattr(Slab, "numerical_flux", refuse)
         monkeypatch.setattr(entropy, "kruzkov_numerical_flux", refuse)
         report = verify_run(result, solver=solver)
         assert report.passed

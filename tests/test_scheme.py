@@ -17,6 +17,7 @@ from conftest import (
     counting_flux,
     flux_fields,
     make_solver,
+    signed_flux,
     step_bd,
 )
 
@@ -77,10 +78,10 @@ class TestVerticalSignedFlux:
     def test_flat_burgers_right_face(self, burgers_slab):
         # dt component is -u^2/2; the right face oriented outward integrates
         # to +duration * u^2 / 2
-        assert burgers_slab.signed_flux(0, "right", 1.0)[0] == pytest.approx(0.05)
+        assert signed_flux(burgers_slab, 0, "right", 1.0)[0] == pytest.approx(0.05)
 
     def test_flat_burgers_left_face(self, burgers_slab):
-        assert burgers_slab.signed_flux(0, "left", 1.0)[0] == pytest.approx(-0.05)
+        assert signed_flux(burgers_slab, 0, "left", 1.0)[0] == pytest.approx(-0.05)
 
     def test_traveling_density_antiderivative(self):
         # g(u) = u * int phi(x_e - t) dt with phi = 2 + sin: the antiderivative
@@ -94,7 +95,7 @@ class TestVerticalSignedFlux:
         x_e = float(slab.vert.x_nodes[slab.right_idx[0]])
         ub = 0.7
         expected = ub * (2.0 * (t1 - t0) + (np.cos(x_e - t1) - np.cos(x_e - t0)))
-        assert slab.signed_flux(0, "right", ub)[0] == pytest.approx(expected, rel=1e-12)
+        assert signed_flux(slab, 0, "right", ub)[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestNumericalFlux:
@@ -118,9 +119,9 @@ class TestNumericalFlux:
         slab = solver.slab(0)
         for ub in (-0.8, 0.0, 0.3, 1.0):
             assert slab.numerical_flux(1, "right", ub, ub) == \
-                pytest.approx(float(slab.signed_flux(1, "right", ub)[0]), abs=1e-14)
+                pytest.approx(float(signed_flux(slab, 1, "right", ub)[0]), abs=1e-14)
             assert slab.numerical_flux(1, "left", ub, ub) == \
-                pytest.approx(float(slab.signed_flux(1, "left", ub)[0]), abs=1e-14)
+                pytest.approx(float(signed_flux(slab, 1, "left", ub)[0]), abs=1e-14)
 
     def test_rusanov_formula(self):
         flux = presets.burgers_flux((-1.2, 1.2))

@@ -393,10 +393,10 @@ def test_one_lattice_gives_each_check_its_own_pairs_and_residuals(name):
         plain = _plain_faces(slab, values)
         hulls = ((decomp.face_states, decomp.anchored_states), (state_next.values,))
         points = _one_slab_points(c)
-        union = _CheckLattice.in_hulls(slab.block(), values, points, *hulls[:1], plain,
+        union = _CheckLattice.in_hulls(slab, values, points, *hulls[:1], plain,
                                        *hulls[1:])
         for extra, mask in zip(hulls, union.masks):
-            own = _CheckLattice.in_hulls(slab.block(), values, points, extra, plain)
+            own = _CheckLattice.in_hulls(slab, values, points, extra, plain)
             assert union.cells[mask].tobytes() == own.cells.tobytes()
             assert union.c[mask].tobytes() == own.c.tobytes()
             shared += int(np.count_nonzero(mask)) < union.cells.size
@@ -511,7 +511,7 @@ def test_block_lattice_is_its_slabs_lattices(name, slabs):
             union = _check_lattice(block, *_block_inputs(solver, result, block))
             own = []
             for j in js:
-                one = solver.slab(j).block()
+                one = solver.slab(j)
                 inputs = _block_inputs(solver, result, one)
                 assert _kruzkov_points(one, inputs[0])[0].tobytes() \
                     == _old_kruzkov_lattice(solver.slab(j), inputs[0]).tobytes()
@@ -585,20 +585,24 @@ def test_a_nan_state_fails_only_its_own_slab(name, slabs, data):
 @pytest.mark.parametrize("name", ["advection", "boundary-rusanov"])
 def test_verify_builds_one_check_lattice_per_block(name, monkeypatch):
     # the face and cell checks of every block read one lattice (blocks of 4
-    # slabs, the last one short); an interval run's boundary condition adds
-    # one lattice per slab on its two boundary cells
+    # slabs, the last one short), which holds every cell of the block; an
+    # interval run's boundary condition adds one lattice per slab on its two
+    # boundary cells; no slab is built on the way
     result = _case(name)
     monkeypatch.setattr(scheme, "BLOCK_ROWS", 4 * result.tri.n_columns)
     blocks, n = block_ranges(result.tri), result.tri.n_slabs
     assert n % 4 != 0 and len(blocks) == -(-n // 4) > 1
-    built = []
+    built, slabs = [], []
     init = _CheckLattice.__init__
 
-    def recording(self, slab, *args):
-        built.append(getattr(slab, "slabs", None))   # a block's range, None for a slab
-        init(self, slab, *args)
+    def recording(self, slab, cells, *args):
+        whole = np.unique(cells).size == slab.n * slab.m   # a block's lattice, not a boundary one
+        built.append(slab.slabs if whole else None)
+        init(self, slab, cells, *args)
 
     monkeypatch.setattr(_CheckLattice, "__init__", recording)
-    verify_run(result)
+    monkeypatch.setattr(scheme.Solver, "slab", lambda self, j: slabs.append(j))
+    assert verify_run(result).passed
     assert [js for js in built if js is not None] == blocks
     assert built.count(None) == (0 if result.tri.periodic else n)
+    assert slabs == []
