@@ -43,7 +43,7 @@ from .mesh import (
     ConvergenceError,
     Foliation,
     MeshError,
-    SliceFaceIds,
+    MeshIds,
     ValueOutsideImage,
     build_triangulation,
     mesh_regularity_report,
@@ -160,7 +160,7 @@ def load_run_artifact(path: str):
         if stop[j] - start[j] != tri.n_columns:
             raise ConfigError(f"run artifact is missing slice {j} data")
         values, fluxes = table[start[j]:stop[j], 4:6].T.copy()
-        states.append(SliceState(j, SliceFaceIds(j, tri.n_columns), values, fluxes))
+        states.append(SliceState(j, MeshIds(("S", j, 1, tri.n_columns)), values, fluxes))
     urange = tuple(meta["u_range"])
     result = RunResult(tri=tri, flux=setup.flux, spec=setup.spec, bd=setup.bd,
                        cfg=replace(setup.cfg, u_range=urange), u_range=urange,
@@ -270,12 +270,32 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _convergence_values(section: dict, key: str, count: int | None = None) -> list:
+    """``[convergence] <key>``: ``count`` comma-separated finite numbers, or any number
+    of positive integers, in increasing order; a ``ConfigError`` names the key."""
+    try:
+        values = [float(v) if count else int(v) for v in section[key].split(",")]
+    except ValueError:
+        values = []
+    if count:
+        ok = len(values) == count and bool(np.all(np.isfinite(values)))
+    else:
+        ok = bool(values) and values[0] >= 1
+    if not ok or values != sorted(values):
+        what = {None: "comma-separated positive integers in increasing order",
+                1: "a finite number", 2: "two finite numbers lo,hi with lo <= hi"}[count]
+        raise ConfigError(f"[convergence] {key}: expected {what}, got {section[key]!r}")
+    return values
+
+
 def cmd_convergence(args) -> int:
     setup = load_config(args.config)
-    section = setup.raw.get("convergence", {})
+    section = {"meshes": "20,40,80", "t_final": repr(setup.t_final), "u_left": "1.0",
+               "u_right": "0.0", **setup.raw.get("convergence", {})}
     case_id = section.get("case", "advection").lower()
-    meshes = [int(v) for v in section.get("meshes", "20,40,80").split(",")]
-    t_final = float(section.get("t_final", setup.t_final))
+    meshes = _convergence_values(section, "meshes")
+    t_final = _convergence_values(section, "t_final", 1)[0]
+    band = _convergence_values(section, "order_band", 2) if section.get("order_band") else None
     if case_id == "advection":
         case = advection_circle_case(t_final=t_final, spec=setup.spec,
                                      cfl_target=setup.cfg.cfl_target)
@@ -286,8 +306,8 @@ def cmd_convergence(args) -> int:
         case = burgers_riemann_case(1.0, 0.0, t_final=t_final, spec=setup.spec,
                                     cfl_target=setup.cfg.cfl_target)
     elif case_id in ("burgers_riemann", "riemann"):
-        case = burgers_riemann_case(float(section.get("u_left", 1.0)),
-                                    float(section.get("u_right", 0.0)),
+        case = burgers_riemann_case(*(_convergence_values(section, key, 1)[0]
+                                      for key in ("u_left", "u_right")),
                                     t_final=t_final, spec=setup.spec,
                                     cfl_target=setup.cfg.cfl_target)
     else:
@@ -307,9 +327,8 @@ def cmd_convergence(args) -> int:
     print(f"{case.name}: errors {['%.3e' % e for e in study.errors]} "
           f"fitted order {study.order:.3f}")
 
-    band = section.get("order_band")
-    if band:
-        lo, hi = (float(v) for v in band.split(","))
+    if band is not None:
+        lo, hi = band
         if not (lo <= study.order <= hi and study.strictly_decreasing):
             print(f"convergence: order {study.order:.3f} outside band [{lo}, {hi}] "
                   "or errors not strictly decreasing")

@@ -868,7 +868,7 @@ def _require_shared_mesh(ru: RunResult, rv: RunResult) -> None:
 
 def _shared_table(ru: RunResult, rv: RunResult, j: int) -> SpacelikeTable:
     hull = (min(ru.u_range[0], rv.u_range[0]), max(ru.u_range[1], rv.u_range[1]))
-    return SpacelikeTable(ru.tri, ru.flux, j, rule=ru.cfg.rule(), u_range=hull)
+    return SpacelikeTable(ru.tri, ru.flux, j, u_range=hull)
 
 
 def boundary_bound_mass(flux: FluxField, t_lo: float, t_hi: float, x: float,
@@ -915,7 +915,7 @@ def contraction_check(result_u: RunResult, result_v: RunResult,
     tri = result_u.tri
     hull = (min(result_u.u_range[0], result_v.u_range[0]),
             max(result_u.u_range[1], result_v.u_range[1]))
-    tables = [SpacelikeTable(tri, result_u.flux, j, rule=result_u.cfg.rule(), u_range=hull)
+    tables = [SpacelikeTable(tri, result_u.flux, j, u_range=hull)
               for j in range(tri.n_slices)]
     distances = np.array([_slice_distance(table, result_u, result_v, j)
                           for j, table in enumerate(tables)])

@@ -200,14 +200,19 @@ class RunCase:
         return Solver(tri, self.flux, self.spec, self.bd, cfg).run()
 
 
+def _increasing(mesh_sizes: Sequence[int]) -> list[int]:
+    sizes = [int(n) for n in mesh_sizes]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("mesh sizes must be strictly increasing")
+    return sizes
+
+
 def convergence_study(case: RunCase, mesh_sizes: Sequence[int],
                       slice_index: int | None = None, u_ref: float = 0.0) -> ConvergenceStudy:
     """Run the case over a refinement path and fit the error order."""
     if case.oracle is None:
         raise ValueError("convergence studies need a case with an oracle")
-    sizes = [int(n) for n in mesh_sizes]
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("mesh sizes must be strictly increasing")
+    sizes = _increasing(mesh_sizes)
     errors = []
     h_values = []
     for nx in sizes:
@@ -338,8 +343,7 @@ def first_slice_trace_distance(result: RunResult) -> float:
     of ``q(u v b) - q(u ^ b)``.
     """
     tri = result.tri
-    table = SpacelikeTable(tri, result.flux, 1, rule=result.cfg.rule(),
-                           u_range=result.u_range)
+    table = SpacelikeTable(tri, result.flux, 1, u_range=result.u_range)
     u1 = result.states[1].values
     b = result.states[0].values  # per-cell inflow-data averages
     return float(np.sum(_kruzkov(table.q, b, u1)))
@@ -347,7 +351,7 @@ def first_slice_trace_distance(result: RunResult) -> float:
 
 def trace_convergence_check(case: RunCase, mesh_sizes: Sequence[int]) -> TraceStudy:
     """Refinement study of the first-slice distance to the inflow data."""
-    sizes = [int(n) for n in mesh_sizes]
+    sizes = _increasing(mesh_sizes)
     distances = []
     h_values = []
     for nx in sizes:

@@ -18,9 +18,9 @@ whose first two iterates an affine q settles without its bookkeeping.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
-slabs at once and indexed by (slab or slice, column or node).  The
-per-face :class:`Face`/:class:`Cell` views are an inspection API; no
-computation builds them.
+slabs at once and indexed by (slab or slice, column or node).  Faces and
+cells are named by ids, ``(tag, a, b)`` by where they sit (:class:`MeshIds`);
+no per-face object exists.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import operator
 import sys
 import weakref
-from collections.abc import Mapping, Sequence as SequenceABC
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -36,18 +36,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fluxfield import FluxField, NotSpacelikeError
-from .forms import FaceChart, QuadratureRule, gauss_legendre
+from .forms import QuadratureRule, gauss_legendre
 
 __all__ = [
-    "Cell",
     "CircleDomain",
     "ConvergenceError",
-    "Face",
     "Foliation",
     "IntervalDomain",
     "MeshError",
+    "MeshIds",
     "RegularityReport",
-    "SliceFaceIds",
     "SpacelikeTable",
     "Triangulation",
     "ValueOutsideImage",
@@ -191,84 +189,35 @@ def uniform_breakpoints(domain: IntervalDomain | CircleDomain, n_cells: int) -> 
 # topology
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Face:
-    """A mesh face; ``kind`` is 'spacelike' or 'vertical'.
+class MeshIds(SequenceABC):
+    """Read-only ids ``(tag, a, b)`` of a product mesh in block order, built on lookup.
 
-    The default chart orientation is +1 along the increasing coordinate;
-    flux-dependent orientation (spacelike faces) and per-cell outward
-    orientation (vertical faces) are applied by consumers, never mutated
-    here.
+    Each block ``(tag, first, n_outer, n_inner)`` holds the ids ``(tag, first + a, b)``
+    for ``0 <= a < n_outer`` and ``0 <= b < n_inner``, b running fastest: spacelike
+    faces ``("S", slice, column)``, vertical faces ``("V", slab, node)`` and cells
+    ``("K", slab, column)``.  Nothing per id is stored.
     """
 
-    id: tuple
-    kind: str
-    boundary: bool
-    neighbors: tuple
-    t_lo: float
-    t_hi: float
-    x_lo: float
-    x_hi: float
+    __slots__ = ("blocks", "_n")
 
-    def chart(self) -> FaceChart:
-        if self.kind == "spacelike":
-            return FaceChart.coordinate_segment(2, axis=1, fixed=[(0, self.t_lo)],
-                                                lo=self.x_lo, hi=self.x_hi)
-        return FaceChart.coordinate_segment(2, axis=0, fixed=[(1, self.x_lo)],
-                                            lo=self.t_lo, hi=self.t_hi)
-
-
-@dataclass(frozen=True)
-class Cell:
-    """Product cell with one inflow face, one outflow face, two vertical faces."""
-
-    id: tuple
-    slab_index: int
-    column: int
-    t_lo: float
-    t_hi: float
-    x_lo: float
-    x_hi: float
-    inflow_face: tuple
-    outflow_face: tuple
-    vertical_faces: tuple  # (left id, right id)
-
-
-class _MeshView(Mapping):
-    """Read-only id -> object mapping of a product mesh, built on lookup.
-
-    ``blocks`` lists ``(tag, n_outer, n_inner)`` in iteration order; the
-    ids are ``(tag, a, b)`` with ``0 <= a < n_outer`` and ``0 <= b < n_inner``,
-    and ``build(tag, a, b)`` makes the object of an id.  Nothing per id is
-    stored.
-    """
-
-    def __init__(self, blocks: tuple, build: Callable):
-        self._blocks = blocks
-        self._build = build
-
-    def __contains__(self, key) -> bool:
-        try:
-            tag, a, b = key
-            return any(tag == t and a == int(a) and b == int(b) and 0 <= a < n and 0 <= b < k
-                       for t, n, k in self._blocks)
-        except (TypeError, ValueError, OverflowError):
-            return False
-
-    def __getitem__(self, key):
-        if key not in self:
-            raise KeyError(key)
-        tag, a, b = key
-        return self._build(tag, int(a), int(b))
-
-    def __iter__(self):
-        for tag, n, k in self._blocks:
-            for a in range(n):
-                for b in range(k):
-                    yield (tag, a, b)
+    def __init__(self, *blocks: tuple):
+        self.blocks = blocks
+        self._n = 0
+        for block in blocks:
+            self._n += block[2] * block[3]
 
     def __len__(self) -> int:
-        return sum(n * k for _, n, k in self._blocks)
+        return self._n
+
+    def __getitem__(self, i) -> tuple:
+        k = operator.index(i)
+        k = k + self._n if k < 0 else k
+        if k >= 0:
+            for tag, first, n, m in self.blocks:
+                if k < n * m:
+                    return (tag, first + k // m, k % m)
+                k -= n * m
+        raise IndexError(i)
 
 
 class Triangulation:
@@ -276,11 +225,9 @@ class Triangulation:
 
     Immutable after construction.  It stores only what defines it: the
     slice times and the spatial breakpoints.  ``faces`` and ``cells`` are
-    read-only mappings in deterministic id order (spacelike faces
+    the :class:`MeshIds` of the mesh in deterministic order (spacelike faces
     ``("S", slice, column)``, then vertical faces ``("V", slab, node)``;
-    cells ``("K", slab, column)``) whose :class:`Face`/:class:`Cell` values
-    are derived on lookup.  The views are for inspection: every computation
-    reads the two partitions.
+    cells ``("K", slab, column)``); every computation reads the two partitions.
     """
 
     def __init__(self, foliation: Foliation, breakpoints: np.ndarray):
@@ -305,36 +252,9 @@ class Triangulation:
         self.n_slices = len(foliation.times)
         self.periodic = domain.periodic
         self.n_nodes = self.n_columns if self.periodic else self.n_columns + 1
-        self.faces = _MeshView((("S", self.n_slices, self.n_columns),
-                                ("V", self.n_slabs, self.n_nodes)), self._face)
-        self.cells = _MeshView((("K", self.n_slabs, self.n_columns),), self._cell)
-
-    def _face(self, tag: str, j: int, k: int) -> Face:
-        xs, m = self.breakpoints, self.n_columns
-        if tag == "S":
-            below = ("K", j - 1, k) if j > 0 else None
-            above = ("K", j, k) if j < self.n_slabs else None
-            return Face(id=("S", j, k), kind="spacelike", boundary=(j == 0 or j == self.n_slabs),
-                        neighbors=tuple(c for c in (below, above) if c is not None),
-                        t_lo=float(self.times[j]), t_hi=float(self.times[j]),
-                        x_lo=float(xs[k]), x_hi=float(xs[k + 1]))
-        if self.periodic:
-            left, right = ("K", j, (k - 1) % m), ("K", j, k)
-        else:
-            left = ("K", j, k - 1) if k > 0 else None
-            right = ("K", j, k) if k < m else None
-        return Face(id=("V", j, k), kind="vertical", boundary=left is None or right is None,
-                    neighbors=tuple(c for c in (left, right) if c is not None),
-                    t_lo=float(self.times[j]), t_hi=float(self.times[j + 1]),
-                    x_lo=float(xs[k]), x_hi=float(xs[k]))
-
-    def _cell(self, tag: str, j: int, i: int) -> Cell:
-        right_node = (i + 1) % self.n_columns if self.periodic else i + 1
-        return Cell(id=("K", j, i), slab_index=j, column=i,
-                    t_lo=float(self.times[j]), t_hi=float(self.times[j + 1]),
-                    x_lo=float(self.breakpoints[i]), x_hi=float(self.breakpoints[i + 1]),
-                    inflow_face=("S", j, i), outflow_face=("S", j + 1, i),
-                    vertical_faces=(("V", j, i), ("V", j, right_node)))
+        self.faces = MeshIds(("S", 0, self.n_slices, self.n_columns),
+                             ("V", 0, self.n_slabs, self.n_nodes))
+        self.cells = MeshIds(("K", 0, self.n_slabs, self.n_columns))
 
     @property
     def n_cells(self) -> int:
@@ -624,26 +544,6 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
 # vectorized slice tables (the solver's fast path)
 # ---------------------------------------------------------------------------
 
-class SliceFaceIds(SequenceABC):
-    """The ids ``("S", slice_index, i)`` of a slice's m faces, built on lookup."""
-
-    __slots__ = ("slice_index", "_n")
-
-    def __init__(self, slice_index: int, n: int):
-        self.slice_index = slice_index
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i) -> tuple:
-        k = operator.index(i)
-        k = k + self._n if k < 0 else k
-        if not 0 <= k < self._n:
-            raise IndexError(i)
-        return ("S", self.slice_index, k)
-
-
 class SpacelikeTable:
     """Vectorized total fluxes for every spacelike face of one slice.
 
@@ -655,7 +555,8 @@ class SpacelikeTable:
     (m, 3) call.  The slice's geometry (``slice_index``, ``face_ids``,
     ``t``, ``pts``) is cheap; everything else derives from the flux, and
     :meth:`on_slice` shares it, ``derived`` included, with another slice
-    when the flux does not read t.  A range of slices gives their block table.
+    when the flux does not read t.  A range of slices gives their block table,
+    whose ``face_ids`` name each row by its own slice's face.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, slice_index: int | range,
@@ -670,7 +571,7 @@ class SpacelikeTable:
         self.widths = self.x_hi - self.x_lo
         self.derived = weakref.WeakKeyDictionary()   # q_omega tables by entropy pair
         self.slice_index = slice_index
-        self.face_ids = range(slices.size * m) if block else SliceFaceIds(slice_index, m)
+        self.face_ids = MeshIds(("S", slice_index.start if block else slice_index, slices.size, m))
         self.t = tri.times[slices] if block else float(tri.times[slice_index])
         self.pts, base_w = segment_nodes(self._rule, 1, np.repeat(tri.times[slices], m),
                                          self.x_lo, self.widths)
@@ -720,19 +621,19 @@ class SpacelikeTable:
         if isinstance(slice_index, range):
             t = tri.times[slice_index.start:slice_index.stop]
             table = _sharing(self, t.size, slice_index=slice_index, t=t,
-                             face_ids=range(t.size * self.n_faces))
+                             face_ids=MeshIds(("S", slice_index.start, t.size, self.n_faces)))
             table.pts[..., 0] = np.repeat(t, self.n_faces)[:, None]
             return table
         t, pts = float(tri.times[slice_index]), self.pts.copy()
         pts[..., 0] = t
         return _sharing(self, slice_index=slice_index, t=t, pts=pts,
-                        face_ids=SliceFaceIds(slice_index, tri.n_columns))
+                        face_ids=MeshIds(("S", slice_index, 1, tri.n_columns)))
 
     def block_rows(self, b: int) -> "SpacelikeTable":
         """The b-th slice's rows of this block table: its table built alone, bit for bit."""
         m, j = self.n_faces // self.t.size, self.slice_index[b]
         return _sharing(self, slice(b * m, (b + 1) * m), slice_index=j, t=float(self.t[b]),
-                        face_ids=SliceFaceIds(j, m), derived=weakref.WeakKeyDictionary())
+                        face_ids=MeshIds(("S", j, 1, m)), derived=weakref.WeakKeyDictionary())
 
     @property
     def n_faces(self) -> int:

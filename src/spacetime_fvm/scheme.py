@@ -36,6 +36,7 @@ from .mesh import (
     CircleDomain,
     ConvergenceError,
     IntervalDomain,
+    MeshIds,
     SpacelikeTable,
     Triangulation,
     _sharing,
@@ -134,7 +135,6 @@ class RunConfig:
 
     cfl_target: float = 0.25
     inversion_tol: float = 1e-12
-    quadrature_points: int = 5
     u_range: tuple[float, float] | None = None
     enforce_cfl: bool = True
 
@@ -144,16 +144,13 @@ class RunConfig:
         if self.inversion_tol <= 0.0:
             raise ValueError("inversion_tol must be positive")
 
-    def rule(self) -> QuadratureRule:
-        return gauss_legendre(self.quadrature_points, 1)
-
 
 @dataclass
 class SliceState:
     """Per-slice map from spacelike faces to states and cached total fluxes."""
 
     slice_index: int
-    face_ids: Sequence[tuple]
+    face_ids: MeshIds
     values: np.ndarray
     fluxes: np.ndarray
 
@@ -380,7 +377,6 @@ def _face_means(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray,
 
 
 def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
-                        cfg: RunConfig | None = None,
                         u_range: tuple[float, float] | None = None) -> SliceState:
     """States on the initial slice: alpha_B means of u_B per inflow face.
 
@@ -388,8 +384,7 @@ def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
     pulled-back du along increasing x); the means use the slice table's
     nodes and weights, and total fluxes are cached alongside.
     """
-    cfg = cfg if cfg is not None else RunConfig()
-    return _inflow_state(SpacelikeTable(tri, flux, 0, rule=cfg.rule(), u_range=u_range), bd)
+    return _inflow_state(SpacelikeTable(tri, flux, 0, u_range=u_range), bd)
 
 
 def _inflow_state(table: SpacelikeTable, bd: BoundaryData) -> SliceState:
@@ -614,7 +609,7 @@ class Solver:
         self.spec = spec
         self.bd = bd
         self.cfg = cfg if cfg is not None else RunConfig()
-        self.rule = self.cfg.rule()
+        self.rule = gauss_legendre(5, 1)
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most

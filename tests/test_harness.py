@@ -164,6 +164,14 @@ class TestTraceConvergence:
         result = case.run(16)
         assert first_slice_trace_distance(result) >= 0.0
 
+    @pytest.mark.parametrize("sizes", [[16, 8], [8, 8], [8, 16, 12]])
+    def test_sizes_must_strictly_increase(self, sizes, monkeypatch):
+        # rejected before any run, as in convergence_study
+        case = advection_circle_case(t_final=0.2)
+        monkeypatch.setattr(type(case), "run", lambda self, nx: pytest.fail("ran a mesh"))
+        with pytest.raises(ValueError, match="^mesh sizes must be strictly increasing$"):
+            trace_convergence_check(case, sizes)
+
 
 class TestAppendixExamples:
     def test_full_report(self):

@@ -1,36 +1,34 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counting_flux
+from conftest import constant_bd, counting_flux
 
 from spacetime_fvm import harness, presets
 from spacetime_fvm import mesh as mesh_module
 from spacetime_fvm.fluxfield import FaceKind, FluxField, classify_face
 from spacetime_fvm.forms import (
     CoordinateForm,
+    FaceChart,
     ParamForm,
     gauss_legendre,
     integrate_over_face,
     pullback,
 )
 from spacetime_fvm.mesh import (
-    Cell,
     CircleDomain,
     ConvergenceError,
-    Face,
     Foliation,
     IntervalDomain,
     MeshError,
+    MeshIds,
     ROOT_MAX_STEPS,
     ROOT_STEP_TOL,
-    SliceFaceIds,
     SpacelikeTable,
-    Triangulation,
     ValueOutsideImage,
     _invert_increasing,
     bracketed_root,
@@ -40,11 +38,25 @@ from spacetime_fvm.mesh import (
     segment_nodes,
     uniform_times,
 )
+from spacetime_fvm.scheme import NumericalFluxSpec, RunConfig, Solver
 
 
 def interval_tri(n_slabs=4, nx=8, t_final=1.0, a=0.0, b=1.0):
     fol = Foliation(np.linspace(0.0, t_final, n_slabs + 1), IntervalDomain(a, b))
     return build_triangulation(fol, nx)
+
+
+def spacelike_chart(tri, j, i):
+    """The chart of face ``("S", j, i)``, +1 along increasing x."""
+    return FaceChart.coordinate_segment(2, axis=1, fixed=[(0, float(tri.times[j]))],
+                                        lo=float(tri.breakpoints[i]),
+                                        hi=float(tri.breakpoints[i + 1]))
+
+
+def vertical_chart(tri, j, k):
+    """The chart of face ``("V", j, k)``, +1 along increasing t."""
+    return FaceChart.coordinate_segment(2, axis=0, fixed=[(1, float(tri.breakpoints[k]))],
+                                        lo=float(tri.times[j]), hi=float(tri.times[j + 1]))
 
 
 def face_table(flux, x_lo, x_hi, t=0.1, **kwargs):
@@ -112,23 +124,62 @@ class TestBuildTriangulation:
         with pytest.raises(MeshError, match=fault):
             build_triangulation(fol, np.array(xs))
 
+    @staticmethod
+    def _solver(tri):
+        return Solver(tri, presets.burgers_flux((-1.0, 1.0)), NumericalFluxSpec(),
+                      constant_bd(0.5), RunConfig(u_range=(-1.0, 1.0)))
+
     def test_cell_topology(self):
+        # cell ("K", 1, i) reads face row i of its slab's inflow and outflow
+        # tables and vertical face rows left[i], right[i] of its slab
         tri = interval_tri(2, 3)
-        cell = tri.cells[("K", 1, 1)]
-        assert cell.inflow_face == ("S", 1, 1)
-        assert cell.outflow_face == ("S", 2, 1)
-        assert cell.vertical_faces == (("V", 1, 1), ("V", 1, 2))
-        face = tri.faces[("V", 1, 1)]
-        assert not face.boundary
-        assert set(face.neighbors) == {("K", 1, 0), ("K", 1, 1)}
+        solver = self._solver(tri)
+        slab = solver.slab(1)
+        left, right = solver.cell_faces[1]
+        assert slab.table_minus.face_ids[1] == ("S", 1, 1)
+        assert slab.table_plus.face_ids[1] == ("S", 2, 1)
+        assert (("V", 1, int(left[1])), ("V", 1, int(right[1]))) == (("V", 1, 1), ("V", 1, 2))
+        # the interior vertical face at node 1 has two cells, one on either side
+        assert {("K", 1, i) for i in range(tri.n_columns) if 1 in (left[i], right[i])} \
+            == {("K", 1, 0), ("K", 1, 1)}
 
     def test_circle_wraparound_neighbors(self):
         fol = Foliation(np.array([0.0, 0.1]), CircleDomain(1.0))
         tri = build_triangulation(fol, 4)
-        cell = tri.cells[("K", 0, 3)]
-        assert cell.vertical_faces == (("V", 0, 3), ("V", 0, 0))
-        face = tri.faces[("V", 0, 0)]
-        assert set(face.neighbors) == {("K", 0, 3), ("K", 0, 0)}
+        left, right = self._solver(tri).cell_faces[1]
+        assert (("V", 0, int(left[3])), ("V", 0, int(right[3]))) == (("V", 0, 3), ("V", 0, 0))
+        assert {("K", 0, i) for i in range(tri.n_columns) if 0 in (left[i], right[i])} \
+            == {("K", 0, 3), ("K", 0, 0)}
+
+
+@dataclass(frozen=True)
+class Face:
+    """A reference face record; ``kind`` is 'spacelike' or 'vertical'."""
+
+    id: tuple
+    kind: str
+    boundary: bool
+    neighbors: tuple
+    t_lo: float
+    t_hi: float
+    x_lo: float
+    x_hi: float
+
+
+@dataclass(frozen=True)
+class Cell:
+    """A reference cell record: one inflow, one outflow and two vertical faces."""
+
+    id: tuple
+    slab_index: int
+    column: int
+    t_lo: float
+    t_hi: float
+    x_lo: float
+    x_hi: float
+    inflow_face: tuple
+    outflow_face: tuple
+    vertical_faces: tuple  # (left id, right id)
 
 
 def eager_mesh(times, xs, periodic):
@@ -174,11 +225,11 @@ class TestMeshViews:
     def test_views_match_eager_builder(self, tri):
         faces, cells = eager_mesh(tri.times, tri.breakpoints, tri.periodic)
         for view, ref in ((tri.faces, faces), (tri.cells, cells)):
+            assert isinstance(view, MeshIds)
             assert len(view) == len(ref)
             assert list(view) == list(ref)
-            assert list(view.values()) == list(ref.values())
+            assert [view[k] for k in range(len(view))] == list(ref)
             assert all(key in view for key in ref)
-            assert dict(view) == ref
         assert tri.n_cells == len(cells)
 
     def test_admissibility_flags_match_a_walk_over_the_reference_mesh(self, tri):
@@ -203,23 +254,6 @@ class TestMeshViews:
         report = tri.admissibility_report()
         assert report == {**walked, "admissible": all(walked.values())}
         assert report["admissible"] is True
-
-    def test_numpy_and_float_ids_find_the_same_entry(self, tri):
-        face = tri.faces[("S", np.int64(1), 2.0)]
-        assert face == tri.faces[("S", 1, 2)]
-        assert type(face.id[1]) is int and type(face.id[2]) is int
-
-    @pytest.mark.parametrize("key", [
-        ("S", 4, 0), ("S", 0, 5), ("S", -1, 0), ("V", 3, 0), ("K", 0, 5), ("K", 3, 0),
-        ("S", 0.5, 0), ("S", float("nan"), 0), ("S", float("inf"), 0), ("X", 0, 0),
-        ("S", 0), ("S", 0, 0, 0), ("S", "0", 0), "S00", None, 3, (["S"], 0, 0),
-    ])
-    def test_ids_outside_the_mesh_raise_key_error(self, tri, key):
-        view = tri.cells if isinstance(key, tuple) and key[:1] == ("K",) else tri.faces
-        assert key not in view
-        with pytest.raises(KeyError):
-            view[key]
-        assert view.get(key) is None
 
     def test_views_are_read_only(self, tri):
         with pytest.raises(TypeError):
@@ -299,7 +333,7 @@ class TestInvertTotalFlux:
         tri = interval_tri(3, 6)
         table = SpacelikeTable(tri, presets.burgers_flux((-1.0, 1.0)), 1)
         ids = table.face_ids
-        assert isinstance(ids, SliceFaceIds) and len(ids) == 6
+        assert isinstance(ids, MeshIds) and len(ids) == 6
         assert list(ids) == [("S", 1, i) for i in range(6)]
         assert ids[-1] == ("S", 1, 5) and ids[np.int64(2)] == ("S", 1, 2)
         with pytest.raises(IndexError):
@@ -446,7 +480,7 @@ class TestInversionKernel:
     def _invert_grid(q_of, targets):
         # four faces ("S", 1, i) with q(u) = u on [0, 1], four states per face
         return _invert_increasing(q_of, np.ones_like, targets, (0.0, 1.0), np.zeros(4),
-                                  np.ones(4), SliceFaceIds(1, 4), 1e-12)
+                                  np.ones(4), MeshIds(("S", 1, 1, 4)), 1e-12)
 
     def test_state_grid_names_the_face_row_and_state_column(self):
         targets = np.full((4, 4), 0.5)
@@ -633,22 +667,20 @@ class TestConservationTopology:
         tri = build_triangulation(fol, 5)
         rule = gauss_legendre(5, 1)
         c = 0.7
-        for cell in (tri.cells[("K", 1, i)] for i in range(tri.n_columns)):
-            t0, t1 = cell.t_lo, cell.t_hi
+        t0, t1 = float(tri.times[1]), float(tri.times[2])   # the cells ("K", 1, i)
+        for x_lo, x_hi in zip(tri.breakpoints[:-1].tolist(), tri.breakpoints[1:].tolist()):
             s = rule.nodes[:, 0]
             # outflow minus inflow with the increasing-x orientation
-            out_pts = np.stack([np.full_like(s, t1),
-                                cell.x_lo + s * (cell.x_hi - cell.x_lo)], axis=-1)
-            in_pts = np.stack([np.full_like(s, t0),
-                               cell.x_lo + s * (cell.x_hi - cell.x_lo)], axis=-1)
-            w = rule.weights * (cell.x_hi - cell.x_lo)
+            out_pts = np.stack([np.full_like(s, t1), x_lo + s * (x_hi - x_lo)], axis=-1)
+            in_pts = np.stack([np.full_like(s, t0), x_lo + s * (x_hi - x_lo)], axis=-1)
+            w = rule.weights * (x_hi - x_lo)
             total = np.sum(w * flux.omega.coeffs[(1,)](out_pts, c)) \
                 - np.sum(w * flux.omega.coeffs[(1,)](in_pts, c))
             # vertical contributions as the cell's boundary sees them
             tv = t0 + s * (t1 - t0)
             wv = rule.weights * (t1 - t0)
-            right = np.stack([tv, np.full_like(tv, cell.x_hi)], axis=-1)
-            left = np.stack([tv, np.full_like(tv, cell.x_lo)], axis=-1)
+            right = np.stack([tv, np.full_like(tv, x_hi)], axis=-1)
+            left = np.stack([tv, np.full_like(tv, x_lo)], axis=-1)
             total -= np.sum(wv * flux.omega.coeffs[(0,)](right, c))
             total += np.sum(wv * flux.omega.coeffs[(0,)](left, c))
             assert total == pytest.approx(0.0, abs=1e-12)
@@ -667,11 +699,11 @@ class TestConservationTopology:
         vert = VerticalFluxes(tri.breakpoints, 0.0, 0.25, flux,
                               NumericalFluxSpec(), gauss_legendre(5, 1), (-1.0, 1.0))
         ub = 0.6
-        face = tri.faces[("V", 0, 2)]
+        chart = vertical_chart(tri, 0, 2)
         frozen = flux.omega.base(ub)
         # right face of the left cell: oriented along decreasing time
-        as_left_cell = integrate_over_face(frozen, face.chart().flipped())
-        as_right_cell = integrate_over_face(frozen, face.chart())
+        as_left_cell = integrate_over_face(frozen, chart.flipped())
+        as_right_cell = integrate_over_face(frozen, chart)
         assert as_left_cell == pytest.approx(-as_right_cell, rel=1e-12)
         g = vert.G(np.full(vert.n_faces, ub))
         assert g[2] == pytest.approx(as_left_cell, rel=1e-10)
@@ -722,12 +754,8 @@ class TestRegularityReport:
         assert rate2 > 1.5
 
     @pytest.mark.parametrize("periodic", [False, True])
-    def test_builds_no_face_or_cell_objects(self, periodic, monkeypatch):
-        def refuse(self, tag, a, b):
-            raise AssertionError(f"built the mesh object {(tag, a, b)}")
-
-        monkeypatch.setattr(Triangulation, "_face", refuse)
-        monkeypatch.setattr(Triangulation, "_cell", refuse)
+    def test_builds_no_face_or_cell_objects(self, periodic):
+        # the mesh has ids only; the report reads the two partitions
         tri = _report_tri(periodic)
         rep = mesh_regularity_report(tri, _traveling(), compact_region=(0.0, 0.2, 1.0, 3.0),
                                      psi=_smooth_psi())
@@ -747,7 +775,7 @@ class TestRegularityReport:
         oscillation = 0.0
         for j in range(tri.n_slabs):
             for k in range(tri.n_nodes):
-                chart = tri.faces[("V", j, k)].chart()
+                chart = vertical_chart(tri, j, k)
                 nodes = chart.ref_points(unit)
                 for ub in us:
                     phi = pullback(flux.omega.base(ub), chart).evaluate((0,), nodes)
@@ -756,7 +784,7 @@ class TestRegularityReport:
         assert rep.curvature_oscillation_max == pytest.approx(oscillation, rel=1e-12)
 
         def face_mean(j, k):
-            chart = tri.faces[("V", j, k)].chart()
+            chart = vertical_chart(tri, j, k)
             return (integrate_over_face(CoordinateForm(1, 2, {(0,): psi}), chart)
                     / integrate_over_face(CoordinateForm(1, 2, {(0,): 1.0}), chart))
 
@@ -768,7 +796,7 @@ class TestRegularityReport:
             # oriented by the positive density: +1 along increasing x
             form = CoordinateForm(1, 2, {(1,): lambda p: (mean - psi(p))
                                          * flux.omega.coeffs[(1,)](p, ub)})
-            return integrate_over_face(form, tri.faces[("S", slice_index, i)].chart())
+            return integrate_over_face(form, spacelike_chart(tri, slice_index, i))
 
         sums = []
         for j in range(1, tri.n_slabs):

@@ -12,6 +12,7 @@ slice 0 holds q of its states, neither changes a bit.
 
 import glob
 import importlib
+import re
 import sys
 import tracemalloc
 from functools import cache
@@ -424,6 +425,30 @@ def test_a_failing_block_raises_the_per_slab_error(monkeypatch):
     with pytest.raises(ValueOutsideImage) as raised:
         verify_run(result)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("name", ["shock", "moving-sonic"])
+def test_block_tables_name_the_faces_of_their_own_slices(name):
+    # row b * m + i of slab j's block table is face ("S", j + 1 + b, i), for a
+    # flux that does not read t (tiled rows) and one that does (built rows),
+    # and an inversion target outside its image is named by that face
+    result = _case(name)
+    solver = Solver(result.tri, result.flux, result.spec, result.bd, result.cfg)
+    m = result.tri.n_columns
+    j = solver.block(0).slabs.stop
+    block = solver.block(j)
+    table = block.table_plus
+    assert block.j == j and block.n > 1 and len(table.face_ids) == block.n * m
+    assert list(table.face_ids) == [("S", j + 1 + b, i) for b in range(block.n) for i in range(m)]
+    for b in range(block.n):
+        for i in range(m):
+            assert table.face_ids[b * m + i] == ("S", j + 1 + b, i)
+    b, i = block.n - 1, m // 2
+    targets = table.image_hi.copy()
+    targets[b * m + i] += 1.0 + abs(targets[b * m + i])
+    face = ("S", j + 1 + b, i)
+    with pytest.raises(ValueOutsideImage, match="^" + re.escape(f"face {face}: target ")):
+        table.invert(targets)
 
 
 @pytest.mark.parametrize("flux, domain, u_range", [
