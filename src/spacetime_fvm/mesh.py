@@ -14,7 +14,8 @@ weights of the face segments, and :func:`face_sums` forms
 ``sum_k w_k f(x_k, u)``.  On spacelike faces the total fluxes are strictly
 monotone, cached with derivative bounds in a :class:`SpacelikeTable`, and
 inverted column by column by :func:`bracketed_root`, the one root finder,
-whose first two iterates an affine q settles without its bookkeeping.
+whose first two iterates an affine q settles without its bookkeeping; the
+solver steps with the first Newton iterate alone and certifies it in batches.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
@@ -451,16 +452,26 @@ def bracketed_root(f, w, lo, hi, flo, fhi, df=None, tol=np.inf, fw=None):
     return x, fx, active
 
 
-def _settle(q_of, dq, values, u, at_end, u_range, image_lo, image_hi, fw, tol):
-    """The states of :func:`_invert_increasing`'s :func:`bracketed_root` call,
-    by that call's arithmetic for ``dq`` (per face) that reads no u, when it
-    stops every root at its second iterate; None if a root is within ``tol``
-    or NaN at the first, or is open at the second.  Rows ``at_end`` keep ``u``.
+def _start(values, u_range, image_lo, image_hi, q_mid):
+    """The start of :func:`_invert_increasing` on targets ``values``: the masks of the
+    targets at or past each image end, the first iterate ``u`` (that end of ``u_range``
+    exactly, else its midpoint) and, given ``q_mid``, ``fw = q_mid - values``: its
+    residual wherever the root search reads it, at the open roots."""
+    at_lo = values <= image_lo
+    at_hi = values >= image_hi
+    u = np.where(at_lo, u_range[0], np.where(at_hi, u_range[1], 0.5 * (u_range[0] + u_range[1])))
+    return at_lo, at_hi, u, None if q_mid is None else q_mid - values
+
+
+def _first_iterate(values, u, at_end, fw, u_range, image_lo, image_hi, dq):
+    """The first step of :func:`_invert_increasing` from its start ``u`` with residual
+    ``fw`` (:func:`_start`) for ``dq`` (per face) that reads no u, with no check: the
+    second iterate of its :func:`bracketed_root` call, which :func:`_settle` certifies.
+    Returns it and the half-bracket ``(lo, hi)`` of the midpoint that the sign of
+    ``fw`` keeps.  Rows ``at_end`` keep ``u``; any other takes the Newton step
+    ``mid - fw / dq`` if it lies strictly inside ``(lo, hi)``, else the secant of the
+    half-bracket or, if that is not strictly inside either, its midpoint.
     """
-    if at_end.all():
-        return u
-    if not ((np.abs(fw) > tol) | at_end).all():
-        return None
     u_lo, u_hi = u_range
     mid = 0.5 * (u_lo + u_hi)
     move_lo = fw < 0.0
@@ -472,7 +483,21 @@ def _settle(q_of, dq, values, u, at_end, u_range, image_lo, image_hi, fw, tol):
         s = _secant(lo, hi, np.where(move_lo, fw, image_lo - values),
                     np.where(move_lo, image_hi - values, fw))
         p = np.where(newton, p, np.where((lo < s) & (s < hi), s, 0.5 * (lo + hi)))
-    x = np.where(at_end, u, p)
+    return np.where(at_end, u, p), lo, hi
+
+
+def _settle(q_of, dq, values, u, at_end, u_range, image_lo, image_hi, fw, tol):
+    """The states of :func:`_invert_increasing`'s :func:`bracketed_root` call,
+    by that call's arithmetic for ``dq`` (per face) that reads no u, when it
+    stops every root at its second iterate (:func:`_first_iterate`); None if a
+    root is within ``tol`` or NaN at the first, or is open at the second.  Rows
+    ``at_end`` keep ``u``.
+    """
+    if at_end.all():
+        return u
+    if not ((np.abs(fw) > tol) | at_end).all():
+        return None
+    x, lo, hi = _first_iterate(values, u, at_end, fw, u_range, image_lo, image_hi, dq)
     fx = q_of(x) - values
     move_lo = fx < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -499,6 +524,14 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
     ``tol`` (NaN counts as outside) and :class:`ConvergenceError` for a NaN
     residual or a root above tolerance after ``ROOT_MAX_STEPS``, naming the
     face, the column of an (n, K) ``values`` and the target.
+
+    ``Solver.run`` steps slabs with the first Newton iterate alone
+    (:meth:`SpacelikeTable.first_iterate`: :func:`_first_iterate`, no check)
+    and calls this as their certificate, once per batch of
+    ``scheme.BATCH_ROWS // m`` slabs (per block table of the batch for a flux
+    that reads t).  The first slab whose states differ takes this result, and
+    a batch that raises here is replayed slab by slab, so the checks, the
+    stopping test and every error text keep their one home here.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:   # the image ends of a face hold for every state of its row
@@ -517,11 +550,8 @@ def _invert_increasing(q_of, dq_of, values, u_range, image_lo, image_hi, face_id
         k, at = at_fault(np.maximum(image_lo - values, values - image_hi))
         raise ValueOutsideImage(f"{at}: target {float(values[k])!r} outside image "
                                 f"[{float(image_lo[k])!r}, {float(image_hi[k])!r}]")
-    at_lo = values <= image_lo
-    at_hi = values >= image_hi
     ftol = max(tol, 1e-13) * scale   # a floor that the rounding of q lets residuals reach
-    u = np.where(at_lo, u_range[0], np.where(at_hi, u_range[1], 0.5 * (u_range[0] + u_range[1])))
-    fw = None if q_mid is None else q_mid - values   # read at the open roots only
+    at_lo, at_hi, u, fw = _start(values, u_range, image_lo, image_hi, q_mid)
     if fw is not None and dq_column is not None and -np.inf < u_range[0] < u_range[1] < np.inf:
         settled = _settle(q_of, dq_column, values, u, at_lo | at_hi, u_range, image_lo,
                           image_hi, fw, ftol)
@@ -629,11 +659,15 @@ class SpacelikeTable:
         return _sharing(self, slice_index=slice_index, t=t, pts=pts,
                         face_ids=MeshIds(("S", slice_index, 1, tri.n_columns)))
 
-    def block_rows(self, b: int) -> "SpacelikeTable":
-        """The b-th slice's rows of this block table: its table built alone, bit for bit."""
-        m, j = self.n_faces // self.t.size, self.slice_index[b]
-        return _sharing(self, slice(b * m, (b + 1) * m), slice_index=j, t=float(self.t[b]),
-                        face_ids=MeshIds(("S", j, 1, m)), derived=weakref.WeakKeyDictionary())
+    def block_rows(self, b: int, n: int | None = None) -> "SpacelikeTable":
+        """The b-th slice's rows of this block table: its table built alone, bit for bit;
+        given ``n``, the block table of its slices b .. b + n - 1."""
+        m, js = self.n_faces // self.t.size, self.slice_index[b:b + (n or 1)]
+        t = self.t[b:b + len(js)]
+        return _sharing(self, slice(b * m, (b + len(js)) * m),
+                        slice_index=js if n else js.start, t=t if n else float(t[0]),
+                        face_ids=MeshIds(("S", js.start, len(js), m)),
+                        derived=weakref.WeakKeyDictionary())
 
     @property
     def n_faces(self) -> int:
@@ -655,6 +689,15 @@ class SpacelikeTable:
         u = np.asarray(u, dtype=float)
         vals = self._wx(self.pts, u[:, None])
         return self.orientation[:, None] * vals
+
+    def first_iterate(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`invert`'s states of targets ``values`` (m,) where its first Newton iterate
+        settles them (:func:`_first_iterate`), with no check: no image check, q call or
+        stopping test.  Only for a ``dq_column`` on a finite ``u_range``."""
+        at_lo, at_hi, u, fw = _start(values, self.u_range, self.image_lo, self.image_hi,
+                                     self.q_mid)
+        return _first_iterate(values, u, at_lo | at_hi, fw, self.u_range, self.image_lo,
+                              self.image_hi, self.dq_column)[0]
 
     def invert(self, values: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         """States whose oriented total fluxes equal ``values``, (m,) or (m, K).

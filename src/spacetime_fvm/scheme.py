@@ -68,6 +68,7 @@ CRITICAL_SAMPLES = 65
 RUSANOV_MARGIN = 1.1
 TIMESTEP_PROBES = 5      # candidate slabs across the horizon in select_timestep
 BLOCK_ROWS = 320         # (slab, column) rows per block of slab tables: 4 slabs at m = 80
+BATCH_ROWS = 5120        # rows per certificate of speculated slab steps: 32 slabs at m = 160
 
 
 class CFLViolation(RuntimeError):
@@ -548,6 +549,13 @@ class Slab:
         u_plus = self.table_plus.invert(rhs, tol=self.solver.cfg.inversion_tol)
         return SliceState(self.j + 1, self.table_plus.face_ids, u_plus, rhs)
 
+    def speculate(self, state: SliceState) -> SliceState:
+        """:meth:`step` with the inversion's first iterate for its result, unchecked
+        (:meth:`SpacelikeTable.first_iterate`): its states wherever that iterate settles."""
+        rhs = self.rhs(state)
+        return SliceState(self.j + 1, self.table_plus.face_ids,
+                          self.table_plus.first_iterate(rhs), rhs)
+
 
 # ---------------------------------------------------------------------------
 # solver facade
@@ -759,11 +767,30 @@ class Solver:
         return _inflow_state(self.slice_table(0), self.bd)
 
     def run(self) -> RunResult:
+        """Advance every slab from the initial state: :meth:`Slab.step`'s states, slab by
+        slab, and each slab's max cell ratio, with that loop's errors, bit for bit.
+
+        With a ``dq_column`` on a finite ``u_range`` (every preset flux declares one), a
+        slab steps speculatively (:meth:`Slab.speculate`), under a floating-point error
+        state that raises at a divide, an overflow or an invalid value.  After every
+        ``BATCH_ROWS // m`` slabs, one :meth:`SpacelikeTable.invert` call certifies
+        them: the shared slice table on one column of targets per slab for a flux that
+        does not read t.  For one that reads t, a batch also ends with its block
+        (:meth:`block`), so the block's table, still cached, inverts its rows.  The first
+        slab whose states differ from the certificate's in any bit takes the
+        certificate's, and the slabs after it step again.  A certificate that raises
+        replays its slabs through :meth:`Slab.step`.  A speculative step that raises (a
+        CFL breach, a table build, a floating-point error) has the slabs before it
+        certified, then takes :meth:`Slab.step`.  Any other flux steps slab by slab.
+        """
         start = time.perf_counter()
-        state = self.initial_state()
-        states = [state]
-        lambda_max, report = [], None
-        for j in range(self.tri.n_slabs):
+        states, lambda_max, report = [self.initial_state()], [], None
+        table, n = self.slice_table(0), self.tri.n_slabs
+        speculate = table.dq_column is not None and bool(np.isfinite(table.u_range).all())
+        batch = max(1, BATCH_ROWS // self.tri.n_columns)
+
+        def checked(j: int) -> Slab:   # slab j after its CFL check; its ratio recorded
+            nonlocal report
             slab = self.slab(j)
             shared, report = report, slab.lambdas()
             lambda_max.append(lambda_max[-1] if report is shared else report.max_cell_ratio())
@@ -771,11 +798,61 @@ class Solver:
                 raise CFLViolation(
                     f"slab {j}: max cell ratio {report.max_cell_ratio():.6f} exceeds "
                     f"{CFL_LIMIT}; shrink the slab height")
-            state = slab.step(state)
-            states.append(state)
+            return slab
+
+        j = first = 0   # the next slab and the first slab not certified
+        while j < n:
+            fell = not speculate
+            if speculate:
+                try:
+                    with np.errstate(divide="raise", over="raise", invalid="raise"):
+                        states.append(checked(j).speculate(states[j]))
+                    j += 1
+                except Exception:   # any: stepped alone, the slab raises or warns as the loop does
+                    del states[j + 1:], lambda_max[j:]
+                    report, fell = None, True
+                if first < j and (fell or j == n or j - first == batch or (
+                        self.flux.reads_t and j == self._block_tables(j - 1)[0].stop)):
+                    stop, j = j, self._certify(states, first)
+                    del lambda_max[j:]
+                    first = j
+                    if j < stop:   # slab j - 1 took the certificate's states
+                        report = None
+                        continue
+            if fell:
+                states.append(checked(j).step(states[j]))
+                j = first = j + 1
         return RunResult(tri=self.tri, flux=self.flux, spec=self.spec, bd=self.bd,
                          cfg=self.cfg, u_range=self.u_range, states=states,
                          lambda_max=lambda_max, wall_time=time.perf_counter() - start)
+
+    def _certify(self, states: list[SliceState], first: int) -> int:
+        """Certify the speculated states of slabs ``first`` to ``len(states) - 2`` by one
+        inversion (:meth:`run`).  Returns the next slab to step: the one after the last,
+        or after the first slab whose states differ from the certificate's, which takes
+        the certificate's while the slabs after it are dropped."""
+        stop, tol = len(states) - 1, self.cfg.inversion_tol
+        targets = [s.fluxes for s in states[first + 1:]]
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                if self.flux.reads_t:   # the block table's rows of the batch
+                    js, table = self._block_tables(first)[:2]
+                    exact = table.block_rows(first - js.start, stop - first).invert(
+                        np.concatenate(targets), tol).reshape(stop - first, -1)
+                else:   # one column of the shared slice table's targets per slab
+                    exact = self._slice_arrays.invert(np.stack(targets, axis=1), tol).T
+        except Exception:   # slab by slab: the error of the slab at fault, if any
+            for j in range(first, stop):
+                states[j + 1] = self.slab(j).step(states[j])
+            return stop
+        speculated = np.stack([s.values for s in states[first + 1:]])
+        wrong = (exact.view(np.int64) != speculated.view(np.int64)).any(axis=1)
+        if not wrong.any():
+            return stop
+        j = first + int(np.argmax(wrong))
+        state = states[j + 1]
+        states[j + 1:] = [SliceState(j + 1, state.face_ids, exact[j - first].copy(), state.fluxes)]
+        return j + 1
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 ``oracle_invert`` is ``mesh._invert_increasing`` without the settle step:
 every inversion runs :func:`~spacetime_fvm.mesh.bracketed_root` on the whole
 array.  The inversion must give its bits, or raise its exception with its
-text, on every target, every table and every run.
+text, on every target, every table and every run.  ``Solver.run``, which
+speculates with the first Newton iterate and certifies batches of slabs,
+must give the bits and errors of a loop of ``Slab.step`` over this oracle.
 """
 
 import glob
@@ -31,7 +33,9 @@ from spacetime_fvm.mesh import (
     bracketed_root,
     build_triangulation,
 )
-from spacetime_fvm.scheme import Solver
+from spacetime_fvm.scheme import BATCH_ROWS, CFL_LIMIT, CFLViolation, Slab, Solver
+
+from conftest import block_ranges
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -237,8 +241,12 @@ NON_AFFINE = "\n".join([
 ])
 
 
+def _solver(setup):
+    return Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd, setup.cfg)
+
+
 def solve(setup):
-    return Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd, setup.cfg).run()
+    return _solver(setup).run()
 
 
 class TestPath:
@@ -288,14 +296,23 @@ HARNESS_CASES = {
 }
 
 
-def _runs(kind, name, monkeypatch):
-    """The results of one guarded case: config file, harness case or workload."""
+def _solvers(kind, name, monkeypatch):
+    """(new solver, entropy tolerance) makers of one guarded case: config file, harness
+    case at nx = 80 or workload."""
     if kind == "config":
         setup = load_config(str(ROOT / "configs" / name))
-        return [(solve(setup), setup.entropy_tol)]
+        return [(lambda: _solver(setup), setup.entropy_tol)]
     if kind == "harness":
-        return [(HARNESS_CASES[name]().run(80), None)]
-    return [(solve(parse_config(text)), None) for text in _benchmark_configs(name, monkeypatch)]
+        case = HARNESS_CASES[name]()
+        tri, cfg = case.build(80)
+        return [(lambda: Solver(tri, case.flux, case.spec, case.bd, cfg), None)]
+    return [(lambda setup=parse_config(text): _solver(setup), None)
+            for text in _benchmark_configs(name, monkeypatch)]
+
+
+def _runs(kind, name, monkeypatch):
+    """The results of one guarded case: config file, harness case or workload."""
+    return [(make().run(), tol) for make, tol in _solvers(kind, name, monkeypatch)]
 
 
 GUARDED = ([("config", Path(p).name) for p in sorted(glob.glob(str(ROOT / "configs" / "*.ini")))]
@@ -312,3 +329,153 @@ def test_runs_and_reports_equal_the_oracle_bit_for_bit(kind, name, monkeypatch):
     mine = outputs()
     monkeypatch.setattr(mesh_module, "_invert_increasing", oracle_invert)
     assert outputs() == mine
+
+
+# ---------------------------------------------------------------------------
+# Solver.run's speculative steps against a loop of Slab.step
+# ---------------------------------------------------------------------------
+
+def slab_loop(solver):
+    """``Solver.run``'s states and ``lambda_max`` as a plain loop of :meth:`Slab.step`."""
+    states, lambda_max = [solver.initial_state()], []
+    for j in range(solver.tri.n_slabs):
+        slab = solver.slab(j)
+        report = slab.lambdas()
+        lambda_max.append(report.max_cell_ratio())
+        if solver.cfg.enforce_cfl and not report.passed:
+            raise CFLViolation(f"slab {j}: max cell ratio {report.max_cell_ratio():.6f} "
+                               f"exceeds {CFL_LIMIT}; shrink the slab height")
+        states.append(slab.step(states[-1]))
+    return states, lambda_max
+
+
+def run_bits(run):
+    """The bits of ``run()``'s (states, lambda_max), or its exception type and text."""
+    try:
+        states, lambda_max = run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return ([(s.slice_index, s.face_ids.blocks, s.values.tobytes(), s.fluxes.tobytes())
+             for s in states], np.array(lambda_max).tobytes())
+
+
+def solver_run(solver):
+    result = solver.run()
+    return result.states, result.lambda_max
+
+
+def certificates(tri, reads_t):
+    """The inversions of a run whose certificates all pass: one per batch of
+    ``BATCH_ROWS // m`` slabs, a batch ending with its block for a flux that reads t."""
+    size = max(1, BATCH_ROWS // tri.n_columns)
+    runs = block_ranges(tri) if reads_t else [range(tri.n_slabs)]
+    return sum(-(-len(run) // size) for run in runs)
+
+
+@pytest.mark.parametrize("kind, name", GUARDED, ids=[f"{k}-{n}" for k, n in GUARDED])
+def test_run_equals_the_oracle_slab_loop_bit_for_bit(kind, name, monkeypatch):
+    makers = [make for make, _ in _solvers(kind, name, monkeypatch)]
+    runs = [run_bits(lambda: solver_run(make())) for make in makers]
+    monkeypatch.setattr(mesh_module, "_invert_increasing", oracle_invert)
+    assert [run_bits(lambda: slab_loop(make())) for make in makers] == runs
+    assert all(isinstance(states, list) for states, _ in runs)   # no run raised
+
+
+@pytest.mark.parametrize("kind, name", GUARDED, ids=[f"{k}-{n}" for k, n in GUARDED])
+def test_one_inversion_per_certificate_and_no_root_search(kind, name, monkeypatch,
+                                                           counted_roots):
+    # the targets of burgers_riemann_case(1.0, 0.0) and configs/burgers_shock.ini lie
+    # within rounding of an image end: their first iterates must settle too, with no
+    # rewind and no slab stepped alone
+    makers = [make for make, _ in _solvers(kind, name, monkeypatch)]
+    counts = count_per_inversion(monkeypatch, _invert_increasing)
+    expected = 0
+    for make in makers:
+        solver = make()
+        solver.run()
+        expected += certificates(solver.tri, solver.flux.reads_t)
+    assert len(counts) == expected and counted_roots == []
+    assert all(q == 1 for q, _ in counts)
+
+
+@pytest.mark.parametrize("case", ["shock", "advection"])
+@pytest.mark.parametrize("where", ["first", "middle", "last of a batch"])
+def test_a_speculated_state_one_ulp_off_takes_the_certificates_states(case, where,
+                                                                       monkeypatch):
+    # SpacelikeTable.first_iterate is what the speculative step reads and _settle is
+    # not: a wrong bit in slab k's states must rewind the run to the certificate's
+    tri, cfg = HARNESS_CASES[case]().build(80)
+    k = {"first": 0, "middle": 21, "last of a batch": min(BATCH_ROWS // 80, tri.n_slabs) - 1}
+    bad, row = k[where], 37
+
+    def make():
+        c = HARNESS_CASES[case]()
+        return Solver(tri, c.flux, c.spec, c.bd, cfg)
+
+    expected = run_bits(lambda: slab_loop(make()))
+    first_iterate, moved = SpacelikeTable.first_iterate, []
+
+    def one_ulp_off(table, values):
+        u = first_iterate(table, values)
+        if table.slice_index == bad + 1:
+            moved.append(u[row])
+            u[row] = np.nextafter(u[row], np.inf)
+        return u
+
+    monkeypatch.setattr(SpacelikeTable, "first_iterate", one_ulp_off)
+    assert run_bits(lambda: solver_run(make())) == expected
+    assert len(moved) == 1   # taken once: the certificate's states replace it
+
+
+JUMP = "\n".join([
+    "[spacetime]", "domain = interval 0 1", "t_final = 0.2",
+    "[flux]", "builtin = custom", "wx = u + 0.1 * sign(u - 0.45)", "wt = -0.5 * u * u",
+    "dwx_du = 1", "dwt_du = -u",
+    "[mesh]", "nx = 40", "cfl_target = 0.25",
+    "[scheme]", "kind = godunov",
+    "[boundary]", "u_b = sign(x - 0.5) * (-0.45) + 0.45",
+    "[run]", "u_min = 0", "u_max = 1",
+])
+
+
+class TestErrorsOfTheSlabLoop:
+    """Through ``Solver.run``, the exception type and text of the slab-by-slab loop."""
+
+    def test_jump_flux_stops_the_inversion(self):
+        # q jumps at u = 0.45: the sampled dq check passes, the certificate does not
+        setup = parse_config(JUMP)
+        expected = run_bits(lambda: slab_loop(_solver(setup)))
+        assert expected[0] is ConvergenceError and "after 100 iterations" in expected[1]
+        assert run_bits(lambda: solver_run(_solver(setup))) == expected
+
+    @pytest.mark.parametrize("case", ["shock", "advection"])
+    @pytest.mark.parametrize("bad", [0, 5, 42])
+    def test_nan_target_is_outside_the_image(self, case, bad, monkeypatch):
+        # the NaN spreads through the speculated slabs after it, and the
+        # certificate that meets it raises
+        rhs = Slab.rhs
+
+        def nan_row(slab, state):
+            out = rhs(slab, state)
+            if slab.j == bad:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(Slab, "rhs", nan_row)
+        c = HARNESS_CASES[case]()
+        tri, cfg = c.build(80)
+        expected = run_bits(lambda: slab_loop(Solver(tri, c.flux, c.spec, c.bd, cfg)))
+        assert expected == (ValueOutsideImage, expected[1])
+        assert expected[1].startswith(f"face ('S', {bad + 1}, 3): target nan outside image")
+        assert run_bits(lambda: solver_run(Solver(tri, c.flux, c.spec, c.bd, cfg))) == expected
+
+    @pytest.mark.parametrize("case", ["shock", "advection"])
+    def test_cfl_breach_names_its_slab(self, case):
+        # slab 30 is four slabs tall, inside the first batch
+        c = HARNESS_CASES[case]()
+        tri, cfg = c.build(80)
+        times = np.delete(tri.times, [31, 32, 33])
+        tri = build_triangulation(Foliation(times, tri.domain), tri.breakpoints)
+        expected = run_bits(lambda: slab_loop(Solver(tri, c.flux, c.spec, c.bd, cfg)))
+        assert expected[0] is CFLViolation and expected[1].startswith("slab 30: ")
+        assert run_bits(lambda: solver_run(Solver(tri, c.flux, c.spec, c.bd, cfg))) == expected

@@ -762,8 +762,9 @@ class TestRun:
                 assert calls.count("dwt_du") == len(blocks) == -(-solver.tri.n_slabs // 3)
 
     def test_slab_rebuilt_after_run_is_bit_identical(self, monkeypatch):
-        # record every slab's rhs and step during the run, then rebuild the
-        # slabs out of order from the finished solver
+        # record every slab's rhs during the run (a speculating run need not
+        # call Slab.step), then rebuild the slabs out of order from the
+        # finished solver
         flux = presets.burgers_flux((-1.2, 1.2))
         solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
                              step_bd(0.45, 1.0, -0.2), nx=10, u_range=(-0.2, 1.0))
@@ -772,9 +773,8 @@ class TestRun:
 
         def recording_slab(self, j):
             slab = original(self, j)
-            step = slab.step
-            slab.step = lambda state: seen.setdefault(
-                j, (slab.rhs(state).tobytes(), step(state)))[1]
+            rhs = slab.rhs
+            slab.rhs = lambda state: seen.setdefault(j, rhs(state))
             return slab
 
         with monkeypatch.context() as patch:
@@ -783,12 +783,11 @@ class TestRun:
         assert sorted(seen) == list(range(solver.tri.n_slabs))
         for j in reversed(range(solver.tri.n_slabs)):
             slab = solver.slab(j)
-            rhs, stepped = seen[j]
-            assert slab.rhs(result.states[j]).tobytes() == rhs
+            assert slab.rhs(result.states[j]).tobytes() == seen[j].tobytes()
             again = slab.step(result.states[j])
-            assert again.values.tobytes() == stepped.values.tobytes()
-            assert again.fluxes.tobytes() == stepped.fluxes.tobytes()
+            assert again.fluxes.tobytes() == seen[j].tobytes()
             assert again.values.tobytes() == result.states[j + 1].values.tobytes()
+            assert again.fluxes.tobytes() == result.states[j + 1].fluxes.tobytes()
 
 
 def _slab_of(result, t):
