@@ -134,7 +134,9 @@ def load_run_artifact(path: str):
     Every CSV row must name a slice: the first that does not is a
     ``ConfigError`` naming its line (the header is line 1, and each row one
     line: ``np.loadtxt`` skips blank lines).  Every slice must have one row
-    per column.
+    per column, in column order, whose ``t``, ``x_left`` and ``x_right`` equal
+    run.json's mesh (the ``.17g`` text reads back to the same float) and whose
+    ``u`` is finite: else the first such line and column is a ``ConfigError``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
@@ -146,21 +148,29 @@ def load_run_artifact(path: str):
     with warnings.catch_warnings():   # a table without rows is reported below
         warnings.simplefilter("ignore", UserWarning)
         table = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    index = table[:, 0]
-    stray = ~((index >= 0) & (index < tri.n_slices) & (index == np.floor(index)))   # NaN too
+    index, n, m = table[:, 0], tri.n_slices, tri.n_columns
+    stray = ~((index >= 0) & (index < n) & (index == np.floor(index)))   # NaN too
     if stray.any():
         k = int(np.argmax(stray))
         raise ConfigError(f"run artifact {meta['slices_csv']} line {k + 2}: slice_index "
-                          f"{float(index[k]):.17g} is not an integer in 0..{tri.n_slices - 1}")
-    table = table[np.argsort(index, kind="stable")]   # rows of a slice keep file order
-    start, stop = (np.searchsorted(table[:, 0], np.arange(tri.n_slices), side=side)
-                   for side in ("left", "right"))
-    states = []
-    for j in range(tri.n_slices):
-        if stop[j] - start[j] != tri.n_columns:
-            raise ConfigError(f"run artifact is missing slice {j} data")
-        values, fluxes = table[start[j]:stop[j], 4:6].T.copy()
-        states.append(SliceState(j, MeshIds(("S", j, 1, tri.n_columns)), values, fluxes))
+                          f"{float(index[k]):.17g} is not an integer in 0..{n - 1}")
+    short = np.bincount(index.astype(np.intp), minlength=n) != m
+    if short.any():
+        raise ConfigError(f"run artifact is missing slice {int(np.argmax(short))} data")
+    order = np.argsort(index, kind="stable")   # rows of a slice keep file order: row j * m + i
+    table, xs = table[order], tri.breakpoints
+    mesh = np.stack([np.repeat(tri.times, m), np.tile(xs[:-1], n), np.tile(xs[1:], n)], axis=1)
+    bad = np.concatenate([table[:, 1:4] != mesh, ~np.isfinite(table[:, 4:5])], axis=1)
+    if bad.any():
+        rows, cols = np.nonzero(bad)
+        k = np.lexsort((cols, order[rows]))[0]   # the first line, then the first column
+        r, c = rows[k], cols[k]
+        raise ConfigError(f"run artifact {meta['slices_csv']} line {order[r] + 2}: "
+                          f"{('t', 'x_left', 'x_right', 'u')[c]} {float(table[r, c + 1])!r} is "
+                          + ("not finite" if c == 3 else f"not run.json's {float(mesh[r, c])!r}"))
+    values, fluxes = (table[:, c].reshape(n, m) for c in (4, 5))
+    states = [SliceState(j, MeshIds(("S", j, 1, m)), values[j].copy(), fluxes[j].copy())
+              for j in range(n)]
     urange = tuple(meta["u_range"])
     result = RunResult(tri=tri, flux=setup.flux, spec=setup.spec, bd=setup.bd,
                        cfg=replace(setup.cfg, u_range=urange), u_range=urange,

@@ -230,11 +230,11 @@ class SmoothFaceEntropy:
     ``SMOOTH_PANEL_NODES`` Gauss nodes on the state range and 0 (an edge),
     plus one such rule from the start of the state's panel: polynomial flux
     data is integrated exactly.  The table does not read the states; it is
-    kept by pair in the slice table's ``derived``, shared by every slice of
-    a flux that does not read t.  A dq that does not read u is one column,
-    and the panels are then that column times one (panel, node) factor
-    ``gw h U'(v)``, the same for every face and the same bits as the
-    per-face rule.
+    kept by pair in the slice table's ``derived``, shared by every table moved
+    from it (a flux that does not read t).  A dq that does not read u is one
+    column, and the panels are then that column times one (panel, node) factor
+    ``gw h U'(v)``, the same for every face and the same bits as the per-face
+    rule.
     """
 
     def __init__(self, pair: EntropyPair, table: SpacelikeTable):
@@ -274,9 +274,8 @@ class SmoothFaceEntropy:
         k = np.fmin(np.fmax(np.floor(flat / self._h) + self._n_neg, 0.0),
                     self._starts.size - 1).astype(np.intp)
         start = self._starts[k]
-        # a block table tiled from one slice's table (flux not reading t) repeats its rows
-        rows = np.arange(flat.shape[0])[:, None] % self._cumulative.shape[0]
-        return (self._cumulative[rows, k] + self._panels(start, flat - start)).reshape(w.shape)
+        return (self._cumulative[np.arange(flat.shape[0])[:, None], k]
+                + self._panels(start, flat - start)).reshape(w.shape)
 
 
 def entropy_total_flux(table: SpacelikeTable, pair, ubar):

@@ -7,15 +7,16 @@ slice, one outflow face on the upper slice and two vertical faces; on an
 interval domain the extreme vertical faces lie on the spacetime boundary.
 
 Total flux functions ``q_e(u) = oriented integral of omega(u) over e`` are
-the quantities the scheme evolves.  Every one of them, on the spacelike
-faces of a slice or the vertical faces of a slab, is one row of a table
-discretized the same way: :func:`segment_nodes` builds the Gauss nodes and
-weights of the face segments, and :func:`face_sums` forms
-``sum_k w_k f(x_k, u)``.  On spacelike faces the total fluxes are strictly
-monotone, cached with derivative bounds in a :class:`SpacelikeTable`, and
-inverted column by column by :func:`bracketed_root`, the one root finder,
-whose first two iterates an affine q settles without its bookkeeping; the
-solver steps with the first Newton iterate alone and certifies it in batches.
+the quantities the scheme evolves.  Each one, on a spacelike face of a slice
+or a vertical face of a slab, is a row of a block table of slices or slabs,
+all discretized alike: :func:`segment_nodes` builds the Gauss nodes and
+weights, :func:`face_sums` forms ``sum_k w_k f(x_k, u)``; a slice's or slab's
+table is a row view of its block's, moved unbuilt for a flux that does not
+read t.  On spacelike faces the total fluxes are strictly monotone, cached
+with derivative bounds in a :class:`SpacelikeTable`, and inverted column by
+column by :func:`bracketed_root`, the one root finder, whose first two
+iterates an affine q settles; the solver steps with the first Newton iterate
+alone and certifies it in batches.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
@@ -339,16 +340,22 @@ def segment_nodes(rule: QuadratureRule, axis: int, fixed, lo, length):
     return pts, length[..., None] * rule.weights
 
 
-def _sharing(obj, rows=None, **geometry):
+def _sharing(obj, rows: slice | np.ndarray | None = None, **geometry):
     """A new object of ``obj``'s class sharing all its attributes but ``geometry``; given
-    ``rows``, each other array is tiled ``rows`` times (an int) or cut to ``rows`` (a slice)."""
+    ``rows``, its row-axis arrays (``ROWS``) are cut to them (or gathered, for an array)."""
     new = object.__new__(type(obj))
-    new.__dict__.update(obj.__dict__, **geometry)
+    attrs = new.__dict__
+    attrs.update(obj.__dict__)
     if rows is not None:
-        new.__dict__.update((k, v[rows] if isinstance(rows, slice) else np.concatenate([v] * rows))
-                            for k, v in obj.__dict__.items()
-                            if isinstance(v, np.ndarray) and k not in geometry)
+        attrs.update({name: attrs[name][rows] for name in obj.ROWS if attrs[name] is not None})
+    attrs.update(geometry)
     return new
+
+
+def _moved_rows(n: int, own: int):
+    """The rows that a table of ``own`` rows moved to ``n`` rows takes (:func:`_sharing`): all
+    (None), its first n, or, for a table of one slice or slab, that one's rows repeated."""
+    return None if n == own else slice(0, n) if n < own else np.arange(n) % own
 
 
 def _weighted_sum(weights: np.ndarray, vals) -> np.ndarray:
@@ -582,12 +589,14 @@ class SpacelikeTable:
     axis, so all queries of the scheme and the entropy verifiers are single
     vectorized calls.  ``image_lo``, ``q_mid`` and ``image_hi`` are q at the
     lower end, the midpoint and the upper end of ``u_range``, from one
-    (m, 3) call.  The slice's geometry (``slice_index``, ``face_ids``,
-    ``t``, ``pts``) is cheap; everything else derives from the flux, and
-    :meth:`on_slice` shares it, ``derived`` included, with another slice
-    when the flux does not read t.  A range of slices gives their block table,
-    whose ``face_ids`` name each row by its own slice's face.
+    (m, 3) call.  A range of slices gives their block table, whose
+    ``face_ids`` name each row by its own slice's face; :meth:`block_rows`
+    views its rows (``ROWS``) and :meth:`on_slice` moves it, ``derived``
+    included, to other slices of a flux that does not read t.
     """
+
+    ROWS = ("pts", "orientation", "weights", "dq_column", "dq_min_raw", "dq_max_raw", "dq_min",
+            "dq_max", "image_lo", "q_mid", "image_hi")
 
     def __init__(self, tri: Triangulation, flux: FluxField, slice_index: int | range,
                  rule: QuadratureRule | None = None,
@@ -596,15 +605,13 @@ class SpacelikeTable:
         xs, m = tri.breakpoints, tri.n_columns
         block = isinstance(slice_index, range)
         slices = np.asarray(slice_index if block else [slice_index])
-        self.x_lo = np.tile(xs[:-1], slices.size)
-        self.x_hi = np.tile(xs[1:], slices.size)
-        self.widths = self.x_hi - self.x_lo
+        x_lo = np.tile(xs[:-1], slices.size)
         self.derived = weakref.WeakKeyDictionary()   # q_omega tables by entropy pair
         self.slice_index = slice_index
         self.face_ids = MeshIds(("S", slice_index.start if block else slice_index, slices.size, m))
         self.t = tri.times[slices] if block else float(tri.times[slice_index])
         self.pts, base_w = segment_nodes(self._rule, 1, np.repeat(tri.times[slices], m),
-                                         self.x_lo, self.widths)
+                                         x_lo, np.tile(xs[1:], slices.size) - x_lo)
         self._wx = flux.omega.coeffs[(1,)]
         self._dwx = flux.omega.du_coeffs[(1,)]
 
@@ -639,30 +646,29 @@ class SpacelikeTable:
         ends = self.q(np.broadcast_to([u_lo, u_mid, u_hi], (self.n_faces, 3)))
         self.image_lo, self.q_mid, self.image_hi = ends.T
 
-    def on_slice(self, tri: Triangulation, slice_index: int | range) -> "SpacelikeTable":
-        """This table's flux-derived arrays on slice ``slice_index`` of ``tri``.
+    def on_slice(self, tri: Triangulation, slices: range) -> "SpacelikeTable":
+        """This table moved to ``slices`` of ``tri`` (:func:`_moved_rows`; other rows get
+        their own ``derived``): for a flux that does not read t, their table, bit for bit.
+        The nodes are copied with the t column rewritten (a slice's x nodes and weights do
+        not read t); every other array is shared, or for other rows cut or gathered."""
+        t, m = tri.times[slices.start:slices.stop], tri.n_columns
+        rows = _moved_rows(t.size * m, self.n_faces)
+        pts = (self.pts if rows is None else self.pts[rows]).copy()
+        pts.reshape(t.size, m, -1, 2)[..., 0] = t[:, None, None]
+        other = {} if rows is None else {"derived": weakref.WeakKeyDictionary()}
+        return _sharing(self, rows, slice_index=slices, t=t, pts=pts,
+                        face_ids=MeshIds(("S", slices.start, t.size, m)), **other)
 
-        Only for a flux that does not read t: its table of that slice is
-        then this one, bit for bit, except for the geometry set here.  The
-        nodes are this table's with the t column rewritten (a slice's x
-        nodes and weights do not depend on t); every other array is shared
-        (for a range of slices, this table's rows are tiled).
-        """
-        if isinstance(slice_index, range):
-            t = tri.times[slice_index.start:slice_index.stop]
-            table = _sharing(self, t.size, slice_index=slice_index, t=t,
-                             face_ids=MeshIds(("S", slice_index.start, t.size, self.n_faces)))
-            table.pts[..., 0] = np.repeat(t, self.n_faces)[:, None]
-            return table
-        t, pts = float(tri.times[slice_index]), self.pts.copy()
-        pts[..., 0] = t
-        return _sharing(self, slice_index=slice_index, t=t, pts=pts,
-                        face_ids=MeshIds(("S", slice_index, 1, tri.n_columns)))
-
-    def block_rows(self, b: int, n: int | None = None) -> "SpacelikeTable":
+    def block_rows(self, b: int, n: int | None = None,
+                   like: "SpacelikeTable | None" = None) -> "SpacelikeTable":
         """The b-th slice's rows of this block table: its table built alone, bit for bit;
-        given ``n``, the block table of its slices b .. b + n - 1."""
-        m, js = self.n_faces // self.t.size, self.slice_index[b:b + (n or 1)]
+        given ``n``, the block table of its slices b .. b + n - 1.  ``like``, the b-th slice's
+        rows of a table moved with this one, lends its arrays and ``derived``."""
+        if like is not None:
+            m, index = like.orientation.size, self.slice_index.start + b
+            return _sharing(like, pts=self.pts[b * m:(b + 1) * m], slice_index=index,
+                            t=float(self.t[b]), face_ids=MeshIds(("S", index, 1, m)))
+        m, js = self.orientation.size // self.t.size, self.slice_index[b:b + (n or 1)]
         t = self.t[b:b + len(js)]
         return _sharing(self, slice(b * m, (b + len(js)) * m),
                         slice_index=js if n else js.start, t=t if n else float(t[0]),

@@ -39,6 +39,7 @@ from .mesh import (
     MeshIds,
     SpacelikeTable,
     Triangulation,
+    _moved_rows,
     _sharing,
     bracketed_root,
     column_at,
@@ -173,12 +174,15 @@ class VerticalFluxes:
     finitely many extrema.  With ``(0,)`` in
     ``flux.u_free_du`` the lattice is one column, ``dg_column``, and the
     search is skipped: a G' constant in u has no critical point, so
-    ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  The slab's start
-    (``t_lo``, ``pts``) is cheap; the rest derives from the flux and the
-    slab's nominal ``height`` (:attr:`Foliation.heights`), and :meth:`on_slab`
-    shares it with another slab of that height when the flux does not read t.
-    Per-row ``x_nodes`` and ``t_lo`` give a block table (:class:`Slab`).
+    ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  Per-row
+    ``x_nodes`` and ``t_lo`` give a block table (:class:`Slab`) of slabs of
+    one nominal ``height`` (:attr:`Foliation.heights`); :meth:`block_rows`
+    views a slab's rows (``ROWS``) and :meth:`on_slab` moves it to other
+    slabs of that height of a flux that does not read t.
     """
+
+    ROWS = ("x_nodes", "t_lo", "pts", "dg_column", "_dg_abs_max", "_dg_half_spread", "crit_w",
+            "crit_g", "speed")
 
     def __init__(self, x_nodes: np.ndarray, t_lo: float | np.ndarray, height: float,
                  flux: FluxField, spec: NumericalFluxSpec,
@@ -192,15 +196,13 @@ class VerticalFluxes:
         self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, height)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
-        self.derived: dict = {}   # a slab's CFL report, shared by every on_slab copy
 
         self.dg_column = None
         u_free = (0,) in flux.u_free_du
         us = np.linspace(*self.u_range, CRITICAL_SAMPLES)[:1 if u_free else None]
         dg = self.dG_lattice(us)                                       # (nv, K)
         self._dg_abs_max = np.max(np.abs(dg), axis=1)
-        self._dg_max = np.max(dg, axis=1)
-        self._dg_min = np.min(dg, axis=1)
+        self._dg_half_spread = 0.5 * (np.max(dg, axis=1) - np.min(dg, axis=1))
         if u_free:
             self.dg_column = dg[:, 0]
             self.crit_w = self.crit_g = np.empty((self.n_faces, 0))
@@ -212,31 +214,25 @@ class VerticalFluxes:
         else:
             self.speed = RUSANOV_MARGIN * self._dg_abs_max
 
-    def on_slab(self, t_lo: float | np.ndarray) -> "VerticalFluxes":
-        """This table's flux-derived arrays on the slab of this ``height`` from ``t_lo``.
+    def on_slab(self, t_lo: np.ndarray) -> "VerticalFluxes":
+        """This table moved to slabs of its height with per-row starts ``t_lo``
+        (:func:`mesh._moved_rows`): for a flux that does not read t, their table, bit for
+        bit.  The nodes are copied with the t column rewritten as :func:`segment_nodes`
+        places it; every other array is shared, or for other rows cut or gathered."""
+        rows = _moved_rows(t_lo.size, self.n_faces)
+        pts = (self.pts if rows is None else self.pts[rows]).copy()
+        np.add(t_lo[:, None], self._rule.nodes[:, 0] * self.height, out=pts[..., 0])
+        return _sharing(self, rows, t_lo=t_lo, pts=pts)
 
-        Only for a flux that does not read t: its table of that slab is then
-        this one, bit for bit, except for the start set here.  The nodes are
-        this table's with the t column rewritten as :func:`segment_nodes`
-        places it; the weights, the other arrays and ``derived`` are shared;
-        for an array of starts, this table's rows are tiled.
-        """
-        if isinstance(t_lo, np.ndarray):
-            vert = _sharing(self, t_lo.size // self.n_faces, t_lo=t_lo, weights=self.weights)
-            vert.pts[..., 0] = t_lo[:, None] + self._rule.nodes[:, 0] * self.height
-            return vert
-        t_lo, pts = float(t_lo), self.pts.copy()
-        pts[..., 0] = t_lo + self._rule.nodes[:, 0] * self.height
-        return _sharing(self, t_lo=t_lo, pts=pts)
-
-    def block_rows(self, rows: slice, report: "LambdaReport") -> "VerticalFluxes":
-        """The ``rows`` of one slab of this block table, its table built alone, bit for bit,
-        with its CFL ``report``."""
+    def block_rows(self, rows: slice, like: "VerticalFluxes | None" = None) -> "VerticalFluxes":
+        """The ``rows`` of one slab of this block table: its table built alone, bit for bit.
+        ``like``, the same rows of a table moved with this one, lends its arrays."""
+        if like is not None:
+            return _sharing(like, pts=self.pts[rows], t_lo=float(self.t_lo[rows.start]))
         width = self.crit_w.shape[1] and int(np.max(np.count_nonzero(
             ~np.isnan(self.crit_w[rows]), axis=1)))
-        return _sharing(self, rows, t_lo=float(self.t_lo[rows.start]), weights=self.weights,
-                        crit_w=self.crit_w[rows, :width], crit_g=self.crit_g[rows, :width],
-                        derived={"lambdas": report})
+        return _sharing(self, rows, t_lo=float(self.t_lo[rows.start]),
+                        crit_w=self.crit_w[rows, :width], crit_g=self.crit_g[rows, :width])
 
     @property
     def n_faces(self) -> int:
@@ -354,7 +350,7 @@ class VerticalFluxes:
         dissipation speed to half the spread of G'.
         """
         if self.spec.kind is FluxKind.RUSANOV:
-            return self.speed + 0.5 * (self._dg_max - self._dg_min)
+            return self.speed + self._dg_half_spread
         if self.spec.kind is FluxKind.ANTI_DIFFUSIVE:
             return np.maximum(self._dg_abs_max, self.speed)
         return self._dg_abs_max
@@ -445,6 +441,10 @@ class LambdaReport:
     def max_cell_ratio(self) -> float:
         return float(np.max(self.lam_hat_cell))
 
+    def rows(self, rows: slice) -> "LambdaReport":   # the cells ``rows``: views of the arrays
+        return LambdaReport(self.lam_hat[rows], self.lam_hat_cell[rows], self.lam[rows],
+                            self.cfl_limit)
+
 
 def _lambda_report(vert, table_plus, left, right, j: int) -> LambdaReport:
     """Per-cell lambda ratios of slab j or of a block from it; a non-finite one raises."""
@@ -461,14 +461,14 @@ def _lambda_report(vert, table_plus, left, right, j: int) -> LambdaReport:
 
 
 class Slab:
-    """Slabs ``j .. j + n - 1`` of one nominal height on the (slab, column) row axis: cell row
-    ``b * m + i``, face row ``b * nv + k`` (critical points NaN-padded to the widest row).  A
-    slab is a block of one (:meth:`Solver.slab`, which also holds its inflow table
+    """Slabs ``j .. j + n - 1`` of one nominal height on the (slab, column) row axis (cell row
+    ``b * m + i``, face row ``b * nv + k``) with their tables and CFL ``report``.  A slab is a
+    block of one (:meth:`Solver.slab`: row views of its block's, and its inflow table
     ``table_minus``); :meth:`Solver.block` gives a block.  The kernels work row by row, so
     each slab's rows get its own tables' bits."""
 
     def __init__(self, solver: "Solver", j: int, n: int, table_minus, table_plus, vert,
-                 report: LambdaReport | None = None):
+                 report: LambdaReport):
         self.solver, self.j, self.n = solver, j, n
         self.m, self.periodic = solver.tri.n_columns, solver.tri.periodic
         self.table_minus, self.table_plus, self.vert = table_minus, table_plus, vert
@@ -501,18 +501,8 @@ class Slab:
     # -- CFL ------------------------------------------------------------------------
 
     def lambdas(self) -> LambdaReport:
-        """Per-cell lambda ratios; the cell sums must stay below 1/2.
-
-        Uses the exact suprema of the built-in fluxes (from G' samples).  A
-        block's ratios come with its tables; a slab's are kept in ``vert.derived``,
-        as a shared vertical table implies shared slice arrays.
-        """
-        if self.report is None:
-            derived = self.vert.derived
-            if "lambdas" not in derived:
-                derived["lambdas"] = _lambda_report(self.vert, self.table_plus, self.left_idx,
-                                                    self.right_idx, self.j)
-            self.report = derived["lambdas"]
+        """Per-cell lambda ratios (from the exact G' suprema); the cell sums must stay
+        below 1/2."""
         return self.report
 
     def per_slab(self, values: np.ndarray, reduce=np.max) -> list[float]:
@@ -549,13 +539,6 @@ class Slab:
         u_plus = self.table_plus.invert(rhs, tol=self.solver.cfg.inversion_tol)
         return SliceState(self.j + 1, self.table_plus.face_ids, u_plus, rhs)
 
-    def speculate(self, state: SliceState) -> SliceState:
-        """:meth:`step` with the inversion's first iterate for its result, unchecked
-        (:meth:`SpacelikeTable.first_iterate`): its states wherever that iterate settles."""
-        rhs = self.rhs(state)
-        return SliceState(self.j + 1, self.table_plus.face_ids,
-                          self.table_plus.first_iterate(rhs), rhs)
-
 
 # ---------------------------------------------------------------------------
 # solver facade
@@ -583,9 +566,6 @@ class RunResult:
     def final_state(self) -> SliceState:
         return self.states[-1]
 
-    def state(self, j: int) -> SliceState:
-        return self.states[j]
-
     def u_field(self, t: float, x: float) -> float:
         times = self.tri.times
         j = int(np.clip(np.searchsorted(times, t, side="right") - 1, 0, self.tri.n_slabs - 1))
@@ -599,15 +579,13 @@ class RunResult:
 class Solver:
     """Binds a triangulation, flux field, numerical flux and boundary data.
 
-    For a flux declared not to read t (``flux.reads_t`` False) the solver
-    builds the flux-derived arrays of the spacelike tables once per run and
-    those of the vertical flux tables where the nominal slab height
-    (``tri.heights``) changes; every slice and slab still gets its own
-    nodes, so whatever reads t there (u_B, test functions) sees the slab's
-    own t.  For a flux that reads t, every table is a row view of its block's
-    (:meth:`block`).  The results are the same bits either way.  A slab
-    (:meth:`slab`) and a block (:meth:`block`) are both a :class:`Slab`: a
-    slab is a block of one.
+    Slice 0's table is built alone; a slab's tables and CFL report are row
+    views of its block's (:meth:`_block_tables`), for every flux.  For one
+    declared not to read t (``flux.reads_t`` False) a block is moved from the
+    first block of its run of one nominal height: it gets its own nodes, so
+    whatever reads t there (u_B, test functions) sees its own t, and shares
+    the flux-derived arrays and the report.  The bits are those of a build.
+    A slab (:meth:`slab`) and a block (:meth:`block`) are both a :class:`Slab`.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
@@ -622,10 +600,7 @@ class Solver:
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
         self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block tables, those before
-        # for a flux that does not read t: the table whose arrays every slice
-        # shares, and the last vertical table, shared by slabs of its height
-        self._slice_arrays: SpacelikeTable | None = None
-        self._vertical_arrays: VerticalFluxes | None = None
+        self._template: tuple = ()   # flux not reading t: (its height, *its block) to move
         cols = np.arange(tri.n_columns)   # by block size: each cell row's left and right face row
         self.cell_faces = {1: (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)}
         self._check_samples()
@@ -671,79 +646,88 @@ class Solver:
                         f"at {at[axis]}")
 
     def slice_table(self, j: int) -> SpacelikeTable:
-        """Table of slice j; a new table evicts every slice but j - 1."""
+        """Table of slice j: slice 0's built alone, any other a row view of the block of slab
+        j - 1; a new table evicts every slice but j - 1."""
         if j not in self._tables:
             self._tables = {k: t for k, t in self._tables.items() if k == j - 1}
-            if self._slice_arrays is not None:
-                table = self._slice_arrays.on_slice(self.tri, j)
-            elif j > 0 and self.flux.reads_t:
-                js, block_table = self._block_tables(j - 1)[:2]
-                table = block_table.block_rows(j - 1 - js.start)
-            else:
-                table = SpacelikeTable(self.tri, self.flux, j, rule=self.rule,
-                                       u_range=self.u_range)
-                if not self.flux.reads_t:
-                    self._slice_arrays = table
-            self._tables[j] = table
+            self._tables[j] = self._row_view(self._block_tables(j - 1), j - 1, False) if j \
+                else SpacelikeTable(self.tri, self.flux, 0, rule=self.rule, u_range=self.u_range)
         return self._tables[j]
 
     def vertical_fluxes(self, j: int) -> VerticalFluxes:
-        """Vertical flux table of slab j; when the flux does not read t, the
-        last table built is shared until the nominal slab height changes."""
-        if self.flux.reads_t:
-            js, _, vert, report = self._block_tables(j)
-            b, nv, m = j - js.start, self.tri.n_nodes, self.tri.n_columns
-            own = (a[b * m:(b + 1) * m] for a in (report.lam_hat, report.lam_hat_cell, report.lam))
-            return vert.block_rows(slice(b * nv, (b + 1) * nv), LambdaReport(*own, CFL_LIMIT))
-        t_lo, height = float(self.tri.times[j]), float(self.tri.heights[j])
-        shared = self._vertical_arrays
-        if shared is None or shared.height != height:
-            shared = self._vertical_arrays = VerticalFluxes(
-                self.tri.breakpoints[:self.tri.n_nodes], t_lo, height, self.flux, self.spec,
-                self.rule, self.u_range)
-        return shared.on_slab(t_lo)
+        """Vertical flux table of slab j: a row view of its block's."""
+        return self._row_view(self._block_tables(j), j, True)
+
+    def _row_view(self, block: tuple, j: int, vertical: bool):
+        """Slab j's rows of its ``block``'s vertical or outflow table; for a moved block, the
+        first view of each row lends its arrays to the later ones (``shared``)."""
+        js, table, vert, _, shared = block
+        b, nv = j - js.start, self.tri.n_nodes
+        views = {} if shared is None else shared[1 + vertical]
+        like = views.get(b)
+        view = vert.block_rows(slice(b * nv, (b + 1) * nv), like) if vertical \
+            else table.block_rows(b, like=like)
+        return views.setdefault(b, view) if like is None else view
 
     @cached_property
     def _block_starts(self) -> list[int]:
-        """Block starts: every ``BLOCK_ROWS // m``-th slab and each change of nominal height."""
-        size, h = max(1, BLOCK_ROWS // self.tri.n_columns), self.tri.heights
-        return [j for j in range(self.tri.n_slabs) if j % size == 0 or h[j] != h[j - 1]]
+        """Block starts: each change of nominal height and every ``BLOCK_ROWS // m`` slabs after."""
+        size, h, starts = max(1, BLOCK_ROWS // self.tri.n_columns), self.tri.heights, [0]
+        for j in range(1, self.tri.n_slabs):
+            if h[j] != h[j - 1] or j - starts[-1] == size:
+                starts.append(j)
+        return starts
 
     def block(self, j: int) -> Slab:
-        """Slab j's block: one pass for a flux that reads t, else tiled; split if that raises."""
-        js, table, vert, report = self._block_tables(j)
+        """Slab j's block (:meth:`_block_tables`)."""
+        js, table, vert, report, _ = self._block_tables(j)
         return Slab(self, js.start, len(js), None, table, vert, report)
 
     def _block_tables(self, j: int) -> tuple:
+        """``(slabs, outflow table, vertical table, report, shared)`` of slab j's block, the
+        one place a slab's tables come from: built for a flux that reads t (``shared`` None);
+        else moved from the last block built, if of its height and no fewer slabs, sharing
+        its report and ``shared`` (the report each slab is handed, and the row views of
+        :meth:`_row_view`), or built from its first slab.  A failing build is split by slab."""
         starts = self._block_starts
         k = bisect.bisect_right(starts, j) - 1
-        js = range(starts[k], starts[k + 1] if k + 1 < len(starts) else self.tri.n_slabs)
-        if js.start not in self._blocks:
-            tri, slices = self.tri, range(js.start + 1, js.stop + 1)
-            t_lo = np.repeat(tri.times[js.start:js.stop], tri.n_nodes)   # per (slab, node) row
-            try:
-                if self.flux.reads_t:
-                    table = SpacelikeTable(tri, self.flux, slices, rule=self.rule,
+        block = self._blocks.get(starts[k])
+        if block is None:
+            tri, nv, m = self.tri, self.tri.n_nodes, self.tri.n_columns
+            js = range(starts[k], starts[k + 1] if k + 1 < len(starts) else tri.n_slabs)
+            slices, n = range(js.start + 1, js.stop + 1), len(js)
+            t_lo = tri.times[js.start:js.stop].repeat(nv)   # per (slab, node) row
+            height = tri.heights[js.start]
+            if n not in self.cell_faces:   # a dict, as a cached method makes a cycle
+                shift = nv * np.arange(n)[:, None]
+                self.cell_faces[n] = tuple((idx + shift).ravel() for idx in self.cell_faces[1])
+            if self._template and self._template[0] == height and len(self._template[1]) >= n:
+                _, moved, table, vert, report, shared = self._template
+                block = (js, table.on_slice(tri, slices), vert.on_slab(t_lo),
+                         report if n == len(moved) else report.rows(slice(0, n * m)),
+                         shared)
+            else:
+                try:   # for a flux that does not read t, the first slab, its rows repeated
+                    b = n if self.flux.reads_t else 1
+                    table = SpacelikeTable(tri, self.flux, slices[:b], rule=self.rule,
                                            u_range=self.u_range)
-                    vert = VerticalFluxes(np.tile(tri.breakpoints[:tri.n_nodes], len(js)), t_lo,
-                                          tri.heights[j], self.flux, self.spec, self.rule,
-                                          self.u_range)
-                else:
-                    table = self.slice_table(slices.start).on_slice(tri, slices)
-                    vert = self.vertical_fluxes(js.start).on_slab(t_lo)
-                if len(js) not in self.cell_faces:   # a dict, as a cached method makes a cycle
-                    shift = tri.n_nodes * np.arange(len(js))[:, None]
-                    self.cell_faces[len(js)] = tuple((idx + shift).ravel()
-                                                     for idx in self.cell_faces[1])
-                report = _lambda_report(vert, table, *self.cell_faces[len(js)], js.start)
-            except (NotSpacelikeError, ConvergenceError, DegenerateFluxError):
-                if len(js) == 1:
-                    raise
-                starts[k + 1:k + 1] = js[1:]
-                return self._block_tables(j)
+                    vert = VerticalFluxes(np.tile(tri.breakpoints[:nv], b), t_lo[:b * nv], height,
+                                          self.flux, self.spec, self.rule, self.u_range)
+                    if b < n:
+                        table, vert = table.on_slice(tri, slices), vert.on_slab(t_lo)
+                    report = _lambda_report(vert, table, *self.cell_faces[n], js.start)
+                except (NotSpacelikeError, ConvergenceError, DegenerateFluxError):
+                    if n == 1:
+                        raise
+                    starts[k + 1:k + 1] = js[1:]
+                    return self._block_tables(j)
+                shared = None if self.flux.reads_t else (report.rows(slice(0, m)), {}, {})
+                block = (js, table, vert, report, shared)
+                if shared:
+                    self._template = (height, *block)
             self._blocks = {s: b for s, b in self._blocks.items() if b[0].stop == js.start}
-            self._blocks[js.start] = (js, table, vert, report)
-        return self._blocks[js.start]
+            self._blocks[js.start] = block
+        return block
 
     @cached_property
     def ghosts(self) -> np.ndarray:
@@ -758,9 +742,14 @@ class Solver:
     def slab(self, j: int) -> Slab:
         """A new slab j, a block of one with its inflow table, in any order (tables are
         rebuilt deterministically, so a rebuilt slab is bit-identical); the solver keeps
-        no slab, so a dropped solver is freed without the cycle collector."""
+        no slab, so a dropped solver is freed without the cycle collector.  Its block comes
+        first, so a slab whose block fails names itself."""
+        block = self._block_tables(j)
+        js, _, _, report, shared = block
+        b, m = j - js.start, self.tri.n_columns
         return Slab(self, j, 1, self.slice_table(j), self.slice_table(j + 1),
-                    self.vertical_fluxes(j))
+                    self._row_view(block, j, True),
+                    report.rows(slice(b * m, (b + 1) * m)) if shared is None else shared[0])
 
     def initial_state(self) -> SliceState:
         """The initial slice state, on the cached table of slice 0."""
@@ -771,17 +760,19 @@ class Solver:
         slab, and each slab's max cell ratio, with that loop's errors, bit for bit.
 
         With a ``dq_column`` on a finite ``u_range`` (every preset flux declares one), a
-        slab steps speculatively (:meth:`Slab.speculate`), under a floating-point error
-        state that raises at a divide, an overflow or an invalid value.  After every
-        ``BATCH_ROWS // m`` slabs, one :meth:`SpacelikeTable.invert` call certifies
-        them: the shared slice table on one column of targets per slab for a flux that
-        does not read t.  For one that reads t, a batch also ends with its block
-        (:meth:`block`), so the block's table, still cached, inverts its rows.  The first
-        slab whose states differ from the certificate's in any bit takes the
-        certificate's, and the slabs after it step again.  A certificate that raises
-        replays its slabs through :meth:`Slab.step`.  A speculative step that raises (a
-        CFL breach, a table build, a floating-point error) has the slabs before it
-        certified, then takes :meth:`Slab.step`.  Any other flux steps slab by slab.
+        slab steps speculatively: :meth:`Slab.step` with the inversion's first iterate
+        for its states, unchecked (:meth:`SpacelikeTable.first_iterate`), under a
+        floating-point error state that raises at a divide, an overflow or an invalid
+        value.  After every ``BATCH_ROWS // m`` slabs, one :meth:`SpacelikeTable.invert`
+        call certifies them: slice 0's table, whose arrays every slice shares, on one
+        column of targets per slab for a flux that does not read t.  For one that reads
+        t, a batch also ends with its block (:meth:`block`), so the block's table, still
+        cached, inverts its rows.  The first slab whose states differ from the
+        certificate's in any bit takes the certificate's, and the slabs after it step
+        again.  A certificate that raises replays its slabs through :meth:`Slab.step`.  A
+        speculative step that raises (a CFL breach, a table build, a floating-point error)
+        has the slabs before it certified, then takes :meth:`Slab.step`.  Any other flux
+        steps slab by slab.
         """
         start = time.perf_counter()
         states, lambda_max, report = [self.initial_state()], [], None
@@ -806,14 +797,17 @@ class Solver:
             if speculate:
                 try:
                     with np.errstate(divide="raise", over="raise", invalid="raise"):
-                        states.append(checked(j).speculate(states[j]))
+                        slab = checked(j)
+                        rhs = slab.rhs(states[j])
+                        states.append(SliceState(j + 1, slab.table_plus.face_ids,
+                                                 slab.table_plus.first_iterate(rhs), rhs))
                     j += 1
                 except Exception:   # any: stepped alone, the slab raises or warns as the loop does
                     del states[j + 1:], lambda_max[j:]
                     report, fell = None, True
                 if first < j and (fell or j == n or j - first == batch or (
                         self.flux.reads_t and j == self._block_tables(j - 1)[0].stop)):
-                    stop, j = j, self._certify(states, first)
+                    stop, j = j, self._certify(states, first, table)
                     del lambda_max[j:]
                     first = j
                     if j < stop:   # slab j - 1 took the certificate's states
@@ -826,11 +820,11 @@ class Solver:
                          cfg=self.cfg, u_range=self.u_range, states=states,
                          lambda_max=lambda_max, wall_time=time.perf_counter() - start)
 
-    def _certify(self, states: list[SliceState], first: int) -> int:
+    def _certify(self, states: list[SliceState], first: int, shared: SpacelikeTable) -> int:
         """Certify the speculated states of slabs ``first`` to ``len(states) - 2`` by one
-        inversion (:meth:`run`).  Returns the next slab to step: the one after the last,
-        or after the first slab whose states differ from the certificate's, which takes
-        the certificate's while the slabs after it are dropped."""
+        inversion (:meth:`run`; ``shared``: slice 0's table).  Returns the next slab to step:
+        the one after the last, or after the first slab whose states differ from the
+        certificate's, which takes the certificate's while the slabs after it are dropped."""
         stop, tol = len(states) - 1, self.cfg.inversion_tol
         targets = [s.fluxes for s in states[first + 1:]]
         try:
@@ -840,7 +834,7 @@ class Solver:
                     exact = table.block_rows(first - js.start, stop - first).invert(
                         np.concatenate(targets), tol).reshape(stop - first, -1)
                 else:   # one column of the shared slice table's targets per slab
-                    exact = self._slice_arrays.invert(np.stack(targets, axis=1), tol).T
+                    exact = shared.invert(np.stack(targets, axis=1), tol).T
         except Exception:   # slab by slab: the error of the slab at fault, if any
             for j in range(first, stop):
                 states[j + 1] = self.slab(j).step(states[j])

@@ -33,10 +33,10 @@ def pytest_unconfigure(config):
 
 def block_ranges(tri):
     """The slabs of each of a solver's table blocks on ``tri``: runs of one nominal
-    height, cut at every multiple of ``BLOCK_ROWS // m`` slabs."""
+    height, cut every ``BLOCK_ROWS // m`` slabs from the run's first slab."""
     size, blocks = max(1, scheme.BLOCK_ROWS // tri.n_columns), []
     for j in range(tri.n_slabs):
-        if blocks and j % size and tri.heights[j] == tri.heights[blocks[-1].start]:
+        if blocks and len(blocks[-1]) < size and tri.heights[j] == tri.heights[blocks[-1].start]:
             blocks[-1] = range(blocks[-1].start, j + 1)
         else:
             blocks.append(range(j, j + 1))

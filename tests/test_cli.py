@@ -453,6 +453,34 @@ class TestEntropyCheckCommand:
             f"config error: run artifact slices.csv line 6: slice_index {index} is not an "
             f"integer in 0..{n_slices - 1}")
 
+    @pytest.mark.parametrize("column, value, expected", [
+        ("t", "0.123", "t 0.123 is not run.json's 0.03125"),
+        ("x_left", "0.5", "x_left 0.5 is not run.json's 0.375"),
+        ("x_right", "0.7", "x_right 0.7 is not run.json's 0.5"),
+        ("u", "nan", "u nan is not finite"),
+        ("u", "inf", "u inf is not finite"),
+    ])
+    def test_csv_entry_off_the_mesh_or_not_finite_is_a_config_error(self, tmp_path, capsys,
+                                                                    column, value, expected):
+        # configs/burgers_shock.ini at nx = 8: line 21 is slice 2, column 3
+        shock = next(path for path in SHIPPED_CONFIGS if path.name == "burgers_shock.ini")
+        text = shock.read_text().replace("nx = 64", "nx = 8")
+        out = tmp_path / "out"
+        cfg = tmp_path / "shock.ini"
+        cfg.write_text(text.replace("out/burgers_shock", str(out)))
+        assert main(["run", "--config", str(cfg)]) == EXIT_OK
+        table = out / "slices.csv"
+        lines = table.read_text().splitlines(keepends=True)
+        header = lines[0].strip().split(",")
+        fields = lines[20].split(",")
+        assert fields[:3] == ["2", "0.03125", "0.375"] and fields[3] == "0.5"
+        fields[header.index(column)] = value
+        lines[20] = ",".join(fields)
+        table.write_text("".join(lines))
+        assert main(["entropy-check", "--run", str(out / "run.json")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            f"config error: run artifact slices.csv line 21: {expected}")
+
     @pytest.mark.parametrize("key, index, value, name", [
         ("times", 2, float("nan"), "slice times"),
         ("times", 1, float("inf"), "slice times"),

@@ -205,10 +205,11 @@ class TestSmoothEntropyTable:
     def test_table_is_shared_across_slices_of_a_flux_without_t(self):
         flux, domain, u_range = _SMOOTH_TABLE_CASES["cubic"]
         tri = build_triangulation(Foliation(np.array([0.0, 0.1, 0.25]), domain), 12)
-        table = SpacelikeTable(tri, flux, 1, u_range=u_range)
+        # the block table of slice 1 moved to slice 2 shares its table
+        table = SpacelikeTable(tri, flux, range(1, 2), u_range=u_range)
         w = np.random.default_rng(6).uniform(*u_range, (12, 3))
         first = SmoothFaceEntropy(square_pair(), table).q_omega(w)
-        shared = table.on_slice(tri, 2)
+        shared = table.on_slice(tri, range(2, 3))
         assert shared.derived is table.derived
         assert SmoothFaceEntropy(square_pair(), shared).q_omega(w).tobytes() == first.tobytes()
         fresh = SpacelikeTable(tri, flux, 2, u_range=u_range)
@@ -217,8 +218,9 @@ class TestSmoothEntropyTable:
     @pytest.mark.parametrize("reads_t", [True, False], ids=["reads-t", "t-free"])
     def test_verify_builds_one_table_per_slice_or_per_run(self, reads_t, monkeypatch):
         # one table for slice 0 and one per block of three slabs (the last one
-        # short) for a flux that reads t; one per run for one that does not,
-        # which every block's tiled table reads
+        # short) for a flux that reads t; for one that does not, slice 0's, the
+        # first block's, which every block it is moved to shares, and the short
+        # last block's, a view of the first block's rows with its own table
         solver = _traveling_density_solver() if reads_t else burgers_shock_solver(nx=8)
         assert solver.flux.reads_t is reads_t
         result = solver.run()
@@ -235,7 +237,7 @@ class TestSmoothEntropyTable:
         monkeypatch.setattr(SmoothFaceEntropy, "__init__", recording)
         assert verify_run(result).passed
         assert len(tables) == 1 + len(blocks)
-        assert len({id(t) for t in tables}) == (1 + len(blocks) if reads_t else 1)
+        assert len({id(t) for t in tables}) == (1 + len(blocks) if reads_t else 3)
 
 
 class TestKruzkovIdentity:

@@ -338,13 +338,24 @@ class TestInvertTotalFlux:
         assert ids[-1] == ("S", 1, 5) and ids[np.int64(2)] == ("S", 1, 2)
         with pytest.raises(IndexError):
             ids[6]
-        # a table moved to another slice names and places that slice's faces,
-        # and shares the flux-derived arrays
-        moved = table.on_slice(tri, 2)
-        assert list(moved.face_ids) == [("S", 2, i) for i in range(6)]
-        fresh = SpacelikeTable(tri, presets.burgers_flux((-1.0, 1.0)), 2)
-        assert moved.t == fresh.t and moved.pts.tobytes() == fresh.pts.tobytes()
-        assert moved.weights is table.weights and moved.image_hi is table.image_hi
+        # a block table moved to other slices names and places their faces,
+        # and shares the flux-derived arrays; a shorter block takes its first
+        # rows, and the moved table keeps its own nodes
+        block = SpacelikeTable(tri, presets.burgers_flux((-1.0, 1.0)), range(1, 3))
+        for slices in (range(2, 4), range(3, 4)):
+            moved = block.on_slice(tri, slices)
+            assert list(moved.face_ids) == [("S", j, i) for j in slices for i in range(6)]
+            fresh = SpacelikeTable(tri, presets.burgers_flux((-1.0, 1.0)), slices)
+            assert moved.t.tobytes() == fresh.t.tobytes()
+            assert moved.pts.tobytes() == fresh.pts.tobytes()
+            assert moved.image_hi.tobytes() == fresh.image_hi.tobytes()
+            if len(slices) == 2:
+                assert moved.weights is block.weights and moved.image_hi is block.image_hi
+            else:
+                assert np.shares_memory(moved.weights, block.weights)
+                assert np.shares_memory(moved.image_hi, block.image_hi)
+        assert block.slice_index == range(1, 3)
+        assert np.all(block.pts[..., 0] == np.repeat(tri.times[1:3], 6)[:, None])
         assert table.slice_index == 1 and np.all(table.pts[..., 0] == tri.times[1])
 
     @pytest.mark.parametrize("name", ["burgers", "traveling_density", "capacity"])

@@ -726,8 +726,9 @@ class TestRun:
         # where slab 0 finds it again; a flux that reads t builds one slice
         # table and one vertical table per block of slabs (blocks of 3 here,
         # the last one short), each from one call of dwx_du and of dwt_du; a
-        # flux that does not read t (Burgers) builds one table and moves it to
-        # every other slice, and one vertical table
+        # flux that does not read t (Burgers, one height) builds the tables of
+        # the first block's first slab, repeats them to the block and moves
+        # that block to every other block
         built, calls = [], []
 
         class CountingTable(scheme_module.SpacelikeTable):
@@ -755,8 +756,8 @@ class TestRun:
                 solver.run()
             blocks = block_ranges(solver.tri)
             assert solver.tri.n_slabs > 3 and solver.tri.n_slabs % 3 != 0
-            assert built == ([0] + [range(b.start + 1, b.stop + 1) for b in blocks]
-                             if flux.reads_t else [0])
+            assert built == [0] + ([range(b.start + 1, b.stop + 1) for b in blocks]
+                                   if flux.reads_t else [range(1, 2)])
             if flux.reads_t:
                 assert calls.count("dwx_du") == 1 + len(blocks)
                 assert calls.count("dwt_du") == len(blocks) == -(-solver.tri.n_slabs // 3)
@@ -1005,7 +1006,7 @@ class TestTableReuse:
         assert slices == [0] + [range(b.start + 1, b.stop + 1) for b in blocks]
         assert [t.tolist() for t in slabs] == \
             [np.repeat(tri.times[b.start:b.stop], tri.n_nodes).tolist() for b in blocks]
-        assert solver._slice_arrays is None and not solver._vertical_arrays
+        assert solver._template == ()   # no block is moved to another
 
     @pytest.mark.parametrize("coefficient", ["wt", "wx", "dwt_du", "dwx_du"])
     def test_wrong_declaration_is_caught(self, coefficient):
@@ -1029,14 +1030,17 @@ class TestTableReuse:
 
     @pytest.mark.parametrize("domain", [IntervalDomain(0.0, 1.0), CircleDomain(1.0)],
                              ids=["interval", "circle"])
-    def test_shared_nodes_equal_segment_nodes(self, domain):
+    def test_shared_nodes_equal_segment_nodes(self, domain, monkeypatch):
         # a shared table's nodes are the first table's with the t column
         # rewritten: for every slice and slab they are segment_nodes', bit for
-        # bit, a slab's from its start and nominal height
+        # bit, a slab's from its start and nominal height; the flux-derived
+        # arrays of each block are those of the first block of its run of one
+        # height (blocks of one slab, so that every later slab of a run is moved)
         flux = presets.burgers_flux((-1.2, 1.2))
         xs = np.sort(np.random.default_rng(3).uniform(0.0, 1.0, 11))
         xs[0], xs[-1] = 0.0, 1.0
         tri = build_triangulation(Foliation(_mixed_heights(0.01, 0.2, 7), domain), xs)
+        monkeypatch.setattr(scheme_module, "BLOCK_ROWS", tri.n_columns)
         solver = Solver(tri, flux, NumericalFluxSpec(), constant_bd(0.5),
                         RunConfig(u_range=(-0.3, 1.0)))
         rule, x_nodes = solver.rule, xs[:tri.n_nodes]
@@ -1051,7 +1055,57 @@ class TestTableReuse:
             assert (vert.t_lo, vert.height) == (tri.times[j], tri.heights[j])
             assert vert.pts.tobytes() == pts.tobytes()
             assert vert.weights.tobytes() == weights.tobytes()
-        assert solver._slice_arrays is not None and solver._vertical_arrays
+        runs = [j for j in range(tri.n_slabs) if j == 0 or tri.heights[j] != tri.heights[j - 1]]
+        assert 1 < len(runs) < tri.n_slabs
+        for j in range(tri.n_slabs):
+            first = solver.block(runs[np.searchsorted(runs, j, "right") - 1])
+            block = solver.block(j)
+            assert np.shares_memory(block.vert.speed, first.vert.speed)
+            assert np.shares_memory(block.table_plus.image_lo, first.table_plus.image_lo)
+
+    @pytest.mark.parametrize("reads_t", [False, True], ids=["t-free", "reads-t"])
+    def test_every_slab_table_is_a_row_view_of_its_block(self, reads_t, monkeypatch):
+        # heights 1, 1.5, 1, 0.75 times 2^-7 in runs of 5, 2, 4 and 3 slabs, in
+        # blocks of two: every slice table (j >= 1) and vertical table the solver
+        # returns is a view of its block's rows, and every slab's CFL report too
+        # (for a flux that does not read t, the rows of the block's first slab,
+        # which every slab of the run is handed); the blocks of a run of one
+        # height share the arrays of its first block for a flux that does not
+        # read t, and no two blocks share them otherwise
+        flux = replace(presets.burgers_flux((-1.2, 1.2)), reads_t=reads_t)
+        heights = 2.0 ** -7 * np.repeat([1.0, 1.5, 1.0, 0.75], [5, 2, 4, 3])
+        tri = build_triangulation(Foliation(np.concatenate([[0.0], np.cumsum(heights)]),
+                                            IntervalDomain(0.0, 1.0)), 10)
+        m, nv = tri.n_columns, tri.n_nodes
+        monkeypatch.setattr(scheme_module, "BLOCK_ROWS", 2 * m)
+        solver = Solver(tri, flux, NumericalFluxSpec(), step_bd(0.45, 1.0, -0.2),
+                        RunConfig(u_range=(-0.2, 1.0)))
+        blocks = block_ranges(tri)
+        assert [len(b) for b in blocks] == [2, 2, 1, 2, 2, 2, 2, 1]
+        report_rows = ("lam_hat", "lam_hat_cell", "lam")
+        for j in range(tri.n_slabs):
+            block = solver.block(j)
+            b = j - block.j
+            for view, whole, rows, names in (
+                    (solver.slice_table(j + 1), block.table_plus, slice(b * m, (b + 1) * m),
+                     SpacelikeTable.ROWS),
+                    (solver.vertical_fluxes(j), block.vert, slice(b * nv, (b + 1) * nv),
+                     VerticalFluxes.ROWS),
+                    (solver.slab(j).lambdas(), block.lambdas(),
+                     slice(b * m, (b + 1) * m) if reads_t else slice(0, m), report_rows)):
+                for name in names:
+                    own, theirs = getattr(view, name), getattr(whole, name)
+                    if not isinstance(own, np.ndarray) or not own.size:   # t_lo, no column
+                        continue
+                    theirs = theirs[rows, :own.shape[1]] if name in ("crit_w", "crit_g") \
+                        else theirs[rows]
+                    assert np.shares_memory(own, theirs), (j, name)
+                    assert own.tobytes() == theirs.tobytes(), (j, name)
+            run = max(r for r in range(j + 1) if r == 0 or tri.heights[r - 1] != tri.heights[r])
+            first = solver.block(run)
+            shared = np.shares_memory(block.vert.speed, first.vert.speed) \
+                and np.shares_memory(block.table_plus.image_lo, first.table_plus.image_lo)
+            assert shared is (not reads_t or block.j == run), j
 
     @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
     def test_numerical_flux_from_one_call_equals_two(self, kind):
