@@ -136,7 +136,8 @@ def load_run_artifact(path: str):
     line: ``np.loadtxt`` skips blank lines).  Every slice must have one row
     per column, in column order, whose ``t``, ``x_left`` and ``x_right`` equal
     run.json's mesh (the ``.17g`` text reads back to the same float) and whose
-    ``u`` is finite: else the first such line and column is a ``ConfigError``.
+    ``u`` is finite and, past slice 0 (u_B means), inside run.json's ``u_range``:
+    else the first such line and column is a ``ConfigError``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
@@ -160,18 +161,21 @@ def load_run_artifact(path: str):
     order = np.argsort(index, kind="stable")   # rows of a slice keep file order: row j * m + i
     table, xs = table[order], tri.breakpoints
     mesh = np.stack([np.repeat(tri.times, m), np.tile(xs[:-1], n), np.tile(xs[1:], n)], axis=1)
-    bad = np.concatenate([table[:, 1:4] != mesh, ~np.isfinite(table[:, 4:5])], axis=1)
+    urange, u = tuple(meta["u_range"]), table[:, 4:5]
+    outside = (np.arange(n * m) >= m)[:, None] & ((u < urange[0]) | (u > urange[1]))
+    bad = np.concatenate([table[:, 1:4] != mesh, ~np.isfinite(u) | outside], axis=1)
     if bad.any():
         rows, cols = np.nonzero(bad)
         k = np.lexsort((cols, order[rows]))[0]   # the first line, then the first column
         r, c = rows[k], cols[k]
+        what = (f"not run.json's {float(mesh[r, c])!r}" if c < 3 else "not finite"
+                if not np.isfinite(u[r, 0]) else f"outside run.json's u_range {list(urange)!r}")
         raise ConfigError(f"run artifact {meta['slices_csv']} line {order[r] + 2}: "
-                          f"{('t', 'x_left', 'x_right', 'u')[c]} {float(table[r, c + 1])!r} is "
-                          + ("not finite" if c == 3 else f"not run.json's {float(mesh[r, c])!r}"))
+                          f"{('t', 'x_left', 'x_right', 'u')[c]} {float(table[r, c + 1])!r} "
+                          f"is {what}")
     values, fluxes = (table[:, c].reshape(n, m) for c in (4, 5))
     states = [SliceState(j, MeshIds(("S", j, 1, m)), values[j].copy(), fluxes[j].copy())
               for j in range(n)]
-    urange = tuple(meta["u_range"])
     result = RunResult(tri=tri, flux=setup.flux, spec=setup.spec, bd=setup.bd,
                        cfg=replace(setup.cfg, u_range=urange), u_range=urange,
                        states=states,

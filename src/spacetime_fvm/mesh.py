@@ -659,15 +659,9 @@ class SpacelikeTable:
         return _sharing(self, rows, slice_index=slices, t=t, pts=pts,
                         face_ids=MeshIds(("S", slices.start, t.size, m)), **other)
 
-    def block_rows(self, b: int, n: int | None = None,
-                   like: "SpacelikeTable | None" = None) -> "SpacelikeTable":
+    def block_rows(self, b: int, n: int | None = None) -> "SpacelikeTable":
         """The b-th slice's rows of this block table: its table built alone, bit for bit;
-        given ``n``, the block table of its slices b .. b + n - 1.  ``like``, the b-th slice's
-        rows of a table moved with this one, lends its arrays and ``derived``."""
-        if like is not None:
-            m, index = like.orientation.size, self.slice_index.start + b
-            return _sharing(like, pts=self.pts[b * m:(b + 1) * m], slice_index=index,
-                            t=float(self.t[b]), face_ids=MeshIds(("S", index, 1, m)))
+        given ``n``, the block table of its slices b .. b + n - 1."""
         m, js = self.orientation.size // self.t.size, self.slice_index[b:b + (n or 1)]
         t = self.t[b:b + len(js)]
         return _sharing(self, slice(b * m, (b + len(js)) * m),

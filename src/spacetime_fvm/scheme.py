@@ -224,11 +224,8 @@ class VerticalFluxes:
         np.add(t_lo[:, None], self._rule.nodes[:, 0] * self.height, out=pts[..., 0])
         return _sharing(self, rows, t_lo=t_lo, pts=pts)
 
-    def block_rows(self, rows: slice, like: "VerticalFluxes | None" = None) -> "VerticalFluxes":
-        """The ``rows`` of one slab of this block table: its table built alone, bit for bit.
-        ``like``, the same rows of a table moved with this one, lends its arrays."""
-        if like is not None:
-            return _sharing(like, pts=self.pts[rows], t_lo=float(self.t_lo[rows.start]))
+    def block_rows(self, rows: slice) -> "VerticalFluxes":
+        """The ``rows`` of one slab of this block table: its table built alone, bit for bit."""
         width = self.crit_w.shape[1] and int(np.max(np.count_nonzero(
             ~np.isnan(self.crit_w[rows]), axis=1)))
         return _sharing(self, rows, t_lo=float(self.t_lo[rows.start]),
@@ -331,13 +328,13 @@ class VerticalFluxes:
         hi = np.maximum(u, v)
         qmin = np.minimum(gu, gv)
         qmax = np.maximum(gu, gv)
-        for r in range(crit_w.shape[1]):
-            w = crit_w[:, r] if u.ndim == 1 else crit_w[:, r, None]
-            g = crit_g[:, r] if u.ndim == 1 else crit_g[:, r, None]
-            with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore"):   # NaN padding compares False
+            for r in range(crit_w.shape[1]):
+                w = crit_w[:, r] if u.ndim == 1 else crit_w[:, r, None]
+                g = crit_g[:, r] if u.ndim == 1 else crit_g[:, r, None]
                 inside = (w > lo) & (w < hi)
-            qmin = np.where(inside, np.minimum(qmin, g), qmin)
-            qmax = np.where(inside, np.maximum(qmax, g), qmax)
+                qmin = np.where(inside, np.minimum(qmin, g), qmin)
+                qmax = np.where(inside, np.maximum(qmax, g), qmax)
         return np.where(u <= v, qmin, qmax)
 
     # -- CFL ingredients --------------------------------------------------------
@@ -585,7 +582,8 @@ class Solver:
     first block of its run of one nominal height: it gets its own nodes, so
     whatever reads t there (u_B, test functions) sees its own t, and shares
     the flux-derived arrays and the report.  The bits are those of a build.
-    A slab (:meth:`slab`) and a block (:meth:`block`) are both a :class:`Slab`.
+    A slab (:meth:`slab`) and a block (:meth:`block`) are both a :class:`Slab`;
+    :meth:`run` steps each run of one height of such a flux on its first slab.
     """
 
     def __init__(self, tri: Triangulation, flux: FluxField, spec: NumericalFluxSpec,
@@ -599,7 +597,7 @@ class Solver:
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
-        self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block tables, those before
+        self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block and its neighbours
         self._template: tuple = ()   # flux not reading t: (its height, *its block) to move
         cols = np.arange(tri.n_columns)   # by block size: each cell row's left and right face row
         self.cell_faces = {1: (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)}
@@ -650,24 +648,19 @@ class Solver:
         j - 1; a new table evicts every slice but j - 1."""
         if j not in self._tables:
             self._tables = {k: t for k, t in self._tables.items() if k == j - 1}
-            self._tables[j] = self._row_view(self._block_tables(j - 1), j - 1, False) if j \
-                else SpacelikeTable(self.tri, self.flux, 0, rule=self.rule, u_range=self.u_range)
+            if j:
+                js, table = self._block_tables(j - 1)[:2]
+                self._tables[j] = table.block_rows(j - 1 - js.start)
+            else:
+                self._tables[0] = SpacelikeTable(self.tri, self.flux, 0, rule=self.rule,
+                                                 u_range=self.u_range)
         return self._tables[j]
 
     def vertical_fluxes(self, j: int) -> VerticalFluxes:
         """Vertical flux table of slab j: a row view of its block's."""
-        return self._row_view(self._block_tables(j), j, True)
-
-    def _row_view(self, block: tuple, j: int, vertical: bool):
-        """Slab j's rows of its ``block``'s vertical or outflow table; for a moved block, the
-        first view of each row lends its arrays to the later ones (``shared``)."""
-        js, table, vert, _, shared = block
-        b, nv = j - js.start, self.tri.n_nodes
-        views = {} if shared is None else shared[1 + vertical]
-        like = views.get(b)
-        view = vert.block_rows(slice(b * nv, (b + 1) * nv), like) if vertical \
-            else table.block_rows(b, like=like)
-        return views.setdefault(b, view) if like is None else view
+        js, _, vert = self._block_tables(j)[:3]
+        return vert.block_rows(slice((j - js.start) * self.tri.n_nodes,
+                                     (j - js.start + 1) * self.tri.n_nodes))
 
     @cached_property
     def _block_starts(self) -> list[int]:
@@ -684,11 +677,11 @@ class Solver:
         return Slab(self, js.start, len(js), None, table, vert, report)
 
     def _block_tables(self, j: int) -> tuple:
-        """``(slabs, outflow table, vertical table, report, shared)`` of slab j's block, the
-        one place a slab's tables come from: built for a flux that reads t (``shared`` None);
-        else moved from the last block built, if of its height and no fewer slabs, sharing
-        its report and ``shared`` (the report each slab is handed, and the row views of
-        :meth:`_row_view`), or built from its first slab.  A failing build is split by slab."""
+        """``(slabs, outflow table, vertical table, report, handed)`` of slab j's block, the
+        one place a slab's tables come from: built for a flux that reads t (``handed`` None:
+        each slab gets its rows of ``report``); else moved from the last block built, if of
+        its height and no fewer slabs, sharing its report and ``handed`` (its first slab's
+        rows, handed to every slab), or built from its first slab.  A failing build is split."""
         starts = self._block_starts
         k = bisect.bisect_right(starts, j) - 1
         block = self._blocks.get(starts[k])
@@ -702,10 +695,9 @@ class Solver:
                 shift = nv * np.arange(n)[:, None]
                 self.cell_faces[n] = tuple((idx + shift).ravel() for idx in self.cell_faces[1])
             if self._template and self._template[0] == height and len(self._template[1]) >= n:
-                _, moved, table, vert, report, shared = self._template
+                _, moved, table, vert, report, handed = self._template
                 block = (js, table.on_slice(tri, slices), vert.on_slab(t_lo),
-                         report if n == len(moved) else report.rows(slice(0, n * m)),
-                         shared)
+                         report if n == len(moved) else report.rows(slice(0, n * m)), handed)
             else:
                 try:   # for a flux that does not read t, the first slab, its rows repeated
                     b = n if self.flux.reads_t else 1
@@ -721,11 +713,12 @@ class Solver:
                         raise
                     starts[k + 1:k + 1] = js[1:]
                     return self._block_tables(j)
-                shared = None if self.flux.reads_t else (report.rows(slice(0, m)), {}, {})
-                block = (js, table, vert, report, shared)
-                if shared:
+                handed = None if self.flux.reads_t else report.rows(slice(0, m))
+                block = (js, table, vert, report, handed)
+                if handed is not None:
                     self._template = (height, *block)
-            self._blocks = {s: b for s, b in self._blocks.items() if b[0].stop == js.start}
+            near = starts[max(k - 1, 0):k + 2]   # this block and its neighbours
+            self._blocks = {s: b for s, b in self._blocks.items() if s in near}
             self._blocks[js.start] = block
         return block
 
@@ -744,12 +737,11 @@ class Solver:
         rebuilt deterministically, so a rebuilt slab is bit-identical); the solver keeps
         no slab, so a dropped solver is freed without the cycle collector.  Its block comes
         first, so a slab whose block fails names itself."""
-        block = self._block_tables(j)
-        js, _, _, report, shared = block
+        js, _, _, report, handed = self._block_tables(j)
         b, m = j - js.start, self.tri.n_columns
         return Slab(self, j, 1, self.slice_table(j), self.slice_table(j + 1),
-                    self._row_view(block, j, True),
-                    report.rows(slice(b * m, (b + 1) * m)) if shared is None else shared[0])
+                    self.vertical_fluxes(j),
+                    report.rows(slice(b * m, (b + 1) * m)) if handed is None else handed)
 
     def initial_state(self) -> SliceState:
         """The initial slice state, on the cached table of slice 0."""
@@ -760,29 +752,38 @@ class Solver:
         slab, and each slab's max cell ratio, with that loop's errors, bit for bit.
 
         With a ``dq_column`` on a finite ``u_range`` (every preset flux declares one), a
-        slab steps speculatively: :meth:`Slab.step` with the inversion's first iterate
-        for its states, unchecked (:meth:`SpacelikeTable.first_iterate`), under a
-        floating-point error state that raises at a divide, an overflow or an invalid
-        value.  After every ``BATCH_ROWS // m`` slabs, one :meth:`SpacelikeTable.invert`
-        call certifies them: slice 0's table, whose arrays every slice shares, on one
-        column of targets per slab for a flux that does not read t.  For one that reads
-        t, a batch also ends with its block (:meth:`block`), so the block's table, still
-        cached, inverts its rows.  The first slab whose states differ from the
-        certificate's in any bit takes the certificate's, and the slabs after it step
-        again.  A certificate that raises replays its slabs through :meth:`Slab.step`.  A
-        speculative step that raises (a CFL breach, a table build, a floating-point error)
-        has the slabs before it certified, then takes :meth:`Slab.step`.  Any other flux
-        steps slab by slab.
+        batch of ``BATCH_ROWS // m`` slabs steps speculatively under one floating-point
+        error state that raises at a divide, an overflow or an invalid value: each slab
+        takes the inversion's first iterate, unchecked (:meth:`SpacelikeTable.first_iterate`).
+        One :meth:`SpacelikeTable.invert` call certifies a batch: slice 0's table, whose
+        arrays every slice shares, on one column of targets per slab for a flux that does
+        not read t; for one that reads t, a batch also ends with its block (:meth:`block`),
+        whose table, still cached, inverts its rows.  The first slab whose states differ
+        from the certificate's in any bit takes the certificate's, and the slabs after it
+        step again.  A certificate that raises replays its slabs through :meth:`Slab.step`;
+        a speculative step that raises (a CFL breach, a table build, a floating-point
+        error) has the slabs before it certified, then takes :meth:`Slab.step`.  Any other
+        flux steps slab by slab.
+
+        A speculating run asks for a new slab (:meth:`slab`) only where its tables change:
+        at every slab for a flux that reads t, else at each change of nominal height and
+        after a rewind.  Every other slab steps on the last one asked for, moved to it by
+        setting its ``j`` (the ghost row) and its outflow table's (a copy's) ids.
         """
         start = time.perf_counter()
-        states, lambda_max, report = [self.initial_state()], [], None
-        table, n = self.slice_table(0), self.tri.n_slabs
+        states, lambda_max, report, slab = [self.initial_state()], [], None, None
+        table, n, m, h = self.slice_table(0), self.tri.n_slabs, self.tri.n_columns, self.tri.heights
         speculate = table.dq_column is not None and bool(np.isfinite(table.u_range).all())
-        batch = max(1, BATCH_ROWS // self.tri.n_columns)
+        renew = [True] * n if self.flux.reads_t else [True] + (h[1:] != h[:-1]).tolist()
 
-        def checked(j: int) -> Slab:   # slab j after its CFL check; its ratio recorded
-            nonlocal report
-            slab = self.slab(j)
+        def checked(j: int, fresh: bool = True) -> Slab:   # slab j after its CFL check
+            nonlocal report, slab
+            if fresh:   # its outflow table a copy, so that a move leaves the cached one
+                slab = self.slab(j)
+                slab.table_plus = _sharing(slab.table_plus)
+            else:   # the same tables, moved to slab j: its ghost row and outflow ids
+                slab.j, plus = j, slab.table_plus
+                plus.slice_index, plus.face_ids = j + 1, MeshIds(("S", j + 1, 1, m))
             shared, report = report, slab.lambdas()
             lambda_max.append(lambda_max[-1] if report is shared else report.max_cell_ratio())
             if self.cfg.enforce_cfl and not report.passed:
@@ -795,23 +796,24 @@ class Solver:
         while j < n:
             fell = not speculate
             if speculate:
-                try:
+                try:   # one batch under one error state; j counts its slabs stepped
                     with np.errstate(divide="raise", over="raise", invalid="raise"):
-                        slab = checked(j)
-                        rhs = slab.rhs(states[j])
-                        states.append(SliceState(j + 1, slab.table_plus.face_ids,
-                                                 slab.table_plus.first_iterate(rhs), rhs))
-                    j += 1
+                        end = min(n, j + max(1, BATCH_ROWS // m),
+                                  self._block_tables(j)[0].stop if self.flux.reads_t else n)
+                        while j < end:
+                            rhs = checked(j, renew[j]).rhs(states[j])
+                            states.append(SliceState(j + 1, slab.table_plus.face_ids,
+                                                     slab.table_plus.first_iterate(rhs), rhs))
+                            j += 1
                 except Exception:   # any: stepped alone, the slab raises or warns as the loop does
                     del states[j + 1:], lambda_max[j:]
                     report, fell = None, True
-                if first < j and (fell or j == n or j - first == batch or (
-                        self.flux.reads_t and j == self._block_tables(j - 1)[0].stop)):
+                if first < j:
                     stop, j = j, self._certify(states, first, table)
                     del lambda_max[j:]
                     first = j
                     if j < stop:   # slab j - 1 took the certificate's states
-                        report = None
+                        report, renew[j] = None, True
                         continue
             if fell:
                 states.append(checked(j).step(states[j]))

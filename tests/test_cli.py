@@ -459,6 +459,7 @@ class TestEntropyCheckCommand:
         ("x_right", "0.7", "x_right 0.7 is not run.json's 0.5"),
         ("u", "nan", "u nan is not finite"),
         ("u", "inf", "u inf is not finite"),
+        ("u", "5.0", "u 5.0 is outside run.json's u_range [0.0, 1.0]"),
     ])
     def test_csv_entry_off_the_mesh_or_not_finite_is_a_config_error(self, tmp_path, capsys,
                                                                     column, value, expected):

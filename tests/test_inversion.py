@@ -11,6 +11,7 @@ must give the bits and errors of a loop of ``Slab.step`` over this oracle.
 import glob
 import importlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from spacetime_fvm import harness, presets
 from spacetime_fvm import mesh as mesh_module
+from spacetime_fvm import scheme as scheme_module
 from spacetime_fvm.config import load_config, parse_config
 from spacetime_fvm.entropy import verify_run
 from spacetime_fvm.mesh import (
@@ -33,9 +35,18 @@ from spacetime_fvm.mesh import (
     bracketed_root,
     build_triangulation,
 )
-from spacetime_fvm.scheme import BATCH_ROWS, CFL_LIMIT, CFLViolation, Slab, Solver
+from spacetime_fvm.scheme import (
+    BATCH_ROWS,
+    CFL_LIMIT,
+    CFLViolation,
+    NumericalFluxSpec,
+    RunConfig,
+    Slab,
+    Solver,
+    VerticalFluxes,
+)
 
-from conftest import block_ranges
+from conftest import block_ranges, step_bd
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -425,6 +436,67 @@ def test_a_speculated_state_one_ulp_off_takes_the_certificates_states(case, wher
     monkeypatch.setattr(SpacelikeTable, "first_iterate", one_ulp_off)
     assert run_bits(lambda: solver_run(make())) == expected
     assert len(moved) == 1   # taken once: the certificate's states replace it
+
+
+def four_runs(reads_t, monkeypatch):
+    """(mesh, solver maker) of heights 1, 1.5, 1, 0.75 times 2^-7 in runs of 5,
+    2, 4 and 3 slabs (blocks of two), for Burgers declared to read t or not."""
+    flux = replace(presets.burgers_flux((-1.2, 1.2)), reads_t=reads_t)
+    heights = 2.0 ** -7 * np.repeat([1.0, 1.5, 1.0, 0.75], [5, 2, 4, 3])
+    tri = build_triangulation(Foliation(np.concatenate([[0.0], np.cumsum(heights)]),
+                                        IntervalDomain(0.0, 1.0)), 10)
+    monkeypatch.setattr(scheme_module, "BLOCK_ROWS", 2 * tri.n_columns)
+    return tri, lambda: Solver(tri, flux, NumericalFluxSpec(), step_bd(0.45, 1.0, -0.2),
+                               RunConfig(u_range=(-0.2, 1.0)))
+
+
+@pytest.mark.parametrize("batch", ["32 slabs", "one slab"])
+@pytest.mark.parametrize("reads_t", [False, True], ids=["t-free", "reads-t"])
+def test_a_run_of_one_height_steps_on_one_slab(reads_t, batch, monkeypatch):
+    # a flux that does not read t asks for one Slab per run of one height and
+    # moves no block (on_slice/on_slab only repeat the first slab of a block
+    # it builds: the run's first block, and the block before it for its
+    # inflow table); one that reads t asks for every slab.  Either way, in
+    # batches of 32 slabs or of one, the run has the bits of the oracle slab
+    # loop: states, face ids and lambda_max
+    tri, make = four_runs(reads_t, monkeypatch)
+    if batch == "one slab":
+        monkeypatch.setattr(scheme_module, "BATCH_ROWS", tri.n_columns)
+    asked, moves = [], []
+    slab, on_slice, on_slab = Solver.slab, SpacelikeTable.on_slice, VerticalFluxes.on_slab
+    with monkeypatch.context() as patch:
+        patch.setattr(Solver, "slab", lambda self, j: asked.append(j) or slab(self, j))
+        patch.setattr(SpacelikeTable, "on_slice", lambda table, *args: moves.append(
+            len(table.face_ids) // tri.n_columns) or on_slice(table, *args))
+        patch.setattr(VerticalFluxes, "on_slab", lambda vert, *args: moves.append(
+            vert.n_faces // tri.n_nodes) or on_slab(vert, *args))
+        runs = run_bits(lambda: solver_run(make()))
+    assert isinstance(runs[0], list)   # the run did not raise
+    starts = [0, 5, 7, 11]
+    assert asked == (list(range(tri.n_slabs)) if reads_t else starts)
+    assert moves == ([] if reads_t else [1] * 2 * (len(starts) + 1))   # slabs moved from
+    monkeypatch.setattr(mesh_module, "_invert_increasing", oracle_invert)
+    assert run_bits(lambda: slab_loop(make())) == runs
+
+
+def test_a_rewind_steps_on_a_slab_of_its_own_height(monkeypatch):
+    # one batch holds the 14 slabs of the four runs: a wrong bit in slab 2's
+    # states rewinds the run to slab 3, inside the first run, after the batch
+    # went on to the last run; slab 3 steps on a new slab of its own height
+    tri, make = four_runs(False, monkeypatch)
+    expected = run_bits(lambda: slab_loop(make()))
+    first_iterate, asked, slab = SpacelikeTable.first_iterate, [], Solver.slab
+
+    def one_ulp_off(table, values):
+        u = first_iterate(table, values)
+        if table.slice_index == 3:
+            u[4] = np.nextafter(u[4], np.inf)
+        return u
+
+    monkeypatch.setattr(SpacelikeTable, "first_iterate", one_ulp_off)
+    monkeypatch.setattr(Solver, "slab", lambda self, j: asked.append(j) or slab(self, j))
+    assert run_bits(lambda: solver_run(make())) == expected
+    assert asked == [0, 5, 7, 11, 3, 5, 7, 11]
 
 
 JUMP = "\n".join([

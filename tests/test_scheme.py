@@ -56,6 +56,7 @@ from spacetime_fvm.scheme import (
     DegenerateFluxError,
     NumericalFluxSpec,
     RunConfig,
+    Slab,
     SliceState,
     Solver,
     VerticalFluxes,
@@ -689,9 +690,12 @@ class TestRun:
         flux = presets.burgers_flux((-1.2, 1.2))
         solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
                              step_bd(0.5, 1.0, 0.0), nx=8, u_range=(0.0, 1.0))
-        assert solver.tri.n_slabs > 3
-        solver.run()
-        assert sorted(solver._tables) == [solver.tri.n_slabs - 1, solver.tri.n_slabs]
+        n = solver.tri.n_slabs
+        assert n > 3
+        solver.run()   # one nominal height: the run asks for slab 0 alone
+        assert sorted(solver._tables) == [0, 1]
+        solver.slab(n - 1)
+        assert sorted(solver._tables) == [n - 1, n]
         solver.slab(1)
         assert sorted(solver._tables) == [1, 2]
         solver.slice_table(1)       # a cached slice evicts nothing
@@ -764,22 +768,16 @@ class TestRun:
 
     def test_slab_rebuilt_after_run_is_bit_identical(self, monkeypatch):
         # record every slab's rhs during the run (a speculating run need not
-        # call Slab.step), then rebuild the slabs out of order from the
-        # finished solver
+        # call Slab.step, and steps every slab of one height on one Slab),
+        # then rebuild the slabs out of order from the finished solver
         flux = presets.burgers_flux((-1.2, 1.2))
         solver = make_solver(flux, IntervalDomain(0.0, 1.0), 0.2,
                              step_bd(0.45, 1.0, -0.2), nx=10, u_range=(-0.2, 1.0))
         seen = {}
-        original = Solver.slab
-
-        def recording_slab(self, j):
-            slab = original(self, j)
-            rhs = slab.rhs
-            slab.rhs = lambda state: seen.setdefault(j, rhs(state))
-            return slab
-
+        rhs = Slab.rhs
         with monkeypatch.context() as patch:
-            patch.setattr(Solver, "slab", recording_slab)
+            patch.setattr(Slab, "rhs",
+                          lambda slab, state: seen.setdefault(slab.j, rhs(slab, state)))
             result = solver.run()
         assert sorted(seen) == list(range(solver.tri.n_slabs))
         for j in reversed(range(solver.tri.n_slabs)):
@@ -816,18 +814,21 @@ def _mixed_heights(hbar, t_final, seed):
 def assert_declaration_changes_no_bit(flux, tri, bd, u_range, kind="godunov_osher",
                                       undeclared=None):
     """A run of ``flux`` equals the run of ``undeclared`` (by default ``flux``
-    declared to read t) bit for bit: states, fluxes, lambda_max, every slab's
-    critical points, verify_run's per-slab series and the global entropy
+    declared to read t) bit for bit: states, fluxes, lambda_max, the critical
+    points each slab is stepped with (those of the last slab the run asked for
+    at or before it), verify_run's per-slab series and the global entropy
     inequality for a t-dependent test function."""
     psi = bump_test_function(0.4 * tri.times[-1], 0.45, 0.3 * tri.times[-1], 0.3)
     outcomes = []
     for f in (flux, undeclared if undeclared is not None else replace(flux, reads_t=True)):
         solver = Solver(tri, f, NumericalFluxSpec(kind), bd, RunConfig(u_range=u_range))
-        slabs = []                                  # the run's slabs, kept as it asks for them
-        solver.slab = lambda j, _slab=solver.slab: slabs.append(_slab(j)) or slabs[-1]
+        asked = {}                                  # the run's slabs, kept as it asks for them
+        solver.slab = lambda j, _slab=solver.slab: asked.__setitem__(j, _slab(j)) or asked[j]
         result = solver.run()
-        crits = [(s.vert.crit_w.shape, s.vert.crit_w.tobytes(), s.vert.crit_g.tobytes())
-                 for s in slabs]
+        crits, s = [], None
+        for j in range(tri.n_slabs):
+            s = asked.get(j, s)
+            crits.append((s.vert.crit_w.shape, s.vert.crit_w.tobytes(), s.vert.crit_g.tobytes()))
         outcomes.append((result, crits, verify_run(result).per_slab,
                          global_entropy_inequality_report(result, psi, KruzkovPair(0.3)).to_dict()))
     (a, crits_a, per_slab_a, global_a), (b, crits_b, per_slab_b, global_b) = outcomes
