@@ -597,7 +597,7 @@ class Solver:
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
             else data_hull(bd, tri.domain, tri.foliation.horizon)
         self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
-        self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block and its neighbours
+        self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block tables, those before
         self._template: tuple = ()   # flux not reading t: (its height, *its block) to move
         cols = np.arange(tri.n_columns)   # by block size: each cell row's left and right face row
         self.cell_faces = {1: (cols, (cols + 1) % tri.n_columns if tri.periodic else cols + 1)}
@@ -717,8 +717,7 @@ class Solver:
                 block = (js, table, vert, report, handed)
                 if handed is not None:
                     self._template = (height, *block)
-            near = starts[max(k - 1, 0):k + 2]   # this block and its neighbours
-            self._blocks = {s: b for s, b in self._blocks.items() if s in near}
+            self._blocks = {s: b for s, b in self._blocks.items() if b[0].stop == js.start}
             self._blocks[js.start] = block
         return block
 
@@ -779,6 +778,7 @@ class Solver:
         def checked(j: int, fresh: bool = True) -> Slab:   # slab j after its CFL check
             nonlocal report, slab
             if fresh:   # its outflow table a copy, so that a move leaves the cached one
+                self.slice_table(j)   # first: building slab j's block keeps the block of j - 1
                 slab = self.slab(j)
                 slab.table_plus = _sharing(slab.table_plus)
             else:   # the same tables, moved to slab j: its ghost row and outflow ids
