@@ -135,9 +135,9 @@ def load_run_artifact(path: str):
     ``ConfigError`` naming its line (the header is line 1, and each row one
     line: ``np.loadtxt`` skips blank lines).  Every slice must have one row
     per column, in column order, whose ``t``, ``x_left`` and ``x_right`` equal
-    run.json's mesh (the ``.17g`` text reads back to the same float) and whose
-    ``u`` is finite and, past slice 0 (u_B means), inside run.json's ``u_range``:
-    else the first such line and column is a ``ConfigError``.
+    run.json's mesh (the ``.17g`` text reads back to the same float), whose ``q`` is
+    finite and whose ``u`` is finite and, past slice 0 (u_B means), inside run.json's
+    ``u_range``: else the first such line and column is a ``ConfigError``.
     """
     with open(path, "r", encoding="utf-8") as handle:
         meta = json.load(handle)
@@ -161,18 +161,18 @@ def load_run_artifact(path: str):
     order = np.argsort(index, kind="stable")   # rows of a slice keep file order: row j * m + i
     table, xs = table[order], tri.breakpoints
     mesh = np.stack([np.repeat(tri.times, m), np.tile(xs[:-1], n), np.tile(xs[1:], n)], axis=1)
-    urange, u = tuple(meta["u_range"]), table[:, 4:5]
-    outside = (np.arange(n * m) >= m)[:, None] & ((u < urange[0]) | (u > urange[1]))
-    bad = np.concatenate([table[:, 1:4] != mesh, ~np.isfinite(u) | outside], axis=1)
+    urange, u = tuple(meta["u_range"]), table[:, 4]
+    bad = np.concatenate([table[:, 1:4] != mesh, ~np.isfinite(table[:, 4:6])], axis=1)
+    bad[:, 3] |= (np.arange(n * m) >= m) & ((u < urange[0]) | (u > urange[1]))
     if bad.any():
         rows, cols = np.nonzero(bad)
         k = np.lexsort((cols, order[rows]))[0]   # the first line, then the first column
         r, c = rows[k], cols[k]
+        entry = float(table[r, c + 1])
         what = (f"not run.json's {float(mesh[r, c])!r}" if c < 3 else "not finite"
-                if not np.isfinite(u[r, 0]) else f"outside run.json's u_range {list(urange)!r}")
+                if not np.isfinite(entry) else f"outside run.json's u_range {list(urange)!r}")
         raise ConfigError(f"run artifact {meta['slices_csv']} line {order[r] + 2}: "
-                          f"{('t', 'x_left', 'x_right', 'u')[c]} {float(table[r, c + 1])!r} "
-                          f"is {what}")
+                          f"{('t', 'x_left', 'x_right', 'u', 'q')[c]} {entry!r} is {what}")
     values, fluxes = (table[:, c].reshape(n, m) for c in (4, 5))
     states = [SliceState(j, MeshIds(("S", j, 1, m)), values[j].copy(), fluxes[j].copy())
               for j in range(n)]

@@ -459,22 +459,26 @@ def _lambda_report(vert, table_plus, left, right, j: int) -> LambdaReport:
 
 class Slab:
     """Slabs ``j .. j + n - 1`` of one nominal height on the (slab, column) row axis (cell row
-    ``b * m + i``, face row ``b * nv + k``) with their tables and CFL ``report``.  A slab is a
-    block of one (:meth:`Solver.slab`: row views of its block's, and its inflow table
-    ``table_minus``); :meth:`Solver.block` gives a block.  The kernels work row by row, so
-    each slab's rows get its own tables' bits."""
+    ``b * m + i``, face row ``b * nv + k``) with their outflow and vertical tables and CFL
+    ``report``.  A slab is a block of one (:meth:`Solver.slab`: row views of its block's);
+    :meth:`Solver.block` gives a block.  The kernels work row by row, so each slab's rows get
+    its own tables' bits."""
 
-    def __init__(self, solver: "Solver", j: int, n: int, table_minus, table_plus, vert,
-                 report: LambdaReport):
+    def __init__(self, solver: "Solver", j: int, n: int, table_plus, vert, report: LambdaReport):
         self.solver, self.j, self.n = solver, j, n
         self.m, self.periodic = solver.tri.n_columns, solver.tri.periodic
-        self.table_minus, self.table_plus, self.vert = table_minus, table_plus, vert
+        self.table_plus, self.vert = table_plus, vert
         self.left_idx, self.right_idx = solver.cell_faces[n]
         self.report = report
 
     @property
     def slabs(self) -> range:
         return range(self.j, self.j + self.n)
+
+    @property
+    def table_minus(self) -> SpacelikeTable:
+        """The inflow table, slice j's (:meth:`Solver.slice_table`), asked for when read."""
+        return self.solver.slice_table(self.j)
 
     # -- boundary ----------------------------------------------------------------
 
@@ -576,8 +580,8 @@ class RunResult:
 class Solver:
     """Binds a triangulation, flux field, numerical flux and boundary data.
 
-    Slice 0's table is built alone; a slab's tables and CFL report are row
-    views of its block's (:meth:`_block_tables`), for every flux.  For one
+    Slice 0's table is built alone; a slab's tables and CFL report are row views of its
+    block's (:meth:`_block_tables`) for every flux, its inflow table when read.  For one
     declared not to read t (``flux.reads_t`` False) a block is moved from the
     first block of its run of one nominal height: it gets its own nodes, so
     whatever reads t there (u_B, test functions) sees its own t, and shares
@@ -596,7 +600,7 @@ class Solver:
         self.rule = gauss_legendre(5, 1)
         self.u_range = self.cfg.u_range if self.cfg.u_range is not None \
             else data_hull(bd, tri.domain, tri.foliation.horizon)
-        self._tables: dict[int, SpacelikeTable] = {}   # slices j - 1 and j at most
+        self._tables: dict[int, SpacelikeTable] = {}   # two neighbouring slices at most
         self._blocks: dict[int, tuple] = {}   # by first slab: slab j's block tables, those before
         self._template: tuple = ()   # flux not reading t: (its height, *its block) to move
         cols = np.arange(tri.n_columns)   # by block size: each cell row's left and right face row
@@ -645,9 +649,10 @@ class Solver:
 
     def slice_table(self, j: int) -> SpacelikeTable:
         """Table of slice j: slice 0's built alone, any other a row view of the block of slab
-        j - 1; a new table evicts every slice but j - 1."""
+        j - 1; a new table evicts every slice but j - 1 and j + 1, so a slab's two slices stay
+        in either order."""
         if j not in self._tables:
-            self._tables = {k: t for k, t in self._tables.items() if k == j - 1}
+            self._tables = {k: t for k, t in self._tables.items() if abs(k - j) == 1}
             if j:
                 js, table = self._block_tables(j - 1)[:2]
                 self._tables[j] = table.block_rows(j - 1 - js.start)
@@ -673,15 +678,14 @@ class Solver:
 
     def block(self, j: int) -> Slab:
         """Slab j's block (:meth:`_block_tables`)."""
-        js, table, vert, report, _ = self._block_tables(j)
-        return Slab(self, js.start, len(js), None, table, vert, report)
+        js, table, vert, report = self._block_tables(j)
+        return Slab(self, js.start, len(js), table, vert, report)
 
     def _block_tables(self, j: int) -> tuple:
-        """``(slabs, outflow table, vertical table, report, handed)`` of slab j's block, the
-        one place a slab's tables come from: built for a flux that reads t (``handed`` None:
-        each slab gets its rows of ``report``); else moved from the last block built, if of
-        its height and no fewer slabs, sharing its report and ``handed`` (its first slab's
-        rows, handed to every slab), or built from its first slab.  A failing build is split."""
+        """``(slabs, outflow table, vertical table, report)`` of slab j's block, the one place
+        a slab's tables come from: built for a flux that reads t; else moved from the last
+        block built, if of its height and no fewer slabs, sharing its report's rows, or built
+        from its first slab.  A failing build is split."""
         starts = self._block_starts
         k = bisect.bisect_right(starts, j) - 1
         block = self._blocks.get(starts[k])
@@ -695,9 +699,9 @@ class Solver:
                 shift = nv * np.arange(n)[:, None]
                 self.cell_faces[n] = tuple((idx + shift).ravel() for idx in self.cell_faces[1])
             if self._template and self._template[0] == height and len(self._template[1]) >= n:
-                _, moved, table, vert, report, handed = self._template
+                _, moved, table, vert, report = self._template
                 block = (js, table.on_slice(tri, slices), vert.on_slab(t_lo),
-                         report if n == len(moved) else report.rows(slice(0, n * m)), handed)
+                         report if n == len(moved) else report.rows(slice(0, n * m)))
             else:
                 try:   # for a flux that does not read t, the first slab, its rows repeated
                     b = n if self.flux.reads_t else 1
@@ -713,9 +717,8 @@ class Solver:
                         raise
                     starts[k + 1:k + 1] = js[1:]
                     return self._block_tables(j)
-                handed = None if self.flux.reads_t else report.rows(slice(0, m))
-                block = (js, table, vert, report, handed)
-                if handed is not None:
+                block = (js, table, vert, report)
+                if not self.flux.reads_t:
                     self._template = (height, *block)
             self._blocks = {s: b for s, b in self._blocks.items() if b[0].stop == js.start}
             self._blocks[js.start] = block
@@ -732,15 +735,14 @@ class Solver:
             f"{float(xb[idx[1]])!r}, t in [{float(t[idx[0]])!r}, {float(t[idx[0] + 1])!r}])"))
 
     def slab(self, j: int) -> Slab:
-        """A new slab j, a block of one with its inflow table, in any order (tables are
-        rebuilt deterministically, so a rebuilt slab is bit-identical); the solver keeps
-        no slab, so a dropped solver is freed without the cycle collector.  Its block comes
-        first, so a slab whose block fails names itself."""
-        js, _, _, report, handed = self._block_tables(j)
+        """A new slab j, its block's rows, in any order (tables are rebuilt deterministically,
+        so a rebuilt slab is bit-identical), building or moving no other block; the solver
+        keeps no slab, so a dropped solver is freed without the cycle collector.  Its block
+        comes first, so a slab whose block fails names itself."""
+        js, _, _, report = self._block_tables(j)
         b, m = j - js.start, self.tri.n_columns
-        return Slab(self, j, 1, self.slice_table(j), self.slice_table(j + 1),
-                    self.vertical_fluxes(j),
-                    report.rows(slice(b * m, (b + 1) * m)) if handed is None else handed)
+        return Slab(self, j, 1, self.slice_table(j + 1), self.vertical_fluxes(j),
+                    report.rows(slice(b * m, (b + 1) * m)))
 
     def initial_state(self) -> SliceState:
         """The initial slice state, on the cached table of slice 0."""
@@ -767,7 +769,8 @@ class Solver:
         A speculating run asks for a new slab (:meth:`slab`) only where its tables change:
         at every slab for a flux that reads t, else at each change of nominal height and
         after a rewind.  Every other slab steps on the last one asked for, moved to it by
-        setting its ``j`` (the ghost row) and its outflow table's (a copy's) ids.
+        setting its ``j`` (the ghost row); its state takes the ids of slice j + 1.  A raise
+        is replayed on a new slab, so no error reads the moved slab's table ids.
         """
         start = time.perf_counter()
         states, lambda_max, report, slab = [self.initial_state()], [], None, None
@@ -777,13 +780,9 @@ class Solver:
 
         def checked(j: int, fresh: bool = True) -> Slab:   # slab j after its CFL check
             nonlocal report, slab
-            if fresh:   # its outflow table a copy, so that a move leaves the cached one
-                self.slice_table(j)   # first: building slab j's block keeps the block of j - 1
+            if fresh:
                 slab = self.slab(j)
-                slab.table_plus = _sharing(slab.table_plus)
-            else:   # the same tables, moved to slab j: its ghost row and outflow ids
-                slab.j, plus = j, slab.table_plus
-                plus.slice_index, plus.face_ids = j + 1, MeshIds(("S", j + 1, 1, m))
+            slab.j = j   # else the same tables and report, moved to slab j: its ghost row
             shared, report = report, slab.lambdas()
             lambda_max.append(lambda_max[-1] if report is shared else report.max_cell_ratio())
             if self.cfg.enforce_cfl and not report.passed:
@@ -802,7 +801,7 @@ class Solver:
                                   self._block_tables(j)[0].stop if self.flux.reads_t else n)
                         while j < end:
                             rhs = checked(j, renew[j]).rhs(states[j])
-                            states.append(SliceState(j + 1, slab.table_plus.face_ids,
+                            states.append(SliceState(j + 1, MeshIds(("S", j + 1, 1, m)),
                                                      slab.table_plus.first_iterate(rhs), rhs))
                             j += 1
                 except Exception:   # any: stepped alone, the slab raises or warns as the loop does

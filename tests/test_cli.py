@@ -21,6 +21,7 @@ from spacetime_fvm.cli import (
     write_run_csv,
 )
 from spacetime_fvm.config import load_config
+from spacetime_fvm.entropy import verify_run
 from spacetime_fvm.mesh import Foliation
 from spacetime_fvm.scheme import Solver
 
@@ -312,22 +313,29 @@ class TestEntropyCheckCommand:
         assert capsys.readouterr().err.strip() == message
         assert not Path(out, "entropy_report.json").exists()
 
-    def test_nan_initial_slice_flux_fails_the_check(self, tmp_path):
-        # slab 0's conservation identity covers slice 0, whose q no other check reads
+    def test_nan_initial_slice_flux_fails_the_check(self, tmp_path, capsys):
+        # slab 0's conservation identity covers slice 0, whose q no other check reads;
+        # in an artifact, the loader refuses the NaN first
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
         assert main(["run", "--config", cfg]) == EXIT_OK
+        run_path = os.path.join(out, "run.json")
+        setup, result = load_run_artifact(run_path)
+        result.states[0].fluxes[0] = np.nan
+        report = verify_run(result, tol=setup.entropy_tol)
+        conservation = next(c for c in report.checks if c.name == "conservation_identity")
+        assert np.isnan(conservation.max_residual) and not conservation.passed
+        assert np.isnan(report.per_slab["conservation_identity"][0])
+        assert np.isfinite(report.tol)
         table = Path(out, "slices.csv")
         lines = table.read_text().splitlines(keepends=True)
         fields = lines[1].split(",")
         assert fields[0] == "0"
         lines[1] = ",".join(fields[:-1] + ["nan\r\n"])
         table.write_text("".join(lines))
-        assert main(["entropy-check", "--run", os.path.join(out, "run.json")]) == EXIT_VERIFICATION
-        report = json.loads(Path(out, "entropy_report.json").read_text())
-        conservation = next(c for c in report["checks"] if c["name"] == "conservation_identity")
-        assert np.isnan(conservation["max_residual"]) and not conservation["passed"]
-        assert np.isnan(report["per_slab"]["conservation_identity"][0])
-        assert np.isfinite(report["tol"])
+        assert main(["entropy-check", "--run", run_path]) == EXIT_CONFIG
+        assert capsys.readouterr().err.strip() == (
+            "config error: run artifact slices.csv line 2: q nan is not finite")
+        assert not Path(out, "entropy_report.json").exists()
 
     def test_roundtrip_reproduces_identical_residuals(self, tmp_path):
         cfg, out = write_config(tmp_path, u_b="sign(x - 0.4) * (-0.5) + 0.5")
@@ -460,6 +468,8 @@ class TestEntropyCheckCommand:
         ("u", "nan", "u nan is not finite"),
         ("u", "inf", "u inf is not finite"),
         ("u", "5.0", "u 5.0 is outside run.json's u_range [0.0, 1.0]"),
+        ("q", "nan", "q nan is not finite"),
+        ("q", "-inf", "q -inf is not finite"),
     ])
     def test_csv_entry_off_the_mesh_or_not_finite_is_a_config_error(self, tmp_path, capsys,
                                                                     column, value, expected):
@@ -473,10 +483,10 @@ class TestEntropyCheckCommand:
         table = out / "slices.csv"
         lines = table.read_text().splitlines(keepends=True)
         header = lines[0].strip().split(",")
-        fields = lines[20].split(",")
+        fields = lines[20].rstrip("\r\n").split(",")
         assert fields[:3] == ["2", "0.03125", "0.375"] and fields[3] == "0.5"
         fields[header.index(column)] = value
-        lines[20] = ",".join(fields)
+        lines[20] = ",".join(fields) + "\r\n"
         table.write_text("".join(lines))
         assert main(["entropy-check", "--run", str(out / "run.json")]) == EXIT_CONFIG
         assert capsys.readouterr().err.strip() == (

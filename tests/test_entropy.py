@@ -1189,6 +1189,55 @@ class TestGlobalInequality:
             global_entropy_inequality_report(result, psi, KruzkovPair(0.0), solver=solver)
 
 
+class TestFallbacks:
+    """The finite-difference fallbacks for inputs that carry no derivative (a config
+    ``custom`` flux has no ``omega.partials``), against the analytic path on one case."""
+
+    def test_volume_term_without_chart_partials(self):
+        # the traveling density flux without its partials: only the independent cell
+        # quadrature (stokes_gap) reads them; central differences of step 1e-6 move
+        # it by ~5e-13 of 1.5e-4
+        case = advection_circle_case(t_final=0.5)
+        tri, cfg = case.build(20)
+        result = Solver(tri, case.flux, case.spec, case.bd, cfg).run()
+        omega = case.flux.omega
+        assert omega.partials is not None
+        bare = replace(result, flux=replace(case.flux, omega=replace(omega, partials=None)))
+        psi = bump_test_function(0.2, 3.0, 0.15, 1.5)
+        exact, fd = (global_entropy_inequality_report(r, psi, KruzkovPair(0.5)).to_dict()
+                     for r in (result, bare))
+        assert exact.pop("stokes_gap") == pytest.approx(fd.pop("stokes_gap"), rel=0, abs=1e-9)
+        assert fd == exact
+
+    def test_test_function_gradient_without_grad(self):
+        # the harness bump without its gradient: central differences of step
+        # 1e-6 (1 + |p|) stay within 1e-6 of the largest gradient component
+        psi = bump_test_function(0.1, 0.45, 0.09, 0.25)
+        pts = np.stack(np.meshgrid(np.linspace(0.0, 0.25, 41), np.linspace(0.0, 1.0, 81),
+                                   indexing="ij"), axis=-1)
+        exact = psi.gradient(pts)
+        fd = TestFunction(fn=psi.fn).gradient(pts)
+        scale = float(np.max(np.abs(exact)))
+        assert scale > 1.0
+        np.testing.assert_allclose(fd, exact, rtol=0, atol=1e-6 * scale)
+
+    def test_entropy_pair_ddu_without_ddu_fn(self):
+        # the square pair without ddu_fn: central differences of step 1e-5 give
+        # U'' = 2 within 1e-9, and so the convexity modulus and the smooth
+        # numerical entropy flux that weights by U''
+        pair = square_pair()
+        bare = replace(pair, ddu_fn=None)
+        ws = np.linspace(-2.0, 2.0, 101)
+        np.testing.assert_allclose(bare.ddu(ws), pair.ddu(ws), rtol=0, atol=1e-9)
+        assert bare.convexity_modulus((-1.0, 1.0)) == pytest.approx(1.0, rel=0, abs=1e-9)
+        slab = burgers_shock_solver(nx=8, t_final=0.1).slab(0)
+        for column, side, u, v in ((0, "left", 1.0, 1.0), (3, "right", 0.8, 0.2),
+                                   (7, "right", 0.0, 0.4)):
+            args = (slab, column, side)
+            assert smooth_entropy_numerical_flux(*args, bare, u, v) == pytest.approx(
+                smooth_entropy_numerical_flux(*args, pair, u, v), rel=1e-9, abs=1e-12)
+
+
 class TestContraction:
     def _circle_runs(self, nx=16, t_final=0.25):
         flux = presets.burgers_flux((-1.5, 1.5))

@@ -424,25 +424,30 @@ def test_a_speculated_state_one_ulp_off_takes_the_certificates_states(case, wher
         return Solver(tri, c.flux, c.spec, c.bd, cfg)
 
     expected = run_bits(lambda: slab_loop(make()))
-    first_iterate, moved = SpacelikeTable.first_iterate, []
+    first_iterate, rhs, moved, at = SpacelikeTable.first_iterate, Slab.rhs, [], [None]
+
+    def rhs_of(slab, state):   # a first iterate follows its slab's rhs
+        at[0] = slab.j
+        return rhs(slab, state)
 
     def one_ulp_off(table, values):
         u = first_iterate(table, values)
-        if table.slice_index == bad + 1:
+        if at[0] == bad:
             moved.append(u[row])
             u[row] = np.nextafter(u[row], np.inf)
         return u
 
+    monkeypatch.setattr(Slab, "rhs", rhs_of)
     monkeypatch.setattr(SpacelikeTable, "first_iterate", one_ulp_off)
     assert run_bits(lambda: solver_run(make())) == expected
     assert len(moved) == 1   # taken once: the certificate's states replace it
 
 
-def four_runs(reads_t, monkeypatch):
-    """(mesh, solver maker) of heights 1, 1.5, 1, 0.75 times 2^-7 in runs of 5,
-    2, 4 and 3 slabs (blocks of two), for Burgers declared to read t or not."""
+def four_runs(reads_t, monkeypatch, scales=(1.0, 1.5, 1.0, 0.75)):
+    """(mesh, solver maker) of heights ``scales`` (1, 1.5, 1, 0.75) times 2^-7 in runs
+    of 5, 2, 4 and 3 slabs (blocks of two), for Burgers declared to read t or not."""
     flux = replace(presets.burgers_flux((-1.2, 1.2)), reads_t=reads_t)
-    heights = 2.0 ** -7 * np.repeat([1.0, 1.5, 1.0, 0.75], [5, 2, 4, 3])
+    heights = 2.0 ** -7 * np.repeat(scales, [5, 2, 4, 3])
     tri = build_triangulation(Foliation(np.concatenate([[0.0], np.cumsum(heights)]),
                                         IntervalDomain(0.0, 1.0)), 10)
     monkeypatch.setattr(scheme_module, "BLOCK_ROWS", 2 * tri.n_columns)
@@ -455,8 +460,7 @@ def four_runs(reads_t, monkeypatch):
 def test_a_run_of_one_height_steps_on_one_slab(reads_t, batch, monkeypatch):
     # a flux that does not read t asks for one Slab per run of one height and
     # moves no block per slab: on_slice/on_slab repeat the first slab of each
-    # run's first block, and move the block before slabs 5 and 11 (for their
-    # inflow tables) from its height's first block; one that reads t asks for
+    # run's first block, and move no other block; one that reads t asks for
     # every slab and moves nothing.  Either way, in batches of 32 slabs or of
     # one, the run has the bits of the oracle slab loop: states, face ids and
     # lambda_max
@@ -475,7 +479,58 @@ def test_a_run_of_one_height_steps_on_one_slab(reads_t, batch, monkeypatch):
     assert isinstance(runs[0], list)   # the run did not raise
     starts = [0, 5, 7, 11]
     assert asked == (list(range(tri.n_slabs)) if reads_t else starts)
-    assert moves == ([] if reads_t else [1, 1, 2, 2, 1, 1, 1, 1, 2, 2, 1, 1])   # slabs moved from
+    assert moves == ([] if reads_t else [1] * 8)   # slabs moved from
+    monkeypatch.setattr(mesh_module, "_invert_increasing", oracle_invert)
+    assert run_bits(lambda: slab_loop(make())) == runs
+
+
+def table_bits(table):
+    """A spacelike table's slices, ids and row arrays, as bytes."""
+    return (table.slice_index, table.t, table.face_ids.blocks,
+            [getattr(table, name).tobytes() for name in SpacelikeTable.ROWS
+             if getattr(table, name) is not None])
+
+
+@pytest.mark.parametrize("reads_t", [False, True], ids=["t-free", "reads-t"])
+def test_a_slab_builds_or_moves_its_own_block_alone(reads_t, monkeypatch):
+    # Solver.slab(j) at the first slab of a block builds or moves that block
+    # and no other: every table and node row it makes lies in the block's
+    # slices and slabs.  A slab's inflow table, read when asked for, has the
+    # bytes of slice j's table on a new solver
+    tri, make = four_runs(reads_t, monkeypatch)
+    init, on_slice = SpacelikeTable.__init__, SpacelikeTable.on_slice
+    vert_init, on_slab = VerticalFluxes.__init__, VerticalFluxes.on_slab
+    for block in block_ranges(tri):
+        solver, slices, starts = make(), set(), set()
+        with monkeypatch.context() as patch:
+            patch.setattr(SpacelikeTable, "__init__", lambda table, tri, flux, js, **kw: (
+                slices.update(np.atleast_1d(js).tolist()) or init(table, tri, flux, js, **kw)))
+            patch.setattr(SpacelikeTable, "on_slice", lambda table, tri, js: (
+                slices.update(js) or on_slice(table, tri, js)))
+            patch.setattr(VerticalFluxes, "__init__", lambda vert, x, t_lo, *args: (
+                starts.update(np.atleast_1d(t_lo).tolist()) or vert_init(vert, x, t_lo, *args)))
+            patch.setattr(VerticalFluxes, "on_slab", lambda vert, t_lo: (
+                starts.update(t_lo.tolist()) or on_slab(vert, t_lo)))
+            solver.slab(block.start)
+        assert slices == set(range(block.start + 1, block.stop + 1)), block
+        assert starts == set(tri.times[block.start:block.stop].tolist()), block
+        assert list(solver._blocks) == [block.start]
+    solver = make()
+    for j in range(tri.n_slabs):
+        assert table_bits(solver.slab(j).table_minus) == table_bits(make().slice_table(j)), j
+
+
+@pytest.mark.parametrize("reads_t", [False, True], ids=["t-free", "reads-t"])
+def test_a_run_relabels_no_table_it_caches(reads_t, monkeypatch):
+    # one nominal height: a flux that does not read t steps every slab on slab
+    # 0, whose outflow table is the solver's cached slice 1; after the run that
+    # table still names slice 1, and every state its own slice (the oracle's)
+    tri, make = four_runs(reads_t, monkeypatch, scales=(1.0,) * 4)
+    solver = make()
+    runs = run_bits(lambda: solver_run(solver))
+    assert isinstance(runs[0], list) and (1 in solver._tables) is not reads_t
+    table = solver.slice_table(1)
+    assert table.face_ids.blocks == (("S", 1, 1, tri.n_columns),) and table.slice_index == 1
     monkeypatch.setattr(mesh_module, "_invert_increasing", oracle_invert)
     assert run_bits(lambda: slab_loop(make())) == runs
 
@@ -486,14 +541,20 @@ def test_a_rewind_steps_on_a_slab_of_its_own_height(monkeypatch):
     # went on to the last run; slab 3 steps on a new slab of its own height
     tri, make = four_runs(False, monkeypatch)
     expected = run_bits(lambda: slab_loop(make()))
-    first_iterate, asked, slab = SpacelikeTable.first_iterate, [], Solver.slab
+    first_iterate, rhs, asked, slab = SpacelikeTable.first_iterate, Slab.rhs, [], Solver.slab
+    at = [None]
+
+    def rhs_of(stepped, state):   # a first iterate follows its slab's rhs
+        at[0] = stepped.j
+        return rhs(stepped, state)
 
     def one_ulp_off(table, values):
         u = first_iterate(table, values)
-        if table.slice_index == 3:
+        if at[0] == 2:
             u[4] = np.nextafter(u[4], np.inf)
         return u
 
+    monkeypatch.setattr(Slab, "rhs", rhs_of)
     monkeypatch.setattr(SpacelikeTable, "first_iterate", one_ulp_off)
     monkeypatch.setattr(Solver, "slab", lambda self, j: asked.append(j) or slab(self, j))
     assert run_bits(lambda: solver_run(make())) == expected
