@@ -10,13 +10,14 @@ Total flux functions ``q_e(u) = oriented integral of omega(u) over e`` are
 the quantities the scheme evolves.  Each one, on a spacelike face of a slice
 or a vertical face of a slab, is a row of a block table of slices or slabs,
 all discretized alike: :func:`segment_nodes` builds the Gauss nodes and
-weights, :func:`face_sums` forms ``sum_k w_k f(x_k, u)``; a slice's or slab's
-table is a row view of its block's, moved unbuilt for a flux that does not
-read t.  On spacelike faces the total fluxes are strictly monotone, cached
-with derivative bounds in a :class:`SpacelikeTable`, and inverted column by
-column by :func:`bracketed_root`, the one root finder, whose first two
-iterates an affine q settles; the solver steps with the first Newton iterate
-alone and certifies it in batches.
+weights, :func:`face_sums` forms ``sum_k w_k f(x_k, u)`` over a leading node
+axis (at one t node on a vertical face of a flux that does not read t); a
+slice's or slab's table is a row view of its block's, moved unbuilt for a
+flux that does not read t.  On spacelike faces the total fluxes are strictly
+monotone, cached with derivative bounds in a :class:`SpacelikeTable`, and
+inverted column by column by :func:`bracketed_root`, the one root finder,
+whose first two iterates an affine q settles; the solver steps with the
+first Newton iterate alone and certifies it in batches.
 
 :func:`mesh_regularity_report` measures the regularity conditions of the
 convergence proof on the same node arrays, built for all slices or all
@@ -359,35 +360,52 @@ def _moved_rows(n: int, own: int):
 
 
 def _weighted_sum(weights: np.ndarray, vals) -> np.ndarray:
-    """``np.sum(weights * vals, axis=-1)``, bit for bit.
+    """``np.add.reduce(weights * vals, axis=0)``: the sum over a leading node axis.
 
+    It adds the node planes in order, ``0.0 + p_0 + ... + p_{nq-1}``, one
+    elementwise add per node rather than an inner loop per face.  Below 8
+    terms numpy's trailing-axis ``np.sum`` adds in that order too (from 8 on
+    it sums pairwise in blocks of 8), so every 5-node table keeps its bits.
     When ``vals`` is a float array that only this call references (a
-    coefficient's fresh result), the product is formed in its buffer.  A
-    G' lattice then allocates one (nv, K, nq) array per slab instead of two,
-    which keeps the slab loop inside heap memory it has already touched:
-    with two, glibc trimmed and regrew the heap on every slab (~55k page
-    faults per 321-slab solve).
+    coefficient's fresh result), the product is formed in its buffer: a G'
+    lattice allocates one (nq, nv, K) array instead of two.  Without that, a
+    Burgers shock at nx = 160 declared to read t took 227-280 minor page
+    faults per solve instead of 0-8.
     """
-    if (type(vals) is np.ndarray and vals.dtype == np.float64 and vals.flags.owndata
+    # the node axes first: one t node's (1, ...) values fail there, at the least cost
+    if (type(vals) is np.ndarray and vals.shape[:1] == weights.shape[:1]
+            and vals.dtype == np.float64 and vals.flags.owndata
             and vals.flags.writeable and sys.getrefcount(vals) == 2
             and vals.shape == np.broadcast_shapes(weights.shape, vals.shape)):
-        return np.sum(np.multiply(weights, vals, out=vals), axis=-1)
-    return np.sum(weights * vals, axis=-1)
+        return np.add.reduce(np.multiply(weights, vals, out=vals), axis=0)
+    return np.add.reduce(weights * vals, axis=0)
 
 
 def face_sums(fn: Callable, pts: np.ndarray, weights: np.ndarray, u) -> np.ndarray:
     """``sum_k w_k fn(x_k, u)`` per face: the quadrature of every face table.
 
-    ``pts`` (n, nq, 2) holds one row of face nodes per state row and
+    ``pts`` (n, nq, 2) holds one row of face nodes per state row, each
+    (t, x) pair contiguous as :func:`segment_nodes` makes them, and
     ``weights`` is (n, nq), or (nq,) when all faces share them; ``u`` has
-    shape (n,) or (n, K), and the result has the shape of ``u``.
+    shape (n,) or (n, K), and the result has the shape of ``u``.  ``fn``
+    gets the nodes node-major, (nq, n, 2) against ``u`` (n,) or
+    (nq, n, 1, 2) against (n, K), copied so that its values come out
+    node-major in memory too: the product then stays in place and the
+    reduction is elementwise.  Where ``fn`` has the same bits at every node,
+    ``pts`` may hold one, (n, 1, 2): its value broadcasts against all nq
+    weights, so the products and their sum are those of nq nodes.
     """
     u = np.asarray(u, dtype=float)
+    if u.ndim not in (1, 2):
+        raise MeshError("state array must have shape (n,) or (n, K)")
+    if pts.shape[1] == 1:   # one node: fn's values are one plane in any layout
+        nodes = pts.transpose(1, 0, 2)
+    else:   # each (t, x) pair copies as one complex128, faces innermost
+        nodes = np.ascontiguousarray(pts.view(np.complex128).transpose(1, 0, 2)).view(float)
+    w = weights.T.reshape(weights.shape[-1], -1)                 # (nq, n) or (nq, 1)
     if u.ndim == 1:
-        return _weighted_sum(weights, fn(pts, u[:, None]))
-    if u.ndim == 2:
-        return _weighted_sum(weights[..., None, :], fn(pts[:, None, :, :], u[:, :, None]))
-    raise MeshError("state array must have shape (n,) or (n, K)")
+        return _weighted_sum(w, fn(nodes, u))
+    return _weighted_sum(w[..., None], fn(nodes[:, :, None, :], u))
 
 
 def column_at(col: np.ndarray, u) -> np.ndarray:
@@ -624,8 +642,8 @@ class SpacelikeTable:
 
         def dwx_with_signs(pts, u):
             # a face is spacelike when its density has one sign at every node
-            dens = self._dwx(pts, u)                                    # (m, k, nq)
-            signs.append((np.all(dens > 0.0, axis=(1, 2)), np.all(dens < 0.0, axis=(1, 2))))
+            dens = self._dwx(pts, u)                                    # (nq, m, k)
+            signs.append((np.all(dens > 0.0, axis=(0, 2)), np.all(dens < 0.0, axis=(0, 2))))
             return dens
 
         dq_samples = face_sums(dwx_with_signs, self.pts, base_w, us)    # (m, k)

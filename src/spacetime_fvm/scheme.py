@@ -60,7 +60,6 @@ __all__ = [
     "SliceState",
     "Solver",
     "data_hull",
-    "initial_slice_state",
     "select_timestep",
 ]
 
@@ -178,7 +177,9 @@ class VerticalFluxes:
     ``x_nodes`` and ``t_lo`` give a block table (:class:`Slab`) of slabs of
     one nominal ``height`` (:attr:`Foliation.heights`); :meth:`block_rows`
     views a slab's rows (``ROWS``) and :meth:`on_slab` moves it to other
-    slabs of that height of a flux that does not read t.
+    slabs of that height of a flux that does not read t.  Such a flux's
+    coefficient is evaluated at one t node per face, which the sums
+    broadcast against all nq weights, bit for bit.
     """
 
     ROWS = ("x_nodes", "t_lo", "pts", "dg_column", "_dg_abs_max", "_dg_half_spread", "crit_w",
@@ -196,6 +197,7 @@ class VerticalFluxes:
         self.pts, self.weights = segment_nodes(rule, 0, self.x_nodes, t_lo, height)
         self._wt = flux.omega.coeffs[(0,)]
         self._dwt = flux.omega.du_coeffs[(0,)]
+        self._t_nodes = slice(None) if flux.reads_t else slice(0, 1)
 
         self.dg_column = None
         u_free = (0,) in flux.u_free_du
@@ -238,7 +240,9 @@ class VerticalFluxes:
     # -- raw face fluxes ------------------------------------------------------
 
     def _pts(self, faces) -> np.ndarray:
-        return self.pts if faces is None else self.pts[np.asarray(faces)]
+        # a flux that does not read t has one node's bits at all nq (Solver._check_samples)
+        rows = slice(None) if faces is None else np.asarray(faces)
+        return self.pts[rows, self._t_nodes]
 
     def G(self, u, faces=None) -> np.ndarray:
         """Left-cell-oriented total flux at per-face states.
@@ -368,17 +372,6 @@ def _face_means(bd: BoundaryData, pts: np.ndarray, weights: np.ndarray,
         raise ValueError(f"alpha_B mass must be positive on every boundary face: "
                          f"{face(idx)} has mass {float(mass[idx])!r}")
     return np.sum(alpha * bd.u_values(pts), axis=-1) / mass
-
-
-def initial_slice_state(tri: Triangulation, bd: BoundaryData, flux: FluxField,
-                        u_range: tuple[float, float] | None = None) -> SliceState:
-    """States on the initial slice: alpha_B means of u_B per inflow face.
-
-    Requires the initial slice to be inflow for the flux (positive
-    pulled-back du along increasing x); the means use the slice table's
-    nodes and weights, and total fluxes are cached alongside.
-    """
-    return _inflow_state(SpacelikeTable(tri, flux, 0, u_range=u_range), bd)
 
 
 def _inflow_state(table: SpacelikeTable, bd: BoundaryData) -> SliceState:

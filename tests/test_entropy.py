@@ -734,8 +734,9 @@ class TestFaceArrays:
         cell_entropy_residuals(slab, state, state_next, c)
         # per check: G(c) at both faces of each pair's cell and G(u_L), G(u_R)
         # per face; Q(u_L, u_R) and Q at both cuts of a direct point combine
-        # those G values
-        assert sum(calls[("w", 0)]) == nq * (2 * (n_face + n_cell) + 2 * 2 * nv)
+        # those G values; Burgers does not read t, so at one t node per face
+        assert not flux.reads_t and nq == 5
+        assert sum(calls[("w", 0)]) == 2 * (n_face + n_cell) + 2 * 2 * nv
         # q(c) at each pair's cell; per cell q of the old state in each check,
         # of the three face-check states per side and of u_plus
         assert sum(calls[("w", 1)]) == nq_s * (n_face + n_cell + 2 * m + 6 * m + m)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import constant_bd, counting_flux
 
@@ -389,6 +390,11 @@ class TestInvertTotalFlux:
             assert table.invert(others)[i].tobytes() == roots[i].tobytes()
 
 
+# signed zeros, infinities, NaN and subnormals beside ordinary doubles
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                               2.5e-309]) | st.floats(allow_nan=True, allow_infinity=True)
+
+
 class TestFaceQuadrature:
     def test_segment_nodes_place_gauss_points_on_each_segment(self):
         rule = gauss_legendre(3, 1)
@@ -413,6 +419,34 @@ class TestFaceQuadrature:
         np.testing.assert_allclose(lattice, [[1.0 / 3.0, 1.0], [52.0 / 3.0, 0.0]], rtol=1e-14)
         with pytest.raises(MeshError, match="state array must have shape"):
             face_sums(fn, pts, weights, np.zeros((2, 2, 2)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(nq=st.integers(1, 7), n=st.integers(1, 5), k=st.none() | st.integers(1, 4),
+           per_face=st.booleans(), fresh=st.booleans(), data=st.data())
+    def test_node_major_sum_has_the_bytes_of_the_trailing_axis_sum(self, nq, n, k, per_face,
+                                                                   fresh, data):
+        # face_sums hands fn node-major nodes and sums its (nq, ...) values over
+        # the leading axis; the bytes are numpy's trailing-axis sum of the same
+        # products, so a numpy whose order changes on either side fails here
+        u_shape = (n,) if k is None else (n, k)
+        vals = data.draw(arrays(np.float64, (nq,) + u_shape, elements=EDGE_FLOATS))
+        weights = data.draw(arrays(np.float64, (n, nq) if per_face else (nq,),
+                                   elements=EDGE_FLOATS))
+        pts = np.zeros((n, nq, 2))
+
+        def fn(nodes, u):
+            assert nodes.shape[0] == nq and nodes.shape[1] == n and u.shape == u_shape
+            return vals.copy() if fresh else vals
+
+        before = vals.copy()
+        trailing = np.moveaxis(vals, 0, -1)                          # (n, nq) or (n, K, nq)
+        w = weights if k is None else weights[..., None, :]
+        with np.errstate(all="ignore"):                              # 0 * inf, inf - inf
+            out = face_sums(fn, pts, weights, np.zeros(u_shape))
+            expected = np.sum(w * trailing, axis=-1)
+        assert out.shape == u_shape
+        assert out.tobytes() == expected.tobytes()
+        assert vals.tobytes() == before.tobytes()                    # held: not overwritten
 
 
 def capacity_field(a0, a1, k, phase, u_range):

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     block_ranges,
+    capacity_field,
     classical_godunov_step,
     constant_bd,
     counting_flux,
+    densities,
     flux_fields,
     make_solver,
     signed_flux,
@@ -61,8 +64,8 @@ from spacetime_fvm.scheme import (
     Solver,
     VerticalFluxes,
     _face_means,
+    _inflow_state,
     data_hull,
-    initial_slice_state,
     select_timestep,
 )
 
@@ -323,6 +326,11 @@ class TestBoundaryGhostValue:
         assert calls[2:] == [(n_slabs, 2, nq, 2)]
 
 
+def initial_state(tri, bd, flux):
+    """Slice 0's state as the solver sets it: alpha_B means on slice 0's table."""
+    return _inflow_state(SpacelikeTable(tri, flux, 0), bd)
+
+
 class TestInitialSliceState:
     def _tri(self, nx):
         fol = Foliation(np.array([0.0, 0.1]), IntervalDomain(0.0, 1.0))
@@ -330,20 +338,20 @@ class TestInitialSliceState:
 
     def test_constant(self):
         flux = presets.burgers_flux((-1.0, 2.0))
-        state = initial_slice_state(self._tri(4), constant_bd(1.0), flux)
+        state = initial_state(self._tri(4), constant_bd(1.0), flux)
         np.testing.assert_allclose(state.values, 1.0)
         np.testing.assert_allclose(state.fluxes, 0.25)
 
     def test_aligned_step(self):
         flux = presets.burgers_flux((-2.0, 2.0))
         bd = step_bd(0.5, -1.0, 1.0)
-        state = initial_slice_state(self._tri(4), bd, flux)
+        state = initial_state(self._tri(4), bd, flux)
         np.testing.assert_allclose(state.values, [-1.0, -1.0, 1.0, 1.0])
 
     def test_linear_profile_mean(self):
         flux = presets.burgers_flux((-1.0, 2.0))
         bd = BoundaryData(u=lambda p: p[..., 1])
-        state = initial_slice_state(self._tri(4), bd, flux)
+        state = initial_state(self._tri(4), bd, flux)
         assert state.values[0] == pytest.approx(0.125)  # mean of x over [0, 0.25]
 
     def test_time_reversed_flux_rejected(self):
@@ -363,7 +371,7 @@ class TestInitialSliceState:
         reversed_flux = FluxField(ParamForm(1, 2, coeffs, du, (-1.0, 1.0)),
                                   domain=flux.domain)
         with pytest.raises(NotSpacelikeError):
-            initial_slice_state(self._tri(4), constant_bd(0.5), reversed_flux)
+            initial_state(self._tri(4), constant_bd(0.5), reversed_flux)
         del flux
 
     def test_nonpositive_mass_names_the_face(self):
@@ -371,7 +379,7 @@ class TestInitialSliceState:
         with pytest.raises(ValueError, match=re.escape(
                 "alpha_B mass must be positive on every boundary face: initial slice face "
                 "('S', 0, 0) has mass -0.09375")):
-            initial_slice_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
+            initial_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
 
     @pytest.mark.parametrize("points", [5])
     def test_equals_per_face_means_bit_for_bit(self, points):
@@ -388,14 +396,14 @@ class TestInitialSliceState:
             pts = np.stack([np.zeros_like(xs), xs], axis=-1)
             alpha = rule.weights * (x_hi - x_lo) * bd.alpha_values(pts)
             expected.append(np.sum(alpha * bd.u_values(pts)) / np.sum(alpha))
-        state = initial_slice_state(tri, bd, presets.burgers_flux((-1.0, 2.0)))
+        state = initial_state(tri, bd, presets.burgers_flux((-1.0, 2.0)))
         assert state.values.tobytes() == np.array(expected).tobytes()
 
     def test_nonpositive_mass_rejected(self):
         bd = BoundaryData(u=lambda p: p[..., 1],
                           alpha_density=lambda p: np.where(p[..., 1] > 0.5, 0.0, 1.0))
         with pytest.raises(ValueError, match="alpha_B mass must be positive"):
-            initial_slice_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
+            initial_state(self._tri(4), bd, presets.burgers_flux((-1.0, 2.0)))
 
 
 def lipschitz_sup_fd(vert, n_grid: int = 17) -> np.ndarray:
@@ -1287,31 +1295,87 @@ class TestVerticalFaceSums:
 
 class TestWeightedSum:
     def test_bit_identical_and_leaves_held_arrays_alone(self):
+        # node-major input, (nq, ...) against (nq, 1, 1) weights, has the
+        # bits of the trailing-axis sum of the same products
         rng = np.random.default_rng(3)
         w = rng.uniform(0.1, 1.0, 5)
-        held = rng.normal(size=(7, 9, 5))
+        trailing = rng.normal(size=(7, 9, 5))
+        held = np.ascontiguousarray(np.moveaxis(trailing, -1, 0))
         before = held.copy()
-        expected = np.sum(w * held, axis=-1)
-        assert _weighted_sum(w, held).tobytes() == expected.tobytes()
+        expected = np.sum(w * trailing, axis=-1)
+        assert _weighted_sum(w[:, None, None], held).tobytes() == expected.tobytes()
         assert np.array_equal(held, before)          # referenced here: not reused
-        assert _weighted_sum(w, held.copy()).tobytes() == expected.tobytes()
-        readonly = np.broadcast_to(held[:, :1, :], held.shape)
-        assert _weighted_sum(w, readonly).tobytes() == \
-            np.sum(w * readonly, axis=-1).tobytes()
+        assert _weighted_sum(w[:, None, None], held.copy()).tobytes() == expected.tobytes()
+        readonly = np.broadcast_to(held[:, :, :1], held.shape)
+        assert _weighted_sum(w[:, None, None], readonly).tobytes() == \
+            np.sum(w * np.broadcast_to(trailing[:, :1, :], trailing.shape), axis=-1).tobytes()
 
     def test_lattice_allocates_one_full_size_array(self):
-        # the (nv, K, nq) coefficient result takes the weights in place; a
-        # separate product array puts the peak at 2.2 * full
-        vert = vertical_fluxes(presets.burgers_flux((-1.0, 1.0)), (-1.0, 1.0), nx=160)
-        us = np.linspace(-1.0, 1.0, 65)
-        full = vert.n_faces * us.size * vert.weights.size * 8
-        tracemalloc.start()
-        try:
-            vert.dG_lattice(us)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert full < peak < 1.75 * full
+        # a flux that reads t: the (nq, nv, K) coefficient result takes the
+        # weights in place; a separate product array puts the peak at 2.2 * full.
+        # One that does not: the (1, nv, K) result times the weights is the one
+        for flux in (replace(presets.burgers_flux((-1.0, 1.0)), reads_t=True),
+                     presets.burgers_flux((-1.0, 1.0))):
+            vert = vertical_fluxes(flux, (-1.0, 1.0), nx=160)
+            us = np.linspace(-1.0, 1.0, 65)
+            full = vert.n_faces * us.size * vert.weights.size * 8
+            tracemalloc.start()
+            try:
+                vert.dG_lattice(us)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert full < peak < 1.75 * full, flux.reads_t
+
+
+T_FREE_LINES = "wx = (1 + 0.3 * x) * u\nwt = -0.5 * u * u\ndwx_du = 1 + 0.3 * x\ndwt_du = -u"
+
+
+class TestOneTNode:
+    """A flux that does not read t is evaluated at one t node per vertical face."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["burgers", "capacity", "config"]), density=densities(),
+           kind=st.sampled_from(["godunov_osher", "rusanov"]), data=st.data())
+    def test_one_node_sums_equal_the_nq_node_sums_bit_for_bit(self, name, density, kind,
+                                                                data):
+        u_range, nv = (-0.3, 1.0), 9
+        flux = {"burgers": lambda: presets.burgers_flux((-1.2, 1.2)),
+                "capacity": lambda: capacity_field(density, (-1.2, 1.2)),
+                "config": lambda: parse_config(CONFIG_FLUX.format(T_FREE_LINES)).flux}[name]()
+        assert not flux.reads_t
+        t_lo = data.draw(st.sampled_from([0.0, 0.37, np.linspace(0.0, 0.4, nv)]))
+        one, every = (VerticalFluxes(np.linspace(0.0, 1.0, nv), t_lo, 0.05, f,
+                                     NumericalFluxSpec(kind), gauss_legendre(5, 1), u_range)
+                      for f in (flux, replace(flux, reads_t=True)))
+        for attr in ("crit_w", "crit_g", "speed", "_dg_abs_max", "_dg_half_spread"):
+            assert getattr(one, attr).tobytes() == getattr(every, attr).tobytes(), attr
+        states = st.floats(*u_range) | st.sampled_from([*u_range, 0.0, -0.0])
+        u, v = (data.draw(arrays(np.float64, nv, elements=states)) for _ in range(2))
+        lattice = data.draw(arrays(np.float64, (nv, 3), elements=states))
+        faces = np.array(data.draw(st.lists(st.integers(0, nv - 1), min_size=1, max_size=12)))
+        us = data.draw(arrays(np.float64, st.integers(1, 9), elements=states))
+        for call, args in (("G", (u,)), ("G", (lattice,)), ("G", (u[faces], faces)),
+                           ("dG", (u,)), ("dG", (lattice,)), ("dG", (u[faces], faces)),
+                           ("Q", (u, v)), ("Q", (lattice, lattice[:, ::-1])),
+                           ("Q", (u[faces], v[faces], faces)), ("dG_lattice", (us,))):
+            assert getattr(one, call)(*args).tobytes() == \
+                getattr(every, call)(*args).tobytes(), call
+
+    def test_only_a_flux_that_does_not_read_t_is_evaluated_at_one_node(self):
+        # points per call on 11 faces: G at (11,) states, G' at (11, 3); the
+        # traveling density reads t (all 5 nodes) and its G' is a u-free column
+        u = np.linspace(-0.5, 0.5, 11)
+        for base, g_points, dg_points in (
+                (presets.burgers_flux((-1.2, 1.2)), [11], [11 * 3]),
+                (presets.traveling_density_flux(lambda s: 2.0 + np.sin(s), np.cos), [11 * 5],
+                 [])):
+            flux, calls = counting_flux(base)
+            vert = vertical_fluxes(flux, (-1.0, 1.0))
+            calls.clear()
+            vert.G(u)
+            vert.dG(np.stack([u, u, u], axis=1))
+            assert calls[("w", 0)] == g_points and calls[("dw", 0)] == dg_points
 
 
 class TestDataHull:
