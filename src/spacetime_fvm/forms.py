@@ -599,22 +599,29 @@ class ParamForm:
 
         Raises when the declared derivative family disagrees with the base
         family beyond ``tol`` or either is not finite near a sample; returns
-        the largest observed residual.
+        the largest observed residual.  Each coefficient is called at
+        ``u ± step`` and its ``du`` at ``u`` once, over all samples at once
+        (``pts`` against the samples on a new last axis); a residual that is
+        not finite names the first (sample, coefficient) in sample order,
+        then coefficient order.
         """
         pts = np.asarray(pts, dtype=float)
-        worst = 0.0
-        for ubar in u_samples:
-            ubar = float(ubar)
-            for idx, fn in self.coeffs.items():
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    fd = (np.asarray(fn(pts, ubar + step))
-                          - np.asarray(fn(pts, ubar - step))) / (2 * step)
-                    exact = np.asarray(self.du_coeffs[idx](pts, ubar))
-                    scale = 1.0 + np.max(np.abs(exact)) if exact.size else 1.0
-                    resid = float(np.max(np.abs(fd - exact))) / scale
-                if not np.isfinite(resid):   # max() would drop a NaN
-                    raise FormError(f"coefficient {idx}: not finite near u = {ubar!r}")
-                worst = max(worst, resid)
+        us = np.array([float(u) for u in u_samples])
+        grid, axes = pts[..., None, :], tuple(range(pts.ndim - 1))
+        resid = np.empty((us.size, len(self.coeffs)))
+        for c, (idx, fn) in enumerate(self.coeffs.items()):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                fd = (np.asarray(fn(grid, us + step))
+                      - np.asarray(fn(grid, us - step))) / (2 * step)
+                exact = np.broadcast_to(self.du_coeffs[idx](grid, us), pts.shape[:-1] + us.shape)
+                scale = 1.0 + np.max(np.abs(exact), axis=axes) if exact.size else 1.0
+                resid[:, c] = np.max(np.abs(fd - exact), axis=axes) / scale
+        bad = np.argwhere(~np.isfinite(resid))   # a NaN would pass the tol check
+        if bad.size:
+            k, c = bad[0]
+            raise FormError(f"coefficient {list(self.coeffs)[c]}: not finite near "
+                            f"u = {float(us[k])!r}")
+        worst = float(np.max(resid, initial=0.0))
         if worst > tol:
             raise FormError(f"du family inconsistent with base family (residual {worst:.3e})")
         return worst

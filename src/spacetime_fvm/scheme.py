@@ -166,24 +166,27 @@ class VerticalFluxes:
     ``G(u)`` is the total flux through a face as seen from its left cell
     (outward orientation); ``Q(u, v)`` is the numerical flux in that same
     orientation with ``u`` the left-cell state.  Critical points of G over
-    the admissible state range are located once (sign changes of G' on a
-    ``CRITICAL_SAMPLES`` lattice, polished by ``mesh.bracketed_root``, which
-    raises at a NaN G' or at its step bound; exact lattice zeros of G' count
-    as found), making the interval min/max flux exact for fluxes with
-    finitely many extrema.  With ``(0,)`` in
-    ``flux.u_free_du`` the lattice is one column, ``dg_column``, and the
-    search is skipped: a G' constant in u has no critical point, so
+    the admissible state range, ``crit_w`` and their fluxes ``crit_g``, are
+    located on first read (sign changes of the constructor's G' on a
+    ``CRITICAL_SAMPLES`` lattice, kept until then, polished by
+    ``mesh.bracketed_root``, which raises at a NaN G' or at its step bound;
+    exact lattice zeros of G' count as found), making the interval min/max
+    flux exact for fluxes with finitely many extrema.  The interval min/max
+    flux (:meth:`_combine`) and the verifier's smooth-pair fluxes read them;
+    the CFL bound (:meth:`lipschitz_sup`) and the central fluxes never do.
+    With ``(0,)`` in
+    ``flux.u_free_du`` the lattice is one column, ``dg_column``, and there
+    is no search: a G' constant in u has no critical point, so
     ``crit_w``/``crit_g`` are (nv, 0), as the search gives.  Per-row
     ``x_nodes`` and ``t_lo`` give a block table (:class:`Slab`) of slabs of
     one nominal ``height`` (:attr:`Foliation.heights`); :meth:`block_rows`
-    views a slab's rows (``ROWS``) and :meth:`on_slab` moves it to other
-    slabs of that height of a flux that does not read t.  Such a flux's
-    coefficient is evaluated at one t node per face, which the sums
-    broadcast against all nq weights, bit for bit.
+    views a slab's rows (``ROWS``, and the points on first read) and
+    :meth:`on_slab` moves it to other slabs of that height of a flux that
+    does not read t.  Such a flux's coefficient is evaluated at one t node
+    per face, which the sums broadcast against all nq weights, bit for bit.
     """
 
-    ROWS = ("x_nodes", "t_lo", "pts", "dg_column", "_dg_abs_max", "_dg_half_spread", "crit_w",
-            "crit_g", "speed")
+    ROWS = ("x_nodes", "t_lo", "pts", "dg_column", "_dg_abs_max", "_dg_half_spread", "speed")
 
     def __init__(self, x_nodes: np.ndarray, t_lo: float | np.ndarray, height: float,
                  flux: FluxField, spec: NumericalFluxSpec,
@@ -209,7 +212,7 @@ class VerticalFluxes:
             self.dg_column = dg[:, 0]
             self.crit_w = self.crit_g = np.empty((self.n_faces, 0))
         else:
-            self._locate_criticals(us, dg)
+            self._criticals = (us, dg)   # the search's lattice, until a point is read
 
         if spec.rusanov_speed is not None and spec.kind is not FluxKind.GODUNOV_OSHER:
             self.speed = np.full(self.n_faces, float(spec.rusanov_speed))
@@ -224,14 +227,37 @@ class VerticalFluxes:
         rows = _moved_rows(t_lo.size, self.n_faces)
         pts = (self.pts if rows is None else self.pts[rows]).copy()
         np.add(t_lo[:, None], self._rule.nodes[:, 0] * self.height, out=pts[..., 0])
-        return _sharing(self, rows, t_lo=t_lo, pts=pts)
+        return self._rows(rows, False, t_lo=t_lo, pts=pts)
 
     def block_rows(self, rows: slice) -> "VerticalFluxes":
         """The ``rows`` of one slab of this block table: its table built alone, bit for bit."""
-        width = self.crit_w.shape[1] and int(np.max(np.count_nonzero(
-            ~np.isnan(self.crit_w[rows]), axis=1)))
-        return _sharing(self, rows, t_lo=float(self.t_lo[rows.start]),
-                        crit_w=self.crit_w[rows, :width], crit_g=self.crit_g[rows, :width])
+        return self._rows(rows, True, t_lo=float(self.t_lo[rows.start]))
+
+    def _rows(self, rows, trim: bool, **geometry) -> "VerticalFluxes":
+        """:func:`_sharing`'s table of ``rows``, whose critical points are this table's rows
+        when read: cut to the most any of them holds, given ``trim``, as built alone."""
+        new = _sharing(self, rows, _criticals=(self, slice(None) if rows is None else rows, trim),
+                       **geometry)
+        new.__dict__.pop("crit_w", None)
+        new.__dict__.pop("crit_g", None)
+        return new
+
+    def __getattr__(self, name: str):
+        # only an attribute not set gets here: crit_w/crit_g on first read, searched on
+        # this table's lattice or taken from its source's rows (_rows)
+        if name not in ("crit_w", "crit_g") or "_criticals" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        if isinstance(self._criticals[0], VerticalFluxes):
+            source, rows, trim = self._criticals
+            crit_w, crit_g = source.crit_w[rows], source.crit_g[rows]
+            if trim and crit_w.shape[1]:
+                width = int(np.max(np.count_nonzero(~np.isnan(crit_w), axis=1)))
+                crit_w, crit_g = crit_w[:, :width], crit_g[:, :width]
+        else:
+            crit_w, crit_g = self._locate_criticals(*self._criticals)
+        self.crit_w, self.crit_g = crit_w, crit_g
+        del self._criticals
+        return self.__dict__[name]
 
     @property
     def n_faces(self) -> int:
@@ -263,7 +289,8 @@ class VerticalFluxes:
         us = np.asarray(us, dtype=float)
         return self.dG(np.broadcast_to(us, (self.n_faces, us.size)))
 
-    def _locate_criticals(self, us: np.ndarray, dg: np.ndarray) -> None:
+    def _locate_criticals(self, us: np.ndarray, dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(crit_w, crit_g)`` from the G' lattice ``dg`` on the states ``us``."""
         # strict sign changes are polished; samples where G' vanishes exactly
         # (a sonic state landing on a sample node) are criticals themselves
         sign_change = dg[:, :-1] * dg[:, 1:] < 0.0
@@ -296,11 +323,12 @@ class VerticalFluxes:
         face_sorted = face_idx[order]
         counts = np.bincount(face_idx, minlength=self.n_faces)
         rank = np.arange(face_idx.size) - (np.cumsum(counts) - counts)[face_sorted]
-        self.crit_w = np.full((self.n_faces, int(counts.max(initial=0))), np.nan)
-        self.crit_g = np.full_like(self.crit_w, np.nan)
+        crit_w = np.full((self.n_faces, int(counts.max(initial=0))), np.nan)
+        crit_g = np.full_like(crit_w, np.nan)
         if face_idx.size:
-            self.crit_w[face_sorted, rank] = roots[order]
-            self.crit_g[face_sorted, rank] = self.G(roots[order], faces=face_sorted)
+            crit_w[face_sorted, rank] = roots[order]
+            crit_g[face_sorted, rank] = self.G(roots[order], faces=face_sorted)
+        return crit_w, crit_g
 
     # -- numerical fluxes -------------------------------------------------------
 
@@ -319,15 +347,14 @@ class VerticalFluxes:
 
     def _combine(self, u, v, gu, gv, faces=None) -> np.ndarray:
         """:meth:`Q` from the states and their fluxes ``gu = G(u)``, ``gv = G(v)``."""
-        speed = self.speed if faces is None else self.speed[np.asarray(faces)]
+        if self.spec.kind is not FluxKind.GODUNOV_OSHER:   # the central fluxes
+            speed = self.speed if faces is None else self.speed[np.asarray(faces)]
+            s = speed if u.ndim == 1 else speed[:, None]
+            if self.spec.kind is FluxKind.RUSANOV:
+                return 0.5 * (gu + gv) - 0.5 * s * (v - u)
+            return 0.5 * (gu + gv) + 0.5 * s * (v - u)
         crit_w = self.crit_w if faces is None else self.crit_w[np.asarray(faces)]
         crit_g = self.crit_g if faces is None else self.crit_g[np.asarray(faces)]
-        if self.spec.kind is FluxKind.RUSANOV:
-            s = speed if u.ndim == 1 else speed[:, None]
-            return 0.5 * (gu + gv) - 0.5 * s * (v - u)
-        if self.spec.kind is FluxKind.ANTI_DIFFUSIVE:
-            s = speed if u.ndim == 1 else speed[:, None]
-            return 0.5 * (gu + gv) + 0.5 * s * (v - u)
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         qmin = np.minimum(gu, gv)
@@ -678,7 +705,8 @@ class Solver:
         """``(slabs, outflow table, vertical table, report)`` of slab j's block, the one place
         a slab's tables come from: built for a flux that reads t; else moved from the last
         block built, if of its height and no fewer slabs, sharing its report's rows, or built
-        from its first slab.  A failing build is split."""
+        from its first slab.  A failing build, for the interval min/max flux its critical-point
+        search included, is split."""
         starts = self._block_starts
         k = bisect.bisect_right(starts, j) - 1
         block = self._blocks.get(starts[k])
@@ -702,6 +730,8 @@ class Solver:
                                            u_range=self.u_range)
                     vert = VerticalFluxes(np.tile(tri.breakpoints[:nv], b), t_lo[:b * nv], height,
                                           self.flux, self.spec, self.rule, self.u_range)
+                    if self.spec.kind is FluxKind.GODUNOV_OSHER:
+                        vert.crit_w   # the points its flux reads: a failing search splits
                     if b < n:
                         table, vert = table.on_slice(tri, slices), vert.on_slab(t_lo)
                     report = _lambda_report(vert, table, *self.cell_faces[n], js.start)

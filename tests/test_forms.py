@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spacetime_fvm.forms import (
@@ -249,6 +249,26 @@ class TestStokesOnRectangle:
         assert volume == pytest.approx(boundary, rel=1e-6)
 
 
+def _per_sample_du_check(form, pts, u_samples, tol, step):
+    """``ParamForm.check_du_consistency`` as a loop over samples, then coefficients."""
+    worst = 0.0
+    for ubar in u_samples:
+        ubar = float(ubar)
+        for idx, fn in form.coeffs.items():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                fd = (np.asarray(fn(pts, ubar + step))
+                      - np.asarray(fn(pts, ubar - step))) / (2 * step)
+                exact = np.asarray(form.du_coeffs[idx](pts, ubar))
+                scale = 1.0 + np.max(np.abs(exact)) if exact.size else 1.0
+                resid = float(np.max(np.abs(fd - exact))) / scale
+            if not np.isfinite(resid):
+                raise FormError(f"coefficient {idx}: not finite near u = {ubar!r}")
+            worst = max(worst, resid)
+    if worst > tol:
+        raise FormError(f"du family inconsistent with base family (residual {worst:.3e})")
+    return worst
+
+
 class TestParamForm:
     def _family(self):
         coeffs = {(0,): lambda pts, u: -0.5 * np.asarray(u)**2 + 0.0 * pts[..., 0],
@@ -278,6 +298,59 @@ class TestParamForm:
         family = ParamForm(1, 2, coeffs, du, (-1.0, 1.0))
         with pytest.raises(FormError, match=r"coefficient \(1,\): not finite near u = 0\.5"):
             family.check_du_consistency(pts_2d((0.0, 0.5), (0.0, 0.1)), [0.5])
+
+    @settings(max_examples=60, deadline=None)
+    @given(us=st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 1e-6]),
+                       min_size=1, max_size=6),
+           params=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+           mismatch=st.sampled_from([0.0, 1e-9, 1e-3]),
+           poisons=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1),
+                                      st.sampled_from(["plus", "minus", "du"]),
+                                      st.sampled_from([np.nan, np.inf, -np.inf])), max_size=2))
+    @example(us=[0.3, -0.7, 1.1], params=[0.5, -1.0, 0.25, 1.5, 0.0, -0.5], mismatch=0.0,
+             poisons=[(1, 0, "du", np.nan), (0, 1, "plus", np.inf)])   # sample order first
+    @example(us=[0.3, -0.7, 1.1], params=[0.5, -1.0, 0.25, 1.5, 0.0, -0.5], mismatch=1e-3,
+             poisons=[])
+    def test_one_call_check_is_the_per_sample_loop(self, us, params, mismatch, poisons):
+        # each coefficient called once over all samples: the loop's worst residual bit for
+        # bit, or the loop's first error, with coefficients NaN or infinite at up to two
+        # (sample, coefficient) pairs
+        step = 1e-6
+        shift = {"plus": step, "minus": -step, "du": 0.0}
+        bad = [(us[k % len(us)] + shift[where], c, where == "du", value)
+               for k, c, where, value in poisons]
+
+        def poisoned(c, value, u, is_du):
+            for at, bad_c, bad_du, bad_value in bad:
+                if (bad_c, bad_du) == (c, is_du):
+                    value = np.where(np.asarray(u) == at, bad_value, value)
+            return value
+
+        def family(c):
+            a, b, w = params[3 * c:3 * c + 3]
+
+            def fn(pts, u):
+                u = np.asarray(u)
+                return poisoned(c, a * u * u + b * u * pts[..., 0]
+                                + w * np.sin(pts[..., 1]) * u, u, False)
+
+            def dfn(pts, u):
+                u = np.asarray(u)
+                return poisoned(c, 2.0 * a * u + b * pts[..., 0] + w * np.sin(pts[..., 1])
+                                + mismatch * c * u, u, True)
+            return fn, dfn
+
+        (f0, d0), (f1, d1) = family(0), family(1)
+        form = ParamForm(1, 2, {(0,): f0, (1,): f1}, {(0,): d0, (1,): d1}, (-2.0, 2.0))
+        pts = pts_2d((0.0, 0.2), (0.5, 0.9), (0.25, 0.4), (1.0, 0.0))
+
+        def outcome(check):
+            try:
+                return np.float64(check(form, pts, us, 1e-5, step)).tobytes()
+            except FormError as exc:
+                return str(exc)
+
+        assert outcome(ParamForm.check_du_consistency) == outcome(_per_sample_du_check)
 
     def test_degenerate_u_range_rejected(self):
         with pytest.raises(FormError):

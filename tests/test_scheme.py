@@ -39,7 +39,12 @@ from spacetime_fvm.entropy import (
 )
 from spacetime_fvm.fluxfield import FluxField, NotSpacelikeError
 from spacetime_fvm.forms import ParamForm, gauss_legendre
-from spacetime_fvm.harness import CharacteristicsLinear, bump_test_function, l1_error
+from spacetime_fvm.harness import (
+    CharacteristicsLinear,
+    boundary_driven_burgers_case,
+    bump_test_function,
+    l1_error,
+)
 from spacetime_fvm.mesh import (
     CircleDomain,
     ConvergenceError,
@@ -575,6 +580,19 @@ def bisected_criticals(vert, n_steps=80):
     return np.array(roots)
 
 
+def nan_g_prime_flux():
+    """Burgers about 0.515, whose G' is NaN on (0.51, 0.52)."""
+    return presets.flat_flux(
+        lambda u: 0.5 * (np.asarray(u) - 0.515) ** 2,
+        lambda u: np.where(np.abs(np.asarray(u) - 0.515) < 0.005, np.nan,
+                           np.asarray(u) - 0.515), (-1.0, 1.0))
+
+
+NAN_G_PRIME_ERROR = (r"^vertical face x = 0\.0 of the slab \[0\.0, 0\.05\]: critical-point "
+                     r"search on the lattice segment \[0\.5, 0\.53125\] stopped at "
+                     r"u = 0\.51\d* with G' = nan$")
+
+
 class TestCriticalPoints:
     """Critical points of G: lattice detection plus the polish by ``bracketed_root``."""
 
@@ -625,21 +643,178 @@ class TestCriticalPoints:
 
     def test_nan_g_prime_at_the_polish_is_a_convergence_error(self):
         # G' is NaN on (0.51, 0.52), between the lattice states 0.5 and
-        # 0.53125, and the secant start is the root 0.515 inside that band
-        flux = presets.flat_flux(
-            lambda u: 0.5 * (np.asarray(u) - 0.515) ** 2,
-            lambda u: np.where(np.abs(np.asarray(u) - 0.515) < 0.005, np.nan,
-                               np.asarray(u) - 0.515), (-1.0, 1.0))
-        with pytest.raises(ConvergenceError, match=(
-                r"^vertical face x = 0\.0 of the slab \[0\.0, 0\.05\]: critical-point search on "
-                r"the lattice segment \[0\.5, 0\.53125\] stopped at u = 0\.51\d* with G' = nan$")):
-            vertical_fluxes(flux, (-1.0, 1.0))
+        # 0.53125, and the secant start is the root 0.515 inside that band;
+        # the search runs when the points are first read
+        vert = vertical_fluxes(nan_g_prime_flux(), (-1.0, 1.0))
+        with pytest.raises(ConvergenceError, match=NAN_G_PRIME_ERROR):
+            vert.crit_w
 
     def test_no_criticals_for_monotone_g(self):
         flux = presets.linear_advection_flux(1.0, (-1.0, 1.0))
         vert = vertical_fluxes(flux, (-1.0, 1.0))
         assert vert.crit_w.shape == (vert.n_faces, 0)
         assert vert.crit_g.shape == (vert.n_faces, 0)
+
+
+def counted_searches(monkeypatch) -> list:
+    """A one-item list counting the calls of the critical-point search from now on."""
+    calls, search = [0], VerticalFluxes._locate_criticals
+
+    def counted(self, *args):
+        calls[0] += 1
+        return search(self, *args)
+
+    monkeypatch.setattr(VerticalFluxes, "_locate_criticals", counted)
+    return calls
+
+
+RIEMANN_CONFIG = """
+[spacetime]
+domain = interval 0 1
+t_final = {t_final}
+[flux]
+{flux}
+[mesh]
+nx = {nx}
+cfl_target = 0.25
+[scheme]
+kind = {kind}
+[boundary]
+u_b = {left} * (0.5 - 0.5 * sign(x - 0.45)) + {right} * (0.5 + 0.5 * sign(x - 0.45))
+[run]
+u_min = {lo}
+u_max = {hi}
+"""
+LADDER_FLUX = "builtin = custom\nwx = u\nwt = -0.5 * u * u\ndwx_du = 1\ndwt_du = -u"
+
+
+class TestCriticalsOnFirstRead:
+    """The points are searched when first read: by the Godunov flux, never by the CFL
+    bound or the central fluxes, with the bits and the errors of a search at once."""
+
+    @pytest.mark.parametrize("kind, left, right", [("rusanov", -0.4, 0.5),
+                                                   ("anti_diffusive", 0.2, 0.25)])
+    def test_central_fluxes_make_no_search(self, kind, left, right, monkeypatch):
+        # the rarefaction_ladder config, and a mild anti-diffusive run on a given height
+        calls = counted_searches(monkeypatch)
+        text = RIEMANN_CONFIG.format(t_final=0.15, flux=LADDER_FLUX, nx=40, kind=kind,
+                                     left=left, right=right, lo=-0.5, hi=0.6)
+        if kind == "anti_diffusive":
+            text = text.replace("cfl_target = 0.25", "dt = 0.005").replace(
+                "t_final = 0.15", "t_final = 0.05").replace(
+                "kind = anti_diffusive", "kind = anti_diffusive\nrusanov_speed = 0.004")
+        setup = parse_config(text)
+        tri = setup.triangulation()
+        solver = Solver(tri, setup.flux, setup.spec, setup.bd, setup.cfg)
+        result = solver.run()
+        assert calls[0] == 0 and tri.n_slabs > 1
+        assert np.all(np.isfinite(result.final_state.values))
+
+    def test_a_godunov_run_searches_once_per_block_build(self, monkeypatch):
+        # the shock_run config: no search in select_timestep, one in the solve
+        calls = counted_searches(monkeypatch)
+        setup = parse_config(RIEMANN_CONFIG.format(
+            t_final=0.25, flux="builtin = burgers", nx=160, kind="godunov", left=0.9,
+            right=-0.1, lo=-0.2, hi=1.0))
+        tri = setup.triangulation()
+        assert calls[0] == 0
+        Solver(tri, setup.flux, setup.spec, setup.bd, setup.cfg).run()
+        assert calls[0] == 1
+        # a flux that reads t: one search per block, none for the slabs' row views
+        calls[0] = 0
+        times = np.linspace(0.0, 0.6, 13)
+        tri = build_triangulation(Foliation(times, IntervalDomain(0.0, 1.0)), 8)
+        monkeypatch.setattr(scheme_module, "BLOCK_ROWS", 5 * tri.n_columns)
+        solver = Solver(tri, _moving_sonic_flux(1.0), NumericalFluxSpec(), constant_bd(0.6),
+                        RunConfig(u_range=(0.3, 1.0), enforce_cfl=False))
+        solver.run()
+        assert solver._block_starts == [0, 5, 10] and calls[0] == 3
+
+    @pytest.mark.parametrize("kind", ["godunov_osher", "rusanov"])
+    def test_points_equal_a_search_at_once_bit_for_bit(self, kind):
+        sonic = 0.3 + 1e-3 * np.sqrt(2.0)
+        fluxes = [
+            (presets.flat_flux(lambda u: 0.5 * (np.asarray(u) - sonic) ** 2,
+                               lambda u: np.asarray(u) - sonic, (-0.6, 1.1)), (-0.6, 1.1)),
+            (presets.flat_flux(lambda u: np.asarray(u) ** 4 / 4 + 0.25 * np.asarray(u) ** 3 / 3
+                               - 0.165 * np.asarray(u) ** 2 / 2,
+                               lambda u: np.asarray(u) * (np.asarray(u) - 0.3)
+                               * (np.asarray(u) + 0.55), (-1.0, 1.0)), (-1.0, 1.0)),
+            (_moving_sonic_flux(1.0), (0.3, 1.0)),
+            (presets.linear_advection_flux(1.0, (-1.0, 1.0)), (-1.0, 1.0))]
+        for flux, u_range in fluxes:
+            vert = VerticalFluxes(np.linspace(0.0, 1.0, 9), 0.55, 0.05, flux,
+                                  NumericalFluxSpec(kind), gauss_legendre(5, 1), u_range)
+            assert "crit_w" not in vars(vert) or (0,) in flux.u_free_du
+            us = np.linspace(*u_range, scheme_module.CRITICAL_SAMPLES)
+            eager = vert._locate_criticals(us, vert.dG_lattice(us))
+            for lazy, at_once in zip((vert.crit_w, vert.crit_g), eager):
+                assert (lazy.shape, lazy.tobytes()) == (at_once.shape, at_once.tobytes())
+            assert "_criticals" not in vars(vert)   # the lattice is dropped once searched
+
+    def test_a_rusanov_entropy_report_is_unchanged(self, monkeypatch):
+        # its verifier reads the points where it splits the boundary fluxes: the report of
+        # a run whose tables search at once, byte for byte
+        calls = counted_searches(monkeypatch)
+        case = boundary_driven_burgers_case(t_final=0.2, spec=NumericalFluxSpec("rusanov"))
+        result = case.run(12)
+        assert calls[0] == 0
+        lazy = verify_run(result).to_json()
+        assert calls[0] > 0
+        init = VerticalFluxes.__init__
+
+        def at_once(self, *args):
+            init(self, *args)
+            self.crit_w
+
+        monkeypatch.setattr(VerticalFluxes, "__init__", at_once)
+        assert verify_run(case.run(12)).to_json() == lazy
+
+    def test_a_godunov_run_raises_the_search_error(self):
+        tri = build_triangulation(Foliation(np.array([0.0, 0.05, 0.1]),
+                                            IntervalDomain(0.0, 1.0)), 10)
+        solver = Solver(tri, nan_g_prime_flux(), NumericalFluxSpec(), constant_bd(0.2),
+                        RunConfig(u_range=(-1.0, 1.0)))
+        with pytest.raises(ConvergenceError, match=NAN_G_PRIME_ERROR):
+            solver.run()
+
+    def test_a_reads_t_search_failing_on_a_later_slab_names_it(self, monkeypatch):
+        # G' is NaN on (0.51, 0.52) from t = 0.1 on: the block of all four slabs fails its
+        # search and is split, so slabs 0 and 1 step and slab 2 raises, as slab by slab
+        base = presets.flat_flux(lambda u: 0.5 * (np.asarray(u) - 0.515) ** 2,
+                                 lambda u: np.asarray(u) - 0.515, (-1.0, 1.0)).omega
+
+        def dwt(pts, u):
+            late = (pts[..., 0] >= 0.1) & (np.abs(np.asarray(u) - 0.515) < 0.005)
+            return np.where(late, np.nan, base.du_coeffs[(0,)](pts, u))
+
+        flux = FluxField(omega=ParamForm(1, 2, base.coeffs, {**base.du_coeffs, (0,): dwt},
+                                         base.u_range), domain=None, name="late-nan")
+        tri = build_triangulation(Foliation(np.array([0.0, 0.05, 0.1, 0.15, 0.2]),
+                                            IntervalDomain(0.0, 1.0)), 10)
+        errors = []
+        for rows in (scheme_module.BLOCK_ROWS, tri.n_columns):
+            monkeypatch.setattr(scheme_module, "BLOCK_ROWS", rows)
+            solver = Solver(tri, flux, NumericalFluxSpec(), constant_bd(0.2),
+                            RunConfig(u_range=(-1.0, 1.0), enforce_cfl=False))
+            with pytest.raises(ConvergenceError) as info:
+                solver.run()
+            errors.append(str(info.value))
+            assert [len(solver.block(j).slabs) for j in range(2)] == [1, 1]   # split
+        assert errors[0] == errors[1]
+        assert re.match(r"^vertical face x = 0\.0 of the slab \[0\.1, 0\.15\d*\]: "
+                        r"critical-point search on the lattice segment \[0\.5, 0\.53125\]",
+                        errors[0])
+
+    def test_a_rusanov_run_of_the_nan_flux_does_not_raise(self):
+        # nothing reads its points (a behaviour change: the search raised in every
+        # table build); reading them raises the search's error
+        solver = make_solver(nan_g_prime_flux(), IntervalDomain(0.0, 1.0), 0.05,
+                             constant_bd(0.2), nx=10, kind="rusanov", u_range=(-1.0, 1.0))
+        result = solver.run()
+        assert np.all(np.isfinite(result.final_state.values))
+        with pytest.raises(ConvergenceError, match="critical-point search"):
+            solver.slab(0).vert.crit_w
 
 
 class TestRun:
@@ -1097,7 +1272,7 @@ class TestTableReuse:
                     (solver.slice_table(j + 1), block.table_plus, slice(b * m, (b + 1) * m),
                      SpacelikeTable.ROWS),
                     (solver.vertical_fluxes(j), block.vert, slice(b * nv, (b + 1) * nv),
-                     VerticalFluxes.ROWS),
+                     VerticalFluxes.ROWS + ("crit_w", "crit_g")),
                     (solver.slab(j).lambdas(), block.lambdas(), slice(b * m, (b + 1) * m),
                      report_rows)):
                 for name in names:
@@ -1499,6 +1674,7 @@ class TestBlockTables:
                                                                    u_range=solver.u_range))
                 alone = VerticalFluxes(x_nodes, float(tri.times[j]), tri.heights[j], flux,
                                        solver.spec, rule, solver.u_range)
+                assert slab.vert.crit_w.shape == alone.crit_w.shape   # located on first read
                 _assert_same_table(slab.vert, alone)
                 report = scheme_module._lambda_report(alone, slab.table_plus, slab.left_idx,
                                                       slab.right_idx, j)

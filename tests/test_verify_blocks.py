@@ -69,6 +69,7 @@ from spacetime_fvm.scheme import (
     RunConfig,
     SliceState,
     Solver,
+    VerticalFluxes,
     select_timestep,
 )
 
@@ -425,6 +426,44 @@ def test_a_failing_block_raises_the_per_slab_error(monkeypatch):
     with pytest.raises(ValueOutsideImage) as raised:
         verify_run(result)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("kind", ["godunov", "rusanov"])
+def test_points_on_first_read_equal_a_search_at_once(kind):
+    # the moving-sonic blocks hold slabs with no critical point and slabs with one: the
+    # points read from a block, from a slab's rows of it and from a moved table are those
+    # of a search run at once on the block's G' lattice, cut or gathered as it was
+    setup = parse_config(MOVING_SONIC.replace("kind = godunov", f"kind = {kind}"))
+    solver = Solver(setup.triangulation(), setup.flux, setup.spec, setup.bd, setup.cfg)
+    nv, us = solver.tri.n_nodes, np.linspace(*solver.u_range, scheme.CRITICAL_SAMPLES)
+    widths = set()
+    for start in solver._block_starts:
+        block = solver.block(start)
+        vert = block.vert
+        at_once = vert._locate_criticals(us, vert.dG_lattice(us))
+        slabs = [vert.block_rows(slice(b * nv, (b + 1) * nv)) for b in range(block.n)]
+        # on_slab serves a flux that does not read t; here it shows only which rows a moved
+        # table takes: the block's first slab's, and the rows of a one-slab table repeated
+        last = VerticalFluxes(vert.x_nodes[-nv:], vert.t_lo[-nv:], vert.height, setup.flux,
+                              setup.spec, solver.rule, solver.u_range)
+        moved = [(vert.on_slab(vert.t_lo[:nv]), at_once, slice(0, nv)),
+                 (last.on_slab(np.repeat(vert.t_lo[-nv:], 3)),
+                  last._locate_criticals(us, last.dG_lattice(us)), np.arange(3 * nv) % nv)]
+        assert not any("crit_w" in vars(table) for table in [*slabs, last, moved[0][0]])
+        assert ("crit_w" in vars(vert)) is (kind == "godunov")
+        for b, table in enumerate(slabs):
+            rows = slice(b * nv, (b + 1) * nv)
+            width = int(np.max(np.count_nonzero(~np.isnan(at_once[0][rows]), axis=1)))
+            widths.add(width)
+            for lazy, eager in zip((table.crit_w, table.crit_g), at_once):
+                assert lazy.tobytes() == eager[rows, :width].tobytes()
+                assert lazy.shape == (nv, width)
+        for table, source_at_once, rows in moved:
+            for lazy, eager in zip((table.crit_w, table.crit_g), source_at_once):
+                assert (lazy.shape, lazy.tobytes()) == (eager[rows].shape, eager[rows].tobytes())
+        for lazy, eager in zip((vert.crit_w, vert.crit_g), at_once):
+            assert (lazy.shape, lazy.tobytes()) == (eager.shape, eager.tobytes())
+    assert widths == {0, 1}
 
 
 @pytest.mark.parametrize("name", ["shock", "moving-sonic"])
